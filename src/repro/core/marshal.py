@@ -36,6 +36,7 @@ byte-identical wire data to the baseline):
 """
 
 import struct as _struct
+import weakref
 
 from .cstruct import Array, CONSTANTS, Exp, Null, Opaque, Ptr, Str, Struct
 
@@ -156,7 +157,15 @@ class MarshalPlan:
 
     The plan also owns the codec caches: per-(struct, direction) field
     lists and compiled op programs, shared by every channel using the
-    plan.  Mutating the plan via :meth:`set_access` invalidates both.
+    plan.  Mutating the plan via :meth:`set_access` or :meth:`pin`
+    invalidates both.
+
+    A plan can outlive the struct classes it compiles for: ``slice_plan``
+    keeps one per driver for the whole process, while every fleet slot
+    execs its own clone of each driver struct.  Cache keys therefore
+    hold ``id(struct_cls)``, not the class, and one weak reference per
+    class drops that class's entries when it is collected (before its
+    id can be reused).
     """
 
     def __init__(self, accesses=None, pinned=None):
@@ -165,6 +174,7 @@ class MarshalPlan:
                         for name, fields in (pinned or {}).items()}
         self._field_cache = {}
         self._op_cache = {}
+        self._class_refs = {}
 
     def set_access(self, struct_name, access):
         self._accesses[struct_name] = access
@@ -212,20 +222,30 @@ class MarshalPlan:
         return fields
 
     def fields_for(self, struct_cls, direction):
-        key = (struct_cls, direction)
-        cached = self._field_cache.get(key)
+        cid = id(struct_cls)
+        cached = self._field_cache.get((cid, direction))
         if cached is None:
             cached = tuple(self.uncached_fields_for(struct_cls, direction))
-            self._field_cache[key] = cached
+            if cid not in self._class_refs:
+                self._class_refs[cid] = weakref.KeyedRef(
+                    struct_cls, self._forget_class, cid)
+            self._field_cache[cid, direction] = cached
         return cached
 
     def compiled_ops_for(self, struct_cls, direction):
-        key = (struct_cls, direction)
+        key = (id(struct_cls), direction)
         ops = self._op_cache.get(key)
         if ops is None:
             ops = compile_field_ops(self.fields_for(struct_cls, direction))
             self._op_cache[key] = ops
         return ops
+
+    def _forget_class(self, ref):
+        cid = ref.key
+        del self._class_refs[cid]
+        for direction in (TO_USER, TO_KERNEL):
+            self._field_cache.pop((cid, direction), None)
+            self._op_cache.pop((cid, direction), None)
 
     def struct_names(self):
         return sorted(self._accesses)

@@ -14,9 +14,27 @@ decoded to 44.1 kHz stereo produces the same interrupt cadence the real
 workload sees (one per period).
 """
 
-import struct
+import sys
+from array import array
 
 from ..kernel.pci import PciBar, PciFunction
+
+_BIG_ENDIAN_HOST = sys.byteorder == "big"
+
+
+def _sum_le_words(data, start, count):
+    """Sum of ``count`` little-endian u32 words at ``data[start:]``.
+
+    Words that would run past the end of ``data`` count as 0.
+    """
+    count = min(count, (len(data) - start) // 4)
+    if count <= 0:
+        return 0
+    words = array("I", data[start:start + 4 * count])
+    if _BIG_ENDIAN_HOST:
+        words.byteswap()
+    return sum(words)
+
 
 ENSONIQ_VENDOR_ID = 0x1274
 ES1371_DEVICE_ID = 0x1371
@@ -243,15 +261,28 @@ class Ens1371Device:
         self._schedule_period()
 
     def _consume_audio(self, nbytes):
+        """Fold one period of the DMA ring into ``audio_checksum``.
+
+        The checksum is the mod-2**32 sum of the little-endian 32-bit
+        words at ring positions ``pos, pos+4, ...`` (``ceil(nbytes/4)``
+        words, wrapping at the ring size); a word that runs past the
+        end of the DMA region reads as 0.  The ring size is a multiple
+        of 4, so a wrap lands on ``pos % 4`` and each pass over the ring
+        is one contiguous run, summed in C.
+        """
         region, off = self._kernel.memory.dma_find(self.dac2_frame_addr)
         if region is None:
             return
         size_bytes = (self.dac2_frame_size + 1) * 4
-        for i in range(0, nbytes, 4):
-            pos = (self.dac2_pos_bytes + i) % size_bytes
-            word = struct.unpack_from("<I", region.data, off + pos)[0] \
-                if off + pos + 4 <= len(region.data) else 0
-            self.audio_checksum = (self.audio_checksum + word) & 0xFFFFFFFF
+        words = max(0, (nbytes + 3) // 4)
+        pos = self.dac2_pos_bytes % size_bytes
+        total = self.audio_checksum
+        while words:
+            run = min(words, (size_bytes - pos + 3) // 4)
+            total += _sum_le_words(region.data, off + pos, run)
+            words -= run
+            pos &= 3
+        self.audio_checksum = total & 0xFFFFFFFF
         self.dac2_pos_bytes = (self.dac2_pos_bytes + nbytes) % size_bytes
 
     def ack_interrupt(self):

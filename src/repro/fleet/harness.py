@@ -118,6 +118,7 @@ class FleetHarness:
         self.removes = 0
         self.mem_bytes_per_device = 0.0
         self.events_per_sec = 0.0
+        self.wall_s_per_virtual_ms = 0.0
         self.wall_elapsed_s = 0.0
         self.device_model_fraction = 0.0
         self.profile_buckets = {}
@@ -206,23 +207,28 @@ class FleetHarness:
                 self._fault_event()
             kernel.run_for_ns(period_ns)
         self._settle()
-        self.wall_elapsed_s += time.perf_counter() - wall0
         elapsed = time.perf_counter() - wall0
+        self.wall_elapsed_s += elapsed
         if elapsed > 0:
             self.events_per_sec = ((kernel.events_dispatched - events0)
                                    / elapsed)
+        # Per ms of tick rounds, not of clock advance: recoveries move
+        # the clock by whole JVM restarts without doing fleet work.
+        self.wall_s_per_virtual_ms = elapsed / (rounds * spec.tick_period_ms)
         return self
 
     def profile_run(self, duration_ms=40):
         """A short profiled phase: fills the device-model fraction."""
-        saved_rate = self.events_per_sec  # don't let profiler overhead
-        profiler = cProfile.Profile()     # pollute the sustained rate
+        # Don't let profiler overhead pollute the sustained rates.
+        saved = (self.events_per_sec, self.wall_s_per_virtual_ms)
+        profiler = cProfile.Profile()
         profiler.enable()
         try:
             self.run(duration_ms)
         finally:
             profiler.disable()
-            self.events_per_sec = saved_rate or self.events_per_sec
+            if saved[0]:
+                self.events_per_sec, self.wall_s_per_virtual_ms = saved
         stats = pstats.Stats(profiler)
         buckets = {}
         for (path, _line, _fn), (_cc, _nc, tottime, _ct, _callers) \
@@ -331,6 +337,7 @@ class FleetHarness:
             fleet_devices=self.spec.n_devices,
             churn_cycles=self.churn_cycles,
             events_per_sec=self.events_per_sec,
+            wall_s_per_virtual_ms=self.wall_s_per_virtual_ms,
             mem_bytes_per_device=self.mem_bytes_per_device,
             recovery_rate=(recovered / fired) if fired else 1.0,
             recovery_p50_ms=_percentile(samples, 0.50) / 1e6,

@@ -87,9 +87,12 @@ def clone_module_set(names):
     clones = {}
     saved_modules = {}
     saved_attrs = {}
+    # Import every original before any clone shadows it in sys.modules:
+    # an original first imported inside the window below would bind its
+    # intra-family imports to this slot's clones for good.
+    codes = [_code_for(name) for name in names]
     try:
-        for name in names:
-            code, path = _code_for(name)
+        for name, (code, path) in zip(names, codes):
             original = sys.modules[name]
             clone = types.ModuleType(name)
             clone.__package__ = original.__package__

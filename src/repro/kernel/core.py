@@ -140,7 +140,6 @@ class Kernel:
         self.usb = None
         self.input = None
 
-        self._advancing = 0
         # Process-context events that came due while the CPU was atomic
         # (a nested clock advance inside an irq handler or under a
         # spinlock); parked here until the CPU is back in process
@@ -243,33 +242,29 @@ class Kernel:
         ``run_until`` with a nearer target; monotonicity is preserved
         because the clock only moves forward.
         """
-        self._advancing += 1
         clock = self.clock
         pop_due = self.events.pop_due
         dispatch = self._dispatch_event
         parked = self._parked_process_events
-        try:
-            while True:
-                # Work parked by an atomic-context advance runs as soon
-                # as any advance finds the CPU schedulable again, before
-                # later-timed events (it was due first).  The atomicity
-                # check is against the *current* CPU -- dispatching a
-                # targeted event may have switched it.
-                if parked and not self.current_cpu.context.in_atomic():
-                    dispatch(parked.popleft())
-                    continue
-                ev = pop_due(target_ns)
-                if ev is None:
-                    break
-                # Monotonicity holds by construction here: pop_due only
-                # returns events at or after the current time.
-                if ev.time_ns > clock._now_ns:
-                    clock._now_ns = ev.time_ns
-                dispatch(ev)
-            if target_ns > clock._now_ns:
-                clock._now_ns = target_ns
-        finally:
-            self._advancing -= 1
+        while True:
+            # Work parked by an atomic-context advance runs as soon as
+            # any advance finds the CPU schedulable again, before
+            # later-timed events (it was due first).  The atomicity
+            # check is against the *current* CPU -- dispatching a
+            # targeted event may have switched it.
+            if parked and not self.current_cpu.context.in_atomic():
+                dispatch(parked.popleft())
+                continue
+            ev = pop_due(target_ns)
+            if ev is None:
+                break
+            # Monotonicity holds by construction here: pop_due only
+            # returns events at or after the current time.
+            if ev.time_ns > clock._now_ns:
+                clock._now_ns = ev.time_ns
+            dispatch(ev)
+        if target_ns > clock._now_ns:
+            clock._now_ns = target_ns
 
     def run_for_ns(self, delta_ns):
         self.run_until(self.clock.now_ns + delta_ns)
@@ -380,7 +375,16 @@ class Kernel:
         if cur._defer_depth:
             cur._pending_charge_ns += ns
             return
-        self.run_until(self.clock.now_ns + ns)
+        clock = self.clock
+        target = clock._now_ns + ns
+        if not self._parked_process_events:
+            # Nothing comes due inside the advance: just move the clock,
+            # which is all run_until would do.
+            due = self.events.peek_time()
+            if due is None or due > target:
+                clock._now_ns = target
+                return
+        self.run_until(target)
 
     # -- delays (Linux API names) ----------------------------------------------
 

@@ -50,6 +50,7 @@ class WorkloadResult:
     fleet_devices: int = 0          # concurrent device slots
     churn_cycles: int = 0           # remove/re-probe cycles performed
     events_per_sec: float = 0.0     # simulator events per wall-clock second
+    wall_s_per_virtual_ms: float = 0.0  # wall s per ms of tick rounds
     mem_bytes_per_device: float = 0.0  # tracemalloc bytes per device slot
     recovery_rate: float = 0.0      # recoveries / faults fired
     recovery_p50_ms: float = 0.0    # median fault->recovered outage
@@ -105,6 +106,8 @@ class WorkloadResult:
             row["fleet_devices"] = self.fleet_devices
             row["churn_cycles"] = self.churn_cycles
             row["events_per_sec"] = round(self.events_per_sec, 1)
+            row["wall_s_per_virtual_ms"] = round(
+                self.wall_s_per_virtual_ms, 4)
             row["mem_bytes_per_device"] = round(self.mem_bytes_per_device)
             row["recovery_rate"] = round(self.recovery_rate, 4)
             row["recovery_p50_ms"] = round(self.recovery_p50_ms, 3)

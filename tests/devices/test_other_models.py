@@ -90,8 +90,10 @@ class TestEns1371Playback:
         buf = self._start(kernel, snd, base)
         buf.data[0:4] = struct.pack("<I", 0x11223344)
         kernel.run_for_ms(100)
-        assert snd.samples_consumed > 0
-        assert snd.audio_checksum != 0
+        # Four 1024-frame periods in 100 ms, one full pass of the ring:
+        # the checksum is the sum of its words, i.e. the one written.
+        assert snd.samples_consumed == 4096
+        assert snd.audio_checksum == 0x11223344
 
 
 class TestUhci:

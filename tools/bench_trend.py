@@ -41,7 +41,8 @@ FLOORS = [
      "netperf_recv_e1000.sampler_overhead_fraction", 0.05, "ceiling"),
     ("BENCH_health.json",
      "netperf_recv_rtl8139.sampler_overhead_fraction", 0.05, "ceiling"),
-    ("BENCH_fleet.json", "device_model_fraction", 0.60, "floor"),
+    ("BENCH_fleet.json", "events_per_sec", 4000.0, "floor"),
+    ("BENCH_fleet.json", "wall_s_per_virtual_ms", 0.04, "ceiling"),
     ("BENCH_fleet.json", "recovery_rate", 0.99, "floor"),
 ]
 
