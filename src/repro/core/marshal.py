@@ -24,17 +24,20 @@ Two fast-path mechanisms sit on top of the scheme (both produce
 byte-identical wire data to the baseline):
 
 * **Compiled codecs**: the per-(struct, direction) field list is cached
-  on the plan and maximal runs of scalar fields are compiled into one
-  precompiled :class:`struct.Struct` pack/unpack, replacing per-field
-  ``struct.pack`` calls.  ``MarshalCodec(compiled=False)`` keeps the
-  uncached per-field baseline callable for the ablation benchmarks.
+  on the plan and compiled into a program of typed ops: maximal runs of
+  scalar fields become one precompiled :class:`struct.Struct`
+  pack/unpack, every other field one op per kind (``OP_*``).
+  ``MarshalCodec(compiled=False)`` keeps the uncached per-field
+  baseline callable for the ablation benchmarks.
 * **Delta marshaling**: :class:`~repro.core.cstruct.CStruct` instances
   track attribute writes; a *return* trip encoded with ``delta=True``
   carries only fields actually mutated since the forward transfer
   (wire format per object: field count, then ``(field index, payload)``
-  pairs indexed into the plan's field list).
+  pairs indexed into the plan's field list), chosen by a cached
+  per-(struct, direction) inclusion program.
 """
 
+import functools
 import struct as _struct
 import weakref
 
@@ -86,9 +89,31 @@ class FieldAccess:
 
 
 # -- compiled field programs ---------------------------------------------------
+#
+# A program is a tuple of ops, one per field kind.  Every op but OP_PACK
+# is ``(kind, name, *extra)``; the codec dispatches on ``kind``
+# instead of re-deriving the kind from the field's ctype and annotations
+# on every crossing.
 
 OP_PACK = 0    # a run of plain scalar fields packed with one struct.Struct
-OP_FIELD = 1   # a complex field handled by the generic per-field path
+OP_NULL = 1    # pointer dropped at the boundary: always TAG_NULL
+OP_OPAQUE = 2  # kernel-private pointer: TAG_OPAQUE + u64 handle as one <IQ
+OP_EXP = 3     # exp-length u32 array: TAG_ARRAY, length, elements
+OP_REF = 4     # pointer to a struct graph: object record or back-reference
+               # (extra: the Ptr ctype, resolved at use time)
+OP_EMBED = 5   # embedded struct, encoded inline (extra: struct_cls, offset)
+OP_STR = 6     # fixed-size char array as XDR opaque bytes (extra: length)
+OP_ARRAY = 7   # inline scalar array (extra: length, packer, unpacker,
+               # elem, whether encode must clamp)
+
+_OPAQUE_REC = _struct.Struct("<IQ")
+_NULL_WORD = _U32.pack(TAG_NULL)
+
+# Delta inclusion rules (one per field; see MarshalPlan.delta_program_for).
+DELTA_ALWAYS = 0       # value can mutate unobserved (Python lists)
+DELTA_WRITTEN = 1      # crosses when the attribute was written
+DELTA_WRITTEN_OR_GRAPH = 2  # ... or the graph it points to is dirty
+DELTA_GRAPH = 3        # crosses when the embedded graph is dirty
 
 
 def _scalar_format_char(ctype):
@@ -97,48 +122,146 @@ def _scalar_format_char(ctype):
     return "i" if ctype.signed else "I"
 
 
+def _slot_formats(ctype):
+    """(encode, decode) ``struct`` formats of one scalar's wire slot.
+
+    Scalars below 4 bytes ride a 4-byte XDR slot.  Decode reads only
+    the C type's low bytes (``"B3x"`` for a u8), which is exactly the
+    clamp, done inside ``struct``.  Encode can do the same for unsigned
+    types, whose slot is zero-extended; a signed sub-word value is
+    sign-extended across its slot, so it packs as a full word and must
+    be clamped first.
+    """
+    if ctype.size >= 4:
+        fmt = _scalar_format_char(ctype)
+        return fmt, fmt
+    narrow = ("b3x" if ctype.signed else "B3x") if ctype.size == 1 else \
+        ("h2x" if ctype.signed else "H2x")
+    return ("i" if ctype.signed else narrow), narrow
+
+
+def _needs_clamp(ctype):
+    return ctype.signed and ctype.size < 4
+
+
+@functools.lru_cache(maxsize=None)
+def _struct_for(fmt):
+    """One shared, immutable ``struct.Struct`` per format: every plan,
+    direction and fleet clone class compiling the same layout reuses
+    it (bounded by the distinct layouts in the program)."""
+    return _struct.Struct(fmt)
+
+
+def _pack_op(names, ctypes):
+    """A run of plain scalar fields as one precompiled ``struct.Struct``
+    for encode and one for decode (see :func:`_slot_formats`)."""
+    formats = [_slot_formats(ct) for ct in ctypes]
+    packer = _struct_for("<" + "".join(enc for enc, _dec in formats))
+    unpacker = _struct_for("<" + "".join(dec for _enc, dec in formats))
+    # Signed sub-word fields must be clamped even when pack() would
+    # accept the raw value -- keeps wire bytes identical to baseline.
+    encode_subclamps = tuple(
+        (i, ct) for i, ct in enumerate(ctypes) if _needs_clamp(ct)
+    )
+    return (OP_PACK, tuple(names), tuple(ctypes), packer, unpacker,
+            encode_subclamps)
+
+
+def _field_op(field):
+    """The typed op for one non-scalar field; None for a plain scalar."""
+    ctype = field.ctype
+    name = field.name
+    if isinstance(ctype, Ptr):
+        if field.annotation(Null) is not None:
+            return (OP_NULL, name)
+        if field.annotation(Opaque) is not None:
+            return (OP_OPAQUE, name)
+        if field.annotation(Exp) is not None:
+            return (OP_EXP, name)
+        return (OP_REF, name, ctype)
+    if isinstance(ctype, Struct):
+        return (OP_EMBED, name, ctype.struct_cls, field.offset)
+    if isinstance(ctype, Str):
+        return (OP_STR, name, ctype.length)
+    if isinstance(ctype, Array):
+        elem = ctype.elem
+        enc, dec = _slot_formats(elem)
+        return (OP_ARRAY, name, ctype.length,
+                _struct_for("<" + enc * ctype.length),
+                _struct_for("<" + dec * ctype.length),
+                elem, _needs_clamp(elem))
+    return None
+
+
 def compile_field_ops(fields):
     """Compile a field list into an op program for the fast codec path.
 
     Maximal runs of plain scalar fields collapse into one precompiled
-    ``struct.Struct``; everything else (strings, arrays, pointers,
-    embedded structs) falls back to the generic per-field handler.  The
-    wire bytes are identical to the per-field baseline.
+    ``struct.Struct``; every other field becomes one typed op (see the
+    ``OP_*`` kinds).  The wire bytes are identical to the per-field
+    baseline.
     """
     ops = []
-    run_names, run_ctypes, run_fmt = [], [], "<"
-
-    def close_run():
-        if run_names:
-            # Per-field decode clamps, with None where the wire format
-            # is exactly as wide as the C type (4- and 8-byte scalars):
-            # there struct.unpack already enforces the range, so the
-            # store needs no clamp at all.
-            decode_clamps = tuple(
-                None if ct.size >= 4 else ct for ct in run_ctypes
-            )
-            # Sub-width fields (u8/u16...) ride a wider wire slot, so
-            # encode must clamp them even when the pack() would accept
-            # the raw value -- keeps wire bytes identical to baseline.
-            encode_subclamps = tuple(
-                (i, ct) for i, ct in enumerate(run_ctypes) if ct.size < 4
-            )
-            ops.append((OP_PACK, tuple(run_names), tuple(run_ctypes),
-                        _struct.Struct(run_fmt), decode_clamps,
-                        encode_subclamps))
-
+    run = []
     for field in fields:
-        ctype = field.ctype
-        if isinstance(ctype, (Ptr, Struct, Str, Array)):
-            close_run()
-            run_names, run_ctypes, run_fmt = [], [], "<"
-            ops.append((OP_FIELD, field))
-        else:
-            run_names.append(field.name)
-            run_ctypes.append(ctype)
-            run_fmt += _scalar_format_char(ctype)
-    close_run()
+        op = _field_op(field)
+        if op is None:
+            run.append(field)
+            continue
+        if run:
+            ops.append(_pack_op([f.name for f in run],
+                                [f.ctype for f in run]))
+            run = []
+        ops.append(op)
+    if run:
+        ops.append(_pack_op([f.name for f in run], [f.ctype for f in run]))
     return tuple(ops)
+
+
+_DELTA_RULES = {
+    OP_NULL: DELTA_WRITTEN,
+    OP_OPAQUE: DELTA_WRITTEN,
+    OP_EXP: DELTA_ALWAYS,
+    OP_REF: DELTA_WRITTEN_OR_GRAPH,
+    OP_EMBED: DELTA_GRAPH,
+    OP_STR: DELTA_WRITTEN,
+    OP_ARRAY: DELTA_ALWAYS,
+}
+
+
+def compile_delta_program(fields, ops):
+    """Compile a field list into a delta (return-trip) program.
+
+    One ``(index, name, rule, op)`` entry per field, in plan order:
+    ``index`` is the field's wire index, ``rule`` one of the
+    ``DELTA_*`` inclusion rules, ``op`` the field's typed op, shared
+    with ``ops`` (the list's compiled program; a scalar gets a
+    one-field OP_PACK).  Scalar and string fields cross only when
+    written.  Fields whose values can mutate without an attribute write
+    being observed (inline arrays, exp-length arrays -- both plain
+    Python lists) always cross.  Pointer and embedded-struct fields
+    cross when reassigned or when the referenced graph carries dirty
+    marks.
+    """
+    typed = {op[1]: op for op in ops if op[0] != OP_PACK}
+    program = []
+    for index, field in enumerate(fields):
+        op = typed.get(field.name)
+        if op is None:
+            op = _scalar_op(field.name, field.ctype)
+            rule = DELTA_WRITTEN
+        else:
+            rule = _DELTA_RULES[op[0]]
+        program.append((index, field.name, rule, op))
+    return tuple(program)
+
+
+@functools.lru_cache(maxsize=None)
+def _scalar_op(name, ctype):
+    """The one-field OP_PACK of a delta program, shared by every struct
+    (and fleet clone) with a same-named scalar field of that type.
+    Scalar ctypes are module singletons, so no struct class is held."""
+    return _pack_op([name], [ctype])
 
 
 def pack_format_for(fields):
@@ -156,9 +279,9 @@ class MarshalPlan:
     compares against).
 
     The plan also owns the codec caches: per-(struct, direction) field
-    lists and compiled op programs, shared by every channel using the
-    plan.  Mutating the plan via :meth:`set_access` or :meth:`pin`
-    invalidates both.
+    lists, compiled op programs and delta programs, shared by every
+    channel using the plan.  Mutating the plan via :meth:`set_access`
+    or :meth:`pin` invalidates all three.
 
     A plan can outlive the struct classes it compiles for: ``slice_plan``
     keeps one per driver for the whole process, while every fleet slot
@@ -174,12 +297,12 @@ class MarshalPlan:
                         for name, fields in (pinned or {}).items()}
         self._field_cache = {}
         self._op_cache = {}
+        self._delta_cache = {}
         self._class_refs = {}
 
     def set_access(self, struct_name, access):
         self._accesses[struct_name] = access
-        self._field_cache.clear()
-        self._op_cache.clear()
+        self._invalidate()
 
     def pin(self, struct_name, *field_names):
         """Mark fields as kernel-owned: excluded from the user->kernel
@@ -197,8 +320,12 @@ class MarshalPlan:
         both sides, so a hostile payload cannot even address them."""
         pinned = set(self._pinned.get(struct_name, ())) | set(field_names)
         self._pinned[struct_name] = frozenset(pinned)
+        self._invalidate()
+
+    def _invalidate(self):
         self._field_cache.clear()
         self._op_cache.clear()
+        self._delta_cache.clear()
 
     def pinned_for(self, struct_cls):
         return self._pinned.get(struct_cls.__name__, frozenset())
@@ -240,12 +367,23 @@ class MarshalPlan:
             self._op_cache[key] = ops
         return ops
 
+    def delta_program_for(self, struct_cls, direction):
+        key = (id(struct_cls), direction)
+        program = self._delta_cache.get(key)
+        if program is None:
+            program = compile_delta_program(
+                self.fields_for(struct_cls, direction),
+                self.compiled_ops_for(struct_cls, direction))
+            self._delta_cache[key] = program
+        return program
+
     def _forget_class(self, ref):
         cid = ref.key
         del self._class_refs[cid]
         for direction in (TO_USER, TO_KERNEL):
             self._field_cache.pop((cid, direction), None)
             self._op_cache.pop((cid, direction), None)
+            self._delta_cache.pop((cid, direction), None)
 
     def struct_names(self):
         return sorted(self._accesses)
@@ -569,35 +707,10 @@ class MarshalCodec:
         if delta:
             self._encode_payload_delta(buf, obj, struct_cls, identity,
                                        direction, ctx, seen)
-            return
-        if self.compiled:
-            od = obj.__dict__
-            for op in self.plan.compiled_ops_for(struct_cls, direction):
-                if op[0] == OP_PACK:
-                    _tag, names, ctypes, packer, _dc, subclamps = op
-                    vals = [od[n] for n in names]
-                    for i, ct in subclamps:
-                        vals[i] = ct.clamp(int(vals[i] or 0))
-                    try:
-                        # Raw pack: in-range ints (the overwhelmingly
-                        # common case) need no full-width clamping.
-                        buf.data += packer.pack(*vals)
-                    except (TypeError, _struct.error):
-                        # None or out-of-range somewhere in the run:
-                        # redo it clamped, matching the baseline bytes.
-                        buf.data += packer.pack(
-                            *[ct.clamp(int(od[name] or 0))
-                              for name, ct in zip(names, ctypes)]
-                        )
-                    n = len(names)
-                    self.fields_marshaled += n
-                    self._call_fields += n
-                else:
-                    field = op[1]
-                    self.fields_marshaled += 1
-                    self._call_fields += 1
-                    self._encode_field(buf, field, getattr(obj, field.name),
-                                       identity, direction, ctx, seen, delta)
+        elif self.compiled:
+            self._encode_ops(buf, obj,
+                             self.plan.compiled_ops_for(struct_cls, direction),
+                             identity, direction, ctx, seen, False)
         else:
             for field in self.plan.uncached_fields_for(struct_cls, direction):
                 self.fields_marshaled += 1
@@ -605,53 +718,111 @@ class MarshalCodec:
                 self._encode_field(buf, field, getattr(obj, field.name),
                                    identity, direction, ctx, seen, delta)
 
+    def _encode_ops(self, buf, obj, ops, identity, direction, ctx, seen,
+                    delta):
+        """Encode ``obj`` by a compiled op program (see ``OP_*``)."""
+        od = obj.__dict__
+        data = buf.data
+        nfields = 0
+        for op in ops:
+            kind = op[0]
+            if kind == OP_PACK:
+                _tag, names, ctypes, packer, _unpacker, subclamps = op
+                vals = [od[n] for n in names]
+                for i, ct in subclamps:
+                    vals[i] = ct.clamp(int(vals[i] or 0))
+                try:
+                    # Raw pack: in-range ints (the overwhelmingly
+                    # common case) need no full-width clamping.
+                    data += packer.pack(*vals)
+                except (TypeError, _struct.error):
+                    # None or out-of-range somewhere in the run:
+                    # redo it clamped, matching the baseline bytes.
+                    data += packer.pack(
+                        *[ct.clamp(int(od[name] or 0))
+                          for name, ct in zip(names, ctypes)]
+                    )
+                nfields += len(names)
+                continue
+            nfields += 1
+            value = od[op[1]]
+            if kind == OP_REF:
+                target = op[2].resolve()
+                if value is not None and not isinstance(value, target):
+                    raise MarshalError(
+                        "field %s: expected %s, got %r"
+                        % (op[1], target.__name__, type(value).__name__)
+                    )
+                self._encode_ref(buf, value, target, direction, ctx, seen,
+                                 delta)
+            elif kind == OP_EMBED:
+                # Embedded: part of the parent record, encoded inline;
+                # its wire identity is parent + offset (its C address).
+                child_identity = identity + op[3]
+                self._encode_payload(buf, value, op[2], child_identity,
+                                     direction, ctx, seen, delta)
+                seen.setdefault(child_identity, len(seen))
+            elif kind == OP_OPAQUE:
+                data += _OPAQUE_REC.pack(
+                    TAG_OPAQUE, ctx.handle_of(value) & 0xFFFFFFFFFFFFFFFF)
+            elif kind == OP_EXP:
+                self._encode_exp_array(buf, value)
+            elif kind == OP_STR:
+                buf.put_bytes(str(value or "").encode("utf-8")[:op[2]])
+            elif kind == OP_ARRAY:
+                _tag, _name, length, packer, _up, elem, clamp = op
+                if not clamp and value is not None and len(value) == length:
+                    try:
+                        data += packer.pack(*value)
+                        continue
+                    except (TypeError, _struct.error):
+                        pass  # out of range somewhere: clamp below
+                if value is None:
+                    vals = [0] * length
+                else:
+                    vals = [elem.clamp(int(v)) for v in value[:length]]
+                    if len(vals) < length:
+                        vals += [0] * (length - len(vals))
+                data += packer.pack(*vals)
+            else:  # OP_NULL
+                data += _NULL_WORD
+        self.fields_marshaled += nfields
+        self._call_fields += nfields
+
     # -- delta (dirty-field) payloads ---------------------------------------------
-
-    def _delta_wanted(self, obj, field, dirty):
-        """Should this field cross on a delta return trip?
-
-        Scalar and string fields cross only when written.  Fields whose
-        values can mutate without an attribute write being observed
-        (inline arrays, exp-length arrays -- both plain Python lists)
-        always cross.  Pointer and embedded-struct fields cross when
-        reassigned or when the referenced graph carries dirty marks.
-        """
-        ctype = field.ctype
-        if dirty is None:
-            return True  # no tracking info: full copy
-        if isinstance(ctype, Array):
-            return True
-        if isinstance(ctype, Ptr):
-            if field.annotation(Exp) is not None:
-                return True
-            if (field.annotation(Opaque) is not None
-                    or field.annotation(Null) is not None):
-                return field.name in dirty
-            return (field.name in dirty
-                    or _graph_has_dirty(getattr(obj, field.name)))
-        if isinstance(ctype, Struct):
-            return _graph_has_dirty(getattr(obj, field.name))
-        return field.name in dirty
 
     def _encode_payload_delta(self, buf, obj, struct_cls, identity, direction,
                               ctx, seen):
-        fields = self.plan.fields_for(struct_cls, direction)
+        program = self.plan.delta_program_for(struct_cls, direction)
         dirty = getattr(obj, "_dirty_fields", None)
-        included = [
-            (index, field) for index, field in enumerate(fields)
-            if self._delta_wanted(obj, field, dirty)
-        ]
-        self.delta_fields_skipped += len(fields) - len(included)
+        if dirty is None:
+            included = program  # no tracking info: full copy
+        else:
+            od = obj.__dict__
+            included = []
+            for entry in program:
+                rule = entry[2]
+                if rule == DELTA_WRITTEN:
+                    if entry[1] not in dirty:
+                        continue
+                elif rule == DELTA_WRITTEN_OR_GRAPH:
+                    if (entry[1] not in dirty
+                            and not _graph_has_dirty(od[entry[1]])):
+                        continue
+                elif rule == DELTA_GRAPH:
+                    if not _graph_has_dirty(od[entry[1]]):
+                        continue
+                included.append(entry)
+        self.delta_fields_skipped += len(program) - len(included)
         buf.put_u32(len(included))
-        for index, field in included:
+        for index, _name, _rule, op in included:
             buf.put_u32(index)
-            self.fields_marshaled += 1
-            self._call_fields += 1
-            self._encode_field(buf, field, getattr(obj, field.name), identity,
-                               direction, ctx, seen, delta=True)
+            self._encode_ops(buf, obj, (op,), identity, direction, ctx, seen,
+                             True)
 
     def _encode_field(self, buf, field, value, parent_identity, direction, ctx,
                       seen, delta):
+        """Per-field baseline encoder (``compiled=False``)."""
         ctype = field.ctype
         if isinstance(ctype, Ptr):
             if field.annotation(Null) is not None:
@@ -693,10 +864,14 @@ class MarshalCodec:
         if value is None:
             buf.put_u32(TAG_NULL)
             return
-        buf.put_u32(TAG_ARRAY)
-        buf.put_u32(len(value))
-        for elem in value:
-            buf.put_u32(int(elem) & 0xFFFFFFFF)
+        fmt = "<II%dI" % len(value)
+        try:
+            buf.data += _struct.pack(fmt, TAG_ARRAY, len(value), *value)
+        except (TypeError, _struct.error):
+            # Negative, wide or non-int elements: mask each one.
+            buf.data += _struct.pack(
+                fmt, TAG_ARRAY, len(value),
+                *[int(elem) & 0xFFFFFFFF for elem in value])
 
     # -- decode -------------------------------------------------------------------
 
@@ -754,54 +929,102 @@ class MarshalCodec:
         if delta:
             self._decode_payload_delta(buf, obj, struct_cls, identity,
                                        direction, ctx, seen)
-            return
-        if self.compiled:
-            # Twins land clean either way (the channel clears dirty
-            # marks after every transfer), so scalar stores go straight
-            # into the instance dict, skipping __setattr__ tracking.
-            od = obj.__dict__
-            for op in self.plan.compiled_ops_for(struct_cls, direction):
-                if op[0] == OP_PACK:
-                    _tag, names, _ctypes, packer, dclamps, _sc = op
-                    buf.need(packer.size)
-                    values = packer.unpack_from(buf.data, buf.pos)
-                    buf.pos += packer.size
-                    for name, ct, value in zip(names, dclamps, values):
-                        od[name] = value if ct is None else ct.clamp(value)
-                else:
-                    self._decode_field(buf, obj, op[1], identity, direction,
-                                       ctx, seen, delta)
+        elif self.compiled:
+            self._decode_ops(buf, obj,
+                             self.plan.compiled_ops_for(struct_cls, direction),
+                             identity, direction, ctx, seen, False)
         else:
             for field in self.plan.uncached_fields_for(struct_cls, direction):
                 self._decode_field(buf, obj, field, identity, direction, ctx,
                                    seen, delta)
 
+    def _decode_ops(self, buf, obj, ops, identity, direction, ctx, seen,
+                    delta):
+        """Decode into ``obj`` by a compiled op program (see ``OP_*``)."""
+        od = obj.__dict__
+        data = buf.data
+        for op in ops:
+            kind = op[0]
+            if kind == OP_PACK:
+                names, unpacker = op[1], op[4]
+                buf.need(unpacker.size)
+                values = unpacker.unpack_from(data, buf.pos)
+                buf.pos += unpacker.size
+                if delta:
+                    for name, value in zip(names, values):
+                        setattr(obj, name, value)
+                else:
+                    # Twins land clean either way (the channel clears
+                    # dirty marks after every transfer), so full-copy
+                    # scalar stores go straight into the instance dict,
+                    # skipping __setattr__ tracking.
+                    od.update(zip(names, values))
+            elif kind == OP_REF:
+                setattr(obj, op[1], self._decode_ref(
+                    buf, op[2].resolve(), direction, ctx, seen, delta))
+            elif kind == OP_EMBED:
+                struct_cls = op[2]
+                child = od[op[1]]
+                child_identity = identity + op[3]
+                ctx.register(child_identity, struct_cls,
+                             self.type_ids.id_of(struct_cls), child)
+                self._decode_payload(buf, child, struct_cls, child_identity,
+                                     direction, ctx, seen, delta)
+                seen.add(child_identity, child)
+            elif kind == OP_OPAQUE:
+                pos = buf.pos
+                if len(data) - pos < _OPAQUE_REC.size:
+                    # Short record: fail as the word-by-word read does.
+                    if buf.get_u32() != TAG_OPAQUE:
+                        raise MarshalError("expected opaque handle")
+                    buf.get_u64()
+                tag, handle = _OPAQUE_REC.unpack_from(data, pos)
+                if tag != TAG_OPAQUE:
+                    raise MarshalError("expected opaque handle")
+                buf.pos = pos + _OPAQUE_REC.size
+                setattr(obj, op[1], ctx.object_of(handle))
+            elif kind == OP_EXP:
+                setattr(obj, op[1], self._decode_exp_array(buf))
+            elif kind == OP_STR:
+                setattr(obj, op[1], _decode_str(buf, op[1]))
+            elif kind == OP_ARRAY:
+                unpacker = op[4]
+                buf.need(unpacker.size)
+                values = unpacker.unpack_from(data, buf.pos)
+                buf.pos += unpacker.size
+                setattr(obj, op[1], list(values))
+            else:  # OP_NULL
+                if buf.get_u32() != TAG_NULL:
+                    raise MarshalError("null-annotated field carried data")
+                setattr(obj, op[1], None)
+
     def _decode_payload_delta(self, buf, obj, struct_cls, identity, direction,
                               ctx, seen):
-        fields = self.plan.fields_for(struct_cls, direction)
+        program = self.plan.delta_program_for(struct_cls, direction)
         count = buf.get_u32()
         # A well-formed delta includes each plan field at most once; a
         # larger count is forged and would otherwise drive a near-2^32
         # decode loop off a 4-byte wire word.
-        if count > len(fields):
+        if count > len(program):
             raise MarshalError(
                 "delta field count %d exceeds the %d plan fields of %s"
-                % (count, len(fields), struct_cls.__name__)
+                % (count, len(program), struct_cls.__name__)
             )
         for _ in range(count):
             index = buf.get_u32()
             try:
-                field = fields[index]
+                op = program[index][3]
             except IndexError:
                 raise MarshalError(
                     "bad delta field index %d for %s"
                     % (index, struct_cls.__name__)
                 ) from None
-            self._decode_field(buf, obj, field, identity, direction, ctx,
-                               seen, delta=True)
+            self._decode_ops(buf, obj, (op,), identity, direction, ctx, seen,
+                             True)
 
     def _decode_field(self, buf, obj, field, parent_identity, direction, ctx,
                       seen, delta):
+        """Per-field baseline decoder (``compiled=False``)."""
         ctype = field.ctype
         if isinstance(ctype, Ptr):
             if field.annotation(Null) is not None:
@@ -835,15 +1058,7 @@ class MarshalCodec:
             )
             seen.add(child_identity, child)
         elif isinstance(ctype, Str):
-            raw = buf.get_bytes()
-            try:
-                text = raw.decode("utf-8")
-            except UnicodeDecodeError:
-                raise MarshalError(
-                    "field %s: string payload is not valid utf-8"
-                    % field.name
-                ) from None
-            setattr(obj, field.name, text)
+            setattr(obj, field.name, _decode_str(buf, field.name))
         elif isinstance(ctype, Array):
             setattr(
                 obj,
@@ -864,7 +1079,19 @@ class MarshalCodec:
         # a forged length fails fast instead of allocating a multi-GB
         # list four bytes at a time.
         buf.need(4 * length)
-        return [buf.get_u32() for _ in range(length)]
+        values = _struct.unpack_from("<%dI" % length, buf.data, buf.pos)
+        buf.pos += 4 * length
+        return list(values)
+
+
+def _decode_str(buf, name):
+    raw = buf.get_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise MarshalError(
+            "field %s: string payload is not valid utf-8" % name
+        ) from None
 
 
 def exp_length(field, obj):

@@ -486,7 +486,17 @@ class XpcChannel:
         marks.  Either way, every object materialized on the receiving
         side is marked clean afterwards, so its dirty set accumulates
         exactly the writes made *since* this transfer.
+
+        A scalar-only crossing (no struct arguments) skips the codec:
+        its wire is the 4-byte argument count and nothing else, so the
+        result is charged directly.  An installed ``corrupt_hook`` must
+        see the real bytes, so it forces the full path.
         """
+        if not args and self.corrupt_hook is None:
+            self.codec.last_decoded_objects = ()
+            self.last_transfer = (4, 0, 0, 0, 0)
+            self._charge_marshal(4, 0)
+            return []
         if direction == TO_USER:
             src_ctx, dst_ctx = self.kernel_ctx, self.user_ctx
         else:
@@ -778,13 +788,19 @@ class XpcChannel:
         No marshaling, no object tracking; just the language-transition
         cost.  The ablation bench compares this against lang_call.
         """
-        self.xpc.lang_crossings += 1
-        tracer = self.xpc.kernel.tracer
+        xpc = self.xpc
+        xpc.lang_crossings += 1
+        kernel = xpc.kernel
+        costs = kernel.costs
+        ns = costs.xpc_lang_ns
+        if not self.single_process:
+            ns += costs.xpc_thread_dispatch_ns
+        tracer = kernel.tracer
         if tracer is None:
-            self._charge_lang_crossing()
+            kernel.consume(ns, busy=True, category="xpc")
             return func(*scalars)
-        start_ns = self.xpc.kernel.clock.now_ns
-        self._charge_lang_crossing()
+        start_ns = kernel.clock.now_ns
+        kernel.consume(ns, busy=True, category="xpc")
         ret = func(*scalars)
         tracer.xpc_span("xpc.direct", start_ns, self.name, _callsite(func),
                         (), cat="xpc.lang")

@@ -22,7 +22,7 @@ from ..health.kstat import KstatRegistry
 from .context import ExecContext, HARDIRQ, PROCESS, SOFTIRQ
 from .costs import CostModel
 from .errors import SimulationError
-from .events import EventQueue
+from .events import FAR_NS as _FAR, EventQueue
 from .ioports import IoSpace
 from .irq import IrqController
 from .memory import MemoryManager
@@ -370,8 +370,18 @@ class Kernel:
             raise SimulationError("negative time consumption")
         cur = self.current_cpu
         if busy:
-            self.cpu.charge(ns, category)
-            cur.acct.charge(ns, category)
+            # CpuAccounting.charge for the aggregate and the current
+            # CPU, inlined: this is the hottest frame in the simulator.
+            acct = self.cpu
+            acct._busy_ns += ns
+            by_category = acct._by_category
+            by_category[category] = by_category.get(category, 0) + ns
+            acct.last_category = category
+            acct = cur.acct
+            acct._busy_ns += ns
+            by_category = acct._by_category
+            by_category[category] = by_category.get(category, 0) + ns
+            acct.last_category = category
         if cur._defer_depth:
             cur._pending_charge_ns += ns
             return
@@ -379,9 +389,17 @@ class Kernel:
         target = clock._now_ns + ns
         if not self._parked_process_events:
             # Nothing comes due inside the advance: just move the clock,
-            # which is all run_until would do.
-            due = self.events.peek_time()
+            # which is all run_until would do.  The memo is a lower
+            # bound on the next live event, so below it no peek is
+            # needed; a peek that finds nothing due refreshes it.
+            events = self.events
+            memo = events.next_due_memo
+            if target < memo[0]:
+                clock._now_ns = target
+                return
+            due = events.peek_time()
             if due is None or due > target:
+                memo[0] = _FAR if due is None else due
                 clock._now_ns = target
                 return
         self.run_until(target)

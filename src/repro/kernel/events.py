@@ -15,6 +15,10 @@ from .errors import SimulationError
 
 _VALID_CONTEXTS = (HARDIRQ, SOFTIRQ, PROCESS)
 
+#: "No event anywhere" value of ``EventQueue.next_due_memo``; far beyond
+#: any simulated time.
+FAR_NS = 1 << 62
+
 
 class Event:
     """A scheduled callback; cancellable, single-shot."""
@@ -155,11 +159,13 @@ class EventQueue:
         # ktrace hook, mirrored from Kernel.tracer by Tracer.install();
         # the queue has no kernel back-reference, so it keeps its own.
         self.tracer = None
-        # Lower bound on the next live event's time, shared with the
-        # fastpath accessors (kernel/fastpath.py): they advance the
-        # clock without a heap peek while target < memo[0].  Any insert
-        # resets it to -1 (unknown); removals only move the true next
-        # event later, so a stale bound stays conservative.
+        # Lower bound on the next live event's time, shared by
+        # Kernel.consume and the fastpath accessors (kernel/fastpath.py):
+        # they advance the clock without a heap peek while target <
+        # memo[0], and store the exact next time after a peek.  An
+        # insert at t lowers it to min(memo, t); removals only move the
+        # true next event later, so a stale bound stays conservative.
+        # -1 means unknown.
         self.next_due_memo = [-1]
 
     def __len__(self):
@@ -179,7 +185,9 @@ class EventQueue:
         ev = self._make_event(time_ns, callback, context, name)
         ev.cpu = cpu
         heapq.heappush(self._heap, ev)
-        self.next_due_memo[0] = -1
+        memo = self.next_due_memo
+        if ev.time_ns < memo[0]:
+            memo[0] = ev.time_ns
         return ev
 
     def schedule_after(self, delay_ns, callback, context=PROCESS, name="event",
@@ -192,7 +200,9 @@ class EventQueue:
                    next(self._seq), callback, context, name,
                    needs_sched=needs_sched, cpu=cpu)
         heapq.heappush(self._heap, ev)
-        self.next_due_memo[0] = -1
+        memo = self.next_due_memo
+        if ev.time_ns < memo[0]:
+            memo[0] = ev.time_ns
         return ev
 
     def requeue(self, ev, time_ns):
@@ -204,14 +214,18 @@ class EventQueue:
         """
         ev.time_ns = time_ns
         heapq.heappush(self._heap, ev)
-        self.next_due_memo[0] = -1
+        memo = self.next_due_memo
+        if time_ns < memo[0]:
+            memo[0] = time_ns
 
     def schedule_timer_at(self, time_ns, callback, context=PROCESS,
                           name="timer"):
         """Like schedule_at, but on the wheel: cancel is O(1) and real."""
         ev = self._make_event(time_ns, callback, context, name)
         self._wheel.add(ev)
-        self.next_due_memo[0] = -1
+        memo = self.next_due_memo
+        if ev.time_ns < memo[0]:
+            memo[0] = ev.time_ns
         tracer = self.tracer
         if tracer is not None:
             tracer.instant("timer.arm", {"timer": name, "at_ns": ev.time_ns})

@@ -27,9 +27,9 @@ schedules at the advanced time).
 
 The next-due check itself is amortized through the event queue's
 ``next_due_memo`` -- a lower bound on the next live event's time that
-every insert resets.  While ``target < memo`` the accessor advances the
-clock with a single comparison; only the first access after an insert
-(or after a dispatch) re-derives the bound from the heap and wheel.
+every insert lowers to its own time.  While ``target < memo`` the
+accessor advances the clock with a single comparison; only an access
+that reaches the bound re-derives it from the heap and wheel.
 
 Device models may expose ``reg_reader(off, size)`` /
 ``reg_writer(off, size)`` hooks returning a specialized closure for one
@@ -52,10 +52,9 @@ the measured baseline.
 
 import heapq
 
-_heappop = heapq.heappop
+from .events import FAR_NS as _FAR
 
-# Sentinel "no event anywhere" bound; far beyond any simulated time.
-_FAR = 1 << 62
+_heappop = heapq.heappop
 
 
 class FastIo:

@@ -122,18 +122,15 @@ class IoSpace:
 
     # -- access primitives ----------------------------------------------------
 
-    def _charge(self, is_mmio):
-        costs = self._kernel.costs
-        if is_mmio:
-            self.mmio_accesses += 1
-            self._kernel.consume(costs.mmio_ns, busy=True, category="io")
-        else:
-            self.port_accesses += 1
-            self._kernel.consume(costs.port_io_ns, busy=True, category="io")
-
     def read(self, addr, size, is_mmio):
         region = self._find(addr, size, is_mmio)
-        self._charge(is_mmio)
+        kernel = self._kernel
+        if is_mmio:
+            self.mmio_accesses += 1
+            kernel.consume(kernel.costs.mmio_ns, busy=True, category="io")
+        else:
+            self.port_accesses += 1
+            kernel.consume(kernel.costs.port_io_ns, busy=True, category="io")
         if self._wedged:
             forced = self._wedged.get(addr)
             if forced is not None:
@@ -148,7 +145,13 @@ class IoSpace:
 
     def write(self, addr, value, size, is_mmio):
         region = self._find(addr, size, is_mmio)
-        self._charge(is_mmio)
+        kernel = self._kernel
+        if is_mmio:
+            self.mmio_accesses += 1
+            kernel.consume(kernel.costs.mmio_ns, busy=True, category="io")
+        else:
+            self.port_accesses += 1
+            kernel.consume(kernel.costs.port_io_ns, busy=True, category="io")
         if self._wedged and addr in self._wedged:
             return
         mask = (1 << (8 * size)) - 1

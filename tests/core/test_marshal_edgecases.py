@@ -25,8 +25,13 @@ from repro.core import (
 )
 from repro.core.cstruct import Array, Exp
 from repro.core.marshal import (
-    OP_FIELD,
+    OP_ARRAY,
+    OP_EMBED,
+    OP_EXP,
+    OP_OPAQUE,
     OP_PACK,
+    OP_REF,
+    OP_STR,
     TO_KERNEL,
     TO_USER,
     compile_field_ops,
@@ -176,11 +181,17 @@ class TestPlanCache:
 class TestCompiledOps:
     def test_scalar_runs_collapse(self):
         ops = compile_field_ops(me_rich.fields())
-        # a,b,c,d,wide form one packed run; the rest are field ops.
+        # a,b,c,d,wide form one packed run; the rest are typed ops.
         assert ops[0][0] == OP_PACK
         assert ops[0][1] == ("a", "b", "c", "d", "wide")
-        assert ops[0][3].format == "<IiIIQ"
-        assert all(op[0] == OP_FIELD for op in ops[1:])
+        # Encode packs the u8/u16 slots zero-extended; decode reads only
+        # their low bytes (the clamp).  Same wire as "<IiIIQ".
+        assert ops[0][3].format == "<IiB3xH2xQ"
+        assert ops[0][4].format == "<IiB3xH2xQ"
+        assert [(op[0], op[1]) for op in ops[1:]] == [
+            (OP_STR, "label"), (OP_ARRAY, "arr"), (OP_EMBED, "inner"),
+            (OP_REF, "node"), (OP_OPAQUE, "secret"), (OP_EXP, "exp_arr"),
+        ]
 
     def test_pack_format_report(self):
         assert pack_format_for(me_rich.fields()) == "<IiIIQ"

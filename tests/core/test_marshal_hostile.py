@@ -18,6 +18,7 @@ the wire, full copy or delta.
 import pytest
 
 from repro.core import (
+    Array,
     CStruct,
     Exp,
     FieldAccess,
@@ -27,13 +28,17 @@ from repro.core import (
     Ptr,
     Str,
     U8,
+    U16,
     U32,
     U64,
 )
 from repro.core.marshal import (
     MarshalPlan,
+    TAG_ARRAY,
     TAG_BACKREF,
+    TAG_NULL,
     TAG_OBJ,
+    TAG_OPAQUE,
     TO_KERNEL,
     TO_USER,
     XdrBuffer,
@@ -63,6 +68,14 @@ class h_mix(CStruct):
         ("opq", Ptr("h_mix"), Opaque()),
         ("next", Ptr("h_mix")),
     ]
+
+
+class h_opq(CStruct):
+    FIELDS = [("opq", Ptr("h_opq"), Opaque())]
+
+
+class h_arr(CStruct):
+    FIELDS = [("arr", Array(U16, 3))]
 
 
 def _encode(obj, cls, delta=False):
@@ -138,6 +151,56 @@ class TestForgedStructure:
                                            TO_USER)
         with pytest.raises(MarshalError, match="argument count"):
             codec.decode_args(bytes(wire), [h_scalars, h_scalars], TO_USER)
+
+
+@pytest.mark.parametrize("compiled", [True, False],
+                         ids=["compiled", "interp"])
+class TestTypedDecodeOps:
+    """The compiled codec decodes an opaque record as one 12-byte
+    unpack and an array as one unpack; both still validate first."""
+
+    def test_truncated_opaque_record(self, compiled):
+        wire = _encode(h_opq(opq=0x1234), h_opq)[1]
+        assert len(wire) == _HDR + 12  # tag word + u64 handle
+        codec = MarshalCodec(MarshalPlan(), compiled=compiled)
+        for cut in range(_HDR, _HDR + 12):
+            with pytest.raises(MarshalError):
+                codec.decode(wire[:cut], h_opq, TO_USER)
+
+    @pytest.mark.parametrize("tag", [TAG_NULL, TAG_OBJ, TAG_ARRAY, 0xFFFF])
+    def test_wrong_opaque_tag(self, compiled, tag):
+        wire = _patch(_encode(h_opq(opq=0x1234), h_opq)[1], _HDR, tag)
+        codec = MarshalCodec(MarshalPlan(), compiled=compiled)
+        with pytest.raises(MarshalError, match="opaque"):
+            codec.decode(wire, h_opq, TO_USER)
+        # A short record with a wrong tag names the tag, like the
+        # word-by-word read does.
+        with pytest.raises(MarshalError, match="opaque"):
+            codec.decode(wire[:_HDR + 8], h_opq, TO_USER)
+
+    @pytest.mark.parametrize("length", [3, 4, 0x4000_0000, 0xFFFFFFFF])
+    def test_forged_exp_length(self, compiled, length):
+        # Payload: count u32 @_HDR, then TAG_ARRAY @+4, length @+8.
+        wire = _encode(h_exp(count=2, vals=[1, 2]), h_exp)[1]
+        forged = _patch(wire, _HDR + 8, length)
+        codec = MarshalCodec(MarshalPlan(), compiled=compiled)
+        with pytest.raises(MarshalError, match="underrun"):
+            codec.decode(forged, h_exp, TO_USER)
+
+    def test_wrong_exp_tag(self, compiled):
+        wire = _patch(_encode(h_exp(count=2, vals=[1, 2]), h_exp)[1],
+                      _HDR + 4, TAG_OPAQUE)
+        codec = MarshalCodec(MarshalPlan(), compiled=compiled)
+        with pytest.raises(MarshalError, match="array tag"):
+            codec.decode(wire, h_exp, TO_USER)
+
+    def test_truncated_inline_array(self, compiled):
+        wire = _encode(h_arr(arr=[1, 2, 3]), h_arr)[1]
+        codec = MarshalCodec(MarshalPlan(), compiled=compiled)
+        assert codec.decode(wire, h_arr, TO_USER).arr == [1, 2, 3]
+        for cut in range(_HDR, len(wire)):
+            with pytest.raises(MarshalError):
+                codec.decode(wire[:cut], h_arr, TO_USER)
 
 
 class TestForgedDelta:

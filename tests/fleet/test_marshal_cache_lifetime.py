@@ -3,11 +3,11 @@
 ``slice_plan()`` keeps one :class:`MarshalPlan` per driver for the life
 of the process, while every fleet slot execs its own clone of each
 driver struct class.  A cache keyed by the class itself pinned every
-fleet's clones (with their fields, ctypes and compiled op programs)
-forever.  Entries are now keyed by ``id(struct_cls)`` and evicted by a
-weak reference when the class is collected; these tests hold the
-caches and the clone classes flat across fleets and pin the eviction
-and invalidation rules on plain plans.
+fleet's clones (with their fields, ctypes, compiled op programs and
+delta programs) forever.  Entries are now keyed by ``id(struct_cls)``
+and evicted by a weak reference when the class is collected; these
+tests hold the caches and the clone classes flat across fleets and pin
+the eviction and invalidation rules on plain plans.
 """
 
 import gc
@@ -15,7 +15,7 @@ import weakref
 
 from repro.core import CStruct, FieldAccess, MarshalPlan, Struct, U32
 from repro.core.cstruct import CStructMeta, StructRegistry
-from repro.core.marshal import OP_FIELD, TO_KERNEL, TO_USER
+from repro.core.marshal import OP_EMBED, TO_KERNEL, TO_USER
 from repro.drivers.decaf.plumbing import slice_plan
 from repro.fleet import FleetHarness, FleetSpec
 
@@ -42,7 +42,8 @@ def _live_struct_classes():
 
 def _cache_sizes():
     return {name: (len(slice_plan(name)._field_cache),
-                   len(slice_plan(name)._op_cache))
+                   len(slice_plan(name)._op_cache),
+                   len(slice_plan(name)._delta_cache))
             for name in DECAF_DRIVERS}
 
 
@@ -103,7 +104,7 @@ def _twin(original, fields=None):
 
 
 def _nested_class(ops):
-    return [op[1].ctype.struct_cls for op in ops if op[0] == OP_FIELD]
+    return [op[2] for op in ops if op[0] == OP_EMBED]
 
 
 def test_entry_is_evicted_when_its_class_dies():
@@ -112,7 +113,10 @@ def test_entry_is_evicted_when_its_class_dies():
     plan.compiled_ops_for(twin, TO_USER)
     plan.compiled_ops_for(twin, TO_KERNEL)
     plan.compiled_ops_for(life_inner, TO_USER)
+    plan.delta_program_for(twin, TO_KERNEL)
+    plan.delta_program_for(life_inner, TO_USER)
     assert len(plan._field_cache) == len(plan._op_cache) == 3
+    assert len(plan._delta_cache) == 2
     # A plan made after the class was first cached is evicted too.
     late = MarshalPlan()
     late.fields_for(twin, TO_USER)
@@ -120,6 +124,7 @@ def test_entry_is_evicted_when_its_class_dies():
     _collect()
     assert list(plan._field_cache) == [(id(life_inner), TO_USER)]
     assert list(plan._op_cache) == [(id(life_inner), TO_USER)]
+    assert list(plan._delta_cache) == [(id(life_inner), TO_USER)]
     assert not late._field_cache
 
 
@@ -150,10 +155,15 @@ def test_set_access_and_pin_invalidate_id_keyed_entries():
             ["x", "y"]
         assert [f.name for f in plan.fields_for(cls, TO_KERNEL)] == ["y"]
 
+    for cls in (life_inner, twin):
+        assert [entry[1] for entry in
+                plan.delta_program_for(cls, TO_KERNEL)] == ["y"]
+
     plan.pin("life_inner", "y")
     for cls in (life_inner, twin):
         assert plan.fields_for(cls, TO_KERNEL) == ()
         assert plan.compiled_ops_for(cls, TO_KERNEL) == ()
+        assert plan.delta_program_for(cls, TO_KERNEL) == ()
         assert [f.name for f in plan.fields_for(cls, TO_USER)] == \
             ["x", "y"]
 
@@ -162,3 +172,4 @@ def test_set_access_and_pin_invalidate_id_keyed_entries():
     _collect()
     assert {key[0] for key in plan._field_cache} == {id(life_inner)}
     assert {key[0] for key in plan._op_cache} == {id(life_inner)}
+    assert {key[0] for key in plan._delta_cache} == {id(life_inner)}
