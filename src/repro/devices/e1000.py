@@ -251,10 +251,6 @@ class E1000Device:
         self.rx_queue_frames = [0] * num_queues
         self.tx_queue_frames = [0] * num_queues
         self._pending_rx = [[] for _ in qr]
-        if num_queues == 1:
-            # Single queue: the wire delivers through the fused
-            # closure (no steering, queue-0 constants pre-bound).
-            self.link.nic_rx = self._build_rx_fast()
 
     @property
     def itr_window_ns(self):
@@ -295,15 +291,12 @@ class E1000Device:
 
     def _reset_regs(self):
         nq = self.num_queues
-        # Reset the register file in place: compiled-loop accessors
-        # (kernel/fastpath.py reg_reader/reg_writer hooks) close over
-        # this dict, so its identity must survive a chip reset.
-        regs = self.regs
-        regs.clear()
-        regs[REG_CTRL] = CTRL_FD
-        regs[REG_STATUS] = STATUS_FD  # link comes up after SLU/autoneg
-        regs[REG_RCTL] = 0
-        regs[REG_TCTL] = 0
+        regs = self.regs = {
+            REG_CTRL: CTRL_FD,
+            REG_STATUS: STATUS_FD,  # link comes up after SLU/autoneg
+            REG_RCTL: 0,
+            REG_TCTL: 0,
+        }
         # Seed every queue's interrupt and ring-index registers so the
         # hot paths can index them without .get().
         for q in range(nq):
@@ -416,70 +409,6 @@ class E1000Device:
         else:  # "rxring": RDBAL/RDBAH/RDLEN reprogram
             self._rx_ring_cache[q] = None
             regs[offset] = value
-
-    # -- compiled-loop specialization hooks ----------------------------------------
-
-    def reg_reader(self, offset, size):
-        """Specialized read closure for one register (loop compiler hook).
-
-        Must match :meth:`read` bit-for-bit, including ICR's
-        read-to-clear, and survive chip resets (``regs`` is reset in
-        place for that reason).
-        """
-        if size != 4:
-            return None
-        regs = self.regs
-        if offset == REG_ICR or offset in self._icr_alias:
-            def read_icr():
-                value = regs.get(offset, 0)
-                regs[offset] = 0
-                return value
-            return read_icr
-        return lambda: regs.get(offset, 0)
-
-    def reg_writer(self, offset, size):
-        """Specialized write closure for one register (loop compiler hook).
-
-        Only the registers the compiled datapath loops touch per drain
-        are specialized (RDT hand-back, IMS unmask); everything else
-        declines and goes through the generic :meth:`write` dispatch.
-        """
-        if size != 4:
-            return None
-        regs = self.regs
-        if offset == REG_RDT:
-            drain = self._drain_pending_rx
-            pending = self._pending_rx[0]  # created once, mutated in place
-            def write_rdt(value):
-                regs[REG_RDT] = value
-                if pending:
-                    drain()
-            return write_rdt
-        if offset == REG_IMS:
-            fire = self._maybe_fire
-            def write_ims(value):
-                regs[REG_IMS] = regs.get(REG_IMS, 0) | value
-                fire()
-            return write_ims
-        strided = self._strided.get(offset)
-        if strided is not None:
-            kind, q = strided
-            if kind == "rdt":
-                drain = self._drain_pending_rx
-                pending = self._pending_rx[q]
-                def write_rdt_q(value):
-                    regs[offset] = value
-                    if pending:
-                        drain(q)
-                return write_rdt_q
-            if kind == "ims":
-                off_ims = self._off_ims[q]
-                fire = self._maybe_fire
-                def write_ims_q(value):
-                    regs[off_ims] = regs.get(off_ims, 0) | value
-                    fire(q)
-                return write_ims_q
-        return None
 
     # -- CTRL / reset / link -----------------------------------------------------------
 
@@ -688,71 +617,6 @@ class E1000Device:
             if len(pending) > self.rx_pending_cap:
                 pending.pop(0)
                 self.rx_no_buffer += 1
-
-    def _build_rx_fast(self):
-        """Fused single-queue wire->ring delivery.
-
-        Collapses the ``_link_rx`` -> ``_deliver_rx`` chain into one
-        closure with every queue-0 constant pre-bound.  Only the hot
-        case (ring memo valid, buffer arena memoized) is inlined;
-        every cold case delegates to the generic methods, so the rare
-        logic lives in exactly one place.  Behavior-identical.
-        """
-        regs = self.regs
-        pending = self._pending_rx[0]  # created once, mutated in place
-        off_rdh = self._off_rdh[0]
-        off_rdt = self._off_rdt[0]
-        off_icr = self._off_icr[0]
-        off_ims = self._off_ims[0]
-        unpack_addr = _RXD_ADDR.unpack_from
-        pack_wb = _RXD_WRITEBACK.pack_into
-        raise_irq = self._kernel.irq.raise_irq
-        irq0 = self.irq
-        DD_EOP = RXD_STAT_DD | RXD_STAT_EOP
-
-        def nic_rx(frame):
-            if not regs[REG_RCTL] & RCTL_EN:
-                return
-            cached = self._rx_ring_cache[0]
-            buf = self._rx_buf_cache[0]
-            if (cached is None or cached[0].freed
-                    or buf is None or buf[2].freed):
-                self._link_rx(frame)  # (re)build memos, queue on failure
-                return
-            region = cached[0]
-            count = cached[1]
-            head = regs[off_rdh]
-            if head == regs[off_rdt] % count:  # ring full
-                self.rx_no_buffer += 1
-                pending.append(frame)
-                if len(pending) > self.rx_pending_cap:
-                    pending.pop(0)
-                    self.rx_no_buffer += 1
-                return
-            off = head * DESC_SIZE
-            buf_addr, = unpack_addr(region.data, off)
-            n = len(frame)
-            start = buf_addr - buf[0]
-            if start < 0 or buf_addr + n > buf[1]:
-                self._link_rx(frame)  # outside the memoized arena
-                return
-            buf[2].data[start:start + n] = frame
-            pack_wb(region.data, off + 8, n, 0, DD_EOP, 0, 0)
-            head += 1
-            regs[off_rdh] = head if head < count else 0
-            self.frames_received += 1
-            self.rx_queue_frames[0] += 1
-            icr = regs[off_icr] | ICR_RXT0
-            regs[off_icr] = icr
-            if icr & regs[off_ims]:
-                if self._itr_window_ns[0] <= 0:
-                    raise_irq(irq0)
-                else:
-                    ev = self._itr_event[0]
-                    if ev is None or ev.cancelled:
-                        self._maybe_fire(0)
-
-        return nic_rx
 
     def _drain_pending_rx(self, q=0):
         pending = self._pending_rx[q]

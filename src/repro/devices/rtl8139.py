@@ -98,14 +98,7 @@ class Rtl8139Device:
         self._reset_state()
 
     def _reset_state(self):
-        # The register file is cleared in place, never replaced: the
-        # fastpath compiler's reg_reader/reg_writer closures bind it by
-        # identity and must survive a chip reset.
-        regs = getattr(self, "regs", None)
-        if regs is None:
-            regs = self.regs = bytearray(256)
-        else:
-            regs[:] = bytes(256)
+        self.regs = bytearray(256)
         self.regs[IDR0:IDR0 + 6] = self.mac
         self.regs[CR] = CR_BUFE
         self.regs[MSR] = 0x00  # link up (LINKB=0)
@@ -225,35 +218,6 @@ class Rtl8139Device:
             regs[CR] |= CR_BUFE
         else:
             regs[CR] &= ~CR_BUFE
-
-    # -- fastpath compiler hooks (kernel/fastpath.py) ---------------------------
-
-    def reg_reader(self, offset, size):
-        """Specialized accessor for a fixed register, or None.
-
-        Reads have no side effects on this chip, so any 1/2-byte read
-        compiles to plain byte loads from the (identity-stable)
-        register file.
-        """
-        regs = self.regs
-        if size == 1:
-            return lambda: regs[offset]
-        if size == 2:
-            return lambda: regs[offset] | regs[offset + 1] << 8
-        return None
-
-    def reg_writer(self, offset, size):
-        if offset == CAPR and size == 2:
-            return self._write_capr
-        if offset == IMR and size == 2:
-            regs = self.regs
-
-            def write_imr(value):
-                regs[IMR] = value & 0xFF
-                regs[IMR + 1] = value >> 8
-
-            return write_imr
-        return None
 
     # -- command register -------------------------------------------------------------
 

@@ -472,11 +472,10 @@ class _PciGlue:
                 and func.device_id in E1000_DEVICE_IDS)
 
 
-def make_module(options=None, napi=True, num_queues=1, compiled=True):
+def make_module(options=None, napi=True, num_queues=1):
     def setup(kernel):
         legacy.set_napi_mode(napi)
         legacy.set_num_queues(num_queues)
-        legacy.set_compiled_mode(compiled)
         nucleus = E1000Nucleus(kernel)
         nucleus.module_options = options
         return nucleus

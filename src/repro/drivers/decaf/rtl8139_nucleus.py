@@ -300,10 +300,9 @@ class _PciGlue:
         return (func.vendor_id, func.device_id) in self.id_table
 
 
-def make_module(napi=True, compiled=True):
+def make_module(napi=True):
     def setup(kernel):
         legacy.set_napi_mode(napi)
-        legacy.set_compiled_mode(compiled)
         return Rtl8139Nucleus(kernel)
 
     return DecafDriverModule(DRV_NAME, setup)

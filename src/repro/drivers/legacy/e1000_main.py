@@ -48,18 +48,6 @@ def set_napi_mode(enabled):
     napi_mode = bool(enabled)
 
 
-# Loop mode: True = per-ring compiled rx/tx closures (pre-bound register
-# accessors, pooled alloc/recycle and batched stats resolved once at
-# ring setup), False = the interpreted loops kept as the measured
-# ablation baseline.  Byte-identical behaviour either way.
-compiled_mode = True
-
-
-def set_compiled_mode(enabled):
-    global compiled_mode
-    compiled_mode = bool(enabled)
-
-
 # RX/TX queue pairs (multi-queue datapath).  Queue 0 uses the legacy
 # register map; queue q's interrupt and ring registers sit at the
 # queue-0 offset plus q * E1000_QUEUE_STRIDE and raise irq + q --
@@ -186,12 +174,6 @@ class e1000_state:
         self.extra_rx_rings = []
         self.extra_napis = []
         self.extra_vectors = []
-        # Per-queue compiled NAPI polls (the loop compiler); built by
-        # e1000_up once the rings are configured, dropped by e1000_down.
-        self.compiled_polls = None
-        # Compiled queue-0 interrupt handler (both irq modes); in the
-        # per-packet-interrupt ablation this carries the whole rx path.
-        self.compiled_intr = None
 
 
 _state = e1000_state()
@@ -611,21 +593,6 @@ def e1000_napi_del():
 def e1000_up(adapter):
     e1000_configure(adapter)
     e1000_napi_up(_state.netdev)
-    if compiled_mode:
-        if napi_mode:
-            _state.compiled_polls = [
-                _build_compiled_poll(adapter, q)
-                for q in range(e1000_num_queues())]
-        else:
-            _state.compiled_polls = None
-        _state.compiled_intr = _build_compiled_intr(adapter)
-        if _state.irq_requested:
-            # Skip the e1000_intr dispatch wrapper entirely: the line
-            # delivers straight into the compiled handler.
-            linux.rebind_irq(_state.pdev.irq, _state.compiled_intr)
-    else:
-        _state.compiled_polls = None
-        _state.compiled_intr = None
     E1000_WRITE_REG(adapter.hw, e1000_hw.IMS, e1000_hw.E1000_IMS_ENABLE_MASK)
     e1000_irq_enable_extra(adapter)
     linux.mod_timer(_state.watchdog_timer, 2000)
@@ -646,10 +613,6 @@ def e1000_irq_disable_extra(adapter):
 
 
 def e1000_down(adapter):
-    if _state.compiled_intr is not None and _state.irq_requested:
-        linux.rebind_irq(_state.pdev.irq, e1000_intr)
-    _state.compiled_polls = None
-    _state.compiled_intr = None
     E1000_WRITE_REG(adapter.hw, e1000_hw.IMC, 0xFFFFFFFF)
     e1000_irq_disable_extra(adapter)
     e1000_napi_down()
@@ -914,383 +877,7 @@ def e1000_clean_rx_irq(adapter, rx_ring, budget=None, queue=0):
 # Interrupt handler (critical root)
 # ---------------------------------------------------------------------------
 
-def _build_compiled_intr(adapter):
-    """Compile the queue-0 interrupt handler (the loop compiler).
-
-    Under NAPI the handler only acks ICR, masks, and schedules the
-    poll, so the compiled form is a thin accessor chain.  In the
-    per-packet-interrupt ablation (``napi=False``) the handler IS the
-    datapath: on a single-CPU kernel the whole
-    ``e1000_intr`` -> ``e1000_clean_rx_irq(budget=None)`` chain is
-    inlined -- ICR read, per-packet ``netif_rx`` stack charge (a
-    consume sequence point at the exact interpreted cost), descriptor
-    decode, and the RDT hand-backs -- with the batched bookkeeping
-    held in plain locals.  Observably identical to the interpreted
-    path: same register access order and taps, same clock advances,
-    same counters.
-    """
-    from ...kernel.fastpath import FastIo, _FAR, _heappop
-    from ...kernel.netdev import SkBuff
-
-    kernel = linux.kernel
-    net = kernel.net
-    netdev = _state.netdev
-    hw = adapter.hw
-    tx_ring = adapter.tx_ring
-    rx_ring = adapter.rx_ring
-    hw_addr = hw.hw_addr
-    fio = FastIo(kernel, is_mmio=True)
-    read_icr = fio.reader(hw_addr + e1000_hw.ICR, 4)
-    write_imc = fio.writer(hw_addr + e1000_hw.IMC, 4)
-    flush_io = fio.flush
-    napi_schedule = linux.napi_schedule
-    mod_timer = linux.mod_timer
-    watchdog = _state.watchdog_timer
-    IRQ_NONE = linux.IRQ_NONE
-    IRQ_HANDLED = linux.IRQ_HANDLED
-    LSC = e1000_hw.E1000_ICR_LSC
-    RX_CAUSES = e1000_hw.E1000_ICR_RXT0 | e1000_hw.E1000_ICR_RXDMT0
-    TXDW = e1000_hw.E1000_ICR_TXDW
-    WORK_CAUSES = RX_CAUSES | TXDW
-
-    if napi_mode:
-        def intr(irq, dev_id):
-            icr = read_icr()
-            if not icr:
-                flush_io()
-                return IRQ_NONE
-            if icr & LSC:
-                hw.get_link_status = 1
-                mod_timer(watchdog, 1)
-            napi = _state.napi
-            if napi is not None and icr & WORK_CAUSES:
-                write_imc(0xFFFFFFFF)
-                napi_schedule(napi)
-                flush_io()
-                return IRQ_HANDLED
-            if icr & RX_CAUSES:
-                e1000_clean_rx_irq(adapter, rx_ring)
-            if icr & TXDW:
-                e1000_clean_tx_irq(adapter, tx_ring)
-            flush_io()
-            return IRQ_HANDLED
-
-        return intr
-
-    if kernel.nr_cpus > 1:
-        # SMP per-packet-interrupt mode: keep the interpreted clean
-        # loops (their consumes must route through the CPU-targeted
-        # deferral branch); only the ICR access chain is pre-bound.
-        def intr(irq, dev_id):
-            icr = read_icr()
-            if not icr:
-                flush_io()
-                return IRQ_NONE
-            if icr & LSC:
-                hw.get_link_status = 1
-                mod_timer(watchdog, 1)
-            if icr & RX_CAUSES:
-                e1000_clean_rx_irq(adapter, rx_ring)
-            if icr & TXDW:
-                e1000_clean_tx_irq(adapter, tx_ring)
-            flush_io()
-            return IRQ_HANDLED
-
-        return intr
-
-    # Single-CPU per-packet-interrupt mode: the fully inlined variant.
-    io = kernel.io
-    clock = kernel.clock
-    events = kernel.events
-    heap = events._heap
-    wheel = events._wheel
-    wheel_peek = wheel.peek_event
-    memo = events.next_due_memo
-    consume = kernel.consume
-    wedged = io._wedged
-    agg = kernel.cpu
-    acct = kernel.current_cpu.acct
-    charge_cpu = agg.charge
-    charge_acct = acct.charge
-    # Accounting internals, pre-bound for the once-per-interrupt flush
-    # (both dicts are created once and never replaced).
-    agg_cat = agg._by_category
-    acct_cat = acct._by_category
-    costs = kernel.costs
-    c_mmio = costs.mmio_ns
-    stack_fixed = costs.rx_packet_cpu_ns
-    stack_per_byte = costs.byte_copy_ns + costs.rx_user_copy_byte_ns
-    icr_addr = hw_addr + e1000_hw.ICR
-    rdt_addr = hw_addr + e1000_hw.RDT
-    region = io._find(icr_addr, 4, True)
-    handler = region.handler
-    rname = region.name
-    icr_off = icr_addr - region.base
-    rdt_off = rdt_addr - region.base
-    mk_r = getattr(handler, "reg_reader", None)
-    dev_read_icr = mk_r(icr_off, 4) if mk_r is not None else None
-    if dev_read_icr is None:
-        dev_read_icr = lambda: handler.read(icr_off, 4)  # noqa: E731
-    mk_w = getattr(handler, "reg_writer", None)
-    dev_write_rdt = mk_w(rdt_off, 4) if mk_w is not None else None
-    if dev_write_rdt is None:
-        dev_write_rdt = \
-            lambda v: handler.write(rdt_off, v, 4)  # noqa: E731
-    rx_desc = rx_ring.desc.data
-    rx_count = rx_ring.count
-    buffers = memoryview(rx_ring.buffer_region.data)
-    rx_buffer_len = adapter.rx_buffer_len
-    net_stats = adapter.net_stats
-    dev_stats = netdev.stats
-    M32 = 0xFFFFFFFF
-    # CStruct writes bypass the __setattr__ descriptor on the hot
-    # fields: a raw instance-dict store plus the dirty-mark is the
-    # exact effect of the descriptor, minus the dispatch.  Both the
-    # dict and the dirty set are per-instance and mutated in place.
-    rx_ring_d = rx_ring.__dict__
-    rx_ring_dirty = rx_ring._dirty_fields.add
-    net_stats_d = net_stats.__dict__
-    net_stats_dirty = net_stats._dirty_fields.add
-
-    def intr(irq, dev_id):
-        pend_io_ns = 0
-        pend_io_n = 0
-        pend_stack_ns = 0
-        # -- ICR read: inlined compiled accessor --
-        pend_io_n += 1
-        target = clock._now_ns + c_mmio
-        if target < memo[0]:
-            clock._now_ns = target
-            pend_io_ns += c_mmio
-        else:
-            nxt = _FAR
-            while heap:
-                head = heap[0]
-                if head.cancelled:
-                    _heappop(heap)
-                    continue
-                nxt = head.time_ns
-                break
-            if wheel._live:
-                front = wheel._front
-                if front is None or front.wheel is not wheel:
-                    front = wheel_peek()
-                if front is not None and front.time_ns < nxt:
-                    nxt = front.time_ns
-            if nxt <= target:
-                io.mmio_accesses += pend_io_n
-                pend_io_n = 0
-                consume(c_mmio, True, "io")
-            else:
-                memo[0] = nxt
-                clock._now_ns = target
-                pend_io_ns += c_mmio
-        if wedged and icr_addr in wedged:
-            icr = wedged[icr_addr] & M32
-        else:
-            icr = dev_read_icr() & M32
-            tap = io.trace_tap
-            if tap is not None:
-                tap("r", rname, icr_off, 4, icr)
-        if not icr:
-            if pend_io_n:
-                io.mmio_accesses += pend_io_n
-            if pend_io_ns:
-                charge_cpu(pend_io_ns, "io")
-                charge_acct(pend_io_ns, "io")
-            return IRQ_NONE
-        if icr & LSC:
-            hw.get_link_status = 1
-            mod_timer(watchdog, 1)
-        if icr & RX_CAUSES:
-            # -- inlined e1000_clean_rx_irq(budget=None): netif_rx path --
-            sink = net.rx_sink
-            cleaned = 0
-            cleaned_bytes = 0
-            i = rx_ring.next_to_clean
-            while True:
-                base = i * E1000_RX_DESC_SIZE
-                if not rx_desc[base + 12] & E1000_RXD_STAT_DD:
-                    break
-                length = rx_desc[base + 8] | rx_desc[base + 9] << 8
-                buf_off = i * rx_buffer_len
-                frame = bytes(buffers[buf_off:buf_off + length])
-                skb = SkBuff(frame)
-                # Inlined netif_rx: the per-packet stack consume is a
-                # sequence point at the exact interpreted cost.
-                cost = int(stack_fixed + length * stack_per_byte)
-                target = clock._now_ns + cost
-                if target < memo[0]:
-                    clock._now_ns = target
-                    pend_stack_ns += cost
-                else:
-                    nxt = _FAR
-                    while heap:
-                        head = heap[0]
-                        if head.cancelled:
-                            _heappop(heap)
-                            continue
-                        nxt = head.time_ns
-                        break
-                    if wheel._live:
-                        front = wheel._front
-                        if front is None or front.wheel is not wheel:
-                            front = wheel_peek()
-                        if front is not None and front.time_ns < nxt:
-                            nxt = front.time_ns
-                    if nxt <= target:
-                        if pend_io_n:
-                            io.mmio_accesses += pend_io_n
-                            pend_io_n = 0
-                        if pend_io_ns:
-                            charge_cpu(pend_io_ns, "io")
-                            charge_acct(pend_io_ns, "io")
-                            pend_io_ns = 0
-                        if pend_stack_ns:
-                            charge_cpu(pend_stack_ns, "netstack")
-                            charge_acct(pend_stack_ns, "netstack")
-                            pend_stack_ns = 0
-                        consume(cost, True, "netstack")
-                    else:
-                        memo[0] = nxt
-                        clock._now_ns = target
-                        pend_stack_ns += cost
-                skb.dev = netdev
-                if sink is not None:
-                    sink(netdev, skb)
-                rx_desc[base + 12] = 0
-                i += 1
-                if i == rx_count:
-                    i = 0
-                cleaned += 1
-                cleaned_bytes += length
-                if not cleaned & 15:  # cleaned % 16 == 0
-                    rdt = i - 1 if i else rx_count - 1
-                    rx_ring_d["rdt"] = rdt
-                    rx_ring_dirty("rdt")
-                    # -- RDT write: inlined compiled accessor --
-                    pend_io_n += 1
-                    target = clock._now_ns + c_mmio
-                    if target < memo[0]:
-                        clock._now_ns = target
-                        pend_io_ns += c_mmio
-                    else:
-                        nxt = _FAR
-                        while heap:
-                            head = heap[0]
-                            if head.cancelled:
-                                _heappop(heap)
-                                continue
-                            nxt = head.time_ns
-                            break
-                        if wheel._live:
-                            front = wheel._front
-                            if front is None or front.wheel is not wheel:
-                                front = wheel_peek()
-                            if front is not None and front.time_ns < nxt:
-                                nxt = front.time_ns
-                        if nxt <= target:
-                            io.mmio_accesses += pend_io_n
-                            pend_io_n = 0
-                            if pend_io_ns:
-                                charge_cpu(pend_io_ns, "io")
-                                charge_acct(pend_io_ns, "io")
-                                pend_io_ns = 0
-                            if pend_stack_ns:
-                                charge_cpu(pend_stack_ns, "netstack")
-                                charge_acct(pend_stack_ns, "netstack")
-                                pend_stack_ns = 0
-                            consume(c_mmio, True, "io")
-                        else:
-                            memo[0] = nxt
-                            clock._now_ns = target
-                            pend_io_ns += c_mmio
-                    if not (wedged and rdt_addr in wedged):
-                        tap = io.trace_tap
-                        if tap is not None:
-                            tap("w", rname, rdt_off, 4, rdt)
-                        dev_write_rdt(rdt)
-            rx_ring_d["next_to_clean"] = i
-            rx_ring_dirty("next_to_clean")
-            if cleaned:
-                net.stack_rx_packets += cleaned
-                net.stack_rx_bytes += cleaned_bytes
-                net_stats_d["rx_packets"] += cleaned
-                net_stats_d["rx_bytes"] += cleaned_bytes
-                net_stats_dirty("rx_packets")
-                net_stats_dirty("rx_bytes")
-                dev_stats.rx_packets += cleaned
-                dev_stats.rx_bytes += cleaned_bytes
-                rdt = i - 1 if i else rx_count - 1
-                rx_ring_d["rdt"] = rdt
-                rx_ring_dirty("rdt")
-                # -- final RDT write: inlined compiled accessor --
-                pend_io_n += 1
-                target = clock._now_ns + c_mmio
-                if target < memo[0]:
-                    clock._now_ns = target
-                    pend_io_ns += c_mmio
-                else:
-                    nxt = _FAR
-                    while heap:
-                        head = heap[0]
-                        if head.cancelled:
-                            _heappop(heap)
-                            continue
-                        nxt = head.time_ns
-                        break
-                    if wheel._live:
-                        front = wheel._front
-                        if front is None or front.wheel is not wheel:
-                            front = wheel_peek()
-                        if front is not None and front.time_ns < nxt:
-                            nxt = front.time_ns
-                    if nxt <= target:
-                        io.mmio_accesses += pend_io_n
-                        pend_io_n = 0
-                        if pend_io_ns:
-                            charge_cpu(pend_io_ns, "io")
-                            charge_acct(pend_io_ns, "io")
-                            pend_io_ns = 0
-                        if pend_stack_ns:
-                            charge_cpu(pend_stack_ns, "netstack")
-                            charge_acct(pend_stack_ns, "netstack")
-                            pend_stack_ns = 0
-                        consume(c_mmio, True, "io")
-                    else:
-                        memo[0] = nxt
-                        clock._now_ns = target
-                        pend_io_ns += c_mmio
-                if not (wedged and rdt_addr in wedged):
-                    tap = io.trace_tap
-                    if tap is not None:
-                        tap("w", rname, rdt_off, 4, rdt)
-                    dev_write_rdt(rdt)
-        if icr & TXDW:
-            e1000_clean_tx_irq(adapter, tx_ring)
-        if pend_io_n:
-            io.mmio_accesses += pend_io_n
-        # Inlined charge pair: this flush runs once per interrupt, so
-        # the call overhead is worth trading for the raw counter ops.
-        if pend_io_ns:
-            agg._busy_ns += pend_io_ns
-            agg_cat["io"] = agg_cat.get("io", 0) + pend_io_ns
-            acct._busy_ns += pend_io_ns
-            acct_cat["io"] = acct_cat.get("io", 0) + pend_io_ns
-        if pend_stack_ns:
-            agg._busy_ns += pend_stack_ns
-            agg_cat["netstack"] = agg_cat.get("netstack", 0) + pend_stack_ns
-            acct._busy_ns += pend_stack_ns
-            acct_cat["netstack"] = acct_cat.get("netstack", 0) + pend_stack_ns
-        return IRQ_HANDLED
-
-    return intr
-
-
 def e1000_intr(irq, dev_id):
-    fast = _state.compiled_intr
-    if fast is not None:
-        return fast(irq, dev_id)
     netdev = dev_id
     adapter = netdev.priv
     hw = adapter.hw
@@ -1337,159 +924,8 @@ def e1000_intr_queue(q):
     return linux.IRQ_HANDLED
 
 
-def _build_compiled_poll(adapter, q):
-    """Compile queue q's NAPI poll (the loop compiler; see fastpath.py).
-
-    Everything ``e1000_poll`` + ``e1000_clean_tx_irq`` +
-    ``e1000_clean_rx_irq`` resolve per packet is resolved here, once,
-    when ``e1000_up`` has programmed the rings: the queue's RDT / IMS
-    accessor chains (MMIO region lookup, device handler, cost charge),
-    the descriptor arrays and ring geometry, the pooled-skb free list,
-    and the stats objects.  Counter bumps accumulate in locals and are
-    written back once per drain; the device-visible access sequence --
-    an RDT hand-back every 16 descriptors, the final RDT, the IMS
-    restore on completion -- is byte-identical to the interpreted
-    loops, descriptor writes included.
-    """
-    from ...kernel.fastpath import FastIo
-    from ...kernel.netdev import SkBuff
-
-    kernel = linux.kernel
-    net = kernel.net
-    netdev = _state.netdev
-    if q == 0:
-        tx_ring = adapter.tx_ring
-        rx_ring = adapter.rx_ring
-    else:
-        tx_ring = _state.extra_tx_rings[q - 1]
-        rx_ring = _state.extra_rx_rings[q - 1]
-    s = q * E1000_QUEUE_STRIDE
-    hw_addr = adapter.hw.hw_addr
-    fio = FastIo(kernel, is_mmio=True)
-    write_rdt = fio.writer(hw_addr + e1000_hw.RDT + s, 4)
-    write_ims = fio.writer(hw_addr + e1000_hw.IMS + s, 4)
-    flush_io = fio.flush
-    tx_desc = tx_ring.desc.data
-    rx_desc = rx_ring.desc.data
-    tx_count = tx_ring.count
-    rx_count = rx_ring.count
-    buffers = memoryview(rx_ring.buffer_region.data)
-    rx_buffer_len = adapter.rx_buffer_len
-    net_stats = adapter.net_stats
-    dev_stats = netdev.stats
-    napi_complete = linux.napi_complete
-    ims_enable = e1000_hw.E1000_IMS_ENABLE_MASK
-    smp = kernel.nr_cpus > 1
-    shared_pool = None if smp else net.get_skb_pool()
-
-    def poll(napi, budget):
-        # -- tx reclaim (e1000_clean_tx_irq; descriptor memory only) --
-        i = tx_ring.next_to_clean
-        end = tx_ring.next_to_use
-        cleaned_tx = 0
-        while i != end:
-            base = i * E1000_TX_DESC_SIZE + 12
-            if not tx_desc[base] & E1000_TXD_STAT_DD:
-                break
-            tx_desc[base] = 0
-            i += 1
-            if i == tx_count:
-                i = 0
-            cleaned_tx += 1
-        tx_ring.next_to_clean = i
-        if cleaned_tx and netdev.netif_queue_stopped():
-            netdev.netif_wake_queue()
-        # -- rx clean (e1000_clean_rx_irq, NAPI path) --
-        pool = (net.get_skb_pool(kernel.current_cpu.index) if smp
-                else shared_pool)
-        free = pool._free
-        skbs = pool._skbs
-        arena = pool._arena
-        buf_size = pool.buf_size
-        pool_alloc = pool.alloc
-        sink = net.rx_sink
-        cleaned = 0
-        cleaned_bytes = 0
-        hits = 0
-        recycles = 0
-        i = rx_ring.next_to_clean
-        while cleaned < budget:
-            base = i * E1000_RX_DESC_SIZE
-            status = rx_desc[base + 12]
-            if not status & E1000_RXD_STAT_DD:
-                break
-            length = rx_desc[base + 8] | rx_desc[base + 9] << 8
-            buf_off = i * rx_buffer_len
-            # Inlined SkbPool.alloc hit path; the pool handles the rest.
-            if free and length <= buf_size:
-                slot = free.popleft()
-                hits += 1
-                skb = skbs[slot]
-                if skb is None or len(skb.data) != length:
-                    sbase = slot * buf_size
-                    skb = SkBuff(arena[sbase:sbase + length], 0x0800)
-                    skbs[slot] = skb
-                else:
-                    skb.protocol = 0x0800
-                skb._pool = pool
-                skb._slot = slot
-            else:
-                skb = pool_alloc(length)
-            skb.data[0:length] = buffers[buf_off:buf_off + length]
-            # Inlined netif_receive_skb; stack charge still lands via
-            # flush_rx_batch after the poll returns.
-            skb.dev = netdev
-            if sink is not None:
-                sink(netdev, skb)
-            pool_of_skb = skb._pool
-            if pool_of_skb is not None:
-                skb._pool = None
-                skb.dev = None  # no stale device ref in the slot cache
-                if pool_of_skb is pool:
-                    recycles += 1
-                    free.append(skb._slot)
-                else:
-                    pool_of_skb.recycles += 1
-                    pool_of_skb._free.append(skb._slot)
-                skb._slot = -1
-            rx_desc[base + 12] = 0
-            i += 1
-            if i == rx_count:
-                i = 0
-            cleaned += 1
-            cleaned_bytes += length
-            if not cleaned & 15:  # cleaned % 16 == 0
-                rdt = i - 1 if i else rx_count - 1
-                rx_ring.rdt = rdt
-                write_rdt(rdt)
-        rx_ring.next_to_clean = i
-        if cleaned:
-            net_stats.rx_packets += cleaned
-            net_stats.rx_bytes += cleaned_bytes
-            dev_stats.rx_packets += cleaned
-            dev_stats.rx_bytes += cleaned_bytes
-            net._rx_batch_packets += cleaned
-            net._rx_batch_bytes += cleaned_bytes
-            pool.hits += hits
-            pool.recycles += recycles
-            rdt = i - 1 if i else rx_count - 1
-            rx_ring.rdt = rdt
-            write_rdt(rdt)
-        flush_io()
-        if cleaned < budget:
-            napi_complete(napi)
-            write_ims(ims_enable)
-            flush_io()
-        return cleaned
-
-    return poll
-
-
 def e1000_poll(napi, budget):
     """NAPI poll: drain both rings, re-enable interrupts when caught up."""
-    fast = _state.compiled_polls
-    if fast is not None:
-        return fast[napi.queue](napi, budget)
     adapter = _state.adapter
     q = napi.queue
     if q == 0:
@@ -1669,7 +1105,7 @@ class E1000PciGlue:
                 and func.device_id in E1000_DEVICE_IDS)
 
 
-def make_module(napi=True, num_queues=1, compiled=True):
+def make_module(napi=True, num_queues=1):
     from ..modulebase import LegacyDriverModule
     from . import e1000_ethtool, e1000_param
 
@@ -1677,7 +1113,6 @@ def make_module(napi=True, num_queues=1, compiled=True):
         # Runs after the module loader resets _state, before probe.
         set_napi_mode(napi)
         set_num_queues(num_queues)
-        set_compiled_mode(compiled)
         return e1000_init_module()
 
     # e1000 spans several source files sharing one `linux` binding.

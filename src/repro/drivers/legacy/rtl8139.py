@@ -10,9 +10,6 @@ import struct as _pystruct
 
 from ...core.cstruct import CStruct, Exp, Opaque, Ptr, Str, U8, U16, U32, I32
 
-# Precompiled rx header codec: status(2) size(2), little-endian.
-_RX_HDR = _pystruct.Struct("<HH")
-
 # Bound at insmod time ("the kernel headers").
 linux = None
 
@@ -62,21 +59,11 @@ RX_INT_MASK = ISR_ROK | ISR_RER | ISR_RXOVW
 napi_mode = True
 RTL8139_NAPI_WEIGHT = 64
 
-# Loop mode: True = per-ring compiled rx closures (pre-bound register
-# accessors, pooled alloc/recycle and batched stats resolved once at
-# hw_start), False = the interpreted loop kept as the measured ablation
-# baseline.  Byte-identical behaviour either way.
-compiled_mode = True
-
 
 def set_napi_mode(enabled):
     global napi_mode
     napi_mode = bool(enabled)
 
-
-def set_compiled_mode(enabled):
-    global compiled_mode
-    compiled_mode = bool(enabled)
 
 # TSD bits.
 TSD_OWN = 1 << 13
@@ -144,9 +131,6 @@ class rtl8139_driver_state:
         self.thread_timer = None
         self.device_model = None  # test visibility only
         self.napi = None
-        # Compiled NAPI poll + interrupt closures; None = interpreted.
-        self.compiled_poll = None
-        self.compiled_intr = None
 
 
 # One active instance, as the bench uses one NIC (the real driver keeps
@@ -354,16 +338,6 @@ def rtl8139_hw_start(dev):
     RTL_W8(tp, CFG9346, 0x00)  # lock config registers
     RTL_W8(tp, CR, CR_RE | CR_TE)
     rtl8139_napi_up(dev)
-    # (Re)compile the rx fast path against the freshly programmed ring.
-    # hw_start re-runs on tx_timeout / rx_err recovery, so stale
-    # bindings (a replaced register file after chip reset) never leak
-    # into a later poll.
-    if compiled_mode and napi_mode:
-        _state.compiled_poll, _state.compiled_intr = \
-            _build_compiled_fastpath(dev, tp)
-    else:
-        _state.compiled_poll = None
-        _state.compiled_intr = None
     RTL_W16(tp, IMR, INT_MASK)
     linux.netif_start_queue(dev)
     dev.netif_carrier_on()
@@ -372,8 +346,6 @@ def rtl8139_hw_start(dev):
 
 def rtl8139_close(dev):
     tp = dev.priv
-    _state.compiled_poll = None  # rings are about to be freed
-    _state.compiled_intr = None
     linux.netif_stop_queue(dev)
     RTL_W16(tp, IMR, 0)
     RTL_W8(tp, CR, 0)
@@ -520,9 +492,6 @@ def rtl8139_rx_err(rx_status, dev, tp):
 # ---------------------------------------------------------------------------
 
 def rtl8139_interrupt(irq, dev_id):
-    fast = _state.compiled_intr
-    if fast is not None:
-        return fast(dev_id)
     dev = dev_id
     tp = dev.priv
     status = RTL_R16(tp, ISR)
@@ -544,9 +513,6 @@ def rtl8139_interrupt(irq, dev_id):
 
 def rtl8139_poll(napi, budget):
     """NAPI poll: budgeted ring drain in softirq context."""
-    fast = _state.compiled_poll
-    if fast is not None:
-        return fast(napi, budget)
     dev = _state.netdev
     tp = dev.priv
     work_done = rtl8139_rx(dev, tp, budget)
@@ -560,384 +526,6 @@ def rtl8139_poll(napi, budget):
             RTL_W16(tp, IMR, INT_MASK & ~RX_INT_MASK)
             linux.napi_schedule(napi)
     return work_done
-
-
-def _build_compiled_fastpath(dev, tp):
-    """Compile this ring's NAPI poll + interrupt pair (the loop compiler).
-
-    Everything the interpreted ``rtl8139_rx`` + ``rtl8139_poll`` pair
-    resolves per packet is resolved here, once, at hw_start: the CR /
-    CAPR / IMR / ISR accessor chains (region lookup, device handler,
-    cost charge -- see :mod:`repro.kernel.fastpath`), the precompiled
-    rx header codec, the ring view, the pooled-skb free list, and the
-    stats objects.  Counter bumps (driver stats, pool hits/recycles,
-    stack batch totals) accumulate in locals and are written back once
-    per drain; the device-visible access sequence -- one CR read per
-    iteration, one CAPR write per packet, the IMR restore / ring
-    re-check on completion -- is byte-identical to the interpreted
-    loop, as is the error path (flush, then ``rtl8139_rx_err``).
-    """
-    from ...kernel.fastpath import FastIo, _FAR
-    from ...kernel.netdev import SkBuff
-
-    kernel = linux.kernel
-    net = kernel.net
-    fio = FastIo(kernel, is_mmio=False)
-    ioaddr = tp.ioaddr
-    read_cr = fio.reader(ioaddr + CR, 1)
-    write_capr = fio.writer(ioaddr + CAPR, 2)
-    write_imr = fio.writer(ioaddr + IMR, 2)
-    read_isr = fio.reader(ioaddr + ISR, 2)
-    write_isr = fio.writer(ioaddr + ISR, 2)
-    flush_io = fio.flush
-    ring = _state.rx_ring_dma.data
-    ring_view = memoryview(ring)
-    unpack_hdr = _RX_HDR.unpack_from
-    stats = tp.stats
-    dev_stats = dev.stats
-    napi_complete = linux.napi_complete
-    napi_schedule = linux.napi_schedule
-    smp = kernel.nr_cpus > 1
-    shared_pool = None if smp else net.get_skb_pool()
-    imr_no_rx = INT_MASK & ~RX_INT_MASK
-
-    def poll(napi, budget):
-        pool = (net.get_skb_pool(kernel.current_cpu.index) if smp
-                else shared_pool)
-        free = pool._free
-        skbs = pool._skbs
-        arena = pool._arena
-        buf_size = pool.buf_size
-        pool_alloc = pool.alloc
-        sink = net.rx_sink
-        cur_rx = tp.cur_rx
-        received = 0
-        rx_bytes = 0
-        hits = 0
-        recycles = 0
-        err_status = None
-        while True:
-            if read_cr() & CR_BUFE:
-                break
-            if received >= budget:
-                break
-            # cur_rx < 2*RX_RING_SIZE always (one alignment step past
-            # the wrap at most), so the modulo is a single compare.
-            offset = cur_rx - RX_RING_SIZE if cur_rx >= RX_RING_SIZE \
-                else cur_rx
-            rx_status, rx_size = unpack_hdr(ring, offset)
-            if not rx_status & RX_STAT_ROK:
-                err_status = rx_status
-                break
-            pkt_size = rx_size - 4
-            # Inlined SkbPool.alloc hit path; the pool handles the rest.
-            if free and pkt_size <= buf_size:
-                slot = free.popleft()
-                hits += 1
-                skb = skbs[slot]
-                if skb is None or len(skb.data) != pkt_size:
-                    base = slot * buf_size
-                    skb = SkBuff(arena[base:base + pkt_size], 0x0800)
-                    skbs[slot] = skb
-                else:
-                    skb.protocol = 0x0800
-                skb._pool = pool
-                skb._slot = slot
-            else:
-                skb = pool_alloc(pkt_size)
-            data = skb.data
-            first = RX_RING_SIZE - (offset + 4)
-            if first >= pkt_size:
-                data[0:pkt_size] = \
-                    ring_view[offset + 4:offset + 4 + pkt_size]
-            else:
-                # Wrapped packet: second copy from the ring start.
-                data[0:first] = ring_view[offset + 4:offset + 4 + first]
-                data[first:pkt_size] = ring_view[0:pkt_size - first]
-            # Inlined netif_receive_skb; stack charge still lands via
-            # flush_rx_batch after the poll returns.
-            skb.dev = dev
-            if sink is not None:
-                sink(dev, skb)
-            pool_of_skb = skb._pool
-            if pool_of_skb is not None:
-                skb._pool = None
-                skb.dev = None  # no stale device ref in the slot cache
-                if pool_of_skb is pool:
-                    recycles += 1
-                    free.append(skb._slot)
-                else:
-                    pool_of_skb.recycles += 1
-                    pool_of_skb._free.append(skb._slot)
-                skb._slot = -1
-            received += 1
-            rx_bytes += pkt_size
-            cur_rx = (offset + 4 + rx_size + 3) & ~3
-            write_capr((cur_rx - 16) & 0xFFFF)
-        tp.cur_rx = cur_rx
-        if received:
-            stats.rx_packets += received
-            stats.rx_bytes += rx_bytes
-            dev_stats.rx_packets += received
-            dev_stats.rx_bytes += rx_bytes
-            net._rx_batch_packets += received
-            net._rx_batch_bytes += rx_bytes
-            pool.hits += hits
-            pool.recycles += recycles
-        flush_io()
-        if err_status is not None:
-            # Chip reset + hw_start; rebuilds _state.compiled_poll, but
-            # this closure's bindings stay valid for the tail below.
-            rtl8139_rx_err(err_status, dev, tp)
-        if received < budget:
-            napi_complete(napi)
-            write_imr(INT_MASK)
-            if not read_cr() & CR_BUFE:
-                write_imr(imr_no_rx)
-                napi_schedule(napi)
-            flush_io()
-        return received
-
-    if not smp:
-        # Single-CPU "descriptor run" variant: the two per-packet
-        # accessors (CR read, CAPR write) are inlined into the loop
-        # body -- no closure call, pending charge in plain locals --
-        # and the rx header decodes as byte arithmetic.  Observably
-        # identical to the closure variant above (which remains the
-        # SMP path, where accesses must route through the CPU-targeted
-        # deferral branch).
-        from ...kernel.fastpath import _heappop
-
-        io = kernel.io
-        clock = kernel.clock
-        events = kernel.events
-        heap = events._heap
-        wheel = events._wheel
-        wheel_peek = wheel.peek_event
-        memo = events.next_due_memo
-        consume = kernel.consume
-        wedged = io._wedged
-        charge_cpu = kernel.cpu.charge
-        charge_acct = kernel.current_cpu.acct.charge
-        c_io = kernel.costs.port_io_ns
-        cr_addr = ioaddr + CR
-        capr_addr = ioaddr + CAPR
-        region = io._find(cr_addr, 1, False)
-        handler = region.handler
-        rname = region.name
-        cr_off = cr_addr - region.base
-        capr_off = capr_addr - region.base
-        mk_r = getattr(handler, "reg_reader", None)
-        dev_read_cr = mk_r(cr_off, 1) if mk_r is not None else None
-        if dev_read_cr is None:
-            dev_read_cr = lambda: handler.read(cr_off, 1) & 0xFF  # noqa: E731
-        mk_w = getattr(handler, "reg_writer", None)
-        dev_write_capr = mk_w(capr_off, 2) if mk_w is not None else None
-        if dev_write_capr is None:
-            dev_write_capr = \
-                lambda v: handler.write(capr_off, v, 2)  # noqa: E731
-        pool = shared_pool
-        p_free = pool._free
-        p_skbs = pool._skbs
-        p_arena = pool._arena
-        p_buf_size = pool.buf_size
-        p_alloc = pool.alloc
-
-        def poll_fast(napi, budget):
-            sink = net.rx_sink
-            cur_rx = tp.cur_rx
-            received = 0
-            rx_bytes = 0
-            hits = 0
-            recycles = 0
-            err_status = None
-            pend_ns = 0
-            pend_n = 0
-            while True:
-                # -- CR read: inlined compiled accessor --
-                pend_n += 1
-                target = clock._now_ns + c_io
-                if target < memo[0]:
-                    clock._now_ns = target
-                    pend_ns += c_io
-                else:
-                    nxt = _FAR
-                    while heap:
-                        head = heap[0]
-                        if head.cancelled:
-                            _heappop(heap)
-                            continue
-                        nxt = head.time_ns
-                        break
-                    if wheel._live:
-                        front = wheel._front
-                        if front is None or front.wheel is not wheel:
-                            front = wheel_peek()
-                        if front is not None and front.time_ns < nxt:
-                            nxt = front.time_ns
-                    if nxt <= target:
-                        io.port_accesses += pend_n
-                        pend_n = 0
-                        if pend_ns:
-                            charge_cpu(pend_ns, "io")
-                            charge_acct(pend_ns, "io")
-                            pend_ns = 0
-                        consume(c_io, True, "io")
-                    else:
-                        memo[0] = nxt
-                        clock._now_ns = target
-                        pend_ns += c_io
-                if wedged and cr_addr in wedged:
-                    cr = wedged[cr_addr] & 0xFF
-                else:
-                    cr = dev_read_cr()
-                    tap = io.trace_tap
-                    if tap is not None:
-                        tap("r", rname, cr_off, 1, cr)
-                if cr & CR_BUFE:
-                    break
-                if received >= budget:
-                    break
-                offset = cur_rx - RX_RING_SIZE if cur_rx >= RX_RING_SIZE \
-                    else cur_rx
-                rx_status = ring[offset] | ring[offset + 1] << 8
-                if not rx_status & RX_STAT_ROK:
-                    err_status = rx_status
-                    break
-                rx_size = ring[offset + 2] | ring[offset + 3] << 8
-                pkt_size = rx_size - 4
-                # Inlined SkbPool.alloc hit path.
-                if p_free and pkt_size <= p_buf_size:
-                    slot = p_free.popleft()
-                    hits += 1
-                    skb = p_skbs[slot]
-                    if skb is None or len(skb.data) != pkt_size:
-                        base = slot * p_buf_size
-                        skb = SkBuff(p_arena[base:base + pkt_size], 0x0800)
-                        p_skbs[slot] = skb
-                    else:
-                        skb.protocol = 0x0800
-                    skb._pool = pool
-                    skb._slot = slot
-                else:
-                    skb = p_alloc(pkt_size)
-                data = skb.data
-                first = RX_RING_SIZE - (offset + 4)
-                if first >= pkt_size:
-                    data[0:pkt_size] = \
-                        ring_view[offset + 4:offset + 4 + pkt_size]
-                else:
-                    data[0:first] = ring_view[offset + 4:offset + 4 + first]
-                    data[first:pkt_size] = ring_view[0:pkt_size - first]
-                # Inlined netif_receive_skb.
-                skb.dev = dev
-                if sink is not None:
-                    sink(dev, skb)
-                pool_of_skb = skb._pool
-                if pool_of_skb is not None:
-                    skb._pool = None
-                    skb.dev = None  # no stale device ref in the slot cache
-                    if pool_of_skb is pool:
-                        recycles += 1
-                        p_free.append(skb._slot)
-                    else:
-                        pool_of_skb.recycles += 1
-                        pool_of_skb._free.append(skb._slot)
-                    skb._slot = -1
-                received += 1
-                rx_bytes += pkt_size
-                cur_rx = (offset + 4 + rx_size + 3) & ~3
-                value = (cur_rx - 16) & 0xFFFF
-                # -- CAPR write: inlined compiled accessor --
-                pend_n += 1
-                target = clock._now_ns + c_io
-                if target < memo[0]:
-                    clock._now_ns = target
-                    pend_ns += c_io
-                else:
-                    nxt = _FAR
-                    while heap:
-                        head = heap[0]
-                        if head.cancelled:
-                            _heappop(heap)
-                            continue
-                        nxt = head.time_ns
-                        break
-                    if wheel._live:
-                        front = wheel._front
-                        if front is None or front.wheel is not wheel:
-                            front = wheel_peek()
-                        if front is not None and front.time_ns < nxt:
-                            nxt = front.time_ns
-                    if nxt <= target:
-                        io.port_accesses += pend_n
-                        pend_n = 0
-                        if pend_ns:
-                            charge_cpu(pend_ns, "io")
-                            charge_acct(pend_ns, "io")
-                            pend_ns = 0
-                        consume(c_io, True, "io")
-                    else:
-                        memo[0] = nxt
-                        clock._now_ns = target
-                        pend_ns += c_io
-                if not (wedged and capr_addr in wedged):
-                    tap = io.trace_tap
-                    if tap is not None:
-                        tap("w", rname, capr_off, 2, value)
-                    dev_write_capr(value)
-            tp.cur_rx = cur_rx
-            if received:
-                stats.rx_packets += received
-                stats.rx_bytes += rx_bytes
-                dev_stats.rx_packets += received
-                dev_stats.rx_bytes += rx_bytes
-                net._rx_batch_packets += received
-                net._rx_batch_bytes += rx_bytes
-                pool.hits += hits
-                pool.recycles += recycles
-            if pend_n:
-                io.port_accesses += pend_n
-            if pend_ns:
-                charge_cpu(pend_ns, "io")
-                charge_acct(pend_ns, "io")
-            flush_io()
-            if err_status is not None:
-                rtl8139_rx_err(err_status, dev, tp)
-            if received < budget:
-                napi_complete(napi)
-                write_imr(INT_MASK)
-                if not read_cr() & CR_BUFE:
-                    write_imr(imr_no_rx)
-                    napi_schedule(napi)
-                flush_io()
-            return received
-
-        poll = poll_fast
-
-    IRQ_NONE = linux.IRQ_NONE
-    IRQ_HANDLED = linux.IRQ_HANDLED
-
-    def intr(dev_id):
-        # Compiled rtl8139_interrupt: same access sequence (ISR read,
-        # w1c ack, IMR mask) through the pre-bound accessors.
-        status = read_isr()
-        if status == 0:
-            flush_io()
-            return IRQ_NONE
-        write_isr(status)
-        if status & RX_INT_MASK:
-            if _state.napi is not None:
-                write_imr(imr_no_rx)
-                napi_schedule(_state.napi)
-            else:
-                rtl8139_rx(dev, tp)
-        if status & (ISR_TOK | ISR_TER):
-            rtl8139_tx_interrupt(dev, tp)
-        flush_io()
-        return IRQ_HANDLED
-
-    return poll, intr
 
 
 # ---------------------------------------------------------------------------
@@ -1039,14 +627,13 @@ class Rtl8139PciGlue:
         return (func.vendor_id, func.device_id) in self.id_table
 
 
-def make_module(napi=True, compiled=True):
+def make_module(napi=True):
     """Build the loadable module object for this driver."""
     from ...drivers.modulebase import LegacyDriverModule
 
     def init_fn():
         # Runs after the module loader resets _state, before probe.
         set_napi_mode(napi)
-        set_compiled_mode(compiled)
         return rtl8139_init_module()
 
     return LegacyDriverModule(

@@ -99,9 +99,6 @@ class LinuxApi:
     def free_irq(self, irq, dev_id=None):
         self.kernel.irq.free_irq(irq, dev_id)
 
-    def rebind_irq(self, irq, handler):
-        self.kernel.irq.rebind_irq(irq, handler)
-
     def disable_irq(self, irq):
         self.kernel.irq.disable_irq(irq)
 

@@ -39,12 +39,9 @@ from .slots import FAMILIES
 
 DEFAULT_MIX = ("e1000", "rtl8139", "uhci", "ens1371", "psmouse")
 
-# cProfile source-path buckets (tools/profile_hotpath.py's view).  The
-# device-model share counts the device models themselves plus the
-# compiled datapath loops that execute ring work on their behalf.
-_DEVICE_NEEDLES = ("repro/devices/", "kernel/fastpath")
+# cProfile source-path buckets (tools/profile_hotpath.py's view).
 _BUCKETS = (
-    ("device-model", _DEVICE_NEEDLES),
+    ("device-model", ("repro/devices/",)),
     ("driver-loop", ("drivers/legacy/", "drivers/decaf/")),
     ("io-dispatch", ("kernel/ioports",)),
     ("net-stack", ("kernel/netdev", "kernel/napi")),

@@ -361,13 +361,11 @@ class E1000Slot(_NicSlot):
         if self.decaf:
             nucleus = self.clones["repro.drivers.decaf.e1000_nucleus"]
             return self._pin_decaf(nucleus.make_module(napi=True,
-                                                       num_queues=1,
-                                                       compiled=True))
+                                                       num_queues=1))
 
         def init_fn():
             clone.set_napi_mode(True)
             clone.set_num_queues(1)
-            clone.set_compiled_mode(True)
             return clone.e1000_init_module()
 
         # The hw/param/ethtool helpers are stateless and shared by all
@@ -404,12 +402,10 @@ class Rtl8139Slot(_NicSlot):
         clone = self.clones["repro.drivers.legacy.rtl8139"]
         if self.decaf:
             nucleus = self.clones["repro.drivers.decaf.rtl8139_nucleus"]
-            return self._pin_decaf(nucleus.make_module(napi=True,
-                                                       compiled=True))
+            return self._pin_decaf(nucleus.make_module(napi=True))
 
         def init_fn():
             clone.set_napi_mode(True)
-            clone.set_compiled_mode(True)
             return clone.rtl8139_init_module()
 
         return LegacyDriverModule(

@@ -159,13 +159,12 @@ class EventQueue:
         # ktrace hook, mirrored from Kernel.tracer by Tracer.install();
         # the queue has no kernel back-reference, so it keeps its own.
         self.tracer = None
-        # Lower bound on the next live event's time, shared by
-        # Kernel.consume and the fastpath accessors (kernel/fastpath.py):
-        # they advance the clock without a heap peek while target <
-        # memo[0], and store the exact next time after a peek.  An
-        # insert at t lowers it to min(memo, t); removals only move the
-        # true next event later, so a stale bound stays conservative.
-        # -1 means unknown.
+        # Lower bound on the next live event's time, kept for
+        # Kernel.consume: it advances the clock without a heap peek
+        # while target < memo[0], and stores the exact next time after
+        # a peek.  An insert at t lowers it to min(memo, t); removals
+        # only move the true next event later, so a stale bound stays
+        # conservative.  -1 means unknown.
         self.next_due_memo = [-1]
 
     def __len__(self):

@@ -80,18 +80,15 @@ class IrqController:
         return 0
 
     def rebind_irq(self, irq, handler):
-        """Swap a registered line's handler in place.
+        """Unsupported; kept only because the benchmark's traced run
+        (``perfbench/spans.py``) wraps this attribute.
 
-        The line keeps its name, dev_id, masks, and pending state --
-        this is the hook a driver uses to install a specialized
-        (compiled) handler after setup, or restore the generic one
-        before teardown.  Raises if the line was never requested.
+        Drivers bind a line with ``request_irq`` and nothing else.  The
+        next change to the benchmark deletes this method together with
+        ``kernel/fastpath.py``.
         """
-        line = self._line(irq)
-        if line.handler is None:
-            raise SimulationError(
-                "rebind_irq(%d) on a free line" % irq)
-        line.handler = handler
+        raise SimulationError("rebind_irq(%d): handlers are bound only by "
+                              "request_irq" % irq)
 
     def free_irq(self, irq, dev_id=None):
         line = self._line(irq)

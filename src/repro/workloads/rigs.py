@@ -132,12 +132,10 @@ class Rig:
 
 
 def make_8139too_rig(decaf=False, irq_mode="napi", nr_cpus=1,
-                     rx_coalesce_ns=0, compiled=True, health=False):
+                     rx_coalesce_ns=0, health=False):
     """``irq_mode="napi"`` (default) polls RX under a softirq budget;
     ``irq_mode="irq"`` keeps the seed per-packet interrupt path.
-    ``rx_coalesce_ns`` opens the device's interrupt-coalescing window.
-    ``compiled=False`` is the loop ablation: interpreted rx loop instead
-    of the per-ring compiled closures (identical behaviour)."""
+    ``rx_coalesce_ns`` opens the device's interrupt-coalescing window."""
     napi = irq_mode == "napi"
     kernel = make_kernel(nr_cpus=nr_cpus)
     _install_health(kernel, health)
@@ -147,17 +145,16 @@ def make_8139too_rig(decaf=False, irq_mode="napi", nr_cpus=1,
     if decaf:
         from ..drivers.decaf import rtl8139_nucleus
 
-        module = rtl8139_nucleus.make_module(napi=napi, compiled=compiled)
+        module = rtl8139_nucleus.make_module(napi=napi)
     else:
         from ..drivers.legacy import rtl8139
 
-        module = rtl8139.make_module(napi=napi, compiled=compiled)
+        module = rtl8139.make_module(napi=napi)
     return Rig("8139too", kernel, nic, module, decaf, link=link)
 
 
 def make_e1000_rig(decaf=False, options=None, irq_mode="napi", nr_cpus=1,
-                   num_queues=1, rx_pending_cap=256, compiled=True,
-                   health=False):
+                   num_queues=1, rx_pending_cap=256, health=False):
     """``irq_mode="napi"`` (default) polls RX under a softirq budget;
     ``irq_mode="irq"`` keeps the seed per-packet interrupt path and
     disables the device's ITR window so every cause fires an IRQ.
@@ -178,13 +175,11 @@ def make_e1000_rig(decaf=False, options=None, irq_mode="napi", nr_cpus=1,
         from ..drivers.decaf import e1000_nucleus
 
         module = e1000_nucleus.make_module(options=options, napi=napi,
-                                           num_queues=num_queues,
-                                           compiled=compiled)
+                                           num_queues=num_queues)
     else:
         from ..drivers.legacy import e1000_main
 
-        module = e1000_main.make_module(napi=napi, num_queues=num_queues,
-                                        compiled=compiled)
+        module = e1000_main.make_module(napi=napi, num_queues=num_queues)
     return Rig("e1000", kernel, nic, module, decaf, link=link)
 
 

@@ -1,7 +1,7 @@
 """``EventQueue.next_due_memo`` stays a lower bound on the next event.
 
-``Kernel.consume`` and the fastpath accessors move the clock without a
-queue peek while the advance ends below the memo, so the memo must never
+``Kernel.consume`` moves the clock without a queue peek while the
+advance ends below the memo, so the memo must never
 exceed the time of the next live event.  Inserts lower it to their own
 time, a peek that finds nothing due sets it exactly, and removals only
 move the true next event later.

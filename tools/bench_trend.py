@@ -27,8 +27,6 @@ import sys
 # asserts inside the benchmark suites; the table shows drift *toward*
 # a bound before the suite itself goes red.
 FLOORS = [
-    ("BENCH_datapath.json", "e1000_compiled.wall_speedup", 2.0, "floor"),
-    ("BENCH_datapath.json", "rtl8139_compiled.wall_speedup", 2.0, "floor"),
     ("BENCH_datapath.json", "e1000_recv.wall_speedup", 2.0, "floor"),
     ("BENCH_datapath.json", "rtl8139_recv.wall_speedup", 1.0, "floor"),
     ("BENCH_trace.json",

@@ -7,14 +7,11 @@ model, kernel core, io dispatch, net stack, tracing, workload), plus the
 *virtual-time* attribution the kernel's CPU accounting keeps per charge
 category.  The two views answer different questions:
 
-* cProfile buckets: where does the **simulator** burn host CPU?  The
-  compiled-datapath work (ISSUE 7) drives this toward the device-model
-  bucket -- remaining cycles should be "hardware" costs, not interpreter
-  overhead in the driver loop.
+* cProfile buckets: where does the **simulator** burn host CPU?
 * ktrace/vtime categories: where does the **simulated machine** spend
-  its virtual CPU?  This is the Table-3-style utilization split and is
-  invariant under loop compilation (byte-identical runs charge identical
-  virtual time).
+  its virtual CPU?  This is the Table-3-style utilization split; a
+  simulator speed-up must leave it unchanged (byte-identical runs
+  charge identical virtual time).
 
 Examples::
 
@@ -22,7 +19,7 @@ Examples::
     PYTHONPATH=src python tools/profile_hotpath.py --driver rtl8139 \
         --mode napi --seconds 0.5 --sort tottime
     PYTHONPATH=src python tools/profile_hotpath.py --driver e1000 \
-        --smp 4 --queues 4 --interpreted
+        --smp 4 --queues 4
     PYTHONPATH=src python tools/profile_hotpath.py --fleet 1024
 """
 
@@ -43,7 +40,6 @@ from repro.workloads.rigs import make_8139too_rig, make_e1000_rig  # noqa: E402
 # First match wins; order from most to least specific.
 BUCKETS = (
     ("driver-loop", ("drivers/legacy/", "drivers/decaf/")),
-    ("fastpath", ("kernel/fastpath",)),
     ("device-model", ("repro/devices/",)),
     ("io-dispatch", ("kernel/ioports",)),
     ("net-stack", ("kernel/netdev", "kernel/napi")),
@@ -72,14 +68,12 @@ def build_rig(args):
             irq_mode=args.mode,
             nr_cpus=args.smp,
             rx_coalesce_ns=100_000 if args.mode == "napi" else 0,
-            compiled=not args.interpreted,
         )
     return make_e1000_rig(
         decaf=args.decaf,
         irq_mode=args.mode,
         nr_cpus=args.smp,
         num_queues=args.queues,
-        compiled=not args.interpreted,
     )
 
 
@@ -130,13 +124,12 @@ def profile_fleet(args):
     print("churn_cycles=%d  faults=%d  recoveries=%d" % (
         harness.churn_cycles, harness.faults_fired(), harness.recoveries()))
 
-    device_tt = (bucket_tt.get("device-model", 0.0)
-                 + bucket_tt.get("fastpath", 0.0))
+    device_tt = bucket_tt.get("device-model", 0.0)
     print("\n-- wall-clock attribution (cProfile tottime by layer) --")
     for bucket, tt in sorted(bucket_tt.items(), key=lambda kv: -kv[1]):
         print("  %-14s %8.4fs  %5.1f%%"
               % (bucket, tt, 100.0 * tt / total_tt if total_tt else 0.0))
-    print("  device-model+fastpath fraction: %.3f"
+    print("  device-model fraction: %.3f"
           % (device_tt / total_tt if total_tt else 0.0))
 
     key = 0 if args.sort == "tottime" else 1
@@ -156,9 +149,6 @@ def main(argv=None):
     parser.add_argument("--driver", choices=("e1000", "rtl8139"),
                         default="rtl8139")
     parser.add_argument("--mode", choices=("napi", "irq"), default="napi")
-    parser.add_argument("--interpreted", action="store_true",
-                        help="ablation: interpreted rx/tx loops "
-                             "(compiled=False)")
     parser.add_argument("--decaf", action="store_true",
                         help="profile the decaf split driver")
     parser.add_argument("--seconds", type=float, default=0.2,
@@ -221,11 +211,10 @@ def main(argv=None):
                      "%s:%d:%s" % (os.path.basename(path), line, func),
                      bucket))
 
-    loop = ("interpreted" if args.interpreted else "compiled")
-    print("== profile_hotpath: %s %s (%s loops%s%s) ==" % (
-        args.driver, args.mode, loop,
-        ", decaf" if args.decaf else "",
-        (", smp=%d q=%d" % (args.smp, args.queues))
+    print("== profile_hotpath: %s %s%s%s ==" % (
+        args.driver, args.mode,
+        " (decaf)" if args.decaf else "",
+        (" (smp=%d q=%d)" % (args.smp, args.queues))
         if args.smp > 1 or args.queues > 1 else ""))
     print("packets=%d  virtual_s=%.4f  insmod_wall=%.4fs  recv_wall=%.4fs"
           % (result.packets, result.duration_s, insmod_wall, recv_wall))
@@ -249,9 +238,9 @@ def main(argv=None):
               % (tottime, cumtime, ncalls, bucket, where))
 
     # Virtual-time attribution: the ktrace/CPU-accounting category
-    # split.  Identical between compiled and interpreted loops -- a
-    # difference here means the optimization changed simulated
-    # behaviour, not just simulator speed.
+    # split.  A simulator speed-up must leave it unchanged -- a
+    # difference here means simulated behaviour changed, not just
+    # simulator speed.
     acct = rig.kernel.cpu
     cats = sorted(acct._by_category.items(), key=lambda kv: -kv[1])
     total_v = sum(ns for _c, ns in cats)
