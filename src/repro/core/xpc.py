@@ -29,6 +29,7 @@ Fast-path mechanics layered on the baseline protocol:
   :meth:`flush_deferred`), charged batch-aware costs.
 """
 
+import itertools
 import weakref
 
 from .domains import DECAF, DRIVER_LIB, KERNEL
@@ -36,6 +37,25 @@ from .marshal import (
     MarshalCodec, TO_KERNEL, TO_USER, TransferContext, TypeRegistry,
 )
 from .objtracker import KernelObjectTracker, UserObjectTracker
+
+#: First opaque handle a channel hands out: above every id() and every
+#: bus or MMIO address, so no plain integer in an opaque field is
+#: mistaken for a handle.
+_HANDLE_BASE = (1 << 48) + 1
+
+
+def _handle_reaper(channel_ref):
+    """Weakref callback dropping a dead object's handle from its channel
+    (holds the channel weakly, so handles do not keep it alive)."""
+    def reap(ref):
+        channel = channel_ref()
+        if channel is None:
+            return
+        key, handle = ref.key
+        channel._handles.pop(handle, None)
+        if channel._handle_ids.get(key) == handle:
+            del channel._handle_ids[key]
+    return reap
 
 
 class XpcError(Exception):
@@ -246,12 +266,18 @@ class XpcChannel:
         self.user_tracker = UserObjectTracker()
         self.kernel_ctx = _KernelSideContext(self)
         self.user_ctx = _UserSideContext(self)
-        # Opaque-handle table: weak values, so a kernel object that dies
-        # does not linger for the life of the rig; objects that cannot
-        # be weakly referenced (plain lists/dicts) fall back to a strong
-        # table released on close().
-        self._handles = weakref.WeakValueDictionary()
+        # Opaque-handle table.  Each object gets a fresh handle, never
+        # reused on this channel, so a stale handle cannot resolve to a
+        # newer object that reuses a dead one's id().  Objects are held
+        # weakly (handle -> KeyedRef): a kernel object that dies, such as
+        # a DMA region the nucleus freed, takes its handle with it.
+        # Objects that cannot be weakly referenced (plain lists/dicts)
+        # fall back to a strong table released on close().
+        self._handles = {}
         self._strong_handles = {}
+        self._handle_ids = {}    # id(obj) -> handle, live objects only
+        self._handle_seq = itertools.count(_HANDLE_BASE)
+        self._reap_handle = _handle_reaper(weakref.ref(self))
         self._canonical_map = {}
         self._deferred = []
         # Virtual timestamp of the oldest queued notification; None
@@ -288,25 +314,30 @@ class XpcChannel:
             return 0
         if isinstance(obj, int):
             return obj
-        handle = id(obj)
-        try:
-            self._handles[handle] = obj
-        except TypeError:
-            self._strong_handles[handle] = obj
+        key = id(obj)
+        handle = self._handle_ids.get(key)
+        if handle is None:
+            handle = next(self._handle_seq)
+            try:
+                self._handles[handle] = weakref.KeyedRef(
+                    obj, self._reap_handle, (key, handle))
+            except TypeError:
+                self._strong_handles[handle] = obj
+            self._handle_ids[key] = handle
         return handle
 
     def object_of(self, handle):
         if handle == 0:
             return None
-        obj = self._handles.get(handle)
-        if obj is None:
-            obj = self._strong_handles.get(handle)
+        ref = self._handles.get(handle)
+        obj = ref() if ref is not None else self._strong_handles.get(handle)
         return obj if obj is not None else handle
 
     def release_handles(self):
         """Drop every opaque-handle mapping (channel teardown)."""
         self._handles.clear()
         self._strong_handles.clear()
+        self._handle_ids.clear()
 
     def handle_count(self):
         return len(self._handles) + len(self._strong_handles)

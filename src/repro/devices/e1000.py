@@ -137,6 +137,9 @@ MAX_QUEUES = 8
 # packet, so the struct-format cache lookup is worth skipping.
 _RXD_ADDR = struct.Struct("<Q")
 _RXD_WRITEBACK = struct.Struct("<HHBBH")
+# Legacy TX descriptor up to cmd: buffer address, length, (cso), cmd.
+_TXD = struct.Struct("<QHxB")
+_TXD_STATUS = 12  # offset of the status byte the DD write-back sets
 
 # PHY identifiers the driver knows.
 M88_PHY_ID1 = 0x0141
@@ -221,12 +224,17 @@ class E1000Device:
             self._strided[REG_TDT + s] = ("tdt", q)
             for off in (REG_RDBAL + s, REG_RDBAH + s, REG_RDLEN + s):
                 self._strided[off] = ("rxring", q)
+            for off in (REG_TDBAL + s, REG_TDBAH + s, REG_TDLEN + s):
+                self._strided[off] = ("txring", q)
 
         # Interrupt-throttle window; 0 selects true per-packet interrupts
         # (the NAPI-ablation baseline).  Per queue: each vector throttles
         # independently, like per-vector EITR on msi-x parts.
         self.itr_window_ns = (
             self.ITR_WINDOW_NS if itr_window_ns is None else itr_window_ns)
+        # Completion-pump callbacks, bound once per queue.
+        self._tx_pump_cb = [
+            (lambda q=q: self._tx_pump(q)) for q in qr]
 
         self.regs = {}
         self.eeprom = self._build_eeprom()
@@ -326,6 +334,11 @@ class E1000Device:
         # Per-queue (base, end, region) memo for the RX buffer arena
         # every descriptor's buffer pointer resolves into.
         self._rx_buf_cache = [None] * nq
+        # The TX twins: (region, count) of the ring, invalidated when
+        # TDBAL/TDBAH/TDLEN is written, and (base, end, region) of the
+        # buffer arena the descriptors point into.
+        self._tx_ring_cache = [None] * nq
+        self._tx_buf_cache = [None] * nq
 
     # -- MMIO handler interface ----------------------------------------------------
 
@@ -383,6 +396,8 @@ class E1000Device:
                 return
             if offset in (REG_RDBAL, REG_RDBAH, REG_RDLEN):
                 self._rx_ring_cache[0] = None
+            elif offset in (REG_TDBAL, REG_TDBAH, REG_TDLEN):
+                self._tx_ring_cache[0] = None
             self.regs[offset] = value
 
     def _write_strided(self, kind, q, offset, value):
@@ -406,6 +421,9 @@ class E1000Device:
         elif kind == "itr":
             regs[offset] = value
             self._itr_window_ns[q] = value * 256
+        elif kind == "txring":  # TDBAL/TDBAH/TDLEN reprogram
+            self._tx_ring_cache[q] = None
+            regs[offset] = value
         else:  # "rxring": RDBAL/RDBAH/RDLEN reprogram
             self._rx_ring_cache[q] = None
             regs[offset] = value
@@ -530,29 +548,52 @@ class E1000Device:
         link-limited as on hardware.
         """
         regs = self.regs
-        if not regs.get(REG_TCTL, 0) & TCTL_EN:
+        if not regs[REG_TCTL] & TCTL_EN:
             return
-        region, count = self._ring(
-            self._off_tdbal[q], self._off_tdbah[q], self._off_tdlen[q])
-        if region is None or count == 0:
-            return
+        cached = self._tx_ring_cache[q]
+        if cached is None or cached[0].freed:
+            region, count = self._ring(
+                self._off_tdbal[q], self._off_tdbah[q], self._off_tdlen[q])
+            if region is None or count == 0:
+                return
+            self._tx_ring_cache[q] = cached = (region, count)
+        region, count = cached
+        ring = region.data
         fetched_key = REG_TDT_FETCHED + q
-        head = regs.get(fetched_key, regs.get(self._off_tdh[q], 0))
-        tail = regs.get(self._off_tdt[q], 0) % count
+        head = regs.get(fetched_key, regs[self._off_tdh[q]])
+        tail = regs[self._off_tdt[q]] % count
         tx_done = self._tx_done[q]
+        tx_queue_frames = self.tx_queue_frames
+        buf = self._tx_buf_cache[q]
         while head != tail:
             off = head * DESC_SIZE
-            buf_addr, length, _cso, cmd, _status, _css, _special = struct.unpack_from(
-                "<QHBBBBH", region.data, off
-            )
-            frame = self._dma_read(buf_addr, length)
-            done_ns = self._kernel.clock.now_ns
-            if frame is not None:
-                done_ns = self.link.transmit(frame)
+            buf_addr, length, cmd = _TXD.unpack_from(ring, off)
+            if (buf is None or buf_addr < buf[0]
+                    or buf_addr + length > buf[1] or buf[2].freed):
+                buf_region, start = self._kernel.memory.dma_find(buf_addr)
+                if buf_region is not None:
+                    base = buf_region.dma_addr
+                    self._tx_buf_cache[q] = buf = (
+                        base, base + len(buf_region.data), buf_region)
+            else:
+                buf_region = buf[2]
+                start = buf_addr - buf[0]
+            if buf_region is None:
+                done_ns = self._kernel.clock.now_ns
+            else:
+                # Zero-copy: the link copies the view at transmit()
+                # time, so a reused buffer cannot corrupt a sent frame.
+                # The view is not memoized: a live export would stop the
+                # driver from growing the arena (a jumbo frame written
+                # into the last slot extends it).
+                done_ns = self.link.transmit(
+                    memoryview(buf_region.data)[start:start + length])
                 self.frames_transmitted += 1
-                self.tx_queue_frames[q] += 1
+                tx_queue_frames[q] += 1
             tx_done.append((done_ns, region, count, head, off, cmd))
-            head = (head + 1) % count
+            head += 1
+            if head == count:
+                head = 0
         regs[fetched_key] = head
         self._arm_tx_pump(q)
 
@@ -562,7 +603,9 @@ class E1000Device:
         Write-backs are batched: a single pump event completes every
         descriptor whose wire time has passed, instead of one event per
         descriptor.  Per-descriptor timing is unchanged -- the pump fires
-        exactly at the head's done time and re-arms for the next.
+        exactly at the head's done time and re-arms for the next.  The
+        pump rides the one-shot heap: its due time is the head of a FIFO,
+        so it fires and is almost never cancelled.
         """
         tx_done = self._tx_done[q]
         if not tx_done:
@@ -573,8 +616,8 @@ class E1000Device:
             if ev.time_ns <= due_ns:
                 return
             ev.cancel()
-        self._tx_pump_event[q] = self._kernel.events.schedule_timer_at(
-            due_ns, lambda q=q: self._tx_pump(q), name="e1000-txdone"
+        self._tx_pump_event[q] = self._kernel.events.schedule_at(
+            due_ns, self._tx_pump_cb[q], name="e1000-txdone"
         )
 
     def _tx_pump(self, q=0):
@@ -582,13 +625,15 @@ class E1000Device:
         now_ns = self._kernel.clock.now_ns
         want_irq = False
         tx_done = self._tx_done[q]
+        regs = self.regs
         off_tdh = self._off_tdh[q]
         while tx_done and tx_done[0][0] <= now_ns:
             _due, region, count, index, off, cmd = tx_done.popleft()
             if cmd & TXD_CMD_RS:
-                struct.pack_into("<B", region.data, off + 12, TXD_STAT_DD)
+                region.data[off + _TXD_STATUS] = TXD_STAT_DD
                 want_irq = True
-            self.regs[off_tdh] = (index + 1) % count
+            index += 1
+            regs[off_tdh] = index if index < count else 0
         if want_irq:
             self._assert_irq(ICR_TXDW, q)
         self._arm_tx_pump(q)
@@ -684,22 +729,4 @@ class E1000Device:
                 ev = self._itr_event[q]
                 if ev is None or ev.cancelled:
                     self._maybe_fire(q)
-        return True
-
-    # -- DMA helpers ---------------------------------------------------------------------------------
-
-    def _dma_read(self, addr, length):
-        # Zero-copy: the link copies the view at transmit() time, so a
-        # reused TX buffer cannot corrupt an in-flight frame.
-        region, offset = self._kernel.memory.dma_find(addr)
-        if region is None:
-            return None
-        return memoryview(region.data)[offset:offset + length]
-
-    def _dma_write(self, addr, data):
-        region, offset = self._kernel.memory.dma_find(addr)
-        n = len(data)
-        if region is None or offset + n > len(region.data):
-            return False
-        region.data[offset:offset + n] = data
         return True

@@ -14,7 +14,9 @@ benchmarks: it schedules back-to-back frames at a configurable rate.
 class EthernetLink:
     def __init__(self, kernel, bits_per_second=1_000_000_000, name="link"):
         self._kernel = kernel
-        self.bits_per_second = bits_per_second
+        self.bits_per_second = bits_per_second  # fixed for the link's life
+        # Wire time per frame size: transmit() looks it up per frame.
+        self._wire_ns = {}
         self.name = name
         self.peer_rx = None  # callable(frame_bytes): the "remote host"
         self.nic_rx = None   # callable(frame_bytes): set by the NIC model
@@ -32,10 +34,14 @@ class EthernetLink:
         """NIC puts a frame on the wire; returns completion time (ns)."""
         now = self._kernel.clock.now_ns
         start = max(now, self._tx_busy_until_ns)
-        done = start + self.frame_time_ns(len(frame))
+        nbytes = len(frame)
+        wire_ns = self._wire_ns.get(nbytes)
+        if wire_ns is None:
+            wire_ns = self._wire_ns[nbytes] = self.frame_time_ns(nbytes)
+        done = start + wire_ns
         self._tx_busy_until_ns = done
         self.tx_frames += 1
-        self.tx_bytes += len(frame)
+        self.tx_bytes += nbytes
         if self.peer_rx is not None:
             self.peer_rx(bytes(frame))
         return done

@@ -389,17 +389,16 @@ class Kernel:
         target = clock._now_ns + ns
         if not self._parked_process_events:
             # Nothing comes due inside the advance: just move the clock,
-            # which is all run_until would do.  The memo is a lower
+            # which is all run_until would do.  next_due_ns is a lower
             # bound on the next live event, so below it no peek is
             # needed; a peek that finds nothing due refreshes it.
             events = self.events
-            memo = events.next_due_memo
-            if target < memo[0]:
+            if target < events.next_due_ns:
                 clock._now_ns = target
                 return
             due = events.peek_time()
             if due is None or due > target:
-                memo[0] = _FAR if due is None else due
+                events.next_due_ns = _FAR if due is None else due
                 clock._now_ns = target
                 return
         self.run_until(target)

@@ -15,7 +15,7 @@ from .errors import SimulationError
 
 _VALID_CONTEXTS = (HARDIRQ, SOFTIRQ, PROCESS)
 
-#: "No event anywhere" value of ``EventQueue.next_due_memo``; far beyond
+#: "No event anywhere" value of ``EventQueue.next_due_ns``; far beyond
 #: any simulated time.
 FAR_NS = 1 << 62
 
@@ -66,8 +66,8 @@ class Event:
 class TimerWheel:
     """Indexed timer wheel: O(1) add, cancel and re-arm.
 
-    Timers (the watchdog, ITR throttles, TX-completion pumps) are armed
-    and cancelled far more often than they fire, so keeping them in the
+    Timers (the watchdog, ITR throttles, kernel timers) are armed and
+    cancelled far more often than they fire, so keeping them in the
     global min-heap leaves a trail of cancelled entries that every
     ``peek``/``pop`` has to step over.  The wheel hashes each timer into
     a bucket keyed by ``time_ns >> SHIFT`` (65.536 us granularity) and
@@ -148,7 +148,9 @@ class EventQueue:
     equal timestamps holds across both): a min-heap for one-shot events
     (``schedule_at``/``schedule_after``) and an indexed :class:`TimerWheel`
     for timers that are frequently cancelled or re-armed
-    (``schedule_timer_at``/``schedule_timer_after``).
+    (``schedule_timer_at``/``schedule_timer_after``).  Heap entries are
+    ``(time_ns, seq, ev)`` tuples: seqs are unique, so ``heapq`` orders
+    them in C and never reaches the event itself.
     """
 
     def __init__(self, clock):
@@ -161,14 +163,14 @@ class EventQueue:
         self.tracer = None
         # Lower bound on the next live event's time, kept for
         # Kernel.consume: it advances the clock without a heap peek
-        # while target < memo[0], and stores the exact next time after
-        # a peek.  An insert at t lowers it to min(memo, t); removals
-        # only move the true next event later, so a stale bound stays
-        # conservative.  -1 means unknown.
-        self.next_due_memo = [-1]
+        # while target < next_due_ns, and stores the exact next time
+        # after a peek.  An insert at t lowers it to min(bound, t);
+        # removals only move the true next event later, so a stale
+        # bound stays conservative.  -1 means unknown.
+        self.next_due_ns = -1
 
     def __len__(self):
-        return sum(1 for ev in self._heap if not ev.cancelled) + \
+        return sum(1 for entry in self._heap if not entry[2].cancelled) + \
             len(self._wheel)
 
     def _make_event(self, time_ns, callback, context, name):
@@ -183,10 +185,10 @@ class EventQueue:
                     cpu=None):
         ev = self._make_event(time_ns, callback, context, name)
         ev.cpu = cpu
-        heapq.heappush(self._heap, ev)
-        memo = self.next_due_memo
-        if ev.time_ns < memo[0]:
-            memo[0] = ev.time_ns
+        time_ns = ev.time_ns
+        heapq.heappush(self._heap, (time_ns, ev.seq, ev))
+        if time_ns < self.next_due_ns:
+            self.next_due_ns = time_ns
         return ev
 
     def schedule_after(self, delay_ns, callback, context=PROCESS, name="event",
@@ -195,13 +197,13 @@ class EventQueue:
         if context not in _VALID_CONTEXTS:
             raise SimulationError("unknown event context %r" % (context,))
         now = self._clock.now_ns
-        ev = Event(now + delay_ns if delay_ns > 0 else now,
-                   next(self._seq), callback, context, name,
+        time_ns = now + delay_ns if delay_ns > 0 else now
+        seq = next(self._seq)
+        ev = Event(time_ns, seq, callback, context, name,
                    needs_sched=needs_sched, cpu=cpu)
-        heapq.heappush(self._heap, ev)
-        memo = self.next_due_memo
-        if ev.time_ns < memo[0]:
-            memo[0] = ev.time_ns
+        heapq.heappush(self._heap, (time_ns, seq, ev))
+        if time_ns < self.next_due_ns:
+            self.next_due_ns = time_ns
         return ev
 
     def requeue(self, ev, time_ns):
@@ -212,19 +214,17 @@ class EventQueue:
         first -- deterministic round-robin across busy CPUs.
         """
         ev.time_ns = time_ns
-        heapq.heappush(self._heap, ev)
-        memo = self.next_due_memo
-        if time_ns < memo[0]:
-            memo[0] = time_ns
+        heapq.heappush(self._heap, (time_ns, ev.seq, ev))
+        if time_ns < self.next_due_ns:
+            self.next_due_ns = time_ns
 
     def schedule_timer_at(self, time_ns, callback, context=PROCESS,
                           name="timer"):
         """Like schedule_at, but on the wheel: cancel is O(1) and real."""
         ev = self._make_event(time_ns, callback, context, name)
         self._wheel.add(ev)
-        memo = self.next_due_memo
-        if ev.time_ns < memo[0]:
-            memo[0] = ev.time_ns
+        if ev.time_ns < self.next_due_ns:
+            self.next_due_ns = ev.time_ns
         tracer = self.tracer
         if tracer is not None:
             tracer.instant("timer.arm", {"timer": name, "at_ns": ev.time_ns})
@@ -237,9 +237,11 @@ class EventQueue:
         )
 
     def _peek_heap(self):
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0] if self._heap else None
+        """Live heap head as ``(time_ns, seq, ev)``, or None."""
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+        return heap[0] if heap else None
 
     def peek_time(self):
         """Virtual time of the next live event, or None."""
@@ -247,25 +249,26 @@ class EventQueue:
         timer = self._wheel.peek_event() if self._wheel._live else None
         if head is None:
             return timer.time_ns if timer is not None else None
-        if timer is None or head < timer:
-            return head.time_ns
+        time_ns, seq, _ev = head
+        if (timer is None or time_ns < timer.time_ns
+                or (time_ns == timer.time_ns and seq < timer.seq)):
+            return time_ns
         return timer.time_ns
 
     def pop_due(self, target_ns):
         """Pop the next live event due at or before ``target_ns``."""
         heap = self._heap
-        while heap and heap[0].cancelled:
+        while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
-        head = heap[0] if heap else None
         timer = self._wheel.peek_event() if self._wheel._live else None
-        if head is not None and (
-            timer is None
-            or head.time_ns < timer.time_ns
-            or (head.time_ns == timer.time_ns and head.seq < timer.seq)
-        ):
-            if head.time_ns <= target_ns:
-                return heapq.heappop(heap)
-            return None
+        if heap:
+            time_ns, seq, ev = heap[0]
+            if (timer is None or time_ns < timer.time_ns
+                    or (time_ns == timer.time_ns and seq < timer.seq)):
+                if time_ns <= target_ns:
+                    heapq.heappop(heap)
+                    return ev
+                return None
         if timer is not None and timer.time_ns <= target_ns:
             self._wheel.pop(timer)
             return timer

@@ -34,7 +34,7 @@ Enable with ``kernel.enable_lockdep()``; disabled (``kernel.lockdep is
 None``) the primitives pay one attribute load per acquisition.
 """
 
-from .context import HARDIRQ
+from .context import HARDIRQ, PROCESS, SOFTIRQ
 from .errors import DeadlockError
 
 
@@ -240,28 +240,40 @@ class SpinLock:
                 "spinlock %r acquired while already held (single-CPU self-deadlock)"
                 % self.name
             )
-        lockdep = self._kernel.lockdep
+        kernel = self._kernel
+        lockdep = kernel.lockdep
         if lockdep is not None:
             lockdep.check_acquire(self, "spin")
         self._held = True
         self.acquisitions += 1
-        self.owner_context = self._kernel.context.current_context()
-        self._kernel.context.push_spinlock(self)
+        # ExecContext.current_context and push_spinlock, inlined: every
+        # TX packet takes and drops at least one spinlock.
+        context = kernel.current_cpu.context
+        self.owner_context = (
+            HARDIRQ if context._irq_depth else
+            SOFTIRQ if context._softirq_depth else PROCESS)
+        context._spinlocks_held.append(self)
         if lockdep is not None:
             lockdep.push(self)
-        if self._kernel.tracer is not None:
-            self._acquired_ns = self._kernel.clock.now_ns
+        if kernel.tracer is not None:
+            self._acquired_ns = kernel.clock.now_ns
 
     def unlock(self):
         if not self._held:
             raise DeadlockError("spinlock %r released while not held" % self.name)
         self._held = False
         self.owner_context = None
-        self._kernel.context.pop_spinlock(self)
-        lockdep = self._kernel.lockdep
+        kernel = self._kernel
+        context = kernel.current_cpu.context
+        held = context._spinlocks_held
+        if held and held[-1] is self:
+            held.pop()
+        else:  # out-of-order release: the general search
+            context.pop_spinlock(self)
+        lockdep = kernel.lockdep
         if lockdep is not None:
             lockdep.pop(self)
-        tracer = self._kernel.tracer
+        tracer = kernel.tracer
         if tracer is not None and self._acquired_ns is not None:
             # Matched pairs only: a tracer installed mid-hold records
             # nothing for this acquisition.

@@ -34,9 +34,13 @@ class Allocation:
 
 
 class DmaRegion:
-    """Physically-contiguous memory shared between CPU and device."""
+    """Physically-contiguous memory shared between CPU and device.
 
-    __slots__ = ("dma_addr", "data", "owner", "freed")
+    Weakly referenceable, so an XPC channel's handle to a region does
+    not outlive the region once its driver frees it.
+    """
+
+    __slots__ = ("dma_addr", "data", "owner", "freed", "__weakref__")
 
     def __init__(self, dma_addr, size, owner):
         self.dma_addr = dma_addr

@@ -1,0 +1,86 @@
+"""Opaque handles do not outlive the objects they name.
+
+The decaf e1000 nucleus hands its rx/tx DMA regions to the user half as
+opaque handles.  A channel that held freed regions in a strong table
+kept about 1 MiB per ``dev_open``/``dev_close`` cycle alive until rmmod.
+Regions are now held weakly, and every object gets a fresh handle, so a
+stale handle cannot resolve to a newer region that reuses a dead one's
+``id()``.
+"""
+
+import gc
+import tracemalloc
+
+from repro.kernel.memory import DmaRegion
+from repro.workloads import make_e1000_rig
+
+from .test_xpc_defer import make_channel
+
+#: Retention budget per open/close cycle (the leak was ~1,036 KiB).
+MAX_KIB_PER_CYCLE = 16
+
+
+def _open_close(rig):
+    net, dev = rig.kernel.net, rig.netdev()
+    assert net.dev_open(dev) == 0
+    assert net.dev_close(dev) == 0
+
+
+def test_decaf_e1000_open_close_retains_no_ring_buffers():
+    rig = make_e1000_rig(decaf=True)
+    rig.insmod()
+    for _ in range(2):  # warm every lazily built cache
+        _open_close(rig)
+    cycles = 6
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(cycles):
+            _open_close(rig)
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    kib_per_cycle = (after - before) / 1024 / cycles
+    assert kib_per_cycle <= MAX_KIB_PER_CYCLE, kib_per_cycle
+
+
+def test_freed_region_handle_does_not_resolve_to_a_new_region():
+    rig = make_e1000_rig(decaf=True)
+    rig.insmod()
+    net, dev = rig.kernel.net, rig.netdev()
+    nucleus = rig.module.instance
+    channel = nucleus.plumbing.channel
+    assert net.dev_open(dev) == 0
+    old = nucleus.adapter.rx_ring.buffer_region
+    stale = channel.handle_of(old)
+    assert channel.object_of(stale) is old
+    assert net.dev_close(dev) == 0
+    del old
+    gc.collect()
+    assert channel.object_of(stale) == stale  # unknown: the bare number
+    assert net.dev_open(dev) == 0
+    new = nucleus.adapter.rx_ring.buffer_region
+    assert channel.object_of(stale) is not new
+    assert channel.handle_of(new) != stale
+    assert net.dev_close(dev) == 0
+
+
+def test_id_reuse_gets_a_fresh_handle(kernel):
+    channel, _xpc = make_channel(kernel)
+    region = DmaRegion(0x8000_0000, 64, "test")
+    stale = channel.handle_of(region)
+    assert channel.handle_of(region) == stale  # stable while alive
+    del region
+    gc.collect()
+    assert channel.handle_count() == 0
+    # CPython hands the freed slot to the next same-size object, so one
+    # of these almost surely reuses the dead region's id().
+    newer = [DmaRegion(0x8000_1000 + i * 0x1000, 64, "test")
+             for i in range(32)]
+    for obj in newer:
+        handle = channel.handle_of(obj)
+        assert handle != stale
+        assert channel.object_of(handle) is obj
+    assert channel.object_of(stale) == stale

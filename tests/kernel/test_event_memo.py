@@ -1,4 +1,4 @@
-"""``EventQueue.next_due_memo`` stays a lower bound on the next event.
+"""``EventQueue.next_due_ns`` stays a lower bound on the next event.
 
 ``Kernel.consume`` moves the clock without a queue peek while the
 advance ends below the memo, so the memo must never
@@ -38,7 +38,7 @@ steps = st.lists(st.one_of(
 def _check_memo(kernel):
     events = kernel.events
     due = events.peek_time()
-    memo = events.next_due_memo[0]
+    memo = events.next_due_ns
     if due is not None:
         assert memo <= due, (memo, due)
     assert memo == -1 or memo <= FAR_NS
@@ -114,9 +114,9 @@ def test_insert_below_a_stale_memo_still_fires():
     log = []
     kernel.events.schedule_after(1_000, lambda: log.append("late"))
     kernel.consume(10)
-    assert kernel.events.next_due_memo[0] == 1_000
+    assert kernel.events.next_due_ns == 1_000
     kernel.events.schedule_after(5, lambda: log.append(kernel.clock.now_ns))
-    assert kernel.events.next_due_memo[0] == 15
+    assert kernel.events.next_due_ns == 15
     kernel.consume(10)
     assert log == [15]
     assert kernel.clock.now_ns == 20
@@ -125,6 +125,6 @@ def test_insert_below_a_stale_memo_still_fires():
 def test_empty_queue_memo_is_far_until_an_insert():
     kernel = make_kernel()
     kernel.consume(3)
-    assert kernel.events.next_due_memo[0] == FAR_NS
+    assert kernel.events.next_due_ns == FAR_NS
     kernel.events.schedule_timer_after(7, lambda: None)
-    assert kernel.events.next_due_memo[0] == 10
+    assert kernel.events.next_due_ns == 10

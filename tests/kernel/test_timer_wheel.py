@@ -1,6 +1,6 @@
 """The indexed timer wheel behind ``schedule_timer_at``/``_after``.
 
-Timers (watchdog, ITR throttle, TX-completion pumps) are cancelled and
+Timers (watchdog, ITR throttle, kernel timers) are cancelled and
 re-armed far more often than they fire; the wheel makes each of those
 O(1) *true* removals instead of leaving cancelled debris in the global
 heap.  Bucketing must not change observable behaviour: expiry times stay
