@@ -15,6 +15,8 @@ Package map:
 * :mod:`repro.drivers` -- legacy and decaf drivers;
 * :mod:`repro.analysis` -- the case-study analyses;
 * :mod:`repro.evolution` -- the Table 4 patch machinery;
+* :mod:`repro.family` -- each driver's device/module/endpoint glue,
+  written once for rigs, fleet slots and conformance;
 * :mod:`repro.workloads` -- the Table 3 workloads and rigs.
 
 Quick start::

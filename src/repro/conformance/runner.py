@@ -1,9 +1,10 @@
 """Replay one scenario against both driver variants and compare.
 
-The runner is the only component that knows how to *drive* a rig; the
-scenario is pure data.  One :meth:`DifferentialRunner.run_one` builds a
-fresh rig (legacy or decaf), enables lockdep, replays the schedule at
-its virtual-time offsets, and collects an :class:`Observation`.
+The scenario is pure data; the driver's :mod:`repro.family` owns the
+event vocabulary that sets a rig up, applies events and observes it.
+One :meth:`DifferentialRunner.run_one` builds a fresh rig (legacy or
+decaf), enables lockdep, replays the schedule at its virtual-time
+offsets, and collects an :class:`Observation`.
 :meth:`DifferentialRunner.run_pair` does that for both variants and
 compares:
 
@@ -21,45 +22,9 @@ Any violated check becomes a :class:`Divergence`; lockdep reports are a
 divergence in *either* variant, in every mode.
 """
 
-import struct
-
 from ..faults import FaultPlan, FaultSpec
 from ..kernel import NETDEV_TX_BUSY, NETDEV_TX_OK, SkBuff
-from ..kernel.sound import SNDRV_PCM_TRIGGER_START, SNDRV_PCM_TRIGGER_STOP
-from ..kernel.usb import usb_sndbulkpipe
-from ..kernel.vtime import NSEC_PER_MSEC
-from ..workloads import (
-    make_8139too_rig,
-    make_e1000_rig,
-    make_ens1371_rig,
-    make_psmouse_rig,
-    make_uhci_rig,
-)
-from .observe import (
-    Observation,
-    frame_digest,
-    is_subsequence,
-    normalize_dmesg,
-)
-from .scenario import FAMILY
-
-MAKERS = {
-    "e1000": make_e1000_rig,
-    "8139too": make_8139too_rig,
-    "ens1371": make_ens1371_rig,
-    "psmouse": make_psmouse_rig,
-    "uhci_hcd": make_uhci_rig,
-}
-
-#: How register-access traces are compared between variants in strict
-#: mode.  ``"full"``: access-for-access equality (reads and writes, in
-#: order).  ``"footprint"``: per-register *write* sequences -- the NIC
-#: drivers run their management path behind deferred work on the decaf
-#: side, so the interleaving of independent register programs shifts
-#: legitimately while each register must still see the same values in
-#: the same order.
-REG_TRACE_MODE = {"net": "footprint", "sound": "footprint",
-                  "input": "full", "usb": "full"}
+from .observe import Observation, is_subsequence, normalize_dmesg
 
 
 #: Interrupt mask/ack registers, per region name.  Their write *counts*
@@ -212,6 +177,23 @@ class RunProbe:
 
 
 class DifferentialRunner:
+    """Replays scenarios through each family's event vocabulary.
+
+    Conformance policy stays here and is handed to the families: NIC
+    setup settles reset/link-up timers for :attr:`open_settle_ms` after
+    ``dev_open``, and tx bursts transmit through :meth:`xmit`.
+
+    Register traces compare per the family's ``reg_trace``: ``"full"``
+    is access-for-access equality (reads and writes, in order);
+    ``"footprint"`` compares per-register *write* sequences -- the NIC
+    drivers run their management path behind deferred work on the
+    decaf side, so the interleaving of independent register programs
+    shifts legitimately while each register must still see the same
+    values in the same order.
+    """
+
+    open_settle_ms = 60
+
     def __init__(self, lockdep=True, nobble=None, settle_ms=40,
                  max_recoveries=8, smp=1, probe=None):
         self.lockdep = lockdep
@@ -223,26 +205,17 @@ class DifferentialRunner:
         self.smp = smp
         self.probe = probe  # RunProbe or None
 
-    def _make_rig(self, scenario, decaf):
-        kwargs = {"decaf": decaf}
-        if self.smp > 1:
-            kwargs["nr_cpus"] = self.smp
-            if scenario.driver == "e1000":
-                kwargs["num_queues"] = min(self.smp, 4)
-        return MAKERS[scenario.driver](**kwargs)
-
     # -- single run --------------------------------------------------------
 
     def run_one(self, scenario, decaf):
-        rig = self._make_rig(scenario, decaf)
+        family = scenario.family
+        rig = family.rig(decaf, nr_cpus=self.smp,
+                         **family.smp_options(self.smp))
         kernel = rig.kernel
         if self.lockdep:
             kernel.enable_lockdep()
         obs = Observation()
-        family = scenario.family
-        setup = getattr(self, "_setup_%s" % family)
-        apply_event = getattr(self, "_apply_%s" % family)
-        state = setup(rig, obs)
+        state = family.setup(rig, obs, self)
 
         if decaf and scenario.mode == "faulty" and scenario.faults:
             self._arm_faults(rig, scenario)
@@ -263,7 +236,7 @@ class DifferentialRunner:
                 kernel.run_until(target)
             if probe is not None:
                 probe.begin_event(rig, index, event)
-            apply_event(rig, state, event, index, obs)
+            family.apply(rig, state, event, index, obs)
             if probe is not None:
                 probe.end_event(rig, index, event)
         if probe is not None:
@@ -271,8 +244,7 @@ class DifferentialRunner:
         kernel.run_for_ms(self.settle_ms)
         kernel.io.trace_tap = None
 
-        teardown = getattr(self, "_teardown_%s" % family)
-        teardown(rig, state, obs)
+        family.observe(rig, state, obs)
         self._collect_common(rig, scenario, obs)
         return obs
 
@@ -305,43 +277,9 @@ class DifferentialRunner:
         counters["channel_failed"] = bool(channel is not None
                                           and channel.failed)
 
-    # -- network -----------------------------------------------------------
-
-    def _setup_net(self, rig, obs):
-        rig.insmod()
-        dev = rig.netdev()
-        net = rig.kernel.net
-        ret = net.dev_open(dev)
-        if ret != 0:
-            raise RuntimeError("%s: dev_open failed with %d"
-                               % (rig.name, ret))
-        rig.kernel.run_for_ms(60)  # settle reset/link-up timers
-        tx, rx = obs["tx"], obs["rx"]
-        rig.link.peer_rx = lambda frame: tx.append(frame_digest(frame))
-        state = {"dev": dev}
-        num_queues = getattr(rig.device, "num_queues", 1)
-        if num_queues > 1:
-            # Multi-queue: the cross-queue interleave of deliveries is
-            # timing-coupled (per-queue NAPI contexts on different CPUs
-            # shift with crossing costs), so record the rx channel as
-            # per-queue streams -- each stream must match exactly.
-            steer = rig.device.steer
-            buckets = {"q%d" % q: [] for q in range(num_queues)}
-
-            def rx_sink(_dev, skb):
-                data = skb.data
-                buckets["q%d" % steer(data)].append(frame_digest(data))
-
-            net.rx_sink = rx_sink
-            state["rx_buckets"] = buckets
-        else:
-            net.rx_sink = (
-                lambda _dev, skb: rx.append(frame_digest(skb.data)))
-        return state
-
-    def _pump_xmit(self, rig, dev, frame):
+    @staticmethod
+    def xmit(kernel, dev, frame):
         """Transmit one frame, advancing virtual time past queue-full."""
-        kernel = rig.kernel
         for _attempt in range(10_000):
             if not dev.netif_queue_stopped():
                 ret = kernel.net.dev_queue_xmit(dev, SkBuff(frame))
@@ -354,165 +292,6 @@ class DifferentialRunner:
                 return -1  # queue wedged with nothing pending
             kernel.run_until(nxt)
         return -2
-
-    def _apply_net(self, rig, state, event, index, obs):
-        dev = state["dev"]
-        kernel = rig.kernel
-        kind = event["kind"]
-        ops = obs["ops"]
-        if kind == "tx_burst":
-            for frame in event["frames"]:
-                ret = self._pump_xmit(rig, dev, bytes.fromhex(frame))
-                if ret != 0:
-                    ops.append([index, "tx_burst", ret])
-        elif kind == "rx_burst":
-            for frame in event["frames"]:
-                rig.link.inject(bytes.fromhex(frame))
-            # Drain: when the replay schedule has slipped (slow config
-            # ops overrun the event spacing), the next event can reset
-            # the device microseconds after injection and wipe frames
-            # still sitting unharvested in the rx ring -- a shutdown
-            # race, not a driver difference.  A short run lets NAPI
-            # harvest deterministically in both variants.
-            kernel.run_for_ms(2)
-        elif kind == "irq_storm":
-            frame = bytes.fromhex(event["frame"])
-            for _ in range(event["count"]):
-                rig.link.inject(frame)
-            kernel.run_for_ms(2)
-        elif kind == "config_mac":
-            # A missing op is an observation, not a crash: if only one
-            # variant wires it, the ops channel diverges -- which is a
-            # real conformance finding.
-            if dev.set_mac_address is None:
-                ops.append([index, "config_mac", "unsupported"])
-            else:
-                addr = bytes.fromhex(event["addr"])
-                ops.append([index, "config_mac",
-                            dev.set_mac_address(dev, addr)])
-        elif kind == "config_mtu":
-            if dev.change_mtu is None:
-                ops.append([index, "config_mtu", "unsupported"])
-            else:
-                ops.append([index, "config_mtu",
-                            dev.change_mtu(dev, event["mtu"])])
-        elif kind == "set_multi":
-            if dev.set_multicast_list is None:
-                ops.append([index, "set_multi", "unsupported"])
-            else:
-                ret = dev.set_multicast_list(dev)
-                ops.append([index, "set_multi", 0 if ret is None else ret])
-        elif kind == "ifdown_up":
-            # Quiesce first: frames already DMA'd into the rx ring but
-            # not yet harvested by NAPI are discarded by dev_close in
-            # both variants, and whether any are in flight at close
-            # time depends on how far the replay schedule has slipped.
-            # A short settle drains them so the comparison measures the
-            # drivers, not the race between rx and shutdown.
-            kernel.run_for_ms(2)
-            kernel.net.dev_close(dev)
-            kernel.run_for_ms(event["down_ms"])
-            ret = kernel.net.dev_open(dev)
-            ops.append([index, "ifdown_up", ret])
-        else:
-            raise ValueError("unknown net event %r" % kind)
-
-    def _teardown_net(self, rig, state, obs):
-        dev = state["dev"]
-        if "rx_buckets" in state:
-            obs["rx"] = state["rx_buckets"]
-        rig.kernel.net.dev_close(dev)
-        stats = dev.stats.snapshot()
-        counters = obs["counters"]
-        for key in ("tx_packets", "rx_packets", "tx_bytes", "rx_bytes"):
-            counters[key] = stats[key]
-        obs["sound"] = {}
-        counters["mac"] = dev.dev_addr.hex()
-        counters["mtu"] = dev.mtu
-
-    # -- sound -------------------------------------------------------------
-
-    def _setup_sound(self, rig, obs):
-        rig.insmod()
-        return {"sound": rig.kernel.sound}
-
-    def _apply_sound(self, rig, state, event, index, obs):
-        sound = state["sound"]
-        ss = sound.cards[0].pcms[0].playback
-        ops = obs["ops"]
-        ops.append([index, "open", sound.pcm_open(ss)])
-        ops.append([index, "hw_params", sound.pcm_hw_params(
-            ss, event["rate"], event["channels"], event["sample_bytes"],
-            event["period_frames"], event["periods"])])
-        ops.append([index, "prepare", sound.pcm_prepare(ss)])
-        ops.append([index, "trigger_start",
-                    sound.pcm_trigger(ss, SNDRV_PCM_TRIGGER_START)])
-        written = sound.pcm_write(ss, event["write_frames"])
-        ops.append([index, "write", written])
-        # periods_elapsed at write-return is phase-coupled: pcm_write
-        # waits in period-sized quanta while the DAC's period clock
-        # started at trigger time, so the decaf variant's crossing
-        # costs can shift one period boundary into (or out of) the
-        # blocking write.  Compared per-cycle with a +/-1 bound rather
-        # than strictly, like device_irqs.
-        obs["counters"]["pcm%d_periods" % index] = ss.runtime.periods_elapsed
-        ops.append([index, "trigger_stop",
-                    sound.pcm_trigger(ss, SNDRV_PCM_TRIGGER_STOP)])
-        ops.append([index, "close", sound.pcm_close(ss)])
-
-    def _teardown_sound(self, rig, state, obs):
-        device = rig.device
-        obs["sound"] = {
-            "rate_reg": device.src_ram[0x75 % 128],
-            "codec_master": device.codec_regs[0x02],
-        }
-        # Interrupt count is timing-coupled: XPC crossings consume
-        # virtual time, so the decaf run can catch one more/fewer period
-        # boundary around trigger-stop.  Compared with a bounded delta.
-        obs["counters"]["device_irqs"] = device.period_interrupts
-
-    # -- input -------------------------------------------------------------
-
-    def _setup_input(self, rig, obs):
-        rig.insmod()
-        delivered = obs["input"]
-        rig.kernel.input.devices[0].sink = (
-            lambda events: delivered.extend(list(ev) for ev in events))
-        return {}
-
-    def _apply_input(self, rig, state, event, index, obs):
-        rig.device.move(event["dx"], event["dy"],
-                        buttons=event["buttons"], wheel=event["wheel"])
-
-    def _teardown_input(self, rig, state, obs):
-        device = rig.device
-        obs["sound"] = {
-            "rate": device.sample_rate,
-            "resolution": device.resolution,
-            "id": device.device_id,
-        }
-
-    # -- usb storage -------------------------------------------------------
-
-    def _setup_usb(self, rig, obs):
-        rig.insmod()
-        return {"dev": rig.kernel.usb.devices[0]}
-
-    def _apply_usb(self, rig, state, event, index, obs):
-        dev = state["dev"]
-        payload = bytes.fromhex(event["payload"])
-        cmd = struct.pack("<BBHI", 1, 0, event["blocks"],
-                          event["lba"]) + payload
-        status, nbytes = rig.kernel.usb.usb_bulk_msg(
-            dev, usb_sndbulkpipe(dev, 2), cmd)
-        obs["ops"].append([index, "bulk_write", status, nbytes])
-
-    def _teardown_usb(self, rig, state, obs):
-        obs["disk"] = {
-            str(lba): frame_digest(block)
-            for lba, block in rig.extra["disk"].blocks.items()
-        }
-        obs["sound"] = {}
 
     # -- pair comparison ---------------------------------------------------
 
@@ -572,8 +351,7 @@ class DifferentialRunner:
                     channel,
                     "legacy %r != decaf %r"
                     % (_clip(legacy[channel]), _clip(decaf[channel]))))
-        mode = REG_TRACE_MODE.get(scenario.family, "footprint")
-        if mode == "full":
+        if scenario.family.reg_trace == "full":
             if legacy["reg_trace"] != decaf["reg_trace"]:
                 divergences.append(Divergence(
                     "reg_trace", _trace_diff(legacy["reg_trace"],

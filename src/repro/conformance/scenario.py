@@ -14,7 +14,7 @@ every process.
 
 import random
 
-from ..kernel.vtime import NSEC_PER_MSEC
+from ..family import FAMILIES
 
 #: The four driver pairs the conformance sweep covers by default.
 #: ``uhci_hcd`` is supported but excluded from the default set: its
@@ -23,14 +23,6 @@ from ..kernel.vtime import NSEC_PER_MSEC
 DRIVERS = ("e1000", "8139too", "ens1371", "psmouse")
 
 ALL_DRIVERS = DRIVERS + ("uhci_hcd",)
-
-FAMILY = {
-    "e1000": "net",
-    "8139too": "net",
-    "ens1371": "sound",
-    "psmouse": "input",
-    "uhci_hcd": "usb",
-}
 
 MODES = ("strict", "faulty")
 
@@ -41,7 +33,7 @@ class Scenario:
     __slots__ = ("driver", "seed", "mode", "events", "faults")
 
     def __init__(self, driver, seed, mode, events, faults=None):
-        if driver not in FAMILY:
+        if driver not in FAMILIES:
             raise ValueError("unknown driver %r (one of %s)"
                              % (driver, ", ".join(ALL_DRIVERS)))
         if mode not in MODES:
@@ -54,7 +46,8 @@ class Scenario:
 
     @property
     def family(self):
-        return FAMILY[self.driver]
+        """The driver's :class:`repro.family.DeviceFamily`."""
+        return FAMILIES[self.driver]
 
     def to_json(self):
         return {
@@ -81,11 +74,6 @@ class Scenario:
             len(self.faults))
 
 
-def _frame(rng, size):
-    """A deterministic pseudo-random Ethernet-ish payload."""
-    return bytes(rng.randrange(256) for _ in range(size))
-
-
 class ScenarioGenerator:
     """Expands (driver, seed, mode) into a :class:`Scenario`."""
 
@@ -98,31 +86,9 @@ class ScenarioGenerator:
 
     def generate(self, driver, mode="strict"):
         rng = self._rng(driver, mode)
-        family = FAMILY[driver]
-        build = getattr(self, "_gen_%s" % family)
-        events = build(rng, driver, mode)
+        events = FAMILIES[driver].generate(rng, mode)
         faults = self._gen_faults(rng, driver) if mode == "faulty" else []
         return Scenario(driver, self.seed, mode, events, faults)
-
-    #: Per-driver ranges for "fire on the Nth post-arming crossing",
-    #: calibrated against each driver's *minimum* post-arming crossing
-    #: budget across seeds 0-24 (e1000 7, 8139too 4, ens1371 14,
-    #: psmouse 5) so the fault always lands inside the scenario.  The
-    #: budgets differ wildly: the rtl8139's link-watch period exceeds
-    #: the scenario so only config ops cross, while the mouse crosses
-    #: once per resync-poll second (which is why faulty input scenarios
-    #: stretch their event spacing to seconds).  Exactly one fault per
-    #: scenario: recovery itself crosses the boundary dozens of times,
-    #: so a second armed occurrence count tends to land mid-recovery
-    #: and trips the supervisor's give-up backoff rather than modeling
-    #: a fresh failure.
-    XPC_AT_RANGES = {
-        "e1000": (2, 8),
-        "8139too": (2, 5),
-        "ens1371": (3, 15),
-        "psmouse": (1, 6),
-        "uhci_hcd": (1, 3),
-    }
 
     def _gen_faults(self, rng, driver):
         """One fault spec, armed on the decaf rig only.
@@ -130,118 +96,15 @@ class ScenarioGenerator:
         ``xpc_raise`` with an occurrence count is the most portable
         fault -- every decaf driver crosses the boundary -- but the Nth
         crossing only lands mid-scenario if N fits the driver's
-        post-arming crossing budget (see :data:`XPC_AT_RANGES`).
+        post-arming crossing budget (the family's ``xpc_at`` range).
+        The budgets differ wildly: the rtl8139's link-watch period
+        exceeds the scenario so only config ops cross, while the mouse
+        crosses once per resync-poll second (which is why faulty input
+        scenarios stretch their event spacing to seconds).  Exactly one
+        fault per scenario: recovery itself crosses the boundary dozens
+        of times, so a second armed occurrence count tends to land
+        mid-recovery and trips the supervisor's give-up backoff rather
+        than modeling a fresh failure.
         """
-        lo, hi = self.XPC_AT_RANGES[driver]
+        lo, hi = FAMILIES[driver].xpc_at
         return [{"kind": "xpc_raise", "at": rng.randrange(lo, hi)}]
-
-    # -- network (e1000 / 8139too) ----------------------------------------
-
-    def _gen_net(self, rng, driver, mode="strict"):
-        events = []
-        t = 0
-        for _ in range(rng.randrange(6, 13)):
-            t += rng.randrange(1, 6) * NSEC_PER_MSEC
-            kind = rng.choice(
-                ("tx_burst", "tx_burst", "rx_burst", "rx_burst",
-                 "irq_storm", "config_mac", "set_multi", "config_mtu",
-                 "ifdown_up"))
-            if kind == "config_mtu" and driver != "e1000":
-                kind = "set_multi"  # 8139too has no change_mtu op
-            if kind in ("tx_burst", "rx_burst"):
-                frames = [
-                    _frame(rng, rng.randrange(60, 400)).hex()
-                    for _ in range(rng.randrange(1, 9))
-                ]
-                events.append({"t": t, "kind": kind, "frames": frames})
-            elif kind == "irq_storm":
-                # Back-to-back minimum-size frames, injected with no
-                # virtual-time gap: every arrival races the previous
-                # interrupt's handling.
-                events.append({
-                    "t": t, "kind": "irq_storm",
-                    "count": rng.randrange(12, 33),
-                    "frame": _frame(rng, 60).hex(),
-                })
-            elif kind == "config_mac":
-                mac = bytearray(rng.randrange(256) for _ in range(6))
-                mac[0] = (mac[0] | 0x02) & 0xFE  # locally administered
-                events.append({"t": t, "kind": "config_mac",
-                               "addr": bytes(mac).hex()})
-            elif kind == "config_mtu":
-                events.append({"t": t, "kind": "config_mtu",
-                               "mtu": rng.randrange(600, 1601)})
-            elif kind == "set_multi":
-                events.append({"t": t, "kind": "set_multi"})
-            else:
-                events.append({"t": t, "kind": "ifdown_up",
-                               "down_ms": rng.randrange(1, 4)})
-        return events
-
-    # -- sound (ens1371) ---------------------------------------------------
-
-    def _gen_sound(self, rng, driver, mode="strict"):
-        events = []
-        t = 0
-        for _ in range(rng.randrange(2, 5)):
-            t += rng.randrange(1, 4) * NSEC_PER_MSEC
-            rate = rng.choice((8000, 22050, 44100, 48000))
-            events.append({
-                "t": t,
-                "kind": "pcm_cycle",
-                "rate": rate,
-                "channels": 2,
-                "sample_bytes": 2,
-                "period_frames": rng.choice((2048, 4096)),
-                "periods": 4,
-                "write_frames": rng.randrange(rate // 8, rate // 2),
-            })
-        return events
-
-    # -- input (psmouse) ---------------------------------------------------
-
-    def _gen_input(self, rng, driver, mode="strict"):
-        events = []
-        t = 0
-        for _ in range(rng.randrange(8, 21)):
-            if mode == "faulty":
-                # The decaf mouse only crosses the boundary on its 1 Hz
-                # resync poll, so faulty scenarios must span several
-                # seconds of virtual time for an occurrence-count fault
-                # to have any crossing to land on.
-                t += rng.randrange(400, 801) * NSEC_PER_MSEC
-            else:
-                t += rng.randrange(0, 3) * NSEC_PER_MSEC
-            events.append({
-                "t": t,
-                "kind": "move",
-                "dx": rng.randrange(-127, 128),
-                "dy": rng.randrange(-127, 128),
-                "buttons": rng.randrange(0, 8),
-                "wheel": rng.randrange(-2, 3),
-            })
-        return events
-
-    # -- usb storage (uhci_hcd) --------------------------------------------
-
-    def _gen_usb(self, rng, driver, mode="strict"):
-        events = []
-        t = 0
-        for _ in range(rng.randrange(4, 11)):
-            if mode == "faulty":
-                # uhci's data path is kernel-resident (the 4% split):
-                # post-arming the decaf half only crosses on its 1 Hz
-                # root-hub status poll, so faulty scenarios must span
-                # seconds -- same reasoning as the mouse resync poll.
-                t += rng.randrange(400, 801) * NSEC_PER_MSEC
-            else:
-                t += rng.randrange(1, 4) * NSEC_PER_MSEC
-            blocks = rng.randrange(1, 4)
-            events.append({
-                "t": t,
-                "kind": "bulk_write",
-                "lba": rng.randrange(0, 64),
-                "blocks": blocks,
-                "payload": _frame(rng, 512 * blocks).hex(),
-            })
-        return events

@@ -26,10 +26,11 @@ unmodified so recovery has a clean channel to replay over.
 
 import signal
 
-from ..conformance.runner import MAKERS, DifferentialRunner, RunProbe
+from ..conformance.runner import DifferentialRunner, RunProbe
 from ..conformance.scenario import Scenario
 from ..core.xpc import DriverFailedError, XpcChannel
 from ..drivers.decaf.exceptions import DriverException
+from ..family import FAMILIES
 from .explorer import base_events
 
 #: Wire tag constants mirrored from repro.core.marshal (kept literal so
@@ -256,7 +257,7 @@ def _capture_probe_phase(driver):
         records.append((direction, bytes(data)))
         return data
 
-    rig = MAKERS[driver](decaf=True)
+    rig = FAMILIES[driver].rig(decaf=True)
     with _probe_hook(tap):
         rig.insmod()
     rig.rmmod()
@@ -274,7 +275,7 @@ def _run_probe_attack(driver, crossing, mutate, timeout_s):
             return mutate(data)
         return data
 
-    rig = MAKERS[driver](decaf=True)
+    rig = FAMILIES[driver].rig(decaf=True)
     up = False
     try:
         with _watchdog(timeout_s), _probe_hook(tap):

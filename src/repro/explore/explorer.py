@@ -29,71 +29,26 @@ import random
 from ..conformance.minimize import minimize_scenario, write_repro_script
 from ..conformance.observe import canonical_json
 from ..conformance.runner import DifferentialRunner, RunProbe
-from ..conformance.scenario import FAMILY, Scenario
+from ..conformance.scenario import Scenario
+from ..family import FAMILIES
 from ..kernel.vtime import NSEC_PER_MSEC
 from .dpor import DependencyRelation, enumerate_orders
 from .footprint import capture_footprints
 
-#: Inter-event spacing (virtual ms) per family.  Input uses the faulty
-#: spacing of the seeded generator: the decaf mouse only crosses on its
-#: 1 Hz resync poll, so enumerated fault placements need windows wide
-#: enough for crossings to land in.
-GAP_MS = {"net": 3, "sound": 3, "input": 400, "usb": 3}
-
-
-def _frame(rng, size):
-    return bytes(rng.randrange(256) for _ in range(size))
-
-
 def base_events(driver, depth, seed=0):
-    """The designed base schedule: ``depth`` events at fixed spacing.
+    """The designed base schedule: ``depth`` events at the family's
+    fixed spacing (``explore_gap_ms``).
 
-    Net mixes datapath bursts (tx/rx -- they share the device irq line)
-    with configuration ops (they cross the XPC channel but raise no
-    interrupt), which is where order-level independence comes from.
-    Sound, input, and usb schedules are homogeneous; their pruning is
-    dominated by the unreachable-placement axes.
+    Net mixes datapath bursts with configuration ops, which is where
+    order-level independence comes from.  Sound, input, and usb
+    schedules are homogeneous; their pruning is dominated by the
+    unreachable-placement axes.
     """
-    family = FAMILY[driver]
+    family = FAMILIES[driver]
     rng = random.Random("explore:%s:%d" % (driver, seed))
-    gap_ns = GAP_MS[family] * NSEC_PER_MSEC
-    events = []
-    for k in range(depth):
-        t = (k + 1) * gap_ns
-        if family == "net":
-            kind = ("tx_burst", "rx_burst", "config_mac",
-                    "tx_burst", "rx_burst", "set_multi")[k % 6]
-            if kind in ("tx_burst", "rx_burst"):
-                frames = [_frame(rng, 60 + rng.randrange(0, 61)).hex()
-                          for _ in range(2)]
-                events.append({"t": t, "kind": kind, "frames": frames})
-            elif kind == "config_mac":
-                mac = bytearray(rng.randrange(256) for _ in range(6))
-                mac[0] = (mac[0] | 0x02) & 0xFE
-                events.append({"t": t, "kind": "config_mac",
-                               "addr": bytes(mac).hex()})
-            else:
-                events.append({"t": t, "kind": "set_multi"})
-        elif family == "sound":
-            rate = (8000, 22050, 44100)[k % 3]
-            events.append({
-                "t": t, "kind": "pcm_cycle", "rate": rate, "channels": 2,
-                "sample_bytes": 2, "period_frames": 2048, "periods": 4,
-                "write_frames": rate // 8,
-            })
-        elif family == "input":
-            events.append({
-                "t": t, "kind": "move",
-                "dx": rng.randrange(-127, 128),
-                "dy": rng.randrange(-127, 128),
-                "buttons": k % 8, "wheel": rng.randrange(-2, 3),
-            })
-        else:  # usb
-            events.append({
-                "t": t, "kind": "bulk_write", "lba": 2 * k, "blocks": 1,
-                "payload": _frame(rng, 512).hex(),
-            })
-    return events
+    gap_ns = family.explore_gap_ms * NSEC_PER_MSEC
+    return [family.base_event(rng, k, (k + 1) * gap_ns)
+            for k in range(depth)]
 
 
 def reorder_events(events, order):

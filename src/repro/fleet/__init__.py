@@ -14,8 +14,8 @@ Layout:
 * :mod:`repro.fleet.isolate` -- per-slot driver module cloning (the
   drivers are C-idiomatic singletons around a module-level ``_state``;
   a fleet needs N independent instances of each).
-* :mod:`repro.fleet.slots` -- per-family device slot builders: device
-  model + cloned driver module + identity-filtered bus glue + traffic.
+* :mod:`repro.fleet.slots` -- device slots: a :mod:`repro.family`
+  instance per slot with identity-filtered bus glue and traffic.
 * :mod:`repro.fleet.harness` -- the churn engine, fault injection and
   metrics (events/s, bytes/device, recovery latency percentiles).
 
@@ -23,6 +23,5 @@ Run ``python -m repro.fleet --help`` for the CLI.
 """
 
 from .harness import FleetHarness, FleetSpec, fleet_workload
-from .slots import FAMILIES
 
-__all__ = ["FleetHarness", "FleetSpec", "fleet_workload", "FAMILIES"]
+__all__ = ["FleetHarness", "FleetSpec", "fleet_workload"]

@@ -3,7 +3,7 @@
 Examples::
 
     python -m repro.fleet --devices 128
-    python -m repro.fleet --devices 1024 --profile --json out.json
+    python -m repro.fleet --devices 1024 --json out.json
     python -m repro.fleet --devices 256 --decaf-fraction 0.8 --no-faults
 """
 
@@ -38,9 +38,6 @@ def build_parser():
                         help="disable fault injection")
     parser.add_argument("--no-churn", action="store_true",
                         help="disable remove/re-probe churn")
-    parser.add_argument("--profile", action="store_true",
-                        help="run a profiled phase and report the "
-                             "device-model fraction")
     parser.add_argument("--seed", type=int, default=1234)
     parser.add_argument("--json", metavar="PATH",
                         help="write the result row as JSON ('-' = stdout)")
@@ -60,7 +57,7 @@ def main(argv=None):
         fault_period_ms=0 if args.no_faults else args.fault_period_ms,
         seed=args.seed,
     )
-    result = fleet_workload(profile=args.profile, spec=spec)
+    result = fleet_workload(spec=spec)
     row = result.row()
     width = max(len(key) for key in row)
     for key, value in row.items():

@@ -18,15 +18,11 @@ the kernel's timer wheel and virtual CPUs:
 
 Metrics come out as an extended :class:`WorkloadResult`: sustained
 simulator events per wall-clock second, tracemalloc bytes per device
-slot, the fault recovery rate with p50/p99 fault-to-recovered latency,
-and (from an optional profiled phase) the fraction of host CPU spent
-in the device models.
+slot, and the fault recovery rate with p50/p99 fault-to-recovered
+latency.
 """
 
-import cProfile
 import gc
-import os
-import pstats
 import random
 import time
 import tracemalloc
@@ -34,36 +30,11 @@ import tracemalloc
 from ..faults import FaultPlan, FaultSpec
 from ..kernel import make_kernel
 from ..workloads.result import WorkloadResult, health_summary_of
-from .isolate import CLONE_SETS, ClonePool
-from .slots import FAMILIES
+from ..family import FAMILIES
+from .isolate import ClonePool
+from .slots import DeviceSlot
 
-DEFAULT_MIX = ("e1000", "rtl8139", "uhci", "ens1371", "psmouse")
-
-# cProfile source-path buckets (tools/profile_hotpath.py's view).
-_BUCKETS = (
-    ("device-model", ("repro/devices/",)),
-    ("driver-loop", ("drivers/legacy/", "drivers/decaf/")),
-    ("io-dispatch", ("kernel/ioports",)),
-    ("net-stack", ("kernel/netdev", "kernel/napi")),
-    ("kernel-core", ("kernel/core", "kernel/events", "kernel/vtime",
-                     "kernel/irq", "kernel/context", "kernel/locks",
-                     "kernel/memory", "kernel/timers", "kernel/usb",
-                     "kernel/sound", "kernel/input", "kernel/pci",
-                     "kernel/module")),
-    ("xpc/marshal", ("core/xpc", "core/marshal", "core/cstruct",
-                     "core/runtime", "drivers/decaf/plumbing")),
-    ("fleet", ("repro/fleet/",)),
-    ("health", ("repro/health/",)),
-)
-
-
-def _bucket_for(path):
-    norm = path.replace(os.sep, "/")
-    for name, needles in _BUCKETS:
-        for needle in needles:
-            if needle in norm:
-                return name
-    return "other"
+DEFAULT_MIX = ("e1000", "8139too", "uhci_hcd", "ens1371", "psmouse")
 
 
 class FleetSpec:
@@ -117,8 +88,6 @@ class FleetHarness:
         self.events_per_sec = 0.0
         self.wall_s_per_virtual_ms = 0.0
         self.wall_elapsed_s = 0.0
-        self.device_model_fraction = 0.0
-        self.profile_buckets = {}
 
     # -- construction ---------------------------------------------------------
 
@@ -126,7 +95,7 @@ class FleetHarness:
         spec = self.spec
         family = spec.mix[index % len(spec.mix)]
         decaf = self.rng.random() < spec.decaf_fraction
-        slot = FAMILIES[family](index, decaf=decaf)
+        slot = DeviceSlot(index, decaf, family)
         slot.attach(self.kernel, self.pool.acquire(family, decaf))
         slot.probe(max_recoveries=spec.max_recoveries)
         self.slots.append(slot)
@@ -214,32 +183,6 @@ class FleetHarness:
         self.wall_s_per_virtual_ms = elapsed / (rounds * spec.tick_period_ms)
         return self
 
-    def profile_run(self, duration_ms=40):
-        """A short profiled phase: fills the device-model fraction."""
-        # Don't let profiler overhead pollute the sustained rates.
-        saved = (self.events_per_sec, self.wall_s_per_virtual_ms)
-        profiler = cProfile.Profile()
-        profiler.enable()
-        try:
-            self.run(duration_ms)
-        finally:
-            profiler.disable()
-            if saved[0]:
-                self.events_per_sec, self.wall_s_per_virtual_ms = saved
-        stats = pstats.Stats(profiler)
-        buckets = {}
-        for (path, _line, _fn), (_cc, _nc, tottime, _ct, _callers) \
-                in stats.stats.items():
-            buckets[_bucket_for(path)] = (
-                buckets.get(_bucket_for(path), 0.0) + tottime)
-        # Profiler bookkeeping shows up under "other" with builtins;
-        # keep it -- the fraction should be conservative, not flattered.
-        total = sum(buckets.values())
-        self.profile_buckets = buckets
-        self.device_model_fraction = (
-            buckets.get("device-model", 0.0) / total if total else 0.0)
-        return self
-
     # -- churn + faults --------------------------------------------------------
 
     def _churn_event(self):
@@ -281,24 +224,18 @@ class FleetHarness:
                 break
             kernel.run_for_ms(5)
         for slot in self.slots:
-            sup = slot.supervisor
-            if (sup is not None and slot.channel is not None
-                    and slot.channel.failed and not sup.gave_up):
-                sup.recover()
+            slot.recover()
 
     # -- teardown + metrics ----------------------------------------------------
 
     def teardown(self):
         """Remove every slot and pool its clone namespaces."""
-        for slot in self._parked:
-            if slot not in self.slots:
-                self.slots.append(slot)
         self._parked = []
         for slot in self.slots:
             if slot.bound:
                 slot.remove()
             if slot.clones is not None:
-                self.pool.release(slot.family, slot.decaf, slot.clones)
+                self.pool.release(slot.family.key, slot.decaf, slot.clones)
                 slot.clones = None
         return self
 
@@ -319,8 +256,7 @@ class FleetHarness:
         samples = sorted(self.outage_samples_ns())
         fired = self.faults_fired()
         recovered = self.recoveries()
-        crossings = sum(s.channel.xpc.kernel_user_crossings
-                        for s in self.slots if s.channel is not None)
+        crossings = sum(s.crossings() for s in self.slots)
         return WorkloadResult(
             name=name,
             health_summary=health_summary_of(kernel),
@@ -339,16 +275,12 @@ class FleetHarness:
             recovery_rate=(recovered / fired) if fired else 1.0,
             recovery_p50_ms=_percentile(samples, 0.50) / 1e6,
             recovery_p99_ms=_percentile(samples, 0.99) / 1e6,
-            device_model_fraction=self.device_model_fraction,
             extra={
                 "decaf_slots": sum(1 for s in self.slots if s.decaf),
                 "legacy_slots": sum(1 for s in self.slots if not s.decaf),
                 "probes": sum(s.probes for s in self.slots),
                 "removes": self.removes,
                 "clone_pool": self.pool.stats(),
-                "profile_buckets": {
-                    k: round(v, 4)
-                    for k, v in sorted(self.profile_buckets.items())},
                 "wall_elapsed_s": round(self.wall_elapsed_s, 3),
             },
         )
@@ -363,8 +295,8 @@ def _percentile(sorted_samples, q):
 
 
 def fleet_workload(n_devices=128, decaf_fraction=0.5, nr_cpus=4,
-                   duration_ms=200, fault_period_ms=10, profile=False,
-                   seed=1234, spec=None):
+                   duration_ms=200, fault_period_ms=10, seed=1234,
+                   spec=None):
     """Build, run, tear down one fleet; returns the WorkloadResult."""
     if spec is None:
         spec = FleetSpec(n_devices=n_devices, decaf_fraction=decaf_fraction,
@@ -373,8 +305,6 @@ def fleet_workload(n_devices=128, decaf_fraction=0.5, nr_cpus=4,
     harness = FleetHarness(spec)
     harness.measure_build()
     harness.run()
-    if profile:
-        harness.profile_run()
     result = harness.result()
     harness.teardown()
     result.extra["harness"] = harness

@@ -16,6 +16,14 @@ attribute) temporarily point intra-family imports -- a decaf nucleus'
 legacy clone, then are restored, so the rest of the process never sees
 the clones.
 
+Each family names the modules holding per-instance driver state
+(:meth:`repro.family.DeviceFamily.clone_set`): a module-level
+``_state`` or a ``legacy`` binding that must resolve to the slot's
+clone.  Stateless helpers (e1000_hw/param/ethtool, the decaf user
+halves, plumbing, cstruct) are shared: their globals are constants,
+classes and a ``linux`` handle every slot of one kernel binds
+identically.
+
 Freed clone sets are pooled per family: probe/remove/re-probe churn
 reuses namespaces instead of growing the heap monotonically.
 """
@@ -24,30 +32,9 @@ import importlib
 import sys
 import types
 
-_CODE_CACHE = {}
+from ..family import FAMILIES
 
-# Modules that hold per-instance driver state (module-level ``_state``
-# or a ``legacy`` binding that must resolve to the slot's clone).
-# Stateless helpers (e1000_hw/param/ethtool, the decaf user halves,
-# plumbing, cstruct) are shared: their globals are constants, classes
-# and a ``linux`` handle every slot of one kernel binds identically.
-CLONE_SETS = {
-    ("e1000", False): ("repro.drivers.legacy.e1000_main",),
-    ("e1000", True): ("repro.drivers.legacy.e1000_main",
-                      "repro.drivers.decaf.e1000_nucleus"),
-    ("rtl8139", False): ("repro.drivers.legacy.rtl8139",),
-    ("rtl8139", True): ("repro.drivers.legacy.rtl8139",
-                        "repro.drivers.decaf.rtl8139_nucleus"),
-    ("uhci", False): ("repro.drivers.legacy.uhci_hcd",),
-    ("uhci", True): ("repro.drivers.legacy.uhci_hcd",
-                     "repro.drivers.decaf.uhci_nucleus"),
-    ("psmouse", False): ("repro.drivers.legacy.psmouse",),
-    ("psmouse", True): ("repro.drivers.legacy.psmouse",
-                        "repro.drivers.decaf.psmouse_nucleus"),
-    ("ens1371", False): ("repro.drivers.legacy.ens1371",),
-    ("ens1371", True): ("repro.drivers.legacy.ens1371",
-                        "repro.drivers.decaf.ens1371_nucleus"),
-}
+_CODE_CACHE = {}
 
 
 def _code_for(name):
@@ -136,7 +123,7 @@ class ClonePool:
             self.reuses += 1
             return free.pop()
         self.builds += 1
-        return clone_module_set(CLONE_SETS[key])
+        return clone_module_set(FAMILIES[family].clone_set(decaf))
 
     def release(self, family, decaf, clones):
         self._free.setdefault((family, bool(decaf)), []).append(clones)

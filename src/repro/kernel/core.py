@@ -7,13 +7,12 @@ advances.  Driver code executes synchronously inside event callbacks or
 inside code the test/workload drives directly; the execution context
 (hardirq / softirq / process) is tracked and its rules enforced.
 
-Typical use::
+Typical use (:mod:`repro.family` plugs in the device, its PCI function,
+IRQ and MMIO window, and builds the driver module)::
 
-    kernel = Kernel()
-    nic = E1000Device(kernel, ...)      # registers PCI function, IRQ, MMIO
-    kernel.pci.add_device(nic.pci)
-    kernel.modules.insmod(E1000Module())
-    kernel.run_for_ms(100)
+    rig = FAMILIES["e1000"].rig()       # make_kernel() + device + module
+    rig.insmod()
+    rig.kernel.run_for_ms(100)
 """
 
 from collections import deque

@@ -7,7 +7,7 @@ utilization and event counts.
 """
 
 from ..trace import begin_trace, finish_trace
-from .result import WorkloadResult, health_summary_of
+from .result import rig_mark, rig_result
 
 
 def move_and_click(rig, duration_s=30.0, trace=None):
@@ -24,8 +24,7 @@ def move_and_click(rig, duration_s=30.0, trace=None):
         "count", events["count"] + len(evs)
     )
 
-    x0 = rig.crossings()
-    f0 = rig.fault_stats()
+    mark = rig_mark(rig)
     kernel.cpu.start_window()
     start_ns = kernel.clock.now_ns
     sample_interval_ns = int(1e9 / max(1, mouse.sample_rate))
@@ -49,24 +48,11 @@ def move_and_click(rig, duration_s=30.0, trace=None):
         t += sample_interval_ns
 
     elapsed_s = (kernel.clock.now_ns - start_ns) / 1e9
-    f1 = rig.fault_stats()
-    ds = rig.deferred_stats()
-    result = WorkloadResult(
-        name="move-and-click",
-        health_summary=health_summary_of(kernel),
+    result = rig_result(
+        rig, "move-and-click", mark, lost=lost,
         duration_s=elapsed_s,
         packets=packets,
         cpu_utilization=kernel.cpu.utilization(),
-        init_latency_s=(rig.init_latency_ns or 0) / 1e9,
-        kernel_user_crossings=rig.crossings(),
-        lang_crossings=rig.lang_crossings(),
-        deferred_calls=ds["calls"],
-        deferred_coalesced=ds["coalesced"],
-        deferred_flushes=ds["flushes"],
-        decaf_invocations=rig.crossings() - x0,
-        faults_injected=f1[0] - f0[0],
-        recoveries=f1[1] - f0[1],
-        packets_lost=lost + (f1[2] - f0[2]),
         extra={"input_events": events["count"], "clicks": clicks},
     )
     finish_trace(session, result)

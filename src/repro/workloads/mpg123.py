@@ -8,7 +8,7 @@ the workload is real-time-bound, exactly like the paper's.
 
 from ..kernel.sound import SNDRV_PCM_TRIGGER_START, SNDRV_PCM_TRIGGER_STOP
 from ..trace import begin_trace, finish_trace
-from .result import WorkloadResult, health_summary_of
+from .result import rig_mark, rig_result
 
 MP3_BITRATE = 256_000
 PCM_RATE = 44_100
@@ -29,8 +29,7 @@ def mpg123_play(rig, duration_s=10.0, period_bytes=4096, periods=4,
         raise RuntimeError("no sound card registered")
     substream = cards[0].pcms[0].playback
 
-    x0 = rig.crossings()
-    f0 = rig.fault_stats()
+    mark = rig_mark(rig)
     kernel.cpu.start_window()
     start_ns = kernel.clock.now_ns
 
@@ -78,25 +77,12 @@ def mpg123_play(rig, duration_s=10.0, period_bytes=4096, periods=4,
     sound.pcm_close(substream)
 
     elapsed_s = (kernel.clock.now_ns - start_ns) / 1e9
-    f1 = rig.fault_stats()
-    ds = rig.deferred_stats()
-    result = WorkloadResult(
-        name="mpg123",
-        health_summary=health_summary_of(kernel),
+    result = rig_result(
+        rig, "mpg123", mark, lost=dropped,
         duration_s=elapsed_s,
         bytes_moved=written,
         throughput_mbps=written * 8 / elapsed_s / 1e6,
         cpu_utilization=kernel.cpu.utilization(),
-        init_latency_s=(rig.init_latency_ns or 0) / 1e9,
-        kernel_user_crossings=rig.crossings(),
-        lang_crossings=rig.lang_crossings(),
-        deferred_calls=ds["calls"],
-        deferred_coalesced=ds["coalesced"],
-        deferred_flushes=ds["flushes"],
-        decaf_invocations=rig.crossings() - x0,
-        faults_injected=f1[0] - f0[0],
-        recoveries=f1[1] - f0[1],
-        packets_lost=dropped + (f1[2] - f0[2]),
         extra={
             "periods_elapsed": substream.runtime.periods_elapsed,
             "device_interrupts": getattr(rig.device, "period_interrupts", 0),

@@ -12,7 +12,7 @@ give exact, stable numbers (configurable for longer runs).
 
 from ..kernel import NETDEV_TX_OK, SkBuff
 from ..trace import begin_trace, finish_trace
-from .result import WorkloadResult, health_summary_of
+from .result import rig_mark, rig_result
 
 
 def _open_dev(rig):
@@ -57,12 +57,12 @@ def _datapath_delta(kernel, start):
             per_pool[label] = h / (h + m)
     total = hits + misses
     return {
-        "polls": snap["polls"] - start["polls"],
-        "budget_exhaustions":
+        "napi_polls": snap["polls"] - start["polls"],
+        "napi_budget_exhaustions":
             snap["budget_exhaustions"] - start["budget_exhaustions"],
-        "pkts_per_poll": hist,
-        "pool_hit_rate": (hits / total) if total else 0.0,
-        "pool_cpu_hit_rates": per_pool,
+        "napi_pkts_per_poll": hist,
+        "skb_pool_hit_rate": (hits / total) if total else 0.0,
+        "skb_pool_cpu_hit_rates": per_pool,
     }
 
 
@@ -101,8 +101,7 @@ def netperf_send(rig, duration_s=2.0, msg_bytes=1500, trace=None):
     dev = _open_dev(rig)
     payload = bytes(msg_bytes)
 
-    x0 = rig.crossings()
-    f0 = rig.fault_stats()
+    mark = rig_mark(rig)
     dp0 = _datapath_start(kernel)
     kernel.cpu.start_window()
     start_ns = kernel.clock.now_ns
@@ -125,32 +124,14 @@ def netperf_send(rig, duration_s=2.0, msg_bytes=1500, trace=None):
             _wait_for_progress(kernel, end_ns, rig)
 
     elapsed_s = (kernel.clock.now_ns - start_ns) / 1e9
-    f1 = rig.fault_stats()
-    ds = rig.deferred_stats()
-    dp = _datapath_delta(kernel, dp0)
-    result = WorkloadResult(
-        name="netperf-send",
-        health_summary=health_summary_of(kernel),
+    result = rig_result(
+        rig, "netperf-send", mark, lost=lost_packets,
         duration_s=elapsed_s,
         bytes_moved=sent_bytes,
         packets=sent_packets,
         throughput_mbps=sent_bytes * 8 / elapsed_s / 1e6,
         cpu_utilization=kernel.cpu.utilization(),
-        init_latency_s=(rig.init_latency_ns or 0) / 1e9,
-        kernel_user_crossings=rig.crossings(),
-        lang_crossings=rig.lang_crossings(),
-        deferred_calls=ds["calls"],
-        deferred_coalesced=ds["coalesced"],
-        deferred_flushes=ds["flushes"],
-        decaf_invocations=rig.crossings() - x0,
-        napi_polls=dp["polls"],
-        napi_budget_exhaustions=dp["budget_exhaustions"],
-        napi_pkts_per_poll=dp["pkts_per_poll"],
-        skb_pool_hit_rate=dp["pool_hit_rate"],
-        skb_pool_cpu_hit_rates=dp["pool_cpu_hit_rates"],
-        faults_injected=f1[0] - f0[0],
-        recoveries=f1[1] - f0[1],
-        packets_lost=lost_packets + (f1[2] - f0[2]),
+        **_datapath_delta(kernel, dp0),
     )
     finish_trace(session, result)
     kernel.net.dev_close(dev)
@@ -188,7 +169,7 @@ def netperf_recv(rig, duration_s=2.0, msg_bytes=1500, utilization=0.95,
             sink_extra(_dev, skb)
 
     kernel.net.rx_sink = sink
-    x0 = rig.crossings()
+    mark = rig_mark(rig)
     dp0 = _datapath_start(kernel)
     kernel.cpu.start_window()
     start_ns = kernel.clock.now_ns
@@ -200,28 +181,14 @@ def netperf_recv(rig, duration_s=2.0, msg_bytes=1500, utilization=0.95,
     kernel.run_for_ms(2)
     elapsed_s = (kernel.clock.now_ns - start_ns) / 1e9
 
-    ds = rig.deferred_stats()
-    dp = _datapath_delta(kernel, dp0)
-    result = WorkloadResult(
-        name="netperf-recv",
-        health_summary=health_summary_of(kernel),
+    result = rig_result(
+        rig, "netperf-recv", mark,
         duration_s=elapsed_s,
         bytes_moved=received[1],
         packets=received[0],
         throughput_mbps=received[1] * 8 / elapsed_s / 1e6,
         cpu_utilization=kernel.cpu.utilization(),
-        init_latency_s=(rig.init_latency_ns or 0) / 1e9,
-        kernel_user_crossings=rig.crossings(),
-        lang_crossings=rig.lang_crossings(),
-        deferred_calls=ds["calls"],
-        deferred_coalesced=ds["coalesced"],
-        deferred_flushes=ds["flushes"],
-        decaf_invocations=rig.crossings() - x0,
-        napi_polls=dp["polls"],
-        napi_budget_exhaustions=dp["budget_exhaustions"],
-        napi_pkts_per_poll=dp["pkts_per_poll"],
-        skb_pool_hit_rate=dp["pool_hit_rate"],
-        skb_pool_cpu_hit_rates=dp["pool_cpu_hit_rates"],
+        **_datapath_delta(kernel, dp0),
     )
     finish_trace(session, result)
     kernel.net.rx_sink = None
@@ -256,7 +223,7 @@ def netperf_udp_rr(rig, duration_s=1.0, msg_bytes=1, trace=None):
     # Minimum Ethernet payload still makes a 60-byte frame on the wire.
     payload = bytes(max(60, msg_bytes))
 
-    x0 = rig.crossings()
+    mark = rig_mark(rig)
     dp0 = _datapath_start(kernel)
     kernel.cpu.start_window()
     start_ns = kernel.clock.now_ns
@@ -278,28 +245,14 @@ def netperf_udp_rr(rig, duration_s=1.0, msg_bytes=1, trace=None):
             break
 
     elapsed_s = (kernel.clock.now_ns - start_ns) / 1e9
-    ds = rig.deferred_stats()
-    dp = _datapath_delta(kernel, dp0)
-    result = WorkloadResult(
-        name="netperf-udp-rr",
-        health_summary=health_summary_of(kernel),
+    result = rig_result(
+        rig, "netperf-udp-rr", mark,
         duration_s=elapsed_s,
         bytes_moved=sent * len(payload),
         packets=sent,
         throughput_mbps=responses["count"] / elapsed_s / 1000.0,  # kTPS
         cpu_utilization=kernel.cpu.utilization(),
-        init_latency_s=(rig.init_latency_ns or 0) / 1e9,
-        kernel_user_crossings=rig.crossings(),
-        lang_crossings=rig.lang_crossings(),
-        deferred_calls=ds["calls"],
-        deferred_coalesced=ds["coalesced"],
-        deferred_flushes=ds["flushes"],
-        decaf_invocations=rig.crossings() - x0,
-        napi_polls=dp["polls"],
-        napi_budget_exhaustions=dp["budget_exhaustions"],
-        napi_pkts_per_poll=dp["pkts_per_poll"],
-        skb_pool_hit_rate=dp["pool_hit_rate"],
-        skb_pool_cpu_hit_rates=dp["pool_cpu_hit_rates"],
+        **_datapath_delta(kernel, dp0),
         extra={"transactions": responses["count"]},
     )
     finish_trace(session, result)

@@ -14,6 +14,34 @@ def health_summary_of(kernel):
     return health.summary() if health is not None else {}
 
 
+def rig_mark(rig):
+    """The rig counters a workload's result is measured against."""
+    return rig.crossings(), rig.fault_stats()
+
+
+def rig_result(rig, name, mark, lost=0, **fields):
+    """A :class:`WorkloadResult` carrying ``rig``'s counters: totals,
+    plus deltas since ``mark`` (decaf invocations, faults, recoveries,
+    and kernel-side work lost on top of the workload's own ``lost``)."""
+    crossings0, faults0 = mark
+    faults = rig.fault_stats()
+    ds = rig.deferred_stats()
+    return WorkloadResult(
+        name=name,
+        health_summary=health_summary_of(rig.kernel),
+        init_latency_s=(rig.init_latency_ns or 0) / 1e9,
+        kernel_user_crossings=rig.crossings(),
+        lang_crossings=rig.lang_crossings(),
+        deferred_calls=ds["calls"],
+        deferred_coalesced=ds["coalesced"],
+        deferred_flushes=ds["flushes"],
+        decaf_invocations=rig.crossings() - crossings0,
+        faults_injected=faults[0] - faults0[0],
+        recoveries=faults[1] - faults0[1],
+        packets_lost=lost + faults[2] - faults0[2],
+        **fields)
+
+
 @dataclass
 class WorkloadResult:
     """What one workload run measured (one Table 3 cell group)."""
@@ -55,7 +83,6 @@ class WorkloadResult:
     recovery_rate: float = 0.0      # recoveries / faults fired
     recovery_p50_ms: float = 0.0    # median fault->recovered outage
     recovery_p99_ms: float = 0.0
-    device_model_fraction: float = 0.0  # device-model share of profiled time
     # ktrace summary (Tracer.summary()) when the workload ran traced.
     trace_summary: dict = field(default_factory=dict)
     # HealthPlane.summary() when the kernel ran with a health plane
@@ -112,8 +139,6 @@ class WorkloadResult:
             row["recovery_rate"] = round(self.recovery_rate, 4)
             row["recovery_p50_ms"] = round(self.recovery_p50_ms, 3)
             row["recovery_p99_ms"] = round(self.recovery_p99_ms, 3)
-            row["device_model_fraction"] = round(
-                self.device_model_fraction, 4)
         if self.health_summary:
             fires = self.health_summary.get("watchdog_fires", {})
             row["watchdog_fires"] = sum(fires.values())

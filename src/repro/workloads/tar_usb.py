@@ -10,7 +10,7 @@ import struct
 
 from ..kernel.usb import usb_sndbulkpipe
 from ..trace import begin_trace, finish_trace
-from .result import WorkloadResult, health_summary_of
+from .result import rig_mark, rig_result
 
 BLOCK_SIZE = 512
 TAR_HEADER_CPU_NS = 20_000
@@ -27,8 +27,7 @@ def tar_to_flash(rig, archive_bytes=2 * 1024 * 1024, file_size=64 * 1024,
     disk_dev = devices[0]
     pipe = usb_sndbulkpipe(disk_dev, 2)
 
-    x0 = rig.crossings()
-    f0 = rig.fault_stats()
+    mark = rig_mark(rig)
     kernel.cpu.start_window()
     start_ns = kernel.clock.now_ns
 
@@ -65,26 +64,13 @@ def tar_to_flash(rig, archive_bytes=2 * 1024 * 1024, file_size=64 * 1024,
         nfiles += 1
 
     elapsed_s = (kernel.clock.now_ns - start_ns) / 1e9
-    f1 = rig.fault_stats()
-    ds = rig.deferred_stats()
-    result = WorkloadResult(
-        name="tar",
-        health_summary=health_summary_of(kernel),
+    result = rig_result(
+        rig, "tar", mark, lost=retried,
         duration_s=elapsed_s,
         bytes_moved=written,
         packets=nfiles,
         throughput_mbps=written * 8 / elapsed_s / 1e6,
         cpu_utilization=kernel.cpu.utilization(),
-        init_latency_s=(rig.init_latency_ns or 0) / 1e9,
-        kernel_user_crossings=rig.crossings(),
-        lang_crossings=rig.lang_crossings(),
-        deferred_calls=ds["calls"],
-        deferred_coalesced=ds["coalesced"],
-        deferred_flushes=ds["flushes"],
-        decaf_invocations=rig.crossings() - x0,
-        faults_injected=f1[0] - f0[0],
-        recoveries=f1[1] - f0[1],
-        packets_lost=retried + (f1[2] - f0[2]),
         extra={"files": nfiles,
                "disk_blocks_written": rig.extra["disk"].writes},
     )

@@ -10,7 +10,7 @@ from repro.conformance import (
 )
 from repro.conformance.minimize import ddmin
 from repro.conformance.observe import is_subsequence
-from repro.conformance.scenario import FAMILY
+from repro.family import FAMILIES
 
 
 class TestGeneratorDeterminism:
@@ -58,7 +58,7 @@ class TestScenarioShape:
     @pytest.mark.parametrize("driver", DRIVERS)
     def test_family_tag(self, driver):
         scenario = ScenarioGenerator(5).generate(driver, "strict")
-        assert scenario.family == FAMILY[driver]
+        assert scenario.family is FAMILIES[driver]
 
     def test_strict_mode_has_no_faults(self):
         scenario = ScenarioGenerator(5).generate("e1000", "strict")

@@ -11,6 +11,7 @@ import pytest
 
 from repro.conformance import DifferentialRunner, ScenarioGenerator
 from repro.conformance.__main__ import main, mode_for, run_sweep
+from repro.family import FAMILIES
 
 
 @pytest.fixture(scope="module")
@@ -27,13 +28,17 @@ def test_e1000_tier_clean_for_10_seeds(smp_runner):
             "[%s] %s" % (d.channel, d.detail) for d in result.divergences))
 
 
-def test_smp_rig_topology(smp_runner):
-    scenario = ScenarioGenerator(0).generate("e1000", mode="strict")
-    rig = smp_runner._make_rig(scenario, decaf=False)
+def _smp_rig(driver, decaf, smp=4):
+    """The rig the runner builds for ``driver`` at ``smp`` CPUs."""
+    family = FAMILIES[driver]
+    return family.rig(decaf, nr_cpus=smp, **family.smp_options(smp))
+
+
+def test_smp_rig_topology():
+    rig = _smp_rig("e1000", decaf=False)
     assert rig.kernel.nr_cpus == 4
     assert rig.device.num_queues == 4
-    scenario = ScenarioGenerator(0).generate("8139too", mode="strict")
-    rig = smp_runner._make_rig(scenario, decaf=True)
+    rig = _smp_rig("8139too", decaf=True)
     assert rig.kernel.nr_cpus == 4  # non-e1000 rigs stay single-queue
 
 

@@ -13,8 +13,10 @@ import tracemalloc
 
 import pytest
 
-from repro.fleet import FAMILIES, FleetHarness, FleetSpec
+from repro.family import FAMILIES
+from repro.fleet import FleetHarness, FleetSpec
 from repro.fleet.isolate import ClonePool
+from repro.fleet.slots import DeviceSlot
 from repro.kernel import make_kernel
 
 CYCLES = 50
@@ -37,7 +39,7 @@ def _gauges(kernel):
 
 
 def _one_slot(kernel, pool, family, decaf):
-    slot = FAMILIES[family](0, decaf=decaf)
+    slot = DeviceSlot(0, decaf, family)
     slot.attach(kernel, pool.acquire(family, decaf))
     return slot
 
