@@ -294,6 +294,16 @@ class CStructMeta(type):
                 simple[f.name] = f.ctype.default()
         cls._simple_defaults = simple
         cls._per_instance_fields = tuple(per_instance)
+        # Fields the delta codec's dirty-graph walk follows: embedded
+        # structs and pointers to struct graphs (opaque, null and
+        # exp-length pointers never carry a marshaled graph).  Kept on
+        # the class, so it lives and dies with it (fleet clones).
+        cls._graph_fields = tuple(
+            f.name for f in fields
+            if isinstance(f.ctype, Struct)
+            or (isinstance(f.ctype, Ptr)
+                and not any(isinstance(a, (Opaque, Null, Exp))
+                            for a in f.annotations)))
         if raw_fields is not None:
             StructRegistry.register(cls)
         return cls

@@ -107,6 +107,11 @@ OP_ARRAY = 7   # inline scalar array (extra: length, packer, unpacker,
                # elem, whether encode must clamp)
 
 _OPAQUE_REC = _struct.Struct("<IQ")
+# Object record header: TAG_OBJ, u64 identity, u32 type id.  Encode
+# writes all three words with one pack; decode reads the identity and
+# type id (after the tag) with one unpack when the whole header is there.
+_OBJ_HDR = _struct.Struct("<IQI")
+_ID_TYPE = _struct.Struct("<QI")
 _NULL_WORD = _U32.pack(TAG_NULL)
 
 # Delta inclusion rules (one per field; see MarshalPlan.delta_program_for).
@@ -598,34 +603,37 @@ class _DecodeSeen:
         self.objects.append(obj)
 
 
-def _graph_has_dirty(obj, _visited=None):
+def _graph_has_dirty(obj):
     """True if any object reachable from ``obj`` through pointer or
     embedded-struct fields carries dirty marks (delta-marshaling
-    inclusion test for unreassigned pointers)."""
+    inclusion test for unreassigned pointers).
+
+    The walk follows each class's ``_graph_fields`` (see
+    :class:`~repro.core.cstruct.CStructMeta`); an object whose class
+    has none is a leaf and is decided without a visited set.
+    """
     if obj is None:
         return False
     dirty = getattr(obj, "_dirty_fields", None)
-    if dirty is None:
-        return True  # no tracking info: assume mutated
-    if dirty:
-        return True
-    fields = getattr(type(obj), "_fields", ())
-    if _visited is None:
-        _visited = set()
-    if id(obj) in _visited:
+    if dirty is None or dirty:
+        return True  # dirty, or no tracking info: assume mutated
+    if not getattr(type(obj), "_graph_fields", ()):
         return False
-    _visited.add(id(obj))
-    for field in fields:
-        ctype = field.ctype
-        if isinstance(ctype, Struct):
-            if _graph_has_dirty(getattr(obj, field.name), _visited):
+    visited = {id(obj)}
+    todo = [obj]
+    while todo:
+        parent = todo.pop()
+        od = parent.__dict__
+        for name in type(parent)._graph_fields:
+            child = od[name]
+            if child is None or id(child) in visited:
+                continue
+            dirty = getattr(child, "_dirty_fields", None)
+            if dirty is None or dirty:
                 return True
-        elif isinstance(ctype, Ptr):
-            if (field.annotation(Opaque) is None
-                    and field.annotation(Null) is None
-                    and field.annotation(Exp) is None):
-                if _graph_has_dirty(getattr(obj, field.name), _visited):
-                    return True
+            visited.add(id(child))
+            if getattr(type(child), "_graph_fields", ()):
+                todo.append(child)
     return False
 
 
@@ -675,7 +683,7 @@ class MarshalCodec:
         saved = self._call_fields
         self._call_fields = 0
         try:
-            buf.put_u32(len(args))
+            buf.data += _U32.pack(len(args))
             for obj, struct_cls in args:
                 self._encode_ref(buf, obj, struct_cls, direction, ctx, seen,
                                  delta)
@@ -694,9 +702,9 @@ class MarshalCodec:
             buf.put_u32(seen[identity])
             self.backrefs += 1
             return
-        buf.put_u32(TAG_OBJ)
-        buf.put_u64(identity)
-        buf.put_u32(self.type_ids.id_of(type(obj)))
+        buf.data += _OBJ_HDR.pack(
+            TAG_OBJ, identity & 0xFFFFFFFFFFFFFFFF,
+            self.type_ids.id_of(type(obj)) & 0xFFFFFFFF)
         seen[identity] = len(seen)
         self._encode_payload(buf, obj, type(obj), identity, direction, ctx,
                              seen, delta)
@@ -814,9 +822,10 @@ class MarshalCodec:
                         continue
                 included.append(entry)
         self.delta_fields_skipped += len(program) - len(included)
-        buf.put_u32(len(included))
+        data = buf.data
+        data += _U32.pack(len(included))
         for index, _name, _rule, op in included:
-            buf.put_u32(index)
+            data += _U32.pack(index)
             self._encode_ops(buf, obj, (op,), identity, direction, ctx, seen,
                              True)
 
@@ -913,8 +922,14 @@ class MarshalCodec:
                 raise MarshalError("bad backref index %d" % index) from None
         if tag != TAG_OBJ:
             raise MarshalError("expected object tag, got %d" % tag)
-        identity = buf.get_u64()
-        type_id = buf.get_u32()
+        pos = buf.pos
+        if len(buf.data) - pos >= _ID_TYPE.size:
+            identity, type_id = _ID_TYPE.unpack_from(buf.data, pos)
+            buf.pos = pos + _ID_TYPE.size
+        else:
+            # Short header: fail as the word-by-word read does.
+            identity = buf.get_u64()
+            type_id = buf.get_u32()
         wire_cls = self.type_ids.struct_for(type_id)
         if wire_cls is None:
             raise MarshalError("unknown type id %d" % type_id)
@@ -1001,7 +1016,12 @@ class MarshalCodec:
     def _decode_payload_delta(self, buf, obj, struct_cls, identity, direction,
                               ctx, seen):
         program = self.plan.delta_program_for(struct_cls, direction)
-        count = buf.get_u32()
+        data = buf.data
+        pos = buf.pos
+        if len(data) - pos < 4:
+            buf.get_u32()  # raises the underrun error
+        count = _U32.unpack_from(data, pos)[0]
+        buf.pos = pos + 4
         # A well-formed delta includes each plan field at most once; a
         # larger count is forged and would otherwise drive a near-2^32
         # decode loop off a 4-byte wire word.
@@ -1011,7 +1031,11 @@ class MarshalCodec:
                 % (count, len(program), struct_cls.__name__)
             )
         for _ in range(count):
-            index = buf.get_u32()
+            pos = buf.pos
+            if len(data) - pos < 4:
+                buf.get_u32()  # raises the underrun error
+            index = _U32.unpack_from(data, pos)[0]
+            buf.pos = pos + 4
             try:
                 op = program[index][3]
             except IndexError:

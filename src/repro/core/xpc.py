@@ -467,9 +467,11 @@ class XpcChannel:
     # -- cost charging ------------------------------------------------------------
 
     def _charge_marshal(self, nbytes, nfields):
-        costs = self.xpc.kernel.costs
-        self.xpc.bytes_marshaled += nbytes
-        self.xpc.kernel.consume(
+        xpc = self.xpc
+        kernel = xpc.kernel
+        costs = kernel.costs
+        xpc.bytes_marshaled += nbytes
+        kernel.consume(
             int(nbytes * costs.marshal_byte_ns + nfields * costs.marshal_field_ns),
             busy=True,
             category="marshal",
@@ -479,11 +481,10 @@ class XpcChannel:
         # The crossing itself (syscall, copies) burns CPU; the thread
         # dispatch is mostly *waiting* for the scheduler and the user
         # process -- latency, not CPU -- so it is charged as idle time.
-        costs = self.xpc.kernel.costs
-        self.xpc.kernel.consume(
-            costs.xpc_kernel_user_ns, busy=True, category="xpc"
-        )
-        self.xpc.kernel.consume(
+        kernel = self.xpc.kernel
+        costs = kernel.costs
+        kernel.consume(costs.xpc_kernel_user_ns, busy=True, category="xpc")
+        kernel.consume(
             costs.xpc_thread_dispatch_ns, busy=False, category="xpc-wait"
         )
 
@@ -553,10 +554,10 @@ class XpcChannel:
             codec.delta_fields_skipped - skipped0,
         )
         self._charge_marshal(len(data), nfields)
-        for obj in self.codec.last_decoded_objects:
-            clear = getattr(obj, "clear_dirty", None)
-            if clear is not None:
-                clear()
+        # Decoded objects are CStruct twins (the trackers only ever
+        # resolve to those): clear their dirty sets directly.
+        for obj in codec.last_decoded_objects:
+            obj._dirty_fields.clear()
         return twins
 
     # -- deferred one-way notifications ---------------------------------------------
@@ -631,7 +632,7 @@ class XpcChannel:
                 try:
                     if self.inject_hook is not None:
                         self.inject_hook("notify", _callsite(func))
-                    twins = self._transfer_args(list(args), TO_USER)
+                    twins = self._transfer_args(args, TO_USER)
                     if transfers is not None:
                         # Read immediately: a handler that downcalls
                         # would overwrite last_transfer.
@@ -639,7 +640,7 @@ class XpcChannel:
                         callsites.append(_callsite(func))
                     self.domains.push(DRIVER_LIB)
                     try:
-                        func(*(list(twins) + list(extra or ())))
+                        func(*twins, *(extra or ()))
                     finally:
                         self.domains.pop(DRIVER_LIB)
                 except Exception as exc:
@@ -711,19 +712,17 @@ class XpcChannel:
         if prof is not None:
             prof.push("xpc:%s" % self.name)
         try:
-            twins = self._transfer_args(list(args), TO_USER)
+            twins = self._transfer_args(args, TO_USER)
             fwd = self.last_transfer
             self.domains.push(DRIVER_LIB)
             try:
                 if self.inject_hook is not None:
                     self.inject_hook("upcall", _callsite(func))
-                call_args = list(twins) + list(extra or ())
-                ret = func(*call_args)
+                ret = func(*twins, *(extra or ()))
             finally:
                 self.domains.pop(DRIVER_LIB)
             # Return path: only fields the user level wrote propagate back.
-            self._transfer_args(list(args_back(args, twins)), TO_KERNEL,
-                                delta=True)
+            self._transfer_args(args_back(args, twins), TO_KERNEL, delta=True)
         except Exception as exc:
             if self._contain(exc, _callsite(func)):
                 raise DriverFailedError(
@@ -764,16 +763,14 @@ class XpcChannel:
         tracer = kernel.tracer
         start_ns = kernel.clock.now_ns if tracer is not None else 0
         self._charge_kernel_crossing()
-        twins = self._transfer_contained(list(args), TO_KERNEL, False, func)
+        twins = self._transfer_contained(args, TO_KERNEL, False, func)
         fwd = self.last_transfer
         self.domains.push(KERNEL)
         try:
-            call_args = list(twins) + list(extra or ())
-            ret = func(*call_args)
+            ret = func(*twins, *(extra or ()))
         finally:
             self.domains.pop(KERNEL)
-        self._transfer_contained(list(args_back(args, twins)), TO_USER, True,
-                                 func)
+        self._transfer_contained(args_back(args, twins), TO_USER, True, func)
         self._charge_kernel_crossing()
         if tracer is not None:
             tracer.xpc_span("xpc.downcall", start_ns, self.name,
@@ -795,17 +792,16 @@ class XpcChannel:
         start_ns = self.xpc.kernel.clock.now_ns if tracer is not None else 0
         self._charge_lang_crossing()
         direction = TO_USER if to_java else TO_KERNEL
-        twins = self._transfer_args(list(args), direction)
+        twins = self._transfer_args(args, direction)
         fwd = self.last_transfer
         domain = DECAF if to_java else DRIVER_LIB
         self.domains.push(domain)
         try:
-            call_args = list(twins) + list(extra or ())
-            ret = func(*call_args)
+            ret = func(*twins, *(extra or ()))
         finally:
             self.domains.pop(domain)
         back = TO_KERNEL if to_java else TO_USER
-        self._transfer_args(list(args_back(args, twins)), back, delta=True)
+        self._transfer_args(args_back(args, twins), back, delta=True)
         if tracer is not None:
             tracer.xpc_span("xpc.lang", start_ns, self.name,
                             _callsite(func), (fwd, self.last_transfer),

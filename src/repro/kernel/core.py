@@ -86,10 +86,15 @@ class Kernel:
         # already keep, so hot paths pay nothing for it.
         self.kstat = KstatRegistry()
         # Aggregate accounting across all CPUs (what single-CPU code
-        # always charged); per-CPU accounting lives on each VCpu.
+        # always charged); per-CPU accounting lives on each VCpu.  A
+        # lone vCPU's account *is* the aggregate, so every charge lands
+        # once; charge sites add to the aggregate separately only when
+        # it is a different object (SMP).
         self.cpu = CpuAccounting(self.clock)
         self.nr_cpus = nr_cpus
         self.cpus = [VCpu(self, i) for i in range(nr_cpus)]
+        if nr_cpus == 1:
+            self.cpus[0].acct = self.cpu
         self.current_cpu = self.cpus[0]
         self.events = EventQueue(self.clock)
         self.irq = IrqController(self, nr_irqs=nr_irqs)
@@ -351,12 +356,14 @@ class Kernel:
     # -- cost charging ------------------------------------------------------------
 
     def charge(self, ns, category="kernel"):
-        """Charge CPU time to the aggregate and the current CPU.
+        """Charge CPU time to the current CPU and the aggregate.
 
         Does not advance the clock (see :meth:`consume` for that).
         """
-        self.cpu.charge(ns, category)
-        self.current_cpu.acct.charge(ns, category)
+        acct = self.current_cpu.acct
+        acct.charge(ns, category)
+        if self.cpu is not acct:
+            self.cpu.charge(ns, category)
 
     def consume(self, ns, busy=True, category="kernel"):
         """Advance the clock by ``ns`` of work, firing events that come due.
@@ -369,18 +376,18 @@ class Kernel:
             raise SimulationError("negative time consumption")
         cur = self.current_cpu
         if busy:
-            # CpuAccounting.charge for the aggregate and the current
-            # CPU, inlined: this is the hottest frame in the simulator.
-            acct = self.cpu
-            acct._busy_ns += ns
-            by_category = acct._by_category
-            by_category[category] = by_category.get(category, 0) + ns
-            acct.last_category = category
+            # CpuAccounting.charge for the current CPU (and, on SMP, the
+            # aggregate), inlined: this is the hottest frame in the
+            # simulator.
             acct = cur.acct
             acct._busy_ns += ns
-            by_category = acct._by_category
-            by_category[category] = by_category.get(category, 0) + ns
+            acct._by_category[category] += ns
             acct.last_category = category
+            agg = self.cpu
+            if agg is not acct:
+                agg._busy_ns += ns
+                agg._by_category[category] += ns
+                agg.last_category = category
         if cur._defer_depth:
             cur._pending_charge_ns += ns
             return

@@ -23,17 +23,17 @@ class IoRegion:
     ``write(offset, value, size)``.
     """
 
-    __slots__ = ("base", "size", "handler", "name", "is_mmio")
+    __slots__ = ("base", "size", "end", "handler", "name", "is_mmio")
 
     def __init__(self, base, size, handler, name, is_mmio):
         self.base = base
         self.size = size
+        # One past the last claimed address: an access [addr, addr+size)
+        # hits the region iff base <= addr and addr + size <= end.
+        self.end = base + size
         self.handler = handler
         self.name = name
         self.is_mmio = is_mmio
-
-    def contains(self, addr, size):
-        return self.base <= addr and addr + size <= self.base + self.size
 
 
 class IoSpace:
@@ -80,8 +80,7 @@ class IoSpace:
         for neighbour in (regions[index - 1] if index else None,
                           regions[index] if index < len(regions) else None):
             if neighbour is not None and not (
-                base + size <= neighbour.base
-                or neighbour.base + neighbour.size <= base
+                base + size <= neighbour.base or neighbour.end <= base
             ):
                 raise SimulationError(
                     "I/O region %s overlaps existing region %s"
@@ -103,27 +102,33 @@ class IoSpace:
         if self._last_hit[space] is region:
             self._last_hit[space] = None
 
-    def _find(self, addr, size, is_mmio):
-        space = 1 if is_mmio else 0
-        hit = self._last_hit[space]
-        if hit is not None and hit.contains(addr, size):
-            return hit
-        bases = self._bases[space]
-        index = bisect_right(bases, addr) - 1
+    def _find(self, addr, size, space):
+        """Region serving [addr, addr+size) in ``space`` (0 port, 1 MMIO).
+
+        Called by read/write only when the last-hit region misses;
+        a hit here becomes the new last-hit region.
+        """
+        index = bisect_right(self._bases[space], addr) - 1
         if index >= 0:
             region = self._sorted[space][index]
-            if region.contains(addr, size):
+            if addr + size <= region.end:
                 self._last_hit[space] = region
                 return region
         raise SimulationError(
             "access to unclaimed %s address %#x"
-            % ("MMIO" if is_mmio else "port", addr)
+            % ("MMIO" if space else "port", addr)
         )
 
     # -- access primitives ----------------------------------------------------
 
+    # read/write test the last-hit region inline (most register accesses
+    # hit the device touched just before) and bisect only on a miss.
+
     def read(self, addr, size, is_mmio):
-        region = self._find(addr, size, is_mmio)
+        space = 1 if is_mmio else 0
+        region = self._last_hit[space]
+        if region is None or addr < region.base or addr + size > region.end:
+            region = self._find(addr, size, space)
         kernel = self._kernel
         if is_mmio:
             self.mmio_accesses += 1
@@ -144,7 +149,10 @@ class IoSpace:
         return value
 
     def write(self, addr, value, size, is_mmio):
-        region = self._find(addr, size, is_mmio)
+        space = 1 if is_mmio else 0
+        region = self._last_hit[space]
+        if region is None or addr < region.base or addr + size > region.end:
+            region = self._find(addr, size, space)
         kernel = self._kernel
         if is_mmio:
             self.mmio_accesses += 1

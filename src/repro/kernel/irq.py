@@ -237,17 +237,16 @@ class IrqController:
         kernel = self._kernel
         entry_cost = kernel.costs.irq_entry_ns
         cur = kernel.current_cpu
-        # Inlined charge(entry_cost, "irq") pair: this is the hottest
-        # fixed cost on the interrupt path, so the two method calls are
+        # Inlined kernel.charge(entry_cost, "irq"): this is the hottest
+        # fixed cost on the interrupt path, so the method calls are
         # traded for raw counter ops.
-        agg = kernel.cpu
-        agg._busy_ns += entry_cost
-        cat = agg._by_category
-        cat["irq"] = cat.get("irq", 0) + entry_cost
         acct = cur.acct
         acct._busy_ns += entry_cost
-        cat = acct._by_category
-        cat["irq"] = cat.get("irq", 0) + entry_cost
+        acct._by_category["irq"] += entry_cost
+        agg = kernel.cpu
+        if agg is not acct:
+            agg._busy_ns += entry_cost
+            agg._by_category["irq"] += entry_cost
         handler = line.handler
         tracer = kernel.tracer
         if handler is None:

@@ -12,6 +12,8 @@ CPU utilization over a window is busy/elapsed, matching how the paper
 reports utilization for its workloads.
 """
 
+from collections import defaultdict
+
 from .errors import SimulationError
 
 NSEC_PER_USEC = 1_000
@@ -59,7 +61,9 @@ class CpuAccounting:
     def __init__(self, clock):
         self._clock = clock
         self._busy_ns = 0
-        self._by_category = {}
+        # category -> ns; a defaultdict so every charge site adds with
+        # one ``+=`` (a first charge inserts the key, as .get would).
+        self._by_category = defaultdict(int)
         self._window_start_ns = 0
         self._window_busy_start_ns = 0
         # Most recent category charged; the sampling profiler uses it
@@ -77,7 +81,7 @@ class CpuAccounting:
         if ns < 0:
             raise SimulationError("negative CPU charge: %d" % ns)
         self._busy_ns += ns
-        self._by_category[category] = self._by_category.get(category, 0) + ns
+        self._by_category[category] += ns
         self.last_category = category
 
     def category_ns(self, category):

@@ -98,6 +98,32 @@ class TestTruncation:
             with pytest.raises(MarshalError):
                 codec.decode(wire[:cut], h_mix, TO_USER)
 
+    def test_cut_object_header_keeps_the_word_by_word_message(self):
+        # Every object record's u64 identity + u32 type id header, cut
+        # anywhere inside: the error names the word that ran short.
+        inner = h_mix(a=9)
+        codec, wire = _encode(h_mix(a=7, label="hey", next=inner), h_mix)
+        inner_len = len(codec.encode(inner, h_mix, TO_USER))
+        for start in (0, len(wire) - inner_len):
+            assert wire[start:start + 4] == TAG_OBJ.to_bytes(4, "little")
+            for cut in range(start + 4, start + _HDR):
+                if cut < start + 12:
+                    need, at = 8, start + 4
+                else:
+                    need, at = 4, start + 12
+                with pytest.raises(MarshalError) as info:
+                    codec.decode(wire[:cut], h_mix, TO_USER)
+                assert str(info.value) == (
+                    "wire underrun: need %d bytes at offset %d of %d"
+                    % (need, at, cut))
+
+    def test_every_truncation_of_a_delta_is_a_checked_underrun(self):
+        obj = h_mix(a=7, label="hey", next=h_mix(a=9))
+        codec, wire = _encode(obj, h_mix, delta=True)
+        for cut in range(len(wire)):
+            with pytest.raises(MarshalError, match="wire underrun"):
+                codec.decode(wire[:cut], h_mix, TO_USER, delta=True)
+
     def test_empty_wire(self):
         codec = MarshalCodec(MarshalPlan())
         with pytest.raises(MarshalError):

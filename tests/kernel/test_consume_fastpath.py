@@ -19,8 +19,7 @@ def reference_consume(kernel, ns, busy=True, category="kernel"):
     """``Kernel.consume`` without the fast path."""
     cur = kernel.current_cpu
     if busy:
-        kernel.cpu.charge(ns, category)
-        cur.acct.charge(ns, category)
+        kernel.charge(ns, category)
     if cur._defer_depth:
         cur._pending_charge_ns += ns
         return
