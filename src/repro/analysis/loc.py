@@ -65,6 +65,7 @@ INFRASTRUCTURE_COMPONENTS = {
             "repro.slicer.stubgen",
             "repro.slicer.report",
             "repro.slicer.config",
+            "repro.slicer.plans",
         ],
         "XDR compilers": [
             "repro.slicer.xdrgen",

@@ -393,6 +393,14 @@ class MarshalPlan:
     def struct_names(self):
         return sorted(self._accesses)
 
+    @classmethod
+    def from_table(cls, table):
+        """Rebuild a plan from one driver's entry in the generated
+        :mod:`repro.drivers.decaf.marshal_plans` table."""
+        return cls({name: FieldAccess(access["reads"], access["writes"])
+                    for name, access in table["access"].items()},
+                   table["pinned"])
+
 
 class TypeRegistry:
     """Stable small integers standing in for 'address of the C XDR

@@ -5,63 +5,38 @@ Decaf architecture: the domain manager, the XPC channel (with the
 marshaling plan DriverSlicer produced for this driver), the nuclear
 runtime (kernel side), and the decaf runtime (user side).
 
-``slice_plan`` runs the real DriverSlicer pipeline at module load to
-obtain the driver's marshaling plan -- the decaf drivers run on
-generated metadata, not hand-maintained field lists.
+``slice_plan`` gives each driver the marshaling plan DriverSlicer
+generated for it: the decaf drivers run on generated metadata, not
+hand-maintained field lists.  Slicing happens at build time
+(``python -m repro.slicer.plans`` writes :mod:`.marshal_plans`, and a
+tier-1 test fails when that table is stale), so a probe only turns the
+checked-in table into a :class:`MarshalPlan` and never imports the
+slicer's source analysis.
 """
 
 from ...core.domains import DomainManager
+from ...core.marshal import MarshalPlan
 from ...core.runtime import DecafRuntime, NuclearRuntime
 from ...core.xpc import DriverFailedError, FailurePolicy, Xpc, XpcChannel
 from ...recovery.log import ReplayLog
 from ..decaf.exceptions import DriverException, errno_of
+from .marshal_plans import PLANS
 
 _PLAN_CACHE = {}
 
-# Decaf-driver classes analyzed per driver (the paper's future-work
-# extension: fields only the managed code touches are detected
-# automatically instead of via DECAF_XVAR annotations).
-_DECAF_CLASSES = {
-    "8139too": ("repro.drivers.decaf.rtl8139_decaf", ("Rtl8139DecafDriver",)),
-    "e1000": ("repro.drivers.decaf.e1000_decaf", ("E1000DecafDriver",)),
-    "ens1371": ("repro.drivers.decaf.ens1371_decaf", ("Ens1371DecafDriver",)),
-    "uhci_hcd": ("repro.drivers.decaf.uhci_decaf", ("UhciDecafDriver",)),
-    "psmouse": ("repro.drivers.decaf.psmouse_decaf", ("PsmouseDecafDriver",)),
-}
-
 
 def slice_plan(driver_name):
-    """MarshalPlan for a driver, from the DriverSlicer pipeline.
+    """MarshalPlan for a driver, from the generated plan table.
 
-    Unions the legacy-source field-access analysis with the automatic
-    decaf-source analysis, so the plan covers fields either half of
-    the split touches.
+    The table is the union of the legacy-source field-access analysis
+    and the decaf-source analysis, so the plan covers fields either
+    half of the split touches.  One plan per driver per process.
     """
-    if driver_name not in _PLAN_CACHE:
-        import importlib
-
-        from ...slicer import DRIVER_CONFIGS, conversion_report
-        from ...slicer.accessanalysis import build_marshal_plan
-        from ...slicer.decafanalysis import (
-            analyze_decaf_accesses,
-            merge_accesses,
-        )
-
-        config = DRIVER_CONFIGS[driver_name]
-        report = conversion_report(config)
-        legacy_accesses = {
-            name: access
-            for name, access in report["marshal_plan"]._accesses.items()
-        }
-        module_name, class_names = _DECAF_CLASSES[driver_name]
-        module = importlib.import_module(module_name)
-        classes = [getattr(module, name) for name in class_names]
-        decaf_accesses = analyze_decaf_accesses(classes, config.type_hints)
-        merged = merge_accesses(legacy_accesses, decaf_accesses)
-        plan = build_marshal_plan(merged, config.extra_access,
-                                  kernel_owned=config.kernel_owned)
-        _PLAN_CACHE[driver_name] = plan
-    return _PLAN_CACHE[driver_name]
+    plan = _PLAN_CACHE.get(driver_name)
+    if plan is None:
+        plan = _PLAN_CACHE[driver_name] = MarshalPlan.from_table(
+            PLANS[driver_name])
+    return plan
 
 
 class DecafPlumbing:

@@ -3,7 +3,8 @@
 The paper's DriverSlicer takes "type signatures for critical root
 functions" as input; :class:`SliceConfig` is that input plus the small
 amount of guidance our ast-based analysis needs (parameter-name type
-hints for the field-access analysis).
+hints for the field-access analysis, and the decaf-driver classes the
+decaf-source analysis reads).
 
 ``DRIVER_CONFIGS`` holds the configuration for the five converted
 drivers, including the reasons each root must stay in the kernel --
@@ -14,7 +15,7 @@ these feed the partition report.
 class SliceConfig:
     def __init__(self, name, module_names, critical_roots, root_reasons=None,
                  interface_ops=(), pinned_kernel=(), type_hints=None,
-                 extra_access=(), kernel_owned=()):
+                 extra_access=(), kernel_owned=(), decaf_classes=()):
         self.name = name
         self.module_names = tuple(module_names)
         self.critical_roots = tuple(critical_roots)
@@ -30,6 +31,10 @@ class SliceConfig:
         # A compromised user half must not be able to redirect the
         # kernel's MMIO/IO base, irq line, or DMA base.
         self.kernel_owned = tuple(kernel_owned)
+        # Decaf-driver classes ("module.Class" under repro.drivers.decaf)
+        # whose source the decaf analysis reads: fields only the managed
+        # code touches are found there instead of via DECAF_XVAR marks.
+        self.decaf_classes = tuple(decaf_classes)
 
     def load_modules(self):
         import importlib
@@ -38,6 +43,17 @@ class SliceConfig:
             importlib.import_module("repro.drivers.legacy." + name)
             for name in self.module_names
         ]
+
+    def load_decaf_classes(self):
+        import importlib
+
+        classes = []
+        for path in self.decaf_classes:
+            module_name, class_name = path.rsplit(".", 1)
+            module = importlib.import_module(
+                "repro.drivers.decaf." + module_name)
+            classes.append(getattr(module, class_name))
+        return classes
 
 
 DRIVER_CONFIGS = {
@@ -62,6 +78,7 @@ DRIVER_CONFIGS = {
             ("rtl8139_private", "ioaddr"),
             ("rtl8139_private", "irq"),
         ),
+        decaf_classes=("rtl8139_decaf.Rtl8139DecafDriver",),
     ),
     "e1000": SliceConfig(
         name="e1000",
@@ -100,6 +117,7 @@ DRIVER_CONFIGS = {
         kernel_owned=(
             ("e1000_hw", "hw_addr"),
         ),
+        decaf_classes=("e1000_decaf.E1000DecafDriver",),
     ),
     "ens1371": SliceConfig(
         name="ens1371",
@@ -131,6 +149,7 @@ DRIVER_CONFIGS = {
             ("ensoniq", "port"),
             ("ensoniq", "irq"),
         ),
+        decaf_classes=("ens1371_decaf.Ens1371DecafDriver",),
     ),
     "uhci_hcd": SliceConfig(
         name="uhci_hcd",
@@ -154,6 +173,7 @@ DRIVER_CONFIGS = {
             ("uhci_hcd_state", "irq"),
             ("uhci_hcd_state", "fl_dma"),
         ),
+        decaf_classes=("uhci_decaf.UhciDecafDriver",),
     ),
     "psmouse": SliceConfig(
         name="psmouse",
@@ -170,5 +190,6 @@ DRIVER_CONFIGS = {
         type_hints={
             "psmouse": "psmouse_struct",
         },
+        decaf_classes=("psmouse_decaf.PsmouseDecafDriver",),
     ),
 }

@@ -39,14 +39,18 @@ def analyze_decaf_accesses(classes, type_hints):
     ``type_hints`` maps parameter names to struct type names, exactly
     as in :class:`repro.slicer.config.SliceConfig`.  Methods are
     analyzed with their parameters (minus ``self``) type-matched by
-    name.
+    name.  Raises ValueError naming a class whose source cannot be
+    read.
     """
     accesses = {}
     for cls in classes:
         try:
             source = inspect.getsource(cls)
-        except (OSError, TypeError):
-            continue
+        except (OSError, TypeError) as exc:
+            # Skipping the class would drop its decaf-only fields from
+            # the plan without a word.
+            raise ValueError("cannot read the source of decaf class %s.%s"
+                             % (cls.__module__, cls.__qualname__)) from exc
         tree = ast.parse(_dedent(source))
         class_node = tree.body[0]
         if not isinstance(class_node, ast.ClassDef):

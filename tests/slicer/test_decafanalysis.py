@@ -102,3 +102,13 @@ class TestEntryPointSpec:
         partition = partition_driver(graph, config)
         parsed = parse_entry_point_spec(spec)
         assert set(parsed["user-entry-points"]) == partition.user_entry_points
+
+
+class TestUnreadableDecafClass:
+    def test_class_without_source_is_an_error_naming_it(self):
+        """A class whose source ``inspect`` cannot read used to be
+        skipped, silently dropping its decaf-only fields from the plan."""
+        ghost = type("GhostDecafDriver", (), {
+            "open": lambda self, adapter: adapter.link_speed})
+        with pytest.raises(ValueError, match="GhostDecafDriver"):
+            analyze_decaf_accesses([ghost], {"adapter": "e1000_adapter"})
