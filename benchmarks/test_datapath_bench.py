@@ -85,11 +85,12 @@ def _section(result, digest, wall_s):
         "throughput_mbps": result.throughput_mbps,
         "cpu_utilization_pct": 100 * result.cpu_utilization,
         "wall_packets_per_sec": result.packets / wall_s,
-        "napi_polls": result.napi_polls,
-        "napi_budget_exhaustions": result.napi_budget_exhaustions,
+        "napi_polls": result.kstat.get("napi.polls", 0),
+        "napi_budget_exhaustions":
+            result.kstat.get("napi.budget_exhaustions", 0),
         "napi_pkts_per_poll":
-            {str(k): v for k, v in sorted(result.napi_pkts_per_poll.items())},
-        "skb_pool_hit_rate": result.skb_pool_hit_rate,
+            {str(k): v for k, v in sorted(result.pkts_per_poll().items())},
+        "skb_pool_hit_rate": result.skb_pool_hit_rates()[0],
         "payload_sha256": digest,
     }
 
@@ -117,11 +118,11 @@ def _run_ablation(make_rig, table_printer, title, burst=1):
         [
             ("per-packet irq", irq_res.packets, "%.3f" % irq_wall,
              "%.0f" % irq_pps, "%.1f" % (100 * irq_res.cpu_utilization),
-             irq_res.napi_polls, "-"),
+             irq_res.row()["napi_polls"], "-"),
             ("napi", napi_res.packets, "%.3f" % napi_wall,
              "%.0f" % napi_pps, "%.1f" % (100 * napi_res.cpu_utilization),
-             napi_res.napi_polls,
-             "%.1f" % (100 * napi_res.skb_pool_hit_rate)),
+             napi_res.row()["napi_polls"],
+             "%.1f" % (100 * napi_res.skb_pool_hit_rates()[0])),
         ],
     )
     section = {
@@ -143,10 +144,11 @@ def test_e1000_recv_ablation(table_printer):
     _merge_results({"e1000_recv": section})
 
     # The polled path actually polled, batched, and reused buffers.
-    assert napi_res.napi_polls > 0
-    assert irq_res.napi_polls == 0
-    assert napi_res.skb_pool_hit_rate > 0.99
-    assert sum(napi_res.napi_pkts_per_poll.values()) == napi_res.napi_polls
+    napi_polls = napi_res.kstat["napi.polls"]
+    assert napi_polls > 0
+    assert "napi.polls" not in irq_res.kstat
+    assert napi_res.skb_pool_hit_rates()[0] > 0.99
+    assert sum(napi_res.pkts_per_poll().values()) == napi_polls
     assert speedup >= 2.0, (
         "napi only %.2fx per-packet irq wall-clock pkts/s" % speedup)
 
@@ -170,10 +172,10 @@ def test_rtl8139_recv_ablation(table_printer):
         "netperf-recv ablation: rtl8139 @ 100M (%.2g virtual s)" % DURATION_S,
         burst=8)
     _merge_results({"rtl8139_recv": section})
-    assert napi_res.napi_polls > 0
+    assert napi_res.kstat["napi.polls"] > 0
     # The burst actually batched: the median poll drains more than one
     # packet (the 0.67x regression came from 1-packet polls).
-    assert max(napi_res.napi_pkts_per_poll) > 1
+    assert max(napi_res.pkts_per_poll()) > 1
     assert speedup >= 1.0, (
         "napi only %.2fx per-packet irq wall-clock pkts/s" % speedup)
 

@@ -105,6 +105,7 @@ def test_table3_performance(benchmark, table_printer):
         native, decaf = pair[False], pair[True]
         rel = _relative(pair, kind)
         paper = paper_by_key[(driver, workload)]
+        decaf_row = decaf.row()
         rows.append((
             driver, workload,
             paper[2], ("%.2f" % rel) if rel else "-",
@@ -112,8 +113,9 @@ def test_table3_performance(benchmark, table_printer):
             paper[4], "%.1f%%" % (100 * decaf.cpu_utilization),
             paper[5], "%.2f" % native.init_latency_s,
             paper[6], "%.2f" % decaf.init_latency_s,
-            paper[7], "%d" % decaf.kernel_user_crossings,
-            "%d/%d" % (decaf.deferred_calls, decaf.deferred_flushes),
+            paper[7], "%d" % decaf_row["crossings"],
+            "%d/%d" % (decaf_row["deferred_calls"],
+                       decaf_row["deferred_flushes"]),
         ))
     table_printer(
         "Table 3: workload performance (paper vs reproduction; "
@@ -180,21 +182,24 @@ def test_table3_decaf_invocations(benchmark, table_printer):
     only at playback start/end; the E1000 watchdog every 2 s; the other
     workloads never invoke the decaf driver."""
 
+    def invocations(result):
+        return result.row()["decaf_invocations"]
+
     def run():
         out = {}
         rig = make_ens1371_rig(decaf=True)
         rig.insmod()
-        out["ens1371"] = mpg123_play(rig, duration_s=4.0).decaf_invocations
+        out["ens1371"] = invocations(mpg123_play(rig, duration_s=4.0))
         rig = make_e1000_rig(decaf=True)
         rig.insmod()
-        out["e1000"] = netperf_send(rig, duration_s=4.0).decaf_invocations
+        out["e1000"] = invocations(netperf_send(rig, duration_s=4.0))
         rig = make_uhci_rig(decaf=True)
         rig.insmod()
-        out["uhci"] = tar_to_flash(
-            rig, archive_bytes=256 * 1024).decaf_invocations
+        out["uhci"] = invocations(
+            tar_to_flash(rig, archive_bytes=256 * 1024))
         rig = make_psmouse_rig(decaf=True)
         rig.insmod()
-        out["psmouse"] = move_and_click(rig, duration_s=4.0).decaf_invocations
+        out["psmouse"] = invocations(move_and_click(rig, duration_s=4.0))
         return out
 
     counts = benchmark.pedantic(run, iterations=1, rounds=1)

@@ -62,8 +62,9 @@ def run_one(driver, trace=True):
 
     stats = rig.supervisor.stats()
     print("=== %s: fault at %r mid-%s ===" % (driver, callsite, result.name))
-    print("   faults injected:  %d" % result.faults_injected)
-    print("   recoveries:       %d" % result.recoveries)
+    row = result.row()
+    print("   faults injected:  %d" % row["faults_injected"])
+    print("   recoveries:       %d" % row["recoveries"])
     print("   work lost:        %d" % result.packets_lost)
     print("   outage:           %.3f ms (replayed %d config ops)"
           % (stats["outage_ms"], stats["replayed_ops"]))
@@ -72,7 +73,7 @@ def run_one(driver, trace=True):
     for _ns, message in rig.kernel.log_lines:
         if "recovery" in message or "fault-inject" in message:
             print("   dmesg: %s" % message)
-    assert result.recoveries == 1, "expected exactly one recovery"
+    assert row["recoveries"] == 1, "expected exactly one recovery"
     assert not rig.channel.failed, "driver should be healthy again"
     return result
 

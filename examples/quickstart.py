@@ -35,10 +35,11 @@ def main():
     print("%-28s %13.2fs %13.2fs" % ("driver init latency",
                                      native.init_latency_s,
                                      decaf.init_latency_s))
+    row = decaf.row()
     print("%-28s %14d %14d" % ("kernel/user crossings",
-                               0, decaf.kernel_user_crossings))
+                               0, row["crossings"]))
     print("%-28s %14s %14d" % ("decaf calls during workload",
-                               "-", decaf.decaf_invocations))
+                               "-", row["decaf_invocations"]))
 
     ratio = decaf.throughput_mbps / native.throughput_mbps
     print("\nRelative performance: %.3f "

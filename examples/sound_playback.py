@@ -41,7 +41,7 @@ def main():
     print("   periods elapsed:        %d" % result.extra["periods_elapsed"])
     print("   device interrupts:      %d" % result.extra["device_interrupts"])
     print("   decaf-driver calls:     %d  (paper: 15, all at start/end)"
-          % result.decaf_invocations)
+          % result.row()["decaf_invocations"])
     print("   CPU utilization:        %.2f%%  (paper: 0.1%%)"
           % (100 * result.cpu_utilization))
     print("   mixer controls:         %d registered via one downcall each"

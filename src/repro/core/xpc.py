@@ -14,8 +14,8 @@ call discipline -- across the two boundaries of the Decaf architecture:
   marshaling when arguments are complex.
 
 Every crossing updates counters (Table 3's "User/Kernel Crossings"
-column is :attr:`Xpc.kernel_user_crossings`) and charges the virtual
-clock per the cost model.
+column is :attr:`Xpc.kernel_user_crossings`, kstat ``xpc.crossings``)
+and charges the virtual clock per the cost model.
 
 Fast-path mechanics layered on the baseline protocol:
 
@@ -171,10 +171,18 @@ class _UserSideContext(TransferContext):
 
 
 class Xpc:
-    """Global XPC bookkeeping shared by all channels of one driver."""
+    """Global XPC bookkeeping shared by all channels of one driver.
+
+    kstat reports every counter both summed across drivers
+    (``xpc.crossings``) and per driver under :attr:`name`
+    (``xpc.<name>.crossings``); the decaf plumbing sets it to the
+    driver's name.
+    """
 
     def __init__(self, kernel):
         self.kernel = kernel
+        self.name = "xpc"
+        self.channels = []
         self.kernel_user_crossings = 0   # round trips across the kernel boundary
         self.lang_crossings = 0          # round trips across the C/Java boundary
         self.bytes_marshaled = 0
@@ -205,18 +213,36 @@ class Xpc:
         self.kernel.kstat.unregister("xpc", self._kstat)
 
     def _kstat(self):
-        return {
+        # Marshaling and object-tracking counts live on each channel's
+        # codec and trackers.
+        codecs = [channel.codec for channel in self.channels]
+        trackers = [tracker for channel in self.channels
+                    for tracker in (channel.kernel_tracker,
+                                    channel.user_tracker)]
+        counts = {
             "crossings": self.kernel_user_crossings,
             "lang_crossings": self.lang_crossings,
             "upcalls": self.upcalls,
             "downcalls": self.downcalls,
-            "bytes_marshaled": self.bytes_marshaled,
+            "bytes": self.bytes_marshaled,
+            "fields": sum(c.fields_marshaled for c in codecs),
+            "delta_fields_saved": sum(c.delta_fields_skipped for c in codecs),
+            "tracker_lookups": sum(t.lookups for t in trackers),
+            "tracker_hits": sum(t.hits for t in trackers),
             "deferred_calls": self.deferred_calls,
+            "deferred_coalesced": self.deferred_coalesced,
             "deferred_flushes": self.deferred_flushes,
             "deferred_errors": self.deferred_errors,
+            "deferred_dropped": self.deferred_dropped,
             "boundary_faults": self.boundary_faults,
             "failed_calls": self.failed_calls,
         }
+        out = dict(counts)
+        for key, value in counts.items():
+            out["%s.%s" % (self.name, key)] = value
+        for exc_name, count in self.deferred_error_types.items():
+            out["%s.deferred_errors.%s" % (self.name, exc_name)] = count
+        return out
 
     def reset_counters(self):
         """Zero every numeric counter this object carries.
@@ -253,6 +279,7 @@ class XpcChannel:
     def __init__(self, xpc, domains, plan=None, name="xpc",
                  weak_shared_objects=False, single_process=True):
         self.xpc = xpc
+        xpc.channels.append(self)
         self.domains = domains
         self.type_ids = TypeRegistry()
         self.codec = MarshalCodec(plan, type_ids=self.type_ids)
@@ -415,7 +442,6 @@ class XpcChannel:
                 "driver": self.name, "callsite": callsite,
                 "exc": type(exc).__name__,
             })
-            tracer.metrics.inc("xpc.boundary_faults|%s" % self.name)
         health = kernel.health
         if health is not None:
             health.on_boundary_fault(self.name, callsite, exc)
@@ -442,7 +468,6 @@ class XpcChannel:
                 "driver": self.name, "callsite": _callsite(func),
                 "exc": name,
             })
-            tracer.metrics.inc("deferred_error_types|%s" % name)
 
     def _fail_fast(self, kind, func):
         """Reject a call on a FAILED channel without crossing."""

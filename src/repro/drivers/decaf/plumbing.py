@@ -46,6 +46,7 @@ class DecafPlumbing:
         self.driver_name = driver_name
         self.domains = DomainManager()
         self.xpc = Xpc(kernel)
+        self.xpc.name = driver_name
         self.channel = XpcChannel(
             self.xpc,
             self.domains,

@@ -172,12 +172,6 @@ class DeviceInstance:
     def lang_crossings(self):
         return self.xpc.lang_crossings if self.xpc else 0
 
-    def deferred_stats(self):
-        """Deferred-notification counters (batched one-way crossings)."""
-        xpc = self.xpc
-        return {key: getattr(xpc, "deferred_" + key) if xpc else 0
-                for key in ("calls", "coalesced", "flushes")}
-
     def netdev(self):
         return self.kernel.net.find("eth0")
 

@@ -69,13 +69,14 @@ class FaultInjector:
             % (self.rig.name, spec.kind, spec.message),
             level="warn",
         )
+        kernel.kstat.inc("faults.fired")
+        kernel.kstat.inc("faults.%s.fired" % self.rig.name)
         tracer = kernel.tracer
         if tracer is not None:
             tracer.instant("fault.inject", {
                 "driver": self.rig.name, "kind": spec.kind,
                 "spec": spec.message, "where": where,
             })
-            tracer.metrics.inc("fault.injected|%s" % self.rig.name)
 
     # -- hook targets -----------------------------------------------------------
 

@@ -16,10 +16,10 @@ the kernel's timer wheel and virtual CPUs:
   the user half, the boundary contains it, and the slot's supervisor
   restarts the driver while the rest of the fleet keeps running.
 
-Metrics come out as an extended :class:`WorkloadResult`: sustained
-simulator events per wall-clock second, tracemalloc bytes per device
-slot, and the fault recovery rate with p50/p99 fault-to-recovered
-latency.
+Metrics come out as a :class:`WorkloadResult` whose kstat window spans
+the harness's whole life; its ``extra`` carries sustained simulator
+events per wall-clock second, tracemalloc bytes per device slot, and
+the fault recovery rate with p50/p99 fault-to-recovered latency.
 """
 
 import gc
@@ -29,7 +29,7 @@ import tracemalloc
 
 from ..faults import FaultPlan, FaultSpec
 from ..kernel import make_kernel
-from ..workloads.result import WorkloadResult, health_summary_of
+from ..workloads.result import RunWindow
 from ..family import FAMILIES
 from .isolate import ClonePool
 from .slots import DeviceSlot
@@ -77,6 +77,7 @@ class FleetHarness:
         self.kernel = make_kernel(nr_cpus=spec.nr_cpus,
                                   nr_irqs=spec.n_devices + 8,
                                   sound_use_mutex=True)
+        self.window = RunWindow(self.kernel)
         self.pool = ClonePool()
         self.rng = random.Random(spec.seed)
         self.slots = []
@@ -252,30 +253,22 @@ class FleetHarness:
         return out
 
     def result(self, name="fleet"):
-        kernel = self.kernel
         samples = sorted(self.outage_samples_ns())
         fired = self.faults_fired()
-        recovered = self.recoveries()
-        crossings = sum(s.crossings() for s in self.slots)
-        return WorkloadResult(
-            name=name,
-            health_summary=health_summary_of(kernel),
-            duration_s=kernel.clock.now_ns / 1e9,
+        return self.window.close(
+            name,
             packets=sum(s.traffic_units for s in self.slots),
             packets_lost=sum(s.traffic_lost for s in self.slots),
-            cpu_utilization=kernel.cpu.utilization(),
-            kernel_user_crossings=crossings,
-            faults_injected=fired,
-            recoveries=recovered,
-            fleet_devices=self.spec.n_devices,
-            churn_cycles=self.churn_cycles,
-            events_per_sec=self.events_per_sec,
-            wall_s_per_virtual_ms=self.wall_s_per_virtual_ms,
-            mem_bytes_per_device=self.mem_bytes_per_device,
-            recovery_rate=(recovered / fired) if fired else 1.0,
-            recovery_p50_ms=_percentile(samples, 0.50) / 1e6,
-            recovery_p99_ms=_percentile(samples, 0.99) / 1e6,
             extra={
+                "crossings": sum(s.crossings() for s in self.slots),
+                "fleet_devices": self.spec.n_devices,
+                "churn_cycles": self.churn_cycles,
+                "events_per_sec": self.events_per_sec,
+                "wall_s_per_virtual_ms": self.wall_s_per_virtual_ms,
+                "mem_bytes_per_device": self.mem_bytes_per_device,
+                "recovery_rate": (self.recoveries() / fired) if fired else 1.0,
+                "recovery_p50_ms": _percentile(samples, 0.50) / 1e6,
+                "recovery_p99_ms": _percentile(samples, 0.99) / 1e6,
                 "decaf_slots": sum(1 for s in self.slots if s.decaf),
                 "legacy_slots": sum(1 for s in self.slots if not s.decaf),
                 "probes": sum(s.probes for s in self.slots),

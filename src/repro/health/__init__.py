@@ -2,8 +2,9 @@
 
 Four pieces layered over virtual time (see DESIGN.md "Health plane"):
 
-* :class:`KstatRegistry` -- named hierarchical counters/gauges, pulled
-  lazily from subsystem providers (``kernel.kstat`` on every kernel).
+* :class:`KstatRegistry` -- the one counter namespace: named
+  hierarchical counters/gauges, pulled lazily from subsystem providers
+  (``kernel.kstat`` on every kernel).
 * :class:`FlightRecorder` -- bounded ring of recent events, always
   collecting, dumped as a JSON crash report on faults/watchdog fires.
 * :class:`Watchdogs` -- soft-lockup and hung-task/wedged-queue

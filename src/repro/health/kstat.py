@@ -1,22 +1,34 @@
-"""kstat: a named, hierarchical counter/gauge registry.
+"""kstat: the kernel's one counter namespace.
+
+Every count the simulator reports has exactly one dotted name here;
+the tracer keeps no counters of its own, and a ``WorkloadResult``
+carries the kstat delta over its run window.
 
 Subsystems do not push values here on their hot paths.  They register a
 *provider* -- a zero-argument callable returning a flat ``{name: value}``
 dict -- and the registry pulls from it only when someone snapshots.  The
 always-on cost of a kstat is therefore zero: the counters already exist
 (IRQ delivery counts, NAPI poll totals, XPC crossings, ...); the
-registry is just a uniform, dotted-name window onto them.
+registry is just a uniform, dotted-name window onto them.  Cold events
+with no owning counter (fault firings, recoveries, lockdep reports,
+watchdog fires) go through :meth:`KstatRegistry.inc` instead.
 
 Naming scheme (see DESIGN.md "Health plane")::
 
-    kernel.cpu0.busy_ns        per-CPU busy virtual time
-    kernel.cpu0.irq_ns         ... split by accounting category
-    irq.line10.count           per-line delivery count
-    napi.polls                 NAPI core counters
-    skb_pool.shared.hit_rate   per-shard pool efficiency
-    xpc.crossings              summed across a driver's channels
-    recovery.restarts          supervisor counters
-    health.watchdog_fires      the health plane's own cold counters
+    kernel.cpu0.busy_ns              per-CPU busy virtual time
+    kernel.cpu0.irq_ns               ... split by accounting category
+    irq.line10.count                 per-line delivery count
+    napi.polls                       NAPI core counters
+    napi.packets_per_poll.20         polls that did 20 packets of work
+    net.skb_pool.shared.hits         per-shard pool hits (and misses)
+    xpc.crossings                    summed across every decaf driver
+    xpc.e1000.crossings              ... and per driver
+    faults.fired                     injected faults that struck
+    faults.e1000.fired               ... per driver
+    recovery.recoveries              supervised restarts completed
+    recovery.e1000.recoveries        ... per driver
+    lockdep.reports.sleep-in-atomic  lock validator reports per kind
+    health.watchdog_fires            the health plane's own cold counters
 
 Two providers registered under the same prefix merge; numeric name
 collisions sum (two XPC instances on one kernel yield aggregate
@@ -103,10 +115,11 @@ class KstatRegistry:
 
         Keys present on only one side are reported as-is (a counter
         that appeared mid-window delta'd from zero; one that vanished
-        shows its negated old value) -- deltas never divide.
+        shows its negated old value) -- deltas never divide.  Keys come
+        out sorted, so a dumped delta is byte-identical run to run.
         """
         out = {}
-        for key in set(before) | set(after):
+        for key in sorted(set(before) | set(after)):
             a = before.get(key, 0)
             b = after.get(key, 0)
             if not isinstance(a, (int, float)) or isinstance(a, bool):

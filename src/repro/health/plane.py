@@ -87,10 +87,9 @@ class HealthPlane:
             "flight.buffered": len(self.flight.ring),
             "dumps": len(self.dumps),
         }
+        # Watchdog fires are kstat.inc'd as health.watchdog_fires.<kind>.
         if self.watchdog is not None:
             out["watchdog.checks"] = self.watchdog.checks
-            for kind, count in self.watchdog.fires.items():
-                out["watchdog.fires.%s" % kind] = count
         if self.profiler is not None:
             out["profiler.samples"] = self.profiler.samples
         return out
@@ -210,7 +209,8 @@ class HealthPlane:
     # -- summaries ----------------------------------------------------------
 
     def summary(self):
-        """What a WorkloadResult embeds as ``health_summary``."""
+        """kstat snapshot plus flight-recorder, watchdog and profiler
+        state, in one JSON-ready dict."""
         out = {
             "kstat": self._kernel.kstat.snapshot(),
             "flight": self.flight.snapshot(),

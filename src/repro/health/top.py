@@ -7,16 +7,17 @@ Usage::
     python -m repro.health.top --demo                 # built-in demo rig
 
 A snapshot file is the JSON form of ``kernel.kstat.snapshot()`` (a
-flat name -> value dict); workload runs embed one in
-``WorkloadResult.health_summary["kstat"]``, and ``--demo`` generates a
-fresh one by running a short traffic burst through an e1000 rig.
+flat name -> value dict), or a document holding one under ``"kstat"``
+(a health-plane summary or crash dump); ``--demo`` generates a fresh
+one by running a short traffic burst through an e1000 rig.  ``--watch``
+is the ``python -m repro.trace.report --diff`` counter diff.
 """
 
 import argparse
 import json
 import sys
 
-from .kstat import KstatRegistry
+from ..trace.report import diff_docs
 
 
 def _group(snapshot):
@@ -72,29 +73,6 @@ def render_cpus(snapshot, out=None):
         print("  " + "  ".join("%14s" % c for c in row), file=out)
 
 
-def render_watch(before, after, out=None):
-    """Deltas between two snapshots (numeric keys only; new/gone noted)."""
-    out = out if out is not None else sys.stdout
-    delta = KstatRegistry.delta(before, after)
-    gone = sorted(set(before) - set(after))
-    new = sorted(set(after) - set(before))
-    # The delta dict includes appeared/vanished keys (delta'd from
-    # zero); report those only in their own sections below.
-    changed = {name: value for name, value in delta.items()
-               if value and name in before and name in after}
-    print("== kstat deltas (%d changed) ==" % len(changed), file=out)
-    width = max((len(n) for n in delta), default=10)
-    for name in sorted(changed):
-        value = changed[name]
-        sign = "+" if value > 0 else ""
-        print("  %-*s %s%s" % (width, name, sign, _fmt(value)), file=out)
-    for name in new:
-        print("  %-*s new: %s" % (width, name, _fmt(after[name])), file=out)
-    for name in gone:
-        print("  %-*s gone (was %s)" % (width, name, _fmt(before[name])),
-              file=out)
-
-
 def _demo_snapshot():
     """A live snapshot from a short e1000 receive burst."""
     from ..workloads import make_e1000_rig, netperf_recv
@@ -108,7 +86,7 @@ def _demo_snapshot():
 def _load(path):
     with open(path) as fh:
         doc = json.load(fh)
-    # Accept either a bare snapshot or a health_summary wrapper.
+    # Accept either a bare snapshot or a document wrapping one.
     if isinstance(doc, dict) and isinstance(doc.get("kstat"), dict):
         return doc["kstat"]
     return doc
@@ -136,7 +114,7 @@ def main(argv=None):
     if args.watch:
         if len(args.snapshots) != 2:
             parser.error("--watch takes exactly two snapshot files")
-        render_watch(_load(args.snapshots[0]), _load(args.snapshots[1]))
+        diff_docs(_load(args.snapshots[0]), _load(args.snapshots[1]))
         return 0
     if not args.snapshots:
         parser.error("no snapshot files (or --demo) given")

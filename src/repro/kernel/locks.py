@@ -97,10 +97,10 @@ class LockDep:
         report = LockDepReport(kind, message, self._kernel.clock.now_ns)
         self.reports.append(report)
         self._kernel.printk("lockdep: %s: %s" % (kind, message), level="err")
+        self._kernel.kstat.inc("lockdep.reports.%s" % kind)
         tracer = self._kernel.tracer
         if tracer is not None:
             tracer.instant("lockdep.report", {"kind": kind, "msg": message})
-            tracer.metrics.inc("lockdep.reports|%s" % kind)
         health = self._kernel.health
         if health is not None:
             health.on_lockdep_report(kind, message)

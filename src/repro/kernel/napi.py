@@ -287,11 +287,15 @@ class NapiCore:
     # -- introspection -------------------------------------------------------
 
     def snapshot(self):
-        return {
+        """Flat kstat view: one ``packets_per_poll.<work_done>`` key per
+        histogram bucket, so deltas keep the per-poll distribution."""
+        out = {
             "polls": self.polls,
             "work_total": self.work_total,
             "budget_exhaustions": self.budget_exhaustions,
             "softirq_runs": self.softirq_runs,
             "schedules": self.schedules,
-            "packets_per_poll": dict(self.packets_per_poll),
         }
+        for work, count in self.packets_per_poll.items():
+            out["packets_per_poll.%d" % work] = count
+        return out

@@ -93,9 +93,9 @@ class DriverSupervisor:
             self.plumbing.supervisor = None
 
     def _kstat(self):
+        # Faults seen and recoveries are cold events counted with
+        # kstat.inc: they must outlive this supervisor's detach.
         return {
-            "restarts": self.recoveries,
-            "faults_seen": self.faults_seen,
             "wedges": self.wedges,
             "failed_recoveries": self.failed_recoveries,
             "work_lost": self.work_lost,
@@ -121,6 +121,8 @@ class DriverSupervisor:
         self.faults_seen += 1
         kernel = self.kernel
         name = self.plumbing.driver_name
+        kernel.kstat.inc("recovery.faults_seen")
+        kernel.kstat.inc("recovery.%s.faults_seen" % name)
         kernel.printk(
             "recovery %s: driver fault in %s (%s: %s); restart scheduled"
             % (name, callsite, type(exc).__name__, exc),
@@ -132,7 +134,6 @@ class DriverSupervisor:
                 "driver": name, "callsite": callsite,
                 "exc": type(exc).__name__,
             })
-            tracer.metrics.inc("recovery.faults|%s" % name)
         # Async path: sync callers invoke recover() themselves before
         # this work item runs; it then finds a healthy channel and
         # does nothing.
@@ -206,6 +207,8 @@ class DriverSupervisor:
         finally:
             self.in_progress = False
         self.recoveries += 1
+        kernel.kstat.inc("recovery.recoveries")
+        kernel.kstat.inc("recovery.%s.recoveries" % name)
         self.last_outage_ns = kernel.clock.now_ns - fault_ns
         self.outage_ns += self.last_outage_ns
         self.outage_samples.append(self.last_outage_ns)
@@ -219,7 +222,6 @@ class DriverSupervisor:
                 "outage_ms": self.last_outage_ns / 1e6,
                 "recoveries": self.recoveries,
             })
-            tracer.metrics.inc("recovery.recoveries|%s" % name)
         kernel.printk(
             "recovery %s: driver restarted (%d ops replayed, "
             "outage %.3f ms)"

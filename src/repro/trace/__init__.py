@@ -1,4 +1,7 @@
-"""ktrace: unified tracing + metrics for the simulated kernel and XPC.
+"""ktrace: structured tracing for the simulated kernel and XPC.
+
+The tracer records events and span histograms; counts live in kstat,
+and a trace summary carries the kstat delta over the trace session.
 
 The tracepoint catalog, overhead contract and trace schema are
 documented in DESIGN.md ("Observability"); the capture/report recipe
@@ -14,23 +17,23 @@ is in EXPERIMENTS.md.  Quick use::
 or let a workload rig do the plumbing::
 
     result = netperf_recv(rig, trace="trace.json")
-    result.trace_summary["per_driver"]
+    from repro.trace import per_driver
+    per_driver(result.trace_summary["kstat"])   # {driver: {count: n}}
 
 then ``python -m repro.trace.report trace.json``.
 """
 
 import os
 
-from .core import TRACEPOINTS, TraceError, Tracer
-from .metrics import Counter, Histogram, MetricsRegistry
+from .core import TRACEPOINTS, TraceError, Tracer, per_driver
+from .metrics import Histogram
 
 __all__ = [
     "TRACEPOINTS",
     "TraceError",
     "Tracer",
-    "Counter",
     "Histogram",
-    "MetricsRegistry",
+    "per_driver",
     "begin_trace",
     "finish_trace",
 ]
@@ -69,7 +72,7 @@ def begin_trace(kernel, trace):
 def finish_trace(session, result):
     """Close a :func:`begin_trace` session.
 
-    Snapshots the tracer's metrics into ``result.trace_summary``,
+    Snapshots the tracer's summary into ``result.trace_summary``,
     writes the export file if a path was given, and uninstalls the
     tracer if this session installed it.  Returns the tracer (so
     callers that passed a path can still inspect events).

@@ -23,13 +23,15 @@ Design goals, in order:
    and field counts, delta-trip savings, and object-tracker hit/miss
    -- every crossing in a run is attributable.
 
-Consumers: the online :class:`~repro.trace.metrics.MetricsRegistry`
-(snapshotted into ``WorkloadResult.trace_summary``), the Perfetto /
+The tracer keeps no counters: every count lives in kstat
+(:mod:`repro.health.kstat`), and :meth:`Tracer.summary` embeds the
+kstat delta since :meth:`Tracer.install` next to the span histograms.
+Consumers: ``WorkloadResult.trace_summary``, the Perfetto /
 Chrome-trace exporter (:mod:`repro.trace.perfetto`), and the report
 CLI (``python -m repro.trace.report``).
 """
 
-from .metrics import MetricsRegistry, split_label
+from .metrics import Histogram
 
 #: Module-level fast-path flag: number of installed tracers across all
 #: kernels in this process.  Zero means no kernel is being traced.
@@ -111,7 +113,11 @@ class Tracer:
         self.events = []
         self.dropped = 0
         self.max_events = max_events
-        self.metrics = MetricsRegistry()
+        # Log2 span histograms by name (IRQ, IRQ->poll, XPC round trip,
+        # lock hold time per kind).
+        self.histograms = {}
+        # kstat snapshot at install: summary() reports the delta.
+        self._kstat0 = {}
         self._enabled = frozenset(enable) if enable is not None else None
         if self._enabled is not None:
             unknown = self._enabled - _VALID_NAMES
@@ -125,9 +131,16 @@ class Tracer:
         # when the tracer only collects a subset.
         self.flight = None
         # Pre-resolved hot histograms (skip dict lookups on hot spans).
-        self._hist_irq = self.metrics.histogram("irq_ns")
-        self._hist_irq_to_poll = self.metrics.histogram("irq_to_poll_ns")
-        self._hist_xpc_rt = self.metrics.histogram("xpc.roundtrip_ns")
+        self._hist_irq = self.histogram("irq_ns")
+        self._hist_irq_to_poll = self.histogram("irq_to_poll_ns")
+        self._hist_xpc_rt = self.histogram("xpc.roundtrip_ns")
+
+    def histogram(self, name):
+        """The named histogram, created on first use."""
+        hist = self.histograms.get(name)
+        if hist is None:
+            hist = self.histograms[name] = Histogram(name)
+        return hist
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -138,6 +151,7 @@ class Tracer:
             raise TraceError("kernel already has a tracer installed")
         self.kernel.tracer = self
         self.kernel.events.tracer = self
+        self._kstat0 = self.kernel.kstat.snapshot()
         health = self.kernel.health
         if health is not None:
             self.flight = health.flight
@@ -242,7 +256,7 @@ class Tracer:
     def lock_span(self, start_ns, lock_name, kind):
         """Lock hold span: acquire at ``start_ns``, release now."""
         hold = self.kernel.clock.now_ns - start_ns
-        self.metrics.record("lock.hold_ns|%s" % kind, hold)
+        self.histogram("lock.hold_ns.%s" % kind).record(hold)
         self.span("lock.held", start_ns, {"lock": lock_name, "kind": kind},
                   cat="lock")
 
@@ -275,51 +289,39 @@ class Tracer:
         }
         if extra_args:
             args.update(extra_args)
-        m = self.metrics
         if cat == "xpc":
-            m.inc("xpc.crossings|%s" % driver)
-            if self.kernel.nr_cpus > 1:
-                # Per-CPU crossing attribution: which CPU paid the
-                # kernel/user transition (SMP rigs only, so classic
-                # per-driver summaries keep their exact key set).
-                m.inc("xpc.crossings.cpu%d|%s"
-                      % (self.kernel.current_cpu.index, driver))
             self._hist_xpc_rt.record(self.kernel.clock.now_ns - start_ns)
-        else:
-            m.inc("xpc.lang_crossings|%s" % driver)
-        if nbytes:
-            m.inc("xpc.bytes|%s" % driver, nbytes)
-        if nfields:
-            m.inc("xpc.fields|%s" % driver, nfields)
-        if saved:
-            m.inc("xpc.delta_fields_saved|%s" % driver, saved)
-        if lookups:
-            m.inc("xpc.tracker_lookups|%s" % driver, lookups)
-            m.inc("xpc.tracker_hits|%s" % driver, hits)
-        m.inc("xpc.%s|%s" % (name.split(".", 1)[1], driver))
         self.span(name, start_ns, args, cat=cat)
 
     # -- summaries ----------------------------------------------------------
 
-    def per_driver(self):
-        """Table-3-style per-driver breakdown from the XPC counters."""
-        out = {}
-        for cname, counter in self.metrics._counters.items():
-            metric, label = split_label(cname)
-            if not metric.startswith("xpc.") or not label:
-                continue
-            out.setdefault(label, {})[metric[len("xpc."):]] = counter.value
-        return out
-
     def summary(self):
-        """Everything a result row needs: counts, metrics, per-driver."""
-        snap = self.metrics.snapshot()
+        """Everything a result row needs: event counts, span histograms
+        and the kstat delta over the trace session (since install)."""
+        kstat = self.kernel.kstat
         return {
             "tracer": self.name,
             "clock": "virtual-ns",
             "events": len(self.events),
             "dropped": self.dropped,
-            "counters": snap["counters"],
-            "histograms": snap["histograms"],
-            "per_driver": self.per_driver(),
+            "histograms": {
+                name: hist.snapshot()
+                for name, hist in sorted(self.histograms.items())
+            },
+            "kstat": kstat.delta(self._kstat0, kstat.snapshot()),
         }
+
+
+def per_driver(kstat):
+    """Table-3-style per-driver XPC breakdown of a kstat dict.
+
+    Reads the per-driver ``xpc.<driver>.<count>`` keys; the summed
+    ``xpc.<count>`` keys have no driver part and are skipped.
+    """
+    out = {}
+    for key, value in kstat.items():
+        prefix, _, rest = key.partition(".")
+        driver, _, count = rest.partition(".")
+        if prefix == "xpc" and count:
+            out.setdefault(driver, {})[count] = value
+    return out

@@ -1,9 +1,10 @@
-"""Counters and fixed-bucket histograms for the trace subsystem.
+"""Fixed-bucket histograms for the trace subsystem.
 
-The metrics registry is the cheap, always-aggregated consumer of the
-tracepoint stream: tracepoints update counters and histograms online,
-and a :meth:`MetricsRegistry.snapshot` is embedded into
-``WorkloadResult.trace_summary`` and the exported trace file.
+The tracer keeps no counters -- every count has its one name in kstat
+(:mod:`repro.health.kstat`).  What it does keep are span statistics:
+IRQ, IRQ-to-poll, XPC round-trip and lock hold-time distributions,
+recorded online and embedded in ``WorkloadResult.trace_summary`` and
+the exported trace file.
 
 Histograms use fixed power-of-two nanosecond buckets (65 of them:
 bucket 0 holds exact zeros, bucket *b* holds values in
@@ -22,19 +23,6 @@ def bucket_upper_bound(index):
     if index == 0:
         return 0
     return (1 << index) - 1
-
-
-class Counter:
-    """A monotonically increasing counter."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name):
-        self.name = name
-        self.value = 0
-
-    def inc(self, n=1):
-        self.value += n
 
 
 class Histogram:
@@ -90,51 +78,3 @@ class Histogram:
                 for i, n in enumerate(self.buckets) if n
             },
         }
-
-
-class MetricsRegistry:
-    """Named counters and histograms, created on first use.
-
-    Multi-dimensional metrics (per-driver XPC totals, per-kind lock
-    hold times) encode the label into the name after a ``|`` separator,
-    e.g. ``xpc.bytes|e1000`` -- :func:`split_label` recovers the pair.
-    """
-
-    def __init__(self):
-        self._counters = {}
-        self._histograms = {}
-
-    def counter(self, name):
-        c = self._counters.get(name)
-        if c is None:
-            c = self._counters[name] = Counter(name)
-        return c
-
-    def histogram(self, name):
-        h = self._histograms.get(name)
-        if h is None:
-            h = self._histograms[name] = Histogram(name)
-        return h
-
-    def inc(self, name, n=1):
-        self.counter(name).inc(n)
-
-    def record(self, name, value):
-        self.histogram(name).record(value)
-
-    def snapshot(self):
-        return {
-            "counters": {
-                name: c.value for name, c in sorted(self._counters.items())
-            },
-            "histograms": {
-                name: h.snapshot()
-                for name, h in sorted(self._histograms.items())
-            },
-        }
-
-
-def split_label(name):
-    """Split ``"metric|label"`` into ``(metric, label)``; label may be ''."""
-    metric, _, label = name.partition("|")
-    return metric, label

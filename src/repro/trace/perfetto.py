@@ -12,9 +12,9 @@ hardirq / softirq / process interleaving reads as three swimlanes:
     tid 2  softirq
     tid 3  hardirq
 
-The exporter also embeds the tracer's metrics summary under
-``otherData.trace_summary`` (ignored by viewers, consumed by
-``repro.trace.report``).
+The exporter also embeds the tracer's summary (span histograms and
+the kstat delta of the trace session) under ``otherData.trace_summary``
+(ignored by viewers, consumed by ``repro.trace.report``).
 """
 
 import json

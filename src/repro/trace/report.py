@@ -9,15 +9,20 @@ The first form summarizes one exported Chrome-trace file: top-N XPC
 callsites by marshaled bytes and by crossings, the lock hold-time
 table, IRQ->poll latency percentiles, and the softirq budget timeline.
 
-The second form diffs two runs: either two exported traces (their
-embedded metric summaries are compared) or two ``BENCH_*.json`` files
-(every numeric leaf is compared).  Counters that moved more than the
-threshold (default 10%) are flagged with ``!``.
+The second form diffs two runs: two exported traces (their embedded
+summaries, kstat delta included, are compared), two
+``WorkloadResult.kstat`` dumps, or two ``BENCH_*.json`` files (every
+numeric leaf is compared).  Counters that moved more than the
+threshold (default 10%) are flagged with ``!``.  ``python -m
+repro.health.top --watch`` prints the same diff for two kstat
+snapshots.
 """
 
 import argparse
 import json
 import sys
+
+from .core import per_driver
 
 
 def _fmt_ns(ns):
@@ -161,13 +166,13 @@ def report_trace(doc, top=10, out=None):
         rows, out)
 
     # -- per-driver breakdown -----------------------------------------------
-    per_driver = summary.get("per_driver", {})
-    keys = sorted({k for d in per_driver.values() for k in d})
+    drivers = per_driver(summary.get("kstat", {}))
+    keys = sorted({k for d in drivers.values() for k in d})
     _print_table(
         "per-driver XPC breakdown (Table 3 style)",
         ["driver"] + keys,
         [[driver] + [d.get(k, 0) for k in keys]
-         for driver, d in sorted(per_driver.items())],
+         for driver, d in sorted(drivers.items())],
         out)
 
 
@@ -195,7 +200,7 @@ def _comparable(doc):
     """The numeric-leaf dict a trace or bench JSON diff runs over."""
     if isinstance(doc, dict) and "traceEvents" in doc:
         summary = dict(doc.get("otherData", {}).get("trace_summary", {}))
-        summary.pop("histograms", None)  # bucket noise; counters suffice
+        summary.pop("histograms", None)  # bucket noise; kstat suffices
         return _numeric_leaves(summary)
     return _numeric_leaves(doc)
 
@@ -254,7 +259,7 @@ def main(argv=None):
     parser.add_argument("paths", nargs="*", metavar="trace.json",
                         help="exported trace file(s) to summarize")
     parser.add_argument("--diff", nargs=2, metavar=("A", "B"),
-                        help="diff two trace or BENCH_*.json files")
+                        help="diff two trace, kstat or BENCH_*.json files")
     parser.add_argument("--top", type=int, default=10,
                         help="rows per ranking table (default 10)")
     parser.add_argument("--threshold", type=float, default=10.0,

@@ -7,7 +7,7 @@ utilization and event counts.
 """
 
 from ..trace import begin_trace, finish_trace
-from .result import rig_mark, rig_result
+from .result import RunWindow, rig_result
 
 
 def move_and_click(rig, duration_s=30.0, trace=None):
@@ -24,9 +24,7 @@ def move_and_click(rig, duration_s=30.0, trace=None):
         "count", events["count"] + len(evs)
     )
 
-    mark = rig_mark(rig)
-    kernel.cpu.start_window()
-    start_ns = kernel.clock.now_ns
+    window = RunWindow(kernel)
     sample_interval_ns = int(1e9 / max(1, mouse.sample_rate))
 
     t = 0
@@ -47,12 +45,9 @@ def move_and_click(rig, duration_s=30.0, trace=None):
         kernel.run_for_ns(sample_interval_ns)
         t += sample_interval_ns
 
-    elapsed_s = (kernel.clock.now_ns - start_ns) / 1e9
     result = rig_result(
-        rig, "move-and-click", mark, lost=lost,
-        duration_s=elapsed_s,
+        rig, window, "move-and-click", lost=lost,
         packets=packets,
-        cpu_utilization=kernel.cpu.utilization(),
         extra={"input_events": events["count"], "clicks": clicks},
     )
     finish_trace(session, result)

@@ -8,7 +8,7 @@ the workload is real-time-bound, exactly like the paper's.
 
 from ..kernel.sound import SNDRV_PCM_TRIGGER_START, SNDRV_PCM_TRIGGER_STOP
 from ..trace import begin_trace, finish_trace
-from .result import rig_mark, rig_result
+from .result import RunWindow, rig_result
 
 MP3_BITRATE = 256_000
 PCM_RATE = 44_100
@@ -29,10 +29,7 @@ def mpg123_play(rig, duration_s=10.0, period_bytes=4096, periods=4,
         raise RuntimeError("no sound card registered")
     substream = cards[0].pcms[0].playback
 
-    mark = rig_mark(rig)
-    kernel.cpu.start_window()
-    start_ns = kernel.clock.now_ns
-
+    window = RunWindow(kernel)
     sound = kernel.sound
     ret = sound.pcm_open(substream)
     if ret != 0:
@@ -76,13 +73,10 @@ def mpg123_play(rig, duration_s=10.0, period_bytes=4096, periods=4,
     sound.pcm_trigger(substream, SNDRV_PCM_TRIGGER_STOP)
     sound.pcm_close(substream)
 
-    elapsed_s = (kernel.clock.now_ns - start_ns) / 1e9
     result = rig_result(
-        rig, "mpg123", mark, lost=dropped,
-        duration_s=elapsed_s,
+        rig, window, "mpg123", lost=dropped,
         bytes_moved=written,
-        throughput_mbps=written * 8 / elapsed_s / 1e6,
-        cpu_utilization=kernel.cpu.utilization(),
+        throughput_mbps=written * 8 / window.elapsed_s() / 1e6,
         extra={
             "periods_elapsed": substream.runtime.periods_elapsed,
             "device_interrupts": getattr(rig.device, "period_interrupts", 0),

@@ -12,7 +12,7 @@ give exact, stable numbers (configurable for longer runs).
 
 from ..kernel import NETDEV_TX_OK, SkBuff
 from ..trace import begin_trace, finish_trace
-from .result import rig_mark, rig_result
+from .result import RunWindow, rig_result
 
 
 def _open_dev(rig):
@@ -25,45 +25,6 @@ def _open_dev(rig):
     # Let autonegotiation and the first watchdog tick finish.
     rig.kernel.run_for_ms(50)
     return dev
-
-
-def _datapath_start(kernel):
-    """Snapshot NAPI/skb-pool counters so a workload can report deltas."""
-    snap = kernel.net.napi.snapshot()
-    snap["_pools"] = kernel.net.skb_pool_stats()
-    return snap
-
-
-def _datapath_delta(kernel, start):
-    snap = kernel.net.napi.snapshot()
-    base_hist = start.get("packets_per_poll", {})
-    hist = {}
-    for bucket, count in snap["packets_per_poll"].items():
-        delta = count - base_hist.get(bucket, 0)
-        if delta:
-            hist[bucket] = delta
-    # Pool counters, per shard (the shared pool plus any per-CPU
-    # shards), plus the aggregate hit rate over all of them.
-    base_pools = start.get("_pools", {})
-    hits = misses = 0
-    per_pool = {}
-    for label, stats in kernel.net.skb_pool_stats().items():
-        base = base_pools.get(label, {})
-        h = stats["hits"] - base.get("hits", 0)
-        m = stats["misses"] - base.get("misses", 0)
-        hits += h
-        misses += m
-        if h or m:
-            per_pool[label] = h / (h + m)
-    total = hits + misses
-    return {
-        "napi_polls": snap["polls"] - start["polls"],
-        "napi_budget_exhaustions":
-            snap["budget_exhaustions"] - start["budget_exhaustions"],
-        "napi_pkts_per_poll": hist,
-        "skb_pool_hit_rate": (hits / total) if total else 0.0,
-        "skb_pool_cpu_hit_rates": per_pool,
-    }
 
 
 def _wait_for_progress(kernel, end_ns, rig=None):
@@ -101,11 +62,8 @@ def netperf_send(rig, duration_s=2.0, msg_bytes=1500, trace=None):
     dev = _open_dev(rig)
     payload = bytes(msg_bytes)
 
-    mark = rig_mark(rig)
-    dp0 = _datapath_start(kernel)
-    kernel.cpu.start_window()
-    start_ns = kernel.clock.now_ns
-    end_ns = start_ns + int(duration_s * 1e9)
+    window = RunWindow(kernel)
+    end_ns = window.start_ns + int(duration_s * 1e9)
     sent_packets = 0
     sent_bytes = 0
     lost_packets = 0
@@ -123,15 +81,11 @@ def netperf_send(rig, duration_s=2.0, msg_bytes=1500, trace=None):
                 lost_packets += 1
             _wait_for_progress(kernel, end_ns, rig)
 
-    elapsed_s = (kernel.clock.now_ns - start_ns) / 1e9
     result = rig_result(
-        rig, "netperf-send", mark, lost=lost_packets,
-        duration_s=elapsed_s,
+        rig, window, "netperf-send", lost=lost_packets,
         bytes_moved=sent_bytes,
         packets=sent_packets,
-        throughput_mbps=sent_bytes * 8 / elapsed_s / 1e6,
-        cpu_utilization=kernel.cpu.utilization(),
-        **_datapath_delta(kernel, dp0),
+        throughput_mbps=sent_bytes * 8 / window.elapsed_s() / 1e6,
     )
     finish_trace(session, result)
     kernel.net.dev_close(dev)
@@ -169,26 +123,19 @@ def netperf_recv(rig, duration_s=2.0, msg_bytes=1500, utilization=0.95,
             sink_extra(_dev, skb)
 
     kernel.net.rx_sink = sink
-    mark = rig_mark(rig)
-    dp0 = _datapath_start(kernel)
-    kernel.cpu.start_window()
-    start_ns = kernel.clock.now_ns
-    generator.start(stop_at_ns=start_ns + int(duration_s * 1e9))
+    window = RunWindow(kernel)
+    generator.start(stop_at_ns=window.start_ns + int(duration_s * 1e9))
     kernel.run_for_s(duration_s)
     generator.stop()
     # Drain in-flight frames (ITR windows, scheduled polls) so the
     # delivered set is identical whichever interrupt scheme ran.
     kernel.run_for_ms(2)
-    elapsed_s = (kernel.clock.now_ns - start_ns) / 1e9
 
     result = rig_result(
-        rig, "netperf-recv", mark,
-        duration_s=elapsed_s,
+        rig, window, "netperf-recv",
         bytes_moved=received[1],
         packets=received[0],
-        throughput_mbps=received[1] * 8 / elapsed_s / 1e6,
-        cpu_utilization=kernel.cpu.utilization(),
-        **_datapath_delta(kernel, dp0),
+        throughput_mbps=received[1] * 8 / window.elapsed_s() / 1e6,
     )
     finish_trace(session, result)
     kernel.net.rx_sink = None
@@ -223,11 +170,8 @@ def netperf_udp_rr(rig, duration_s=1.0, msg_bytes=1, trace=None):
     # Minimum Ethernet payload still makes a 60-byte frame on the wire.
     payload = bytes(max(60, msg_bytes))
 
-    mark = rig_mark(rig)
-    dp0 = _datapath_start(kernel)
-    kernel.cpu.start_window()
-    start_ns = kernel.clock.now_ns
-    end_ns = start_ns + int(duration_s * 1e9)
+    window = RunWindow(kernel)
+    end_ns = window.start_ns + int(duration_s * 1e9)
     sent = 0
     while kernel.clock.now_ns < end_ns:
         before = responses["count"]
@@ -244,15 +188,12 @@ def netperf_udp_rr(rig, duration_s=1.0, msg_bytes=1, trace=None):
         if responses["count"] == before:
             break
 
-    elapsed_s = (kernel.clock.now_ns - start_ns) / 1e9
     result = rig_result(
-        rig, "netperf-udp-rr", mark,
-        duration_s=elapsed_s,
+        rig, window, "netperf-udp-rr",
         bytes_moved=sent * len(payload),
         packets=sent,
-        throughput_mbps=responses["count"] / elapsed_s / 1000.0,  # kTPS
-        cpu_utilization=kernel.cpu.utilization(),
-        **_datapath_delta(kernel, dp0),
+        # kTPS, not Mb/s: transactions per virtual ms.
+        throughput_mbps=responses["count"] / window.elapsed_s() / 1000.0,
         extra={"transactions": responses["count"]},
     )
     finish_trace(session, result)

@@ -1,98 +1,105 @@
-"""Workload result record."""
+"""Workload result record and the run window that produces it."""
 
 from dataclasses import dataclass, field
 
+_PER_POLL = "napi.packets_per_poll."
+_SKB_POOL = "net.skb_pool."
 
-def health_summary_of(kernel):
-    """``HealthPlane.summary()`` of the kernel, or {} when none installed.
 
-    Workloads call this at result-construction time so every
-    WorkloadResult from a health-enabled rig carries the kstat
-    snapshot, flight-recorder state and watchdog fires.
+class RunWindow:
+    """One workload's measurement window on a kernel.
+
+    Opened once the workload's set-up (``dev_open``, ``pcm_open``, ...)
+    is done: it snapshots kstat, starts the CPU-utilization window and
+    notes the virtual start time.  :meth:`close` turns it into a
+    :class:`WorkloadResult` whose ``kstat`` is the delta over the window.
     """
-    health = kernel.health
-    return health.summary() if health is not None else {}
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self._kstat0 = kernel.kstat.snapshot()
+        kernel.cpu.start_window()
+        self.start_ns = kernel.clock.now_ns
+
+    def elapsed_s(self):
+        return (self.kernel.clock.now_ns - self.start_ns) / 1e9
+
+    def close(self, name, **measures):
+        kernel = self.kernel
+        kstat = kernel.kstat
+        return WorkloadResult(
+            name=name,
+            duration_s=self.elapsed_s(),
+            cpu_utilization=kernel.cpu.utilization(),
+            kstat=kstat.delta(self._kstat0, kstat.snapshot()),
+            **measures)
 
 
-def rig_mark(rig):
-    """The rig counters a workload's result is measured against."""
-    return rig.crossings(), rig.fault_stats()
+def rig_result(rig, window, name, lost=0, extra=None, **measures):
+    """Close ``window`` into ``rig``'s result.
 
-
-def rig_result(rig, name, mark, lost=0, **fields):
-    """A :class:`WorkloadResult` carrying ``rig``'s counters: totals,
-    plus deltas since ``mark`` (decaf invocations, faults, recoveries,
-    and kernel-side work lost on top of the workload's own ``lost``)."""
-    crossings0, faults0 = mark
-    faults = rig.fault_stats()
-    ds = rig.deferred_stats()
-    return WorkloadResult(
-        name=name,
-        health_summary=health_summary_of(rig.kernel),
-        init_latency_s=(rig.init_latency_ns or 0) / 1e9,
-        kernel_user_crossings=rig.crossings(),
-        lang_crossings=rig.lang_crossings(),
-        deferred_calls=ds["calls"],
-        deferred_coalesced=ds["coalesced"],
-        deferred_flushes=ds["flushes"],
-        decaf_invocations=rig.crossings() - crossings0,
-        faults_injected=faults[0] - faults0[0],
-        recoveries=faults[1] - faults0[1],
-        packets_lost=lost + faults[2] - faults0[2],
-        **fields)
+    The rig's insmod latency and its total kernel/user crossings (a
+    count since load, not a window delta) ride along; work the
+    supervisor discarded in the window counts as lost on top of the
+    workload's own ``lost``.
+    """
+    extra = dict(extra or {}, crossings=rig.crossings())
+    result = window.close(
+        name, init_latency_s=(rig.init_latency_ns or 0) / 1e9,
+        extra=extra, **measures)
+    result.packets_lost = lost + result.kstat.get("recovery.work_lost", 0)
+    return result
 
 
 @dataclass
 class WorkloadResult:
-    """What one workload run measured (one Table 3 cell group)."""
+    """What one workload run measured (one Table 3 cell group).
+
+    Fields are the workload's own measures; every count is in
+    ``kstat``, the kstat delta over the run window.
+    """
 
     name: str
     duration_s: float = 0.0
     bytes_moved: int = 0
     packets: int = 0
+    packets_lost: int = 0
     throughput_mbps: float = 0.0
     cpu_utilization: float = 0.0
     init_latency_s: float = 0.0
-    kernel_user_crossings: int = 0
-    lang_crossings: int = 0
-    decaf_invocations: int = 0
-    # Deferred one-way notifications (batched crossings): enqueued,
-    # absorbed into a queued duplicate, and batches actually flushed.
-    deferred_calls: int = 0
-    deferred_coalesced: int = 0
-    deferred_flushes: int = 0
-    # NAPI datapath counters (zero when the per-packet IRQ path runs).
-    napi_polls: int = 0
-    napi_budget_exhaustions: int = 0
-    napi_pkts_per_poll: dict = field(default_factory=dict)
-    skb_pool_hit_rate: float = 0.0
-    # Per-shard hit rates ({"shared": r, "cpu0": r, ...}) when the rx
-    # path ran on per-CPU pool shards; empty on single-CPU kernels.
-    skb_pool_cpu_hit_rates: dict = field(default_factory=dict)
-    # Fault isolation / supervised recovery (zero when no faults were
-    # injected or no supervisor was attached).
-    faults_injected: int = 0
-    recoveries: int = 0
-    packets_lost: int = 0
-    # Fleet harness dimensions (zero outside repro.fleet runs).
-    fleet_devices: int = 0          # concurrent device slots
-    churn_cycles: int = 0           # remove/re-probe cycles performed
-    events_per_sec: float = 0.0     # simulator events per wall-clock second
-    wall_s_per_virtual_ms: float = 0.0  # wall s per ms of tick rounds
-    mem_bytes_per_device: float = 0.0  # tracemalloc bytes per device slot
-    recovery_rate: float = 0.0      # recoveries / faults fired
-    recovery_p50_ms: float = 0.0    # median fault->recovered outage
-    recovery_p99_ms: float = 0.0
+    kstat: dict = field(default_factory=dict)
     # ktrace summary (Tracer.summary()) when the workload ran traced.
     trace_summary: dict = field(default_factory=dict)
-    # HealthPlane.summary() when the kernel ran with a health plane
-    # installed (kstat snapshot, flight-recorder state, watchdog fires).
-    health_summary: dict = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
+
+    def pkts_per_poll(self):
+        """{work_done: polls} over the window (empty off the NAPI path)."""
+        return {int(key[len(_PER_POLL):]): count
+                for key, count in self.kstat.items()
+                if key.startswith(_PER_POLL)}
+
+    def skb_pool_hit_rates(self):
+        """(aggregate hit rate, {shard: hit rate}) over the window.
+
+        Rates divide hit and miss deltas; shards that allocated
+        nothing in the window are left out.
+        """
+        shards = {}
+        for key, value in self.kstat.items():
+            if key.startswith(_SKB_POOL):
+                label, _, count = key[len(_SKB_POOL):].rpartition(".")
+                if count in ("hits", "misses"):
+                    shards.setdefault(label, {"hits": 0, "misses": 0})[
+                        count] = value
+        hits = sum(s["hits"] for s in shards.values())
+        total = hits + sum(s["misses"] for s in shards.values())
+        rates = {label: s["hits"] / (s["hits"] + s["misses"])
+                 for label, s in shards.items()}
+        return (hits / total if total else 0.0), rates
 
     def _pkts_per_poll_compact(self):
         """Weighted p50/max of the {work_done: count} poll histogram."""
-        hist = self.napi_pkts_per_poll
+        hist = self.pkts_per_poll()
         if not hist:
             return "-"
         total = sum(hist.values())
@@ -107,42 +114,38 @@ class WorkloadResult:
         return "p50=%d/max=%d" % (p50, max(hist))
 
     def row(self):
+        """The printable Table 3 row.
+
+        ``crossings`` is the driver's total since load (``extra``);
+        every other count is a window delta read off ``kstat``.
+        """
+        k = self.kstat
+        hit_rate, shard_rates = self.skb_pool_hit_rates()
         row = {
             "workload": self.name,
             "throughput_mbps": round(self.throughput_mbps, 2),
             "cpu_utilization_pct": round(100 * self.cpu_utilization, 2),
             "init_latency_s": round(self.init_latency_s, 3),
-            "crossings": self.kernel_user_crossings,
-            "decaf_invocations": self.decaf_invocations,
-            "deferred_calls": self.deferred_calls,
-            "deferred_coalesced": self.deferred_coalesced,
-            "deferred_flushes": self.deferred_flushes,
-            "napi_polls": self.napi_polls,
-            "napi_budget_exhaustions": self.napi_budget_exhaustions,
+            "crossings": self.extra.get("crossings", 0),
+            "decaf_invocations": k.get("xpc.crossings", 0),
+            "deferred_calls": k.get("xpc.deferred_calls", 0),
+            "deferred_coalesced": k.get("xpc.deferred_coalesced", 0),
+            "deferred_flushes": k.get("xpc.deferred_flushes", 0),
+            "napi_polls": k.get("napi.polls", 0),
+            "napi_budget_exhaustions": k.get("napi.budget_exhaustions", 0),
             "napi_pkts_per_poll": self._pkts_per_poll_compact(),
-            "skb_pool_hit_rate": round(self.skb_pool_hit_rate, 4),
+            "skb_pool_hit_rate": round(hit_rate, 4),
             "skb_pool_cpu_hit_rates": {
                 label: round(rate, 4)
-                for label, rate in sorted(self.skb_pool_cpu_hit_rates.items())
+                for label, rate in sorted(shard_rates.items())
             },
-            "faults_injected": self.faults_injected,
-            "recoveries": self.recoveries,
+            "faults_injected": k.get("faults.fired", 0),
+            "recoveries": k.get("recovery.recoveries", 0),
             "packets_lost": self.packets_lost,
         }
-        if self.fleet_devices:
-            row["fleet_devices"] = self.fleet_devices
-            row["churn_cycles"] = self.churn_cycles
-            row["events_per_sec"] = round(self.events_per_sec, 1)
-            row["wall_s_per_virtual_ms"] = round(
-                self.wall_s_per_virtual_ms, 4)
-            row["mem_bytes_per_device"] = round(self.mem_bytes_per_device)
-            row["recovery_rate"] = round(self.recovery_rate, 4)
-            row["recovery_p50_ms"] = round(self.recovery_p50_ms, 3)
-            row["recovery_p99_ms"] = round(self.recovery_p99_ms, 3)
-        if self.health_summary:
-            fires = self.health_summary.get("watchdog_fires", {})
-            row["watchdog_fires"] = sum(fires.values())
-            row["health_dumps"] = self.health_summary.get("dumps", 0)
+        if any(key.startswith("health.") for key in k):
+            row["watchdog_fires"] = k.get("health.watchdog_fires", 0)
+            row["health_dumps"] = k.get("health.dumps", 0)
         # Scalar extras ride along (non-scalars, e.g. a whole Rig kept
         # for inspection, stay out of the printable row).
         for key, value in self.extra.items():

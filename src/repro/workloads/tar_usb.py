@@ -10,7 +10,7 @@ import struct
 
 from ..kernel.usb import usb_sndbulkpipe
 from ..trace import begin_trace, finish_trace
-from .result import rig_mark, rig_result
+from .result import RunWindow, rig_result
 
 BLOCK_SIZE = 512
 TAR_HEADER_CPU_NS = 20_000
@@ -27,10 +27,7 @@ def tar_to_flash(rig, archive_bytes=2 * 1024 * 1024, file_size=64 * 1024,
     disk_dev = devices[0]
     pipe = usb_sndbulkpipe(disk_dev, 2)
 
-    mark = rig_mark(rig)
-    kernel.cpu.start_window()
-    start_ns = kernel.clock.now_ns
-
+    window = RunWindow(kernel)
     lba = 0
     written = 0
     nfiles = 0
@@ -63,14 +60,11 @@ def tar_to_flash(rig, archive_bytes=2 * 1024 * 1024, file_size=64 * 1024,
         written += this_file
         nfiles += 1
 
-    elapsed_s = (kernel.clock.now_ns - start_ns) / 1e9
     result = rig_result(
-        rig, "tar", mark, lost=retried,
-        duration_s=elapsed_s,
+        rig, window, "tar", lost=retried,
         bytes_moved=written,
         packets=nfiles,
-        throughput_mbps=written * 8 / elapsed_s / 1e6,
-        cpu_utilization=kernel.cpu.utilization(),
+        throughput_mbps=written * 8 / window.elapsed_s() / 1e6,
         extra={"files": nfiles,
                "disk_blocks_written": rig.extra["disk"].writes},
     )

@@ -139,7 +139,7 @@ class TestEpochAcrossSupervisedRestarts:
 
     def test_two_restarts_bump_epoch_twice(self, twice_recovered_rig):
         rig, result = twice_recovered_rig
-        assert result.recoveries == 2
+        assert result.kstat["recovery.recoveries"] == 2
         assert not rig.supervisor.gave_up
         assert rig.channel.user_tracker._epoch == 2
 

@@ -86,8 +86,8 @@ def _snapshot(make_rig):
         "digests": {q: d.hexdigest() for q, d in sorted(digests.items())},
         "packets": result.packets,
         "bytes": result.bytes_moved,
-        "napi_polls": result.napi_polls,
-        "napi_pkts_per_poll": dict(result.napi_pkts_per_poll),
+        "napi_polls": result.kstat.get("napi.polls", 0),
+        "napi_pkts_per_poll": result.pkts_per_poll(),
         "dev_stats": dev.stats.snapshot(),
         "nic_frames": rig.device.frames_received,
         "irq_delivered": kernel.irq.delivered,

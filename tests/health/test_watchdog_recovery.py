@@ -72,11 +72,11 @@ def test_wedged_tx_queue_detected_and_recovered(seed, tmp_path):
     # Traffic resumed after the restart: the run moved real packets
     # despite losing the wedge window and the restart outage.
     assert result.packets > 1000
-    assert result.recoveries == 1
+    assert result.kstat["recovery.recoveries"] == 1
 
-    # The WorkloadResult carries the health summary.
-    assert result.health_summary["watchdog_fires"]["hung_task"] == 1
-    assert result.health_summary["dumps"] >= 1
+    # The WorkloadResult's kstat window carries the health counters.
+    assert result.kstat["health.watchdog_fires.hung_task"] == 1
+    assert result.kstat["health.dumps"] >= 1
 
     # A flight-recorder dump landed on disk and postmortem parses it.
     dumps = sorted(p for p in os.listdir(tmp_path) if p.endswith(".json"))

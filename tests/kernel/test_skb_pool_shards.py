@@ -89,7 +89,7 @@ def test_workload_result_surfaces_per_cpu_hit_rates():
     rig.insmod()
     result = netperf_recv(rig, duration_s=0.02)
     assert result.packets > 0
-    rates = result.skb_pool_cpu_hit_rates
+    _rate, rates = result.skb_pool_hit_rates()
     assert rates, "no per-shard hit rates reported"
     assert set(rates) <= {"shared", "cpu0", "cpu1"}
     # Steady-state rx allocates CPU-locally: every shard that saw

@@ -38,7 +38,7 @@ class TestSpinLock:
             with lock:
                 kernel.consume(100, busy=True)
         tracer.uninstall()
-        h = tracer.metrics.histogram("lock.hold_ns|spin")
+        h = tracer.histograms["lock.hold_ns.spin"]
         assert h.count == 3
         assert h.max == 100
 

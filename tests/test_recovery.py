@@ -5,7 +5,7 @@ harness) into each of the four decaf drivers *mid-workload*.  The
 exception must never propagate past the XPC boundary: the supervisor
 quiesces, restarts the user half, replays the configuration log, and
 the workload runs to completion.  Recoveries and lost work surface in
-the WorkloadResult row and as ``recovery.*`` tracepoints.
+the WorkloadResult's kstat window and as ``recovery.*`` tracepoints.
 """
 
 import pytest
@@ -36,12 +36,12 @@ def _supervised(make_rig, callsite, at=1):
 
 
 def _assert_recovered(rig, result, driver):
-    assert result.faults_injected == 1
-    assert result.recoveries == 1
-    counters = result.trace_summary["counters"]
-    assert counters["recovery.faults|%s" % driver] == 1
-    assert counters["recovery.recoveries|%s" % driver] == 1
-    assert counters["fault.injected|%s" % driver] == 1
+    assert result.kstat["faults.fired"] == 1
+    assert result.kstat["recovery.recoveries"] == 1
+    counters = result.trace_summary["kstat"]
+    assert counters["recovery.%s.faults_seen" % driver] == 1
+    assert counters["recovery.%s.recoveries" % driver] == 1
+    assert counters["faults.%s.fired" % driver] == 1
     # The channel is healthy again and the fault left dmesg evidence.
     assert not rig.channel.failed
     assert not rig.supervisor.gave_up
@@ -114,8 +114,8 @@ class TestRecoveryBudget:
             FaultSpec("xpc_raise", callsite="thread", at=3),
         ]))
         result = netperf_send(rig, duration_s=8.0)
-        assert result.faults_injected == 3
-        assert result.recoveries == 2
+        assert result.kstat["faults.fired"] == 3
+        assert result.kstat["recovery.recoveries"] == 2
         assert rig.supervisor.gave_up
         assert rig.channel.failed
         assert result.packets > 0

@@ -120,7 +120,7 @@ class TestEndToEndFlushFault:
         ]))
         result = netperf_send(rig, duration_s=4.0)
 
-        assert result.faults_injected == 1
+        assert result.kstat["faults.fired"] == 1
         assert sup.recoveries == 1
         # At fault time the log held exactly probe + open (netperf's
         # teardown later unrecords open, so don't compare against the

@@ -1,17 +1,9 @@
-"""Counters and log2-bucket histograms (repro.trace.metrics)."""
+"""Log2-bucket histograms (repro.trace.metrics) and the tracer's
+histogram registry."""
 
-from repro.trace.metrics import (
-    Counter, Histogram, MetricsRegistry, bucket_upper_bound, split_label,
-)
-
-
-class TestCounter:
-    def test_starts_at_zero_and_increments(self):
-        c = Counter("x")
-        assert c.value == 0
-        c.inc()
-        c.inc(41)
-        assert c.value == 42
+from repro.kernel import make_kernel
+from repro.trace import Tracer
+from repro.trace.metrics import Histogram, bucket_upper_bound
 
 
 class TestHistogramBuckets:
@@ -80,20 +72,7 @@ class TestHistogramBuckets:
 
 class TestRegistry:
     def test_create_on_first_use_and_identity(self):
-        m = MetricsRegistry()
-        c = m.counter("a")
-        assert m.counter("a") is c
-        h = m.histogram("b")
-        assert m.histogram("b") is h
-
-    def test_inc_and_record_conveniences(self):
-        m = MetricsRegistry()
-        m.inc("a", 3)
-        m.record("b", 9)
-        snap = m.snapshot()
-        assert snap["counters"] == {"a": 3}
-        assert snap["histograms"]["b"]["count"] == 1
-
-    def test_split_label(self):
-        assert split_label("xpc.bytes|e1000") == ("xpc.bytes", "e1000")
-        assert split_label("irq_ns") == ("irq_ns", "")
+        tracer = Tracer(make_kernel())
+        h = tracer.histogram("b")
+        assert tracer.histogram("b") is h
+        assert tracer.histograms["b"] is h

@@ -2,7 +2,7 @@
 
 import json
 
-from repro.trace import Tracer
+from repro.trace import Tracer, per_driver
 from repro.trace.perfetto import (
     CTX_TIDS, chrome_trace, load_trace, span_events, write_chrome_trace,
 )
@@ -77,7 +77,7 @@ class TestXpcReconciliation:
 
     def test_per_driver_summary_reconciles(self, tmp_path):
         rig, doc = self._traced_netperf(tmp_path)
-        per = doc["otherData"]["trace_summary"]["per_driver"]
+        per = per_driver(doc["otherData"]["trace_summary"]["kstat"])
         d = per[rig.name]
         assert d["crossings"] == rig.xpc.kernel_user_crossings
         assert d["bytes"] == rig.xpc.bytes_marshaled

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import trace as trace_mod
-from repro.trace import TRACEPOINTS, TraceError, Tracer
+from repro.trace import TRACEPOINTS, TraceError, Tracer, per_driver
 from repro.trace import core as trace_core
 
 
@@ -95,15 +95,21 @@ class TestEmission:
 
 class TestSummary:
     def test_summary_shape(self, kernel):
-        tracer = Tracer(kernel, name="t0")
-        tracer.metrics.inc("xpc.bytes|e1000", 100)
-        tracer.metrics.inc("xpc.crossings|e1000", 2)
-        tracer.metrics.inc("unrelated", 1)
+        kernel.kstat.inc("xpc.e1000.crossings", 5)  # before the session
+        tracer = Tracer(kernel, name="t0").install()
+        kernel.kstat.inc("xpc.e1000.bytes", 100)
+        kernel.kstat.inc("xpc.e1000.crossings", 2)
+        kernel.kstat.inc("xpc.crossings", 2)
+        kernel.kstat.inc("unrelated", 1)
         s = tracer.summary()
+        tracer.uninstall()
+        assert set(s) == {"tracer", "clock", "events", "dropped",
+                          "histograms", "kstat"}
         assert s["tracer"] == "t0"
         assert s["clock"] == "virtual-ns"
-        assert s["per_driver"] == {"e1000": {"bytes": 100, "crossings": 2}}
-        assert s["counters"]["unrelated"] == 1
+        assert per_driver(s["kstat"]) == {
+            "e1000": {"bytes": 100, "crossings": 2}}
+        assert s["kstat"]["unrelated"] == 1
 
 
 class TestBeginFinish:

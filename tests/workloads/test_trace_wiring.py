@@ -73,7 +73,9 @@ class TestRowFormat:
 
         r = WorkloadResult(
             name="w",
-            napi_pkts_per_poll={1: 10, 4: 50, 64: 3},
+            kstat={"napi.polls": 63, "napi.packets_per_poll.1": 10,
+                   "napi.packets_per_poll.4": 50,
+                   "napi.packets_per_poll.64": 3},
             extra={"transactions": 7, "rig": object(), "note": "ok"},
         )
         row = r.row()
@@ -90,5 +92,5 @@ class TestRowFormat:
     def test_extra_cannot_shadow_core_column(self):
         from repro.workloads.result import WorkloadResult
 
-        r = WorkloadResult(name="w", extra={"crossings": 999})
-        assert r.row()["crossings"] == 0  # core field wins
+        r = WorkloadResult(name="w", extra={"napi_polls": 999})
+        assert r.row()["napi_polls"] == 0  # core column wins

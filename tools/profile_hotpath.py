@@ -220,7 +220,7 @@ def main(argv=None):
           % (result.packets, result.duration_s, insmod_wall, recv_wall))
     print("wall pkts/s=%.0f  napi_polls=%d  pool_hit=%.3f  sha256=%s"
           % (result.packets / recv_wall if recv_wall else 0.0,
-             result.napi_polls, result.skb_pool_hit_rate,
+             result.row()["napi_polls"], result.skb_pool_hit_rates()[0],
              digest.hexdigest()[:16]))
 
     print("\n-- wall-clock attribution (cProfile tottime by layer) --")
