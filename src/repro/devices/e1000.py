@@ -519,7 +519,7 @@ class E1000Device:
         # Arm the throttle window BEFORE delivering: the handler's own
         # work can assert new causes synchronously, and those must see
         # the window open or they each arm an orphan window.
-        self._itr_event[q] = self._kernel.events.schedule_timer_after(
+        self._itr_event[q] = self._kernel.events.schedule_after(
             window, lambda q=q: self._itr_expire(q), name="e1000-itr"
         )
         self._kernel.irq.raise_irq(self.irq + q)

@@ -159,7 +159,7 @@ class Rtl8139Device:
             return  # window open: causes accumulate in ISR
         # Arm the window BEFORE delivering so causes asserted from the
         # handler's own work coalesce instead of re-arming windows.
-        self._coalesce_event = self._kernel.events.schedule_timer_after(
+        self._coalesce_event = self._kernel.events.schedule_after(
             window, self._coalesce_expire, name="rtl8139-coalesce"
         )
         self._kernel.irq.raise_irq(self.irq)
@@ -269,7 +269,7 @@ class Rtl8139Device:
             if ev.time_ns <= due_ns:
                 return
             ev.cancel()
-        self._tx_pump_event = self._kernel.events.schedule_timer_at(
+        self._tx_pump_event = self._kernel.events.schedule_at(
             due_ns, self._tx_pump, name="rtl8139-txdone"
         )
 

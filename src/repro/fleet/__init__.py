@@ -4,7 +4,7 @@ Every workload before this package drove *one* device through one
 driver.  The fleet harness probes N mixed device instances (both NICs,
 USB, sound, mouse; legacy and decaf) concurrently under a single
 ``make_kernel(nr_cpus=...)``, drives them with interleaved traffic and
-probe/remove/re-probe churn over the timer wheel, and injects
+probe/remove/re-probe churn over the kernel event queue, and injects
 fleet-wide faults so the recovery supervisors restart drivers under
 load -- the simulated analogue of one host multiplexing thousands of
 tenants.

@@ -3,7 +3,7 @@
 One :class:`FleetHarness` owns one simulated machine
 (``make_kernel(nr_cpus=..., nr_irqs=N+8)``) carrying N device slots in
 a mixed legacy/decaf configuration.  The run loop interleaves, over
-the kernel's timer wheel and virtual CPUs:
+the kernel's event queue and virtual CPUs:
 
 * **traffic** -- a rotating batch of slots moves a little traffic each
   tick (NIC tx/rx, USB bulk writes, PCM periods, mouse samples);

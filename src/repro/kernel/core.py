@@ -255,9 +255,12 @@ class Kernel:
             # any advance finds the CPU schedulable again, before
             # later-timed events (it was due first).  The atomicity
             # check is against the *current* CPU -- dispatching a
-            # targeted event may have switched it.
+            # targeted event may have switched it.  Work cancelled
+            # while parked is dropped.
             if parked and not self.current_cpu.context.in_atomic():
-                dispatch(parked.popleft())
+                ev = parked.popleft()
+                if not ev.cancelled:
+                    dispatch(ev)
                 continue
             ev = pop_due(target_ns)
             if ev is None:

@@ -27,15 +27,19 @@ class KernelTimer:
     def mod_timer(self, expires_ns):
         """(Re)arm to fire at absolute virtual time ``expires_ns``.
 
-        Timers live on the event queue's indexed wheel rather than the
-        global heap: watchdog-style timers are re-armed hundreds of times
-        per fire, and the wheel makes each cancel/re-arm O(1) with no
-        cancelled-entry debris for the dispatcher to skip.
+        A pending expiry is cancelled first, so the timer fires once, at
+        the latest deadline.  A deadline in the past fires at the next
+        dispatch, never earlier than now.
         """
         self.del_timer()
-        self._event = self._kernel.events.schedule_timer_at(
+        kernel = self._kernel
+        ev = self._event = kernel.events.schedule_at(
             expires_ns, self._fire, context=SOFTIRQ, name="timer:%s" % self.name
         )
+        tracer = kernel.tracer
+        if tracer is not None:
+            tracer.instant("timer.arm", {"timer": self.name,
+                                         "at_ns": ev.time_ns})
 
     def mod_timer_after(self, delay_ns):
         self.mod_timer(self._kernel.clock.now_ns + max(0, delay_ns))

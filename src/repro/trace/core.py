@@ -50,7 +50,7 @@ TRACEPOINTS = {
     "napi.poll": ("X", "one driver poll(napi, weight) call"),
     "softirq.net_rx": ("X", "net-rx softirq budget loop run"),
     # Timers / deferred work
-    "timer.arm": ("i", "timer (re)armed on the wheel"),
+    "timer.arm": ("i", "kernel timer (re)armed by mod_timer"),
     "timer.cancel": ("i", "pending timer cancelled"),
     "timer.fire": ("X", "timer callback span"),
     "work.item": ("X", "workqueue item execution span"),
@@ -150,7 +150,6 @@ class Tracer:
         if self.kernel.tracer is not None:
             raise TraceError("kernel already has a tracer installed")
         self.kernel.tracer = self
-        self.kernel.events.tracer = self
         self._kstat0 = self.kernel.kstat.snapshot()
         health = self.kernel.health
         if health is not None:
@@ -165,7 +164,6 @@ class Tracer:
         if not self.installed:
             return
         self.kernel.tracer = None
-        self.kernel.events.tracer = None
         self.flight = None
         self.installed = False
         active_tracers -= 1

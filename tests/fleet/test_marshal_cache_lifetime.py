@@ -11,12 +11,14 @@ the eviction and invalidation rules on plain plans.
 """
 
 import gc
+import importlib
 import weakref
 
 from repro.core import CStruct, FieldAccess, MarshalPlan, Struct, U32
 from repro.core.cstruct import CStructMeta, StructRegistry
 from repro.core.marshal import OP_EMBED, TO_KERNEL, TO_USER
 from repro.drivers.decaf.plumbing import slice_plan
+from repro.family import FAMILIES
 from repro.fleet import FleetHarness, FleetSpec
 
 FLEETS = 4
@@ -47,39 +49,45 @@ def _cache_sizes():
             for name in DECAF_DRIVERS}
 
 
-def _run_fleet():
+def _run_fleet(before):
+    """Run one fleet and tear it down; weakrefs to its clone classes."""
     spec = FleetSpec(n_devices=10, decaf_fraction=0.5, duration_ms=12,
                      fault_period_ms=4, seed=5)
     harness = FleetHarness(spec)
     harness.build()
     harness.run()
     assert harness.faults_fired() > 0
+    clones = [cls for cls in _live_struct_classes()
+              if id(cls) not in before]
+    registered = set(map(id, StructRegistry.all_structs().values()))
+    assert not [cls for cls in clones if id(cls) in registered]
+    refs = [weakref.ref(cls) for cls in clones]
     harness.teardown()
+    return refs
 
 
 def test_fleet_clone_classes_and_plan_caches_stay_flat():
+    # Import every original a fleet clones, so that the snapshot holds
+    # the originals and only the clones count as new.
+    for family in FAMILIES.values():
+        for decaf in (False, True):
+            for name in family.clone_set(decaf):
+                importlib.import_module(name)
     for name in DECAF_DRIVERS:
         slice_plan(name)
     _collect()
     before = {id(cls) for cls in _live_struct_classes()}
 
-    previous = []
     sizes = []
     for _ in range(FLEETS):
-        _run_fleet()
+        refs = _run_fleet(before)
+        assert refs, "the fleet built no clone struct classes"
         _collect()
-        # The clones of every earlier fleet are gone.  The latest
-        # fleet's may linger: the shared helper modules keep the most
-        # recent kernel bound until the next insmod rebinds them.
-        assert not [ref() for ref in previous if ref() is not None]
-        clones = [cls for cls in _live_struct_classes()
-                  if id(cls) not in before]
-        registered = set(map(id, StructRegistry.all_structs().values()))
-        assert not [cls for cls in clones if id(cls) in registered]
-        previous = [weakref.ref(cls) for cls in clones]
-        del clones
+        # Every clone class dies with its fleet, the latest one too.
+        # The shared helper modules keep the last kernel bound until
+        # the next insmod rebinds them, but no clone class hangs off it.
+        assert not [ref() for ref in refs if ref() is not None]
         sizes.append(_cache_sizes())
-    assert previous, "the fleet built no clone struct classes"
     assert all(s == sizes[0] for s in sizes), sizes
 
 

@@ -83,13 +83,14 @@ def test_cancelled_heap_head_is_skipped():
 
 
 def test_wheel_timer_before_heap_head_fires():
+    """A later-armed event that sorts before the head fires first."""
     def scenario(kernel, consume, log):
-        kernel.events.schedule_after(1_000, _mark(kernel, log, "heap"))
-        kernel.events.schedule_timer_after(30, _mark(kernel, log, "wheel"))
+        kernel.events.schedule_after(1_000, _mark(kernel, log, "head"))
+        kernel.events.schedule_at(30, _mark(kernel, log, "timer"))
         consume(40, category="delay")
         consume(2_000, category="delay")
     snap = _compare(scenario)
-    assert snap["log"] == [("wheel", 30), ("heap", 1_000)]
+    assert snap["log"] == [("timer", 30), ("head", 1_000)]
 
 
 def test_parked_work_runs_once_the_cpu_leaves_atomic_context():

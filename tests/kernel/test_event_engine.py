@@ -1,9 +1,10 @@
 """The event engine's dispatch order: exact ``(time_ns, seq)``.
 
-One-shot events live on a heap of ``(time_ns, seq, ev)`` tuples, timers
-on the wheel; both draw from one sequence counter.  Whatever mix of
-schedule, cancel and requeue calls built the queue, ``pop_due`` must
-hand events out in ``(time_ns, seq)`` order, skipping cancelled ones.
+Every event -- one-shot, kernel timer, work item -- is one
+``(time_ns, seq, ev)`` tuple on one heap, with one sequence counter.
+Whatever mix of schedule, cancel and requeue calls built the queue,
+``pop_due`` must hand events out in ``(time_ns, seq)`` order, skipping
+cancelled ones.
 """
 
 from hypothesis import given, settings
@@ -23,11 +24,12 @@ def _drain(events):
 
 
 def test_equal_time_ties_run_in_seq_order_across_stores(kernel):
+    """``schedule_at`` and ``schedule_after`` arms share the order."""
     events = kernel.events
     made = []
     for i in range(6):
         if i % 3 == 1:
-            made.append(events.schedule_timer_at(700, lambda: None))
+            made.append(events.schedule_after(700, lambda: None))
         else:
             made.append(events.schedule_at(700, lambda: None))
     seqs = [ev.seq for ev in made]
@@ -61,7 +63,7 @@ def test_cancelled_heap_heads_are_skipped(kernel):
     events = kernel.events
     dead = [events.schedule_at(t, lambda: None) for t in (5, 6, 7)]
     live = events.schedule_at(9, lambda: None)
-    timer = events.schedule_timer_at(8, lambda: None)
+    timer = events.schedule_after(8, lambda: None)
     for ev in dead:
         ev.cancel()
     assert events.peek_time() == 8
@@ -74,21 +76,22 @@ def test_cancelled_heap_heads_are_skipped(kernel):
 
 
 def test_len_counts_live_events_in_both_stores(kernel):
+    """``len`` skips cancelled entries wherever they sit in the heap."""
     events = kernel.events
     assert len(events) == 0
-    heap = [events.schedule_at(t, lambda: None) for t in (1, 2, 3)]
-    wheel = [events.schedule_timer_at(t, lambda: None) for t in (4, 5)]
+    absolute = [events.schedule_at(t, lambda: None) for t in (1, 2, 3)]
+    relative = [events.schedule_after(t, lambda: None) for t in (4, 5)]
     assert len(events) == 5
-    heap[1].cancel()
-    wheel[0].cancel()
+    absolute[1].cancel()
+    relative[0].cancel()
     assert len(events) == 3
     events.pop_due(FAR_NS)
     assert len(events) == 2
 
 
 ops = st.lists(st.one_of(
-    st.tuples(st.just("heap"), st.integers(0, 50)),
-    st.tuples(st.just("wheel"), st.integers(0, 50)),
+    st.tuples(st.just("at"), st.integers(0, 50)),
+    st.tuples(st.just("after"), st.integers(0, 50)),
     st.tuples(st.just("cancel"), st.integers(0, 63)),
     st.tuples(st.just("requeue"), st.integers(0, 50)),
     st.tuples(st.just("pop"), st.integers(0, 50)),
@@ -111,10 +114,10 @@ def test_dispatch_order_matches_a_sorted_reference(script):
         return live.pop(key[1])[1]
 
     for op, arg in script:
-        if op == "heap":
+        if op == "at":
             ev = events.schedule_at(arg, lambda: None)
-        elif op == "wheel":
-            ev = events.schedule_timer_at(arg, lambda: None)
+        elif op == "after":
+            ev = events.schedule_after(arg, lambda: None)
         elif op == "cancel":
             if made:
                 victim = made[arg % len(made)]

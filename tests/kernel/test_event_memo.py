@@ -7,8 +7,9 @@ time, a peek that finds nothing due sets it exactly, and removals only
 move the true next event later.
 
 A hypothesis-driven sequence of ``schedule_at``/``schedule_after``/
-``requeue``/timer arm/cancel/``run_until``/``consume`` checks the bound
-after every step.  The same sequence also runs through the reference
+``requeue``/cancel/``run_until``/``consume`` and ``KernelTimer``
+re-arms (each cancels the timer's pending expiry and arms a new one)
+checks the bound after every step.  The same sequence also runs through the reference
 consume of ``test_consume_fastpath`` (charge, then ``run_until``
 unconditionally) and must leave the same clock, dispatch log and
 accounting.
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.kernel import make_kernel
 from repro.kernel.events import FAR_NS
+from repro.kernel.timers import KernelTimer
 
 from .test_consume_fastpath import _snapshot, reference_consume
 
@@ -58,6 +60,9 @@ def _play(kernel, consume, script, check):
                     children, make_callback(tag + "+", 0)))
         return callback
 
+    timer = KernelTimer(kernel, lambda _d: log.append(
+        ("timer", kernel.clock.now_ns)))
+
     for index, (op, arg) in enumerate(script):
         tag = "%s%d" % (op, index)
         now = kernel.clock.now_ns
@@ -68,8 +73,7 @@ def _play(kernel, consume, script, check):
             handles.append(events.schedule_after(
                 arg, make_callback(tag, index % 3)))
         elif op == "timer":
-            handles.append(events.schedule_timer_after(
-                arg, make_callback(tag, 0)))
+            timer.mod_timer_after(arg)
         elif op == "cancel":
             if handles:
                 handles[arg % len(handles)].cancel()
@@ -126,5 +130,5 @@ def test_empty_queue_memo_is_far_until_an_insert():
     kernel = make_kernel()
     kernel.consume(3)
     assert kernel.events.next_due_ns == FAR_NS
-    kernel.events.schedule_timer_after(7, lambda: None)
+    kernel.events.schedule_after(7, lambda: None)
     assert kernel.events.next_due_ns == 10

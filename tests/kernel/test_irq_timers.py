@@ -130,6 +130,28 @@ class TestKernelTimer:
         kernel.run_for_ms(1)
         assert got == ["payload"]
 
+    def test_traced_arm_cancel_rearm_fire(self, kernel):
+        """Arm, cancel and fire all come from the timer itself."""
+        from repro.trace import Tracer
+
+        tracer = Tracer(kernel).install()
+        try:
+            t = KernelTimer(kernel, lambda d: None, name="wd")
+            t.mod_timer(1_000)
+            t.del_timer()
+            t.mod_timer(2_500)
+            kernel.run_for_ns(5_000)
+        finally:
+            tracer.uninstall()
+        seen = [(ev["name"], ev["ts"], ev["args"]) for ev in tracer.events
+                if ev["name"].startswith("timer.")]
+        assert seen == [
+            ("timer.arm", 0, {"timer": "wd", "at_ns": 1_000}),
+            ("timer.cancel", 0, {"timer": "wd"}),
+            ("timer.arm", 0, {"timer": "wd", "at_ns": 2_500}),
+            ("timer.fire", 2_500, {"timer": "wd"}),
+        ]
+
 
 class TestWorkqueue:
     def test_work_runs_in_process_context(self, kernel):
@@ -164,6 +186,24 @@ class TestWorkqueue:
         assert kernel.workqueue.cancel_work(work) is True
         kernel.run_for_ms(10)
         assert seen == []
+
+    def test_cancel_while_parked_stays_cancelled(self, kernel):
+        """Work that comes due under a spinlock parks until the CPU can
+        schedule; cancelling it while parked must stop it running."""
+        from repro.kernel.locks import SpinLock
+
+        work = WorkItem(kernel, lambda d: None)
+        kernel.workqueue.schedule_work(work, delay_ns=1_000)
+        lock = SpinLock(kernel, "parked-cancel")
+        lock.lock()
+        kernel.consume(5_000)
+        assert len(kernel._parked_process_events) == 1
+        assert kernel.workqueue.cancel_work(work) is True
+        assert not work.pending
+        lock.unlock()
+        kernel.run_for_ns(10_000)
+        assert work.executed == 0
+        assert not kernel._parked_process_events
 
     def test_flush_ignores_periodic_timers(self, kernel):
         """flush() must not run forever chasing a self-rearming timer."""

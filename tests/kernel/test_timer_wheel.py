@@ -1,93 +1,101 @@
-"""The indexed timer wheel behind ``schedule_timer_at``/``_after``.
+"""Timers on the event heap: exact expiry, FIFO ties, cancel and re-arm.
 
-Timers (watchdog, ITR throttle, kernel timers) are cancelled and
-re-armed far more often than they fire; the wheel makes each of those
-O(1) *true* removals instead of leaving cancelled debris in the global
-heap.  Bucketing must not change observable behaviour: expiry times stay
-exact and FIFO order for equal timestamps holds across both stores.
+Kernel timers (``KernelTimer``), device throttle windows and one-shot
+events all sit on one ``(time_ns, seq, ev)`` heap.  Timers are armed
+with ``schedule_at``/``schedule_after`` like any other event, so
+expiry is exact, same-time events keep FIFO order, and a cancelled
+entry stays on the heap until it reaches the head -- holding no
+callback meanwhile -- and never fires.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.kernel.events import EventQueue, TimerWheel
+from repro.kernel.events import EventQueue
 from repro.kernel.timers import KernelTimer
 from repro.kernel.vtime import VirtualClock
 
 
 class TestWheelExactness:
     def test_fires_at_exact_time_not_bucket_edge(self, kernel):
-        """Slot granularity is 65.536us, but expiry is exact."""
         seen = []
-        kernel.events.schedule_timer_at(
+        kernel.events.schedule_at(
             100_123, lambda: seen.append(kernel.now_ns()))
         kernel.run_until(1_000_000)
         assert seen == [100_123]
 
     def test_same_bucket_fires_in_time_order(self, kernel):
+        """Arming order and expiry order disagree; expiry wins."""
         seen = []
-        # 300ns apart: same 2**16ns bucket, distinct expiry times.
-        kernel.events.schedule_timer_at(10_600, lambda: seen.append("b"))
-        kernel.events.schedule_timer_at(10_300, lambda: seen.append("a"))
+        kernel.events.schedule_at(10_600, lambda: seen.append("b"))
+        kernel.events.schedule_at(10_300, lambda: seen.append("a"))
         kernel.run_until(1_000_000)
         assert seen == ["a", "b"]
 
     def test_equal_times_fifo_across_heap_and_wheel(self, kernel):
-        """Heap events and wheel timers share one seq counter."""
+        """One-shot events and kernel timers due at the same instant
+        fire in arming order: they draw from one seq counter."""
         seen = []
-        kernel.events.schedule_at(500, lambda: seen.append("heap1"))
-        kernel.events.schedule_timer_at(500, lambda: seen.append("wheel1"))
-        kernel.events.schedule_at(500, lambda: seen.append("heap2"))
-        kernel.events.schedule_timer_at(500, lambda: seen.append("wheel2"))
+        timers = [KernelTimer(kernel, lambda d: seen.append(d), data=name)
+                  for name in ("timer1", "timer2")]
+        kernel.events.schedule_at(500, lambda: seen.append("event1"))
+        timers[0].mod_timer(500)
+        kernel.events.schedule_after(500, lambda: seen.append("event2"))
+        timers[1].mod_timer(500)
         kernel.run_until(500)
-        assert seen == ["heap1", "wheel1", "heap2", "wheel2"]
+        assert seen == ["event1", "timer1", "event2", "timer2"]
 
     def test_past_deadline_clamped_to_now(self, kernel):
         kernel.run_until(1000)
         seen = []
-        kernel.events.schedule_timer_at(1, lambda: seen.append(kernel.now_ns()))
+        kernel.events.schedule_at(1, lambda: seen.append(kernel.now_ns()))
         kernel.run_until(1000)
         assert seen == [1000]
 
     def test_peek_time_takes_min_across_stores(self, kernel):
         kernel.events.schedule_at(700, lambda: None)
-        kernel.events.schedule_timer_at(300, lambda: None)
+        KernelTimer(kernel, lambda _d: None).mod_timer(300)
         assert kernel.events.peek_time() == 300
 
 
 class TestWheelCancel:
     def test_cancel_is_true_removal(self, kernel):
-        evs = [kernel.events.schedule_timer_at(1000 + i, lambda: None)
+        """A cancelled entry no longer counts and holds no callback."""
+        evs = [kernel.events.schedule_at(1000 + i, lambda: None)
                for i in range(10)]
         assert len(kernel.events) == 10
         for ev in evs[:7]:
             ev.cancel()
         assert len(kernel.events) == 3
-        # The wheel itself holds exactly the three live entries.
-        assert len(kernel.events._wheel) == 3
+        assert [ev.callback for ev in evs[:7]] == [None] * 7
+        assert all(ev.callback is not None for ev in evs[7:])
 
     def test_cancelled_timer_does_not_fire(self, kernel):
         seen = []
-        ev = kernel.events.schedule_timer_at(100, lambda: seen.append("x"))
+        ev = kernel.events.schedule_at(100, lambda: seen.append("x"))
         ev.cancel()
+        ev.cancel()  # idempotent
         kernel.run_until(1000)
         assert seen == []
+        assert kernel.events.peek_time() is None
 
     def test_cancel_front_bucket_advances_peek(self, kernel):
-        first = kernel.events.schedule_timer_at(100, lambda: None)
-        kernel.events.schedule_timer_at(5_000_000, lambda: None)
+        first = kernel.events.schedule_at(100, lambda: None)
+        kernel.events.schedule_at(5_000_000, lambda: None)
         assert kernel.events.peek_time() == 100
         first.cancel()
         assert kernel.events.peek_time() == 5_000_000
 
     def test_rearm_churn_leaves_no_debris(self, kernel):
-        """The watchdog pattern: hundreds of re-arms per actual fire."""
+        """The watchdog pattern: hundreds of re-arms per actual fire.
+        The cancelled arms wait on the heap but pin no callback."""
         timer = KernelTimer(kernel, lambda _d: None, name="watchdog")
         for i in range(1, 1001):
             timer.mod_timer(2_000_000_000 + i)
-        # One live entry; the 1000 cancelled ones are really gone.
-        assert len(kernel.events._wheel) == 1
+        assert len(kernel.events) == 1
         assert timer.pending
+        held = [entry[2] for entry in kernel.events._heap
+                if entry[2].callback is not None]
+        assert held == [timer._event]
 
     def test_rearm_fires_once_at_latest_deadline(self, kernel):
         fired = []
@@ -121,19 +129,14 @@ class TestWheelCancel:
         assert fired == [100_000 * i for i in range(1, 6)]
 
 
-class TestWheelDirect:
-    def test_empty_peek_is_none(self):
-        wheel = TimerWheel()
-        assert wheel.peek_event() is None
-        assert len(wheel) == 0
-
-    def test_discard_is_idempotent(self, kernel):
-        ev = kernel.events.schedule_timer_at(100, lambda: None)
-        wheel = kernel.events._wheel
-        wheel.discard(ev)
-        wheel.discard(ev)  # second discard must not corrupt counters
-        assert len(wheel) == 0
-        assert wheel.peek_event() is None
+def _drain(queue, clock):
+    while True:
+        nxt = queue.peek_time()
+        if nxt is None:
+            return
+        ev = queue.pop_due(nxt)
+        clock._set(max(clock.now_ns, ev.time_ns))
+        ev.callback()
 
 
 @given(st.lists(
@@ -141,24 +144,18 @@ class TestWheelDirect:
     min_size=1, max_size=60))
 @settings(max_examples=50, deadline=None)
 def test_property_mixed_stores_fire_sorted(spec):
-    """Any mix of heap events and wheel timers dispatches in time order."""
+    """Any mix of absolute and relative arms dispatches in time order."""
     clock = VirtualClock()
     queue = EventQueue(clock)
     fired = []
-    for t, use_wheel in spec:
+    for t, relative in spec:
         cb = lambda t=t: fired.append(t)  # noqa: E731
-        if use_wheel:
-            queue.schedule_timer_at(t, cb)
+        if relative:
+            queue.schedule_after(t, cb)
         else:
             queue.schedule_at(t, cb)
-    while True:
-        nxt = queue.peek_time()
-        if nxt is None:
-            break
-        ev = queue.pop_due(nxt)
-        clock._set(max(clock.now_ns, ev.time_ns))
-        ev.callback()
-    assert fired == sorted(t for t, _w in spec)
+    _drain(queue, clock)
+    assert fired == sorted(t for t, _r in spec)
 
 
 @given(st.lists(
@@ -174,7 +171,7 @@ def test_property_cancel_subset_survivors_fire(spec):
     events = []
     for t, kind in spec:
         cb = lambda t=t: fired.append(t)  # noqa: E731
-        ev = (queue.schedule_timer_at(t, cb) if kind % 2
+        ev = (queue.schedule_after(t, cb) if kind % 2
               else queue.schedule_at(t, cb))
         events.append((ev, t, kind >= 3))  # kind 3,4 -> cancel
     survivors = []
@@ -183,12 +180,6 @@ def test_property_cancel_subset_survivors_fire(spec):
             ev.cancel()
         else:
             survivors.append(t)
-    while True:
-        nxt = queue.peek_time()
-        if nxt is None:
-            break
-        ev = queue.pop_due(nxt)
-        clock._set(max(clock.now_ns, ev.time_ns))
-        ev.callback()
+    _drain(queue, clock)
     assert fired == sorted(survivors)
     assert len(queue) == 0

@@ -1,19 +1,17 @@
-"""Timer-wheel edge cases: slot boundaries, front-memo churn, irq arming.
+"""Timer edge cases on the event heap: 65,536 ns edges, head churn, irq arming.
 
-The wheel buckets timers by ``time_ns >> 16`` (65.536us slots) and
-memoizes the earliest live timer.  Both are pure lookup optimizations,
-so the edges where they could leak into behaviour -- deadlines
-straddling a slot boundary, cancelling or re-arming the exact timer the
-memo points at, and zero-delay arming from interrupt context -- must
-stay observably identical to a plain sorted queue.
+Deadlines that straddle multiples of 2^16 ns, cancelling or re-arming
+the very timer at the heap head, and zero-delay arming from interrupt
+context must all behave like a plain sorted queue: exact expiry, FIFO
+among equal times, the declared context when the callback runs.
 """
 
-from repro.kernel.context import HARDIRQ, PROCESS, SOFTIRQ
-from repro.kernel.events import Event, EventQueue, TimerWheel
+from repro.kernel.context import HARDIRQ, SOFTIRQ
+from repro.kernel.events import EventQueue
 from repro.kernel.timers import KernelTimer
 from repro.kernel.vtime import VirtualClock
 
-SLOT = 1 << TimerWheel.SHIFT  # 65_536 ns
+SLOT = 1 << 16  # 65_536 ns
 
 
 def _drain(queue, clock):
@@ -30,107 +28,80 @@ def _drain(queue, clock):
 
 class TestSlotBoundary:
     def test_adjacent_ns_across_slot_edge_fire_in_order(self, kernel):
-        """SLOT-1 and SLOT hash to different buckets; order stays exact."""
         seen = []
-        kernel.events.schedule_timer_at(SLOT, lambda: seen.append("hi"))
-        kernel.events.schedule_timer_at(SLOT - 1, lambda: seen.append("lo"))
+        kernel.events.schedule_at(SLOT, lambda: seen.append("hi"))
+        kernel.events.schedule_at(SLOT - 1, lambda: seen.append("lo"))
         assert kernel.events.peek_time() == SLOT - 1
         kernel.run_until(2 * SLOT)
         assert seen == ["lo", "hi"]
 
-    def test_exact_slot_multiple_lands_in_its_own_bucket(self, kernel):
-        """A deadline of exactly k*SLOT is the first entry of bucket k,
-        not the last entry of bucket k-1."""
-        ev = kernel.events.schedule_timer_at(7 * SLOT, lambda: None)
-        wheel = kernel.events._wheel
-        assert ev.seq in wheel._buckets[7]
-        assert 6 not in wheel._buckets or ev.seq not in wheel._buckets[6]
-
     def test_later_armed_timer_in_earlier_slot_wins_peek(self, kernel):
-        """Arming order and slot order disagree; peek follows time."""
-        kernel.events.schedule_timer_at(5 * SLOT + 3, lambda: None)
-        kernel.events.schedule_timer_at(2 * SLOT + 9, lambda: None)
+        """Arming order and time order disagree; peek follows time."""
+        kernel.events.schedule_at(5 * SLOT + 3, lambda: None)
+        kernel.events.schedule_at(2 * SLOT + 9, lambda: None)
         assert kernel.events.peek_time() == 2 * SLOT + 9
 
     def test_dense_spread_across_many_slots_fires_sorted(self, kernel):
-        """Deadlines scattered on both sides of 32 slot edges dispatch
-        in strict time order."""
+        """Deadlines scattered on both sides of 32 edges, each firing at
+        its exact time, in strict time order."""
         seen = []
         times = []
         for k in range(1, 33):
             for off in (-1, 0, 1):
                 t = k * SLOT + off
                 times.append(t)
-                kernel.events.schedule_timer_at(
-                    t, lambda t=t: seen.append(t))
+                kernel.events.schedule_at(
+                    t, lambda t=t: seen.append((t, kernel.now_ns())))
         kernel.run_until(40 * SLOT)
-        assert seen == sorted(times)
+        assert seen == [(t, t) for t in sorted(times)]
 
 
 class TestFrontMemoChurn:
     def test_cancel_memoized_front_advances_to_next(self, kernel):
         queue = kernel.events
-        first = queue.schedule_timer_at(100, lambda: None)
-        queue.schedule_timer_at(SLOT + 50, lambda: None)
-        # peek populates the memo with `first`...
+        first = queue.schedule_at(100, lambda: None)
+        queue.schedule_at(SLOT + 50, lambda: None)
         assert queue.peek_time() == 100
-        assert queue._wheel._front is first
-        # ...cancelling it must invalidate the memo, not serve it stale.
+        # Cancelling the head must not leave peek serving it.
         first.cancel()
         assert queue.peek_time() == SLOT + 50
 
     def test_rearm_memoized_front_to_later_deadline(self, kernel):
-        """The watchdog pattern applied to the wheel's own memo: the
-        front timer is pushed back past another timer."""
+        """The head timer is pushed back past another timer."""
         fired = []
         front = KernelTimer(kernel, lambda _d: fired.append("front"))
         other = KernelTimer(kernel, lambda _d: fired.append("other"))
         front.mod_timer(1_000)
         other.mod_timer(2_000)
         assert kernel.events.peek_time() == 1_000
-        front.mod_timer(3 * SLOT)  # cancel + re-add, now sorts last
+        front.mod_timer(3 * SLOT)  # cancel + re-arm, now sorts last
         kernel.run_until(4 * SLOT)
         assert fired == ["other", "front"]
 
-    def test_readding_same_event_object_invalidates_memo(self):
-        """`add` must notice the re-added event *is* the memoized front
-        and drop the memo: its deadline may have changed."""
-        wheel = TimerWheel()
-        ev = Event(100, 0, lambda: None, PROCESS, "t")
-        other = Event(200, 1, lambda: None, PROCESS, "u")
-        wheel.add(ev)
-        wheel.add(other)
-        assert wheel.peek_event() is ev  # memo now points at ev
-        wheel.discard(ev)
-        ev.time_ns = 500  # re-arm later than `other`
-        wheel.add(ev)
-        assert wheel.peek_event() is other
-
     def test_new_earlier_timer_updates_memo_in_place(self, kernel):
-        """Adding a timer that sorts before the memoized front must not
-        leave peek serving the old front."""
+        """An insert that sorts before the peeked head becomes the head."""
         queue = kernel.events
-        queue.schedule_timer_at(9_000, lambda: None)
-        assert queue.peek_time() == 9_000  # memo set
-        queue.schedule_timer_at(4_000, lambda: None)
+        queue.schedule_at(9_000, lambda: None)
+        assert queue.peek_time() == 9_000
+        queue.schedule_at(4_000, lambda: None)
         assert queue.peek_time() == 4_000
 
     def test_churn_storm_on_front_keeps_wheel_consistent(self, kernel):
-        """Cancel/re-arm the front 500 times, then fire: exactly one
+        """Cancel/re-arm the head 500 times, then fire: exactly one
         live timer remains and it fires once, on time."""
         fired = []
         timer = KernelTimer(kernel, lambda _d: fired.append(kernel.now_ns()))
         for i in range(500):
-            timer.mod_timer(1_000 + i)  # always the front
-            kernel.events.peek_time()   # force the memo onto it
-        assert len(kernel.events._wheel) == 1
+            timer.mod_timer(1_000 + i)  # always the head
+            kernel.events.peek_time()
+        assert len(kernel.events) == 1
         kernel.run_until(SLOT)
         assert fired == [1_499]
-        assert len(kernel.events._wheel) == 0
+        assert len(kernel.events) == 0
 
 
 def test_seeded_random_churn_matches_reference(rng):
-    """Randomized add/cancel churn (shared seeded ``rng`` fixture, so
+    """Randomized arm/cancel churn (shared seeded ``rng`` fixture, so
     the run is reproducible) against a reference sorted list."""
     clock = VirtualClock()
     queue = EventQueue(clock)
@@ -142,7 +113,7 @@ def test_seeded_random_churn_matches_reference(rng):
             live.pop(key).cancel()
         else:
             t = rng.randrange(0, 6 * SLOT)
-            ev = queue.schedule_timer_at(t, lambda t=t: fired.append(t))
+            ev = queue.schedule_at(t, lambda t=t: fired.append(t))
             live[i] = ev
     expected = sorted(ev.time_ns for ev in live.values())
     _drain(queue, clock)
@@ -152,7 +123,7 @@ def test_seeded_random_churn_matches_reference(rng):
 
 class TestIrqContextArming:
     def test_zero_delay_arm_from_hardirq_runs_after_handler(self, kernel):
-        """A timer armed with delay 0 from hardirq context fires at the
+        """An event armed with delay 0 from hardirq context fires at the
         same virtual instant but strictly after the handler returns."""
         trace = []
 
@@ -162,20 +133,20 @@ class TestIrqContextArming:
 
         def handler():
             trace.append(("irq", kernel.now_ns()))
-            kernel.events.schedule_timer_after(0, inner)
+            kernel.events.schedule_after(0, inner)
             trace.append(("irq-done", kernel.now_ns()))
 
-        kernel.events.schedule_timer_at(1_000, handler, context=HARDIRQ,
-                                        name="irq")
+        kernel.events.schedule_at(1_000, handler, context=HARDIRQ,
+                                  name="irq")
         kernel.run_until(2_000)
         assert trace == [("irq", 1_000), ("irq-done", 1_000),
                          ("inner", 1_000, False)]
 
     def test_zero_delay_never_travels_backwards(self, kernel):
         kernel.run_until(5_000)
-        ev = kernel.events.schedule_timer_after(0, lambda: None)
+        ev = kernel.events.schedule_after(0, lambda: None)
         assert ev.time_ns == 5_000
-        ev2 = kernel.events.schedule_timer_after(-123, lambda: None)
+        ev2 = kernel.events.schedule_after(-123, lambda: None)
         assert ev2.time_ns == 5_000
 
     def test_softirq_timer_armed_from_hardirq_keeps_context(self, kernel):
@@ -188,25 +159,25 @@ class TestIrqContextArming:
                          kernel.context.in_irq()))
 
         def handler():
-            kernel.events.schedule_timer_after(
+            kernel.events.schedule_after(
                 0, bottom_half, context=SOFTIRQ, name="bh")
 
-        kernel.events.schedule_timer_at(500, handler, context=HARDIRQ)
+        kernel.events.schedule_at(500, handler, context=HARDIRQ)
         kernel.run_until(1_000)
         assert seen == [(True, False)]
 
     def test_zero_delay_storm_preserves_fifo(self):
-        """50 zero-delay timers armed inside one handler fire in arming
-        order at the same timestamp (shared seq counter)."""
+        """50 zero-delay events armed inside one handler fire in arming
+        order at the same timestamp (one seq counter)."""
         clock = VirtualClock()
         queue = EventQueue(clock)
         seen = []
 
         def handler():
             for i in range(50):
-                queue.schedule_timer_after(0, lambda i=i: seen.append(i))
+                queue.schedule_after(0, lambda i=i: seen.append(i))
 
-        queue.schedule_timer_at(100, handler)
+        queue.schedule_at(100, handler)
         _drain(queue, clock)
         assert seen == list(range(50))
         assert clock.now_ns == 100

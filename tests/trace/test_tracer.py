@@ -13,11 +13,9 @@ class TestLifecycle:
         base = trace_core.active_tracers
         tracer = Tracer(kernel).install()
         assert kernel.tracer is tracer
-        assert kernel.events.tracer is tracer
         assert trace_core.active_tracers == base + 1
         tracer.uninstall()
         assert kernel.tracer is None
-        assert kernel.events.tracer is None
         assert trace_core.active_tracers == base
 
     def test_double_install_raises(self, kernel):
