@@ -26,7 +26,6 @@ def main():
     kernel.pci.add_function(nic.pci)
     kernel.pci.request_regions(nic.pci, "migration-demo")
     legacy.linux = LinuxApi(kernel)
-    legacy._state.__init__()
 
     tp = legacy.rtl8139_private()
     tp.ioaddr = nic.pci.resource_start(0)

@@ -297,7 +297,7 @@ class CStructMeta(type):
         # Fields the delta codec's dirty-graph walk follows: embedded
         # structs and pointers to struct graphs (opaque, null and
         # exp-length pointers never carry a marshaled graph).  Kept on
-        # the class, so it lives and dies with it (fleet clones).
+        # the class, so it lives and dies with it.
         cls._graph_fields = tuple(
             f.name for f in fields
             if isinstance(f.ctype, Struct)

@@ -39,7 +39,6 @@ byte-identical wire data to the baseline):
 
 import functools
 import struct as _struct
-import weakref
 
 from .cstruct import Array, CONSTANTS, Exp, Null, Opaque, Ptr, Str, Struct
 
@@ -152,8 +151,8 @@ def _needs_clamp(ctype):
 @functools.lru_cache(maxsize=None)
 def _struct_for(fmt):
     """One shared, immutable ``struct.Struct`` per format: every plan,
-    direction and fleet clone class compiling the same layout reuses
-    it (bounded by the distinct layouts in the program)."""
+    direction and struct class compiling the same layout reuses it
+    (bounded by the distinct layouts in the program)."""
     return _struct.Struct(fmt)
 
 
@@ -264,8 +263,8 @@ def compile_delta_program(fields, ops):
 @functools.lru_cache(maxsize=None)
 def _scalar_op(name, ctype):
     """The one-field OP_PACK of a delta program, shared by every struct
-    (and fleet clone) with a same-named scalar field of that type.
-    Scalar ctypes are module singletons, so no struct class is held."""
+    with a same-named scalar field of that type.  Scalar ctypes are
+    module singletons, so no struct class is held."""
     return _pack_op([name], [ctype])
 
 
@@ -283,17 +282,10 @@ class MarshalPlan:
     (the whole-struct baseline the selective-marshaling ablation
     compares against).
 
-    The plan also owns the codec caches: per-(struct, direction) field
-    lists, compiled op programs and delta programs, shared by every
+    The plan also owns the codec caches: per-(struct class, direction)
+    field lists, compiled op programs and delta programs, shared by every
     channel using the plan.  Mutating the plan via :meth:`set_access`
     or :meth:`pin` invalidates all three.
-
-    A plan can outlive the struct classes it compiles for: ``slice_plan``
-    keeps one per driver for the whole process, while every fleet slot
-    execs its own clone of each driver struct.  Cache keys therefore
-    hold ``id(struct_cls)``, not the class, and one weak reference per
-    class drops that class's entries when it is collected (before its
-    id can be reused).
     """
 
     def __init__(self, accesses=None, pinned=None):
@@ -303,7 +295,6 @@ class MarshalPlan:
         self._field_cache = {}
         self._op_cache = {}
         self._delta_cache = {}
-        self._class_refs = {}
 
     def set_access(self, struct_name, access):
         self._accesses[struct_name] = access
@@ -354,18 +345,15 @@ class MarshalPlan:
         return fields
 
     def fields_for(self, struct_cls, direction):
-        cid = id(struct_cls)
-        cached = self._field_cache.get((cid, direction))
+        key = (struct_cls, direction)
+        cached = self._field_cache.get(key)
         if cached is None:
             cached = tuple(self.uncached_fields_for(struct_cls, direction))
-            if cid not in self._class_refs:
-                self._class_refs[cid] = weakref.KeyedRef(
-                    struct_cls, self._forget_class, cid)
-            self._field_cache[cid, direction] = cached
+            self._field_cache[key] = cached
         return cached
 
     def compiled_ops_for(self, struct_cls, direction):
-        key = (id(struct_cls), direction)
+        key = (struct_cls, direction)
         ops = self._op_cache.get(key)
         if ops is None:
             ops = compile_field_ops(self.fields_for(struct_cls, direction))
@@ -373,7 +361,7 @@ class MarshalPlan:
         return ops
 
     def delta_program_for(self, struct_cls, direction):
-        key = (id(struct_cls), direction)
+        key = (struct_cls, direction)
         program = self._delta_cache.get(key)
         if program is None:
             program = compile_delta_program(
@@ -381,14 +369,6 @@ class MarshalPlan:
                 self.compiled_ops_for(struct_cls, direction))
             self._delta_cache[key] = program
         return program
-
-    def _forget_class(self, ref):
-        cid = ref.key
-        del self._class_refs[cid]
-        for direction in (TO_USER, TO_KERNEL):
-            self._field_cache.pop((cid, direction), None)
-            self._op_cache.pop((cid, direction), None)
-            self._delta_cache.pop((cid, direction), None)
 
     def struct_names(self):
         return sorted(self._accesses)

@@ -25,13 +25,15 @@ DRV_NAME = "e1000"
 
 
 class E1000Nucleus:
+    # Legacy modules whose ``linux`` global this nucleus binds.
+    bound_modules = (legacy, hw_defs, legacy_ethtool)
+
     def __init__(self, kernel):
         self.kernel = kernel
         self.linux = LinuxApi(kernel)
-        legacy.linux = self.linux
-        legacy._state.__init__()  # fresh driver-global state per load
-        hw_defs.linux = self.linux
-        legacy_ethtool.linux = self.linux
+        for module in self.bound_modules:
+            module.linux = self.linux
+        self.state = legacy.e1000_state()
         self.plumbing = None
         self.decaf = None
         self.library = None
@@ -69,10 +71,10 @@ class E1000Nucleus:
         self.plumbing.decaf_rt.start()
 
         adapter = e1000_adapter()
+        adapter._kstate = self.state
         self.adapter = adapter
-        legacy._state.adapter = adapter
-        legacy._state.pdev = pdev
-        legacy._state.tx_lock = self.linux.spin_lock_init("e1000-tx")
+        self.state.pdev = pdev
+        self.state.tx_lock = self.linux.spin_lock_init("e1000-tx")
         self.plumbing.channel.kernel_tracker.register(adapter)
 
         # Cross-domain synchronization for adapter state (section
@@ -91,7 +93,6 @@ class E1000Nucleus:
         )
         if ret:
             self.adapter = None
-            legacy._state.adapter = None
         else:
             self.plumbing.record("probe")
         return ret
@@ -270,7 +271,7 @@ class E1000Nucleus:
             dev.dev_addr = bytes(adapter.hw.mac_addr)
             dev.priv = adapter
             dev.base_addr = adapter.hw.hw_addr
-            legacy._state.netdev = dev
+            self.state.netdev = dev
             return 0
         dev = self.linux.alloc_etherdev("eth%d")
         dev.dev_addr = bytes(adapter.hw.mac_addr)
@@ -286,19 +287,19 @@ class E1000Nucleus:
         dev.irq = self.pdev.irq
         dev.base_addr = adapter.hw.hw_addr
         self.netdev = dev
-        legacy._state.netdev = dev
+        self.state.netdev = dev
         return self.linux.register_netdev(dev)
 
     def k_unregister_netdev(self):
         if self.netdev is not None:
             self.linux.unregister_netdev(self.netdev)
             self.netdev = None
-            legacy._state.netdev = None
+            self.state.netdev = None
         return 0
 
     def k_setup_tx_resources(self, adapter):
         # All queues: queue 0 into the marshaled adapter, extra queues
-        # into kernel-side state (_state.extra_tx_rings) so the XPC
+        # into kernel-side state (state.extra_tx_rings) so the XPC
         # wire format is independent of the queue count.
         return legacy.e1000_setup_all_tx_resources(adapter)
 
@@ -319,20 +320,20 @@ class E1000Nucleus:
         if err:
             return err
         self.irq_requested = True
-        err = legacy.e1000_request_extra_vectors()
+        err = legacy.e1000_request_extra_vectors(self.state)
         if err:
             self.linux.free_irq(self.pdev.irq, self.netdev)
             self.irq_requested = False
             return err
-        legacy.e1000_set_irq_affinity()
+        legacy.e1000_set_irq_affinity(self.state)
         return 0
 
     def k_free_irq(self):
         if self.irq_requested:
             # NAPI must be gone (line unmasked) before free_irq: free_irq
             # does not reset the line's disable depth.
-            legacy.e1000_napi_del()
-            legacy.e1000_free_extra_vectors()
+            legacy.e1000_napi_del(self.state)
+            legacy.e1000_free_extra_vectors(self.state)
             self.linux.free_irq(self.pdev.irq, self.netdev)
             self.irq_requested = False
         return 0
@@ -356,7 +357,7 @@ class E1000Nucleus:
         hw = adapter.hw
         self.kernel.io.writel(0xFFFFFFFF, hw.hw_addr + hw_defs.IMC)
         legacy.e1000_irq_disable_extra(adapter)
-        legacy.e1000_napi_down()
+        legacy.e1000_napi_down(self.state)
         self.k_stop_watchdog()
         self.linux.netif_stop_queue(self.netdev)
         self.linux.netif_carrier_off(self.netdev)
@@ -411,7 +412,7 @@ class E1000Nucleus:
             lost = (tx.next_to_use - tx.next_to_clean) % tx.count
             self.kernel.io.writel(0xFFFFFFFF, hw.hw_addr + hw_defs.IMC)
             legacy.e1000_irq_disable_extra(adapter)
-            legacy.e1000_napi_down()
+            legacy.e1000_napi_down(self.state)
             self.linux.netif_stop_queue(self.netdev)
             self.linux.netif_carrier_off(self.netdev)
             legacy.e1000_clean_all_tx_rings(adapter)

@@ -30,11 +30,15 @@ from .plumbing import DecafPlumbing
 
 
 class Ens1371Nucleus:
+    # Legacy modules whose ``linux`` global this nucleus binds.
+    bound_modules = (legacy,)
+
     def __init__(self, kernel):
         self.kernel = kernel
         self.linux = LinuxApi(kernel)
-        legacy.linux = self.linux
-        legacy._state.__init__()  # fresh driver-global state per load
+        for module in self.bound_modules:
+            module.linux = self.linux
+        self.state = legacy.ens_state()
         self.plumbing = None
         self.decaf = None
         self.pdev = None
@@ -71,15 +75,16 @@ class Ens1371Nucleus:
 
         chip = ensoniq()
         chip.card_name = "Ensoniq AudioPCI ES1371 (decaf)"
-        legacy._state.ensoniq = chip
-        legacy._state.lock = self.linux.spin_lock_init("ens1371")
+        chip._kstate = self.state
+        self.state.ensoniq = chip
+        self.state.lock = self.linux.spin_lock_init("ens1371")
         self.plumbing.channel.kernel_tracker.register(chip)
 
         ret = self.plumbing.upcall(
             self.decaf.probe, args=[(chip, ensoniq)]
         )
         if ret:
-            legacy._state.ensoniq = None
+            self.state.ensoniq = None
         else:
             self.plumbing.record("probe")
         return ret
@@ -88,17 +93,17 @@ class Ens1371Nucleus:
         if self.decaf is None:
             return
         self.plumbing.upcall(
-            self.decaf.remove, args=[(legacy._state.ensoniq, ensoniq)]
+            self.decaf.remove, args=[(self.state.ensoniq, ensoniq)]
         )
         self.decaf = None
 
     # -- PCM op stubs (kernel -> decaf; legal under the mutex library) -------------
 
     def _chip_args(self):
-        return [(legacy._state.ensoniq, ensoniq)]
+        return [(self.state.ensoniq, ensoniq)]
 
     def stub_open(self, substream):
-        substream.private_data = legacy._state.ensoniq
+        substream.private_data = self.state.ensoniq
         ret = self.plumbing.upcall(self.decaf.playback_open,
                                    args=self._chip_args())
         if ret == 0:
@@ -124,7 +129,7 @@ class Ens1371Nucleus:
                    rt.rate),
         )
         if ret == 0:
-            rt.dma_region = legacy._state.dac2_dma
+            rt.dma_region = self.state.dac2_dma
             self.plumbing.record("pcm_hw_params")
         return ret
 
@@ -191,14 +196,14 @@ class Ens1371Nucleus:
     def k_request_irq(self, chip):
         ret = self.linux.request_irq(
             chip.irq, self._interrupt, DRV_NAME,
-            legacy._state.ensoniq,
+            self.state.ensoniq,
         )
         if ret == 0:
             self.irq_requested = True
         return ret
 
     def k_free_irq(self, chip):
-        self.linux.free_irq(chip.irq, legacy._state.ensoniq)
+        self.linux.free_irq(chip.irq, self.state.ensoniq)
         self.irq_requested = False
         return 0
 
@@ -219,9 +224,7 @@ class Ens1371Nucleus:
         card = self.linux.snd_card_new("AudioPCI-decaf")
         pcm = card.new_pcm("ES1371/1")
         pcm.playback.ops = _PcmOpsStub(self)
-        legacy._state.card = card
-        legacy._state.pcm = pcm
-        legacy._state.substream = pcm.playback
+        self.state.substream = pcm.playback
         self.card = card
         return 0
 
@@ -234,9 +237,7 @@ class Ens1371Nucleus:
         card = self.linux.snd_card_new("AudioPCI-decaf")
         pcm = card.new_pcm("ES1371/1")
         pcm.playback.ops = _PcmOpsStub(self)
-        legacy._state.card = card
-        legacy._state.pcm = pcm
-        legacy._state.substream = pcm.playback
+        self.state.substream = pcm.playback
         self.card = card
         return self.linux.snd_card_register(card)
 
@@ -244,23 +245,22 @@ class Ens1371Nucleus:
         if self.card is not None:
             self.linux.snd_card_free(self.card)
             self.card = None
-            legacy._state.card = None
         return 0
 
     def k_alloc_dac2_buffer(self, nbytes):
-        if legacy._state.dac2_dma is not None:
-            self.linux.dma_free_coherent(legacy._state.dac2_dma)
-        legacy._state.dac2_dma = self.linux.dma_alloc_coherent(
+        if self.state.dac2_dma is not None:
+            self.linux.dma_free_coherent(self.state.dac2_dma)
+        self.state.dac2_dma = self.linux.dma_alloc_coherent(
             nbytes, owner=DRV_NAME
         )
-        if legacy._state.dac2_dma is None:
+        if self.state.dac2_dma is None:
             return -self.linux.ENOMEM
-        return legacy._state.dac2_dma.dma_addr
+        return self.state.dac2_dma.dma_addr
 
     def k_free_dac2_buffer(self):
-        if legacy._state.dac2_dma is not None:
-            self.linux.dma_free_coherent(legacy._state.dac2_dma)
-            legacy._state.dac2_dma = None
+        if self.state.dac2_dma is not None:
+            self.linux.dma_free_coherent(self.state.dac2_dma)
+            self.state.dac2_dma = None
         return 0
 
     # -- supervised recovery ------------------------------------------------------
@@ -273,7 +273,7 @@ class Ens1371Nucleus:
         PCI claim.  The card, pcm and substream survive -- the app is
         blocked mid-``pcm_write`` on the old substream.
         """
-        chip = legacy._state.ensoniq
+        chip = self.state.ensoniq
         if chip is None:
             return 0
         if self.irq_requested:
@@ -294,7 +294,7 @@ class Ens1371Nucleus:
             return self.plumbing.upcall(
                 self.decaf.probe, args=self._chip_args()
             )
-        sub = legacy._state.substream
+        sub = self.state.substream
         if op == "pcm_open":
             return self.stub_open(sub)
         if op == "pcm_hw_params":

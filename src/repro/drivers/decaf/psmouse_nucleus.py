@@ -16,11 +16,15 @@ from .psmouse_decaf import PsmouseDecafDriver
 
 
 class PsmouseNucleus:
+    # Legacy modules whose ``linux`` global this nucleus binds.
+    bound_modules = (legacy,)
+
     def __init__(self, kernel):
         self.kernel = kernel
         self.linux = LinuxApi(kernel)
-        legacy.linux = self.linux
-        legacy._state.__init__()  # fresh driver-global state per load
+        for module in self.bound_modules:
+            module.linux = self.linux
+        self.state = legacy.psmouse_state()
         self.plumbing = None
         self.decaf = None
         self.serio = None
@@ -42,14 +46,15 @@ class PsmouseNucleus:
 
         psmouse = psmouse_struct()
         psmouse.state = legacy.PSMOUSE_STATE_INITIALIZING
-        legacy._state.psmouse = psmouse
-        legacy._state.serio = self.serio
-        legacy._state.packet = []
+        psmouse._kstate = self.state
+        self.state.psmouse = psmouse
+        self.state.serio = self.serio
+        self.serio.drvdata = psmouse
         self.plumbing.channel.kernel_tracker.register(psmouse)
 
         err = self.serio.open(legacy.psmouse_interrupt)
         if err:
-            legacy._state.psmouse = None
+            self.state.psmouse = None
             return err
 
         ret = self.plumbing.upcall(
@@ -57,22 +62,23 @@ class PsmouseNucleus:
         )
         if ret:
             self.serio.close()
-            legacy._state.psmouse = None
+            self.state.psmouse = None
         else:
             self.plumbing.record("connect")
         return ret
 
     def cleanup(self):
         self.stop_resync()
-        if self.decaf is not None and legacy._state.psmouse is not None:
+        if self.decaf is not None and self.state.psmouse is not None:
             self.plumbing.upcall(
                 self.decaf.disconnect,
-                args=[(legacy._state.psmouse, psmouse_struct)],
+                args=[(self.state.psmouse, psmouse_struct)],
             )
         if self.serio is not None:
             self.serio.close()
-        legacy._state.psmouse = None
-        legacy._state.input_dev = None
+            self.serio.drvdata = None
+        self.state.psmouse = None
+        self.state.input_dev = None
 
     # -- deferred resync check: timer -> work item -> decaf driver -----------------
     #
@@ -81,7 +87,7 @@ class PsmouseNucleus:
     # the periodic health poll would break that contract.
 
     def supervision_started(self):
-        if legacy._state.psmouse is not None and self.resync_timer is None:
+        if self.state.psmouse is not None and self.resync_timer is None:
             self.start_resync()
 
     def start_resync(self):
@@ -96,11 +102,11 @@ class PsmouseNucleus:
             self.resync_timer = None
 
     def _resync_work(self, _data):
-        if self.decaf is None or legacy._state.psmouse is None:
+        if self.decaf is None or self.state.psmouse is None:
             return
         self.plumbing.upcall(
             self.decaf.resync_check,
-            args=[(legacy._state.psmouse, psmouse_struct)],
+            args=[(self.state.psmouse, psmouse_struct)],
         )
         if self.resync_timer is not None:
             self.resync_timer.mod_timer_after(self.resync_period_ns)
@@ -114,10 +120,11 @@ class PsmouseNucleus:
         why the engine cannot move to user level.
         Returns (errno, responses).
         """
-        return legacy.ps2_command(command, params_out, tuple(params_in))
+        return legacy.ps2_command(self.state.psmouse, command, params_out,
+                                  tuple(params_in))
 
     def k_register_input_device(self, psmouse):
-        if legacy._state.input_dev is not None:
+        if self.state.input_dev is not None:
             # Recovery replay: the input device (and whatever readers
             # hold it) survives the user-half restart.
             return 0
@@ -132,17 +139,17 @@ class PsmouseNucleus:
         err = self.linux.input_register_device(input_dev)
         if err:
             return err
-        legacy._state.input_dev = input_dev
+        self.state.input_dev = input_dev
         return 0
 
     def k_unregister_input_device(self):
-        if legacy._state.input_dev is not None:
-            self.linux.input_unregister_device(legacy._state.input_dev)
-            legacy._state.input_dev = None
+        if self.state.input_dev is not None:
+            self.linux.input_unregister_device(self.state.input_dev)
+            self.state.input_dev = None
         return 0
 
     def k_set_state(self, psmouse, state):
-        legacy._state.psmouse.state = state
+        self.state.psmouse.state = state
         psmouse.state = state
         return 0
 
@@ -157,11 +164,11 @@ class PsmouseNucleus:
         device survive the user-half restart.
         """
         self.stop_resync()
-        psmouse = legacy._state.psmouse
+        psmouse = self.state.psmouse
         if psmouse is None:
             return 0
         psmouse.state = legacy.PSMOUSE_STATE_INITIALIZING
-        legacy._state.packet = []
+        self.state.packet = []
         return 0
 
     def rebuild_user_half(self):
@@ -171,7 +178,7 @@ class PsmouseNucleus:
         if op == "connect":
             ret = self.plumbing.upcall(
                 self.decaf.connect,
-                args=[(legacy._state.psmouse, psmouse_struct)],
+                args=[(self.state.psmouse, psmouse_struct)],
             )
             if ret == 0:
                 self.start_resync()

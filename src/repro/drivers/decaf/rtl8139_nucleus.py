@@ -28,11 +28,15 @@ from .rtl8139_decaf import Rtl8139DecafDriver
 
 
 class Rtl8139Nucleus:
+    # Legacy modules whose ``linux`` global this nucleus binds.
+    bound_modules = (legacy,)
+
     def __init__(self, kernel):
         self.kernel = kernel
         self.linux = LinuxApi(kernel)
-        legacy.linux = self.linux
-        legacy._state.__init__()  # fresh driver-global state per load
+        for module in self.bound_modules:
+            module.linux = self.linux
+        self.state = legacy.rtl8139_driver_state()
         self.plumbing = None  # created on probe (needs the irq line)
         self.decaf = None
         self.pdev = None
@@ -65,7 +69,8 @@ class Rtl8139Nucleus:
         tp = rtl8139_private()
         tp.msg_enable = 7
         tp.stats = rtl8139_stats()
-        legacy._state.tp = tp
+        tp._kstate = self.state
+        self.state.tp = tp
         self.plumbing.channel.kernel_tracker.register(tp)
         self.plumbing.channel.kernel_tracker.register(tp.stats)
 
@@ -74,7 +79,7 @@ class Rtl8139Nucleus:
             args=[(tp, rtl8139_private)],
         )
         if ret:
-            legacy._state.tp = None
+            self.state.tp = None
         else:
             self.plumbing.record("probe")
         return ret
@@ -89,7 +94,7 @@ class Rtl8139Nucleus:
 
     def stub_open(self, dev):
         ret = self.plumbing.upcall(
-            self.decaf.open, args=[(legacy._state.tp, rtl8139_private)]
+            self.decaf.open, args=[(self.state.tp, rtl8139_private)]
         )
         if ret == 0:
             self.plumbing.record("open")
@@ -97,7 +102,7 @@ class Rtl8139Nucleus:
 
     def stub_close(self, dev):
         ret = self.plumbing.upcall(
-            self.decaf.close, args=[(legacy._state.tp, rtl8139_private)]
+            self.decaf.close, args=[(self.state.tp, rtl8139_private)]
         )
         if ret == 0:
             self.plumbing.unrecord("open")
@@ -116,7 +121,7 @@ class Rtl8139Nucleus:
     def stub_set_mac_address(self, dev, addr):
         ret = self.plumbing.upcall(
             self.decaf.set_mac_address,
-            args=[(legacy._state.tp, rtl8139_private)],
+            args=[(self.state.tp, rtl8139_private)],
             extra=(list(addr),),
         )
         if ret == 0:
@@ -144,10 +149,10 @@ class Rtl8139Nucleus:
             self.link_work_timer = None
 
     def _link_watch_work(self, _data):
-        if self.decaf is None or legacy._state.tp is None:
+        if self.decaf is None or self.state.tp is None:
             return
         self.plumbing.upcall(
-            self.decaf.thread, args=[(legacy._state.tp, rtl8139_private)]
+            self.decaf.thread, args=[(self.state.tp, rtl8139_private)]
         )
         if self.link_work_timer is not None:
             self.link_work_timer.mod_timer_after(self.link_poll_period_ns)
@@ -164,10 +169,10 @@ class Rtl8139Nucleus:
         return legacy.rtl8139_chip_reset(tp)
 
     def k_register_netdev(self, tp):
-        if legacy._state.netdev is not None:
+        if self.state.netdev is not None:
             # Recovery replay: keep the registered netdev (and "eth0")
             # alive across the user-half restart; refresh probe output.
-            dev = legacy._state.netdev
+            dev = self.state.netdev
             dev.dev_addr = bytes(tp.mac_addr)
             dev.priv = tp
             dev.irq = tp.irq
@@ -185,21 +190,21 @@ class Rtl8139Nucleus:
         dev.tx_timeout = self.stub_tx_timeout
         dev.irq = tp.irq
         dev.base_addr = tp.ioaddr
-        legacy._state.netdev = dev
-        legacy._state.lock = self.linux.spin_lock_init("rtl8139")
+        self.state.netdev = dev
+        self.state.lock = self.linux.spin_lock_init("rtl8139")
         return self.linux.register_netdev(dev)
 
     def k_unregister_netdev(self):
-        if legacy._state.netdev is not None:
-            self.linux.unregister_netdev(legacy._state.netdev)
-            legacy._state.netdev = None
+        if self.state.netdev is not None:
+            self.linux.unregister_netdev(self.state.netdev)
+            self.state.netdev = None
         self.linux.pci_release_regions(self.pdev)
         self.linux.pci_disable_device(self.pdev)
         return 0
 
     def k_request_irq(self, tp):
         ret = self.linux.request_irq(
-            tp.irq, legacy.rtl8139_interrupt, DRV_NAME, legacy._state.netdev
+            tp.irq, legacy.rtl8139_interrupt, DRV_NAME, self.state.netdev
         )
         if ret == 0:
             self.irq_requested = True
@@ -208,37 +213,37 @@ class Rtl8139Nucleus:
     def k_free_irq(self, tp):
         # NAPI must be gone (line unmasked) before free_irq: free_irq
         # does not reset the line's disable depth.
-        legacy.rtl8139_napi_del()
-        self.linux.free_irq(tp.irq, legacy._state.netdev)
+        legacy.rtl8139_napi_del(self.state)
+        self.linux.free_irq(tp.irq, self.state.netdev)
         self.irq_requested = False
         return 0
 
     def k_alloc_rings(self):
-        legacy._state.rx_ring_dma = self.linux.dma_alloc_coherent(
+        st = self.state
+        st.rx_ring_dma = self.linux.dma_alloc_coherent(
             legacy.RX_BUF_LEN + 16, owner=DRV_NAME
         )
-        legacy._state.tx_bufs_dma = self.linux.dma_alloc_coherent(
+        st.tx_bufs_dma = self.linux.dma_alloc_coherent(
             legacy.TX_BUF_SIZE * legacy.NUM_TX_DESC, owner=DRV_NAME
         )
-        if legacy._state.rx_ring_dma is None or legacy._state.tx_bufs_dma is None:
-            legacy.rtl8139_free_rings()
+        if st.rx_ring_dma is None or st.tx_bufs_dma is None:
+            legacy.rtl8139_free_rings(st)
             return -self.linux.ENOMEM
         return 0
 
     def k_free_rings(self):
-        legacy.rtl8139_free_rings()
+        legacy.rtl8139_free_rings(self.state)
         return 0
 
     def k_hw_start(self, tp):
-        return legacy.rtl8139_hw_start(legacy._state.netdev)
+        return legacy.rtl8139_hw_start(self.state.netdev)
 
     def k_netif_stop(self):
-        dev = legacy._state.netdev
-        self.linux.netif_stop_queue(dev)
+        self.linux.netif_stop_queue(self.state.netdev)
         return 0
 
     def k_check_media(self, tp):
-        return 1 if legacy.rtl8139_check_media(legacy._state.netdev, tp) else 0
+        return 1 if legacy.rtl8139_check_media(self.state.netdev, tp) else 0
 
     # -- supervised recovery ------------------------------------------------------
 
@@ -251,18 +256,18 @@ class Rtl8139Nucleus:
         number of in-flight TX packets discarded.
         """
         self.stop_link_watch()
-        tp = legacy._state.tp
+        tp = self.state.tp
         if tp is None:
             return 0
         lost = 0
         if self.irq_requested:
             lost = max(0, tp.cur_tx - tp.dirty_tx)
-            dev = legacy._state.netdev
+            dev = self.state.netdev
             if dev is not None:
                 self.linux.netif_stop_queue(dev)
                 self.linux.netif_carrier_off(dev)
             self.k_free_irq(tp)
-            legacy.rtl8139_free_rings()
+            legacy.rtl8139_free_rings(self.state)
         self.linux.pci_release_regions(self.pdev)
         self.linux.pci_disable_device(self.pdev)
         return lost
@@ -274,12 +279,12 @@ class Rtl8139Nucleus:
         if op == "probe":
             return self.plumbing.upcall(
                 self.decaf.init_one,
-                args=[(legacy._state.tp, rtl8139_private)],
+                args=[(self.state.tp, rtl8139_private)],
             )
         if op == "open":
-            return self.stub_open(legacy._state.netdev)
+            return self.stub_open(self.state.netdev)
         if op == "set_mac":
-            return self.stub_set_mac_address(legacy._state.netdev, args[0])
+            return self.stub_set_mac_address(self.state.netdev, args[0])
         return 0
 
 

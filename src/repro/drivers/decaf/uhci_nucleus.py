@@ -25,12 +25,16 @@ from .uhci_decaf import UhciDecafDriver
 
 
 class UhciNucleus:
+    # Legacy modules whose ``linux`` global this nucleus binds.
+    bound_modules = (legacy,)
+
     def __init__(self, kernel, device_model_hook=None):
         self.kernel = kernel
         self.linux = LinuxApi(kernel)
-        legacy.linux = self.linux
-        legacy._state.__init__()  # fresh driver-global state per load
-        legacy._state.device_model_hook = device_model_hook
+        for module in self.bound_modules:
+            module.linux = self.linux
+        self.state = legacy.uhci_state()
+        self.state.device_model_hook = device_model_hook
         self.plumbing = None
         self.decaf = None
         self.pdev = None
@@ -57,16 +61,16 @@ class UhciNucleus:
 
         uhci = uhci_hcd_state()
         uhci.rh_numports = legacy.UHCI_NUM_PORTS
-        legacy._state.uhci = uhci
-        legacy._state.pdev = pdev
-        legacy._state.lock = self.linux.spin_lock_init("uhci")
+        uhci._kstate = self.state
+        self.state.uhci = uhci
+        self.state.lock = self.linux.spin_lock_init("uhci")
         self.plumbing.channel.kernel_tracker.register(uhci)
 
         ret = self.plumbing.upcall(
             self.decaf.probe, args=[(uhci, uhci_hcd_state)]
         )
         if ret:
-            legacy._state.uhci = None
+            self.state.uhci = None
         else:
             self.plumbing.record("probe")
         return ret
@@ -76,7 +80,7 @@ class UhciNucleus:
             return
         self.stop_rh_poll()
         self.plumbing.upcall(
-            self.decaf.remove, args=[(legacy._state.uhci, uhci_hcd_state)]
+            self.decaf.remove, args=[(self.state.uhci, uhci_hcd_state)]
         )
         self.decaf = None
 
@@ -86,7 +90,7 @@ class UhciNucleus:
     # crossing counts (the uhci data path never invokes the decaf half).
 
     def supervision_started(self):
-        if legacy._state.uhci is not None and self.rh_poll_timer is None:
+        if self.state.uhci is not None and self.rh_poll_timer is None:
             self.start_rh_poll()
 
     def start_rh_poll(self):
@@ -101,11 +105,11 @@ class UhciNucleus:
             self.rh_poll_timer = None
 
     def _rh_poll_work(self, _data):
-        if self.decaf is None or legacy._state.uhci is None:
+        if self.decaf is None or self.state.uhci is None:
             return
         self.plumbing.upcall(
             self.decaf.rh_status_check,
-            args=[(legacy._state.uhci, uhci_hcd_state)],
+            args=[(self.state.uhci, uhci_hcd_state)],
         )
         if self.rh_poll_timer is not None:
             self.rh_poll_timer.mod_timer_after(self.rh_poll_period_ns)
@@ -134,42 +138,43 @@ class UhciNucleus:
 
     def k_request_irq(self, uhci):
         return self.linux.request_irq(uhci.irq, legacy.uhci_irq,
-                                      DRV_NAME, legacy._state.uhci)
+                                      DRV_NAME, self.state.uhci)
 
     def k_free_irq(self, uhci):
-        self.linux.free_irq(uhci.irq, legacy._state.uhci)
+        self.linux.free_irq(uhci.irq, self.state.uhci)
         return 0
 
     def k_start(self, uhci):
         # Starts the schedule and registers the HCD with the USB core;
         # kernel-resident because the schedule is the data path.
-        err = legacy.uhci_start(legacy._state.uhci)
+        err = legacy.uhci_start(self.state.uhci)
         if err:
             return err
-        legacy._state.hcd_ops = UhciHcdOps()
-        self.linux.usb_register_hcd(legacy._state.hcd_ops)
-        legacy.uhci_scan_ports(legacy._state.uhci)
+        self.state.hcd_ops = UhciHcdOps()
+        self.state.hcd_ops.hcd_priv = self.state.uhci
+        self.linux.usb_register_hcd(self.state.hcd_ops)
+        legacy.uhci_scan_ports(self.state.uhci)
         return 0
 
     def k_stop(self, uhci):
         self.stop_rh_poll()
-        for device in list(legacy._state.port_devices):
+        for device in list(self.state.port_devices):
             self.linux.usb_disconnect_device(device)
-        legacy._state.port_devices = []
-        if legacy._state.hcd_ops is not None:
-            self.linux.usb_unregister_hcd(legacy._state.hcd_ops)
-            legacy._state.hcd_ops = None
-        legacy.uhci_stop(legacy._state.uhci)
+        self.state.port_devices = []
+        if self.state.hcd_ops is not None:
+            self.linux.usb_unregister_hcd(self.state.hcd_ops)
+            self.state.hcd_ops = None
+        legacy.uhci_stop(self.state.uhci)
         return 0
 
     def k_port_status(self, port):
-        uhci = legacy._state.uhci
+        uhci = self.state.uhci
         if uhci is None:
             return -self.linux.ENODEV
         return legacy.uhci_readw(uhci, legacy.PORTSC1 + port * 2)
 
     def k_schedule_running(self):
-        uhci = legacy._state.uhci
+        uhci = self.state.uhci
         if uhci is None:
             return 0
         return 0 if uhci.is_stopped else 1
@@ -198,7 +203,7 @@ class UhciNucleus:
             # bring-up against live hardware.
             ret = self.plumbing.upcall(
                 self.decaf.reattach,
-                args=[(legacy._state.uhci, uhci_hcd_state)],
+                args=[(self.state.uhci, uhci_hcd_state)],
             )
             if ret == 0:
                 self.start_rh_poll()

@@ -260,6 +260,4 @@ def e1000_diag_test(netdev):
 
 
 def _irq_of(adapter):
-    from . import e1000_main
-
-    return e1000_main._state.pdev.irq
+    return adapter._kstate.pdev.irq

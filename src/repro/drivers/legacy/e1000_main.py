@@ -156,16 +156,15 @@ class e1000_adapter(CStruct):
 
 
 class e1000_state:
-    """Non-marshaled kernel state: locks, timers, DMA regions, netdev."""
+    """The e1000_adapter members that never cross the split, one per
+    device: ``adapter._kstate`` (see :mod:`repro.drivers.modulebase`)."""
 
     def __init__(self):
-        self.adapter = None
         self.netdev = None
         self.pdev = None
         self.tx_lock = None
         self.watchdog_timer = None
         self.irq_requested = False
-        self.device_model = None
         self.napi = None
         # Queues >= 1 (multi-queue mode): their rings never enter the
         # marshaled e1000_adapter -- they are kernel-side state, so the
@@ -174,9 +173,6 @@ class e1000_state:
         self.extra_rx_rings = []
         self.extra_napis = []
         self.extra_vectors = []
-
-
-_state = e1000_state()
 
 from ...core.cstruct import CONSTANTS as _CONSTANTS
 
@@ -202,12 +198,12 @@ def e1000_probe(pdev):
 
     netdev = linux.alloc_etherdev("eth%d")
     adapter = e1000_adapter()
+    adapter._kstate = st = e1000_state()
     adapter.msg_enable = 7
     netdev.priv = adapter
-    _state.adapter = adapter
-    _state.netdev = netdev
-    _state.pdev = pdev
-    _state.tx_lock = linux.spin_lock_init("e1000-tx")
+    st.netdev = netdev
+    st.pdev = pdev
+    st.tx_lock = linux.spin_lock_init("e1000-tx")
 
     adapter.hw.hw_addr = linux.pci_resource_start(pdev, 0)
     adapter.hw.device_id = pdev.device_id
@@ -266,7 +262,7 @@ def e1000_probe(pdev):
 
     e1000_save_config_space(adapter, pdev)
 
-    _state.watchdog_timer = linux.init_timer(
+    st.watchdog_timer = linux.init_timer(
         e1000_watchdog, adapter, name="e1000-watchdog"
     )
 
@@ -276,6 +272,7 @@ def e1000_probe(pdev):
     if err:
         e1000_probe_unwind(pdev)
         return err
+    pdev.driver_data = netdev
 
     linux.printk("e1000: %s: Intel(R) PRO/1000 Network Connection"
                  % netdev.name)
@@ -285,21 +282,19 @@ def e1000_probe(pdev):
 def e1000_probe_unwind(pdev):
     linux.pci_release_regions(pdev)
     linux.pci_disable_device(pdev)
-    _state.adapter = None
-    _state.netdev = None
 
 
 def e1000_remove(pdev):
-    netdev = _state.netdev
+    netdev = pdev.driver_data
     if netdev is None:
         return
-    if _state.watchdog_timer is not None:
-        linux.del_timer_sync(_state.watchdog_timer)
+    st = netdev.priv._kstate
+    if st.watchdog_timer is not None:
+        linux.del_timer_sync(st.watchdog_timer)
     linux.unregister_netdev(netdev)
     linux.pci_release_regions(pdev)
     linux.pci_disable_device(pdev)
-    _state.adapter = None
-    _state.netdev = None
+    pdev.driver_data = None
 
 
 def e1000_sw_init(adapter):
@@ -375,7 +370,7 @@ def e1000_close(netdev):
     e1000_down(adapter)
     # NAPI must be gone (and the IRQ line unmasked) before free_irq:
     # free_irq does not reset the line's disable depth.
-    e1000_napi_del()
+    e1000_napi_del(adapter._kstate)
     e1000_power_down_phy(adapter)
     e1000_free_irq(adapter)
     e1000_free_all_rx_resources(adapter)
@@ -384,41 +379,41 @@ def e1000_close(netdev):
 
 
 def e1000_request_irq(adapter):
-    err = linux.request_irq(_state.pdev.irq, e1000_intr, DRV_NAME,
-                            _state.netdev)
+    st = adapter._kstate
+    err = linux.request_irq(st.pdev.irq, e1000_intr, DRV_NAME, st.netdev)
     if err:
         return err
-    _state.irq_requested = True
-    err = e1000_request_extra_vectors()
+    st.irq_requested = True
+    err = e1000_request_extra_vectors(st)
     if err:
         e1000_free_irq(adapter)
         return err
-    e1000_set_irq_affinity()
+    e1000_set_irq_affinity(st)
     return 0
 
 
-def e1000_request_extra_vectors():
+def e1000_request_extra_vectors(st):
     """Request one vector per extra queue (irq + q, MSI-X style)."""
-    irq0 = _state.pdev.irq
+    irq0 = st.pdev.irq
     for q in range(1, e1000_num_queues()):
         def vector(_irq, dev_id, q=q):
-            return e1000_intr_queue(q)
+            return e1000_intr_queue(dev_id, q)
         err = linux.request_irq(irq0 + q, vector, "%s-q%d" % (DRV_NAME, q),
-                                _state.netdev)
+                                st.netdev)
         if err:
-            e1000_free_extra_vectors()
+            e1000_free_extra_vectors(st)
             return err
-        _state.extra_vectors.append(irq0 + q)
+        st.extra_vectors.append(irq0 + q)
     return 0
 
 
-def e1000_free_extra_vectors():
-    for irq in _state.extra_vectors:
-        linux.free_irq(irq, _state.netdev)
-    del _state.extra_vectors[:]
+def e1000_free_extra_vectors(st):
+    for irq in st.extra_vectors:
+        linux.free_irq(irq, st.netdev)
+    del st.extra_vectors[:]
 
 
-def e1000_set_irq_affinity():
+def e1000_set_irq_affinity(st):
     """Spread the per-queue vectors across CPUs (queue q -> q mod N).
 
     The NAPI context for queue q is homed on the same CPU, so the whole
@@ -427,16 +422,17 @@ def e1000_set_irq_affinity():
     ncpus = linux.num_online_cpus()
     if ncpus <= 1:
         return
-    irq0 = _state.pdev.irq
+    irq0 = st.pdev.irq
     for q in range(e1000_num_queues()):
         linux.irq_set_affinity(irq0 + q, q % ncpus)
 
 
 def e1000_free_irq(adapter):
-    e1000_free_extra_vectors()
-    if _state.irq_requested:
-        linux.free_irq(_state.pdev.irq, _state.netdev)
-        _state.irq_requested = False
+    st = adapter._kstate
+    e1000_free_extra_vectors(st)
+    if st.irq_requested:
+        linux.free_irq(st.pdev.irq, st.netdev)
+        st.irq_requested = False
 
 
 def e1000_power_up_phy(adapter):
@@ -462,7 +458,7 @@ def e1000_setup_all_tx_resources(adapter):
         if err:
             e1000_free_all_tx_resources(adapter)
             return err
-        _state.extra_tx_rings.append(ring)
+        adapter._kstate.extra_tx_rings.append(ring)
     return 0
 
 
@@ -494,7 +490,7 @@ def e1000_setup_all_rx_resources(adapter):
         if err:
             e1000_free_all_rx_resources(adapter)
             return err
-        _state.extra_rx_rings.append(ring)
+        adapter._kstate.extra_rx_rings.append(ring)
     return 0
 
 
@@ -517,9 +513,10 @@ def e1000_setup_rx_resources(adapter, rx_ring):
 
 def e1000_free_all_tx_resources(adapter):
     e1000_free_tx_resources(adapter, adapter.tx_ring)
-    for ring in _state.extra_tx_rings:
+    extra = adapter._kstate.extra_tx_rings
+    for ring in extra:
         e1000_free_tx_resources(adapter, ring)
-    del _state.extra_tx_rings[:]
+    del extra[:]
 
 
 def e1000_free_tx_resources(adapter, tx_ring):
@@ -533,9 +530,10 @@ def e1000_free_tx_resources(adapter, tx_ring):
 
 def e1000_free_all_rx_resources(adapter):
     e1000_free_rx_resources(adapter, adapter.rx_ring)
-    for ring in _state.extra_rx_rings:
+    extra = adapter._kstate.extra_rx_rings
+    for ring in extra:
         e1000_free_rx_resources(adapter, ring)
-    del _state.extra_rx_rings[:]
+    del extra[:]
 
 
 def e1000_free_rx_resources(adapter, rx_ring):
@@ -560,43 +558,45 @@ def e1000_napi_up(netdev):
     """
     if not napi_mode:
         return
+    st = netdev.priv._kstate
     ncpus = linux.num_online_cpus()
-    if _state.napi is None:
-        _state.napi = linux.netif_napi_add(
+    if st.napi is None:
+        st.napi = linux.netif_napi_add(
             netdev, e1000_poll, weight=E1000_NAPI_WEIGHT,
             cpu=0 if ncpus > 1 else None)
-    linux.napi_enable(_state.napi)
+    linux.napi_enable(st.napi)
     for q in range(1, e1000_num_queues()):
-        if q - 1 >= len(_state.extra_napis):
+        if q - 1 >= len(st.extra_napis):
             napi = linux.netif_napi_add(
                 netdev, e1000_poll, weight=E1000_NAPI_WEIGHT,
                 irq=netdev.irq + q,
                 cpu=(q % ncpus) if ncpus > 1 else None)
             napi.queue = q
-            _state.extra_napis.append(napi)
-        linux.napi_enable(_state.extra_napis[q - 1])
+            st.extra_napis.append(napi)
+        linux.napi_enable(st.extra_napis[q - 1])
 
 
-def e1000_napi_down():
-    if _state.napi is not None:
-        linux.napi_disable(_state.napi)
-    for napi in _state.extra_napis:
+def e1000_napi_down(st):
+    if st.napi is not None:
+        linux.napi_disable(st.napi)
+    for napi in st.extra_napis:
         linux.napi_disable(napi)
 
 
-def e1000_napi_del():
-    e1000_napi_down()
-    _state.napi = None
-    del _state.extra_napis[:]
+def e1000_napi_del(st):
+    e1000_napi_down(st)
+    st.napi = None
+    del st.extra_napis[:]
 
 
 def e1000_up(adapter):
+    st = adapter._kstate
     e1000_configure(adapter)
-    e1000_napi_up(_state.netdev)
+    e1000_napi_up(st.netdev)
     E1000_WRITE_REG(adapter.hw, e1000_hw.IMS, e1000_hw.E1000_IMS_ENABLE_MASK)
     e1000_irq_enable_extra(adapter)
-    linux.mod_timer(_state.watchdog_timer, 2000)
-    linux.netif_start_queue(_state.netdev)
+    linux.mod_timer(st.watchdog_timer, 2000)
+    linux.netif_start_queue(st.netdev)
     return 0
 
 
@@ -613,12 +613,13 @@ def e1000_irq_disable_extra(adapter):
 
 
 def e1000_down(adapter):
+    st = adapter._kstate
     E1000_WRITE_REG(adapter.hw, e1000_hw.IMC, 0xFFFFFFFF)
     e1000_irq_disable_extra(adapter)
-    e1000_napi_down()
-    linux.del_timer_sync(_state.watchdog_timer)
-    linux.netif_stop_queue(_state.netdev)
-    linux.netif_carrier_off(_state.netdev)
+    e1000_napi_down(st)
+    linux.del_timer_sync(st.watchdog_timer)
+    linux.netif_stop_queue(st.netdev)
+    linux.netif_carrier_off(st.netdev)
     adapter.link_speed = 0
     adapter.link_duplex = 0
     e1000_reset(adapter)
@@ -636,7 +637,7 @@ def e1000_reset(adapter):
 
 
 def e1000_configure(adapter):
-    e1000_set_multi(_state.netdev)
+    e1000_set_multi(adapter._kstate.netdev)
     e1000_configure_tx(adapter)
     e1000_setup_rctl(adapter)
     e1000_configure_rx(adapter)
@@ -652,9 +653,10 @@ def e1000_configure_extra_queues(adapter):
     nucleus calls this from ``k_up`` for the rest.
     """
     hw = adapter.hw
+    st = adapter._kstate
     for q in range(1, e1000_num_queues()):
         s = q * E1000_QUEUE_STRIDE
-        tx_ring = _state.extra_tx_rings[q - 1]
+        tx_ring = st.extra_tx_rings[q - 1]
         E1000_WRITE_REG(hw, e1000_hw.TDBAL + s,
                         tx_ring.desc.dma_addr & 0xFFFFFFFF)
         E1000_WRITE_REG(hw, e1000_hw.TDBAH + s, tx_ring.desc.dma_addr >> 32)
@@ -664,7 +666,7 @@ def e1000_configure_extra_queues(adapter):
         E1000_WRITE_REG(hw, e1000_hw.TDT + s, 0)
         tx_ring.tdh = 0
         tx_ring.tdt = 0
-        rx_ring = _state.extra_rx_rings[q - 1]
+        rx_ring = st.extra_rx_rings[q - 1]
         E1000_WRITE_REG(hw, e1000_hw.RDBAL + s,
                         rx_ring.desc.dma_addr & 0xFFFFFFFF)
         E1000_WRITE_REG(hw, e1000_hw.RDBAH + s, rx_ring.desc.dma_addr >> 32)
@@ -734,7 +736,7 @@ def e1000_alloc_rx_buffers(adapter, rx_ring, queue=0):
 def e1000_clean_all_tx_rings(adapter):
     adapter.tx_ring.next_to_use = 0
     adapter.tx_ring.next_to_clean = 0
-    for ring in _state.extra_tx_rings:
+    for ring in adapter._kstate.extra_tx_rings:
         ring.next_to_use = 0
         ring.next_to_clean = 0
 
@@ -742,7 +744,7 @@ def e1000_clean_all_tx_rings(adapter):
 def e1000_clean_all_rx_rings(adapter):
     adapter.rx_ring.next_to_use = 0
     adapter.rx_ring.next_to_clean = 0
-    for ring in _state.extra_rx_rings:
+    for ring in adapter._kstate.extra_rx_rings:
         ring.next_to_use = 0
         ring.next_to_clean = 0
 
@@ -754,13 +756,14 @@ def e1000_clean_all_rx_rings(adapter):
 def e1000_xmit_frame(skb, netdev):
     adapter = netdev.priv
     tx_ring = adapter.tx_ring
+    tx_lock = adapter._kstate.tx_lock
 
-    linux.spin_lock_irqsave(_state.tx_lock)
+    linux.spin_lock_irqsave(tx_lock)
 
     if e1000_desc_unused(tx_ring) < 2:
         linux.netif_stop_queue(netdev)
         adapter.restart_queue += 1
-        linux.spin_unlock_irqrestore(_state.tx_lock)
+        linux.spin_unlock_irqrestore(tx_lock)
         return linux.NETDEV_TX_BUSY
 
     i = tx_ring.next_to_use
@@ -785,7 +788,7 @@ def e1000_xmit_frame(skb, netdev):
     netdev.stats.tx_packets += 1
     netdev.stats.tx_bytes += length
 
-    linux.spin_unlock_irqrestore(_state.tx_lock)
+    linux.spin_unlock_irqrestore(tx_lock)
     return linux.NETDEV_TX_OK
 
 
@@ -797,7 +800,7 @@ def e1000_desc_unused(ring):
 
 def e1000_clean_tx_irq(adapter, tx_ring):
     """Reclaim transmitted descriptors; wakes the queue if stopped."""
-    netdev = _state.netdev
+    netdev = adapter._kstate.netdev
     cleaned = 0
     i = tx_ring.next_to_clean
     while i != tx_ring.next_to_use:
@@ -825,7 +828,7 @@ def e1000_clean_rx_irq(adapter, rx_ring, budget=None, queue=0):
     original driver.  The NAPI path copies into a pooled zero-copy skb
     and delivers through ``netif_receive_skb``.
     """
-    netdev = _state.netdev
+    netdev = adapter._kstate.netdev
     napi_path = budget is not None and napi_mode
     desc = rx_ring.desc.data
     buffers = memoryview(rx_ring.buffer_region.data)
@@ -885,17 +888,18 @@ def e1000_intr(irq, dev_id):
     if not icr:
         return linux.IRQ_NONE
 
+    st = adapter._kstate
     if icr & e1000_hw.E1000_ICR_LSC:
         hw.get_link_status = 1
-        linux.mod_timer(_state.watchdog_timer, 1)
+        linux.mod_timer(st.watchdog_timer, 1)
 
     work_causes = (e1000_hw.E1000_ICR_RXT0 | e1000_hw.E1000_ICR_RXDMT0
                    | e1000_hw.E1000_ICR_TXDW)
-    if napi_mode and _state.napi is not None and icr & work_causes:
+    if napi_mode and st.napi is not None and icr & work_causes:
         # NAPI: mask device interrupts and punt all ring work to the
         # softirq poll; e1000_poll re-enables on napi_complete.
         E1000_WRITE_REG(hw, e1000_hw.IMC, 0xFFFFFFFF)
-        linux.napi_schedule(_state.napi)
+        linux.napi_schedule(st.napi)
         return linux.IRQ_HANDLED
 
     if icr & (e1000_hw.E1000_ICR_RXT0 | e1000_hw.E1000_ICR_RXDMT0):
@@ -905,35 +909,37 @@ def e1000_intr(irq, dev_id):
     return linux.IRQ_HANDLED
 
 
-def e1000_intr_queue(q):
+def e1000_intr_queue(netdev, q):
     """Per-queue vector (irq + q): reads queue q's ICR, runs its NAPI."""
-    adapter = _state.adapter
+    adapter = netdev.priv
+    st = adapter._kstate
     hw = adapter.hw
     s = q * E1000_QUEUE_STRIDE
     icr = E1000_READ_REG(hw, e1000_hw.ICR + s)
     if not icr:
         return linux.IRQ_NONE
-    if napi_mode and q - 1 < len(_state.extra_napis):
+    if napi_mode and q - 1 < len(st.extra_napis):
         E1000_WRITE_REG(hw, e1000_hw.IMC + s, 0xFFFFFFFF)
-        linux.napi_schedule(_state.extra_napis[q - 1])
+        linux.napi_schedule(st.extra_napis[q - 1])
         return linux.IRQ_HANDLED
     if icr & (e1000_hw.E1000_ICR_RXT0 | e1000_hw.E1000_ICR_RXDMT0):
-        e1000_clean_rx_irq(adapter, _state.extra_rx_rings[q - 1], queue=q)
+        e1000_clean_rx_irq(adapter, st.extra_rx_rings[q - 1], queue=q)
     if icr & e1000_hw.E1000_ICR_TXDW:
-        e1000_clean_tx_irq(adapter, _state.extra_tx_rings[q - 1])
+        e1000_clean_tx_irq(adapter, st.extra_tx_rings[q - 1])
     return linux.IRQ_HANDLED
 
 
 def e1000_poll(napi, budget):
     """NAPI poll: drain both rings, re-enable interrupts when caught up."""
-    adapter = _state.adapter
+    adapter = napi.dev.priv
     q = napi.queue
     if q == 0:
         tx_ring = adapter.tx_ring
         rx_ring = adapter.rx_ring
     else:
-        tx_ring = _state.extra_tx_rings[q - 1]
-        rx_ring = _state.extra_rx_rings[q - 1]
+        st = adapter._kstate
+        tx_ring = st.extra_tx_rings[q - 1]
+        rx_ring = st.extra_rx_rings[q - 1]
     e1000_clean_tx_irq(adapter, tx_ring)
     work_done = e1000_clean_rx_irq(adapter, rx_ring, budget, queue=q)
     if work_done < budget:
@@ -951,7 +957,8 @@ def e1000_poll(napi, budget):
 
 def e1000_watchdog(data):
     adapter = data
-    netdev = _state.netdev
+    st = adapter._kstate
+    netdev = st.netdev
     hw = adapter.hw
 
     e1000_hw.e1000_check_for_link(hw)
@@ -980,7 +987,7 @@ def e1000_watchdog(data):
     e1000_update_stats(adapter)
     e1000_hw.e1000_update_adaptive(hw)
 
-    linux.mod_timer(_state.watchdog_timer, 2000)
+    linux.mod_timer(st.watchdog_timer, 2000)
 
 
 def e1000_update_stats(adapter):
@@ -1045,10 +1052,10 @@ def e1000_reinit_locked(adapter):
 # ---------------------------------------------------------------------------
 
 def e1000_suspend(pdev):
-    adapter = _state.adapter
-    netdev = _state.netdev
-    if adapter is None:
+    netdev = pdev.driver_data
+    if netdev is None:
         return -linux.ENODEV
+    adapter = netdev.priv
     if linux.netif_running(netdev):
         e1000_down(adapter)
     e1000_save_config_space(adapter, pdev)
@@ -1059,10 +1066,10 @@ def e1000_suspend(pdev):
 
 
 def e1000_resume(pdev):
-    adapter = _state.adapter
-    netdev = _state.netdev
-    if adapter is None:
+    netdev = pdev.driver_data
+    if netdev is None:
         return -linux.ENODEV
+    adapter = netdev.priv
     err = linux.pci_enable_device(pdev)
     if err:
         return err
@@ -1110,7 +1117,6 @@ def make_module(napi=True, num_queues=1):
     from . import e1000_ethtool, e1000_param
 
     def init_fn():
-        # Runs after the module loader resets _state, before probe.
         set_napi_mode(napi)
         set_num_queues(num_queues)
         return e1000_init_module()

@@ -78,16 +78,14 @@ class ensoniq(CStruct):
 
 
 class ens_state:
+    """The ensoniq members that never cross the split, one per chip:
+    ``ensoniq_._kstate`` (see :mod:`repro.drivers.modulebase`)."""
+
     def __init__(self):
         self.ensoniq = None
-        self.card = None
-        self.pcm = None
         self.substream = None
         self.dac2_dma = None
         self.lock = None
-
-
-_state = ens_state()
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +236,7 @@ class snd_ens1371_playback_ops:
 
 
 def snd_ens1371_playback_open(substream):
-    substream.private_data = _state.ensoniq
+    substream.private_data = substream.pcm.private_data
     return 0
 
 
@@ -249,15 +247,16 @@ def snd_ens1371_playback_close(substream):
 
 def snd_ens1371_playback_hw_params(substream):
     ensoniq_ = substream.private_data
+    st = ensoniq_._kstate
     rt = substream.runtime
     size = rt.buffer_bytes
-    if _state.dac2_dma is not None:
-        linux.dma_free_coherent(_state.dac2_dma)
-        _state.dac2_dma = None
-    _state.dac2_dma = linux.dma_alloc_coherent(size, owner=DRV_NAME)
-    if _state.dac2_dma is None:
+    if st.dac2_dma is not None:
+        linux.dma_free_coherent(st.dac2_dma)
+        st.dac2_dma = None
+    st.dac2_dma = linux.dma_alloc_coherent(size, owner=DRV_NAME)
+    if st.dac2_dma is None:
         return -linux.ENOMEM
-    rt.dma_region = _state.dac2_dma
+    rt.dma_region = st.dac2_dma
     ensoniq_.dac2_size_frames = size // 4
     ensoniq_.dac2_period_frames = rt.period_bytes // rt.frame_bytes()
     err = snd_es1371_dac2_rate(ensoniq_, rt.rate)
@@ -278,7 +277,7 @@ def snd_ens1371_playback_prepare(substream):
     ensoniq_.sctrl = mode
 
     outl(ES_PAGE_DAC, ensoniq_.port + ES_REG_MEM_PAGE)
-    outl(_state.dac2_dma.dma_addr, ensoniq_.port + ES_REG_DAC2_FRAME)
+    outl(ensoniq_._kstate.dac2_dma.dma_addr, ensoniq_.port + ES_REG_DAC2_FRAME)
     outl(ensoniq_.dac2_size_frames - 1, ensoniq_.port + ES_REG_DAC2_SIZE)
     count = (rt.period_bytes // rt.frame_bytes()) - 1
     outl(count, ensoniq_.port + ES_REG_DAC2_COUNT)
@@ -327,8 +326,9 @@ def snd_ens1371_interrupt(irq, dev_id):
         sctrl = ensoniq_.sctrl
         outl(sctrl & ~ES_P2_INTR_EN, ensoniq_.port + ES_REG_SERIAL)
         outl(sctrl, ensoniq_.port + ES_REG_SERIAL)
-        if _state.substream is not None:
-            linux.snd_pcm_period_elapsed(_state.substream)
+        substream = ensoniq_._kstate.substream
+        if substream is not None:
+            linux.snd_pcm_period_elapsed(substream)
     return linux.IRQ_HANDLED
 
 
@@ -336,7 +336,7 @@ def snd_ens1371_interrupt(irq, dev_id):
 # Probe / remove
 # ---------------------------------------------------------------------------
 
-def snd_ens1371_create(pdev):
+def snd_ens1371_create(card, pdev):
     """Allocate and init the chip; returns 0 or -errno."""
     err = linux.pci_enable_device(pdev)
     if err:
@@ -347,11 +347,13 @@ def snd_ens1371_create(pdev):
         return err
 
     ensoniq_ = ensoniq()
+    ensoniq_._kstate = st = ens_state()
     ensoniq_.port = linux.pci_resource_start(pdev, 0)
     ensoniq_.irq = pdev.irq
     ensoniq_.card_name = "Ensoniq AudioPCI ES1371"
-    _state.ensoniq = ensoniq_
-    _state.lock = linux.spin_lock_init("ens1371")
+    st.ensoniq = ensoniq_
+    st.lock = linux.spin_lock_init("ens1371")
+    card.private_data = ensoniq_
 
     err = linux.request_irq(ensoniq_.irq, snd_ens1371_interrupt,
                             DRV_NAME, ensoniq_)
@@ -369,11 +371,11 @@ def snd_ens1371_create(pdev):
     return 0
 
 
-def snd_ens1371_pcm(card):
+def snd_ens1371_pcm(ensoniq_, card):
     pcm = card.new_pcm("ES1371/1")
     pcm.playback.ops = snd_ens1371_playback_ops
-    _state.pcm = pcm
-    _state.substream = pcm.playback
+    pcm.private_data = ensoniq_
+    ensoniq_._kstate.substream = pcm.playback
     return 0
 
 
@@ -400,7 +402,7 @@ AC97_MIXER_CONTROLS = (
 def snd_ens1371_mixer(card):
     """Register the AC97 mixer: one control element per entry, with the
     codec register initialized for each."""
-    ensoniq_ = _state.ensoniq
+    ensoniq_ = card.private_data
     for name, reg in AC97_MIXER_CONTROLS:
         err = snd_es1371_codec_write(ensoniq_, reg, 0x0808)
         if err:
@@ -413,49 +415,47 @@ def snd_ens1371_mixer(card):
 
 def snd_ens1371_probe(pdev):
     card = linux.snd_card_new("AudioPCI")
-    _state.card = card
 
-    err = snd_ens1371_create(pdev)
+    err = snd_ens1371_create(card, pdev)
     if err:
         return err
+    ensoniq_ = card.private_data
 
-    err = snd_ens1371_pcm(card)
+    err = snd_ens1371_pcm(ensoniq_, card)
     if err:
-        snd_ens1371_free(pdev)
+        snd_ens1371_free(ensoniq_, pdev)
         return err
 
     err = snd_ens1371_mixer(card)
     if err:
-        snd_ens1371_free(pdev)
+        snd_ens1371_free(ensoniq_, pdev)
         return err
 
     err = linux.snd_card_register(card)
     if err:
-        snd_ens1371_free(pdev)
+        snd_ens1371_free(ensoniq_, pdev)
         return err
-    card.private_data = _state.ensoniq
+    pdev.driver_data = card
     return 0
 
 
-def snd_ens1371_free(pdev):
-    ensoniq_ = _state.ensoniq
-    if ensoniq_ is not None:
-        outl(0, ensoniq_.port + ES_REG_CONTROL)
-        outl(0, ensoniq_.port + ES_REG_SERIAL)
-        linux.free_irq(ensoniq_.irq, ensoniq_)
-    if _state.dac2_dma is not None:
-        linux.dma_free_coherent(_state.dac2_dma)
-        _state.dac2_dma = None
+def snd_ens1371_free(ensoniq_, pdev):
+    st = ensoniq_._kstate
+    outl(0, ensoniq_.port + ES_REG_CONTROL)
+    outl(0, ensoniq_.port + ES_REG_SERIAL)
+    linux.free_irq(ensoniq_.irq, ensoniq_)
+    if st.dac2_dma is not None:
+        linux.dma_free_coherent(st.dac2_dma)
+        st.dac2_dma = None
     linux.pci_release_regions(pdev)
     linux.pci_disable_device(pdev)
-    _state.ensoniq = None
 
 
 def snd_ens1371_remove(pdev):
-    if _state.card is not None:
-        linux.snd_card_free(_state.card)
-        _state.card = None
-    snd_ens1371_free(pdev)
+    card = pdev.driver_data
+    linux.snd_card_free(card)
+    pdev.driver_data = None
+    snd_ens1371_free(card.private_data, pdev)
 
 
 class Ens1371PciGlue:

@@ -79,6 +79,9 @@ class psmouse_struct(CStruct):
 
 
 class psmouse_state:
+    """The psmouse members that never cross the split, one per mouse:
+    ``psmouse._kstate`` (see :mod:`repro.drivers.modulebase`)."""
+
     def __init__(self):
         self.psmouse = None
         self.serio = None
@@ -88,57 +91,56 @@ class psmouse_state:
         self.cmd_waiting = False
 
 
-_state = psmouse_state()
-
-
 # ---------------------------------------------------------------------------
 # Command engine: write bytes, collect ACK + response
 # ---------------------------------------------------------------------------
 
-def ps2_sendbyte(byte):
+def ps2_sendbyte(psmouse, byte):
     """Send one byte to the mouse and confirm the ACK."""
-    _state.cmd_response = []
-    _state.cmd_waiting = True
-    err = _state.serio.write(byte)
-    _state.cmd_waiting = False
+    st = psmouse._kstate
+    st.cmd_response = []
+    st.cmd_waiting = True
+    err = st.serio.write(byte)
+    st.cmd_waiting = False
     if err:
         return err
-    if not _state.cmd_response or _state.cmd_response[0] != PSMOUSE_RET_ACK:
+    if not st.cmd_response or st.cmd_response[0] != PSMOUSE_RET_ACK:
         return -linux.EIO
     return 0
 
 
-def ps2_command(command, params_out=0, params_in=()):
+def ps2_command(psmouse, command, params_out=0, params_in=()):
     """Full PS/2 command: command byte, argument bytes, response bytes.
 
     Returns (errno, response_list).  Response excludes the ACKs.
     """
+    st = psmouse._kstate
     responses = []
 
-    _state.cmd_response = []
-    _state.cmd_waiting = True
-    err = _state.serio.write(command)
+    st.cmd_response = []
+    st.cmd_waiting = True
+    err = st.serio.write(command)
     if err:
-        _state.cmd_waiting = False
+        st.cmd_waiting = False
         return err, []
-    if not _state.cmd_response or _state.cmd_response[0] != PSMOUSE_RET_ACK:
-        _state.cmd_waiting = False
+    if not st.cmd_response or st.cmd_response[0] != PSMOUSE_RET_ACK:
+        st.cmd_waiting = False
         return -linux.EIO, []
-    responses.extend(_state.cmd_response[1:])
+    responses.extend(st.cmd_response[1:])
 
     for param in params_in:
-        _state.cmd_response = []
-        err = _state.serio.write(param)
+        st.cmd_response = []
+        err = st.serio.write(param)
         if err:
-            _state.cmd_waiting = False
+            st.cmd_waiting = False
             return err, []
-        if (not _state.cmd_response
-                or _state.cmd_response[0] != PSMOUSE_RET_ACK):
-            _state.cmd_waiting = False
+        if (not st.cmd_response
+                or st.cmd_response[0] != PSMOUSE_RET_ACK):
+            st.cmd_waiting = False
             return -linux.EIO, []
-        responses.extend(_state.cmd_response[1:])
+        responses.extend(st.cmd_response[1:])
 
-    _state.cmd_waiting = False
+    st.cmd_waiting = False
     if len(responses) < params_out:
         return -linux.EIO, responses
     return 0, responses
@@ -150,7 +152,7 @@ def ps2_command(command, params_out=0, params_in=()):
 
 def psmouse_reset(psmouse):
     """Reset with self-test: expect ACK, 0xAA, 0x00."""
-    err, resp = ps2_command(PSMOUSE_CMD_RESET_BAT, params_out=2)
+    err, resp = ps2_command(psmouse, PSMOUSE_CMD_RESET_BAT, params_out=2)
     if err:
         return err
     if len(resp) < 2 or resp[0] != PSMOUSE_RET_BAT or resp[1] != PSMOUSE_RET_ID:
@@ -160,7 +162,7 @@ def psmouse_reset(psmouse):
 
 def psmouse_probe(psmouse):
     """Is there a mouse out there at all?"""
-    err, resp = ps2_command(PSMOUSE_CMD_GETID, params_out=1)
+    err, resp = ps2_command(psmouse, PSMOUSE_CMD_GETID, params_out=1)
     if err:
         return err
     if resp[0] not in (0x00, 0x03, 0x04):
@@ -168,14 +170,14 @@ def psmouse_probe(psmouse):
     return 0
 
 
-def psmouse_sliced_command(command):
+def psmouse_sliced_command(psmouse, command):
     """Synaptics-style sliced command encoding (always NAKed by our
     plain mouse, which is how detection correctly fails)."""
-    err, _resp = ps2_command(PSMOUSE_CMD_SETSCALE11)
+    err, _resp = ps2_command(psmouse, PSMOUSE_CMD_SETSCALE11)
     if err:
         return err
     for i in range(6, -2, -2):
-        err, _resp = ps2_command(PSMOUSE_CMD_SETRES,
+        err, _resp = ps2_command(psmouse, PSMOUSE_CMD_SETRES,
                                  params_in=((command >> i) & 3,))
         if err:
             return err
@@ -184,10 +186,10 @@ def psmouse_sliced_command(command):
 
 def synaptics_detect(psmouse):
     """Probe for a Synaptics touchpad; our device is not one."""
-    err = psmouse_sliced_command(0x00)
+    err = psmouse_sliced_command(psmouse, 0x00)
     if err:
         return -linux.ENODEV
-    err, resp = ps2_command(PSMOUSE_CMD_GETINFO, params_out=3)
+    err, resp = ps2_command(psmouse, PSMOUSE_CMD_GETINFO, params_out=3)
     if err:
         return -linux.ENODEV
     if len(resp) >= 2 and resp[1] == 0x47:
@@ -198,10 +200,10 @@ def synaptics_detect(psmouse):
 def genius_detect(psmouse):
     """Probe for a Genius NewNet mouse; ours is not one."""
     for _i in range(4):
-        err, _resp = ps2_command(PSMOUSE_CMD_SETSCALE11)
+        err, _resp = ps2_command(psmouse, PSMOUSE_CMD_SETSCALE11)
         if err:
             return -linux.ENODEV
-    err, resp = ps2_command(PSMOUSE_CMD_GETINFO, params_out=3)
+    err, resp = ps2_command(psmouse, PSMOUSE_CMD_GETINFO, params_out=3)
     if err:
         return -linux.ENODEV
     if len(resp) >= 1 and resp[0] == 0x00:
@@ -212,10 +214,11 @@ def genius_detect(psmouse):
 def intellimouse_detect(psmouse):
     """The magic knock: set rate 200, 100, 80, then read the ID."""
     for rate in (200, 100, 80):
-        err, _resp = ps2_command(PSMOUSE_CMD_SETRATE, params_in=(rate,))
+        err, _resp = ps2_command(psmouse, PSMOUSE_CMD_SETRATE,
+                                 params_in=(rate,))
         if err:
             return err
-    err, resp = ps2_command(PSMOUSE_CMD_GETID, params_out=1)
+    err, resp = ps2_command(psmouse, PSMOUSE_CMD_GETID, params_out=1)
     if err:
         return err
     if resp[0] != 3:
@@ -227,10 +230,11 @@ def intellimouse_detect(psmouse):
 def im_explorer_detect(psmouse):
     """IntelliMouse Explorer knock (200, 200, 80); ours stays ID 3."""
     for rate in (200, 200, 80):
-        err, _resp = ps2_command(PSMOUSE_CMD_SETRATE, params_in=(rate,))
+        err, _resp = ps2_command(psmouse, PSMOUSE_CMD_SETRATE,
+                                 params_in=(rate,))
         if err:
             return err
-    err, resp = ps2_command(PSMOUSE_CMD_GETID, params_out=1)
+    err, resp = ps2_command(psmouse, PSMOUSE_CMD_GETID, params_out=1)
     if err:
         return err
     if resp[0] != 4:
@@ -274,7 +278,7 @@ def psmouse_extensions(psmouse):
 # ---------------------------------------------------------------------------
 
 def psmouse_set_rate(psmouse, rate):
-    err, _ = ps2_command(PSMOUSE_CMD_SETRATE, params_in=(rate,))
+    err, _ = ps2_command(psmouse, PSMOUSE_CMD_SETRATE, params_in=(rate,))
     if err:
         return err
     psmouse.rate = rate
@@ -284,7 +288,7 @@ def psmouse_set_rate(psmouse, rate):
 def psmouse_set_resolution(psmouse, resolution):
     table = {25: 0, 50: 1, 100: 2, 200: 3}
     param = table.get(resolution, 3)
-    err, _ = ps2_command(PSMOUSE_CMD_SETRES, params_in=(param,))
+    err, _ = ps2_command(psmouse, PSMOUSE_CMD_SETRES, params_in=(param,))
     if err:
         return err
     psmouse.resolution = resolution
@@ -298,14 +302,14 @@ def psmouse_initialize(psmouse):
     err = psmouse_set_rate(psmouse, 100)
     if err:
         return err
-    err, _ = ps2_command(PSMOUSE_CMD_SETSCALE11)
+    err, _ = ps2_command(psmouse, PSMOUSE_CMD_SETSCALE11)
     if err:
         return err
     return 0
 
 
 def psmouse_activate(psmouse):
-    err, _ = ps2_command(PSMOUSE_CMD_ENABLE)
+    err, _ = ps2_command(psmouse, PSMOUSE_CMD_ENABLE)
     if err:
         return err
     psmouse.state = PSMOUSE_STATE_ACTIVATED
@@ -313,7 +317,7 @@ def psmouse_activate(psmouse):
 
 
 def psmouse_deactivate(psmouse):
-    err, _ = ps2_command(PSMOUSE_CMD_DISABLE)
+    err, _ = ps2_command(psmouse, PSMOUSE_CMD_DISABLE)
     if err:
         return err
     psmouse.state = PSMOUSE_STATE_CMD
@@ -326,25 +330,26 @@ def psmouse_deactivate(psmouse):
 
 def psmouse_interrupt(serio, byte, flags):
     """Byte from the mouse, in hardirq context."""
-    if _state.cmd_waiting:
-        _state.cmd_response.append(byte)
+    psmouse = serio.drvdata
+    st = psmouse._kstate
+    if st.cmd_waiting:
+        st.cmd_response.append(byte)
         return
 
-    psmouse = _state.psmouse
-    if psmouse is None or psmouse.state != PSMOUSE_STATE_ACTIVATED:
+    if psmouse.state != PSMOUSE_STATE_ACTIVATED:
         return
 
-    _state.packet.append(byte)
-    if len(_state.packet) < psmouse.pktsize:
+    st.packet.append(byte)
+    if len(st.packet) < psmouse.pktsize:
         return
-    packet = _state.packet
-    _state.packet = []
+    packet = st.packet
+    st.packet = []
     psmouse_process_byte(psmouse, packet)
 
 
 def psmouse_process_byte(psmouse, packet):
     """Decode one complete movement packet into input events."""
-    input_dev = _state.input_dev
+    input_dev = psmouse._kstate.input_dev
     if input_dev is None:
         return
 
@@ -382,26 +387,27 @@ def psmouse_process_byte(psmouse, packet):
 def psmouse_connect(serio):
     """A new serio port appeared: probe and set up the mouse."""
     psmouse = psmouse_struct()
+    psmouse._kstate = st = psmouse_state()
     psmouse.state = PSMOUSE_STATE_INITIALIZING
-    _state.psmouse = psmouse
-    _state.serio = serio
-    _state.packet = []
+    st.psmouse = psmouse
+    st.serio = serio
+    serio.drvdata = psmouse
 
     err = serio.open(psmouse_interrupt)
     if err:
-        _state.psmouse = None
+        serio.drvdata = None
         return err
 
     err = psmouse_probe(psmouse)
     if err:
         serio.close()
-        _state.psmouse = None
+        serio.drvdata = None
         return err
 
     err = psmouse_reset(psmouse)
     if err:
         serio.close()
-        _state.psmouse = None
+        serio.drvdata = None
         return err
 
     psmouse_extensions(psmouse)
@@ -409,7 +415,7 @@ def psmouse_connect(serio):
     err = psmouse_initialize(psmouse)
     if err:
         serio.close()
-        _state.psmouse = None
+        serio.drvdata = None
         return err
 
     input_dev = linux.input_allocate_device(psmouse.name)
@@ -423,31 +429,31 @@ def psmouse_connect(serio):
     err = linux.input_register_device(input_dev)
     if err:
         serio.close()
-        _state.psmouse = None
+        serio.drvdata = None
         return err
-    _state.input_dev = input_dev
+    st.input_dev = input_dev
 
     psmouse.state = PSMOUSE_STATE_CMD
     err = psmouse_activate(psmouse)
     if err:
         linux.input_unregister_device(input_dev)
         serio.close()
-        _state.psmouse = None
-        _state.input_dev = None
+        serio.drvdata = None
         return err
     return 0
 
 
 def psmouse_disconnect(serio):
-    psmouse = _state.psmouse
+    psmouse = serio.drvdata
     if psmouse is None:
         return
+    st = psmouse._kstate
     psmouse_deactivate(psmouse)
-    if _state.input_dev is not None:
-        linux.input_unregister_device(_state.input_dev)
-        _state.input_dev = None
+    if st.input_dev is not None:
+        linux.input_unregister_device(st.input_dev)
+        st.input_dev = None
     serio.close()
-    _state.psmouse = None
+    serio.drvdata = None
 
 
 def psmouse_init():

@@ -120,7 +120,8 @@ class rtl8139_private(CStruct):
 
 
 class rtl8139_driver_state:
-    """Non-marshaled runtime state (locks, DMA regions, netdev)."""
+    """The rtl8139_private members that never cross the split, one per
+    device: ``tp._kstate`` (see :mod:`repro.drivers.modulebase`)."""
 
     def __init__(self):
         self.netdev = None
@@ -129,13 +130,7 @@ class rtl8139_driver_state:
         self.rx_ring_dma = None
         self.tx_bufs_dma = None
         self.thread_timer = None
-        self.device_model = None  # test visibility only
         self.napi = None
-
-
-# One active instance, as the bench uses one NIC (the real driver keeps
-# its state in netdev->priv; we do too, plus this for module teardown).
-_state = rtl8139_driver_state()
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +208,7 @@ def rtl8139_init_one(pdev):
     """probe(): called by the PCI core for each matching function."""
     dev = linux.alloc_etherdev("eth%d")
     tp = rtl8139_private()
+    tp._kstate = st = rtl8139_driver_state()
     tp.msg_enable = 7
     tp.tx_flag = 0
     tp.stats = rtl8139_stats()
@@ -245,23 +241,23 @@ def rtl8139_init_one(pdev):
         linux.pci_disable_device(pdev)
         return rc
 
-    _state.netdev = dev
-    _state.tp = tp
-    _state.lock = linux.spin_lock_init("rtl8139")
+    st.netdev = dev
+    st.tp = tp
+    st.lock = linux.spin_lock_init("rtl8139")
+    pdev.driver_data = dev
     linux.printk("%s: %s at %#x, irq %d" % (dev.name, tp.chipset_name,
                                             tp.ioaddr, tp.irq))
     return 0
 
 
 def rtl8139_remove_one(pdev):
-    dev = _state.netdev
+    dev = pdev.driver_data
     if dev is None:
         return
     linux.unregister_netdev(dev)
     linux.pci_release_regions(pdev)
     linux.pci_disable_device(pdev)
-    _state.netdev = None
-    _state.tp = None
+    pdev.driver_data = None
 
 
 # ---------------------------------------------------------------------------
@@ -270,16 +266,17 @@ def rtl8139_remove_one(pdev):
 
 def rtl8139_open(dev):
     tp = dev.priv
+    st = tp._kstate
     rc = linux.request_irq(tp.irq, rtl8139_interrupt, DRV_NAME, dev)
     if rc:
         return rc
 
-    _state.rx_ring_dma = linux.dma_alloc_coherent(RX_BUF_LEN + 16,
-                                                  owner=DRV_NAME)
-    _state.tx_bufs_dma = linux.dma_alloc_coherent(TX_BUF_SIZE * NUM_TX_DESC,
-                                                  owner=DRV_NAME)
-    if _state.rx_ring_dma is None or _state.tx_bufs_dma is None:
-        rtl8139_free_rings()
+    st.rx_ring_dma = linux.dma_alloc_coherent(RX_BUF_LEN + 16,
+                                              owner=DRV_NAME)
+    st.tx_bufs_dma = linux.dma_alloc_coherent(TX_BUF_SIZE * NUM_TX_DESC,
+                                              owner=DRV_NAME)
+    if st.rx_ring_dma is None or st.tx_bufs_dma is None:
+        rtl8139_free_rings(st)
         linux.free_irq(tp.irq, dev)
         return -linux.ENOMEM
 
@@ -290,13 +287,13 @@ def rtl8139_open(dev):
     return 0
 
 
-def rtl8139_free_rings():
-    if _state.rx_ring_dma is not None:
-        linux.dma_free_coherent(_state.rx_ring_dma)
-        _state.rx_ring_dma = None
-    if _state.tx_bufs_dma is not None:
-        linux.dma_free_coherent(_state.tx_bufs_dma)
-        _state.tx_bufs_dma = None
+def rtl8139_free_rings(st):
+    if st.rx_ring_dma is not None:
+        linux.dma_free_coherent(st.rx_ring_dma)
+        st.rx_ring_dma = None
+    if st.tx_bufs_dma is not None:
+        linux.dma_free_coherent(st.tx_bufs_dma)
+        st.tx_bufs_dma = None
 
 
 def rtl8139_init_ring(dev):
@@ -314,16 +311,17 @@ def rtl8139_napi_up(dev):
     """
     if not napi_mode:
         return
-    if _state.napi is None:
-        _state.napi = linux.netif_napi_add(dev, rtl8139_poll,
-                                           weight=RTL8139_NAPI_WEIGHT)
-    linux.napi_enable(_state.napi)
+    st = dev.priv._kstate
+    if st.napi is None:
+        st.napi = linux.netif_napi_add(dev, rtl8139_poll,
+                                       weight=RTL8139_NAPI_WEIGHT)
+    linux.napi_enable(st.napi)
 
 
-def rtl8139_napi_del():
-    if _state.napi is not None:
-        linux.napi_disable(_state.napi)
-        _state.napi = None
+def rtl8139_napi_del(st):
+    if st.napi is not None:
+        linux.napi_disable(st.napi)
+        st.napi = None
 
 
 def rtl8139_hw_start(dev):
@@ -331,7 +329,7 @@ def rtl8139_hw_start(dev):
     tp = dev.priv
     rtl8139_chip_reset(tp)
     RTL_W8(tp, CFG9346, 0xC0)  # unlock config registers
-    RTL_W32(tp, RBSTART, _state.rx_ring_dma.dma_addr)
+    RTL_W32(tp, RBSTART, tp._kstate.rx_ring_dma.dma_addr)
     RTL_W32(tp, RCR, 0x0000070A)
     RTL_W32(tp, TCR, 0x03000700)
     rtl8139_set_rx_mode(dev)
@@ -352,10 +350,10 @@ def rtl8139_close(dev):
     rtl8139_stop_thread(tp)
     # NAPI must be gone (and the IRQ line unmasked) before free_irq:
     # free_irq does not reset the line's disable depth.
-    rtl8139_napi_del()
+    rtl8139_napi_del(tp._kstate)
     linux.free_irq(tp.irq, dev)
     rtl8139_tx_clear(tp)
-    rtl8139_free_rings()
+    rtl8139_free_rings(tp._kstate)
     return 0
 
 
@@ -365,6 +363,7 @@ def rtl8139_close(dev):
 
 def rtl8139_start_xmit(skb, dev):
     tp = dev.priv
+    st = tp._kstate
     entry = tp.cur_tx % NUM_TX_DESC
 
     length = len(skb)
@@ -374,18 +373,18 @@ def rtl8139_start_xmit(skb, dev):
 
     # Copy the frame into the static transmit buffer for this slot.
     buf_off = entry * TX_BUF_SIZE
-    _state.tx_bufs_dma.data[buf_off:buf_off + length] = skb.data
+    st.tx_bufs_dma.data[buf_off:buf_off + length] = skb.data
     pad = max(0, ETH_ZLEN - length)
     if pad:
-        _state.tx_bufs_dma.data[buf_off + length:buf_off + length + pad] = bytes(pad)
+        st.tx_bufs_dma.data[buf_off + length:buf_off + length + pad] = bytes(pad)
 
-    linux.spin_lock_irqsave(_state.lock)
-    RTL_W32(tp, TSAD0 + entry * 4, _state.tx_bufs_dma.dma_addr + buf_off)
+    linux.spin_lock_irqsave(st.lock)
+    RTL_W32(tp, TSAD0 + entry * 4, st.tx_bufs_dma.dma_addr + buf_off)
     RTL_W32(tp, TSD0 + entry * 4, tp.tx_flag | max(length, ETH_ZLEN))
     tp.cur_tx += 1
     if tp.cur_tx - tp.dirty_tx >= NUM_TX_DESC:
         linux.netif_stop_queue(dev)
-    linux.spin_unlock_irqrestore(_state.lock)
+    linux.spin_unlock_irqrestore(st.lock)
 
     tp.stats.tx_packets += 1
     tp.stats.tx_bytes += length
@@ -437,7 +436,7 @@ def rtl8139_rx(dev, tp, budget=None):
     """
     import struct as _pystruct
 
-    ring = _state.rx_ring_dma.data
+    ring = tp._kstate.rx_ring_dma.data
     napi_path = budget is not None and napi_mode
     if napi_path:
         ring_view = memoryview(ring)
@@ -499,11 +498,12 @@ def rtl8139_interrupt(irq, dev_id):
         return linux.IRQ_NONE
     RTL_W16(tp, ISR, status)  # ack (write-1-to-clear)
     if status & RX_INT_MASK:
-        if napi_mode and _state.napi is not None:
+        napi = tp._kstate.napi
+        if napi_mode and napi is not None:
             # NAPI: mask receive interrupts and punt ring drain to the
             # softirq poll; rtl8139_poll restores IMR on completion.
             RTL_W16(tp, IMR, INT_MASK & ~RX_INT_MASK)
-            linux.napi_schedule(_state.napi)
+            linux.napi_schedule(napi)
         else:
             rtl8139_rx(dev, tp)
     if status & (ISR_TOK | ISR_TER):
@@ -513,7 +513,7 @@ def rtl8139_interrupt(irq, dev_id):
 
 def rtl8139_poll(napi, budget):
     """NAPI poll: budgeted ring drain in softirq context."""
-    dev = _state.netdev
+    dev = napi.dev
     tp = dev.priv
     work_done = rtl8139_rx(dev, tp, budget)
     if work_done < budget:
@@ -582,21 +582,23 @@ def rtl8139_thread(data):
     tp = dev.priv
     rtl8139_check_media(dev, tp)
     if tp.have_thread:
-        linux.mod_timer(_state.thread_timer, 2000)
+        linux.mod_timer(tp._kstate.thread_timer, 2000)
 
 
 def rtl8139_start_thread(tp):
+    st = tp._kstate
     tp.have_thread = 1
-    _state.thread_timer = linux.init_timer(rtl8139_thread, _state.netdev,
-                                           name="8139too-thread")
-    linux.mod_timer(_state.thread_timer, 2000)
+    st.thread_timer = linux.init_timer(rtl8139_thread, st.netdev,
+                                       name="8139too-thread")
+    linux.mod_timer(st.thread_timer, 2000)
 
 
 def rtl8139_stop_thread(tp):
+    st = tp._kstate
     tp.have_thread = 0
-    if _state.thread_timer is not None:
-        linux.del_timer_sync(_state.thread_timer)
-        _state.thread_timer = None
+    if st.thread_timer is not None:
+        linux.del_timer_sync(st.thread_timer)
+        st.thread_timer = None
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +634,6 @@ def make_module(napi=True):
     from ...drivers.modulebase import LegacyDriverModule
 
     def init_fn():
-        # Runs after the module loader resets _state, before probe.
         set_napi_mode(napi)
         return rtl8139_init_module()
 

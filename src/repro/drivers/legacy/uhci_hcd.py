@@ -74,11 +74,13 @@ class uhci_hcd_state(CStruct):
 
 
 class uhci_state:
-    """Non-marshaled kernel state."""
+    """The uhci_hcd members that never cross the split, one per
+    controller: ``uhci._kstate`` (see :mod:`repro.drivers.modulebase`).
+    ``device_model_hook(port)`` names the device model on a root-hub
+    port, the simulation's stand-in for enumeration."""
 
     def __init__(self):
         self.uhci = None
-        self.pdev = None
         self.frame_list = None
         self.lock = None
         self.td_head = 0      # next ring slot to fill
@@ -86,9 +88,8 @@ class uhci_state:
         self.td_urb = {}      # slot -> (urb, is_last_td)
         self.urb_inflight = {}
         self.port_devices = []
-
-
-_state = uhci_state()
+        self.hcd_ops = None
+        self.device_model_hook = None
 
 
 # ---------------------------------------------------------------------------
@@ -126,12 +127,13 @@ def uhci_reset_hc(uhci):
 
 def uhci_start(uhci):
     """Allocate the schedule and set the controller running."""
-    _state.frame_list = linux.dma_alloc_coherent(
+    st = uhci._kstate
+    st.frame_list = linux.dma_alloc_coherent(
         TD_RING_ENTRIES * TD_SIZE, owner=DRV_NAME
     )
-    if _state.frame_list is None:
+    if st.frame_list is None:
         return -linux.ENOMEM
-    uhci.fl_dma = _state.frame_list.dma_addr
+    uhci.fl_dma = st.frame_list.dma_addr
     uhci_writel(uhci, uhci.fl_dma, FLBASEADD)
     uhci_writew(uhci, 0, FRNUM)
     uhci_writew(uhci, 0x000F, USBINTR)  # all interrupt sources
@@ -144,35 +146,36 @@ def uhci_stop(uhci):
     uhci_writew(uhci, 0, USBINTR)
     uhci_writew(uhci, 0, USBCMD)
     uhci.is_stopped = 1
-    if _state.frame_list is not None:
-        linux.dma_free_coherent(_state.frame_list)
-        _state.frame_list = None
+    st = uhci._kstate
+    if st.frame_list is not None:
+        linux.dma_free_coherent(st.frame_list)
+        st.frame_list = None
 
 
 # ---------------------------------------------------------------------------
 # Transfer descriptors
 # ---------------------------------------------------------------------------
 
-def uhci_td_available(count):
-    used = (_state.td_head - _state.td_dirty) % TD_RING_ENTRIES
+def uhci_td_available(st, count):
+    used = (st.td_head - st.td_dirty) % TD_RING_ENTRIES
     return TD_RING_ENTRIES - used - 1 >= count
 
 
-def uhci_fill_td(slot, buf_dma, length, flags, dev_addr, endpoint):
+def uhci_fill_td(st, slot, buf_dma, length, flags, dev_addr, endpoint):
     _pystruct.pack_into(
-        "<IHBBBBH", _state.frame_list.data, slot * TD_SIZE,
+        "<IHBBBBH", st.frame_list.data, slot * TD_SIZE,
         buf_dma, length, flags | TD_ACTIVE, dev_addr, endpoint, 0, 0,
     )
 
 
-def uhci_read_td(slot):
+def uhci_read_td(st, slot):
     return _pystruct.unpack_from(
-        "<IHBBBBH", _state.frame_list.data, slot * TD_SIZE
+        "<IHBBBBH", st.frame_list.data, slot * TD_SIZE
     )
 
 
-def uhci_clear_td(slot):
-    _pystruct.pack_into("<IHBBBBH", _state.frame_list.data,
+def uhci_clear_td(st, slot):
+    _pystruct.pack_into("<IHBBBBH", st.frame_list.data,
                         slot * TD_SIZE, 0, 0, 0, 0, 0, 0, 0)
 
 
@@ -180,18 +183,19 @@ def uhci_clear_td(slot):
 # URB enqueue / dequeue (the HCD driver interface)
 # ---------------------------------------------------------------------------
 
-def uhci_urb_enqueue(urb):
+def uhci_urb_enqueue(hcd, urb):
     """Build TDs for one URB; returns 0 or -errno."""
     from ...kernel.usb import pipe_endpoint, pipe_in
 
-    uhci = _state.uhci
-    if uhci is None or uhci.is_stopped:
+    uhci = hcd.hcd_priv
+    if uhci.is_stopped:
         return -linux.ENODEV
+    st = uhci._kstate
 
     data = urb.buffer
     length = len(data)
     td_count = max(1, (length + TD_MAX_DATA - 1) // TD_MAX_DATA)
-    if not uhci_td_available(td_count):
+    if not uhci_td_available(st, td_count):
         return -linux.ENOMEM
 
     # Stage the transfer buffer in DMA memory (one region per URB);
@@ -203,25 +207,25 @@ def uhci_urb_enqueue(urb):
     if not is_in:
         dma.data[0:length] = bytes(data)
 
-    linux.spin_lock_irqsave(_state.lock)
+    linux.spin_lock_irqsave(st.lock)
 
     slots = []
     offset = 0
     for i in range(td_count):
         chunk = min(TD_MAX_DATA, length - offset) if length else 0
-        slot = _state.td_head
+        slot = st.td_head
         flags = TD_IN if is_in else 0
-        uhci_fill_td(slot, dma.dma_addr + offset, chunk, flags,
+        uhci_fill_td(st, slot, dma.dma_addr + offset, chunk, flags,
                      urb.device.address, pipe_endpoint(urb.pipe))
-        _state.td_urb[slot] = (urb, i == td_count - 1)
-        _state.td_head = (_state.td_head + 1) % TD_RING_ENTRIES
+        st.td_urb[slot] = (urb, i == td_count - 1)
+        st.td_head = (st.td_head + 1) % TD_RING_ENTRIES
         slots.append(slot)
         offset += chunk
 
-    _state.urb_inflight[urb.id] = {
+    st.urb_inflight[urb.id] = {
         "urb": urb, "dma": dma, "slots": slots, "actual": 0,
     }
-    linux.spin_unlock_irqrestore(_state.lock)
+    linux.spin_unlock_irqrestore(st.lock)
     # Confirm the controller is still running before reporting the URB
     # queued; the register access also serves as the doorbell that ends
     # an idle-coast, so the new TDs execute in the next frame.
@@ -230,16 +234,17 @@ def uhci_urb_enqueue(urb):
     return 0
 
 
-def uhci_urb_dequeue(urb):
-    entry = _state.urb_inflight.pop(urb.id, None)
+def uhci_urb_dequeue(hcd, urb):
+    st = hcd.hcd_priv._kstate
+    entry = st.urb_inflight.pop(urb.id, None)
     if entry is None:
         return -linux.EINVAL
-    linux.spin_lock_irqsave(_state.lock)
+    linux.spin_lock_irqsave(st.lock)
     for slot in entry["slots"]:
-        uhci_clear_td(slot)
-        _state.td_urb.pop(slot, None)
+        uhci_clear_td(st, slot)
+        st.td_urb.pop(slot, None)
     linux.dma_free_coherent(entry["dma"])
-    linux.spin_unlock_irqrestore(_state.lock)
+    linux.spin_unlock_irqrestore(st.lock)
     return 0
 
 
@@ -266,23 +271,24 @@ def uhci_scan_schedule(uhci):
     """Reclaim completed TDs in order; give back finished URBs."""
     from ...kernel.usb import pipe_in
 
-    while _state.td_dirty != _state.td_head:
-        slot = _state.td_dirty
-        _buf, _length, flags, _dev, _ep, _res, actual = uhci_read_td(slot)
+    st = uhci._kstate
+    while st.td_dirty != st.td_head:
+        slot = st.td_dirty
+        _buf, _length, flags, _dev, _ep, _res, actual = uhci_read_td(st, slot)
         if flags & TD_ACTIVE:
             break  # controller hasn't executed this one yet
         if not flags & TD_DONE:
             break
-        urb, is_last = _state.td_urb.pop(slot)
-        entry = _state.urb_inflight.get(urb.id)
-        uhci_clear_td(slot)
-        _state.td_dirty = (_state.td_dirty + 1) % TD_RING_ENTRIES
+        urb, is_last = st.td_urb.pop(slot)
+        entry = st.urb_inflight.get(urb.id)
+        uhci_clear_td(st, slot)
+        st.td_dirty = (st.td_dirty + 1) % TD_RING_ENTRIES
         if entry is None:
             continue  # urb was dequeued
         entry["actual"] += actual
         failed = bool(flags & TD_ERROR)
         if is_last or failed:
-            _state.urb_inflight.pop(urb.id, None)
+            st.urb_inflight.pop(urb.id, None)
             if pipe_in(urb.pipe):
                 n = entry["actual"]
                 urb.buffer[0:n] = entry["dma"].data[0:n]
@@ -323,6 +329,7 @@ def uhci_scan_ports(uhci):
     """Enumerate devices on ports with connect-status changes."""
     from ...kernel.usb import UsbDevice, UsbDeviceDescriptor
 
+    st = uhci._kstate
     for port in range(uhci.rh_numports):
         reg = PORTSC1 + port * 2
         sc = uhci_readw(uhci, reg)
@@ -333,32 +340,28 @@ def uhci_scan_ports(uhci):
             err = uhci_port_reset(uhci, port)
             if err:
                 continue
-            model = _uhci_port_model(port)
+            model = _uhci_port_model(uhci, port)
             if model is None:
                 continue
             descriptor = UsbDeviceDescriptor(vendor_id=0x0781,
                                              product_id=0x5150)
             device = UsbDevice(descriptor, name="flash-disk")
             device.model = model
-            address = linux.usb_connect_device(device, hcd=_state.hcd_ops)
+            address = linux.usb_connect_device(device, hcd=st.hcd_ops)
             model.set_address(address)
             device.address = address
-            _state.port_devices.append(device)
+            st.port_devices.append(device)
         else:
-            for device in list(_state.port_devices):
+            for device in list(st.port_devices):
                 linux.usb_disconnect_device(device)
-                _state.port_devices.remove(device)
+                st.port_devices.remove(device)
 
 
-def _uhci_port_model(port):
-    model = _state.device_model_hook
+def _uhci_port_model(uhci, port):
+    model = uhci._kstate.device_model_hook
     if callable(model):
         return model(port)
     return None
-
-
-_state.device_model_hook = None
-_state.hcd_ops = None
 
 
 # ---------------------------------------------------------------------------
@@ -366,18 +369,22 @@ _state.hcd_ops = None
 # ---------------------------------------------------------------------------
 
 class UhciHcdOps:
+    """The usb_hcd the USB core calls; ``hcd_priv`` is the controller."""
+
+    hcd_priv = None
+
     def urb_enqueue(self, urb):
-        return uhci_urb_enqueue(urb)
+        return uhci_urb_enqueue(self, urb)
 
     def urb_dequeue(self, urb):
-        return uhci_urb_dequeue(urb)
+        return uhci_urb_dequeue(self, urb)
 
 
 # ---------------------------------------------------------------------------
 # Probe / remove
 # ---------------------------------------------------------------------------
 
-def uhci_pci_probe(pdev):
+def uhci_pci_probe(pdev, device_model_hook=None):
     err = linux.pci_enable_device(pdev)
     if err:
         return err
@@ -387,12 +394,13 @@ def uhci_pci_probe(pdev):
         return err
 
     uhci = uhci_hcd_state()
+    uhci._kstate = st = uhci_state()
     uhci.io_addr = linux.pci_resource_start(pdev, 0)
     uhci.irq = pdev.irq
     uhci.rh_numports = UHCI_NUM_PORTS
-    _state.uhci = uhci
-    _state.pdev = pdev
-    _state.lock = linux.spin_lock_init("uhci")
+    st.uhci = uhci
+    st.lock = linux.spin_lock_init("uhci")
+    st.device_model_hook = device_model_hook
 
     err = uhci_reset_hc(uhci)
     if err:
@@ -410,41 +418,45 @@ def uhci_pci_probe(pdev):
         uhci_pci_probe_unwind(pdev)
         return err
 
-    _state.hcd_ops = UhciHcdOps()
-    linux.usb_register_hcd(_state.hcd_ops)
+    st.hcd_ops = UhciHcdOps()
+    st.hcd_ops.hcd_priv = uhci
+    linux.usb_register_hcd(st.hcd_ops)
     uhci_scan_ports(uhci)
+    pdev.driver_data = uhci
     return 0
 
 
 def uhci_pci_probe_unwind(pdev):
     linux.pci_release_regions(pdev)
     linux.pci_disable_device(pdev)
-    _state.uhci = None
 
 
 def uhci_pci_remove(pdev):
-    uhci = _state.uhci
+    uhci = pdev.driver_data
     if uhci is None:
         return
-    for device in list(_state.port_devices):
+    st = uhci._kstate
+    for device in list(st.port_devices):
         linux.usb_disconnect_device(device)
-    _state.port_devices = []
+    st.port_devices = []
     uhci_stop(uhci)
-    if _state.hcd_ops is not None:
-        linux.usb_unregister_hcd(_state.hcd_ops)
-        _state.hcd_ops = None
+    if st.hcd_ops is not None:
+        linux.usb_unregister_hcd(st.hcd_ops)
+        st.hcd_ops = None
     linux.free_irq(uhci.irq, uhci)
     linux.pci_release_regions(pdev)
     linux.pci_disable_device(pdev)
-    _state.uhci = None
+    pdev.driver_data = None
 
 
 class UhciPciGlue:
     name = DRV_NAME
     id_table = ((UHCI_VENDOR_ID, UHCI_DEVICE_ID),)
+    # Each controller's root-hub device models (see uhci_state).
+    device_model_hook = None
 
     def probe(self, kernel, pdev):
-        return uhci_pci_probe(pdev)
+        return uhci_pci_probe(pdev, self.device_model_hook)
 
     def remove(self, kernel, pdev):
         uhci_pci_remove(pdev)
@@ -464,11 +476,12 @@ def uhci_hcd_cleanup():
 def make_module(device_model_hook=None):
     from ..modulebase import LegacyDriverModule
 
-    _state.device_model_hook = device_model_hook
+    glue = UhciPciGlue()
+    glue.device_model_hook = device_model_hook
     return LegacyDriverModule(
         name=DRV_NAME,
         driver_module=__import__(__name__, fromlist=["*"]),
-        pci_glue=UhciPciGlue(),
+        pci_glue=glue,
         init_fn=uhci_hcd_init,
         cleanup_fn=uhci_hcd_cleanup,
     )

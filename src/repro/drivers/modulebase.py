@@ -4,35 +4,54 @@ A :class:`LegacyDriverModule` binds one legacy driver source module (its
 ``linux`` global, its PCI glue) into a loadable :class:`KernelModule`.
 Decaf drivers use :class:`DecafDriverModule`, which additionally owns
 the XPC plumbing and the decaf runtime startup.
+
+One driver source module serves every device it drives, so any number
+of loaded instances may bind the same module.  Per-device state lives
+on the device: each legacy driver's ``*_state`` object holds the
+members of the C private struct that never cross the split (locks,
+timers, NAPI contexts, DMA regions).  Probe creates one per device and
+hangs it off the device's marshaled struct as ``<struct>._kstate`` --
+an underscore attribute, so it is neither marshaled nor dirty-tracked,
+and DriverSlicer's field analysis never sees it.  Entry points reach
+the struct the way the C driver does (``netdev.priv``,
+``pdev.driver_data``, ``serio.drvdata``, the irq ``dev_id``, the pcm's
+and the hcd's private data); each nucleus holds its own device's object
+as ``self.state``.  Module parameters stay module globals.  ``linux`` is
+a module's only global tied to a kernel; the last instance on that
+kernel to unload clears it (:func:`unbind_linux`).
 """
 
 from ..kernel.module import KernelModule
 from .linuxapi import LinuxApi
 
 
+def unbind_linux(kernel, modules):
+    """Clear ``linux`` on ``modules`` unless a module still loaded on
+    ``kernel`` binds them: a driver module's globals must not keep an
+    unloaded kernel alive."""
+    left = {module for module in modules
+            if module.linux is not None and module.linux.kernel is kernel}
+    for other in kernel.modules.loaded.values():
+        if not left:
+            return
+        left.difference_update(getattr(other, "bound_modules", ()))
+    for module in left:
+        module.linux = None
+
+
 class LegacyDriverModule(KernelModule):
     def __init__(self, name, driver_module, pci_glue=None,
                  init_fn=None, cleanup_fn=None, extra_modules=()):
         self.name = name
-        self.driver_module = driver_module
-        self.extra_modules = tuple(extra_modules)
+        self.bound_modules = (driver_module,) + tuple(extra_modules)
         self.pci_glue = pci_glue
         self.init_fn = init_fn
         self.cleanup_fn = cleanup_fn
-        self.linux = None
 
     def init_module(self, kernel):
-        self.linux = LinuxApi(kernel)
-        self.driver_module.linux = self.linux
-        for module in self.extra_modules:
-            module.linux = self.linux
-        # Driver-global state (the C file's static variables) must be
-        # fresh per load: a previous kernel instance may have left
-        # pointers into *its* memory manager behind.
-        for module in (self.driver_module,) + self.extra_modules:
-            state = getattr(module, "_state", None)
-            if state is not None:
-                state.__init__()
+        linux = LinuxApi(kernel)
+        for module in self.bound_modules:
+            module.linux = linux
         if self.init_fn is not None:
             ret = self.init_fn()
             if ret:
@@ -51,13 +70,15 @@ class LegacyDriverModule(KernelModule):
             kernel.pci.unregister_driver(self.pci_glue)
         if self.cleanup_fn is not None:
             self.cleanup_fn()
+        unbind_linux(kernel, self.bound_modules)
 
 
 class DecafDriverModule(KernelModule):
     """A decaf driver: nucleus (kernel) + decaf driver (user, managed).
 
-    ``setup(kernel)`` must return an object with ``pci_glue`` (optional)
-    and ``init()``/``cleanup()``; it is built by the driver's nucleus
+    ``setup(kernel)`` must return an object with ``pci_glue`` (optional),
+    ``init()``/``cleanup()`` and ``bound_modules`` (the legacy modules
+    whose ``linux`` it binds); it is built by the driver's nucleus
     module and wires XPC, the runtimes and the decaf-driver instance.
     """
 
@@ -65,9 +86,11 @@ class DecafDriverModule(KernelModule):
         self.name = name
         self._setup = setup
         self.instance = None
+        self.bound_modules = ()
 
     def init_module(self, kernel):
         self.instance = self._setup(kernel)
+        self.bound_modules = self.instance.bound_modules
         ret = self.instance.init()
         if ret:
             self.instance = None
@@ -80,3 +103,4 @@ class DecafDriverModule(KernelModule):
             if plumbing is not None:
                 plumbing.close()
             self.instance = None
+        unbind_linux(kernel, self.bound_modules)

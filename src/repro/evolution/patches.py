@@ -18,6 +18,7 @@ per-kernel-release E1000 changelog shape):
   not before), which is the regeneration workflow of section 3.2.4.
 """
 
+import importlib
 import random
 from dataclasses import dataclass, field
 
@@ -183,7 +184,11 @@ def apply_patch_series(patches, base_plan_accesses=None, batches=(1, 2)):
     verifying each new field is marshaled afterwards.
     """
     from ..core.cstruct import StructRegistry
+    from ..family import FAMILIES
 
+    # The structs the series extends are the e1000 driver's; importing
+    # it registers them, whatever the caller imported before.
+    importlib.import_module(FAMILIES["e1000"].legacy)
     report = EvolutionReport()
     accesses = dict(base_plan_accesses or {})
     extra = []

@@ -3,11 +3,10 @@
 A :class:`DeviceFamily` is the only place that knows one driver's
 device model and resources (defaults on a rig, slot-carved IRQ, ports,
 MMIO and MAC in a fleet), its legacy and nucleus module names, how to
-build its loadable module from a module namespace (the originals, or a
-fleet slot's clones), how to find and release the endpoint probe
-registers, the fleet's ``tick``/``poke``, and the conformance event
-vocabulary.  :data:`FAMILIES` maps the driver names Tables 2/3,
-conformance and the slicer use to their family.
+build a loadable module from them, how to find and release the
+endpoint probe registers, the fleet's ``tick``/``poke``, and the
+conformance event vocabulary.  :data:`FAMILIES` maps the driver names
+Tables 2/3, conformance and the slicer use to their family.
 
 A :class:`DeviceInstance` is one device and its driver on one kernel:
 insmod, supervision, fault injection and remove.  A rig
@@ -90,11 +89,11 @@ class DeviceInstance:
         self.recoveries = 0       # harvested from detached supervisors
         self.outage_samples = []  # harvested from detached supervisors
 
-    def attach(self, kernel, ns, slot=None, **options):
-        """Plug the device into ``kernel``; build the module from ``ns``."""
+    def attach(self, kernel, slot=None, **options):
+        """Plug the device into ``kernel`` and build its driver module."""
         self.kernel = kernel
         self.family.attach(self, slot, **options)
-        self.module = self.family.module(self, ns, **options)
+        self.module = self.family.module(self, **options)
         return self
 
     # -- lifecycle ------------------------------------------------------------
@@ -239,17 +238,11 @@ class DeviceFamily:
     xpc_at = None
     explore_gap_ms = 3  # explorer inter-event spacing
 
-    def clone_set(self, decaf):
-        """Modules holding per-instance driver state, dependency order."""
-        return (self.legacy, self.nucleus) if decaf else (self.legacy,)
-
     def rig(self, decaf=False, nr_cpus=1, health=False, **options):
         """This family's device and driver on a fresh kernel."""
         kernel = make_kernel(nr_cpus=nr_cpus, **self.kernel_options(decaf))
         _install_health(kernel, health)
-        ns = {name: importlib.import_module(name)
-              for name in self.clone_set(decaf)}
-        return DeviceInstance(self, decaf).attach(kernel, ns, **options)
+        return DeviceInstance(self, decaf).attach(kernel, **options)
 
     def kernel_options(self, decaf):
         return {}
@@ -260,9 +253,12 @@ class DeviceFamily:
 
     # -- the loadable module --------------------------------------------------
 
-    def module(self, inst, ns, **options):
+    def module(self, inst, **options):
+        """A loadable module for ``inst``: each device's own
+        ``KernelModule`` over the one shared driver module."""
         if inst.decaf:
-            mod = self.decaf_module(inst, ns[self.nucleus], **options)
+            mod = self.decaf_module(
+                inst, importlib.import_module(self.nucleus), **options)
             setup = mod._setup
 
             # DecafDriverModule builds its nucleus inside init_module;
@@ -275,7 +271,8 @@ class DeviceFamily:
 
             mod._setup = fitted
         else:
-            mod = self.legacy_module(inst, ns[self.legacy], **options)
+            mod = self.legacy_module(
+                inst, importlib.import_module(self.legacy), **options)
         mod.name = inst.name
         return mod
 
@@ -283,7 +280,7 @@ class DeviceFamily:
         init = getattr(drv, self.legacy_init)
 
         def init_fn():
-            # Runs after the module loader resets _state, before probe.
+            # Module parameters are set at load time, before probe.
             self.configure(drv, **options)
             return init()
 
@@ -782,10 +779,11 @@ class UhciFamily(DeviceFamily):
         return lambda port: disk if port == 0 else None
 
     def legacy_module(self, inst, drv, **options):
-        # The hook is a post-construction attribute on _state, so the
-        # loader's per-insmod ``_state.__init__()`` reset preserves it.
-        drv._state.device_model_hook = self._hook(inst)
-        return super().legacy_module(inst, drv, **options)
+        # Each device's own pci_driver carries its disk to probe,
+        # which stores the hook in the controller's per-device state.
+        mod = super().legacy_module(inst, drv, **options)
+        mod.pci_glue.device_model_hook = self._hook(inst)
+        return mod
 
     def decaf_module(self, inst, nucleus, **_):
         return nucleus.make_module(device_model_hook=self._hook(inst))

@@ -11,11 +11,10 @@ tenants.
 
 Layout:
 
-* :mod:`repro.fleet.isolate` -- per-slot driver module cloning (the
-  drivers are C-idiomatic singletons around a module-level ``_state``;
-  a fleet needs N independent instances of each).
 * :mod:`repro.fleet.slots` -- device slots: a :mod:`repro.family`
-  instance per slot with identity-filtered bus glue and traffic.
+  instance per slot with identity-filtered bus glue and traffic.  The
+  drivers keep per-device state on the device, so every slot's module
+  binds the one shared driver module.
 * :mod:`repro.fleet.harness` -- the churn engine, fault injection and
   metrics (events/s, bytes/device, recovery latency percentiles).
 

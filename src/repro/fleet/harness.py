@@ -78,7 +78,7 @@ class FleetHarness:
                                   nr_irqs=spec.n_devices + 8,
                                   sound_use_mutex=True)
         self.window = RunWindow(self.kernel)
-        self.pool = ClonePool()
+        self.pool = ClonePool()  # benchmark-facing stub (fleet.isolate)
         self.rng = random.Random(spec.seed)
         self.slots = []
         self._parked = []        # removed slots awaiting re-probe
@@ -97,7 +97,7 @@ class FleetHarness:
         family = spec.mix[index % len(spec.mix)]
         decaf = self.rng.random() < spec.decaf_fraction
         slot = DeviceSlot(index, decaf, family)
-        slot.attach(self.kernel, self.pool.acquire(family, decaf))
+        slot.attach(self.kernel)
         slot.probe(max_recoveries=spec.max_recoveries)
         self.slots.append(slot)
 
@@ -114,7 +114,7 @@ class FleetHarness:
         tracemalloc slows slot construction by more than an order of
         magnitude, so only the first ``sample`` slots build traced (the
         per-device cost is uniform by construction: same families, same
-        clone sets); the rest build at full speed.
+        drivers); the rest build at full speed.
         """
         spec = self.spec
         sample = min(sample, spec.n_devices)
@@ -230,14 +230,11 @@ class FleetHarness:
     # -- teardown + metrics ----------------------------------------------------
 
     def teardown(self):
-        """Remove every slot and pool its clone namespaces."""
+        """Remove every slot."""
         self._parked = []
         for slot in self.slots:
             if slot.bound:
                 slot.remove()
-            if slot.clones is not None:
-                self.pool.release(slot.family.key, slot.decaf, slot.clones)
-                slot.clones = None
         return self
 
     def faults_fired(self):
@@ -273,7 +270,6 @@ class FleetHarness:
                 "legacy_slots": sum(1 for s in self.slots if not s.decaf),
                 "probes": sum(s.probes for s in self.slots),
                 "removes": self.removes,
-                "clone_pool": self.pool.stats(),
                 "wall_elapsed_s": round(self.wall_elapsed_s, 3),
             },
         )

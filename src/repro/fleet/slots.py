@@ -1,13 +1,14 @@
 """Fleet slots: device instances on the fleet kernel.
 
 A :class:`DeviceSlot` is a :class:`repro.family.DeviceInstance` whose
-driver module is built from the slot's private clone namespace
-(:mod:`repro.fleet.isolate`) and whose device gets slot-unique
-resources.  The family supplies the device, the module, the endpoint
-and the traffic; the slot adds the fleet's policy: each slot's bus
-glue binds only its own PCI function, nucleus polls are stretched,
-decaf drivers are supervised from probe on, and probe opens the
-endpoint for traffic.
+device gets slot-unique resources.  Every slot has its own loadable
+module (insmod/rmmod, XPC channel, supervisor), and every slot's
+module binds the one driver module of its family: drivers keep
+per-device state on the device.  The family supplies the device, the
+module, the endpoint and the traffic; the slot adds the fleet's
+policy: each slot's bus glue binds only its own PCI function, nucleus
+polls are stretched, decaf drivers are supervised from probe on, and
+probe opens the endpoint for traffic.
 """
 
 from ..family import FAMILIES, DeviceInstance
@@ -31,14 +32,12 @@ class DeviceSlot(DeviceInstance):
         super().__init__(family, decaf, "%s%s.%d" % (
             family.key, "+decaf" if decaf else "", index))
         self.index = index
-        self.clones = None
         self.traffic_units = 0   # packets / blocks / chunks / samples moved
         self.traffic_lost = 0    # units refused (queue stopped, recovery)
 
-    def attach(self, kernel, clones):
+    def attach(self, kernel):
         """Plug the hardware in and build the driver module (once)."""
-        self.clones = clones
-        return super().attach(kernel, clones, slot=self.index)
+        return super().attach(kernel, slot=self.index)
 
     def probe(self, max_recoveries=1000):
         """insmod the slot's driver and start its traffic endpoint."""
@@ -67,9 +66,9 @@ class DeviceSlot(DeviceInstance):
 
         ``PciBus.register_driver`` probes every unbound function the ID
         table matches: with N identical NICs on the bus, slot 7's
-        driver would otherwise claim slot 3's silicon.  (A real kernel
-        serves all instances with one driver; the fleet's
-        driver-per-slot cloning reintroduces the problem.)
+        driver would otherwise claim slot 3's silicon.  A real kernel
+        registers one ``pci_driver`` that probes every device; here each
+        slot registers its own, so that slots load and unload apart.
         """
         func, matches = self.device.pci, glue.matches
         glue.matches = lambda f: f is func and matches(f)

@@ -35,6 +35,7 @@ class SerioPort:
         self.name = name
         self.device_model = None  # must expose handle_byte(port, byte)
         self.driver_interrupt = None  # callable(port, byte, flags)
+        self.drvdata = None  # serio_get_drvdata: the bound driver's device
         self.opened = False
         self.bytes_to_device = 0
         self.bytes_from_device = 0

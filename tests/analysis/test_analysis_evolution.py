@@ -1,5 +1,9 @@
 """Case-study analyses (section 5) and evolution machinery (Table 4)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.analysis import (
@@ -102,6 +106,20 @@ class TestEvolution:
         assert rows["Driver nucleus"] > 10 * rows["User/kernel interface"]
         assert abs(rows["Decaf driver"] - 4690) / 4690 < 0.1
         assert abs(rows["Driver nucleus"] - 381) / 381 < 0.2
+
+    def test_series_applies_in_a_fresh_interpreter(self):
+        """The series registers the structs it extends itself: Table 4
+        must not depend on what the caller imported first."""
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        code = ("from repro.evolution import apply_patch_series, "
+                "build_e1000_patch_series\n"
+                "report, _ = apply_patch_series(build_e1000_patch_series())\n"
+                "print(report.interface_patches)\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "8"
 
     def test_two_batches(self):
         patches = build_e1000_patch_series()

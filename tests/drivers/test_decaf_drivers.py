@@ -221,9 +221,7 @@ class TestDecafUhci:
         rig = make_uhci_rig(decaf=True)
         rig.insmod()
         nucleus = rig.module.instance
-        from repro.drivers.legacy import uhci_hcd as legacy
-
-        uhci = legacy._state.uhci
+        uhci = nucleus.state.uhci
         assert nucleus.plumbing.upcall(
             nucleus.decaf.suspend, args=[(uhci, type(uhci))]) == 0
         assert rig.device.sts & 0x20  # halted
@@ -235,23 +233,21 @@ class TestDecafUhci:
 
 class TestDecafPsmouse:
     def test_detection_runs_in_decaf(self):
-        from repro.drivers.legacy import psmouse as legacy
-
         rig = make_psmouse_rig(decaf=True)
         rig.insmod()
-        assert legacy._state.psmouse.name == "IntelliMouse"
-        assert legacy._state.psmouse.pktsize == 4
+        psmouse = rig.module.instance.state.psmouse
+        assert psmouse.name == "IntelliMouse"
+        assert psmouse.pktsize == 4
         # Paper: 24 crossings for psmouse init; each PS/2 command is one.
         assert 15 <= rig.crossings() <= 35
 
     def test_interrupt_decode_stays_kernel(self):
-        from repro.drivers.legacy import psmouse as legacy
-
         rig = make_psmouse_rig(decaf=True)
         rig.insmod()
         before = rig.crossings()
         events = []
-        legacy._state.input_dev.sink = lambda evs: events.extend(evs)
+        rig.module.instance.state.input_dev.sink = (
+            lambda evs: events.extend(evs))
         for _ in range(100):
             rig.device.move(1, 1)
         assert rig.crossings() == before
@@ -329,10 +325,8 @@ class TestDecafPhyDiagnostics:
         # Legacy measurement.
         lrig = mk()
         lrig.insmod()
-        from repro.drivers.legacy import e1000_main
-
         ret, lo, hi = legacy_hw.e1000_get_cable_length(
-            e1000_main._state.adapter.hw)
+            lrig.endpoint.priv.hw)
         assert ret == 0
         # Decaf measurement on an identical device.
         drig, hw = self._hw()

@@ -78,14 +78,12 @@ class TestRtl8139Legacy:
         rig.rmmod(check_leaks=True)  # all DMA freed
 
     def test_link_watch_timer_runs(self):
-        from repro.drivers.legacy import rtl8139 as drv
-
         rig = make_8139too_rig()
         rig.insmod()
         dev = rig.netdev()
         rig.kernel.net.dev_open(dev)
         rig.kernel.run_for_s(5)
-        assert drv._state.thread_timer.fired >= 2
+        assert dev.priv._kstate.thread_timer.fired >= 2
 
 
 class TestE1000Legacy:
@@ -165,11 +163,9 @@ class TestE1000Legacy:
 
 class TestEns1371Legacy:
     def test_codec_vendor_probed(self):
-        from repro.drivers.legacy import ens1371 as drv
-
         rig = make_ens1371_rig()
         rig.insmod()
-        assert drv._state.ensoniq.codec_vendor == 0x43525914
+        assert rig.endpoint.pcm.private_data.codec_vendor == 0x43525914
 
     def test_mixer_controls_registered(self):
         rig = make_ens1371_rig()
@@ -246,21 +242,19 @@ class TestUhciLegacy:
 
 class TestPsmouseLegacy:
     def test_intellimouse_detected(self):
-        from repro.drivers.legacy import psmouse as drv
-
         rig = make_psmouse_rig()
         rig.insmod()
-        assert drv._state.psmouse.name == "IntelliMouse"
-        assert drv._state.psmouse.pktsize == 4
+        psmouse = rig.extra["port"].drvdata
+        assert psmouse.name == "IntelliMouse"
+        assert psmouse.pktsize == 4
 
     def test_plain_mouse_detected_without_extension(self):
-        from repro.drivers.legacy import psmouse as drv
-
         rig = make_psmouse_rig()
         rig.device.intellimouse_capable = False
         rig.insmod()
-        assert drv._state.psmouse.name == "PS/2 Mouse"
-        assert drv._state.psmouse.pktsize == 3
+        psmouse = rig.extra["port"].drvdata
+        assert psmouse.name == "PS/2 Mouse"
+        assert psmouse.pktsize == 3
 
     def test_movement_events(self):
         from repro.drivers.legacy import psmouse as drv
@@ -268,7 +262,7 @@ class TestPsmouseLegacy:
         rig = make_psmouse_rig()
         rig.insmod()
         events = []
-        drv._state.input_dev.sink = lambda evs: events.extend(evs)
+        rig.endpoint.sink = lambda evs: events.extend(evs)
         rig.device.move(10, -4, buttons=0b101)
         assert (drv.EV_REL, drv.REL_X, 10) in events
         assert (drv.EV_REL, drv.REL_Y, -4) in events
@@ -293,9 +287,7 @@ class TestE1000PhyDiagnostics:
     def _hw(self):
         rig = make_e1000_rig()
         rig.insmod()
-        from repro.drivers.legacy import e1000_main
-
-        return rig, e1000_main._state.adapter.hw
+        return rig, rig.endpoint.priv.hw
 
     def test_cable_length_m88(self):
         from repro.drivers.legacy import e1000_hw
@@ -350,9 +342,7 @@ class TestE1000PhyDiagnostics:
         rig.device.phy_regs[2] = 0x02A8  # IGP01 id
         rig.device.phy_regs[3] = 0x0380
         rig.insmod()
-        from repro.drivers.legacy import e1000_main
-
-        hw = e1000_main._state.adapter.hw
+        hw = rig.endpoint.priv.hw
         assert hw.phy_type == e1000_hw.E1000_PHY_IGP
         # Force a downshift indication (IGP path reads PHY_STATUS; the
         # M88-style bit is ignored, so smartspeed sees no downshift and

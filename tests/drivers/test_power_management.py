@@ -39,7 +39,7 @@ class TestLegacySuspendResume:
 
         rig = make_e1000_rig()
         rig.insmod()
-        adapter = e1000_main._state.adapter
+        adapter = rig.endpoint.priv
         assert e1000_main.e1000_suspend(rig.device.pci) == 0
         saved = list(adapter.config_space)
         assert e1000_main.e1000_resume(rig.device.pci) == 0

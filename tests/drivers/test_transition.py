@@ -108,7 +108,6 @@ class TestIncrementalDriverMigration:
         kernel.pci.add_function(nic.pci)
         kernel.pci.request_regions(nic.pci, "t")
         legacy.linux = LinuxApi(kernel)
-        legacy._state.__init__()
 
         tp = legacy.rtl8139_private()
         tp.ioaddr = nic.pci.resource_start(0)

@@ -15,7 +15,6 @@ import pytest
 
 from repro.family import FAMILIES
 from repro.fleet import FleetHarness, FleetSpec
-from repro.fleet.isolate import ClonePool
 from repro.fleet.slots import DeviceSlot
 from repro.kernel import make_kernel
 
@@ -38,10 +37,8 @@ def _gauges(kernel):
     }
 
 
-def _one_slot(kernel, pool, family, decaf):
-    slot = DeviceSlot(0, decaf, family)
-    slot.attach(kernel, pool.acquire(family, decaf))
-    return slot
+def _one_slot(kernel, family, decaf):
+    return DeviceSlot(0, decaf, family).attach(kernel)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -49,8 +46,7 @@ def _one_slot(kernel, pool, family, decaf):
                          ids=["legacy", "decaf"])
 def test_churn_cycles_leave_kernel_flat(family, decaf):
     kernel = make_kernel(nr_cpus=2, nr_irqs=16, sound_use_mutex=True)
-    pool = ClonePool()
-    slot = _one_slot(kernel, pool, family, decaf)
+    slot = _one_slot(kernel, family, decaf)
 
     baseline = None
     traced_at_warmup = 0
@@ -103,8 +99,7 @@ def test_mixed_fleet_concurrent_smoke():
 def test_churned_slot_keeps_working_after_reprobe():
     """Traffic works identically on the re-probed instance."""
     kernel = make_kernel(nr_cpus=2, nr_irqs=16)
-    pool = ClonePool()
-    slot = _one_slot(kernel, pool, "e1000", decaf=True)
+    slot = _one_slot(kernel, "e1000", decaf=True)
     slot.probe()
     first = slot.tick()
     kernel.run_for_ms(2)
