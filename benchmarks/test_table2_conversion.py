@@ -61,7 +61,8 @@ def test_table2_conversion(benchmark, table_printer):
             "%d" % paper["ann"], "%d" % report["annotations"],
             "%df/%d" % paper["nucleus"],
             "%df/%d" % (report["nucleus_funcs"], report["nucleus_loc"]),
-            "%df/%d" % paper["decaf"],
+            "%df/%d" % (paper["decaf"][0] + paper["library"][0],
+                        paper["decaf"][1] + paper["library"][1]),
             "%df/%d" % (report["decaf_funcs"] + report["library_funcs"],
                         report["decaf_loc"] + report["library_loc"]),
         ))

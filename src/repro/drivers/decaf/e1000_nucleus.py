@@ -14,8 +14,7 @@ remain here, served directly from the kernel (section 5).
 from ..legacy import e1000_ethtool as legacy_ethtool
 from ..legacy import e1000_hw as hw_defs
 from ..legacy import e1000_main as legacy
-from ..legacy.e1000_main import E1000_VENDOR_ID, e1000_adapter
-from ..linuxapi import LinuxApi
+from ..legacy.e1000_main import e1000_adapter
 from ..modulebase import DecafDriverModule
 from .e1000_decaf import E1000DecafDriver
 from .e1000_lib import E1000DriverLibrary
@@ -25,14 +24,9 @@ DRV_NAME = "e1000"
 
 
 class E1000Nucleus:
-    # Legacy modules whose ``linux`` global this nucleus binds.
-    bound_modules = (legacy, hw_defs, legacy_ethtool)
-
-    def __init__(self, kernel):
+    def __init__(self, kernel, module_options=None):
         self.kernel = kernel
-        self.linux = LinuxApi(kernel)
-        for module in self.bound_modules:
-            module.linux = self.linux
+        self.linux = legacy.linux
         self.state = legacy.e1000_state()
         self.plumbing = None
         self.decaf = None
@@ -43,20 +37,7 @@ class E1000Nucleus:
         self.watchdog_timer = None
         self.watchdog_period_ns = 2_000_000_000  # fleet slots stretch this
         self.irq_requested = False
-        self.module_options = None
-        self.pci_glue = _PciGlue(self)
-
-    # -- module lifecycle ---------------------------------------------------------
-
-    def init(self):
-        bound = self.kernel.pci.register_driver(self.pci_glue)
-        if bound == 0:
-            self.kernel.pci.unregister_driver(self.pci_glue)
-            return -self.linux.ENODEV
-        return 0
-
-    def cleanup(self):
-        self.kernel.pci.unregister_driver(self.pci_glue)
+        self.module_options = module_options
 
     # -- probe ----------------------------------------------------------------------
 
@@ -454,31 +435,13 @@ class E1000Nucleus:
         return legacy_ethtool.e1000_diag_test(self.netdev)
 
 
-class _PciGlue:
-    name = DRV_NAME
-
-    def __init__(self, nucleus):
-        self.nucleus = nucleus
-
-    def probe(self, kernel, pdev):
-        return self.nucleus.probe(pdev)
-
-    def remove(self, kernel, pdev):
-        self.nucleus.remove(pdev)
-
-    def matches(self, func):
-        from ...devices.e1000 import E1000_DEVICE_IDS
-
-        return (func.vendor_id == E1000_VENDOR_ID
-                and func.device_id in E1000_DEVICE_IDS)
-
-
 def make_module(options=None, napi=True, num_queues=1):
-    def setup(kernel):
+    def init_fn():
         legacy.set_napi_mode(napi)
         legacy.set_num_queues(num_queues)
-        nucleus = E1000Nucleus(kernel)
-        nucleus.module_options = options
-        return nucleus
+        return 0
 
-    return DecafDriverModule(DRV_NAME, setup)
+    return DecafDriverModule(
+        DRV_NAME, legacy, legacy.E1000PciGlue(),
+        lambda kernel: E1000Nucleus(kernel, options),
+        init_fn=init_fn, extra_modules=(hw_defs, legacy_ethtool))

@@ -7,7 +7,7 @@ decaf driver.
 
 This split is only legal on a kernel whose sound library calls driver
 ops under a **mutex**: with the stock spinlock library, the prepare/
-trigger upcalls would sleep in atomic context.  The nucleus checks at
+trigger upcalls would sleep in atomic context.  The module checks at
 init and refuses to load otherwise, making the paper's kernel
 modification (section 3.1.3) an explicit, testable requirement.
 """
@@ -15,54 +15,27 @@ modification (section 3.1.3) an explicit, testable requirement.
 from ..legacy import ens1371 as legacy
 from ..legacy.ens1371 import (
     DRV_NAME,
-    ENSONIQ_VENDOR_ID,
-    ES1371_DEVICE_ID,
     ES_DAC2_EN,
     ES_P2_INTR_EN,
     ES_REG_CONTROL,
     ES_REG_SERIAL,
     ensoniq,
 )
-from ..linuxapi import LinuxApi
 from ..modulebase import DecafDriverModule
 from .ens1371_decaf import Ens1371DecafDriver
 from .plumbing import DecafPlumbing
 
 
 class Ens1371Nucleus:
-    # Legacy modules whose ``linux`` global this nucleus binds.
-    bound_modules = (legacy,)
-
     def __init__(self, kernel):
         self.kernel = kernel
-        self.linux = LinuxApi(kernel)
-        for module in self.bound_modules:
-            module.linux = self.linux
+        self.linux = legacy.linux
         self.state = legacy.ens_state()
         self.plumbing = None
         self.decaf = None
         self.pdev = None
         self.card = None
         self.irq_requested = False
-        self.pci_glue = _PciGlue(self)
-
-    def init(self):
-        if not self.kernel.sound.use_mutex:
-            # Stock sound library holds a spinlock around driver ops; a
-            # decaf sound driver cannot run on it (section 3.1.3).
-            self.kernel.printk(
-                "ens1371-decaf: sound library uses spinlocks; "
-                "decaf driver requires the mutex-based library"
-            )
-            return -self.linux.EINVAL
-        bound = self.kernel.pci.register_driver(self.pci_glue)
-        if bound == 0:
-            self.kernel.pci.unregister_driver(self.pci_glue)
-            return -self.linux.ENODEV
-        return 0
-
-    def cleanup(self):
-        self.kernel.pci.unregister_driver(self.pci_glue)
 
     # -- probe -----------------------------------------------------------------
 
@@ -331,22 +304,17 @@ class _PcmOpsStub:
         return self._n.op_pointer(substream)
 
 
-class _PciGlue:
-    name = DRV_NAME
-    id_table = ((ENSONIQ_VENDOR_ID, ES1371_DEVICE_ID),)
-
-    def __init__(self, nucleus):
-        self.nucleus = nucleus
-
-    def probe(self, kernel, pdev):
-        return self.nucleus.probe(pdev)
-
-    def remove(self, kernel, pdev):
-        self.nucleus.remove(pdev)
-
-    def matches(self, func):
-        return (func.vendor_id, func.device_id) in self.id_table
+def _require_mutex_library():
+    linux = legacy.linux
+    if not linux.kernel.sound.use_mutex:
+        # Stock sound library holds a spinlock around driver ops; a
+        # decaf sound driver cannot run on it (section 3.1.3).
+        linux.printk("ens1371-decaf: sound library uses spinlocks; "
+                     "decaf driver requires the mutex-based library")
+        return -linux.EINVAL
+    return 0
 
 
 def make_module():
-    return DecafDriverModule(DRV_NAME, Ens1371Nucleus)
+    return DecafDriverModule(DRV_NAME, legacy, legacy.Ens1371PciGlue(),
+                             Ens1371Nucleus, init_fn=_require_mutex_library)

@@ -9,37 +9,24 @@ code -- run in the decaf driver, issuing commands through the
 
 from ..legacy import psmouse as legacy
 from ..legacy.psmouse import DRV_NAME, psmouse_struct
-from ..linuxapi import LinuxApi
 from ..modulebase import DecafDriverModule
 from .plumbing import DecafPlumbing
 from .psmouse_decaf import PsmouseDecafDriver
 
 
 class PsmouseNucleus:
-    # Legacy modules whose ``linux`` global this nucleus binds.
-    bound_modules = (legacy,)
-
     def __init__(self, kernel):
         self.kernel = kernel
-        self.linux = LinuxApi(kernel)
-        for module in self.bound_modules:
-            module.linux = self.linux
+        self.linux = legacy.linux
         self.state = legacy.psmouse_state()
         self.plumbing = None
         self.decaf = None
-        self.serio = None
-        self.port_hint = None  # fleet slots pin their own serio port
         self.resync_timer = None
         self.resync_period_ns = 1_000_000_000  # fleet slots stretch this
 
-    # -- module lifecycle ------------------------------------------------------
+    # -- connect / disconnect (serio driver probe / remove) ----------------------
 
-    def init(self):
-        ports = self.kernel.input.serio_ports
-        if not ports:
-            return -self.linux.ENODEV
-        self.serio = self.port_hint if self.port_hint is not None \
-            else ports[0]
+    def probe(self, serio):
         self.plumbing = DecafPlumbing(self.kernel, "psmouse")
         self.decaf = PsmouseDecafDriver(self.plumbing.decaf_rt, self)
         self.plumbing.decaf_rt.start()
@@ -48,12 +35,13 @@ class PsmouseNucleus:
         psmouse.state = legacy.PSMOUSE_STATE_INITIALIZING
         psmouse._kstate = self.state
         self.state.psmouse = psmouse
-        self.state.serio = self.serio
-        self.serio.drvdata = psmouse
+        self.state.serio = serio
+        serio.drvdata = psmouse
         self.plumbing.channel.kernel_tracker.register(psmouse)
 
-        err = self.serio.open(legacy.psmouse_interrupt)
+        err = serio.open(legacy.psmouse_interrupt)
         if err:
+            serio.drvdata = None
             self.state.psmouse = None
             return err
 
@@ -61,22 +49,22 @@ class PsmouseNucleus:
             self.decaf.connect, args=[(psmouse, psmouse_struct)]
         )
         if ret:
-            self.serio.close()
+            serio.close()
+            serio.drvdata = None
             self.state.psmouse = None
         else:
             self.plumbing.record("connect")
         return ret
 
-    def cleanup(self):
+    def remove(self, serio):
         self.stop_resync()
         if self.decaf is not None and self.state.psmouse is not None:
             self.plumbing.upcall(
                 self.decaf.disconnect,
                 args=[(self.state.psmouse, psmouse_struct)],
             )
-        if self.serio is not None:
-            self.serio.close()
-            self.serio.drvdata = None
+        serio.close()
+        serio.drvdata = None
         self.state.psmouse = None
         self.state.input_dev = None
 
@@ -187,4 +175,5 @@ class PsmouseNucleus:
 
 
 def make_module():
-    return DecafDriverModule(DRV_NAME, PsmouseNucleus)
+    return DecafDriverModule(DRV_NAME, legacy, legacy.PsmouseSerioGlue(),
+                             PsmouseNucleus, bus="input")

@@ -14,28 +14,16 @@ in place); this module adds what the slicer generates around them:
 """
 
 from ..legacy import rtl8139 as legacy
-from ..legacy.rtl8139 import (
-    DRV_NAME,
-    RTL8139_DEVICE_ID,
-    RTL8139_VENDOR_ID,
-    rtl8139_private,
-    rtl8139_stats,
-)
+from ..legacy.rtl8139 import DRV_NAME, rtl8139_private, rtl8139_stats
 from ..modulebase import DecafDriverModule
-from ..linuxapi import LinuxApi
 from .plumbing import DecafPlumbing
 from .rtl8139_decaf import Rtl8139DecafDriver
 
 
 class Rtl8139Nucleus:
-    # Legacy modules whose ``linux`` global this nucleus binds.
-    bound_modules = (legacy,)
-
     def __init__(self, kernel):
         self.kernel = kernel
-        self.linux = LinuxApi(kernel)
-        for module in self.bound_modules:
-            module.linux = self.linux
+        self.linux = legacy.linux
         self.state = legacy.rtl8139_driver_state()
         self.plumbing = None  # created on probe (needs the irq line)
         self.decaf = None
@@ -43,19 +31,6 @@ class Rtl8139Nucleus:
         self.link_work_timer = None
         self.link_poll_period_ns = 2_000_000_000  # fleet slots stretch this
         self.irq_requested = False
-        self.pci_glue = _PciGlue(self)
-
-    # -- module lifecycle ------------------------------------------------------
-
-    def init(self):
-        bound = self.kernel.pci.register_driver(self.pci_glue)
-        if bound == 0:
-            self.kernel.pci.unregister_driver(self.pci_glue)
-            return -self.linux.ENODEV
-        return 0
-
-    def cleanup(self):
-        self.kernel.pci.unregister_driver(self.pci_glue)
 
     # -- probe path: kernel stub -> decaf driver ---------------------------------
 
@@ -288,26 +263,10 @@ class Rtl8139Nucleus:
         return 0
 
 
-class _PciGlue:
-    name = DRV_NAME
-    id_table = ((RTL8139_VENDOR_ID, RTL8139_DEVICE_ID),)
-
-    def __init__(self, nucleus):
-        self.nucleus = nucleus
-
-    def probe(self, kernel, pdev):
-        return self.nucleus.probe(pdev)
-
-    def remove(self, kernel, pdev):
-        self.nucleus.remove(pdev)
-
-    def matches(self, func):
-        return (func.vendor_id, func.device_id) in self.id_table
-
-
 def make_module(napi=True):
-    def setup(kernel):
+    def init_fn():
         legacy.set_napi_mode(napi)
-        return Rtl8139Nucleus(kernel)
+        return 0
 
-    return DecafDriverModule(DRV_NAME, setup)
+    return DecafDriverModule(DRV_NAME, legacy, legacy.Rtl8139PciGlue(),
+                             Rtl8139Nucleus, init_fn=init_fn)

@@ -11,49 +11,26 @@ What *does* move is the probe/suspend orchestration, implemented in
 """
 
 from ..legacy import uhci_hcd as legacy
-from ..legacy.uhci_hcd import (
-    DRV_NAME,
-    UHCI_DEVICE_ID,
-    UHCI_VENDOR_ID,
-    UhciHcdOps,
-    uhci_hcd_state,
-)
-from ..linuxapi import LinuxApi
+from ..legacy.uhci_hcd import DRV_NAME, UhciHcdOps, uhci_hcd_state
 from ..modulebase import DecafDriverModule
 from .plumbing import DecafPlumbing
 from .uhci_decaf import UhciDecafDriver
 
 
 class UhciNucleus:
-    # Legacy modules whose ``linux`` global this nucleus binds.
-    bound_modules = (legacy,)
-
-    def __init__(self, kernel, device_model_hook=None):
+    def __init__(self, kernel):
         self.kernel = kernel
-        self.linux = LinuxApi(kernel)
-        for module in self.bound_modules:
-            module.linux = self.linux
+        self.linux = legacy.linux
         self.state = legacy.uhci_state()
-        self.state.device_model_hook = device_model_hook
         self.plumbing = None
         self.decaf = None
         self.pdev = None
         self.rh_poll_timer = None
         self.rh_poll_period_ns = 256_000_000  # fleet slots stretch this
-        self.pci_glue = _PciGlue(self)
-
-    def init(self):
-        bound = self.kernel.pci.register_driver(self.pci_glue)
-        if bound == 0:
-            self.kernel.pci.unregister_driver(self.pci_glue)
-            return -self.linux.ENODEV
-        return 0
-
-    def cleanup(self):
-        self.kernel.pci.unregister_driver(self.pci_glue)
 
     def probe(self, pdev):
         self.pdev = pdev
+        self.state.pdev = pdev
         self.plumbing = DecafPlumbing(self.kernel, "uhci_hcd",
                                       irq_line=pdev.irq)
         self.decaf = UhciDecafDriver(self.plumbing.decaf_rt, self)
@@ -211,25 +188,6 @@ class UhciNucleus:
         return 0
 
 
-class _PciGlue:
-    name = DRV_NAME
-    id_table = ((UHCI_VENDOR_ID, UHCI_DEVICE_ID),)
-
-    def __init__(self, nucleus):
-        self.nucleus = nucleus
-
-    def probe(self, kernel, pdev):
-        return self.nucleus.probe(pdev)
-
-    def remove(self, kernel, pdev):
-        self.nucleus.remove(pdev)
-
-    def matches(self, func):
-        return (func.vendor_id, func.device_id) in self.id_table
-
-
-def make_module(device_model_hook=None):
-    def setup(kernel):
-        return UhciNucleus(kernel, device_model_hook=device_model_hook)
-
-    return DecafDriverModule(DRV_NAME, setup)
+def make_module():
+    return DecafDriverModule(DRV_NAME, legacy, legacy.UhciPciGlue(),
+                             UhciNucleus)

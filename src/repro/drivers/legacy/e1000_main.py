@@ -1126,7 +1126,7 @@ def make_module(napi=True, num_queues=1):
         name=DRV_NAME,
         driver_module=__import__(__name__, fromlist=["*"]),
         extra_modules=(e1000_hw, e1000_param, e1000_ethtool),
-        pci_glue=E1000PciGlue(),
+        driver=E1000PciGlue(),
         init_fn=init_fn,
         cleanup_fn=e1000_exit_module,
     )

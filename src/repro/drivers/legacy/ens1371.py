@@ -486,7 +486,7 @@ def make_module():
     return LegacyDriverModule(
         name=DRV_NAME,
         driver_module=__import__(__name__, fromlist=["*"]),
-        pci_glue=Ens1371PciGlue(),
+        driver=Ens1371PciGlue(),
         init_fn=alsa_card_ens1371_init,
         cleanup_fn=alsa_card_ens1371_exit,
     )

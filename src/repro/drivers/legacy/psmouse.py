@@ -465,51 +465,28 @@ def psmouse_exit():
 
 
 class PsmouseSerioGlue:
-    """Binds the driver to a serio port at insmod.
+    """The serio driver: binds every PS/2 port plugged in."""
 
-    ``port`` selects which port (a fleet kernel has one per mouse);
-    the default keeps the single-device behaviour of binding the
-    first one.
-    """
+    name = DRV_NAME
 
-    def __init__(self, port=None):
-        self.serio = None
-        self._preferred = port
+    def probe(self, kernel, serio):
+        return psmouse_connect(serio)
 
-    def connect(self, kernel):
-        ports = kernel.input.serio_ports
-        if not ports:
-            return -linux.ENODEV if linux else -19
-        self.serio = self._preferred if self._preferred is not None \
-            else ports[0]
-        return psmouse_connect(self.serio)
+    def remove(self, kernel, serio):
+        psmouse_disconnect(serio)
 
-    def disconnect(self):
-        if self.serio is not None:
-            psmouse_disconnect(self.serio)
-            self.serio = None
+    def matches(self, serio):
+        return True
 
 
 def make_module():
-    from ...kernel.module import KernelModule
-    from ..linuxapi import LinuxApi
-    import sys
+    from ..modulebase import LegacyDriverModule
 
-    class PsmouseModule(KernelModule):
-        name = DRV_NAME
-
-        def __init__(self):
-            self.glue = PsmouseSerioGlue()
-
-        def init_module(self, kernel):
-            sys.modules[__name__].linux = LinuxApi(kernel)
-            ret = psmouse_init()
-            if ret:
-                return ret
-            return self.glue.connect(kernel)
-
-        def cleanup_module(self, kernel):
-            self.glue.disconnect()
-            psmouse_exit()
-
-    return PsmouseModule()
+    return LegacyDriverModule(
+        name=DRV_NAME,
+        driver_module=__import__(__name__, fromlist=["*"]),
+        driver=PsmouseSerioGlue(),
+        init_fn=psmouse_init,
+        cleanup_fn=psmouse_exit,
+        bus="input",
+    )

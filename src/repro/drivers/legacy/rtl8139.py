@@ -640,7 +640,7 @@ def make_module(napi=True):
     return LegacyDriverModule(
         name=DRV_NAME,
         driver_module=__import__(__name__, fromlist=["*"]),
-        pci_glue=Rtl8139PciGlue(),
+        driver=Rtl8139PciGlue(),
         init_fn=init_fn,
         cleanup_fn=rtl8139_cleanup_module,
     )

@@ -75,9 +75,7 @@ class uhci_hcd_state(CStruct):
 
 class uhci_state:
     """The uhci_hcd members that never cross the split, one per
-    controller: ``uhci._kstate`` (see :mod:`repro.drivers.modulebase`).
-    ``device_model_hook(port)`` names the device model on a root-hub
-    port, the simulation's stand-in for enumeration."""
+    controller: ``uhci._kstate`` (see :mod:`repro.drivers.modulebase`)."""
 
     def __init__(self):
         self.uhci = None
@@ -89,7 +87,7 @@ class uhci_state:
         self.urb_inflight = {}
         self.port_devices = []
         self.hcd_ops = None
-        self.device_model_hook = None
+        self.pdev = None
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +356,9 @@ def uhci_scan_ports(uhci):
 
 
 def _uhci_port_model(uhci, port):
-    model = uhci._kstate.device_model_hook
-    if callable(model):
-        return model(port)
-    return None
+    # The simulation's stand-in for enumeration: the controller model
+    # (the handler of its I/O BAR) knows what sits on each root port.
+    return uhci._kstate.pdev.bars[0].handler.port_devices[port]
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +381,7 @@ class UhciHcdOps:
 # Probe / remove
 # ---------------------------------------------------------------------------
 
-def uhci_pci_probe(pdev, device_model_hook=None):
+def uhci_pci_probe(pdev):
     err = linux.pci_enable_device(pdev)
     if err:
         return err
@@ -400,7 +397,7 @@ def uhci_pci_probe(pdev, device_model_hook=None):
     uhci.rh_numports = UHCI_NUM_PORTS
     st.uhci = uhci
     st.lock = linux.spin_lock_init("uhci")
-    st.device_model_hook = device_model_hook
+    st.pdev = pdev
 
     err = uhci_reset_hc(uhci)
     if err:
@@ -452,11 +449,9 @@ def uhci_pci_remove(pdev):
 class UhciPciGlue:
     name = DRV_NAME
     id_table = ((UHCI_VENDOR_ID, UHCI_DEVICE_ID),)
-    # Each controller's root-hub device models (see uhci_state).
-    device_model_hook = None
 
     def probe(self, kernel, pdev):
-        return uhci_pci_probe(pdev, self.device_model_hook)
+        return uhci_pci_probe(pdev)
 
     def remove(self, kernel, pdev):
         uhci_pci_remove(pdev)
@@ -473,15 +468,13 @@ def uhci_hcd_cleanup():
     return 0
 
 
-def make_module(device_model_hook=None):
+def make_module():
     from ..modulebase import LegacyDriverModule
 
-    glue = UhciPciGlue()
-    glue.device_model_hook = device_model_hook
     return LegacyDriverModule(
         name=DRV_NAME,
         driver_module=__import__(__name__, fromlist=["*"]),
-        pci_glue=glue,
+        driver=UhciPciGlue(),
         init_fn=uhci_hcd_init,
         cleanup_fn=uhci_hcd_cleanup,
     )

@@ -200,12 +200,6 @@ class LinuxApi:
 
     # -- PCI ----------------------------------------------------------------------------------
 
-    def pci_register_driver(self, driver):
-        return self.kernel.pci.register_driver(driver)
-
-    def pci_unregister_driver(self, driver):
-        self.kernel.pci.unregister_driver(driver)
-
     def pci_enable_device(self, pdev):
         return self.kernel.pci.enable_device(pdev)
 

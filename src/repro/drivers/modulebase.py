@@ -1,26 +1,32 @@
 """Module glue shared by legacy and decaf drivers.
 
-A :class:`LegacyDriverModule` binds one legacy driver source module (its
-``linux`` global, its PCI glue) into a loadable :class:`KernelModule`.
-Decaf drivers use :class:`DecafDriverModule`, which additionally owns
-the XPC plumbing and the decaf runtime startup.
+A driver loads once, as one :class:`KernelModule`, and serves every
+device it matches, the way a Linux module does: init binds the driver
+source's ``linux`` global, runs the driver's init function and
+registers one bus driver (a ``pci_driver``, or a serio driver for
+psmouse).  The bus probes that driver against every device present and
+every device plugged in later, and unplugging a device removes only
+that device.  :class:`LegacyDriverModule` registers the legacy
+driver's own glue.  :class:`DecafDriverModule` registers a driver with
+the same name and ID table whose probe builds one nucleus -- with its
+own XPC plumbing and decaf runtime -- per device.
 
-One driver source module serves every device it drives, so any number
-of loaded instances may bind the same module.  Per-device state lives
-on the device: each legacy driver's ``*_state`` object holds the
-members of the C private struct that never cross the split (locks,
-timers, NAPI contexts, DMA regions).  Probe creates one per device and
-hangs it off the device's marshaled struct as ``<struct>._kstate`` --
-an underscore attribute, so it is neither marshaled nor dirty-tracked,
-and DriverSlicer's field analysis never sees it.  Entry points reach
-the struct the way the C driver does (``netdev.priv``,
-``pdev.driver_data``, ``serio.drvdata``, the irq ``dev_id``, the pcm's
-and the hcd's private data); each nucleus holds its own device's object
-as ``self.state``.  Module parameters stay module globals.  ``linux`` is
-a module's only global tied to a kernel; the last instance on that
-kernel to unload clears it (:func:`unbind_linux`).
+Per-device state lives on the device: each legacy driver's ``*_state``
+object holds the members of the C private struct that never cross the
+split (locks, timers, NAPI contexts, DMA regions).  Probe creates one
+per device and hangs it off the device's marshaled struct as
+``<struct>._kstate`` -- an underscore attribute, so it is neither
+marshaled nor dirty-tracked, and DriverSlicer's field analysis never
+sees it.  Entry points reach the struct the way the C driver does
+(``netdev.priv``, ``pdev.driver_data``, ``serio.drvdata``, the irq
+``dev_id``, the pcm's and the hcd's private data); each nucleus holds
+its own device's object as ``self.state``.  Module parameters stay
+module globals.  ``linux`` is a module's only global tied to a kernel;
+the last module on that kernel to unload clears it
+(:func:`unbind_linux`).
 """
 
+from ..kernel.errors import ENODEV
 from ..kernel.module import KernelModule
 from .linuxapi import LinuxApi
 
@@ -40,11 +46,16 @@ def unbind_linux(kernel, modules):
 
 
 class LegacyDriverModule(KernelModule):
-    def __init__(self, name, driver_module, pci_glue=None,
-                 init_fn=None, cleanup_fn=None, extra_modules=()):
+    """A legacy driver.  ``driver`` is its bus glue (``name``,
+    ``matches``, ``probe``, ``remove``), registered on ``bus``: "pci",
+    or "input" for the serio bus."""
+
+    def __init__(self, name, driver_module, driver, init_fn=None,
+                 cleanup_fn=None, extra_modules=(), bus="pci"):
         self.name = name
         self.bound_modules = (driver_module,) + tuple(extra_modules)
-        self.pci_glue = pci_glue
+        self.driver = driver
+        self.bus = bus
         self.init_fn = init_fn
         self.cleanup_fn = cleanup_fn
 
@@ -52,55 +63,65 @@ class LegacyDriverModule(KernelModule):
         linux = LinuxApi(kernel)
         for module in self.bound_modules:
             module.linux = linux
-        if self.init_fn is not None:
-            ret = self.init_fn()
-            if ret:
-                return ret
-        if self.pci_glue is not None:
-            bound = kernel.pci.register_driver(self.pci_glue)
-            if bound == 0:
-                kernel.pci.unregister_driver(self.pci_glue)
-                from ..kernel.errors import ENODEV
-
-                return -ENODEV
+        ret = self.init_fn() if self.init_fn is not None else 0
+        if ret:
+            return ret
+        bus = getattr(kernel, self.bus)
+        if bus.register_driver(self.driver, owner=self.name) == 0:
+            # A registration that binds no device fails the load.
+            bus.unregister_driver(self.driver)
+            return -ENODEV
         return 0
 
     def cleanup_module(self, kernel):
-        if self.pci_glue is not None:
-            kernel.pci.unregister_driver(self.pci_glue)
+        getattr(kernel, self.bus).unregister_driver(self.driver)
         if self.cleanup_fn is not None:
             self.cleanup_fn()
         unbind_linux(kernel, self.bound_modules)
 
 
-class DecafDriverModule(KernelModule):
-    """A decaf driver: nucleus (kernel) + decaf driver (user, managed).
+class DecafDriverModule(LegacyDriverModule):
+    """A decaf driver: per device, a nucleus (kernel) and a decaf
+    driver (user, managed).
 
-    ``setup(kernel)`` must return an object with ``pci_glue`` (optional),
-    ``init()``/``cleanup()`` and ``bound_modules`` (the legacy modules
-    whose ``linux`` it binds); it is built by the driver's nucleus
-    module and wires XPC, the runtimes and the decaf-driver instance.
+    The registered driver keeps the legacy ``glue``'s name and ID
+    table.  Its probe builds a fresh nucleus with
+    ``make_nucleus(kernel)`` and keys it by the bus device in
+    :attr:`nuclei`; its remove tears down that one nucleus and closes
+    its XPC plumbing.
     """
 
-    def __init__(self, name, setup):
-        self.name = name
-        self._setup = setup
-        self.instance = None
-        self.bound_modules = ()
+    def __init__(self, name, driver_module, glue, make_nucleus, **kwargs):
+        super().__init__(name, driver_module, _NucleusDriver(self, glue),
+                         **kwargs)
+        self.make_nucleus = make_nucleus
+        self.nuclei = {}
 
-    def init_module(self, kernel):
-        self.instance = self._setup(kernel)
-        self.bound_modules = self.instance.bound_modules
-        ret = self.instance.init()
+    def probe(self, kernel, dev):
+        nucleus = self.make_nucleus(kernel)
+        ret = nucleus.probe(dev)
         if ret:
-            self.instance = None
+            _close(nucleus)
+        else:
+            self.nuclei[dev] = nucleus
         return ret
 
-    def cleanup_module(self, kernel):
-        if self.instance is not None:
-            self.instance.cleanup()
-            plumbing = getattr(self.instance, "plumbing", None)
-            if plumbing is not None:
-                plumbing.close()
-            self.instance = None
-        unbind_linux(kernel, self.bound_modules)
+    def remove(self, kernel, dev):
+        nucleus = self.nuclei.pop(dev)
+        nucleus.remove(dev)
+        _close(nucleus)
+
+
+class _NucleusDriver:
+    """The bus driver a decaf module registers."""
+
+    def __init__(self, module, glue):
+        self.name = glue.name
+        self.matches = glue.matches
+        self.probe = module.probe
+        self.remove = module.remove
+
+
+def _close(nucleus):
+    if nucleus.plumbing is not None:
+        nucleus.plumbing.close()

@@ -2,16 +2,19 @@
 
 A :class:`DeviceFamily` is the only place that knows one driver's
 device model and resources (defaults on a rig, slot-carved IRQ, ports,
-MMIO and MAC in a fleet), its legacy and nucleus module names, how to
-build a loadable module from them, how to find and release the
-endpoint probe registers, the fleet's ``tick``/``poke``, and the
-conformance event vocabulary.  :data:`FAMILIES` maps the driver names
-Tables 2/3, conformance and the slicer use to their family.
+MMIO and MAC in a fleet), how to plug the device into its bus, its
+legacy and nucleus source modules and the map from rig options to
+their ``make_module`` parameters, how to find and release the endpoint
+probe registers, the fleet's ``tick``/``poke``, and the conformance
+event vocabulary.  :data:`FAMILIES` maps the driver names Tables 2/3,
+conformance and the slicer use to their family.
 
 A :class:`DeviceInstance` is one device and its driver on one kernel:
-insmod, supervision, fault injection and remove.  A rig
-(:meth:`DeviceFamily.rig`) is an instance on a fresh kernel; a fleet
-slot (:class:`repro.fleet.slots.DeviceSlot`) is one on the fleet kernel.
+probe, supervision, fault injection and remove.  A rig
+(:meth:`DeviceFamily.rig`) is an instance on a fresh kernel that loads
+its own module; a fleet slot (:class:`repro.fleet.slots.DeviceSlot`)
+is one hot-plugged under a module the fleet loads once per family and
+variant.
 """
 
 import importlib
@@ -26,9 +29,7 @@ from .devices import (
     UhciDevice,
     UsbFlashDiskModel,
 )
-from .drivers.legacy import e1000_ethtool, e1000_hw, e1000_param
-from .drivers.modulebase import LegacyDriverModule
-from .kernel import NETDEV_TX_OK, SkBuff, make_kernel
+from .kernel import NETDEV_TX_OK, SerioPort, SkBuff, make_kernel
 from .kernel.sound import SNDRV_PCM_TRIGGER_START, SNDRV_PCM_TRIGGER_STOP
 from .kernel.usb import usb_sndbulkpipe
 from .kernel.vtime import NSEC_PER_MSEC
@@ -80,6 +81,7 @@ class DeviceInstance:
         self.decaf = bool(decaf)
         self.name = name or family.key
         self.kernel = self.device = self.module = self.link = None
+        self.bus_device = None    # the PCI function or serio port
         self.extra = {}
         self.endpoint = None
         self.supervisor = self.injector = None
@@ -93,7 +95,8 @@ class DeviceInstance:
         """Plug the device into ``kernel`` and build its driver module."""
         self.kernel = kernel
         self.family.attach(self, slot, **options)
-        self.module = self.family.module(self, **options)
+        self.family.plug(self)
+        self.module = self.family.module(self.decaf, **options)
         return self
 
     # -- lifecycle ------------------------------------------------------------
@@ -102,24 +105,35 @@ class DeviceInstance:
         """Load the driver; finds the endpoint its probe registered."""
         if self.bound:
             return 0
-        family = self.family
-        before = {id(e) for e in family.endpoints(self.kernel)}
+        before = self._endpoints()
         ret = self.kernel.modules.insmod(self.module)
         if ret != 0:
             raise RuntimeError("%s: insmod failed with %d" % (self.name, ret))
         self.init_latency_ns = self.kernel.modules.last_init_latency_ns
-        self.probes += 1
-        self.bound = True
-        new = [e for e in family.endpoints(self.kernel)
-               if id(e) not in before]
-        if len(new) == 1:
-            self.endpoint = family.endpoint_of(new[0])
+        self._bound(before)
         return ret
 
+    def _endpoints(self):
+        return {id(e) for e in self.family.endpoints(self.kernel)}
+
+    def _bound(self, before):
+        self.probes += 1
+        self.bound = True
+        new = [e for e in self.family.endpoints(self.kernel)
+               if id(e) not in before]
+        if len(new) == 1:
+            self.endpoint = self.family.endpoint_of(new[0])
+
     def rmmod(self, check_leaks=False):
-        """Disarm faults, recover, release the endpoint, detach, rmmod."""
+        """Remove the device's driver, then rmmod its module."""
         if not self.bound:
             return
+        self._teardown()
+        self.kernel.modules.rmmod(self.module.name, check_leaks=check_leaks)
+        self.bound = False
+
+    def _teardown(self):
+        """Disarm faults, recover, release the endpoint, detach."""
         if self.injector is not None:
             self.injector.disarm()
         # A driver removed mid-recovery must be made healthy first:
@@ -133,8 +147,6 @@ class DeviceInstance:
             self.recoveries += sup.recoveries
             sup.detach()
             self.supervisor = None
-        self.kernel.modules.rmmod(self.module.name, check_leaks=check_leaks)
-        self.bound = False
 
     def recover(self):
         """Finish a pending recovery now (no-op when healthy)."""
@@ -146,19 +158,18 @@ class DeviceInstance:
     def release(self):
         self.endpoint = None
 
-    # Hooks a fleet slot uses to fit the driver to its slot.
-    def fit_glue(self, glue):
-        return glue
-
-    def fit_nucleus(self, nucleus):
-        pass
-
     # -- counters -------------------------------------------------------------
 
     @property
+    def nucleus(self):
+        """This device's decaf nucleus (None when legacy or unbound)."""
+        nuclei = getattr(self.module, "nuclei", None)
+        return None if nuclei is None else nuclei.get(self.bus_device)
+
+    @property
     def channel(self):
-        instance = getattr(self.module, "instance", None)
-        return None if instance is None else instance.plumbing.channel
+        nucleus = self.nucleus
+        return None if nucleus is None else nucleus.plumbing.channel
 
     @property
     def xpc(self):
@@ -184,7 +195,7 @@ class DeviceInstance:
         from .recovery import DriverSupervisor
 
         self.supervisor = DriverSupervisor(
-            self.kernel, self.module.instance, max_recoveries=max_recoveries)
+            self.kernel, self.nucleus, max_recoveries=max_recoveries)
         return self.supervisor
 
     def inject_faults(self, plan):
@@ -224,10 +235,6 @@ class DeviceFamily:
     key = None          # driver name: Tables 2/3, conformance, slicer
     legacy = None       # dotted name of the legacy driver module
     nucleus = None      # dotted name of the decaf nucleus module
-    # Legacy PCI glue class, init and exit function names, and the
-    # stateless helper modules that share the driver's ``linux``.
-    legacy_glue = legacy_init = legacy_exit = None
-    helpers = ()
     tick_units = 1      # fleet traffic units per tick
     # Conformance: strict-mode register trace comparison ("full" or
     # per-register write "footprint"), and the range of N for "fire
@@ -251,52 +258,25 @@ class DeviceFamily:
         """Rig options the conformance runner adds on ``smp`` CPUs."""
         return {}
 
-    # -- the loadable module --------------------------------------------------
+    # -- the bus and the loadable module --------------------------------------
 
-    def module(self, inst, **options):
-        """A loadable module for ``inst``: each device's own
-        ``KernelModule`` over the one shared driver module."""
-        if inst.decaf:
-            mod = self.decaf_module(
-                inst, importlib.import_module(self.nucleus), **options)
-            setup = mod._setup
+    def plug(self, inst):
+        """Hot-plug the device; a loaded driver that matches probes it."""
+        inst.kernel.pci.add_function(inst.bus_device)
 
-            # DecafDriverModule builds its nucleus inside init_module;
-            # wrapping _setup fits the fresh nucleus before init() runs.
-            def fitted(kernel):
-                nucleus = setup(kernel)
-                self.fit(inst, nucleus)
-                inst.fit_nucleus(nucleus)
-                return nucleus
+    def unplug(self, inst):
+        """Hot-unplug the device; its driver's remove runs first."""
+        inst.kernel.pci.remove_function(inst.bus_device)
 
-            mod._setup = fitted
-        else:
-            mod = self.legacy_module(
-                inst, importlib.import_module(self.legacy), **options)
-        mod.name = inst.name
-        return mod
+    def module(self, decaf, **options):
+        """A loadable module of the variant: its own ``make_module``."""
+        source = importlib.import_module(self.nucleus if decaf
+                                         else self.legacy)
+        return source.make_module(**self.module_params(decaf, **options))
 
-    def legacy_module(self, inst, drv, **options):
-        init = getattr(drv, self.legacy_init)
-
-        def init_fn():
-            # Module parameters are set at load time, before probe.
-            self.configure(drv, **options)
-            return init()
-
-        return LegacyDriverModule(
-            inst.name, drv, extra_modules=self.helpers,
-            pci_glue=inst.fit_glue(getattr(drv, self.legacy_glue)()),
-            init_fn=init_fn, cleanup_fn=getattr(drv, self.legacy_exit))
-
-    def configure(self, drv, **options):
-        pass
-
-    def decaf_module(self, inst, nucleus, **options):
-        return nucleus.make_module()
-
-    def fit(self, inst, nucleus):
-        pass
+    def module_params(self, decaf, **options):
+        """Rig options -> ``make_module`` parameters."""
+        return {}
 
     # -- endpoint -------------------------------------------------------------
 
@@ -332,7 +312,7 @@ class _NicFamily(DeviceFamily):
         inst.link = EthernetLink(inst.kernel, bits_per_second=self.link_bps,
                                  name="link-%s" % inst.name)
         inst.device = make(inst.kernel, inst.link, **kwargs)
-        inst.kernel.pci.add_function(inst.device.pci)
+        inst.bus_device = inst.device.pci
 
     def endpoints(self, kernel):
         return kernel.net.devices
@@ -539,9 +519,6 @@ class E1000Family(_NicFamily):
     key = "e1000"
     legacy = "repro.drivers.legacy.e1000_main"
     nucleus = "repro.drivers.decaf.e1000_nucleus"
-    legacy_glue = "E1000PciGlue"
-    legacy_init, legacy_exit = "e1000_init_module", "e1000_exit_module"
-    helpers = (e1000_hw, e1000_param, e1000_ethtool)
     link_bps = 1_000_000_000
     xpc_at = (2, 8)  # minimum post-arming budget 7
 
@@ -558,15 +535,14 @@ class E1000Family(_NicFamily):
     def smp_options(self, smp):
         return {"num_queues": min(smp, 4)}
 
-    def configure(self, drv, irq_mode="napi", num_queues=1, **_):
-        drv.set_napi_mode(irq_mode == "napi")
-        drv.set_num_queues(num_queues)
-
-    def decaf_module(self, inst, nucleus, options=None, irq_mode="napi",
-                     num_queues=1, **_):
-        return nucleus.make_module(options=options,
-                                   napi=irq_mode == "napi",
-                                   num_queues=num_queues)
+    def module_params(self, decaf, irq_mode="napi", num_queues=1,
+                      options=None, **_):
+        params = {"napi": irq_mode == "napi", "num_queues": num_queues}
+        if decaf:
+            # insmod-time e1000_param options; the legacy driver probes
+            # with its defaults.
+            params["options"] = options
+        return params
 
     def poke(self, inst):
         if inst.decaf and inst.bound and inst.endpoint is not None:
@@ -577,9 +553,6 @@ class Rtl8139Family(_NicFamily):
     key = "8139too"
     legacy = "repro.drivers.legacy.rtl8139"
     nucleus = "repro.drivers.decaf.rtl8139_nucleus"
-    legacy_glue = "Rtl8139PciGlue"
-    legacy_init = "rtl8139_init_module"
-    legacy_exit = "rtl8139_cleanup_module"
     link_bps = 100_000_000
     # Only config ops cross: the link-watch period exceeds a scenario.
     xpc_at = (2, 5)  # minimum post-arming budget 4
@@ -588,11 +561,8 @@ class Rtl8139Family(_NicFamily):
         self._attach_nic(inst, Rtl8139Device, rx_coalesce_ns=rx_coalesce_ns,
                          **_resources(slot, 0x81))
 
-    def configure(self, drv, irq_mode="napi", **_):
-        drv.set_napi_mode(irq_mode == "napi")
-
-    def decaf_module(self, inst, nucleus, irq_mode="napi", **_):
-        return nucleus.make_module(napi=irq_mode == "napi")
+    def module_params(self, decaf, irq_mode="napi", **_):
+        return {"napi": irq_mode == "napi"}
 
     def poke(self, inst):
         dev = inst.endpoint
@@ -609,9 +579,6 @@ class Ens1371Family(DeviceFamily):
     key = "ens1371"
     legacy = "repro.drivers.legacy.ens1371"
     nucleus = "repro.drivers.decaf.ens1371_nucleus"
-    legacy_glue = "Ens1371PciGlue"
-    legacy_init = "alsa_card_ens1371_init"
-    legacy_exit = "alsa_card_ens1371_exit"
     xpc_at = (3, 15)  # minimum post-arming budget 14
     PERIOD_BYTES = 4096
     PERIODS = 4
@@ -623,7 +590,7 @@ class Ens1371Family(DeviceFamily):
 
     def attach(self, inst, slot=None, **_):
         inst.device = Ens1371Device(inst.kernel, **_resources(slot))
-        inst.kernel.pci.add_function(inst.device.pci)
+        inst.bus_device = inst.device.pci
 
     def endpoints(self, kernel):
         return kernel.sound.cards
@@ -760,8 +727,6 @@ class UhciFamily(DeviceFamily):
     key = "uhci_hcd"
     legacy = "repro.drivers.legacy.uhci_hcd"
     nucleus = "repro.drivers.decaf.uhci_nucleus"
-    legacy_glue = "UhciPciGlue"
-    legacy_init, legacy_exit = "uhci_hcd_init", "uhci_hcd_cleanup"
     reg_trace = "full"
     xpc_at = (1, 3)
     BLOCK = 512
@@ -771,22 +736,8 @@ class UhciFamily(DeviceFamily):
         inst.device = UhciDevice(inst.kernel, **_resources(slot))
         disk = inst.extra["disk"] = UsbFlashDiskModel()
         inst.device.attach(0, disk)
-        inst.kernel.pci.add_function(inst.device.pci)
+        inst.bus_device = inst.device.pci
         inst.lba = 0
-
-    def _hook(self, inst):
-        disk = inst.extra["disk"]
-        return lambda port: disk if port == 0 else None
-
-    def legacy_module(self, inst, drv, **options):
-        # Each device's own pci_driver carries its disk to probe,
-        # which stores the hook in the controller's per-device state.
-        mod = super().legacy_module(inst, drv, **options)
-        mod.pci_glue.device_model_hook = self._hook(inst)
-        return mod
-
-    def decaf_module(self, inst, nucleus, **_):
-        return nucleus.make_module(device_model_hook=self._hook(inst))
 
     def endpoints(self, kernel):
         return kernel.usb.devices
@@ -794,7 +745,7 @@ class UhciFamily(DeviceFamily):
     def poke(self, inst):
         if inst.decaf and inst.bound:
             # One root-hub status poll (normally timer-driven).
-            inst.module.instance._rh_poll_work(None)
+            inst.nucleus._rh_poll_work(None)
 
     def tick(self, inst, units):
         disk_dev = inst.endpoint
@@ -885,27 +836,17 @@ class PsmouseFamily(DeviceFamily):
 
     def attach(self, inst, slot=None, **_):
         kernel = inst.kernel
-        port = inst.extra["port"] = (
-            kernel.input.new_serio_port() if slot is None
-            else kernel.input.new_serio_port(name="serio-%d" % slot))
+        port = inst.extra["port"] = inst.bus_device = SerioPort(
+            kernel, "serio0" if slot is None else "serio-%d" % slot)
         inst.device = Ps2MouseDevice(kernel)
         inst.device.attach(port)
         inst.input_events = 0
 
-    def legacy_module(self, inst, drv, **_):
-        glue = drv.PsmouseSerioGlue(port=inst.extra["port"])
+    def plug(self, inst):
+        inst.kernel.input.add_port(inst.bus_device)
 
-        def cleanup_fn():
-            glue.disconnect()
-            drv.psmouse_exit()
-
-        return LegacyDriverModule(
-            inst.name, drv,
-            init_fn=lambda: drv.psmouse_init() or glue.connect(inst.kernel),
-            cleanup_fn=cleanup_fn)
-
-    def fit(self, inst, nucleus):
-        nucleus.port_hint = inst.extra["port"]
+    def unplug(self, inst):
+        inst.kernel.input.remove_port(inst.bus_device)
 
     def endpoints(self, kernel):
         return kernel.input.devices
@@ -922,7 +863,7 @@ class PsmouseFamily(DeviceFamily):
     def poke(self, inst):
         if inst.decaf and inst.bound:
             # One resync check (normally a 1 Hz supervised-only timer).
-            inst.module.instance._resync_work(None)
+            inst.nucleus._resync_work(None)
 
     def tick(self, inst, units):
         if not inst.bound:

@@ -17,14 +17,6 @@ class FaultInjector:
         self.plan = plan
         self.armed = False
 
-    def _channel(self):
-        if not self.rig.decaf:
-            return None
-        instance = getattr(self.rig.module, "instance", None)
-        if instance is None:
-            return None
-        return instance.plumbing.channel
-
     def arm(self):
         if self.armed:
             return self
@@ -37,7 +29,7 @@ class FaultInjector:
             kernel.io.wedge(spec.addr, value=spec.value)
             spec.fired += 1
             self._trace(spec, where="0x%x" % spec.addr)
-        channel = self._channel()
+        channel = self.rig.channel
         if channel is not None:
             if self.plan.by_kind("xpc_raise"):
                 channel.inject_hook = self._on_crossing
@@ -54,7 +46,7 @@ class FaultInjector:
             kernel.memory.fault_hook = None
         for spec in self.plan.by_kind("reg_wedge"):
             kernel.io.unwedge(spec.addr)
-        channel = self._channel()
+        channel = self.rig.channel
         if channel is not None:
             if channel.inject_hook == self._on_crossing:
                 channel.inject_hook = None

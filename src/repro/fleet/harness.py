@@ -7,10 +7,10 @@ the kernel's event queue and virtual CPUs:
 
 * **traffic** -- a rotating batch of slots moves a little traffic each
   tick (NIC tx/rx, USB bulk writes, PCM periods, mouse samples);
-* **churn** -- every churn period a sample of bound slots is removed
-  and every previously removed slot is re-probed, so the module
-  loader, IRQ lines, I/O windows and bus bindings cycle continuously
-  under load;
+* **churn** -- every churn period a sample of bound slots is
+  hot-unplugged and every previously removed slot is plugged back in
+  under the modules that stay loaded, so driver probe and remove, IRQ
+  lines, I/O windows and bus bindings cycle continuously under load;
 * **faults** -- every fault period an ``xpc_raise`` plan is armed
   against a random bound decaf slot; the next crossing raises inside
   the user half, the boundary contains it, and the slot's supervisor
@@ -29,6 +29,7 @@ import tracemalloc
 
 from ..faults import FaultPlan, FaultSpec
 from ..kernel import make_kernel
+from ..kernel.errors import MemoryLeakError
 from ..workloads.result import RunWindow
 from ..family import FAMILIES
 from .isolate import ClonePool
@@ -230,11 +231,20 @@ class FleetHarness:
     # -- teardown + metrics ----------------------------------------------------
 
     def teardown(self):
-        """Remove every slot."""
+        """Unplug every slot, unload every module, then check that no
+        allocation survives but the kernel's own skb-pool arenas."""
         self._parked = []
         for slot in self.slots:
-            if slot.bound:
-                slot.remove()
+            slot.remove()
+        modules = self.kernel.modules
+        for name in modules.loaded:
+            modules.rmmod(name, check_leaks=False)
+        leaked = [r for r in self.kernel.memory.live_allocations()
+                  if not r.owner.startswith("skb-pool")]
+        if leaked:
+            raise MemoryLeakError(
+                "fleet teardown leaked %d allocation(s): %s" % (
+                    len(leaked), sorted({r.owner for r in leaked})))
         return self
 
     def faults_fired(self):

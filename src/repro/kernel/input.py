@@ -9,9 +9,15 @@ initialization logic can move to Java.
 
 An :class:`InputDev` is the upward-facing event device; the core counts
 events and feeds an optional sink installed by the workload.
+
+:class:`InputCore` is also the serio bus: a serio driver registers
+with ``register_driver`` and is probed against every port plugged in,
+by the same binding rules as the PCI bus (``serio_register_driver``,
+``serio_register_port`` in Linux).
 """
 
 from .errors import EIO
+from .pci import BusType
 
 # Event types (subset of linux/input.h).
 EV_KEY = 0x01
@@ -36,6 +42,8 @@ class SerioPort:
         self.device_model = None  # must expose handle_byte(port, byte)
         self.driver_interrupt = None  # callable(port, byte, flags)
         self.drvdata = None  # serio_get_drvdata: the bound driver's device
+        self.driver = None  # the bound serio driver
+        self.driver_override = None  # see repro.kernel.pci.BusType
         self.opened = False
         self.bytes_to_device = 0
         self.bytes_from_device = 0
@@ -128,31 +136,39 @@ class InputDev:
             self.sink(events)
 
 
-class InputCore:
+class InputCore(BusType):
     def __init__(self, kernel):
-        self._kernel = kernel
-        self._devices = []
-        self._serio_ports = []
+        super().__init__(kernel)
+        self._input_devices = []
 
     def new_serio_port(self, name="serio0"):
+        """A new port, plugged in."""
         port = SerioPort(self._kernel, name)
-        self._serio_ports.append(port)
+        self.add_port(port)
         return port
+
+    def add_port(self, port):
+        """Plug a port in; a registered driver that matches probes it."""
+        self._add_device(port)
+
+    def remove_port(self, port):
+        """Hot-unplug: the bound driver's ``remove`` runs first."""
+        self._remove_device(port)
 
     @property
     def serio_ports(self):
-        return list(self._serio_ports)
+        return list(self._devices)
 
     def register_device(self, dev):
         dev.registered = True
-        self._devices.append(dev)
+        self._input_devices.append(dev)
         return 0
 
     def unregister_device(self, dev):
         dev.registered = False
-        if dev in self._devices:
-            self._devices.remove(dev)
+        if dev in self._input_devices:
+            self._input_devices.remove(dev)
 
     @property
     def devices(self):
-        return list(self._devices)
+        return list(self._input_devices)

@@ -3,7 +3,8 @@
 Device models construct a :class:`PciFunction` describing their config
 space, BARs and interrupt line; drivers register a :class:`PciDriver` with
 an ID table and get probed, exactly mirroring
-``pci_register_driver`` / ``probe`` in Linux.
+``pci_register_driver`` / ``probe`` in Linux.  The binding rules
+(:class:`BusType`) are shared with the serio bus.
 """
 
 import struct
@@ -58,6 +59,7 @@ class PciFunction:
         self.is_busmaster = False
         self.driver = None
         self.driver_data = None
+        self.driver_override = None  # see BusType
         self._regions = []
         struct.pack_into("<H", self.config, PCI_VENDOR_ID, vendor_id)
         struct.pack_into("<H", self.config, PCI_DEVICE_ID, device_id)
@@ -83,6 +85,7 @@ class PciDriver:
 
     name = "pci-driver"
     id_table = ()  # iterable of (vendor_id, device_id)
+    owner = None   # the registering module's name (register_driver)
 
     def probe(self, kernel, pci_func):
         raise NotImplementedError
@@ -100,51 +103,83 @@ class PciDriver:
         return False
 
 
-class PciBus:
+class BusType:
+    """Driver binding shared by the PCI and serio buses (the Linux
+    driver core).
+
+    A device binds the first registered driver that matches it, when
+    the driver registers or when the device is plugged in later; a
+    driver's ``probe`` returning 0 binds it.  Unplugging a bound device,
+    or unregistering its driver, calls the driver's ``remove``.
+
+    ``register_driver(driver, owner)`` records the registering module
+    as ``driver.owner``, as ``__pci_register_driver`` does.  A device's
+    ``driver_override``, when set, restricts it to the driver that
+    module owns.  Linux keys the override on the driver's name; here a
+    legacy and a decaf variant of one driver register under the same
+    name, so it keys on the owner module instead.
+    """
+
     def __init__(self, kernel):
         self._kernel = kernel
-        self._functions = []
+        self._devices = []
         self._drivers = []
 
-    @property
-    def functions(self):
-        return list(self._functions)
-
-    def add_function(self, func):
-        self._functions.append(func)
+    def _add_device(self, dev):
+        self._devices.append(dev)
         for driver in self._drivers:
-            if func.driver is None and driver.matches(func):
-                self._probe(driver, func)
+            if self._binds(driver, dev):
+                self._probe(driver, dev)
 
-    def remove_function(self, func):
-        if func.driver is not None:
-            func.driver.remove(self._kernel, func)
-            func.driver = None
-        self._functions.remove(func)
+    def _remove_device(self, dev):
+        if dev.driver is not None:
+            dev.driver.remove(self._kernel, dev)
+            dev.driver = None
+        self._devices.remove(dev)
 
-    def register_driver(self, driver):
+    def register_driver(self, driver, owner=None):
         """Returns number of devices bound (Linux returns 0; callers may
         treat 'no device' as -ENODEV themselves, as many drivers do)."""
+        driver.owner = owner
         self._drivers.append(driver)
         bound = 0
-        for func in self._functions:
-            if func.driver is None and driver.matches(func):
-                if self._probe(driver, func) == 0:
-                    bound += 1
+        for dev in self._devices:
+            if self._binds(driver, dev) and self._probe(driver, dev) == 0:
+                bound += 1
         return bound
 
     def unregister_driver(self, driver):
-        for func in self._functions:
-            if func.driver is driver:
-                driver.remove(self._kernel, func)
-                func.driver = None
+        for dev in self._devices:
+            if dev.driver is driver:
+                driver.remove(self._kernel, dev)
+                dev.driver = None
         self._drivers.remove(driver)
 
-    def _probe(self, driver, func):
-        ret = driver.probe(self._kernel, func)
+    @staticmethod
+    def _binds(driver, dev):
+        override = dev.driver_override
+        return (dev.driver is None and driver.matches(dev)
+                and (override is None or override == driver.owner))
+
+    def _probe(self, driver, dev):
+        ret = driver.probe(self._kernel, dev)
         if ret == 0:
-            func.driver = driver
+            dev.driver = driver
         return ret
+
+
+class PciBus(BusType):
+    @property
+    def functions(self):
+        return list(self._devices)
+
+    def add_function(self, func):
+        """Plug a function in; a registered driver that matches probes it."""
+        self._add_device(func)
+
+    def remove_function(self, func):
+        """Hot-unplug: the bound driver's ``remove`` runs first."""
+        self._remove_device(func)
 
     # -- Linux helper API used by drivers --------------------------------------
 
@@ -200,7 +235,7 @@ class PciBus:
         struct.pack_into("<I", func.config, offset, value & 0xFFFFFFFF)
 
     def find_function(self, vendor_id, device_id):
-        for func in self._functions:
+        for func in self._devices:
             if func.vendor_id == vendor_id and func.device_id == device_id:
                 return func
         return None

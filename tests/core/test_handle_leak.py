@@ -50,7 +50,7 @@ def test_freed_region_handle_does_not_resolve_to_a_new_region():
     rig = make_e1000_rig(decaf=True)
     rig.insmod()
     net, dev = rig.kernel.net, rig.netdev()
-    nucleus = rig.module.instance
+    nucleus = rig.nucleus
     channel = nucleus.plumbing.channel
     assert net.dev_open(dev) == 0
     old = nucleus.adapter.rx_ring.buffer_region

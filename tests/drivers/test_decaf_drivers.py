@@ -79,7 +79,7 @@ class TestDecafE1000:
         rig.insmod()
         # 64 dwords read via individual downcalls -> many crossings.
         assert rig.crossings() >= 64
-        adapter = rig.module.instance.adapter
+        adapter = rig.nucleus.adapter
         assert len(adapter.config_space) == 64
         assert adapter.config_space[0] & 0xFFFF == 0x8086
 
@@ -89,7 +89,7 @@ class TestDecafE1000:
         dev = rig.netdev()
         rig.kernel.net.dev_open(dev)
         rig.kernel.run_for_s(5)
-        assert rig.module.instance.decaf.watchdog_runs >= 2
+        assert rig.nucleus.decaf.watchdog_runs >= 2
         assert dev.netif_carrier_ok()
 
     def test_exception_surfaces_as_errno(self):
@@ -106,14 +106,14 @@ class TestDecafE1000:
         rig.insmod()
         dev = rig.netdev()
         rig.kernel.net.dev_open(dev)
-        lib = rig.module.instance.library
+        lib = rig.nucleus.library
         assert lib.calls >= 4  # configure_tx/rctl/rx/alloc_rx_buffers
 
     def test_param_validation_via_classes(self):
         rig = make_e1000_rig(decaf=True, options={"TxDescriptors": 100000,
                                                   "RxDescriptors": 128})
         rig.insmod()
-        adapter = rig.module.instance.adapter
+        adapter = rig.nucleus.adapter
         assert adapter.tx_ring.count == 256   # invalid -> default
         assert adapter.rx_ring.count == 128   # valid -> applied
 
@@ -123,7 +123,7 @@ class TestDecafE1000:
         dev = rig.netdev()
         rig.kernel.net.dev_open(dev)
         rig.kernel.run_for_ms(50)
-        assert rig.module.instance.diag_test() == [0, 0, 0, 0, 0]
+        assert rig.nucleus.diag_test() == [0, 0, 0, 0, 0]
 
     def test_data_path_never_crosses(self):
         rig = make_e1000_rig(decaf=True)
@@ -220,7 +220,7 @@ class TestDecafUhci:
     def test_suspend_resume(self):
         rig = make_uhci_rig(decaf=True)
         rig.insmod()
-        nucleus = rig.module.instance
+        nucleus = rig.nucleus
         uhci = nucleus.state.uhci
         assert nucleus.plumbing.upcall(
             nucleus.decaf.suspend, args=[(uhci, type(uhci))]) == 0
@@ -235,7 +235,7 @@ class TestDecafPsmouse:
     def test_detection_runs_in_decaf(self):
         rig = make_psmouse_rig(decaf=True)
         rig.insmod()
-        psmouse = rig.module.instance.state.psmouse
+        psmouse = rig.nucleus.state.psmouse
         assert psmouse.name == "IntelliMouse"
         assert psmouse.pktsize == 4
         # Paper: 24 crossings for psmouse init; each PS/2 command is one.
@@ -246,7 +246,7 @@ class TestDecafPsmouse:
         rig.insmod()
         before = rig.crossings()
         events = []
-        rig.module.instance.state.input_dev.sink = (
+        rig.nucleus.state.input_dev.sink = (
             lambda evs: events.extend(evs))
         for _ in range(100):
             rig.device.move(1, 1)
@@ -276,7 +276,7 @@ class TestE1000ComboLock:
         dev = rig.netdev()
         rig.kernel.net.dev_open(dev)
         rig.kernel.run_for_s(3)
-        lock = rig.module.instance.adapter_lock
+        lock = rig.nucleus.adapter_lock
         assert lock.sem_acquisitions >= 1   # watchdog, user mode
         assert not lock.held
 
@@ -289,7 +289,7 @@ class TestE1000ComboLock:
         dev = rig.netdev()
         rig.kernel.net.dev_open(dev)
         rig.kernel.run_for_ms(100)
-        nucleus = rig.module.instance
+        nucleus = rig.nucleus
 
         # Slow down the reinit so watchdog ticks land inside it.
         orig_down = nucleus.k_down
@@ -316,7 +316,7 @@ class TestDecafPhyDiagnostics:
     def _hw(self):
         rig = make_e1000_rig(decaf=True)
         rig.insmod()
-        return rig, rig.module.instance.decaf.hw
+        return rig, rig.nucleus.decaf.hw
 
     def test_cable_length_matches_legacy(self):
         from repro.drivers.legacy import e1000_hw as legacy_hw

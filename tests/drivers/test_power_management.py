@@ -61,7 +61,7 @@ class TestDecafSuspendResume:
         dev = rig.netdev()
         assert rig.kernel.net.dev_open(dev) == 0
         rig.kernel.run_for_ms(60)
-        nucleus = rig.module.instance
+        nucleus = rig.nucleus
 
         before = rig.crossings()
         assert nucleus.stub_suspend() == 0
@@ -85,7 +85,7 @@ class TestDecafSuspendResume:
         ignored-error cases."""
         rig = make_e1000_rig(decaf=True)
         rig.insmod()
-        nucleus = rig.module.instance
+        nucleus = rig.nucleus
         assert nucleus.stub_suspend() == 0
 
         def dead_mdic(value, rig=rig):
@@ -104,7 +104,7 @@ class TestDecafSuspendResume:
             rig.kernel.net.dev_open(dev)
             rig.kernel.run_for_ms(60)
             if decaf:
-                nucleus = rig.module.instance
+                nucleus = rig.nucleus
                 assert nucleus.stub_suspend() == 0
                 assert nucleus.stub_resume() == 0
             else:

@@ -17,7 +17,7 @@ GOLDEN = {
     "recoveries": 6,
     "traffic_units": 1264,
     "traffic_lost": 0,
-    "clock_ns": 15_265_739_881,
+    "clock_ns": 15_145_742_476,
 }
 
 

@@ -1,8 +1,8 @@
-"""Unloading the last driver instance releases its kernel.
+"""Unloading the last driver module releases its kernel.
 
-A driver module is shared by every device it drives, so its only
-kernel-bound global, ``linux``, is cleared when the last instance on
-that kernel unloads.  Nothing else may keep a torn-down kernel (and
+A driver source module is shared by every device it drives, so its
+only kernel-bound global, ``linux``, is cleared when the last module
+on that kernel binding it unloads.  Nothing else may keep a torn-down kernel (and
 its DMA arenas and skb pools) alive.
 """
 

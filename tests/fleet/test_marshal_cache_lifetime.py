@@ -2,9 +2,9 @@
 
 ``slice_plan()`` keeps one :class:`MarshalPlan` per driver for the life
 of the process, and its caches are keyed by struct class.  That is
-bounded only because a fleet creates no struct classes: every slot's
-module binds the one shared driver module, whose classes live as long
-as the process.  These tests hold the class population and the plan
+bounded only because a fleet creates no struct classes: every loaded
+module binds the one shared driver source module, whose classes live
+as long as the process.  These tests hold the class population and the plan
 caches flat across fleets, and pin the invalidation rules on plain
 plans.
 """

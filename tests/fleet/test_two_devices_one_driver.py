@@ -1,14 +1,15 @@
 """Two devices, one driver: a device's results must not depend on a peer.
 
-One kernel carries two devices of a family, each probed by its own
-slot module, and both modules bind the one Python driver module.  Both
-move traffic, then the first is removed and the second keeps going.
-The survivor's device-visible results -- ring and register state, the
-digest of what crossed its wire, disk or input line, and its traffic
-counters -- must equal those of the same device driven alone on a fresh
-kernel over the same schedule.  Per-device driver state is what makes
-that hold: state kept per driver instead would be torn down with the
-first device.
+One kernel carries two devices of a family under one loaded module
+(one insmod), whose one bus driver probes both.  Both move traffic,
+then the first (the peer) is hot-unplugged and the second keeps going;
+in the ``replug`` case the peer is then plugged back in, and must bind
+and move traffic again.  The survivor's device-visible results -- ring
+and register state, the digest of what crossed its wire, disk or input
+line, and its traffic counters -- must equal those of the same device
+driven alone on a fresh kernel over the same schedule.  Per-device
+driver state is what makes that hold: state kept per driver (or one
+nucleus per decaf module) would be torn down with the first device.
 """
 
 import hashlib
@@ -79,7 +80,7 @@ def _observe(slot, log):
     return obs
 
 
-def _drive(family, decaf, with_peer):
+def _drive(family, decaf, with_peer, replug=False):
     kernel = make_kernel(nr_cpus=1, nr_irqs=16, sound_use_mutex=True)
     peer = DeviceSlot(0, decaf, family).attach(kernel) if with_peer else None
     slot = DeviceSlot(1, decaf, family).attach(kernel)
@@ -87,6 +88,11 @@ def _drive(family, decaf, with_peer):
     if peer is not None:
         peer.probe()
     slot.probe()
+    if peer is not None:
+        assert peer.module is slot.module
+        assert list(kernel.modules.loaded) == [slot.module_name]
+        if decaf:
+            assert peer.nucleus is not slot.nucleus
     if slot.family.key == "psmouse":
         slot.endpoint.sink = lambda events: log["input"].extend(
             tuple(ev) for ev in events)
@@ -97,12 +103,22 @@ def _drive(family, decaf, with_peer):
         kernel.run_for_ms(STEP_MS)
     if peer is not None:
         peer.remove()
-    for _ in range(ROUNDS):
+    for rnd in range(ROUNDS):
+        if replug and rnd == ROUNDS // 2:
+            moved = peer.traffic_units
+            peer.probe()
         slot.tick()
+        if replug and rnd >= ROUNDS // 2:
+            peer.tick()
         kernel.run_for_ms(STEP_MS)
     kernel.run_for_ms(5 * STEP_MS)
+    if replug:
+        assert peer.bus_device.driver is not None
+        assert peer.traffic_units > moved
+        peer.remove()
     obs = _observe(slot, log)
     slot.remove()
+    kernel.modules.rmmod(slot.module_name, check_leaks=False)
     assert not kernel.modules.loaded
     assert not [r for r in kernel.memory.live_allocations()
                 if not r.owner.startswith("skb-pool")]
@@ -114,4 +130,11 @@ def _drive(family, decaf, with_peer):
 def test_survivor_matches_a_lone_device(family, decaf):
     paired = _drive(family, decaf, with_peer=True)
     assert paired["units"] > 0
+    assert paired == _drive(family, decaf, with_peer=False)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("decaf", [False, True], ids=["legacy", "decaf"])
+def test_replugged_peer_binds_and_survivor_matches(family, decaf):
+    paired = _drive(family, decaf, with_peer=True, replug=True)
     assert paired == _drive(family, decaf, with_peer=False)

@@ -87,6 +87,34 @@ class TestPciBus:
         kernel.pci.add_function(_function())
         assert kernel.pci.register_driver(Driver()) == 0
 
+    def test_driver_override_names_the_owner_module(self, kernel):
+        probed = []
+
+        class Driver(PciDriver):
+            name = "t"  # both variants share the driver name
+            id_table = ((0x1234, 0x5678),)
+
+            def probe(self, k, pdev):
+                probed.append((self.owner, pdev))
+                return 0
+
+            def remove(self, k, pdev):
+                probed.remove((self.owner, pdev))
+
+        pinned, free = _function(), _function(io_base=0x2000)
+        pinned.driver_override = "t+decaf"
+        kernel.pci.add_function(pinned)
+        kernel.pci.add_function(free)
+        legacy = Driver()
+        assert kernel.pci.register_driver(legacy, owner="t") == 1
+        assert probed == [("t", free)]
+        assert kernel.pci.register_driver(Driver(), owner="t+decaf") == 1
+        assert probed == [("t", free), ("t+decaf", pinned)]
+        kernel.pci.remove_function(pinned)  # hot-unplug runs remove
+        assert probed == [("t", free)]
+        kernel.pci.unregister_driver(legacy)
+        assert probed == [] and free.driver is None
+
     def test_enable_sets_command_bits(self, kernel):
         func = _function()
         kernel.pci.add_function(func)
@@ -261,6 +289,33 @@ class TestInputCore:
             (byte, kernel.context.in_irq())))
         port.write(0x0F)
         assert seen == [(0xF0, True)]
+
+    def test_serio_driver_binds_every_port_and_hotplug(self, kernel):
+        bound = []
+
+        class SerioDriver:
+            name = "mouse"
+
+            def matches(self, port):
+                return True
+
+            def probe(self, k, port):
+                bound.append(port.name)
+                return 0
+
+            def remove(self, k, port):
+                bound.remove(port.name)
+
+        kernel.input.new_serio_port("serio0")
+        driver = SerioDriver()
+        assert kernel.input.register_driver(driver) == 1
+        late = kernel.input.new_serio_port("serio1")
+        assert bound == ["serio0", "serio1"] and late.driver is driver
+        kernel.input.remove_port(late)
+        assert bound == ["serio0"]
+        assert [p.name for p in kernel.input.serio_ports] == ["serio0"]
+        kernel.input.unregister_driver(driver)
+        assert bound == []
 
     def test_input_dev_event_batching(self, kernel):
         from repro.kernel.input import EV_REL, REL_X, InputDev

@@ -38,7 +38,7 @@ def _fail_in_flush(rig):
 class TestSyncRecoveryPreemptsAsync:
     def test_one_fault_one_recovery_one_replay(self, rig):
         sup = rig.supervisor
-        plumbing = rig.module.instance.plumbing
+        plumbing = rig.nucleus.plumbing
         log_len = len(plumbing.replay_log)
         assert log_len > 0  # probe/open were recorded
 
@@ -62,7 +62,7 @@ class TestSyncRecoveryPreemptsAsync:
         """Replayed config ops re-record themselves through the same
         nucleus paths; latest-wins must keep the log's length, order
         and payloads identical -- else each recovery would compound."""
-        plumbing = rig.module.instance.plumbing
+        plumbing = rig.nucleus.plumbing
         before = plumbing.replay_log.entries()
 
         _fail_in_flush(rig)
@@ -75,7 +75,7 @@ class TestSyncRecoveryPreemptsAsync:
         """N recoveries replay the log exactly N times, no matter how
         the async work items interleave."""
         sup = rig.supervisor
-        plumbing = rig.module.instance.plumbing
+        plumbing = rig.nucleus.plumbing
         log_len = len(plumbing.replay_log)
 
         for expected in (1, 2):
@@ -91,7 +91,7 @@ class TestDeferredBatchNotReplayed:
         """Notifications queued before the fault belong to the dead
         half: they are dropped (and counted) exactly once, never
         delivered by the restarted instance."""
-        plumbing = rig.module.instance.plumbing
+        plumbing = rig.nucleus.plumbing
         plumbing.notify("watchdog_tick", ())
         plumbing.notify("watchdog_tick", ())
         dropped_before = rig.xpc.deferred_dropped
