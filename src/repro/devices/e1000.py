@@ -575,6 +575,11 @@ class E1000Device:
                     base = buf_region.dma_addr
                     self._tx_buf_cache[q] = buf = (
                         base, base + len(buf_region.data), buf_region)
+                    if buf_addr + length > buf[1]:
+                        # Runs past its region's end: like an unmapped
+                        # buffer, the descriptor completes and nothing
+                        # is sent (RX refuses the same case).
+                        buf_region = None
             else:
                 buf_region = buf[2]
                 start = buf_addr - buf[0]
@@ -583,9 +588,6 @@ class E1000Device:
             else:
                 # Zero-copy: the link copies the view at transmit()
                 # time, so a reused buffer cannot corrupt a sent frame.
-                # The view is not memoized: a live export would stop the
-                # driver from growing the arena (a jumbo frame written
-                # into the last slot extends it).
                 done_ns = self.link.transmit(
                     memoryview(buf_region.data)[start:start + length])
                 self.frames_transmitted += 1

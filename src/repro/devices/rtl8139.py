@@ -232,6 +232,10 @@ class Rtl8139Device:
             self._kernel.consume(10_000, busy=False, category="nic-reset")
             return
         self._rx_enabled = bool(value & CR_RE)
+        if not self._rx_enabled:
+            # Receive stopped: the driver may free the ring next, and
+            # the dma_find memo must not keep it alive.
+            self._rx_dma = None
         self._tx_enabled = bool(value & CR_TE)
         buf_empty = self.regs[CR] & CR_BUFE
         self.regs[CR] = (value & (CR_RE | CR_TE)) | buf_empty

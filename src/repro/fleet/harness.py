@@ -18,8 +18,9 @@ the kernel's event queue and virtual CPUs:
 
 Metrics come out as a :class:`WorkloadResult` whose kstat window spans
 the harness's whole life; its ``extra`` carries sustained simulator
-events per wall-clock second, tracemalloc bytes per device slot, and
-the fault recovery rate with p50/p99 fault-to-recovered latency.
+events per wall-clock second, bytes per device slot (tracemalloc plus
+DMA regions), and the fault recovery rate with p50/p99
+fault-to-recovered latency.
 """
 
 import gc
@@ -115,20 +116,23 @@ class FleetHarness:
         tracemalloc slows slot construction by more than an order of
         magnitude, so only the first ``sample`` slots build traced (the
         per-device cost is uniform by construction: same families, same
-        drivers); the rest build at full speed.
+        drivers); the rest build at full speed.  DMA regions are
+        anonymous mmaps that tracemalloc does not see, so the sample's
+        DMA bytes come from the allocation ledger instead.
         """
         spec = self.spec
         sample = min(sample, spec.n_devices)
+        memory = self.kernel.memory
         started_here = not tracemalloc.is_tracing()
         if started_here:
             tracemalloc.start()
         gc.collect()
-        before = tracemalloc.get_traced_memory()[0]
+        before = tracemalloc.get_traced_memory()[0] + memory.dma_bytes
         try:
             for index in range(sample):
                 self._build_slot(index)
             gc.collect()
-            after = tracemalloc.get_traced_memory()[0]
+            after = tracemalloc.get_traced_memory()[0] + memory.dma_bytes
         finally:
             if started_here:
                 tracemalloc.stop()

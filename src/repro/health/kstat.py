@@ -21,6 +21,7 @@ Naming scheme (see DESIGN.md "Health plane")::
     napi.polls                       NAPI core counters
     napi.packets_per_poll.20         polls that did 20 packets of work
     net.skb_pool.shared.hits         per-shard pool hits (and misses)
+    mm.dma.bytes                     live DMA-coherent bytes (and regions)
     xpc.crossings                    summed across every decaf driver
     xpc.e1000.crossings              ... and per driver
     faults.fired                     injected faults that struck

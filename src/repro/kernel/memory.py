@@ -10,11 +10,15 @@ Two properties matter to Decaf:
   this ledger.
 
 DMA-coherent memory doubles as the backing store for device descriptor
-rings: a :class:`DmaRegion` is a ``bytearray`` visible to both the driver
-and the device model, which is how real DMA behaves.
+rings: a :class:`DmaRegion` is a private anonymous ``mmap`` visible to
+both the driver and the device model, which is how real DMA behaves.
+Like a coherent buffer on hardware it is fixed-size (a write past its
+end raises) and costs no resident memory until it is touched: the OS
+zero-fills each page on first access.
 """
 
 import itertools
+import mmap
 
 from .errors import ENOMEM, SimulationError
 
@@ -44,7 +48,10 @@ class DmaRegion:
 
     def __init__(self, dma_addr, size, owner):
         self.dma_addr = dma_addr
-        self.data = bytearray(size)
+        # Private, not the default shared mapping: no shmem object per
+        # region, cheaper faults, and reads of an untouched page map the
+        # zero page instead of allocating one.
+        self.data = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
         self.owner = owner
         self.freed = False
 
@@ -57,6 +64,7 @@ class MemoryManager:
         self._kernel = kernel
         self._total = total_bytes
         self._used = 0
+        self.dma_bytes = 0
         self._addr = itertools.count(0x1000_0000, 0x100)
         self._next_dma = 0x8000_0000
         self._live = {}
@@ -68,6 +76,16 @@ class MemoryManager:
         # Declarative fault injection (repro.faults): called with
         # (seq, size, owner) on every attempt; truthy return fails it.
         self.fault_hook = None
+        kernel.kstat.register("mm", self._kstat)
+
+    def _kstat(self):
+        """DMA and kmalloc footprint for the kstat registry (pull-only)."""
+        return {
+            "dma.regions": len(self._dma_regions),
+            "dma.bytes": self.dma_bytes,
+            "kmalloc.live": len(self._live),
+            "kmalloc.bytes": self._used - self.dma_bytes,
+        }
 
     def _should_fail(self, size, owner):
         """Single choke point for injected allocation failures.
@@ -123,6 +141,8 @@ class MemoryManager:
     def dma_alloc_coherent(self, size, owner="kernel"):
         """Allocate DMA memory usable by device models; may sleep."""
         self._kernel.context.might_sleep("dma_alloc_coherent")
+        if size <= 0:
+            return None
         if self._should_fail(size, owner):
             return None
         self._kernel.charge(self._kernel.costs.kmalloc_ns * 4, "mm")
@@ -132,6 +152,7 @@ class MemoryManager:
         region = DmaRegion(dma_addr, size, owner)
         self._dma_regions[dma_addr] = region
         self._used += size
+        self.dma_bytes += size
         return region
 
     def dma_free_coherent(self, region):
@@ -142,6 +163,7 @@ class MemoryManager:
         region.freed = True
         del self._dma_regions[region.dma_addr]
         self._used -= len(region.data)
+        self.dma_bytes -= len(region.data)
         if self._dma_hit is region:
             self._dma_hit = None
 

@@ -1,10 +1,14 @@
 """Shared fixtures for the test suite."""
 
+import contextlib
+import gc
 import random
+import weakref
 
 import pytest
 
 from repro.kernel import make_kernel
+from repro.kernel.memory import DmaRegion
 
 try:
     from hypothesis import settings as _hypothesis_settings
@@ -53,3 +57,24 @@ def xmit_all(rig, dev, frames):
             rig.kernel.run_until(nxt)
         else:
             raise AssertionError("could not transmit after 10k attempts")
+
+
+@contextlib.contextmanager
+def freed_dma_regions(kernel):
+    """Collect weakrefs to the DMA regions freed inside the block.
+
+    Only regions live on entry are seen.  A region costs tracemalloc a
+    few bytes however large it is (its backing is an anonymous mmap),
+    so leak tests check that freed regions die instead.
+    """
+    live = [weakref.ref(r) for r in kernel.memory.live_allocations()
+            if isinstance(r, DmaRegion)]
+    freed = []
+    yield freed
+    freed.extend(ref for ref in live if ref() is None or ref().freed)
+
+
+def uncollected(refs):
+    """The objects behind ``refs`` that survive a full collection."""
+    gc.collect()
+    return [obj for obj in (ref() for ref in refs) if obj is not None]

@@ -40,6 +40,8 @@ class UnmemoizedE1000(E1000Device):
             addr, length, _cso, cmd = struct.unpack_from(
                 "<QHBB", region.data, off)
             buf, start = self._kernel.memory.dma_find(addr)
+            if buf is not None and start + length > len(buf.data):
+                buf = None  # runs past its region: sent as unmapped
             done_ns = self._kernel.clock.now_ns
             if buf is not None:
                 done_ns = self.link.transmit(
@@ -232,7 +234,8 @@ def test_buffers_outside_the_cached_arena():
             (other.dma_addr + 100, _payload(2), other),   # another arena
             (bufs.dma_addr + 2048, _payload(3), bufs),    # and back
             (0x10, _payload(4), None),                    # unmapped
-            # Straddles the arena's end: the frame is truncated there.
+            # Ends exactly at the arena's end, then straddles it: the
+            # straddling frame is not sent.
             (bufs.dma_addr + len(bufs.data) - 200, _payload(5, 200), bufs),
             (bufs.dma_addr + len(bufs.data) - 200, _payload(6, 600), None),
             (other.dma_addr + 4096, _payload(7), other),
@@ -244,30 +247,33 @@ def test_buffers_outside_the_cached_arena():
 
     log = both(scenario)
     assert _wire(log) == [_payload(1), _payload(2), _payload(3),
-                          _payload(5, 200), _payload(5, 200), _payload(7)]
+                          _payload(5, 200), _payload(7)]
     statuses = [entry[2][0] for entry in log if entry[0] == "wb"][-1]
     # Every fetched descriptor completes, the unmapped one included.
     assert all(s & e1000_mod.TXD_STAT_DD for s in statuses[:7])
 
 
-def test_buffer_memo_does_not_pin_the_arena_size():
-    """The legacy driver writes a jumbo frame in the last slot past the
-    arena's end, which grows the bytearray; a memoized memoryview would
-    make that write raise BufferError."""
-    def scenario(b):
-        bufs = b.alloc(2 * 2048)
-        ring = b.alloc(8 * 16)
-        b.program(0, ring, 8)
-        b.post(ring, 0, bufs.dma_addr, _payload(1), bufs)
-        b.doorbell(0, 1)
-        b.settle()
-        jumbo = _payload(2, 3000)
-        b.post(ring, 1, bufs.dma_addr + 2048, jumbo, bufs)
-        assert len(bufs.data) == 2048 + 3000
-        b.doorbell(0, 2)
-        b.settle()
-
-    log = both(scenario)
-    # The arena's end was memoized before it grew: the jumbo frame is
-    # re-resolved and sent whole.
-    assert _wire(log) == [_payload(1), _payload(2, 3000)]
+@pytest.mark.parametrize("device_cls", [E1000Device, UnmemoizedE1000])
+def test_jumbo_descriptor_past_the_arena_end_is_not_sent(device_cls):
+    """DMA regions are fixed-size: a jumbo frame written into the last
+    slot raises instead of growing the arena, and a descriptor whose
+    buffer crosses the arena's end completes without transmitting,
+    whether or not the arena was memoized."""
+    bench = Bench(device_cls)
+    bufs = bench.alloc(2 * 2048)
+    ring = bench.alloc(8 * 16)
+    bench.program(0, ring, 8)
+    bench.post(ring, 0, bufs.dma_addr, _payload(1), bufs)
+    bench.doorbell(0, 1)
+    bench.settle()
+    with pytest.raises(IndexError):
+        bufs.data[2048:2048 + 3000] = _payload(2, 3000)
+    assert len(bufs.data) == 2 * 2048
+    bench.post(ring, 1, bufs.dma_addr + 2048, _payload(2, 3000))
+    bench.post(ring, 2, bufs.dma_addr + 2048, _payload(3, 2048), bufs)
+    bench.doorbell(0, 3)
+    bench.settle()
+    assert _wire(bench.log) == [_payload(1), _payload(3, 2048)]
+    assert bench.nic.tx_queue_frames[0] == 2
+    statuses = bench.log[-1][2][0]
+    assert all(s & e1000_mod.TXD_STAT_DD for s in statuses[:3])

@@ -138,8 +138,8 @@ class TestUhci:
         kernel.io.outw(0, base + uhci_mod.PORTSC1)
         fl = kernel.memory.dma_alloc_coherent(
             uhci_mod.TD_RING_ENTRIES * uhci_mod.TD_SIZE)
-        data = kernel.memory.dma_alloc_coherent(4096)
         payload = struct.pack("<BBHI", 1, 0, 8, 0) + bytes(8 * 512)
+        data = kernel.memory.dma_alloc_coherent(len(payload))
         data.data[0:len(payload)] = payload
         offset = 0
         slot = 0

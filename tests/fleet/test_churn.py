@@ -17,6 +17,8 @@ from repro.family import FAMILIES
 from repro.fleet import FleetHarness, FleetSpec
 from repro.fleet.slots import DeviceSlot
 from repro.kernel import make_kernel
+from repro.kernel.memory import DmaRegion
+from tests.conftest import freed_dma_regions, uncollected
 
 CYCLES = 50
 WARMUP = 10
@@ -50,13 +52,16 @@ def test_churn_cycles_leave_kernel_flat(family, decaf):
 
     baseline = None
     traced_at_warmup = 0
+    freed = []
     tracemalloc.start()
     try:
         for cycle in range(CYCLES):
             slot.probe()
             slot.tick()
             kernel.run_for_ms(2)
-            slot.remove()
+            with freed_dma_regions(kernel) as gone:
+                slot.remove()
+            freed += gone
             if cycle == WARMUP - 1:
                 baseline = _gauges(kernel)
                 gc.collect()
@@ -76,6 +81,22 @@ def test_churn_cycles_leave_kernel_flat(family, decaf):
     assert growth < 256 * 1024, \
         "traced memory grew %d bytes over %d post-warmup cycles" % (
             growth, CYCLES - WARMUP)
+    # tracemalloc does not see DMA backing: every region a remove
+    # freed must be collected.
+    assert not uncollected(freed)
+
+
+def test_leak_check_sees_a_region_retained_across_remove():
+    kernel = make_kernel(nr_cpus=2, nr_irqs=16)
+    slot = _one_slot(kernel, "e1000", decaf=True)
+    slot.probe()
+    kernel.run_for_ms(2)
+    kept = next(r for r in kernel.memory.live_allocations()
+                if isinstance(r, DmaRegion) and r.owner == "e1000")
+    with freed_dma_regions(kernel) as freed:
+        slot.remove()
+    assert kept.freed
+    assert uncollected(freed) == [kept]
 
 
 def test_mixed_fleet_concurrent_smoke():
@@ -110,3 +131,17 @@ def test_churned_slot_keeps_working_after_reprobe():
     slot.remove()
     assert first > 0
     assert second == first
+
+
+def test_measure_build_counts_dma_backing():
+    """tracemalloc does not see DMA backing; the per-device figure adds
+    the sample's DMA bytes from the allocation ledger."""
+    spec = FleetSpec(n_devices=4, mix=("8139too",), decaf_fraction=0.5,
+                     nr_cpus=2, fault_period_ms=0, seed=3)
+    harness = FleetHarness(spec)
+    dma0 = harness.kernel.memory.dma_bytes
+    harness.measure_build(sample=4)
+    dma_per_device = (harness.kernel.memory.dma_bytes - dma0) / 4
+    harness.teardown()
+    assert dma_per_device > 0
+    assert harness.mem_bytes_per_device > dma_per_device

@@ -1,5 +1,8 @@
 """Memory manager and module loader."""
 
+import mmap
+import os
+
 import pytest
 
 from repro.kernel import GFP_ATOMIC, KernelModule, MemoryLeakError, SimulationError
@@ -72,6 +75,52 @@ class TestDma:
         assert kernel.memory.dma_find(region.dma_addr)[0] is None
         with pytest.raises(SimulationError):
             kernel.memory.dma_free_coherent(region)
+
+    def test_empty_allocation_fails(self, kernel):
+        assert kernel.memory.dma_alloc_coherent(0) is None
+        assert kernel.memory.dma_alloc_coherent(-4096) is None
+        assert kernel.memory.live_allocations() == []
+
+    def test_regions_are_fixed_size(self, kernel):
+        region = kernel.memory.dma_alloc_coherent(4096)
+        region.data[4000:4096] = bytes(96)
+        with pytest.raises(IndexError):
+            region.data[4000:4100] = bytes(100)
+        with pytest.raises(IndexError):
+            region.data[4096] = 1
+        assert len(region) == 4096
+
+    def test_kstat_footprint(self, kernel):
+        alloc = kernel.memory.kmalloc(100)
+        region = kernel.memory.dma_alloc_coherent(8192)
+        snap = kernel.kstat.snapshot()
+        assert (snap["mm.dma.regions"], snap["mm.dma.bytes"]) == (1, 8192)
+        assert (snap["mm.kmalloc.live"], snap["mm.kmalloc.bytes"]) == (1, 100)
+        kernel.memory.dma_free_coherent(region)
+        kernel.memory.kfree(alloc)
+        snap = kernel.kstat.snapshot()
+        assert [snap["mm." + k] for k in ("dma.regions", "dma.bytes",
+                                          "kmalloc.live", "kmalloc.bytes")
+                ] == [0, 0, 0, 0]
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                        reason="needs /proc/self/statm")
+    def test_idle_regions_are_not_resident(self, kernel):
+        """Backing pages become resident when first touched, not at
+        allocation: 64 idle 512 KiB regions cost almost no RSS."""
+        def rss():
+            with open("/proc/self/statm") as fh:
+                return int(fh.read().split()[1]) * mmap.PAGESIZE
+
+        before = rss()
+        regions = [kernel.memory.dma_alloc_coherent(512 * 1024)
+                   for _ in range(64)]
+        idle = rss() - before
+        assert idle < 4 * 1024 * 1024, idle
+        for region in regions:
+            region.data[len(region) // 2] = 1  # one page each
+        touched = rss() - before
+        assert touched - idle >= len(regions) * mmap.PAGESIZE
 
 
 class _OkModule(KernelModule):
