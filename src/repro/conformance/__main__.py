@@ -19,7 +19,7 @@ import sys
 from .minimize import minimize_scenario, write_repro_script
 from .observe import digest_of
 from .runner import DifferentialRunner, nobble_drop_tx
-from .scenario import ALL_DRIVERS, DRIVERS, ScenarioGenerator
+from .scenario import DRIVERS, ScenarioGenerator
 
 
 def mode_for(seed):
@@ -115,9 +115,9 @@ def main(argv=None):
 
     drivers = [d.strip() for d in args.drivers.split(",") if d.strip()]
     for driver in drivers:
-        if driver not in ALL_DRIVERS:
+        if driver not in DRIVERS:
             parser.error("unknown driver %r (one of %s)"
-                         % (driver, ", ".join(ALL_DRIVERS)))
+                         % (driver, ", ".join(DRIVERS)))
     seeds = list(range(args.seed_base, args.seed_base + args.seeds))
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)

@@ -57,7 +57,7 @@ class Observation:
     #: Channels asserted equal between variants in strict mode.  The
     #: ``counters`` channel is compared with bounds instead (crossing
     #: counts are decaf-only by design), and ``reg_trace`` equality is
-    #: per-family (see runner.REG_TRACE_STRICT).
+    #: per-family (see ``DeviceFamily.reg_trace``).
     STRICT_EQUAL = ("tx", "rx", "input", "disk", "sound", "ops", "dmesg")
 
     def __init__(self):

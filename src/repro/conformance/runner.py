@@ -10,8 +10,9 @@ compares:
 
 * **strict** mode (no faults): payloads, input events, device state,
   operation return codes, dmesg error surface, and the register-access
-  trace must be *equal*; packet counters equal; XPC crossings zero on
-  legacy and linearly bounded on decaf.
+  trace must be *equal*; the family's counters equal, or within the
+  bound the family gives for them; XPC crossings zero on legacy and
+  linearly bounded on decaf.
 * **faulty** mode (faults armed on the decaf rig only, supervisor
   attached): the decaf run may lose payloads while recovering but must
   never reorder, duplicate, or corrupt them (subsequence check), the
@@ -22,80 +23,52 @@ Any violated check becomes a :class:`Divergence`; lockdep reports are a
 divergence in *either* variant, in every mode.
 """
 
+from functools import reduce
+from operator import or_
+
 from ..faults import FaultPlan, FaultSpec
 from ..kernel import NETDEV_TX_BUSY, NETDEV_TX_OK, SkBuff
 from .observe import Observation, is_subsequence, normalize_dmesg
 
 
-#: Interrupt mask/ack registers, per region name.  Their write *counts*
-#: track NAPI poll and interrupt boundaries, which shift legitimately
-#: with the virtual-time cost of XPC crossings; for these the footprint
-#: keeps the set of distinct values written instead of the sequence.
-#: The e1000's per-queue register blocks repeat at a 0x100 stride
-#: (queue 1's ICR is 0x1C0, its RDT 0x2918, ...), so the timing and
-#: ring-tail sets cover every queue's copy.
-_E1000_STRIDES = tuple(q * 0x100 for q in range(8))
-
-TIMING_REGS = {
-    "e1000": frozenset(reg + s                         # ICR, IMS, IMC
-                       for reg in (0x000C0, 0x000D0, 0x000D8)
-                       for s in _E1000_STRIDES),
-    "8139too": frozenset((0x3C, 0x3E)),                # IMR, ISR
-    # MEM_PAGE is rewritten once per period-interrupt service and
-    # SERIAL's P2_INTR_EN bit is toggled to ack each one, so their
-    # write counts track the (bounded, phase-coupled) irq count.
-    "ens1371": frozenset((0x0C, 0x20)),                # MEM_PAGE, SERIAL
+#: How :func:`write_footprint` reduces one register's write sequence;
+#: each family names a reduction per register in its ``footprint``.
+REDUCTIONS = {
+    # Write counts that track interrupt and poll boundaries shift with
+    # the virtual-time cost of XPC crossings: keep the distinct values.
+    "distinct": lambda values: sorted(set(values)),
+    # Write-1-to-clear acks: acking {1, 4} across two interrupts and 5
+    # across one clear the same bits, so keep the OR of every value.
+    "acked": lambda values: [reduce(or_, values, 0)],
+    # Positions that depend on batching: keep only the final value.
+    "last": lambda values: values[-1:],
 }
 
-#: Write-1-to-clear acknowledge registers.  The handler acks exactly
-#: the status bits it read, so when two device events coalesce into one
-#: interrupt on one variant only, that variant writes the *union* value
-#: (e.g. RxOK|TxOK = 5 on the 8139 ISR) which the other never does.
-#: Acking {1, 4} across two interrupts and acking 5 across one clear
-#: the same bits, so for these registers the footprint keeps the OR of
-#: all written values -- the set of bits ever acked -- instead of the
-#: distinct-value set.  (Surfaced by repro.explore: reordering
-#: config_mac between tx/rx bursts shifts decaf interrupt arrival.)
-ACK_W1C_REGS = {
-    "8139too": frozenset((0x3E,)),                     # ISR
-}
-
-#: Ring tail pointers: the *positions* written depend on how rx/tx work
-#: batches across poll boundaries, which shifts with crossing costs.
-#: The footprint keeps only the final value (where the ring ended up).
-RING_TAIL_REGS = {
-    "e1000": frozenset(reg + s                         # RDT, TDT
-                       for reg in (0x02818, 0x03818)
-                       for s in _E1000_STRIDES),
-}
+#: Counters :meth:`DifferentialRunner._collect_common` records on every
+#: run; the other counters are the family's own observations.
+RUN_COUNTERS = frozenset((
+    "crossings", "lang_crossings", "faults_fired", "recoveries",
+    "work_lost", "gave_up", "recovery_pending", "channel_failed"))
 
 
-def write_footprint(trace):
+def write_footprint(trace, footprint):
     """Per-register sequence of written values: {region: {offset: [v]}}.
 
-    Timing-coupled mask/ack registers (:data:`TIMING_REGS`) are reduced
-    to their sorted distinct-value set; write-1-to-clear ack registers
-    (:data:`ACK_W1C_REGS`) further collapse to the OR of written values.
+    ``footprint`` is a family's register offset -> reduction map
+    (:data:`REDUCTIONS`); registers it does not name keep their full
+    write sequence.
     """
-    footprint = {}
+    regions = {}
     for op, region, offset, _size, value in trace:
-        if op != "w":
-            continue
-        footprint.setdefault(region, {}).setdefault(offset, []).append(value)
-    for region, regs in footprint.items():
-        for offset in ACK_W1C_REGS.get(region, ()):
-            if offset in regs:
-                acked = 0
-                for value in regs[offset]:
-                    acked |= value
-                regs[offset] = [acked]
-        for offset in TIMING_REGS.get(region, ()):
-            if offset in regs and offset not in ACK_W1C_REGS.get(region, ()):
-                regs[offset] = sorted(set(regs[offset]))
-        for offset in RING_TAIL_REGS.get(region, ()):
-            if offset in regs:
-                regs[offset] = regs[offset][-1:]
-    return footprint
+        if op == "w":
+            regions.setdefault(region, {}).setdefault(offset, []).append(
+                value)
+    for regs in regions.values():
+        for offset, values in regs.items():
+            how = footprint.get(offset)
+            if how is not None:
+                regs[offset] = REDUCTIONS[how](values)
+    return regions
 
 
 class Divergence:
@@ -185,11 +158,12 @@ class DifferentialRunner:
 
     Register traces compare per the family's ``reg_trace``: ``"full"``
     is access-for-access equality (reads and writes, in order);
-    ``"footprint"`` compares per-register *write* sequences -- the NIC
-    drivers run their management path behind deferred work on the
-    decaf side, so the interleaving of independent register programs
-    shifts legitimately while each register must still see the same
-    values in the same order.
+    ``"footprint"`` compares per-register *write* sequences, reduced
+    per the family's ``footprint`` -- the NIC drivers run their
+    management path behind deferred work on the decaf side, so the
+    interleaving of independent register programs shifts legitimately
+    while each register must still see the same values in the same
+    order.
     """
 
     open_settle_ms = 60
@@ -200,8 +174,9 @@ class DifferentialRunner:
         self.nobble = nobble  # callable(rig), decaf rig only (canary)
         self.settle_ms = settle_ms
         self.max_recoveries = max_recoveries
-        # Virtual CPUs per rig; >1 additionally runs the e1000 pair
-        # multi-queue (one NAPI context per queue, affined per CPU).
+        # Virtual CPUs per rig; the family's smp_options may widen the
+        # device with them (a multi-queue NIC: one NAPI context per
+        # queue, affined per CPU).
         self.smp = smp
         self.probe = probe  # RunProbe or None
 
@@ -308,24 +283,6 @@ class DifferentialRunner:
                     "lockdep", "%s: %s: %s" % (name, kind, message)))
         return PairResult(scenario, legacy, decaf, divergences)
 
-    def _payload_items(self, scenario):
-        """Linear size of the schedule, for the crossing bound."""
-        items = 0
-        for event in scenario.events:
-            kind = event["kind"]
-            if kind in ("tx_burst", "rx_burst"):
-                items += len(event["frames"])
-            elif kind == "irq_storm":
-                items += event["count"]
-            elif kind == "pcm_cycle":
-                items += (event["write_frames"] // event["period_frames"]
-                          + event["periods"])
-            elif kind == "bulk_write":
-                items += event["blocks"]
-            else:
-                items += 1
-        return items
-
     def _check_crossings(self, scenario, legacy, decaf, divergences):
         if legacy["counters"]["crossings"] != 0:
             divergences.append(Divergence(
@@ -335,8 +292,8 @@ class DifferentialRunner:
         if crossings <= 0:
             divergences.append(Divergence(
                 "counters", "decaf run recorded no XPC crossings"))
-        bound = (2000 + 400 * len(scenario.events)
-                 + 60 * self._payload_items(scenario))
+        items = sum(map(scenario.family.payload_items, scenario.events))
+        bound = 2000 + 400 * len(scenario.events) + 60 * items
         if crossings > bound:
             divergences.append(Divergence(
                 "counters",
@@ -351,62 +308,32 @@ class DifferentialRunner:
                     channel,
                     "legacy %r != decaf %r"
                     % (_clip(legacy[channel]), _clip(decaf[channel]))))
-        if scenario.family.reg_trace == "full":
+        family = scenario.family
+        if family.reg_trace == "full":
             if legacy["reg_trace"] != decaf["reg_trace"]:
                 divergences.append(Divergence(
                     "reg_trace", _trace_diff(legacy["reg_trace"],
                                              decaf["reg_trace"])))
         else:
-            lfp = write_footprint(legacy["reg_trace"])
-            dfp = write_footprint(decaf["reg_trace"])
+            lfp = write_footprint(legacy["reg_trace"], family.footprint)
+            dfp = write_footprint(decaf["reg_trace"], family.footprint)
             if lfp != dfp:
                 divergences.append(Divergence(
                     "reg_trace", _footprint_diff(lfp, dfp)))
-        for key in ("tx_packets", "rx_packets", "tx_bytes", "rx_bytes",
-                    "mac", "mtu"):
-            if key in legacy["counters"] and (
-                    legacy["counters"][key] != decaf["counters"].get(key)):
-                divergences.append(Divergence(
-                    "counters", "%s: legacy %r != decaf %r"
-                    % (key, legacy["counters"][key],
-                       decaf["counters"].get(key))))
-        for key in sorted(legacy["counters"]):
-            if key.startswith("pcm") and key.endswith("_periods"):
-                # periods_elapsed counts *serviced* period interrupts,
-                # and hw_ptr advances from the pointer op (true device
-                # position), so irqs coalesce: one serviced irq can
-                # cover several consumed periods.  Coalescing depth is
-                # bounded by the ring, so the variants may differ by up
-                # to the ring's period count.
-                try:
-                    index = int(key[3:-len("_periods")])
-                    bound = scenario.events[index]["periods"]
-                except (ValueError, IndexError, KeyError):
-                    bound = 4
-                delta = abs(legacy["counters"][key]
-                            - decaf["counters"].get(key, 0))
-                if delta > bound:
+        # The family's counters are equal unless it bounds their delta.
+        bounds = family.counter_bounds(scenario)
+        lcounters, dcounters = legacy["counters"], decaf["counters"]
+        for key in sorted(set(lcounters) - RUN_COUNTERS):
+            bound = bounds.get(key)
+            if bound is None:
+                if lcounters[key] != dcounters.get(key):
                     divergences.append(Divergence(
-                        "counters",
-                        "%s: legacy %d vs decaf %d (bound %d)"
-                        % (key, legacy["counters"][key],
-                           decaf["counters"].get(key, 0), bound)))
-        if "device_irqs" in legacy["counters"]:
-            # Each pcm cycle contributes up to two phase-coupled irqs:
-            # one inside the blocking write (see pcmN_periods) and one
-            # in the window between the periods read and the DAC2
-            # disable reaching the device.
-            cycles = sum(1 for ev in scenario.events
-                         if ev["kind"] == "pcm_cycle")
-            bound = 2 + 2 * cycles
-            delta = abs(legacy["counters"]["device_irqs"]
-                        - decaf["counters"].get("device_irqs", 0))
-            if delta > bound:
+                        "counters", "%s: legacy %r != decaf %r"
+                        % (key, lcounters[key], dcounters.get(key))))
+            elif abs(lcounters[key] - dcounters.get(key, 0)) > bound:
                 divergences.append(Divergence(
-                    "counters",
-                    "device_irqs: legacy %d vs decaf %d (bound %d)"
-                    % (legacy["counters"]["device_irqs"],
-                       decaf["counters"].get("device_irqs", 0), bound)))
+                    "counters", "%s: legacy %d vs decaf %d (bound %d)"
+                    % (key, lcounters[key], dcounters.get(key, 0), bound)))
         self._check_crossings(scenario, legacy, decaf, divergences)
         return divergences
 

@@ -16,13 +16,8 @@ import random
 
 from ..family import FAMILIES
 
-#: The four driver pairs the conformance sweep covers by default.
-#: ``uhci_hcd`` is supported but excluded from the default set: its
-#: bulk-storage scenario exercises the same XPC machinery at several
-#: times the cost.
-DRIVERS = ("e1000", "8139too", "ens1371", "psmouse")
-
-ALL_DRIVERS = DRIVERS + ("uhci_hcd",)
+#: The driver pairs the conformance sweep covers: every family.
+DRIVERS = tuple(FAMILIES)
 
 MODES = ("strict", "faulty")
 
@@ -35,7 +30,7 @@ class Scenario:
     def __init__(self, driver, seed, mode, events, faults=None):
         if driver not in FAMILIES:
             raise ValueError("unknown driver %r (one of %s)"
-                             % (driver, ", ".join(ALL_DRIVERS)))
+                             % (driver, ", ".join(DRIVERS)))
         if mode not in MODES:
             raise ValueError("unknown mode %r" % mode)
         self.driver = driver
@@ -97,14 +92,13 @@ class ScenarioGenerator:
         fault -- every decaf driver crosses the boundary -- but the Nth
         crossing only lands mid-scenario if N fits the driver's
         post-arming crossing budget (the family's ``xpc_at`` range).
-        The budgets differ wildly: the rtl8139's link-watch period
-        exceeds the scenario so only config ops cross, while the mouse
-        crosses once per resync-poll second (which is why faulty input
-        scenarios stretch their event spacing to seconds).  Exactly one
-        fault per scenario: recovery itself crosses the boundary dozens
-        of times, so a second armed occurrence count tends to land
-        mid-recovery and trips the supervisor's give-up backoff rather
-        than modeling a fresh failure.
+        The budgets differ wildly between drivers: some cross only on
+        config ops, others only on a once-a-second poll (which is why
+        such families stretch their faulty event spacing to seconds).
+        Exactly one fault per scenario: recovery itself crosses the
+        boundary dozens of times, so a second armed occurrence count
+        tends to land mid-recovery and trips the supervisor's give-up
+        backoff rather than modeling a fresh failure.
         """
         lo, hi = FAMILIES[driver].xpc_at
         return [{"kind": "xpc_raise", "at": rng.randrange(lo, hi)}]

@@ -44,7 +44,6 @@ from .marshal import (
     MarshalPlan,
     TO_KERNEL,
     TO_USER,
-    TypeIds,
     TypeRegistry,
 )
 from .objtracker import KernelObjectTracker, UserObjectTracker
@@ -80,7 +79,6 @@ __all__ = [
     "MarshalPlan",
     "TO_KERNEL",
     "TO_USER",
-    "TypeIds",
     "TypeRegistry",
     "KernelObjectTracker",
     "UserObjectTracker",

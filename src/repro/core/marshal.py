@@ -415,33 +415,6 @@ class TypeRegistry:
         return len(self._ids)
 
 
-class TypeIds:
-    """The process-wide default :class:`TypeRegistry` (legacy facade).
-
-    Codecs built without a channel fall back to this shared instance.
-    Tests and rig teardown may call :meth:`reset` to restore a pristine
-    table; channels are unaffected, since each owns its own registry.
-    """
-
-    _default = TypeRegistry()
-
-    @classmethod
-    def default(cls):
-        return cls._default
-
-    @classmethod
-    def id_of(cls, struct_cls):
-        return cls._default.id_of(struct_cls)
-
-    @classmethod
-    def struct_for(cls, type_id):
-        return cls._default.struct_for(type_id)
-
-    @classmethod
-    def reset(cls):
-        cls._default.reset()
-
-
 class XdrBuffer:
     """XDR-flavoured wire buffer: everything 4-byte aligned.
 
@@ -631,12 +604,15 @@ class MarshalCodec:
     ``compiled=True`` (the default) uses the plan's cached field lists
     and precompiled scalar packers; ``compiled=False`` keeps the seed's
     uncached per-field path callable for the ablation benchmarks.  Both
-    paths produce identical wire bytes.
+    paths produce identical wire bytes.  ``type_ids`` is the wire
+    type-id :class:`TypeRegistry`: a decoder must share its encoder's,
+    as the two ends of a channel do, and a codec given none has its
+    own.
     """
 
     def __init__(self, plan=None, type_ids=None, compiled=True):
         self.plan = plan or MarshalPlan()
-        self.type_ids = type_ids if type_ids is not None else TypeIds.default()
+        self.type_ids = type_ids if type_ids is not None else TypeRegistry()
         self.compiled = compiled
         self.objects_marshaled = 0
         self.fields_marshaled = 0

@@ -277,7 +277,7 @@ class XpcChannel:
     default_corrupt_hook = None
 
     def __init__(self, xpc, domains, plan=None, name="xpc",
-                 weak_shared_objects=False, single_process=True):
+                 weak_shared_objects=False):
         self.xpc = xpc
         xpc.channels.append(self)
         self.domains = domains
@@ -285,10 +285,6 @@ class XpcChannel:
         self.codec = MarshalCodec(plan, type_ids=self.type_ids)
         self.name = name
         self.weak_shared_objects = weak_shared_objects
-        # The decaf driver and driver library share one process, so the
-        # C<->Java control transfer can reuse the calling thread
-        # (section 2.3); separate processes would pay a full dispatch.
-        self.single_process = single_process
         self.kernel_tracker = KernelObjectTracker()
         self.user_tracker = UserObjectTracker()
         self.kernel_ctx = _KernelSideContext(self)
@@ -528,11 +524,11 @@ class XpcChannel:
         )
 
     def _charge_lang_crossing(self):
-        costs = self.xpc.kernel.costs
-        dispatch = 0 if self.single_process else costs.xpc_thread_dispatch_ns
+        # The decaf driver and driver library share one process, so the
+        # C<->Java control transfer reuses the calling thread (section
+        # 2.3) and pays no thread dispatch.
         self.xpc.kernel.consume(
-            costs.xpc_lang_ns + dispatch, busy=True, category="xpc"
-        )
+            self.xpc.kernel.costs.xpc_lang_ns, busy=True, category="xpc")
 
     # -- marshaling helpers shared by stubs ------------------------------------------
 
@@ -843,10 +839,7 @@ class XpcChannel:
         xpc = self.xpc
         xpc.lang_crossings += 1
         kernel = xpc.kernel
-        costs = kernel.costs
-        ns = costs.xpc_lang_ns
-        if not self.single_process:
-            ns += costs.xpc_thread_dispatch_ns
+        ns = kernel.costs.xpc_lang_ns
         tracer = kernel.tracer
         if tracer is None:
             kernel.consume(ns, busy=True, category="xpc")

@@ -314,6 +314,11 @@ class UsbFlashDiskModel:
     def set_address(self, address):
         self.address = address
 
+    @staticmethod
+    def write_command(lba, blocks, data):
+        """A WRITE of ``blocks`` blocks at ``lba``: header, then ``data``."""
+        return struct.pack("<BBHI", 1, 0, blocks, lba) + data
+
     # -- endpoint handlers (called by the controller) ---------------------------
 
     def bulk_out(self, endpoint, data):

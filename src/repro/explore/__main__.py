@@ -25,7 +25,7 @@ import os
 import sys
 import time
 
-from ..conformance.scenario import ALL_DRIVERS
+from ..conformance.scenario import DRIVERS
 from .adversary import run_adversary
 from .explorer import Explorer, write_report
 
@@ -64,7 +64,7 @@ def main(argv=None):
 
     drivers = args.driver or ["e1000"]
     if "all" in drivers:
-        drivers = list(ALL_DRIVERS)
+        drivers = list(DRIVERS)
 
     failed = False
     for driver in drivers:

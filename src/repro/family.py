@@ -18,7 +18,6 @@ variant.
 """
 
 import importlib
-import struct
 
 from .devices import (
     E1000Device,
@@ -29,6 +28,17 @@ from .devices import (
     UhciDevice,
     UsbFlashDiskModel,
 )
+from .devices.e1000 import (
+    MAX_QUEUES,
+    QUEUE_STRIDE,
+    REG_ICR,
+    REG_IMC,
+    REG_IMS,
+    REG_RDT,
+    REG_TDT,
+)
+from .devices.ens1371 import REG_MEMPAGE, REG_SCTRL
+from .devices.rtl8139 import IMR, ISR
 from .kernel import NETDEV_TX_OK, SerioPort, SkBuff, make_kernel
 from .kernel.sound import SNDRV_PCM_TRIGGER_START, SNDRV_PCM_TRIGGER_STOP
 from .kernel.usb import usb_sndbulkpipe
@@ -244,6 +254,11 @@ class DeviceFamily:
     reg_trace = "footprint"
     xpc_at = None
     explore_gap_ms = 3  # explorer inter-event spacing
+    # The "footprint" comparison: register offset -> how its write
+    # sequence is reduced ("distinct", "acked" or "last"; see
+    # repro.conformance.runner.write_footprint).  Registers not named
+    # here keep their full write sequence.
+    footprint = {}
 
     def rig(self, decaf=False, nr_cpus=1, health=False, **options):
         """This family's device and driver on a fresh kernel."""
@@ -298,6 +313,18 @@ class DeviceFamily:
         fault a deterministic crossing to strike.  No-op on legacy and
         unbound instances.
         """
+
+    # -- conformance ----------------------------------------------------------
+
+    def payload_items(self, event):
+        """Payload items ``event`` moves, for the linear crossing bound."""
+        return 1
+
+    def counter_bounds(self, scenario):
+        """{counter: bound} for the observed counters that may differ
+        between the variants by up to ``bound`` in strict mode; every
+        other counter this family observes must be equal."""
+        return {}
 
 
 # -- network: e1000 / 8139too -------------------------------------------------
@@ -391,6 +418,14 @@ class _NicFamily(DeviceFamily):
                 events.append({"t": t, "kind": "ifdown_up",
                                "down_ms": rng.randrange(1, 4)})
         return events
+
+    def payload_items(self, event):
+        kind = event["kind"]
+        if kind in ("tx_burst", "rx_burst"):
+            return len(event["frames"])
+        if kind == "irq_storm":
+            return event["count"]
+        return 1
 
     def base_event(self, rng, k, t):
         """Datapath bursts (tx/rx share the device irq line) mixed with
@@ -521,6 +556,16 @@ class E1000Family(_NicFamily):
     nucleus = "repro.drivers.decaf.e1000_nucleus"
     link_bps = 1_000_000_000
     xpc_at = (2, 8)  # minimum post-arming budget 7
+    # ICR/IMS/IMC write counts track NAPI poll and interrupt boundaries,
+    # which shift legitimately with the virtual-time cost of XPC
+    # crossings.  The RDT/TDT positions written depend on how rx/tx
+    # work batches across poll boundaries, so only where each ring ended
+    # up is compared.  Every queue's register block repeats at
+    # QUEUE_STRIDE (queue 1's ICR is 0x1C0, its RDT 0x2918, ...).
+    footprint = {reg + q * QUEUE_STRIDE: how
+                 for how, regs in (("distinct", (REG_ICR, REG_IMS, REG_IMC)),
+                                   ("last", (REG_RDT, REG_TDT)))
+                 for reg in regs for q in range(MAX_QUEUES)}
 
     def attach(self, inst, slot=None, irq_mode="napi", num_queues=1,
                rx_pending_cap=256, **_):
@@ -556,6 +601,16 @@ class Rtl8139Family(_NicFamily):
     link_bps = 100_000_000
     # Only config ops cross: the link-watch period exceeds a scenario.
     xpc_at = (2, 5)  # minimum post-arming budget 4
+    # IMR write counts track interrupt boundaries, which shift with
+    # crossing costs.  ISR is write-1-to-clear and the handler acks
+    # exactly the status bits it read, so when two device events
+    # coalesce into one interrupt on one variant only, that variant
+    # writes the union value (RxOK|TxOK = 5) which the other never does.
+    # Acking {1, 4} across two interrupts and acking 5 across one clear
+    # the same bits, so the set of bits ever acked is compared.
+    # (Surfaced by repro.explore: reordering config_mac between tx/rx
+    # bursts shifts decaf interrupt arrival.)
+    footprint = {IMR: "distinct", ISR: "acked"}
 
     def attach(self, inst, slot=None, rx_coalesce_ns=0, **_):
         self._attach_nic(inst, Rtl8139Device, rx_coalesce_ns=rx_coalesce_ns,
@@ -580,6 +635,14 @@ class Ens1371Family(DeviceFamily):
     legacy = "repro.drivers.legacy.ens1371"
     nucleus = "repro.drivers.decaf.ens1371_nucleus"
     xpc_at = (3, 15)  # minimum post-arming budget 14
+    # MEM_PAGE is rewritten once per period-interrupt service and
+    # SERIAL's P2_INTR_EN bit is toggled to ack each one, so their write
+    # counts track the (bounded, phase-coupled) irq count.
+    footprint = {REG_MEMPAGE: "distinct", REG_SCTRL: "distinct"}
+    # The fleet's and mpg123's stream: 44.1 kHz stereo 16-bit PCM.
+    RATE = 44_100
+    CHANNELS = 2
+    SAMPLE_BYTES = 2
     PERIOD_BYTES = 4096
     PERIODS = 4
 
@@ -598,15 +661,24 @@ class Ens1371Family(DeviceFamily):
     def endpoint_of(self, card):
         return card.pcms[0].playback
 
-    def open(self, inst):
+    def pcm_setup(self, inst, rate, channels, sample_bytes, period_bytes,
+                  periods):
+        """Open, ``hw_params`` and prepare the playback substream; each
+        step runs and its (name, return code) is returned."""
         sound = inst.kernel.sound
         substream = inst.endpoint
-        for step, ret in (
+        return [
             ("open", sound.pcm_open(substream)),
             ("hw_params", sound.pcm_hw_params(
-                substream, 44_100, 2, 2, self.PERIOD_BYTES, self.PERIODS)),
+                substream, rate, channels, sample_bytes, period_bytes,
+                periods)),
             ("prepare", sound.pcm_prepare(substream)),
-        ):
+        ]
+
+    def open(self, inst):
+        for step, ret in self.pcm_setup(
+                inst, self.RATE, self.CHANNELS, self.SAMPLE_BYTES,
+                self.PERIOD_BYTES, self.PERIODS):
             if ret != 0:
                 raise RuntimeError("%s: pcm %s failed: %d"
                                    % (inst.name, step, ret))
@@ -615,6 +687,13 @@ class Ens1371Family(DeviceFamily):
         # interrupts all through the *rest of the fleet's* probes,
         # making build time quadratic in N.
         inst.playing = False
+
+    def start(self, inst):
+        """Trigger playback of the opened substream; returns its errno."""
+        ret = inst.kernel.sound.pcm_trigger(inst.endpoint,
+                                            SNDRV_PCM_TRIGGER_START)
+        inst.playing = ret == 0
+        return ret
 
     def close(self, inst):
         sound = inst.kernel.sound
@@ -635,12 +714,10 @@ class Ens1371Family(DeviceFamily):
         substream = inst.endpoint
         if substream is None:
             return 0
+        if not inst.playing and self.start(inst) != 0:
+            inst.traffic_lost += 1
+            return 0
         sound = inst.kernel.sound
-        if not inst.playing:
-            if sound.pcm_trigger(substream, SNDRV_PCM_TRIGGER_START) != 0:
-                inst.traffic_lost += 1
-                return 0
-            inst.playing = True
         moved = 0
         for _ in range(units):
             # Only write into free ring space: the fleet tick must not
@@ -680,6 +757,24 @@ class Ens1371Family(DeviceFamily):
                 "sample_bytes": 2, "period_frames": 2048, "periods": 4,
                 "write_frames": rate // 8}
 
+    def payload_items(self, event):
+        return (event["write_frames"] // event["period_frames"]
+                + event["periods"])
+
+    def counter_bounds(self, scenario):
+        # pcmN_periods: periods_elapsed counts *serviced* period
+        # interrupts, and hw_ptr advances from the pointer op (true
+        # device position), so irqs coalesce: one serviced irq can cover
+        # several consumed periods.  Coalescing depth is bounded by the
+        # ring, so the variants may differ by up to its period count.
+        bounds = {"pcm%d_periods" % index: event["periods"]
+                  for index, event in enumerate(scenario.events)}
+        # Each pcm cycle contributes up to two phase-coupled irqs: one
+        # inside the blocking write and one in the window between the
+        # periods read and the DAC2 disable reaching the device.
+        bounds["device_irqs"] = 2 + 2 * len(scenario.events)
+        return bounds
+
     def setup(self, rig, obs, policy):
         rig.insmod()
         return {"sound": rig.kernel.sound}
@@ -688,11 +783,10 @@ class Ens1371Family(DeviceFamily):
         sound = state["sound"]
         ss = rig.endpoint
         ops = obs["ops"]
-        ops.append([index, "open", sound.pcm_open(ss)])
-        ops.append([index, "hw_params", sound.pcm_hw_params(
-            ss, event["rate"], event["channels"], event["sample_bytes"],
-            event["period_frames"], event["periods"])])
-        ops.append([index, "prepare", sound.pcm_prepare(ss)])
+        for step, ret in self.pcm_setup(
+                rig, event["rate"], event["channels"], event["sample_bytes"],
+                event["period_frames"], event["periods"]):
+            ops.append([index, step, ret])
         ops.append([index, "trigger_start",
                     sound.pcm_trigger(ss, SNDRV_PCM_TRIGGER_START)])
         written = sound.pcm_write(ss, event["write_frames"])
@@ -701,8 +795,8 @@ class Ens1371Family(DeviceFamily):
         # waits in period-sized quanta while the DAC's period clock
         # started at trigger time, so the decaf variant's crossing
         # costs can shift one period boundary into (or out of) the
-        # blocking write.  Compared per-cycle with a +/-1 bound rather
-        # than strictly, like device_irqs.
+        # blocking write.  Compared per-cycle with a bound rather than
+        # strictly, like device_irqs (see counter_bounds).
         obs["counters"]["pcm%d_periods" % index] = ss.runtime.periods_elapsed
         ops.append([index, "trigger_stop",
                     sound.pcm_trigger(ss, SNDRV_PCM_TRIGGER_STOP)])
@@ -729,7 +823,6 @@ class UhciFamily(DeviceFamily):
     nucleus = "repro.drivers.decaf.uhci_nucleus"
     reg_trace = "full"
     xpc_at = (1, 3)
-    BLOCK = 512
     BLOCKS_PER_TICK = 2
 
     def attach(self, inst, slot=None, **_):
@@ -747,18 +840,24 @@ class UhciFamily(DeviceFamily):
             # One root-hub status poll (normally timer-driven).
             inst.nucleus._rh_poll_work(None)
 
-    def tick(self, inst, units):
+    def write_blocks(self, inst, lba, blocks, data, timeout_ms=5000):
+        """One bulk-only WRITE to the disk; (status, bytes moved)."""
         disk_dev = inst.endpoint
-        if disk_dev is None:
+        return inst.kernel.usb.usb_bulk_msg(
+            disk_dev, usb_sndbulkpipe(disk_dev, 2),
+            UsbFlashDiskModel.write_command(lba, blocks, data),
+            timeout_ms=timeout_ms)
+
+    def tick(self, inst, units):
+        if inst.endpoint is None:
             return 0
-        pipe = usb_sndbulkpipe(disk_dev, 2)
         moved = 0
         for _ in range(units):
             blocks = self.BLOCKS_PER_TICK
-            cmd = (struct.pack("<BBHI", 1, 0, blocks, inst.lba)
-                   + bytes(blocks * self.BLOCK))
-            status, _n = inst.kernel.usb.usb_bulk_msg(
-                disk_dev, pipe, cmd, timeout_ms=30_000)
+            status, _n = self.write_blocks(
+                inst, inst.lba, blocks,
+                bytes(blocks * UsbFlashDiskModel.BLOCK_SIZE),
+                timeout_ms=30_000)
             if status != 0:
                 inst.traffic_lost += 1
                 break
@@ -795,17 +894,17 @@ class UhciFamily(DeviceFamily):
         return {"t": t, "kind": "bulk_write", "lba": 2 * k, "blocks": 1,
                 "payload": _frame(rng, 512).hex()}
 
+    def payload_items(self, event):
+        return event["blocks"]
+
     def setup(self, rig, obs, policy):
         rig.insmod()
-        return {"dev": rig.endpoint}
+        return {}
 
     def apply(self, rig, state, event, index, obs):
-        dev = state["dev"]
-        payload = bytes.fromhex(event["payload"])
-        cmd = struct.pack("<BBHI", 1, 0, event["blocks"],
-                          event["lba"]) + payload
-        status, nbytes = rig.kernel.usb.usb_bulk_msg(
-            dev, usb_sndbulkpipe(dev, 2), cmd)
+        status, nbytes = self.write_blocks(
+            rig, event["lba"], event["blocks"],
+            bytes.fromhex(event["payload"]))
         obs["ops"].append([index, "bulk_write", status, nbytes])
 
     def observe(self, rig, state, obs):

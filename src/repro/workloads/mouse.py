@@ -14,15 +14,10 @@ def move_and_click(rig, duration_s=30.0, trace=None):
     kernel = rig.kernel
     session = begin_trace(kernel, trace)
     mouse = rig.device
-    input_devs = kernel.input.devices
-    if not input_devs:
+    if rig.endpoint is None:
         raise RuntimeError("no input device registered")
-    input_dev = input_devs[0]
-
-    events = {"count": 0}
-    input_dev.sink = lambda evs: events.__setitem__(
-        "count", events["count"] + len(evs)
-    )
+    rig.family.open(rig)
+    events_before = rig.input_events
 
     window = RunWindow(kernel)
     sample_interval_ns = int(1e9 / max(1, mouse.sample_rate))
@@ -48,7 +43,8 @@ def move_and_click(rig, duration_s=30.0, trace=None):
     result = rig_result(
         rig, window, "move-and-click", lost=lost,
         packets=packets,
-        extra={"input_events": events["count"], "clicks": clicks},
+        extra={"input_events": rig.input_events - events_before,
+               "clicks": clicks},
     )
     finish_trace(session, result)
     return result

@@ -6,48 +6,36 @@ write path then blocks on the ring buffer at the hardware's pace, so
 the workload is real-time-bound, exactly like the paper's.
 """
 
-from ..kernel.sound import SNDRV_PCM_TRIGGER_START, SNDRV_PCM_TRIGGER_STOP
 from ..trace import begin_trace, finish_trace
 from .result import RunWindow, rig_result
 
 MP3_BITRATE = 256_000
-PCM_RATE = 44_100
-PCM_CHANNELS = 2
-PCM_SAMPLE_BYTES = 2
 
 # Decode cost: ~2 ms CPU per second of audio on period-2005 hardware.
 DECODE_NS_PER_AUDIO_SECOND = 2_000_000
 
 
-def mpg123_play(rig, duration_s=10.0, period_bytes=4096, periods=4,
-                trace=None):
-    """Play ``duration_s`` seconds of audio; returns the result row."""
+def mpg123_play(rig, duration_s=10.0, trace=None):
+    """Play ``duration_s`` seconds of audio in the family's stream
+    format, one period per write; returns the result row."""
     kernel = rig.kernel
     session = begin_trace(kernel, trace)
-    cards = kernel.sound.cards
-    if not cards:
+    family = rig.family
+    substream = rig.endpoint
+    if substream is None:
         raise RuntimeError("no sound card registered")
-    substream = cards[0].pcms[0].playback
 
     window = RunWindow(kernel)
     sound = kernel.sound
-    ret = sound.pcm_open(substream)
-    if ret != 0:
-        raise RuntimeError("pcm_open failed: %d" % ret)
-    ret = sound.pcm_hw_params(substream, PCM_RATE, PCM_CHANNELS,
-                              PCM_SAMPLE_BYTES, period_bytes, periods)
-    if ret != 0:
-        raise RuntimeError("pcm_hw_params failed: %d" % ret)
-    ret = sound.pcm_prepare(substream)
-    if ret != 0:
-        raise RuntimeError("pcm_prepare failed: %d" % ret)
-    ret = sound.pcm_trigger(substream, SNDRV_PCM_TRIGGER_START)
+    family.open(rig)
+    ret = family.start(rig)
     if ret != 0:
         raise RuntimeError("pcm_trigger(start) failed: %d" % ret)
 
-    bytes_per_second = PCM_RATE * PCM_CHANNELS * PCM_SAMPLE_BYTES
+    bytes_per_second = (family.RATE * family.CHANNELS
+                        * family.SAMPLE_BYTES)
     total_bytes = int(duration_s * bytes_per_second)
-    chunk = period_bytes
+    chunk = family.PERIOD_BYTES
     written = 0
     dropped = 0
     while written < total_bytes:
@@ -70,8 +58,7 @@ def mpg123_play(rig, duration_s=10.0, period_bytes=4096, periods=4,
             break
         written += accepted
 
-    sound.pcm_trigger(substream, SNDRV_PCM_TRIGGER_STOP)
-    sound.pcm_close(substream)
+    family.close(rig)
 
     result = rig_result(
         rig, window, "mpg123", lost=dropped,

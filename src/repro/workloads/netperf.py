@@ -16,15 +16,12 @@ from .result import RunWindow, rig_result
 
 
 def _open_dev(rig):
-    dev = rig.netdev()
-    if dev is None:
+    if rig.endpoint is None:
         raise RuntimeError("no network device registered")
-    ret = rig.kernel.net.dev_open(dev)
-    if ret != 0:
-        raise RuntimeError("dev_open failed: %d" % ret)
+    rig.family.open(rig)
     # Let autonegotiation and the first watchdog tick finish.
     rig.kernel.run_for_ms(50)
-    return dev
+    return rig.endpoint
 
 
 def _wait_for_progress(kernel, end_ns, rig=None):

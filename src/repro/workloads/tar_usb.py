@@ -6,13 +6,11 @@ per-file CPU cost for tar's header processing.  The paper reports
 relative performance (elapsed time ratio) and CPU utilization.
 """
 
-import struct
-
-from ..kernel.usb import usb_sndbulkpipe
+from ..devices import UsbFlashDiskModel
 from ..trace import begin_trace, finish_trace
 from .result import RunWindow, rig_result
 
-BLOCK_SIZE = 512
+BLOCK_SIZE = UsbFlashDiskModel.BLOCK_SIZE
 TAR_HEADER_CPU_NS = 20_000
 
 
@@ -21,11 +19,8 @@ def tar_to_flash(rig, archive_bytes=2 * 1024 * 1024, file_size=64 * 1024,
     """Untar ``archive_bytes`` of payload; returns the result row."""
     kernel = rig.kernel
     session = begin_trace(kernel, trace)
-    devices = kernel.usb.devices
-    if not devices:
+    if rig.endpoint is None:
         raise RuntimeError("no USB device enumerated")
-    disk_dev = devices[0]
-    pipe = usb_sndbulkpipe(disk_dev, 2)
 
     window = RunWindow(kernel)
     lba = 0
@@ -42,10 +37,9 @@ def tar_to_flash(rig, archive_bytes=2 * 1024 * 1024, file_size=64 * 1024,
             chunk_blocks = min(32, blocks - offset // BLOCK_SIZE)
             payload = bytes((nfiles + offset) & 0xFF
                             for _ in range(chunk_blocks * BLOCK_SIZE))
-            cmd = struct.pack("<BBHI", 1, 0, chunk_blocks,
-                              lba + offset // BLOCK_SIZE) + payload
-            status, _n = kernel.usb.usb_bulk_msg(disk_dev, pipe, cmd,
-                                                 timeout_ms=30_000)
+            status, _n = rig.family.write_blocks(
+                rig, lba + offset // BLOCK_SIZE, chunk_blocks, payload,
+                timeout_ms=30_000)
             if status != 0:
                 if rig.recovery_pending():
                     # Supervised restart in progress: re-queue this

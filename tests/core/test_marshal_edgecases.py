@@ -16,7 +16,6 @@ from repro.core import (
     Ptr,
     Str,
     Struct,
-    TypeIds,
     TypeRegistry,
     U8,
     U16,
@@ -133,12 +132,6 @@ class TestTypeRegistry:
         reg.reset()
         assert len(reg) == 0
         assert reg.id_of(me_pair) == 1
-
-    def test_default_facade_is_shared_and_resettable(self):
-        first = TypeIds.id_of(me_node)
-        assert TypeIds.struct_for(first) is me_node
-        TypeIds.reset()
-        assert TypeIds.id_of(me_pair) == 1
 
     def test_channel_owns_private_registry(self, kernel):
         from repro.core import DomainManager, Xpc, XpcChannel

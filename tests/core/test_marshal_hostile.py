@@ -84,6 +84,13 @@ def _encode(obj, cls, delta=False):
     return codec, wire
 
 
+def _decoder(encoder, compiled):
+    """A second codec sharing ``encoder``'s type ids, as the two ends of
+    a channel do."""
+    return MarshalCodec(MarshalPlan(), type_ids=encoder.type_ids,
+                        compiled=compiled)
+
+
 def _patch(wire, offset, word):
     buf = XdrBuffer()
     buf.put_u32(word)
@@ -186,17 +193,18 @@ class TestTypedDecodeOps:
     unpack and an array as one unpack; both still validate first."""
 
     def test_truncated_opaque_record(self, compiled):
-        wire = _encode(h_opq(opq=0x1234), h_opq)[1]
+        encoder, wire = _encode(h_opq(opq=0x1234), h_opq)
         assert len(wire) == _HDR + 12  # tag word + u64 handle
-        codec = MarshalCodec(MarshalPlan(), compiled=compiled)
+        codec = _decoder(encoder, compiled)
         for cut in range(_HDR, _HDR + 12):
             with pytest.raises(MarshalError):
                 codec.decode(wire[:cut], h_opq, TO_USER)
 
     @pytest.mark.parametrize("tag", [TAG_NULL, TAG_OBJ, TAG_ARRAY, 0xFFFF])
     def test_wrong_opaque_tag(self, compiled, tag):
-        wire = _patch(_encode(h_opq(opq=0x1234), h_opq)[1], _HDR, tag)
-        codec = MarshalCodec(MarshalPlan(), compiled=compiled)
+        encoder, wire = _encode(h_opq(opq=0x1234), h_opq)
+        wire = _patch(wire, _HDR, tag)
+        codec = _decoder(encoder, compiled)
         with pytest.raises(MarshalError, match="opaque"):
             codec.decode(wire, h_opq, TO_USER)
         # A short record with a wrong tag names the tag, like the
@@ -207,22 +215,22 @@ class TestTypedDecodeOps:
     @pytest.mark.parametrize("length", [3, 4, 0x4000_0000, 0xFFFFFFFF])
     def test_forged_exp_length(self, compiled, length):
         # Payload: count u32 @_HDR, then TAG_ARRAY @+4, length @+8.
-        wire = _encode(h_exp(count=2, vals=[1, 2]), h_exp)[1]
+        encoder, wire = _encode(h_exp(count=2, vals=[1, 2]), h_exp)
         forged = _patch(wire, _HDR + 8, length)
-        codec = MarshalCodec(MarshalPlan(), compiled=compiled)
+        codec = _decoder(encoder, compiled)
         with pytest.raises(MarshalError, match="underrun"):
             codec.decode(forged, h_exp, TO_USER)
 
     def test_wrong_exp_tag(self, compiled):
-        wire = _patch(_encode(h_exp(count=2, vals=[1, 2]), h_exp)[1],
-                      _HDR + 4, TAG_OPAQUE)
-        codec = MarshalCodec(MarshalPlan(), compiled=compiled)
+        encoder, wire = _encode(h_exp(count=2, vals=[1, 2]), h_exp)
+        wire = _patch(wire, _HDR + 4, TAG_OPAQUE)
+        codec = _decoder(encoder, compiled)
         with pytest.raises(MarshalError, match="array tag"):
             codec.decode(wire, h_exp, TO_USER)
 
     def test_truncated_inline_array(self, compiled):
-        wire = _encode(h_arr(arr=[1, 2, 3]), h_arr)[1]
-        codec = MarshalCodec(MarshalPlan(), compiled=compiled)
+        encoder, wire = _encode(h_arr(arr=[1, 2, 3]), h_arr)
+        codec = _decoder(encoder, compiled)
         assert codec.decode(wire, h_arr, TO_USER).arr == [1, 2, 3]
         for cut in range(_HDR, len(wire)):
             with pytest.raises(MarshalError):

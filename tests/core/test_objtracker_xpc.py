@@ -18,7 +18,7 @@ from repro.core import (
     XpcChannel,
 )
 from repro.core.domains import DECAF, DRIVER_LIB, KERNEL
-from repro.core.marshal import TypeIds
+from repro.core.marshal import TypeRegistry
 from repro.kernel import DeadlockError, SleepInAtomicError, SpinLock
 
 
@@ -58,8 +58,9 @@ class TestUserTracker:
         tracker = UserObjectTracker()
         outer = t_outer()
         j_outer, j_leaf = t_outer(), t_leaf()
-        outer_tid = TypeIds.id_of(t_outer)
-        leaf_tid = TypeIds.id_of(t_leaf)
+        type_ids = TypeRegistry()
+        outer_tid = type_ids.id_of(t_outer)
+        leaf_tid = type_ids.id_of(t_leaf)
         addr = outer.c_addr  # == outer.first.c_addr (first member)
         tracker.associate(addr, outer_tid, j_outer)
         tracker.associate(addr, leaf_tid, j_leaf)

@@ -9,22 +9,21 @@ The acceptance criteria this file pins down:
   at a reachable placement actually fires and is recovered.
 * The W1C ack-register normalization that exploration surfaced (decaf
   timing legally coalesces two interrupt acks into one) is unit-tested
-  directly against ``write_footprint``.
+  directly against ``write_footprint`` and the 8139too family's
+  ``footprint`` declaration.
 """
 
 import json
 
 import pytest
 
-from repro.conformance.runner import (
-    ACK_W1C_REGS,
-    DifferentialRunner,
-    write_footprint,
-)
+from repro.conformance.runner import DifferentialRunner, write_footprint
 from repro.conformance.scenario import Scenario
+from repro.devices.rtl8139 import ISR
 from repro.explore.dpor import DependencyRelation, enumerate_orders
 from repro.explore.explorer import Explorer, base_events, write_report
 from repro.explore.footprint import capture_footprints
+from repro.family import FAMILIES
 
 
 @pytest.fixture(scope="module")
@@ -100,29 +99,33 @@ class TestFaultAxisFires:
         assert not counters["gave_up"]
 
 
+RTL8139 = FAMILIES["8139too"].footprint
+
+
 class TestAckW1cNormalization:
     """Two acks of {ROK} and {TOK} vs one coalesced ack of {ROK|TOK}."""
 
     def test_8139_isr_is_registered_w1c(self):
-        assert 0x3E in ACK_W1C_REGS["8139too"]
+        assert ISR == 0x3E
+        assert RTL8139[ISR] == "acked"
 
     def test_split_and_coalesced_acks_compare_equal(self):
         split = [("w", "8139too", 0x3E, 2, 0x0001),
                  ("w", "8139too", 0x3E, 2, 0x0004)]
         coalesced = [("w", "8139too", 0x3E, 2, 0x0005)]
-        assert (write_footprint(split)["8139too"][0x3E]
-                == write_footprint(coalesced)["8139too"][0x3E]
+        assert (write_footprint(split, RTL8139)["8139too"][0x3E]
+                == write_footprint(coalesced, RTL8139)["8139too"][0x3E]
                 == [0x0005])
 
     def test_non_ack_registers_keep_write_sequences(self):
         trace = [("w", "8139too", 0x44, 4, 1), ("w", "8139too", 0x44, 4, 2),
                  ("r", "8139too", 0x44, 4, 2)]
-        assert write_footprint(trace)["8139too"][0x44] == [1, 2]
+        assert write_footprint(trace, RTL8139)["8139too"][0x44] == [1, 2]
 
     def test_distinct_acked_bits_still_diverge(self):
         # Normalization is an OR-union, not an erasure: acking a bit
         # only one variant acked remains a divergence.
         a = [("w", "8139too", 0x3E, 2, 0x0001)]
         b = [("w", "8139too", 0x3E, 2, 0x0003)]
-        assert (write_footprint(a)["8139too"][0x3E]
-                != write_footprint(b)["8139too"][0x3E])
+        assert (write_footprint(a, RTL8139)["8139too"][0x3E]
+                != write_footprint(b, RTL8139)["8139too"][0x3E])

@@ -8,6 +8,7 @@ as a quiet mostly-idle run.  It must raise instead.
 
 import pytest
 
+from repro.family import FAMILIES
 from repro.kernel import NETDEV_TX_OK, make_kernel
 from repro.kernel.netdev import NetDevice
 from repro.workloads.netperf import netperf_send
@@ -16,14 +17,14 @@ from repro.workloads.netperf import netperf_send
 class _FakeRig:
     """Just enough of a Rig for netperf_*: one kernel, one netdev."""
 
+    # Any NIC family: its open is dev_open on the endpoint.
+    family = FAMILIES["e1000"]
+
     def __init__(self, kernel, dev):
         self.kernel = kernel
-        self.dev = dev
+        self.endpoint = dev
         self.init_latency_ns = 0
         self.supervisor = None
-
-    def netdev(self):
-        return self.dev
 
     def crossings(self):
         return 0
