@@ -6,9 +6,10 @@ Two runtime components are shared by every decaf driver:
   nucleus.  It owns the upcall discipline: before control transfers to
   user level it disables the device's interrupt line (so the driver
   cannot interrupt itself while its user half runs) and re-enables it on
-  return.  It also converts high-priority kernel timers into deferred
-  work items so timer-driven driver logic (E1000's watchdog) can run in
-  the decaf driver.
+  return.  It also turns a driver's periodic timer into a
+  :class:`DeferredPoll` -- timer, then work item, then body, then re-arm
+  -- so timer-driven driver logic (E1000's watchdog) can call up to the
+  decaf driver.
 
 * The **decaf runtime** is the user-level helper library: the escape
   hatches a managed language lacks -- ``sizeof``, programmed I/O
@@ -33,8 +34,7 @@ class NuclearRuntime:
         self.domains = domains
         self.channel = channel
         self.irq_line = irq_line
-        self.deferred_timers = []
-        self.upcalls_deferred = 0
+        self.poll_stretch = 1  # multiplies every poll period (fleet slots)
 
     # -- upcall discipline ----------------------------------------------------
 
@@ -88,22 +88,50 @@ class NuclearRuntime:
 
     # -- timer deferral ------------------------------------------------------------
 
-    def defer_timer(self, function, data=None, name="deferred-timer"):
-        """Create a timer whose handler runs as deferred work.
+    def defer_timer(self, body, period_ns, name):
+        """A periodic poll of ``body`` every ``period_ns``; see
+        :class:`DeferredPoll`."""
+        return DeferredPoll(self, body, period_ns, name)
 
-        Kernel timers fire at high priority and may not call up to user
-        level; the returned timer instead enqueues a work item, which
-        runs in process context where upcalls are legal.
-        """
-        work = WorkItem(self.kernel, function, data, name=name + "-work")
 
-        def fire(_data):
-            self.upcalls_deferred += 1
-            self.kernel.workqueue.schedule_work(work)
+class DeferredPoll:
+    """A driver timer whose handler runs as deferred work.
 
-        timer = KernelTimer(self.kernel, fire, data, name=name)
-        self.deferred_timers.append(timer)
-        return timer
+    Kernel timers fire at high priority and may not call up to user
+    level; this timer instead queues a work item, which runs ``body``
+    in process context, where upcalls are legal, and then re-arms.  A
+    body that returns False found its driver gone: the poll ends
+    without re-arming.  The poll owns one timer and one work item for
+    its whole life; :meth:`start` re-arms the timer and :meth:`stop`
+    cancels it (a work item already queued still runs its body once,
+    but does not re-arm).
+    """
+
+    def __init__(self, runtime, body, period_ns, name):
+        self._runtime = runtime
+        self.body = body
+        self.period_ns = period_ns
+        kernel = runtime.kernel
+        self.work = WorkItem(kernel, self.run, name=name + "-work")
+        self.timer = KernelTimer(kernel, self._fire, name=name)
+        self.running = False
+
+    def start(self):
+        self.running = True
+        self.timer.mod_timer_after(
+            self.period_ns * self._runtime.poll_stretch)
+
+    def stop(self):
+        self.running = False
+        self.timer.del_timer()
+
+    def _fire(self, _data):
+        self._runtime.kernel.workqueue.schedule_work(self.work)
+
+    def run(self, _data=None):
+        """One poll: the body, then re-arm while the poll runs."""
+        if self.body() and self.running:
+            self.start()
 
 
 class DecafRuntime:

@@ -4,8 +4,8 @@ Kernel-resident half of the decaf E1000: the interrupt handler,
 transmit path and ring cleaning are the legacy functions unchanged;
 this module provides the XPC stubs for the interface operations that
 moved to Java, the kernel entry points the decaf driver downcalls, and
-the watchdog-timer deferral (timer -> work item -> upcall) of section
-3.1.3.
+the body of the watchdog, which the nuclear runtime defers (timer ->
+work item -> upcall, section 3.1.3).
 
 The four ethtool diagnostic functions with the interrupt data race
 remain here, served directly from the kernel (section 5).
@@ -34,8 +34,7 @@ class E1000Nucleus:
         self.pdev = None
         self.adapter = None
         self.netdev = None
-        self.watchdog_timer = None
-        self.watchdog_period_ns = 2_000_000_000  # fleet slots stretch this
+        self.watchdog = None
         self.irq_requested = False
         self.module_options = module_options
 
@@ -45,10 +44,9 @@ class E1000Nucleus:
         self.pdev = pdev
         self.plumbing = DecafPlumbing(self.kernel, "e1000",
                                       irq_line=pdev.irq)
-        self.library = E1000DriverLibrary(self.kernel, self.plumbing.channel,
-                                          napi=legacy.napi_mode)
-        self.decaf = E1000DecafDriver(self.plumbing.decaf_rt, self,
-                                      self.library)
+        self.watchdog = self.plumbing.nuclear.defer_timer(
+            self._watchdog, 2_000_000_000, "e1000-watchdog")
+        self.rebuild_user_half()
         self.plumbing.decaf_rt.start()
 
         adapter = e1000_adapter()
@@ -67,16 +65,19 @@ class E1000Nucleus:
                                       "e1000-adapter")
         self.watchdog_skips = 0
 
-        ret = self.plumbing.upcall(
-            self.decaf.init_one,
-            args=[(adapter, e1000_adapter)],
-            extra=(self.module_options,),
-        )
+        ret = self._init_one()
         if ret:
             self.adapter = None
         else:
-            self.plumbing.record("probe")
+            self.plumbing.record(self._init_one)
         return ret
+
+    def _init_one(self):
+        return self.plumbing.upcall(
+            self.decaf.init_one,
+            args=[(self.adapter, e1000_adapter)],
+            extra=(self.module_options,),
+        )
 
     def remove(self, pdev):
         if self.decaf is None or self.adapter is None:
@@ -94,7 +95,7 @@ class E1000Nucleus:
             self.decaf.open, args=[(self.adapter, e1000_adapter)]
         )
         if ret == 0:
-            self.plumbing.record("open")
+            self.plumbing.record(self.stub_open, dev)
         return ret
 
     def stub_close(self, dev):
@@ -102,7 +103,7 @@ class E1000Nucleus:
             self.decaf.close, args=[(self.adapter, e1000_adapter)]
         )
         if ret == 0:
-            self.plumbing.unrecord("open")
+            self.plumbing.unrecord(self.stub_open)
         return ret
 
     def stub_set_multi(self, dev):
@@ -110,7 +111,7 @@ class E1000Nucleus:
             self.decaf.set_multi, args=[(self.adapter, e1000_adapter)]
         )
         if ret == 0:
-            self.plumbing.record("set_multi")
+            self.plumbing.record(self.stub_set_multi, dev)
         return ret
 
     def stub_set_mac(self, dev, addr):
@@ -119,7 +120,7 @@ class E1000Nucleus:
             extra=(list(addr),),
         )
         if ret == 0:
-            self.plumbing.record("set_mac", list(addr))
+            self.plumbing.record(self.stub_set_mac, dev, list(addr))
         return ret
 
     def stub_change_mtu(self, dev, new_mtu):
@@ -131,7 +132,7 @@ class E1000Nucleus:
             extra=(new_mtu, 1 if dev.netif_running() else 0),
         )
         if ret == 0:
-            self.plumbing.record("change_mtu", new_mtu)
+            self.plumbing.record(self.stub_change_mtu, dev, new_mtu)
         return ret
 
     def stub_tx_timeout(self, dev):
@@ -142,18 +143,11 @@ class E1000Nucleus:
     def stub_get_stats(self, dev):
         return dev.stats
 
-    # -- watchdog: timer deferred to a work item, body in the decaf driver ----------------
+    # -- watchdog body: the nuclear runtime defers its timer to a work item ----
 
-    def start_watchdog(self):
-        if self.watchdog_timer is None:
-            self.watchdog_timer = self.plumbing.nuclear.defer_timer(
-                self._watchdog_work, name="e1000-watchdog"
-            )
-        self.watchdog_timer.mod_timer_after(self.watchdog_period_ns)
-
-    def _watchdog_work(self, _data):
+    def _watchdog(self):
         if self.decaf is None or self.adapter is None:
-            return
+            return False
         # If the decaf driver holds the adapter combolock (a reinit in
         # progress), this kernel thread would have to sleep on the
         # semaphore; defer to the next tick instead.  The decaf
@@ -169,13 +163,10 @@ class E1000Nucleus:
                 args=[(self.adapter, e1000_adapter)],
             )
             self.plumbing.flush_notifications()
-        if self.watchdog_timer is not None:
-            self.watchdog_timer.mod_timer_after(self.watchdog_period_ns)
+        return True
 
     def k_stop_watchdog(self):
-        if self.watchdog_timer is not None:
-            self.watchdog_timer.del_timer()
-            self.watchdog_timer = None
+        self.watchdog.stop()
         return 0
 
     # -- kernel entry points (decaf -> kernel) ----------------------------------------------
@@ -267,14 +258,14 @@ class E1000Nucleus:
         dev.tx_timeout = self.stub_tx_timeout
         dev.irq = self.pdev.irq
         dev.base_addr = adapter.hw.hw_addr
-        self.netdev = dev
+        self.netdev = self.pdev.driver_data = dev
         self.state.netdev = dev
         return self.linux.register_netdev(dev)
 
     def k_unregister_netdev(self):
         if self.netdev is not None:
             self.linux.unregister_netdev(self.netdev)
-            self.netdev = None
+            self.netdev = self.pdev.driver_data = None
             self.state.netdev = None
         return 0
 
@@ -330,7 +321,7 @@ class E1000Nucleus:
         self.kernel.io.writel(hw_defs.E1000_IMS_ENABLE_MASK,
                               hw.hw_addr + hw_defs.IMS)
         legacy.e1000_irq_enable_extra(adapter)
-        self.start_watchdog()
+        self.watchdog.start()
         self.linux.netif_start_queue(self.netdev)
         return 0
 
@@ -405,29 +396,12 @@ class E1000Nucleus:
         return lost
 
     def rebuild_user_half(self):
-        """Fresh user-level instances bound to the restarted runtime."""
+        """Fresh user-level instances bound to the plumbing's runtime
+        (at probe, and after each restart)."""
         self.library = E1000DriverLibrary(self.kernel, self.plumbing.channel,
                                           napi=legacy.napi_mode)
         self.decaf = E1000DecafDriver(self.plumbing.decaf_rt, self,
                                       self.library)
-
-    def replay_op(self, op, args):
-        if op == "probe":
-            ret = self.plumbing.upcall(
-                self.decaf.init_one,
-                args=[(self.adapter, e1000_adapter)],
-                extra=(self.module_options,),
-            )
-            return ret
-        if op == "open":
-            return self.stub_open(self.netdev)
-        if op == "set_multi":
-            return self.stub_set_multi(self.netdev)
-        if op == "set_mac":
-            return self.stub_set_mac(self.netdev, args[0])
-        if op == "change_mtu":
-            return self.stub_change_mtu(self.netdev, args[0])
-        return 0
 
     # -- diagnostics that stay in the kernel (section 5's data race) ------------------------
 

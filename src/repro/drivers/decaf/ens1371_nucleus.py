@@ -43,7 +43,7 @@ class Ens1371Nucleus:
         self.pdev = pdev
         self.plumbing = DecafPlumbing(self.kernel, "ens1371",
                                       irq_line=pdev.irq)
-        self.decaf = Ens1371DecafDriver(self.plumbing.decaf_rt, self)
+        self.rebuild_user_half()
         self.plumbing.decaf_rt.start()
 
         chip = ensoniq()
@@ -53,14 +53,15 @@ class Ens1371Nucleus:
         self.state.lock = self.linux.spin_lock_init("ens1371")
         self.plumbing.channel.kernel_tracker.register(chip)
 
-        ret = self.plumbing.upcall(
-            self.decaf.probe, args=[(chip, ensoniq)]
-        )
+        ret = self._probe()
         if ret:
             self.state.ensoniq = None
         else:
-            self.plumbing.record("probe")
+            self.plumbing.record(self._probe)
         return ret
+
+    def _probe(self):
+        return self.plumbing.upcall(self.decaf.probe, args=self._chip_args())
 
     def remove(self, pdev):
         if self.decaf is None:
@@ -80,7 +81,7 @@ class Ens1371Nucleus:
         ret = self.plumbing.upcall(self.decaf.playback_open,
                                    args=self._chip_args())
         if ret == 0:
-            self.plumbing.record("pcm_open")
+            self.plumbing.record(self.stub_open, substream)
         return ret
 
     def stub_close(self, substream):
@@ -88,9 +89,9 @@ class Ens1371Nucleus:
                                    args=self._chip_args())
         substream.private_data = None
         if ret == 0:
-            for op in ("pcm_open", "pcm_hw_params", "pcm_prepare",
-                       "pcm_trigger"):
-                self.plumbing.unrecord(op)
+            for stub in (self.stub_open, self.stub_hw_params,
+                         self.stub_prepare, self.stub_trigger):
+                self.plumbing.unrecord(stub)
         return ret
 
     def stub_hw_params(self, substream):
@@ -103,7 +104,7 @@ class Ens1371Nucleus:
         )
         if ret == 0:
             rt.dma_region = self.state.dac2_dma
-            self.plumbing.record("pcm_hw_params")
+            self.plumbing.record(self.stub_hw_params, substream)
         return ret
 
     def stub_prepare(self, substream):
@@ -115,7 +116,7 @@ class Ens1371Nucleus:
                    rt.frame_bytes()),
         )
         if ret == 0:
-            self.plumbing.record("pcm_prepare")
+            self.plumbing.record(self.stub_prepare, substream)
         return ret
 
     def stub_trigger(self, substream, cmd):
@@ -125,9 +126,9 @@ class Ens1371Nucleus:
         )
         if ret == 0:
             if cmd:
-                self.plumbing.record("pcm_trigger", cmd)
+                self.plumbing.record(self.stub_trigger, substream, cmd)
             else:
-                self.plumbing.unrecord("pcm_trigger")
+                self.plumbing.unrecord(self.stub_trigger)
         return ret
 
     # pointer stays in the kernel: irq context (see legacy driver).
@@ -261,22 +262,6 @@ class Ens1371Nucleus:
 
     def rebuild_user_half(self):
         self.decaf = Ens1371DecafDriver(self.plumbing.decaf_rt, self)
-
-    def replay_op(self, op, args):
-        if op == "probe":
-            return self.plumbing.upcall(
-                self.decaf.probe, args=self._chip_args()
-            )
-        sub = self.state.substream
-        if op == "pcm_open":
-            return self.stub_open(sub)
-        if op == "pcm_hw_params":
-            return self.stub_hw_params(sub)
-        if op == "pcm_prepare":
-            return self.stub_prepare(sub)
-        if op == "pcm_trigger":
-            return self.stub_trigger(sub, args[0])
-        return 0
 
 
 class _PcmOpsStub:

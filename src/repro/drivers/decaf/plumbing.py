@@ -101,12 +101,13 @@ class DecafPlumbing:
 
     # -- recovery support -------------------------------------------------------
 
-    def record(self, op, *args):
-        """Record a configuration call for shadow-driver replay."""
-        self.replay_log.record(op, *args)
+    def record(self, fn, *args):
+        """Record the nucleus entry point ``fn(*args)`` for
+        shadow-driver replay."""
+        self.replay_log.record(fn, *args)
 
-    def unrecord(self, op):
-        self.replay_log.remove(op)
+    def unrecord(self, fn):
+        self.replay_log.remove(fn)
 
     def restart_user_half(self):
         """Replace the dead user-level half with a fresh one.

@@ -21,14 +21,15 @@ class PsmouseNucleus:
         self.state = legacy.psmouse_state()
         self.plumbing = None
         self.decaf = None
-        self.resync_timer = None
-        self.resync_period_ns = 1_000_000_000  # fleet slots stretch this
+        self.resync = None
 
     # -- connect / disconnect (serio driver probe / remove) ----------------------
 
     def probe(self, serio):
         self.plumbing = DecafPlumbing(self.kernel, "psmouse")
-        self.decaf = PsmouseDecafDriver(self.plumbing.decaf_rt, self)
+        self.resync = self.plumbing.nuclear.defer_timer(
+            self._resync_check, 1_000_000_000, "psmouse-resync")
+        self.rebuild_user_half()
         self.plumbing.decaf_rt.start()
 
         psmouse = psmouse_struct()
@@ -45,19 +46,27 @@ class PsmouseNucleus:
             self.state.psmouse = None
             return err
 
-        ret = self.plumbing.upcall(
-            self.decaf.connect, args=[(psmouse, psmouse_struct)]
-        )
+        ret = self._connect()
         if ret:
             serio.close()
             serio.drvdata = None
             self.state.psmouse = None
         else:
-            self.plumbing.record("connect")
+            self.plumbing.record(self._connect)
+        return ret
+
+    def _connect(self):
+        """The decaf connect, at probe and again in recovery replay; a
+        supervised mouse (so, in replay) restarts its resync poll."""
+        ret = self.plumbing.upcall(
+            self.decaf.connect, args=[(self.state.psmouse, psmouse_struct)]
+        )
+        if ret == 0 and self.plumbing.supervisor is not None:
+            self.resync.start()
         return ret
 
     def remove(self, serio):
-        self.stop_resync()
+        self.resync.stop()
         if self.decaf is not None and self.state.psmouse is not None:
             self.plumbing.upcall(
                 self.decaf.disconnect,
@@ -68,36 +77,24 @@ class PsmouseNucleus:
         self.state.psmouse = None
         self.state.input_dev = None
 
-    # -- deferred resync check: timer -> work item -> decaf driver -----------------
+    # -- resync check: the nuclear runtime defers its timer to a work item ----
     #
     # Only runs under supervision: an unsupervised mouse's decaf half is
     # never invoked by movement (the decoder is interrupt-resident), and
     # the periodic health poll would break that contract.
 
     def supervision_started(self):
-        if self.state.psmouse is not None and self.resync_timer is None:
-            self.start_resync()
+        if self.state.psmouse is not None and not self.resync.running:
+            self.resync.start()
 
-    def start_resync(self):
-        self.resync_timer = self.plumbing.nuclear.defer_timer(
-            self._resync_work, name="psmouse-resync"
-        )
-        self.resync_timer.mod_timer_after(self.resync_period_ns)
-
-    def stop_resync(self):
-        if self.resync_timer is not None:
-            self.resync_timer.del_timer()
-            self.resync_timer = None
-
-    def _resync_work(self, _data):
+    def _resync_check(self):
         if self.decaf is None or self.state.psmouse is None:
-            return
+            return False
         self.plumbing.upcall(
             self.decaf.resync_check,
             args=[(self.state.psmouse, psmouse_struct)],
         )
-        if self.resync_timer is not None:
-            self.resync_timer.mod_timer_after(self.resync_period_ns)
+        return True
 
     # -- kernel entry points ------------------------------------------------------
 
@@ -151,7 +148,7 @@ class PsmouseNucleus:
         replayed connect re-activates it.  The serio port and input
         device survive the user-half restart.
         """
-        self.stop_resync()
+        self.resync.stop()
         psmouse = self.state.psmouse
         if psmouse is None:
             return 0
@@ -161,17 +158,6 @@ class PsmouseNucleus:
 
     def rebuild_user_half(self):
         self.decaf = PsmouseDecafDriver(self.plumbing.decaf_rt, self)
-
-    def replay_op(self, op, args):
-        if op == "connect":
-            ret = self.plumbing.upcall(
-                self.decaf.connect,
-                args=[(self.state.psmouse, psmouse_struct)],
-            )
-            if ret == 0:
-                self.start_resync()
-            return ret
-        return 0
 
 
 def make_module():

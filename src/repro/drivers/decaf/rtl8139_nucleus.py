@@ -9,8 +9,8 @@ in place); this module adds what the slicer generates around them:
   decaf driver (open, close, rx_mode, stats, ...);
 * kernel entry points the decaf driver calls back into (chip reset,
   ring allocation, irq setup);
-* deferral of the link-watch timer to a work item so its body may run
-  at user level (section 3.1.3).
+* the body of the link watch, whose timer the nuclear runtime defers
+  to a work item so the body may call up to user level (section 3.1.3).
 """
 
 from ..legacy import rtl8139 as legacy
@@ -28,8 +28,7 @@ class Rtl8139Nucleus:
         self.plumbing = None  # created on probe (needs the irq line)
         self.decaf = None
         self.pdev = None
-        self.link_work_timer = None
-        self.link_poll_period_ns = 2_000_000_000  # fleet slots stretch this
+        self.link_watch = None
         self.irq_requested = False
 
     # -- probe path: kernel stub -> decaf driver ---------------------------------
@@ -38,7 +37,9 @@ class Rtl8139Nucleus:
         self.pdev = pdev
         self.plumbing = DecafPlumbing(self.kernel, "8139too",
                                       irq_line=pdev.irq)
-        self.decaf = Rtl8139DecafDriver(self.plumbing.decaf_rt, self)
+        self.link_watch = self.plumbing.nuclear.defer_timer(
+            self._link_watch, 2_000_000_000, "8139too-thread")
+        self.rebuild_user_half()
         self.plumbing.decaf_rt.start()
 
         tp = rtl8139_private()
@@ -49,15 +50,18 @@ class Rtl8139Nucleus:
         self.plumbing.channel.kernel_tracker.register(tp)
         self.plumbing.channel.kernel_tracker.register(tp.stats)
 
-        ret = self.plumbing.upcall(
-            self.decaf.init_one,
-            args=[(tp, rtl8139_private)],
-        )
+        ret = self._init_one()
         if ret:
             self.state.tp = None
         else:
-            self.plumbing.record("probe")
+            self.plumbing.record(self._init_one)
         return ret
+
+    def _init_one(self):
+        return self.plumbing.upcall(
+            self.decaf.init_one,
+            args=[(self.state.tp, rtl8139_private)],
+        )
 
     def remove(self, pdev):
         if self.decaf is None:
@@ -72,7 +76,7 @@ class Rtl8139Nucleus:
             self.decaf.open, args=[(self.state.tp, rtl8139_private)]
         )
         if ret == 0:
-            self.plumbing.record("open")
+            self.plumbing.record(self.stub_open, dev)
         return ret
 
     def stub_close(self, dev):
@@ -80,7 +84,7 @@ class Rtl8139Nucleus:
             self.decaf.close, args=[(self.state.tp, rtl8139_private)]
         )
         if ret == 0:
-            self.plumbing.unrecord("open")
+            self.plumbing.unrecord(self.stub_open)
         return ret
 
     def stub_get_stats(self, dev):
@@ -103,34 +107,28 @@ class Rtl8139Nucleus:
             # The netdev is kernel state; mirror what the legacy driver
             # does after programming IDR (the user half only sees tp).
             dev.dev_addr = bytes(addr)
-            self.plumbing.record("set_mac", list(addr))
+            self.plumbing.record(self.stub_set_mac_address, dev, list(addr))
         return ret
 
     def stub_tx_timeout(self, dev):
         # Must run at high priority; stays kernel.
         return legacy.rtl8139_tx_timeout(dev)
 
-    # -- deferred link watch: timer -> work item -> decaf driver ---------------------
+    # -- link watch: the nuclear runtime defers its timer to a work item ----
 
     def start_link_watch(self):
-        self.link_work_timer = self.plumbing.nuclear.defer_timer(
-            self._link_watch_work, name="8139too-thread"
-        )
-        self.link_work_timer.mod_timer_after(self.link_poll_period_ns)
+        self.link_watch.start()
 
     def stop_link_watch(self):
-        if self.link_work_timer is not None:
-            self.link_work_timer.del_timer()
-            self.link_work_timer = None
+        self.link_watch.stop()
 
-    def _link_watch_work(self, _data):
+    def _link_watch(self):
         if self.decaf is None or self.state.tp is None:
-            return
+            return False
         self.plumbing.upcall(
             self.decaf.thread, args=[(self.state.tp, rtl8139_private)]
         )
-        if self.link_work_timer is not None:
-            self.link_work_timer.mod_timer_after(self.link_poll_period_ns)
+        return True
 
     # -- kernel entry points (downcalls from the decaf driver) -----------------------
 
@@ -165,14 +163,14 @@ class Rtl8139Nucleus:
         dev.tx_timeout = self.stub_tx_timeout
         dev.irq = tp.irq
         dev.base_addr = tp.ioaddr
-        self.state.netdev = dev
+        self.state.netdev = self.pdev.driver_data = dev
         self.state.lock = self.linux.spin_lock_init("rtl8139")
         return self.linux.register_netdev(dev)
 
     def k_unregister_netdev(self):
         if self.state.netdev is not None:
             self.linux.unregister_netdev(self.state.netdev)
-            self.state.netdev = None
+            self.state.netdev = self.pdev.driver_data = None
         self.linux.pci_release_regions(self.pdev)
         self.linux.pci_disable_device(self.pdev)
         return 0
@@ -249,18 +247,6 @@ class Rtl8139Nucleus:
 
     def rebuild_user_half(self):
         self.decaf = Rtl8139DecafDriver(self.plumbing.decaf_rt, self)
-
-    def replay_op(self, op, args):
-        if op == "probe":
-            return self.plumbing.upcall(
-                self.decaf.init_one,
-                args=[(self.state.tp, rtl8139_private)],
-            )
-        if op == "open":
-            return self.stub_open(self.state.netdev)
-        if op == "set_mac":
-            return self.stub_set_mac_address(self.state.netdev, args[0])
-        return 0
 
 
 def make_module(napi=True):

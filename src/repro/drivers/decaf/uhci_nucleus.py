@@ -25,15 +25,16 @@ class UhciNucleus:
         self.plumbing = None
         self.decaf = None
         self.pdev = None
-        self.rh_poll_timer = None
-        self.rh_poll_period_ns = 256_000_000  # fleet slots stretch this
+        self.rh_poll = None
 
     def probe(self, pdev):
         self.pdev = pdev
         self.state.pdev = pdev
         self.plumbing = DecafPlumbing(self.kernel, "uhci_hcd",
                                       irq_line=pdev.irq)
-        self.decaf = UhciDecafDriver(self.plumbing.decaf_rt, self)
+        self.rh_poll = self.plumbing.nuclear.defer_timer(
+            self._rh_status_check, 256_000_000, "uhci-rh-poll")
+        self.rebuild_user_half()
         self.plumbing.decaf_rt.start()
 
         uhci = uhci_hcd_state()
@@ -49,47 +50,47 @@ class UhciNucleus:
         if ret:
             self.state.uhci = None
         else:
-            self.plumbing.record("probe")
+            self.plumbing.record(self._reattach)
+        return ret
+
+    def _reattach(self):
+        """Probe, as recovery replays it: the controller is still
+        running, so a light reattach verifies it instead of re-running
+        bring-up against live hardware, and the poll restarts."""
+        ret = self.plumbing.upcall(
+            self.decaf.reattach,
+            args=[(self.state.uhci, uhci_hcd_state)],
+        )
+        if ret == 0:
+            self.rh_poll.start()
         return ret
 
     def remove(self, pdev):
         if self.decaf is None:
             return
-        self.stop_rh_poll()
+        self.rh_poll.stop()
         self.plumbing.upcall(
             self.decaf.remove, args=[(self.state.uhci, uhci_hcd_state)]
         )
         self.decaf = None
 
-    # -- deferred root-hub status poll: timer -> work item -> decaf driver ---------
+    # -- root-hub status poll: the nuclear runtime defers its timer ----
     #
     # Only runs under supervision: unsupervised rigs keep the seed
     # crossing counts (the uhci data path never invokes the decaf half).
 
     def supervision_started(self):
-        if self.state.uhci is not None and self.rh_poll_timer is None:
-            self.start_rh_poll()
+        if self.state.uhci is not None and not self.rh_poll.running:
+            self.rh_poll.start()
 
-    def start_rh_poll(self):
-        self.rh_poll_timer = self.plumbing.nuclear.defer_timer(
-            self._rh_poll_work, name="uhci-rh-poll"
-        )
-        self.rh_poll_timer.mod_timer_after(self.rh_poll_period_ns)
-
-    def stop_rh_poll(self):
-        if self.rh_poll_timer is not None:
-            self.rh_poll_timer.del_timer()
-            self.rh_poll_timer = None
-
-    def _rh_poll_work(self, _data):
+    def _rh_status_check(self):
         if self.decaf is None or self.state.uhci is None:
-            return
+            return False
         self.plumbing.upcall(
             self.decaf.rh_status_check,
             args=[(self.state.uhci, uhci_hcd_state)],
         )
-        if self.rh_poll_timer is not None:
-            self.rh_poll_timer.mod_timer_after(self.rh_poll_period_ns)
+        return True
 
     # -- kernel entry points ------------------------------------------------------
 
@@ -134,7 +135,7 @@ class UhciNucleus:
         return 0
 
     def k_stop(self, uhci):
-        self.stop_rh_poll()
+        self.rh_poll.stop()
         for device in list(self.state.port_devices):
             self.linux.usb_disconnect_device(device)
         self.state.port_devices = []
@@ -167,25 +168,11 @@ class UhciNucleus:
         flash disk mid-transfer (that asymmetry is the point of the
         4%-converted split).
         """
-        self.stop_rh_poll()
+        self.rh_poll.stop()
         return 0
 
     def rebuild_user_half(self):
         self.decaf = UhciDecafDriver(self.plumbing.decaf_rt, self)
-
-    def replay_op(self, op, args):
-        if op == "probe":
-            # The controller is still running; replay maps the probe to
-            # a light reattach that verifies it rather than re-running
-            # bring-up against live hardware.
-            ret = self.plumbing.upcall(
-                self.decaf.reattach,
-                args=[(self.state.uhci, uhci_hcd_state)],
-            )
-            if ret == 0:
-                self.start_rh_poll()
-            return ret
-        return 0
 
 
 def make_module():

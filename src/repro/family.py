@@ -193,7 +193,11 @@ class DeviceInstance:
         return self.xpc.lang_crossings if self.xpc else 0
 
     def netdev(self):
-        return self.kernel.net.find("eth0")
+        """This NIC's registered network device, found the way its
+        driver finds it (``pdev.driver_data``), so a bare
+        ``kernel.modules.insmod`` of the module finds it too."""
+        dev = getattr(self.bus_device, "driver_data", None)
+        return dev if dev in self.kernel.net.devices else None
 
     # -- fault isolation / supervised recovery (decaf drivers) ----------------
 
@@ -838,7 +842,7 @@ class UhciFamily(DeviceFamily):
     def poke(self, inst):
         if inst.decaf and inst.bound:
             # One root-hub status poll (normally timer-driven).
-            inst.nucleus._rh_poll_work(None)
+            inst.nucleus.rh_poll.run()
 
     def write_blocks(self, inst, lba, blocks, data, timeout_ms=5000):
         """One bulk-only WRITE to the disk; (status, bytes moved)."""
@@ -962,7 +966,7 @@ class PsmouseFamily(DeviceFamily):
     def poke(self, inst):
         if inst.decaf and inst.bound:
             # One resync check (normally a 1 Hz supervised-only timer).
-            inst.nucleus._resync_work(None)
+            inst.nucleus.resync.run()
 
     def tick(self, inst, units):
         if not inst.bound:

@@ -9,9 +9,8 @@ bus driver probes it; remove unplugs it.  A slot's ``driver_override``
 names its pair's module, so a legacy and a decaf e1000 module loaded
 side by side each bind only their own slots.  The family supplies the
 device, the module, the endpoint and the traffic; the slot adds the
-fleet's policy: the nuclei its decaf modules probe poll less often,
-decaf drivers are supervised from probe on, and probe opens the
-endpoint for traffic.
+fleet's policy: decaf nuclei poll less often, decaf drivers are
+supervised from probe on, and probe opens the endpoint for traffic.
 """
 
 from ..family import FAMILIES, DeviceInstance
@@ -20,12 +19,11 @@ from ..family import FAMILIES, DeviceInstance
 class DeviceSlot(DeviceInstance):
     """One device + driver instance under the fleet kernel."""
 
-    # Periodic health polls (root-hub status, link watch, resync) each
-    # cost a couple of XPC crossings.  One driver polling at 250ms is
-    # noise; hundreds of them make crossings the whole fleet's virtual
-    # time, so fleet modules stretch every nucleus poll period.
-    _POLL_PERIOD_ATTRS = ("rh_poll_period_ns", "watchdog_period_ns",
-                          "link_poll_period_ns", "resync_period_ns")
+    # Periodic health polls (watchdog, link watch, root-hub status,
+    # resync) each cost a couple of XPC crossings.  One driver polling
+    # at 250ms is noise; hundreds of them make crossings the whole
+    # fleet's virtual time, so a slot stretches every poll period of
+    # the nucleus it probes.
     POLL_STRETCH = 64
 
     def __init__(self, index, decaf, family):
@@ -55,7 +53,8 @@ class DeviceSlot(DeviceInstance):
         self.family.plug(self)
         module = kernel.modules.loaded.get(self.module_name)
         if module is None:
-            module = self._new_module()
+            module = self.family.module(self.decaf)
+            module.name = self.module_name
             ret = kernel.modules.insmod(module)
             if ret != 0:
                 raise RuntimeError("%s: insmod failed with %d"
@@ -67,27 +66,10 @@ class DeviceSlot(DeviceInstance):
         if self.endpoint is None:
             raise RuntimeError("%s: probe registered no endpoint" % self.name)
         if self.decaf:
+            self.nucleus.plumbing.nuclear.poll_stretch = self.POLL_STRETCH
             self.supervise(max_recoveries)
         self.family.open(self)
         return 0
-
-    def _new_module(self):
-        module = self.family.module(self.decaf)
-        module.name = self.module_name
-        if self.decaf:
-            make, attrs, stretch = (module.make_nucleus,
-                                    self._POLL_PERIOD_ATTRS, self.POLL_STRETCH)
-
-            def make_nucleus(kernel):
-                nucleus = make(kernel)
-                for attr in attrs:
-                    period = getattr(nucleus, attr, None)
-                    if period is not None:
-                        setattr(nucleus, attr, period * stretch)
-                return nucleus
-
-            module.make_nucleus = make_nucleus
-        return module
 
     def remove(self):
         """Tear the device's driver instance down and unplug it; the

@@ -3,37 +3,33 @@
 Only *configuration* is logged (probe, open, MAC address, MTU, mixer
 and PCM settings ...), never datapath traffic -- replaying the log must
 restore the driver to the state applications believe it is in, not
-reproduce history.  Entries are latest-wins per operation: a second
-``set_mac`` replaces the first, exactly as replaying both would.
+reproduce history.  An entry is the nucleus entry point that made the
+call plus its arguments, so replay is ``fn(*args)``.  Entries are
+latest-wins per entry point: a second ``set_mac`` replaces the first,
+exactly as replaying both would.
 """
 
 
 class ReplayLog:
     def __init__(self):
-        self._entries = []  # [op, args] pairs, oldest first
+        self._entries = []  # [fn, args] pairs, oldest first
 
-    def record(self, op, *args):
-        """Record ``op``; an existing entry for it is updated in place
-        (latest-wins), keeping the original replay position."""
+    def record(self, fn, *args):
+        """Record ``fn(*args)``; an existing entry for ``fn`` is updated
+        in place (latest-wins), keeping the original replay position."""
         for entry in self._entries:
-            if entry[0] == op:
+            if entry[0] == fn:
                 entry[1] = args
                 return
-        self._entries.append([op, args])
+        self._entries.append([fn, args])
 
-    def remove(self, op):
-        """Forget ``op`` (e.g. ``open`` once the device is closed)."""
-        self._entries = [e for e in self._entries if e[0] != op]
+    def remove(self, fn):
+        """Forget ``fn`` (e.g. ``stub_open`` once the device is closed)."""
+        self._entries = [e for e in self._entries if e[0] != fn]
 
     def entries(self):
-        """Snapshot of (op, args) pairs in replay order."""
-        return [(op, args) for op, args in self._entries]
-
-    def clear(self):
-        self._entries = []
+        """Snapshot of (fn, args) pairs in replay order."""
+        return [(fn, args) for fn, args in self._entries]
 
     def __len__(self):
         return len(self._entries)
-
-    def __contains__(self, op):
-        return any(e[0] == op for e in self._entries)

@@ -19,8 +19,9 @@ The recovery sequence mirrors the shadow-driver model:
 2. ``plumbing.restart_user_half()`` -- reset the channel's user side
    and start a fresh runtime (paying JVM startup again).
 3. ``nucleus.rebuild_user_half()`` -- fresh library/decaf instances.
-4. Replay the recorded configuration log through
-   ``nucleus.replay_op`` -- probe, open, and the latest settings.
+4. Replay the recorded configuration log -- probe, open, and the
+   latest settings -- by calling each recorded nucleus entry point
+   again with its recorded arguments.
 
 A bounded number of recoveries guards against a deterministic fault
 looping forever; past the budget the supervisor gives up and the
@@ -235,16 +236,16 @@ class DriverSupervisor:
         kernel = self.kernel
         name = self.plumbing.driver_name
         tracer = kernel.tracer
-        for op, args in self.plumbing.replay_log.entries():
-            ret = self.nucleus.replay_op(op, args)
+        for fn, args in self.plumbing.replay_log.entries():
+            ret = fn(*args)
             self.replayed_ops += 1
             if tracer is not None:
                 tracer.instant("recovery.replay", {
-                    "driver": name, "op": op, "ret": ret,
+                    "driver": name, "op": fn.__name__, "ret": ret,
                 })
             if isinstance(ret, int) and ret < 0:
                 raise RecoveryError(
-                    "replay of %r failed with errno %d" % (op, ret)
+                    "replay of %s failed with errno %d" % (fn.__name__, ret)
                 )
 
     def _give_up(self, reason):

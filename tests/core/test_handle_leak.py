@@ -1,4 +1,4 @@
-"""Opaque handles do not outlive the objects they name.
+"""Opaque handles and deferred polls do not outlive what they serve.
 
 The decaf e1000 nucleus hands its rx/tx DMA regions to the user half as
 opaque handles.  A channel that held freed regions in a strong table
@@ -6,12 +6,21 @@ kept about 1 MiB per ``dev_open``/``dev_close`` cycle alive until rmmod.
 Regions are now held weakly, and every object gets a fresh handle, so a
 stale handle cannot resolve to a newer region that reuses a dead one's
 ``id()``.
+
+A nucleus's periodic poll (watchdog, link watch, root-hub status,
+resync) owns one timer and one work item for the nucleus's life: an
+open/close cycle or a supervised recovery restarts it without leaving
+another ``KernelTimer``/``WorkItem`` behind.
 """
 
 import gc
 import tracemalloc
 
+import pytest
+
+from repro.family import FAMILIES
 from repro.kernel.memory import DmaRegion
+from repro.kernel.timers import KernelTimer, WorkItem
 from repro.workloads import make_e1000_rig
 from tests.conftest import freed_dma_regions, uncollected
 
@@ -32,14 +41,22 @@ def _open_close(rig):
     return freed
 
 
-def test_decaf_e1000_open_close_retains_no_ring_buffers():
-    rig = make_e1000_rig(decaf=True)
+def _live_timers():
+    gc.collect()
+    return sum(isinstance(obj, (KernelTimer, WorkItem))
+               for obj in gc.get_objects())
+
+
+def _check_open_close_retention(family, regions_per_cycle):
+    """20 open/close cycles free their DMA regions and Python objects
+    and leave the count of live timers and work items flat."""
+    rig = FAMILIES[family].rig(decaf=True)
     rig.insmod()
     for _ in range(2):  # warm every lazily built cache
         _open_close(rig)
-    cycles = 6
+    cycles = 20
     freed = []
-    gc.collect()
+    timers = _live_timers()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -51,8 +68,31 @@ def test_decaf_e1000_open_close_retains_no_ring_buffers():
         tracemalloc.stop()
     kib_per_cycle = (after - before) / 1024 / cycles
     assert kib_per_cycle <= MAX_KIB_PER_CYCLE, kib_per_cycle
-    assert len(freed) >= 4 * cycles  # rx/tx rings and buffer arenas
+    assert len(freed) >= regions_per_cycle * cycles
     assert not uncollected(freed)
+    assert _live_timers() == timers
+
+
+def test_decaf_e1000_open_close_retains_no_ring_buffers():
+    _check_open_close_retention("e1000", 4)  # rx/tx rings and arenas
+
+
+def test_decaf_8139too_open_close_retains_no_ring_buffers():
+    _check_open_close_retention("8139too", 2)  # rx ring and tx buffers
+
+
+@pytest.mark.parametrize("family", ["uhci_hcd", "psmouse"])
+def test_supervised_recovery_retains_no_timers(family):
+    rig = FAMILIES[family].rig(decaf=True)
+    rig.insmod()
+    sup = rig.supervise()
+    before = _live_timers()
+    for expected in (1, 2, 3):
+        assert rig.channel._contain(RuntimeError("injected"), "test")
+        assert sup.recover() is True
+        rig.kernel.run_for_ms(10)
+        assert sup.recoveries == expected
+    assert _live_timers() == before
 
 
 def test_leak_check_sees_one_retained_region():
