@@ -20,7 +20,7 @@ Run:  python examples/new_decaf_driver.py
 from repro.core.cstruct import CStruct, U32
 from repro.core.marshal import MarshalPlan, FieldAccess
 from repro.drivers.decaf.exceptions import ConfigException, HardwareException
-from repro.drivers.decaf.plumbing import DecafPlumbing
+from repro.drivers.decaf.plumbing import DecafPlumbing, xpc_stubs
 from repro.kernel import IRQ_HANDLED, make_kernel
 from repro.kernel.pci import PciBar, PciFunction
 
@@ -74,7 +74,11 @@ class sensor_state(CStruct):
 
 # -- the driver nucleus: interrupt handler + kernel entry points -------------
 
+@xpc_stubs
 class SensorNucleus:
+    # The decaf methods the nucleus calls up to; neither is replayed.
+    UPCALLS = {"probe": None, "alarm": None}
+
     def __init__(self, kernel, device):
         self.kernel = kernel
         self.device = device
@@ -83,10 +87,11 @@ class SensorNucleus:
             reads={"io_base", "threshold"},
             writes={"io_base", "threshold", "alarms"}))
         self.plumbing = DecafPlumbing(kernel, "sensor", irq_line=device.irq,
-                                      plan=plan)
+                                      plan=plan, nucleus=self)
         self.state = sensor_state()
         self.plumbing.channel.kernel_tracker.register(self.state)
-        self.decaf = SensorDecafDriver(self.plumbing.decaf_rt, self)
+        self.decaf = SensorDecafDriver(self.plumbing.decaf_rt,
+                                       self.plumbing.down)
         self.alarm_work = None
 
     def load(self):
@@ -94,8 +99,7 @@ class SensorNucleus:
         self.kernel.pci.request_regions(self.device.pci, "sensor")
         self.kernel.request_irq(self.device.irq, self.irq_handler, "sensor")
         self.plumbing.decaf_rt.start()
-        return self.plumbing.upcall(self.decaf.probe,
-                                    args=[(self.state, sensor_state)])
+        return self.plumbing.up.probe(self.state)
 
     def irq_handler(self, irq, dev_id):
         # High priority: ack and defer the policy to user level.
@@ -107,8 +111,7 @@ class SensorNucleus:
         return IRQ_HANDLED
 
     def _alarm_work(self, _data):
-        self.plumbing.upcall(self.decaf.alarm,
-                             args=[(self.state, sensor_state)])
+        self.plumbing.up.alarm(self.state)
 
     # kernel entry point used by the decaf driver
     def k_resource_start(self):
@@ -118,13 +121,12 @@ class SensorNucleus:
 # -- the decaf driver: all policy at user level, with exceptions --------------
 
 class SensorDecafDriver:
-    def __init__(self, rt, nucleus):
+    def __init__(self, rt, down):
         self.rt = rt
-        self.nucleus = nucleus
+        self.down = down  # downcall stubs: the nucleus's k_* entry points
 
     def probe(self, state):
-        state.io_base = self.nucleus.plumbing.downcall_checked(
-            self.nucleus.k_resource_start)
+        state.io_base = self.down.k_resource_start()
         temp = self.rt.inl(state.io_base + REG_TEMP)
         if temp == 0:
             raise HardwareException("sensor reads zero: not present?")

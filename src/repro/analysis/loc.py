@@ -62,7 +62,6 @@ INFRASTRUCTURE_COMPONENTS = {
         ],
         "Post-processing scripts": [
             "repro.slicer.splitter",
-            "repro.slicer.stubgen",
             "repro.slicer.report",
             "repro.slicer.config",
             "repro.slicer.plans",

@@ -7,7 +7,6 @@ literally Figure 4: nested try blocks whose handlers release exactly
 the resources acquired so far, re-throwing upward.
 """
 
-from ..legacy.e1000_main import e1000_adapter
 from . import e1000_param_decaf as param
 from .e1000_hw_decaf import E1000Hw
 from .exceptions import (
@@ -21,23 +20,17 @@ from .exceptions import (
 
 
 class E1000DecafDriver:
-    def __init__(self, rt, nucleus, library):
+    def __init__(self, rt, down, adapter_lock, library):
         self.rt = rt
-        self.nucleus = nucleus
+        self.down = down  # downcall stubs: the kernel entry points
+        self.adapter_lock = adapter_lock
         self.library = library
         self.hw = None  # E1000Hw bound to the adapter twin at probe
         self.watchdog_runs = 0
 
-    def _down(self, func, adapter=None, extra=None, exc=DriverException):
-        args = [(adapter, e1000_adapter)] if adapter is not None else []
-        return self.nucleus.plumbing.downcall_checked(
-            func, args=args, extra=extra, exc_type=exc
-        )
-
     def _lib(self, func, adapter):
         """Call into the driver library across the language boundary."""
-        channel = self.nucleus.plumbing.channel
-        ret = channel.direct_call(func, adapter)
+        ret = self.rt.channel.direct_call(func, adapter)
         if isinstance(ret, int) and ret < 0:
             raise HardwareException("driver library call failed", errno=ret)
         return ret
@@ -45,8 +38,7 @@ class E1000DecafDriver:
     # -- probe: converted from e1000_probe -----------------------------------------
 
     def init_one(self, adapter, options=None):
-        self._down(self.nucleus.k_pci_setup, adapter,
-                   exc=ResourceException)
+        self.down.k_pci_setup(adapter, exc=ResourceException)
         try:
             self.hw = E1000Hw(adapter.hw, self.rt)
             adapter.msg_enable = 7
@@ -66,15 +58,14 @@ class E1000DecafDriver:
             self.hw.read_mac_addr()
 
             self.save_config_space(adapter)
-            self._down(self.nucleus.k_register_netdev, adapter,
-                       exc=ResourceException)
+            self.down.k_register_netdev(adapter, exc=ResourceException)
             try:
                 self.reset(adapter)
             except DriverException:
-                self._down(self.nucleus.k_unregister_netdev)
+                self.down.k_unregister_netdev()
                 raise
         except DriverException:
-            self._down(self.nucleus.k_pci_teardown)
+            self.down.k_pci_teardown()
             raise
         return 0
 
@@ -87,16 +78,13 @@ class E1000DecafDriver:
         """
         space = []
         for i in range(64):  # PCI_LEN
-            space.append(
-                self._down(self.nucleus.k_read_config_dword,
-                           extra=((i * 4) % 256,))
-            )
+            space.append(self.down.k_read_config_dword((i * 4) % 256))
         adapter.config_space = space
 
     def remove_one(self, adapter):
-        self._down(self.nucleus.k_stop_watchdog)
-        self._down(self.nucleus.k_unregister_netdev)
-        self._down(self.nucleus.k_pci_teardown)
+        self.down.k_stop_watchdog()
+        self.down.k_unregister_netdev()
+        self.down.k_pci_teardown()
         return 0
 
     # -- open: Figure 4, verbatim structure ------------------------------------------
@@ -111,7 +99,7 @@ class E1000DecafDriver:
                 try:
                     self.request_irq(adapter)
                     self.power_up_phy(adapter)
-                    self.up(adapter)
+                    self.bring_up(adapter)
                 except E1000HWException:
                     self.free_all_rx_resources(adapter)
                     raise
@@ -124,7 +112,7 @@ class E1000DecafDriver:
         return 0
 
     def close(self, adapter):
-        self.down(adapter)
+        self.bring_down(adapter)
         self.power_down_phy(adapter)
         self.free_irq(adapter)
         self.free_all_rx_resources(adapter)
@@ -134,24 +122,22 @@ class E1000DecafDriver:
     # -- resources ----------------------------------------------------------------------
 
     def setup_all_tx_resources(self, adapter):
-        self._down(self.nucleus.k_setup_tx_resources, adapter,
-                   exc=ResourceException)
+        self.down.k_setup_tx_resources(adapter, exc=ResourceException)
 
     def setup_all_rx_resources(self, adapter):
-        self._down(self.nucleus.k_setup_rx_resources, adapter,
-                   exc=ResourceException)
+        self.down.k_setup_rx_resources(adapter, exc=ResourceException)
 
     def free_all_tx_resources(self, adapter):
-        self._down(self.nucleus.k_free_tx_resources, adapter)
+        self.down.k_free_tx_resources(adapter)
 
     def free_all_rx_resources(self, adapter):
-        self._down(self.nucleus.k_free_rx_resources, adapter)
+        self.down.k_free_rx_resources(adapter)
 
     def request_irq(self, adapter):
-        self._down(self.nucleus.k_request_irq, exc=E1000HWException)
+        self.down.k_request_irq(exc=E1000HWException)
 
     def free_irq(self, adapter):
-        self._down(self.nucleus.k_free_irq)
+        self.down.k_free_irq()
 
     def power_up_phy(self, adapter):
         self.hw.power_up_phy()
@@ -164,16 +150,16 @@ class E1000DecafDriver:
 
     # -- up/down/reset ---------------------------------------------------------------------
 
-    def up(self, adapter):
+    def bring_up(self, adapter):
         self.set_multi(adapter)
         self._lib(self.library.configure_tx, adapter)
         self._lib(self.library.setup_rctl, adapter)
         self._lib(self.library.configure_rx, adapter)
         self._lib(self.library.alloc_rx_buffers, adapter)
-        self._down(self.nucleus.k_up, adapter, exc=E1000HWException)
+        self.down.k_up(adapter, exc=E1000HWException)
 
-    def down(self, adapter):
-        self._down(self.nucleus.k_down, adapter)
+    def bring_down(self, adapter):
+        self.down.k_down(adapter)
         adapter.link_speed = 0
         adapter.link_duplex = 0
         self.reset(adapter)
@@ -188,12 +174,12 @@ class E1000DecafDriver:
         # The adapter combolock, acquired from user mode: a semaphore
         # (section 3.1.3).  Kernel-side users (the deferred watchdog)
         # see it held and defer rather than spin.
-        with self.nucleus.adapter_lock:
-            self.down(adapter)
+        with self.adapter_lock:
+            self.bring_down(adapter)
             self.open_after_reinit(adapter)
 
     def open_after_reinit(self, adapter):
-        self.up(adapter)
+        self.bring_up(adapter)
 
     # -- management interface ----------------------------------------------------------------
 
@@ -214,14 +200,14 @@ class E1000DecafDriver:
             # stale pre-set_mac address into RAL0.
             self.hw.hw.mac_addr = list(addr)
         self.hw.rar_set(list(addr), 0)
-        self._down(self.nucleus.k_set_netdev_mac, extra=(bytes(addr),))
+        self.down.k_set_netdev_mac(bytes(addr))
         return 0
 
     def change_mtu(self, adapter, new_mtu, running=0):
         if new_mtu < 68 or new_mtu > 16110:
             raise ConfigException("MTU %d out of range" % new_mtu)
         adapter.hw.max_frame_size = new_mtu + 18
-        self._down(self.nucleus.k_set_netdev_mtu, extra=(new_mtu,))
+        self.down.k_set_netdev_mtu(new_mtu)
         if running:
             self.reinit_locked(adapter)
         return 0
@@ -281,39 +267,38 @@ class E1000DecafDriver:
 
     def suspend(self, adapter):
         """Converted e1000_suspend: runs entirely in the decaf driver."""
-        running = self._down(self.nucleus.k_netif_running)
+        running = self.down.k_netif_running()
         if running:
-            self.down(adapter)
+            self.bring_down(adapter)
         self.save_config_space(adapter)
         try:
             self.hw.power_down_phy()
         except E1000HWException:
             pass  # best-effort, as the original's unchecked call was
-        self._down(self.nucleus.k_pci_disable)
+        self.down.k_pci_disable()
         return 0
 
     def resume(self, adapter):
-        self._down(self.nucleus.k_pci_enable, exc=ResourceException)
+        self.down.k_pci_enable(exc=ResourceException)
         self.restore_config_space(adapter)
         self.hw.power_up_phy()
         self.reset(adapter)
-        running = self._down(self.nucleus.k_netif_running)
+        running = self.down.k_netif_running()
         if running:
-            self.up(adapter)
+            self.bring_up(adapter)
         return 0
 
     def restore_config_space(self, adapter):
         if adapter.config_space is None:
             raise ConfigException("no saved config space to restore")
         for i, value in enumerate(adapter.config_space):
-            self._down(self.nucleus.k_write_config_dword,
-                       extra=((i * 4) % 256, value))
+            self.down.k_write_config_dword((i * 4) % 256, value)
 
     # -- watchdog: runs in the decaf driver via deferred work (section 3.1.3) ---------------------
 
     def watchdog(self, adapter):
         self.watchdog_runs += 1
-        with self.nucleus.adapter_lock:
+        with self.adapter_lock:
             return self._watchdog_body(adapter)
 
     def _watchdog_body(self, adapter):
@@ -323,14 +308,14 @@ class E1000DecafDriver:
             return 0  # transient PHY trouble; retry on the next tick
 
         link_up = bool(self.hw.read_reg(0x00008) & 0x2)  # STATUS.LU
-        carrier = self._down(self.nucleus.k_carrier_ok)
+        carrier = self.down.k_carrier_ok()
         if link_up and not carrier:
             speed, duplex = self.hw.get_speed_and_duplex()
             adapter.link_speed = speed
             adapter.link_duplex = duplex
-            self._down(self.nucleus.k_carrier_on)
+            self.down.k_carrier_on()
         elif not link_up and carrier:
             adapter.link_speed = 0
             adapter.link_duplex = 0
-            self._down(self.nucleus.k_carrier_off)
+            self.down.k_carrier_off()
         return 0

@@ -2,10 +2,10 @@
 
 Kernel-resident half of the decaf E1000: the interrupt handler,
 transmit path and ring cleaning are the legacy functions unchanged;
-this module provides the XPC stubs for the interface operations that
-moved to Java, the kernel entry points the decaf driver downcalls, and
-the body of the watchdog, which the nuclear runtime defers (timer ->
-work item -> upcall, section 3.1.3).
+this module provides the netdev ops that call up to the interface
+operations that moved to Java, the kernel entry points the decaf
+driver downcalls, and the body of the watchdog, which the nuclear
+runtime defers (timer -> work item -> upcall, section 3.1.3).
 
 The four ethtool diagnostic functions with the interrupt data race
 remain here, served directly from the kernel (section 5).
@@ -18,11 +18,12 @@ from ..legacy.e1000_main import e1000_adapter
 from ..modulebase import DecafDriverModule
 from .e1000_decaf import E1000DecafDriver
 from .e1000_lib import E1000DriverLibrary
-from .plumbing import DecafPlumbing
+from .plumbing import RECORD, DecafPlumbing, unrecord, xpc_stubs
 
 DRV_NAME = "e1000"
 
 
+@xpc_stubs
 class E1000Nucleus:
     def __init__(self, kernel, module_options=None):
         self.kernel = kernel
@@ -43,9 +44,17 @@ class E1000Nucleus:
     def probe(self, pdev):
         self.pdev = pdev
         self.plumbing = DecafPlumbing(self.kernel, "e1000",
-                                      irq_line=pdev.irq)
+                                      irq_line=pdev.irq, nucleus=self)
         self.watchdog = self.plumbing.nuclear.defer_timer(
             self._watchdog, 2_000_000_000, "e1000-watchdog")
+        # Cross-domain synchronization for adapter state (section
+        # 3.1.3): a combolock -- spinlock when only kernel code holds
+        # it, semaphore when the decaf driver does.
+        from ...core.combolock import ComboLock
+
+        self.adapter_lock = ComboLock(self.kernel, self.plumbing.domains,
+                                      "e1000-adapter")
+        self.watchdog_skips = 0
         self.rebuild_user_half()
         self.plumbing.decaf_rt.start()
 
@@ -56,91 +65,60 @@ class E1000Nucleus:
         self.state.tx_lock = self.linux.spin_lock_init("e1000-tx")
         self.plumbing.channel.kernel_tracker.register(adapter)
 
-        # Cross-domain synchronization for adapter state (section
-        # 3.1.3): a combolock -- spinlock when only kernel code holds
-        # it, semaphore when the decaf driver does.
-        from ...core.combolock import ComboLock
-
-        self.adapter_lock = ComboLock(self.kernel, self.plumbing.domains,
-                                      "e1000-adapter")
-        self.watchdog_skips = 0
-
-        ret = self._init_one()
+        ret = self.plumbing.up.init_one(adapter, self.module_options)
         if ret:
             self.adapter = None
-        else:
-            self.plumbing.record(self._init_one)
         return ret
-
-    def _init_one(self):
-        return self.plumbing.upcall(
-            self.decaf.init_one,
-            args=[(self.adapter, e1000_adapter)],
-            extra=(self.module_options,),
-        )
 
     def remove(self, pdev):
         if self.decaf is None or self.adapter is None:
             return
-        self.plumbing.upcall(
-            self.decaf.remove_one, args=[(self.adapter, e1000_adapter)]
-        )
+        self.plumbing.up.remove_one(self.adapter)
         self.adapter = None
         self.decaf = None
 
-    # -- netdev op stubs (kernel -> decaf) ----------------------------------------------
+    # -- netdev ops (kernel -> decaf) ------------------------------------------------
 
-    def stub_open(self, dev):
-        ret = self.plumbing.upcall(
-            self.decaf.open, args=[(self.adapter, e1000_adapter)]
-        )
-        if ret == 0:
-            self.plumbing.record(self.stub_open, dev)
-        return ret
+    UPCALLS = {
+        "init_one": RECORD,
+        "remove_one": None,
+        "open": RECORD,
+        "close": unrecord("open"),
+        "set_multi": RECORD,
+        "set_mac": RECORD,
+        "change_mtu": None,  # recorded by change_mtu below
+        "tx_timeout": None,
+        "suspend": None,
+        "resume": None,
+    }
 
-    def stub_close(self, dev):
-        ret = self.plumbing.upcall(
-            self.decaf.close, args=[(self.adapter, e1000_adapter)]
-        )
-        if ret == 0:
-            self.plumbing.unrecord(self.stub_open)
-        return ret
+    def open(self, dev):
+        return self.plumbing.up.open(self.adapter)
 
-    def stub_set_multi(self, dev):
-        ret = self.plumbing.upcall(
-            self.decaf.set_multi, args=[(self.adapter, e1000_adapter)]
-        )
-        if ret == 0:
-            self.plumbing.record(self.stub_set_multi, dev)
-        return ret
+    def stop(self, dev):
+        return self.plumbing.up.close(self.adapter)
 
-    def stub_set_mac(self, dev, addr):
-        ret = self.plumbing.upcall(
-            self.decaf.set_mac, args=[(self.adapter, e1000_adapter)],
-            extra=(list(addr),),
-        )
-        if ret == 0:
-            self.plumbing.record(self.stub_set_mac, dev, list(addr))
-        return ret
+    def set_multi(self, dev):
+        return self.plumbing.up.set_multi(self.adapter)
 
-    def stub_change_mtu(self, dev, new_mtu):
+    def set_mac(self, dev, addr):
+        return self.plumbing.up.set_mac(self.adapter, list(addr))
+
+    def change_mtu(self, dev, new_mtu):
         # netif_running is kernel state the user half cannot read; it
         # rides up with the call so a running adapter is reinitialized
-        # with the new frame size (as the legacy driver does).
-        ret = self.plumbing.upcall(
-            self.decaf.change_mtu, args=[(self.adapter, e1000_adapter)],
-            extra=(new_mtu, 1 if dev.netif_running() else 0),
-        )
+        # with the new frame size (as the legacy driver does).  Replay
+        # re-reads it, so this op is the replay entry.
+        ret = self.plumbing.up.change_mtu(
+            self.adapter, new_mtu, 1 if dev.netif_running() else 0)
         if ret == 0:
-            self.plumbing.record(self.stub_change_mtu, dev, new_mtu)
+            self.plumbing.record(self.change_mtu, dev, new_mtu)
         return ret
 
-    def stub_tx_timeout(self, dev):
-        return self.plumbing.upcall(
-            self.decaf.tx_timeout, args=[(self.adapter, e1000_adapter)]
-        )
+    def tx_timeout(self, dev):
+        return self.plumbing.up.tx_timeout(self.adapter)
 
-    def stub_get_stats(self, dev):
+    def get_stats(self, dev):
         return dev.stats
 
     # -- watchdog body: the nuclear runtime defers its timer to a work item ----
@@ -222,18 +200,6 @@ class E1000Nucleus:
             return 0
         return 1 if self.linux.netif_running(self.netdev) else 0
 
-    # -- power-management stubs (pm core -> decaf driver) --------------------------
-
-    def stub_suspend(self):
-        return self.plumbing.upcall(
-            self.decaf.suspend, args=[(self.adapter, e1000_adapter)]
-        )
-
-    def stub_resume(self):
-        return self.plumbing.upcall(
-            self.decaf.resume, args=[(self.adapter, e1000_adapter)]
-        )
-
     def k_register_netdev(self, adapter):
         if self.netdev is not None:
             # Recovery replay: the kernel-facing netdev survives the
@@ -248,14 +214,14 @@ class E1000Nucleus:
         dev = self.linux.alloc_etherdev("eth%d")
         dev.dev_addr = bytes(adapter.hw.mac_addr)
         dev.priv = adapter
-        dev.open = self.stub_open
-        dev.stop = self.stub_close
+        dev.open = self.open
+        dev.stop = self.stop
         dev.hard_start_xmit = legacy.e1000_xmit_frame
-        dev.get_stats = self.stub_get_stats
-        dev.set_multicast_list = self.stub_set_multi
-        dev.set_mac_address = self.stub_set_mac
-        dev.change_mtu = self.stub_change_mtu
-        dev.tx_timeout = self.stub_tx_timeout
+        dev.get_stats = self.get_stats
+        dev.set_multicast_list = self.set_multi
+        dev.set_mac_address = self.set_mac
+        dev.change_mtu = self.change_mtu
+        dev.tx_timeout = self.tx_timeout
         dev.irq = self.pdev.irq
         dev.base_addr = adapter.hw.hw_addr
         self.netdev = self.pdev.driver_data = dev
@@ -400,7 +366,8 @@ class E1000Nucleus:
         (at probe, and after each restart)."""
         self.library = E1000DriverLibrary(self.kernel, self.plumbing.channel,
                                           napi=legacy.napi_mode)
-        self.decaf = E1000DecafDriver(self.plumbing.decaf_rt, self,
+        self.decaf = E1000DecafDriver(self.plumbing.decaf_rt,
+                                      self.plumbing.down, self.adapter_lock,
                                       self.library)
 
     # -- diagnostics that stay in the kernel (section 5's data race) ------------------------

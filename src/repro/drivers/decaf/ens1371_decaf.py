@@ -30,7 +30,6 @@ from ..legacy.ens1371 import (
     ES_REG_DAC2_SIZE,
     ES_REG_MEM_PAGE,
     ES_REG_SERIAL,
-    ensoniq,
 )
 from .exceptions import (
     DriverException,
@@ -41,18 +40,12 @@ from .exceptions import (
 
 
 class Ens1371DecafDriver:
-    def __init__(self, rt, nucleus):
+    def __init__(self, rt, down):
         self.rt = rt
-        self.nucleus = nucleus
+        self.down = down  # downcall stubs: the kernel entry points
         self._dac2_dma_addr = 0
         self._buffer_bytes = 0
         self.periods_noted = 0
-
-    def _down(self, func, chip=None, extra=None, exc=DriverException):
-        args = [(chip, ensoniq)] if chip is not None else []
-        return self.nucleus.plumbing.downcall_checked(
-            func, args=args, extra=extra, exc_type=exc
-        )
 
     # -- low-level access, from user level ----------------------------------------
 
@@ -123,36 +116,32 @@ class Ens1371DecafDriver:
 
         for name, reg in AC97_MIXER_CONTROLS:
             self.codec_write(chip, reg, 0x0808)
-            self._down(self.nucleus.k_ctl_add, extra=(name,),
-                       exc=ResourceException)
+            self.down.k_ctl_add(name, exc=ResourceException)
 
     def probe(self, chip):
-        self._down(self.nucleus.k_pci_setup, chip, exc=ResourceException)
+        self.down.k_pci_setup(chip, exc=ResourceException)
         try:
-            self._down(self.nucleus.k_request_irq, chip,
-                       exc=ResourceException)
+            self.down.k_request_irq(chip, exc=ResourceException)
             try:
                 self.chip_init(chip)
-                self._down(self.nucleus.k_new_card,
-                           exc=ResourceException)
+                self.down.k_new_card(exc=ResourceException)
                 self.mixer_init(chip)
-                self._down(self.nucleus.k_card_register,
-                           exc=ResourceException)
+                self.down.k_card_register(exc=ResourceException)
             except DriverException:
-                self._down(self.nucleus.k_free_irq, chip)
+                self.down.k_free_irq(chip)
                 raise
         except DriverException:
-            self._down(self.nucleus.k_pci_teardown)
+            self.down.k_pci_teardown()
             raise
         return 0
 
     def remove(self, chip):
         self.rt.outl(0, chip.port + ES_REG_CONTROL)
         self.rt.outl(0, chip.port + ES_REG_SERIAL)
-        self._down(self.nucleus.k_free_card)
-        self._down(self.nucleus.k_free_dac2_buffer)
-        self._down(self.nucleus.k_free_irq, chip)
-        self._down(self.nucleus.k_pci_teardown)
+        self.down.k_free_card()
+        self.down.k_free_dac2_buffer()
+        self.down.k_free_irq(chip)
+        self.down.k_pci_teardown()
         return 0
 
     # -- PCM ops (minus pointer) ---------------------------------------------------------------
@@ -165,9 +154,8 @@ class Ens1371DecafDriver:
 
     def playback_hw_params(self, chip, buffer_bytes, period_bytes,
                            frame_bytes, rate):
-        dma_addr = self._down(self.nucleus.k_alloc_dac2_buffer,
-                              extra=(buffer_bytes,),
-                              exc=ResourceException)
+        dma_addr = self.down.k_alloc_dac2_buffer(buffer_bytes,
+                                                 exc=ResourceException)
         self._dac2_dma_addr = dma_addr
         self._buffer_bytes = buffer_bytes
         chip.dac2_size_frames = buffer_bytes // 4

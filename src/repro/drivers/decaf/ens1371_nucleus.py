@@ -23,9 +23,10 @@ from ..legacy.ens1371 import (
 )
 from ..modulebase import DecafDriverModule
 from .ens1371_decaf import Ens1371DecafDriver
-from .plumbing import DecafPlumbing
+from .plumbing import RECORD, DecafPlumbing, unrecord, xpc_stubs
 
 
+@xpc_stubs
 class Ens1371Nucleus:
     def __init__(self, kernel):
         self.kernel = kernel
@@ -42,7 +43,7 @@ class Ens1371Nucleus:
     def probe(self, pdev):
         self.pdev = pdev
         self.plumbing = DecafPlumbing(self.kernel, "ens1371",
-                                      irq_line=pdev.irq)
+                                      irq_line=pdev.irq, nucleus=self)
         self.rebuild_user_half()
         self.plumbing.decaf_rt.start()
 
@@ -53,86 +54,73 @@ class Ens1371Nucleus:
         self.state.lock = self.linux.spin_lock_init("ens1371")
         self.plumbing.channel.kernel_tracker.register(chip)
 
-        ret = self._probe()
+        ret = self.plumbing.up.probe(chip)
         if ret:
             self.state.ensoniq = None
-        else:
-            self.plumbing.record(self._probe)
         return ret
-
-    def _probe(self):
-        return self.plumbing.upcall(self.decaf.probe, args=self._chip_args())
 
     def remove(self, pdev):
         if self.decaf is None:
             return
-        self.plumbing.upcall(
-            self.decaf.remove, args=[(self.state.ensoniq, ensoniq)]
-        )
+        self.plumbing.up.remove(self.state.ensoniq)
         self.decaf = None
 
-    # -- PCM op stubs (kernel -> decaf; legal under the mutex library) -------------
+    # -- PCM ops (kernel -> decaf; legal under the mutex library) -------------
+    #
+    # The nucleus is the substream's ops table.  hw_params, prepare and
+    # trigger read the substream when they run, so each is its own
+    # replay entry.
 
-    def _chip_args(self):
-        return [(self.state.ensoniq, ensoniq)]
+    UPCALLS = {
+        "probe": RECORD,
+        "remove": None,
+        "playback_open": RECORD,
+        "playback_close": unrecord("playback_open", "hw_params", "prepare",
+                                   "trigger"),
+        "playback_hw_params": None,
+        "playback_prepare": None,
+        "playback_trigger": None,
+    }
 
-    def stub_open(self, substream):
+    def open(self, substream):
         substream.private_data = self.state.ensoniq
-        ret = self.plumbing.upcall(self.decaf.playback_open,
-                                   args=self._chip_args())
-        if ret == 0:
-            self.plumbing.record(self.stub_open, substream)
-        return ret
+        return self.plumbing.up.playback_open(self.state.ensoniq)
 
-    def stub_close(self, substream):
-        ret = self.plumbing.upcall(self.decaf.playback_close,
-                                   args=self._chip_args())
+    def close(self, substream):
+        ret = self.plumbing.up.playback_close(self.state.ensoniq)
         substream.private_data = None
-        if ret == 0:
-            for stub in (self.stub_open, self.stub_hw_params,
-                         self.stub_prepare, self.stub_trigger):
-                self.plumbing.unrecord(stub)
         return ret
 
-    def stub_hw_params(self, substream):
+    def hw_params(self, substream):
         rt = substream.runtime
-        ret = self.plumbing.upcall(
-            self.decaf.playback_hw_params,
-            args=self._chip_args(),
-            extra=(rt.buffer_bytes, rt.period_bytes, rt.frame_bytes(),
-                   rt.rate),
-        )
+        ret = self.plumbing.up.playback_hw_params(
+            self.state.ensoniq, rt.buffer_bytes, rt.period_bytes,
+            rt.frame_bytes(), rt.rate)
         if ret == 0:
             rt.dma_region = self.state.dac2_dma
-            self.plumbing.record(self.stub_hw_params, substream)
+            self.plumbing.record(self.hw_params, substream)
         return ret
 
-    def stub_prepare(self, substream):
+    def prepare(self, substream):
         rt = substream.runtime
-        ret = self.plumbing.upcall(
-            self.decaf.playback_prepare,
-            args=self._chip_args(),
-            extra=(rt.sample_bytes, rt.channels, rt.period_bytes,
-                   rt.frame_bytes()),
-        )
+        ret = self.plumbing.up.playback_prepare(
+            self.state.ensoniq, rt.sample_bytes, rt.channels,
+            rt.period_bytes, rt.frame_bytes())
         if ret == 0:
-            self.plumbing.record(self.stub_prepare, substream)
+            self.plumbing.record(self.prepare, substream)
         return ret
 
-    def stub_trigger(self, substream, cmd):
-        ret = self.plumbing.upcall(
-            self.decaf.playback_trigger, args=self._chip_args(),
-            extra=(cmd,),
-        )
+    def trigger(self, substream, cmd):
+        ret = self.plumbing.up.playback_trigger(self.state.ensoniq, cmd)
         if ret == 0:
             if cmd:
-                self.plumbing.record(self.stub_trigger, substream, cmd)
+                self.plumbing.record(self.trigger, substream, cmd)
             else:
-                self.plumbing.unrecord(self.stub_trigger)
+                self.plumbing.unrecord("trigger")
         return ret
 
     # pointer stays in the kernel: irq context (see legacy driver).
-    def op_pointer(self, substream):
+    def pointer(self, substream):
         return legacy.snd_ens1371_playback_pointer(substream)
 
     # -- kernel entry points ----------------------------------------------------------
@@ -164,7 +152,7 @@ class Ens1371Nucleus:
             # next sync-point crossing -- the data path itself stays
             # entirely in the kernel.
             self.plumbing.notify(self.decaf.period_elapsed,
-                                 args=self._chip_args())
+                                 args=[(self.state.ensoniq, ensoniq)])
         return ret
 
     def k_request_irq(self, chip):
@@ -197,7 +185,7 @@ class Ens1371Nucleus:
             return 0
         card = self.linux.snd_card_new("AudioPCI-decaf")
         pcm = card.new_pcm("ES1371/1")
-        pcm.playback.ops = _PcmOpsStub(self)
+        pcm.playback.ops = self
         self.state.substream = pcm.playback
         self.card = card
         return 0
@@ -206,14 +194,6 @@ class Ens1371Nucleus:
         if self.card is not None and self.card.registered:
             return 0
         return self.linux.snd_card_register(self.card)
-
-    def k_register_card(self):
-        card = self.linux.snd_card_new("AudioPCI-decaf")
-        pcm = card.new_pcm("ES1371/1")
-        pcm.playback.ops = _PcmOpsStub(self)
-        self.state.substream = pcm.playback
-        self.card = card
-        return self.linux.snd_card_register(card)
 
     def k_free_card(self):
         if self.card is not None:
@@ -261,32 +241,8 @@ class Ens1371Nucleus:
         return 0
 
     def rebuild_user_half(self):
-        self.decaf = Ens1371DecafDriver(self.plumbing.decaf_rt, self)
-
-
-class _PcmOpsStub:
-    """Ops table whose entries are the nucleus's XPC stubs."""
-
-    def __init__(self, nucleus):
-        self._n = nucleus
-
-    def open(self, substream):
-        return self._n.stub_open(substream)
-
-    def close(self, substream):
-        return self._n.stub_close(substream)
-
-    def hw_params(self, substream):
-        return self._n.stub_hw_params(substream)
-
-    def prepare(self, substream):
-        return self._n.stub_prepare(substream)
-
-    def trigger(self, substream, cmd):
-        return self._n.stub_trigger(substream, cmd)
-
-    def pointer(self, substream):
-        return self._n.op_pointer(substream)
+        self.decaf = Ens1371DecafDriver(self.plumbing.decaf_rt,
+                                        self.plumbing.down)
 
 
 def _require_mutex_library():

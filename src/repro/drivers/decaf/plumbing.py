@@ -12,8 +12,16 @@ hand-maintained field lists.  Slicing happens at build time
 tier-1 test fails when that table is stale), so a probe only turns the
 checked-in table into a :class:`MarshalPlan` and never imports the
 slicer's source analysis.
+
+The XPC stubs are one generic stub per direction, made once per
+nucleus class by :func:`xpc_stubs` (section 2.3, Figure 2).
+``plumbing.down`` is the decaf driver's only way into the kernel: one
+stub per ``k_*`` entry point of its nucleus.  ``plumbing.up`` is the
+nucleus's way up: one stub per method in the nucleus's ``UPCALLS``
+table, which also declares how each call is replayed after a restart.
 """
 
+from ...core.cstruct import CStruct
 from ...core.domains import DomainManager
 from ...core.marshal import MarshalPlan
 from ...core.runtime import DecafRuntime, NuclearRuntime
@@ -39,9 +47,90 @@ def slice_plan(driver_name):
     return plan
 
 
+# Replay classes for a nucleus's UPCALLS table: a successful call is
+# recorded for replay (latest-wins per method), drops the named replay
+# entries, or (None) leaves the log alone.
+RECORD = "record"
+
+
+def unrecord(*names):
+    return names
+
+
+def _split(args):
+    """Leading struct arguments marshal as their own class; the rest
+    pass through unmarshaled."""
+    n = 0
+    for arg in args:
+        if not isinstance(arg, CStruct):
+            break
+        n += 1
+    return [(arg, type(arg)) for arg in args[:n]], args[n:]
+
+
+class _Stubs:
+    __slots__ = ("_plumbing", "_nucleus")
+
+    def __init__(self, plumbing, nucleus):
+        self._plumbing = plumbing
+        self._nucleus = nucleus
+
+
+def _down_stub(name):
+    def stub(self, *args, exc=DriverException):
+        # The nucleus's current bound method: an entry point replaced
+        # on the instance is the one that crosses.
+        func = getattr(self._nucleus, name)
+        ret = self._plumbing.channel.downcall(func, *_split(args))
+        if isinstance(ret, int) and ret < 0:
+            raise exc("%s failed with errno %d"
+                      % (getattr(func, "__name__", func), ret), errno=ret)
+        return ret
+    stub.__name__ = stub.__qualname__ = name
+    return stub
+
+
+def _up_stub(name, replay):
+    def stub(self, *args):
+        plumbing = self._plumbing
+        ret = plumbing.upcall(getattr(self._nucleus.decaf, name),
+                              *_split(args))
+        if ret == 0 and replay is not None:
+            if replay == RECORD:
+                plumbing.record(getattr(self, name), *args)
+            else:
+                for entry in replay:
+                    plumbing.unrecord(entry)
+        return ret
+    stub.__name__ = stub.__qualname__ = name
+    return stub
+
+
+def xpc_stubs(cls):
+    """Class decorator for a driver nucleus: its two stub classes.
+
+    ``cls.Down`` has one downcall stub per kernel entry point (each
+    ``k_*`` method): ``down.k_x(struct, ..., scalar, ..., exc=E)``
+    marshals the leading structs, passes the rest through, and raises
+    ``E`` on a negative errno.  ``cls.Up`` has one upcall stub per
+    entry of ``cls.UPCALLS``, a ``{decaf method: replay class}`` table:
+    ``up.m(struct, ..., scalar, ...)`` bridges exceptions to errnos
+    (see :meth:`DecafPlumbing.upcall`) and applies the replay class.
+    """
+    cls.Down = type(cls.__name__ + "Down", (_Stubs,), {
+        "__slots__": (),
+        **{name: _down_stub(name) for name in dir(cls)
+           if name.startswith("k_")}})
+    cls.Up = type(cls.__name__ + "Up", (_Stubs,), {
+        "__slots__": (),
+        **{name: _up_stub(name, replay)
+           for name, replay in cls.UPCALLS.items()}})
+    return cls
+
+
 class DecafPlumbing:
     def __init__(self, kernel, driver_name, irq_line=None,
-                 weak_shared_objects=True, plan=None):
+                 weak_shared_objects=True, plan=None, nucleus=None):
         self.kernel = kernel
         self.driver_name = driver_name
         self.domains = DomainManager()
@@ -66,6 +155,9 @@ class DecafPlumbing:
         self.replay_log = ReplayLog()
         self.supervisor = None  # attached by repro.recovery.DriverSupervisor
         self.restarts = 0
+        if nucleus is not None:
+            self.down = nucleus.Down(self, nucleus)
+            self.up = nucleus.Up(self, nucleus)
 
     def _on_fault(self, exc, callsite):
         if self.supervisor is not None:
@@ -102,12 +194,12 @@ class DecafPlumbing:
     # -- recovery support -------------------------------------------------------
 
     def record(self, fn, *args):
-        """Record the nucleus entry point ``fn(*args)`` for
-        shadow-driver replay."""
+        """Record the entry point ``fn(*args)`` for shadow-driver
+        replay, under ``fn``'s name."""
         self.replay_log.record(fn, *args)
 
-    def unrecord(self, fn):
-        self.replay_log.remove(fn)
+    def unrecord(self, name):
+        self.replay_log.remove(name)
 
     def restart_user_half(self):
         """Replace the dead user-level half with a fresh one.
@@ -143,14 +235,3 @@ class DecafPlumbing:
         """
         self.channel.close()
         self.xpc.close()
-
-    def downcall_checked(self, func, args=(), extra=None, exc_type=None):
-        """Decaf -> kernel call that raises on a negative errno return."""
-        ret = self.channel.downcall(func, args, extra)
-        if isinstance(ret, int) and ret < 0:
-            raise (exc_type or DriverException)(
-                "%s failed with errno %d" % (getattr(func, "__name__", func),
-                                             ret),
-                errno=ret,
-            )
-        return ret

@@ -21,25 +21,22 @@ from ..legacy.psmouse import (
     PSMOUSE_RET_ID,
     PSMOUSE_STATE_ACTIVATED,
     PSMOUSE_STATE_CMD,
-    psmouse_struct,
 )
 from .exceptions import DriverException, ProtocolException
 
 
 class PsmouseDecafDriver:
-    def __init__(self, rt, nucleus):
+    def __init__(self, rt, down):
         self.rt = rt
-        self.nucleus = nucleus
+        self.down = down  # downcall stubs: the kernel entry points
         self.resyncs = 0
 
     # -- command plumbing ---------------------------------------------------------
 
     def command(self, command, params_out=0, params_in=()):
         """One PS/2 command via the kernel engine; raises on failure."""
-        err, responses = self.nucleus.plumbing.channel.downcall(
-            self.nucleus.k_ps2_command,
-            extra=(command, params_out, list(params_in)),
-        )
+        err, responses = self.down.k_ps2_command(command, params_out,
+                                                 list(params_in))
         if err:
             raise ProtocolException(
                 "PS/2 command %#04x failed" % command, errno=err
@@ -135,19 +132,11 @@ class PsmouseDecafDriver:
 
     def activate(self, psmouse):
         self.command(PSMOUSE_CMD_ENABLE)
-        self._down(self.nucleus.k_set_state, psmouse,
-                   extra=(PSMOUSE_STATE_ACTIVATED,))
+        self.down.k_set_state(psmouse, PSMOUSE_STATE_ACTIVATED)
 
     def deactivate(self, psmouse):
         self.try_command(PSMOUSE_CMD_DISABLE)
-        self._down(self.nucleus.k_set_state, psmouse,
-                   extra=(PSMOUSE_STATE_CMD,))
-
-    def _down(self, func, psmouse=None, extra=None):
-        args = [(psmouse, psmouse_struct)] if psmouse is not None else []
-        return self.nucleus.plumbing.downcall_checked(
-            func, args=args, extra=extra
-        )
+        self.down.k_set_state(psmouse, PSMOUSE_STATE_CMD)
 
     # -- connect / disconnect -------------------------------------------------------------
 
@@ -156,17 +145,17 @@ class PsmouseDecafDriver:
         self.reset(psmouse)
         self.extensions(psmouse)
         self.initialize(psmouse)
-        self._down(self.nucleus.k_register_input_device, psmouse)
+        self.down.k_register_input_device(psmouse)
         try:
             self.activate(psmouse)
         except DriverException:
-            self._down(self.nucleus.k_unregister_input_device)
+            self.down.k_unregister_input_device()
             raise
         return 0
 
     def disconnect(self, psmouse):
         self.deactivate(psmouse)
-        self._down(self.nucleus.k_unregister_input_device)
+        self.down.k_unregister_input_device()
         return 0
 
     # -- periodic resync check (timer -> work item -> here) -----------------------

@@ -10,10 +10,11 @@ code -- run in the decaf driver, issuing commands through the
 from ..legacy import psmouse as legacy
 from ..legacy.psmouse import DRV_NAME, psmouse_struct
 from ..modulebase import DecafDriverModule
-from .plumbing import DecafPlumbing
+from .plumbing import DecafPlumbing, xpc_stubs
 from .psmouse_decaf import PsmouseDecafDriver
 
 
+@xpc_stubs
 class PsmouseNucleus:
     def __init__(self, kernel):
         self.kernel = kernel
@@ -25,8 +26,14 @@ class PsmouseNucleus:
 
     # -- connect / disconnect (serio driver probe / remove) ----------------------
 
+    UPCALLS = {
+        "connect": None,  # recorded as _connect
+        "disconnect": None,
+        "resync_check": None,
+    }
+
     def probe(self, serio):
-        self.plumbing = DecafPlumbing(self.kernel, "psmouse")
+        self.plumbing = DecafPlumbing(self.kernel, "psmouse", nucleus=self)
         self.resync = self.plumbing.nuclear.defer_timer(
             self._resync_check, 1_000_000_000, "psmouse-resync")
         self.rebuild_user_half()
@@ -58,9 +65,7 @@ class PsmouseNucleus:
     def _connect(self):
         """The decaf connect, at probe and again in recovery replay; a
         supervised mouse (so, in replay) restarts its resync poll."""
-        ret = self.plumbing.upcall(
-            self.decaf.connect, args=[(self.state.psmouse, psmouse_struct)]
-        )
+        ret = self.plumbing.up.connect(self.state.psmouse)
         if ret == 0 and self.plumbing.supervisor is not None:
             self.resync.start()
         return ret
@@ -68,10 +73,7 @@ class PsmouseNucleus:
     def remove(self, serio):
         self.resync.stop()
         if self.decaf is not None and self.state.psmouse is not None:
-            self.plumbing.upcall(
-                self.decaf.disconnect,
-                args=[(self.state.psmouse, psmouse_struct)],
-            )
+            self.plumbing.up.disconnect(self.state.psmouse)
         serio.close()
         serio.drvdata = None
         self.state.psmouse = None
@@ -90,10 +92,7 @@ class PsmouseNucleus:
     def _resync_check(self):
         if self.decaf is None or self.state.psmouse is None:
             return False
-        self.plumbing.upcall(
-            self.decaf.resync_check,
-            args=[(self.state.psmouse, psmouse_struct)],
-        )
+        self.plumbing.up.resync_check(self.state.psmouse)
         return True
 
     # -- kernel entry points ------------------------------------------------------
@@ -157,7 +156,8 @@ class PsmouseNucleus:
         return 0
 
     def rebuild_user_half(self):
-        self.decaf = PsmouseDecafDriver(self.plumbing.decaf_rt, self)
+        self.decaf = PsmouseDecafDriver(self.plumbing.decaf_rt,
+                                        self.plumbing.down)
 
 
 def make_module():

@@ -5,8 +5,8 @@ the paper's case study rewrites E1000 code: a class instead of free
 functions, checked exceptions instead of integer error codes, and
 cleanup expressed with nested handlers (Figure 4) instead of goto
 chains.  Hardware is touched only through the decaf runtime's helper
-routines; kernel-only operations go through downcalls to the nucleus's
-kernel entry points.
+routines; kernel-only operations go through ``down``, the downcall
+stubs for the kernel entry points.
 """
 
 from .exceptions import (
@@ -33,90 +33,69 @@ from ..legacy.rtl8139 import (
 class Rtl8139DecafDriver:
     """User-level 8139too logic."""
 
-    def __init__(self, rt, nucleus):
+    def __init__(self, rt, down):
         self.rt = rt          # decaf runtime (helpers: port I/O, sleep)
-        self.nucleus = nucleus
-        self.plumbing = None  # set after construction by the nucleus
+        self.down = down      # downcall stubs: the kernel entry points
         self.have_thread = False
-
-    # -- helpers ---------------------------------------------------------------
-
-    def _down(self, func, args=(), extra=None, exc=DriverException):
-        """Downcall into the nucleus, raising on errno."""
-        return self.nucleus.plumbing.downcall_checked(
-            func, args=args, extra=extra, exc_type=exc
-        )
 
     # -- probe: converted from rtl8139_init_one ---------------------------------
 
     def init_one(self, tp):
         """Bring up the board.  Raises on failure (Fig. 4 style)."""
-        from ..legacy.rtl8139 import rtl8139_private
-
         tp.msg_enable = 7
         tp.tx_flag = 0
 
-        self._down(self.nucleus.k_init_board,
-                   args=[(tp, rtl8139_private)], exc=HardwareException)
+        self.down.k_init_board(tp, exc=HardwareException)
         try:
-            self._down(self.nucleus.k_read_mac,
-                       args=[(tp, rtl8139_private)], exc=HardwareException)
+            self.down.k_read_mac(tp, exc=HardwareException)
             try:
-                self._down(self.nucleus.k_register_netdev,
-                           args=[(tp, rtl8139_private)],
-                           exc=ResourceException)
+                self.down.k_register_netdev(tp, exc=ResourceException)
             except DriverException:
                 raise
         except DriverException:
-            self._down(self.nucleus.k_unregister_netdev)
+            self.down.k_unregister_netdev()
             raise
         return 0
 
     def remove_one(self):
-        self._down(self.nucleus.k_unregister_netdev)
+        self.down.k_unregister_netdev()
         return 0
 
     # -- open/close: converted from rtl8139_open / rtl8139_close ------------------
 
     def open(self, tp):
-        from ..legacy.rtl8139 import rtl8139_private
-
-        self._down(self.nucleus.k_request_irq,
-                   args=[(tp, rtl8139_private)], exc=ResourceException)
+        self.down.k_request_irq(tp, exc=ResourceException)
         try:
-            self._down(self.nucleus.k_alloc_rings, exc=ResourceException)
+            self.down.k_alloc_rings(exc=ResourceException)
             try:
                 tp.tx_flag = 0
                 tp.cur_rx = 0
                 tp.cur_tx = 0
                 tp.dirty_tx = 0
-                self._down(self.nucleus.k_hw_start,
-                           args=[(tp, rtl8139_private)],
-                           exc=HardwareException)
+                # The kernel arms the link watch as part of hw_start.
+                self.down.k_hw_start(tp, exc=HardwareException)
                 self.start_thread(tp)
             except DriverException:
-                self._down(self.nucleus.k_free_rings)
+                self.down.k_free_rings()
                 raise
         except DriverException:
-            self._down(self.nucleus.k_free_irq,
-                       args=[(tp, rtl8139_private)])
+            self.down.k_free_irq(tp)
             raise
         return 0
 
     def close(self, tp):
-        from ..legacy.rtl8139 import rtl8139_private
-
-        self._down(self.nucleus.k_netif_stop)
+        self.down.k_netif_stop()
         # Halt the chip before tearing anything down (as the legacy
         # close does): masked interrupts, rx/tx engines stopped --
         # otherwise the device can keep DMAing into freed rings.
         self.rt.outw(0, tp.ioaddr + IMR)
         self.rt.outb(0, tp.ioaddr + CR)
         self.stop_thread(tp)
-        self._down(self.nucleus.k_free_irq, args=[(tp, rtl8139_private)])
+        # ... and k_free_irq cancels the link watch.
+        self.down.k_free_irq(tp)
         tp.cur_tx = 0
         tp.dirty_tx = 0
-        self._down(self.nucleus.k_free_rings)
+        self.down.k_free_rings()
         return 0
 
     # -- management: converted user-level functions ---------------------------------
@@ -144,20 +123,15 @@ class Rtl8139DecafDriver:
 
     def thread(self, tp):
         """Converted rtl8139_thread: media check every two seconds."""
-        from ..legacy.rtl8139 import rtl8139_private
-
         if not self.have_thread:
             return 0
-        self._down(self.nucleus.k_check_media,
-                   args=[(tp, rtl8139_private)])
+        self.down.k_check_media(tp)
         return 0
 
     def start_thread(self, tp):
         self.have_thread = True
         tp.have_thread = 1
-        self.nucleus.start_link_watch()
 
     def stop_thread(self, tp):
         self.have_thread = False
         tp.have_thread = 0
-        self.nucleus.stop_link_watch()

@@ -5,8 +5,9 @@ performance-critical functions -- interrupt handler, transmit, receive
 -- are the *same code* as the legacy driver (DriverSlicer leaves them
 in place); this module adds what the slicer generates around them:
 
-* XPC entry stubs for the driver-interface operations that moved to the
-  decaf driver (open, close, rx_mode, stats, ...);
+* the netdev ops, which call up to the driver-interface operations that
+  moved to the decaf driver (open, close, set_mac_address) or stay in
+  the kernel (rx_mode, stats, tx_timeout);
 * kernel entry points the decaf driver calls back into (chip reset,
   ring allocation, irq setup);
 * the body of the link watch, whose timer the nuclear runtime defers
@@ -16,10 +17,11 @@ in place); this module adds what the slicer generates around them:
 from ..legacy import rtl8139 as legacy
 from ..legacy.rtl8139 import DRV_NAME, rtl8139_private, rtl8139_stats
 from ..modulebase import DecafDriverModule
-from .plumbing import DecafPlumbing
+from .plumbing import RECORD, DecafPlumbing, unrecord, xpc_stubs
 from .rtl8139_decaf import Rtl8139DecafDriver
 
 
+@xpc_stubs
 class Rtl8139Nucleus:
     def __init__(self, kernel):
         self.kernel = kernel
@@ -36,7 +38,7 @@ class Rtl8139Nucleus:
     def probe(self, pdev):
         self.pdev = pdev
         self.plumbing = DecafPlumbing(self.kernel, "8139too",
-                                      irq_line=pdev.irq)
+                                      irq_line=pdev.irq, nucleus=self)
         self.link_watch = self.plumbing.nuclear.defer_timer(
             self._link_watch, 2_000_000_000, "8139too-thread")
         self.rebuild_user_half()
@@ -50,84 +52,67 @@ class Rtl8139Nucleus:
         self.plumbing.channel.kernel_tracker.register(tp)
         self.plumbing.channel.kernel_tracker.register(tp.stats)
 
-        ret = self._init_one()
+        ret = self.plumbing.up.init_one(tp)
         if ret:
             self.state.tp = None
-        else:
-            self.plumbing.record(self._init_one)
         return ret
-
-    def _init_one(self):
-        return self.plumbing.upcall(
-            self.decaf.init_one,
-            args=[(self.state.tp, rtl8139_private)],
-        )
 
     def remove(self, pdev):
         if self.decaf is None:
             return
-        self.plumbing.upcall(self.decaf.remove_one)
+        self.plumbing.up.remove_one()
         self.decaf = None
 
-    # -- netdev ops: stubs that transfer to user level -----------------------------
+    # -- netdev ops -------------------------------------------------------------------
 
-    def stub_open(self, dev):
-        ret = self.plumbing.upcall(
-            self.decaf.open, args=[(self.state.tp, rtl8139_private)]
-        )
-        if ret == 0:
-            self.plumbing.record(self.stub_open, dev)
-        return ret
+    UPCALLS = {
+        "init_one": RECORD,
+        "remove_one": None,
+        "open": RECORD,
+        "close": unrecord("open"),
+        "set_mac_address": None,  # recorded by set_mac_address below
+        "thread": None,
+    }
 
-    def stub_close(self, dev):
-        ret = self.plumbing.upcall(
-            self.decaf.close, args=[(self.state.tp, rtl8139_private)]
-        )
-        if ret == 0:
-            self.plumbing.unrecord(self.stub_open)
-        return ret
+    def open(self, dev):
+        return self.plumbing.up.open(self.state.tp)
 
-    def stub_get_stats(self, dev):
+    def stop(self, dev):
+        return self.plumbing.up.close(self.state.tp)
+
+    def get_stats(self, dev):
         # Cheap accessor: served from the kernel copy, as the real
         # driver nucleus does for hot paths.
         return dev.stats
 
-    def stub_set_rx_mode(self, dev):
+    def set_rx_mode(self, dev):
         # rx_mode programming is reachable from the data path too
         # (rtl8139_hw_start); the kernel implementation is reused.
         return legacy.rtl8139_set_rx_mode(dev)
 
-    def stub_set_mac_address(self, dev, addr):
-        ret = self.plumbing.upcall(
-            self.decaf.set_mac_address,
-            args=[(self.state.tp, rtl8139_private)],
-            extra=(list(addr),),
-        )
+    def set_mac_address(self, dev, addr):
+        ret = self.plumbing.up.set_mac_address(self.state.tp, list(addr))
         if ret == 0:
             # The netdev is kernel state; mirror what the legacy driver
             # does after programming IDR (the user half only sees tp).
+            # Replay mirrors it again, so this op is the replay entry.
             dev.dev_addr = bytes(addr)
-            self.plumbing.record(self.stub_set_mac_address, dev, list(addr))
+            self.plumbing.record(self.set_mac_address, dev, list(addr))
         return ret
 
-    def stub_tx_timeout(self, dev):
+    def tx_timeout(self, dev):
         # Must run at high priority; stays kernel.
         return legacy.rtl8139_tx_timeout(dev)
 
     # -- link watch: the nuclear runtime defers its timer to a work item ----
-
-    def start_link_watch(self):
-        self.link_watch.start()
-
-    def stop_link_watch(self):
-        self.link_watch.stop()
+    #
+    # Armed by k_hw_start and cancelled by k_free_irq, in the order
+    # rtl8139_open/rtl8139_close start and stop the legacy thread.
 
     def _link_watch(self):
         if self.decaf is None or self.state.tp is None:
             return False
-        self.plumbing.upcall(
-            self.decaf.thread, args=[(self.state.tp, rtl8139_private)]
-        )
+        self.plumbing.up.thread(self.state.tp)
         return True
 
     # -- kernel entry points (downcalls from the decaf driver) -----------------------
@@ -154,13 +139,13 @@ class Rtl8139Nucleus:
         dev = self.linux.alloc_etherdev("eth%d")
         dev.dev_addr = bytes(tp.mac_addr)
         dev.priv = tp
-        dev.open = self.stub_open
-        dev.stop = self.stub_close
+        dev.open = self.open
+        dev.stop = self.stop
         dev.hard_start_xmit = legacy.rtl8139_start_xmit
-        dev.get_stats = self.stub_get_stats
-        dev.set_multicast_list = self.stub_set_rx_mode
-        dev.set_mac_address = self.stub_set_mac_address
-        dev.tx_timeout = self.stub_tx_timeout
+        dev.get_stats = self.get_stats
+        dev.set_multicast_list = self.set_rx_mode
+        dev.set_mac_address = self.set_mac_address
+        dev.tx_timeout = self.tx_timeout
         dev.irq = tp.irq
         dev.base_addr = tp.ioaddr
         self.state.netdev = self.pdev.driver_data = dev
@@ -184,6 +169,7 @@ class Rtl8139Nucleus:
         return ret
 
     def k_free_irq(self, tp):
+        self.link_watch.stop()
         # NAPI must be gone (line unmasked) before free_irq: free_irq
         # does not reset the line's disable depth.
         legacy.rtl8139_napi_del(self.state)
@@ -209,7 +195,9 @@ class Rtl8139Nucleus:
         return 0
 
     def k_hw_start(self, tp):
-        return legacy.rtl8139_hw_start(self.state.netdev)
+        ret = legacy.rtl8139_hw_start(self.state.netdev)
+        self.link_watch.start()
+        return ret
 
     def k_netif_stop(self):
         self.linux.netif_stop_queue(self.state.netdev)
@@ -228,7 +216,7 @@ class Rtl8139Nucleus:
         netdev registered for the replayed probe to reuse.  Returns the
         number of in-flight TX packets discarded.
         """
-        self.stop_link_watch()
+        self.link_watch.stop()
         tp = self.state.tp
         if tp is None:
             return 0
@@ -246,7 +234,8 @@ class Rtl8139Nucleus:
         return lost
 
     def rebuild_user_half(self):
-        self.decaf = Rtl8139DecafDriver(self.plumbing.decaf_rt, self)
+        self.decaf = Rtl8139DecafDriver(self.plumbing.decaf_rt,
+                                        self.plumbing.down)
 
 
 def make_module(napi=True):

@@ -7,58 +7,48 @@ sequences controller bring-up through kernel entry points, with
 exception-based unwind.
 """
 
-from ..legacy.uhci_hcd import uhci_hcd_state
 from .exceptions import DriverException, HardwareException, ResourceException
 
 
 class UhciDecafDriver:
-    def __init__(self, rt, nucleus):
+    def __init__(self, rt, down):
         self.rt = rt
-        self.nucleus = nucleus
+        self.down = down  # downcall stubs: the kernel entry points
         self.rh_polls = 0
         self.port_changes = 0
         self._last_status = {}
 
-    def _down(self, func, uhci=None, extra=None, exc=DriverException):
-        args = [(uhci, uhci_hcd_state)] if uhci is not None else []
-        return self.nucleus.plumbing.downcall_checked(
-            func, args=args, extra=extra, exc_type=exc
-        )
-
     def probe(self, uhci):
         """Converted uhci_pci_probe: bring-up with nested unwind."""
-        self._down(self.nucleus.k_pci_setup, uhci, exc=ResourceException)
+        self.down.k_pci_setup(uhci, exc=ResourceException)
         try:
-            self._down(self.nucleus.k_reset_hc, uhci,
-                       exc=HardwareException)
-            self._down(self.nucleus.k_request_irq, uhci,
-                       exc=ResourceException)
+            self.down.k_reset_hc(uhci, exc=HardwareException)
+            self.down.k_request_irq(uhci, exc=ResourceException)
             try:
-                self._down(self.nucleus.k_start, uhci,
-                           exc=HardwareException)
+                self.down.k_start(uhci, exc=HardwareException)
             except DriverException:
-                self._down(self.nucleus.k_free_irq, uhci)
+                self.down.k_free_irq(uhci)
                 raise
         except DriverException:
-            self._down(self.nucleus.k_pci_teardown)
+            self.down.k_pci_teardown()
             raise
         return 0
 
     def remove(self, uhci):
-        self._down(self.nucleus.k_stop, uhci)
-        self._down(self.nucleus.k_free_irq, uhci)
-        self._down(self.nucleus.k_pci_teardown)
+        self.down.k_stop(uhci)
+        self.down.k_free_irq(uhci)
+        self.down.k_pci_teardown()
         return 0
 
     def suspend(self, uhci):
         """Converted suspend path: halt the schedule."""
-        self._down(self.nucleus.k_stop, uhci)
+        self.down.k_stop(uhci)
         uhci.is_stopped = 1
         return 0
 
     def resume(self, uhci):
-        self._down(self.nucleus.k_reset_hc, uhci, exc=HardwareException)
-        self._down(self.nucleus.k_start, uhci, exc=HardwareException)
+        self.down.k_reset_hc(uhci, exc=HardwareException)
+        self.down.k_start(uhci, exc=HardwareException)
         uhci.is_stopped = 0
         return 0
 
@@ -72,7 +62,7 @@ class UhciDecafDriver:
         """
         self.rh_polls += 1
         for port in range(uhci.rh_numports):
-            status = self._down(self.nucleus.k_port_status, extra=(port,))
+            status = self.down.k_port_status(port)
             if self._last_status.get(port) is not None \
                     and self._last_status[port] != status:
                 self.port_changes += 1
@@ -88,7 +78,7 @@ class UhciDecafDriver:
         reattach just verifies the controller is alive instead of
         re-running bring-up against live hardware.
         """
-        if not self._down(self.nucleus.k_schedule_running):
+        if not self.down.k_schedule_running():
             raise HardwareException("controller schedule stopped")
         self._last_status = {}
         return 0

@@ -13,10 +13,11 @@ What *does* move is the probe/suspend orchestration, implemented in
 from ..legacy import uhci_hcd as legacy
 from ..legacy.uhci_hcd import DRV_NAME, UhciHcdOps, uhci_hcd_state
 from ..modulebase import DecafDriverModule
-from .plumbing import DecafPlumbing
+from .plumbing import DecafPlumbing, xpc_stubs
 from .uhci_decaf import UhciDecafDriver
 
 
+@xpc_stubs
 class UhciNucleus:
     def __init__(self, kernel):
         self.kernel = kernel
@@ -27,11 +28,20 @@ class UhciNucleus:
         self.pdev = None
         self.rh_poll = None
 
+    UPCALLS = {
+        "probe": None,  # replayed as _reattach
+        "reattach": None,
+        "remove": None,
+        "rh_status_check": None,
+        "suspend": None,
+        "resume": None,
+    }
+
     def probe(self, pdev):
         self.pdev = pdev
         self.state.pdev = pdev
         self.plumbing = DecafPlumbing(self.kernel, "uhci_hcd",
-                                      irq_line=pdev.irq)
+                                      irq_line=pdev.irq, nucleus=self)
         self.rh_poll = self.plumbing.nuclear.defer_timer(
             self._rh_status_check, 256_000_000, "uhci-rh-poll")
         self.rebuild_user_half()
@@ -44,9 +54,7 @@ class UhciNucleus:
         self.state.lock = self.linux.spin_lock_init("uhci")
         self.plumbing.channel.kernel_tracker.register(uhci)
 
-        ret = self.plumbing.upcall(
-            self.decaf.probe, args=[(uhci, uhci_hcd_state)]
-        )
+        ret = self.plumbing.up.probe(uhci)
         if ret:
             self.state.uhci = None
         else:
@@ -57,10 +65,7 @@ class UhciNucleus:
         """Probe, as recovery replays it: the controller is still
         running, so a light reattach verifies it instead of re-running
         bring-up against live hardware, and the poll restarts."""
-        ret = self.plumbing.upcall(
-            self.decaf.reattach,
-            args=[(self.state.uhci, uhci_hcd_state)],
-        )
+        ret = self.plumbing.up.reattach(self.state.uhci)
         if ret == 0:
             self.rh_poll.start()
         return ret
@@ -69,9 +74,7 @@ class UhciNucleus:
         if self.decaf is None:
             return
         self.rh_poll.stop()
-        self.plumbing.upcall(
-            self.decaf.remove, args=[(self.state.uhci, uhci_hcd_state)]
-        )
+        self.plumbing.up.remove(self.state.uhci)
         self.decaf = None
 
     # -- root-hub status poll: the nuclear runtime defers its timer ----
@@ -86,10 +89,7 @@ class UhciNucleus:
     def _rh_status_check(self):
         if self.decaf is None or self.state.uhci is None:
             return False
-        self.plumbing.upcall(
-            self.decaf.rh_status_check,
-            args=[(self.state.uhci, uhci_hcd_state)],
-        )
+        self.plumbing.up.rh_status_check(self.state.uhci)
         return True
 
     # -- kernel entry points ------------------------------------------------------
@@ -172,7 +172,8 @@ class UhciNucleus:
         return 0
 
     def rebuild_user_half(self):
-        self.decaf = UhciDecafDriver(self.plumbing.decaf_rt, self)
+        self.decaf = UhciDecafDriver(self.plumbing.decaf_rt,
+                                     self.plumbing.down)
 
 
 def make_module():

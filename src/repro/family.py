@@ -709,7 +709,7 @@ class Ens1371Family(DeviceFamily):
     def poke(self, inst):
         if (inst.decaf and inst.bound and inst.endpoint is not None
                 and inst.playing):
-            # Trigger stop/start is two upcalls through stub_trigger.
+            # Trigger stop/start is two upcalls through the trigger op.
             sound = inst.kernel.sound
             sound.pcm_trigger(inst.endpoint, SNDRV_PCM_TRIGGER_STOP)
             sound.pcm_trigger(inst.endpoint, SNDRV_PCM_TRIGGER_START)

@@ -1,4 +1,4 @@
-"""DriverSlicer: partitioning, stub generation, and marshaling codegen.
+"""DriverSlicer: partitioning, source splitting, and marshaling codegen.
 
 The reproduction of the paper's tool (section 3.2).  Where the original
 used CIL over C sources, this implementation uses Python's ``ast`` over
@@ -14,9 +14,16 @@ the legacy driver modules -- the analyses are language-independent:
   annotations and DECAF_XVAR marks;
 * :mod:`repro.slicer.xdrgen` -- XDR interface-spec generation with the
   Figure 3 pointer-to-array rewrite;
-* :mod:`repro.slicer.stubgen` -- generated Python stub source;
 * :mod:`repro.slicer.splitter` -- the two patched source trees;
-* :mod:`repro.slicer.report` -- Table 2 statistics.
+* :mod:`repro.slicer.report` -- Table 2 statistics;
+* :mod:`repro.slicer.decafanalysis` -- field accesses of the decaf
+  driver classes, and the entry-point specification;
+* :mod:`repro.slicer.plans` -- the build step that writes the marshal
+  plan table decaf probes load.
+
+The XPC stubs themselves are not generated source: one generic stub
+per direction, made per nucleus class from its ``k_*`` entry points and
+``UPCALLS`` table (:func:`repro.drivers.decaf.plumbing.xpc_stubs`).
 """
 
 from .callgraph import CallGraph, build_call_graph
@@ -25,7 +32,6 @@ from .partition import Partition, partition_driver
 from .accessanalysis import analyze_field_accesses, build_marshal_plan
 from .annotations import count_annotations, find_xvar_annotations
 from .xdrgen import generate_java_classes, generate_xdr_spec
-from .stubgen import generate_stubs
 from .splitter import split_driver_source
 from .report import conversion_report
 from .decafanalysis import (
@@ -47,7 +53,6 @@ __all__ = [
     "find_xvar_annotations",
     "generate_xdr_spec",
     "generate_java_classes",
-    "generate_stubs",
     "split_driver_source",
     "conversion_report",
     "analyze_decaf_accesses",

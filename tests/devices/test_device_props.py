@@ -110,19 +110,3 @@ class TestSlicerDeterminism:
         a = generate_xdr_spec(driver_struct_classes([e1000_main]))
         b = generate_xdr_spec(driver_struct_classes([e1000_main]))
         assert a == b
-
-    def test_stub_source_is_deterministic(self):
-        from repro.drivers.legacy import rtl8139
-        from repro.slicer import (
-            DRIVER_CONFIGS,
-            build_call_graph,
-            generate_stubs,
-            partition_driver,
-        )
-
-        config = DRIVER_CONFIGS["8139too"]
-        graph = build_call_graph([rtl8139])
-        partition = partition_driver(graph, config)
-        a = generate_stubs("8139too", partition, [rtl8139], config.type_hints)
-        b = generate_stubs("8139too", partition, [rtl8139], config.type_hints)
-        assert a == b

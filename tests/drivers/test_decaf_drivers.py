@@ -49,6 +49,31 @@ class TestDecafRtl8139:
         rig.kernel.run_for_s(5)
         assert rig.crossings() > before  # deferred-timer upcalls ran
 
+    def test_link_watch_armed_and_cancelled_by_the_kernel(self):
+        """The link-watch timer is kernel state: it is armed and
+        cancelled in the kernel domain (inside the hw_start and
+        free_irq entry points), never from the user half."""
+        rig = make_8139too_rig(decaf=True)
+        rig.insmod()
+        nucleus = rig.nucleus
+        poll = nucleus.link_watch
+        domains = nucleus.plumbing.domains
+        seen = []
+        start, stop = poll.start, poll.stop
+        poll.start = lambda: (seen.append(("start", domains.current)),
+                              start())
+        poll.stop = lambda: (seen.append(("stop", domains.current)),
+                             stop())
+        dev = rig.netdev()
+        before = rig.crossings()
+        assert rig.kernel.net.dev_open(dev) == 0
+        assert rig.kernel.net.dev_close(dev) == 0
+        assert ("start", "kernel") in seen and ("stop", "kernel") in seen
+        assert all(domain == "kernel" for _op, domain in seen), seen
+        assert poll.running is False
+        # Arming rode existing downcalls: open+close cost what they did.
+        assert rig.crossings() - before == 8
+
     def test_init_slower_than_native(self):
         native = make_8139too_rig(decaf=False)
         native.insmod()
@@ -222,11 +247,9 @@ class TestDecafUhci:
         rig.insmod()
         nucleus = rig.nucleus
         uhci = nucleus.state.uhci
-        assert nucleus.plumbing.upcall(
-            nucleus.decaf.suspend, args=[(uhci, type(uhci))]) == 0
+        assert nucleus.plumbing.up.suspend(uhci) == 0
         assert rig.device.sts & 0x20  # halted
-        assert nucleus.plumbing.upcall(
-            nucleus.decaf.resume, args=[(uhci, type(uhci))]) == 0
+        assert nucleus.plumbing.up.resume(uhci) == 0
         rig.kernel.run_for_ms(5)
         assert not rig.device.sts & 0x20
 
@@ -302,7 +325,7 @@ class TestE1000ComboLock:
 
         nucleus.k_down = slow_down
         try:
-            nucleus.stub_tx_timeout(dev)  # -> decaf reinit_locked
+            dev.tx_timeout(dev)  # -> decaf reinit_locked
         finally:
             nucleus.k_down = orig_down
         assert nucleus.watchdog_skips >= 1

@@ -64,9 +64,9 @@ class TestDecafSuspendResume:
         nucleus = rig.nucleus
 
         before = rig.crossings()
-        assert nucleus.stub_suspend() == 0
+        assert nucleus.plumbing.up.suspend(nucleus.adapter) == 0
         assert not rig.device.pci.enabled
-        assert nucleus.stub_resume() == 0
+        assert nucleus.plumbing.up.resume(nucleus.adapter) == 0
         rig.kernel.run_for_ms(60)
         # Suspend+resume is chatty: config-space save AND restore are
         # per-dword kernel calls (128+), exactly the rarely-executed
@@ -86,13 +86,13 @@ class TestDecafSuspendResume:
         rig = make_e1000_rig(decaf=True)
         rig.insmod()
         nucleus = rig.nucleus
-        assert nucleus.stub_suspend() == 0
+        assert nucleus.plumbing.up.suspend(nucleus.adapter) == 0
 
         def dead_mdic(value, rig=rig):
             rig.device.regs[0x20] = 0
 
         rig.device._write_mdic = dead_mdic
-        assert nucleus.stub_resume() < 0
+        assert nucleus.plumbing.up.resume(nucleus.adapter) < 0
 
     def test_behaviour_matches_legacy(self):
         from repro.drivers.legacy import e1000_main
@@ -105,8 +105,8 @@ class TestDecafSuspendResume:
             rig.kernel.run_for_ms(60)
             if decaf:
                 nucleus = rig.nucleus
-                assert nucleus.stub_suspend() == 0
-                assert nucleus.stub_resume() == 0
+                assert nucleus.plumbing.up.suspend(nucleus.adapter) == 0
+                assert nucleus.plumbing.up.resume(nucleus.adapter) == 0
             else:
                 assert e1000_main.e1000_suspend(rig.device.pci) == 0
                 assert e1000_main.e1000_resume(rig.device.pci) == 0

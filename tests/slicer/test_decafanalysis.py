@@ -5,6 +5,12 @@ import pytest
 from repro.drivers.decaf.e1000_decaf import E1000DecafDriver
 from repro.drivers.decaf.e1000_hw_decaf import E1000Hw
 from repro.drivers.decaf.ens1371_decaf import Ens1371DecafDriver
+
+# The analysis resolves the struct names in its type hints through the
+# struct registry, so the legacy module defining e1000_adapter must be
+# loaded (``repro.slicer.plans`` loads it through DRIVER_CONFIGS); the
+# decaf driver itself no longer imports it.
+from repro.drivers.legacy import e1000_main  # noqa: F401
 from repro.slicer import DRIVER_CONFIGS, build_call_graph, partition_driver
 from repro.slicer.decafanalysis import (
     analyze_decaf_accesses,
