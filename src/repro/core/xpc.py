@@ -729,9 +729,6 @@ class XpcChannel:
         # trip runs on behalf of the user-level half: an unchecked
         # exception anywhere in it (including a payload that fails to
         # decode) is a driver failure, not a kernel one.
-        prof = kernel.profiler
-        if prof is not None:
-            prof.push("xpc:%s" % self.name)
         try:
             twins = self._transfer_args(args, TO_USER)
             fwd = self.last_transfer
@@ -752,9 +749,6 @@ class XpcChannel:
                     cause=exc,
                 ) from exc
             raise
-        finally:
-            if prof is not None:
-                prof.pop()
         self._charge_kernel_crossing()
         if tracer is not None:
             # Before flush_deferred: the flush is its own crossing and

@@ -105,12 +105,14 @@ class E1000Nucleus:
         return self.plumbing.up.set_mac(self.adapter, list(addr))
 
     def change_mtu(self, dev, new_mtu):
-        # netif_running is kernel state the user half cannot read; it
-        # rides up with the call so a running adapter is reinitialized
-        # with the new frame size (as the legacy driver does).  Replay
-        # re-reads it, so this op is the replay entry.
+        # Whether the adapter is up is kernel state the user half cannot
+        # read; it rides up with the call so a running adapter is
+        # reinitialized with the new frame size (as the legacy driver
+        # does on netif_running).  It is read from the open's irq, not
+        # the netdev: replay runs this op with the netdev still up but
+        # before (or without) the replayed open, where a reinit fails.
         ret = self.plumbing.up.change_mtu(
-            self.adapter, new_mtu, 1 if dev.netif_running() else 0)
+            self.adapter, new_mtu, 1 if self.irq_requested else 0)
         if ret == 0:
             self.plumbing.record(self.change_mtu, dev, new_mtu)
         return ret

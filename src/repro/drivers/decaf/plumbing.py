@@ -181,6 +181,11 @@ class DecafPlumbing:
             return errno_of(exc)
         except DriverFailedError as exc:
             if self.supervisor is not None and self.supervisor.recover():
+                # The restart rebuilt the user half: a method of the
+                # dead instance is retried on the live one, by name.
+                live = self.supervisor.nucleus.decaf
+                if type(getattr(func, "__self__", None)) is type(live):
+                    func = getattr(live, func.__name__)
                 try:
                     ret = self.nuclear.upcall(func, args, extra)
                 except DriverException as exc2:

@@ -1,6 +1,6 @@
 """repro.health: the always-on kernel health plane.
 
-Four pieces layered over virtual time (see DESIGN.md "Health plane"):
+Three pieces layered over virtual time (see DESIGN.md "Health plane"):
 
 * :class:`KstatRegistry` -- the one counter namespace: named
   hierarchical counters/gauges, pulled lazily from subsystem providers
@@ -9,8 +9,6 @@ Four pieces layered over virtual time (see DESIGN.md "Health plane"):
   collecting, dumped as a JSON crash report on faults/watchdog fires.
 * :class:`Watchdogs` -- soft-lockup and hung-task/wedged-queue
   detection; feeds the recovery supervisor.
-* :class:`SamplingProfiler` -- a timer-driven sampler producing
-  flame-style stacks and exact per-CPU category attribution.
 
 CLIs: ``python -m repro.health.top`` (kstat "top" view, ``--watch``
 deltas) and ``python -m repro.health.postmortem`` (summarize a dump).
@@ -19,13 +17,11 @@ deltas) and ``python -m repro.health.postmortem`` (summarize a dump).
 from .flight import FlightRecorder
 from .kstat import KstatRegistry
 from .plane import HealthPlane
-from .profiler import SamplingProfiler
 from .watchdog import Watchdogs
 
 __all__ = [
     "FlightRecorder",
     "HealthPlane",
     "KstatRegistry",
-    "SamplingProfiler",
     "Watchdogs",
 ]

@@ -1,19 +1,17 @@
-"""The health plane: kstat + flight recorder + watchdogs + profiler.
+"""The health plane: kstat + flight recorder + watchdogs.
 
 One object wires the always-on pieces together::
 
     health = HealthPlane(kernel, dump_dir="health-dumps").install()
     ... run workloads ...
     health.summary()           # kstat snapshot + watchdog/flight state
-    health.start_profiler()    # opt-in sampling (heavier, still cheap)
 
 Installed, it costs almost nothing: the kstat registry is pull-only,
 the flight recorder is fed from cold paths (printk, faults, watchdog
 fires) or mirrored from an already-installed tracer, and the watchdog
 is one environmental event per ``period_ns`` of virtual time.
 ``benchmarks/test_health_overhead.py`` pins the contract: always-on
-overhead < 1% of the hottest workload's wall time, sampler-enabled
-< 5%.
+overhead < 1% of the hottest workload's wall time.
 
 Crash dumps: :meth:`dump` freezes ring + kstat + dmesg tail + per-CPU
 state into a dict (and a JSON file when ``dump_dir`` is set).  It is
@@ -25,7 +23,6 @@ import json
 import os
 
 from .flight import FlightRecorder, sanitize
-from .profiler import SamplingProfiler
 from .watchdog import Watchdogs
 
 DMESG_TAIL_LINES = 100
@@ -41,7 +38,6 @@ class HealthPlane:
                        else {"capacity": flight_capacity}))
         self.watchdog = (Watchdogs(kernel, self, **watchdog_thresholds)
                          if watchdogs else None)
-        self.profiler = None
         self.dumps = []          # dicts, in fire order (bounded below)
         self.max_dumps = 32
         self.dump_paths = []
@@ -73,7 +69,6 @@ class HealthPlane:
         kernel = self._kernel
         if self.watchdog is not None:
             self.watchdog.disarm()
-        self.stop_profiler()
         tracer = kernel.tracer
         if tracer is not None and tracer.flight is self.flight:
             tracer.flight = None
@@ -90,8 +85,6 @@ class HealthPlane:
         # Watchdog fires are kstat.inc'd as health.watchdog_fires.<kind>.
         if self.watchdog is not None:
             out["watchdog.checks"] = self.watchdog.checks
-        if self.profiler is not None:
-            out["profiler.samples"] = self.profiler.samples
         return out
 
     # -- registrations ------------------------------------------------------
@@ -113,22 +106,6 @@ class HealthPlane:
     def unregister_supervisor(self, supervisor):
         if supervisor in self.supervisors:
             self.supervisors.remove(supervisor)
-
-    # -- profiler -----------------------------------------------------------
-
-    def start_profiler(self, period_ns=None):
-        if self.profiler is not None:
-            return self.profiler
-        kwargs = {} if period_ns is None else {"period_ns": period_ns}
-        self.profiler = SamplingProfiler(self._kernel, **kwargs).install()
-        return self.profiler
-
-    def stop_profiler(self):
-        if self.profiler is not None:
-            self.profiler.uninstall()
-            profiler, self.profiler = self.profiler, None
-            return profiler
-        return None
 
     # -- crash-grade hooks --------------------------------------------------
 
@@ -209,15 +186,12 @@ class HealthPlane:
     # -- summaries ----------------------------------------------------------
 
     def summary(self):
-        """kstat snapshot plus flight-recorder, watchdog and profiler
-        state, in one JSON-ready dict."""
-        out = {
+        """kstat snapshot plus flight-recorder and watchdog state, in
+        one JSON-ready dict."""
+        return {
             "kstat": self._kernel.kstat.snapshot(),
             "flight": self.flight.snapshot(),
             "dumps": len(self.dumps),
             "watchdog_fires": (dict(self.watchdog.fires)
                                if self.watchdog is not None else {}),
         }
-        if self.profiler is not None:
-            out["profile"] = self.profiler.summary()
-        return out

@@ -25,10 +25,11 @@ Detectors (thresholds are virtual time; see DESIGN.md "Health plane"):
 
 A fire emits a ``health.watchdog`` tracepoint (if traced), a printk
 warning, a flight-recorder note + crash dump, and -- for wedged-queue
-fires -- feeds every registered :class:`~repro.recovery.DriverSupervisor`
-via ``note_wedge`` so a stalled decaf driver is restarted instead of
-staying silently dead.  Each (kind, target) stall fires once per
-episode; the latch clears when the condition resolves.
+fires -- feeds the registered :class:`~repro.recovery.DriverSupervisor`
+that owns the stalled netdev or channel via ``note_wedge``, so a stalled
+decaf driver is restarted instead of staying silently dead.  Each
+(kind, target) stall fires once per episode; the latch clears when the
+condition resolves.
 """
 
 # Local constant: this module must not import repro.kernel (the kernel
@@ -148,7 +149,7 @@ class Watchdogs:
                             "queue": "tx",
                             "stalled_ns": stalled_ns,
                             "tx_packets": dev.stats.tx_packets,
-                        }, wedge=True)
+                        }, stalled=dev)
                         continue
                 self._latched.discard(("hung_task", dev.name))
 
@@ -161,7 +162,7 @@ class Watchdogs:
                     self._fire("xpc_pending", channel.name, {
                         "pending": len(channel._deferred),
                         "pending_ns": pending_ns,
-                    }, wedge=True)
+                    }, stalled=channel)
                     continue
             self._latched.discard(("xpc_pending", channel.name))
 
@@ -170,7 +171,7 @@ class Watchdogs:
 
     # -- firing -------------------------------------------------------------
 
-    def _fire(self, kind, target, detail, wedge=False):
+    def _fire(self, kind, target, detail, stalled=None):
         key = (kind, target)
         if key in self._latched:
             return
@@ -201,10 +202,11 @@ class Watchdogs:
                     {"target": target, **detail})
         for hook in list(health.on_watchdog):
             hook(event)
-        if wedge:
+        if stalled is not None:
             reason = "%s watchdog: %s stalled" % (kind, target)
             for supervisor in list(health.supervisors):
-                supervisor.note_wedge(reason)
+                if supervisor.owns(stalled):
+                    supervisor.note_wedge(reason)
 
     def snapshot(self):
         return {

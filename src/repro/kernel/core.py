@@ -119,10 +119,6 @@ class Kernel:
         # None: flight recorder, stall watchdogs, crash dumps.  Cold
         # paths (printk, faults, lockdep) guard on this one attribute.
         self.health = None
-        # Sampling profiler (repro.health.SamplingProfiler) when
-        # installed; instrumented dispatch sites guard on it exactly
-        # like tracepoints guard on self.tracer.
-        self.profiler = None
         # Watchdog bookkeeping: depth of nested event dispatches and
         # the aggregate busy count when the outermost one entered.  A
         # nested watchdog check reading busy - entry sees how long the
@@ -385,12 +381,10 @@ class Kernel:
             acct = cur.acct
             acct._busy_ns += ns
             acct._by_category[category] += ns
-            acct.last_category = category
             agg = self.cpu
             if agg is not acct:
                 agg._busy_ns += ns
                 agg._by_category[category] += ns
-                agg.last_category = category
         if cur._defer_depth:
             cur._pending_charge_ns += ns
             return

@@ -268,15 +268,10 @@ class IrqController:
         self._local_disable_depth += 1
         context = cur.context
         context._irq_depth += 1
-        prof = kernel.profiler
-        if prof is not None:
-            prof.push("irq:%s" % (line.name or line.number))
         ret = IRQ_NONE
         try:
             ret = handler(line.number, line.dev_id)
         finally:
-            if prof is not None:
-                prof.pop()
             context._irq_depth -= 1
             # Emit before local_irq_enable: a latched IRQ delivered on
             # unmask would otherwise appear *before* this span in the

@@ -209,7 +209,6 @@ class NapiCore:
         self.softirq_runs += 1
         kernel.charge(kernel.costs.softirq_ns, "softirq")
         tracer = kernel.tracer
-        prof = kernel.profiler
         clock = kernel.clock
         run_start_ns = clock.now_ns if tracer is not None else 0
         # Drain run: the whole budget loop runs against hoisted
@@ -240,14 +239,7 @@ class NapiCore:
                 weight = napi.weight if napi.weight < budget else budget
                 if tracer is not None:
                     poll_start_ns = clock.now_ns
-                if prof is not None:
-                    prof.push("napi:%s" % napi.name)
-                    try:
-                        work = napi.poll(napi, weight)
-                    finally:
-                        prof.pop()
-                else:
-                    work = napi.poll(napi, weight)
+                work = napi.poll(napi, weight)
                 flush_rx_batch()
                 if tracer is not None:
                     latency = None

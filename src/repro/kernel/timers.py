@@ -64,21 +64,14 @@ class KernelTimer:
         self._event = None
         self.fired += 1
         kernel = self._kernel
-        prof = kernel.profiler
-        if prof is not None:
-            prof.push("timer:%s" % self.name)
-        try:
-            tracer = kernel.tracer
-            if tracer is None:
-                self.function(self.data)
-                return
-            start_ns = kernel.clock.now_ns
+        tracer = kernel.tracer
+        if tracer is None:
             self.function(self.data)
-            tracer.span("timer.fire", start_ns, {"timer": self.name},
-                        cat="timer")
-        finally:
-            if prof is not None:
-                prof.pop()
+            return
+        start_ns = kernel.clock.now_ns
+        self.function(self.data)
+        tracer.span("timer.fire", start_ns, {"timer": self.name},
+                    cat="timer")
 
 
 class WorkItem:
@@ -105,21 +98,14 @@ class WorkItem:
         self.executed += 1
         kernel = self._kernel
         kernel.charge(kernel.costs.context_switch_ns, "workqueue")
-        prof = kernel.profiler
-        if prof is not None:
-            prof.push("work:%s" % self.name)
-        try:
-            tracer = kernel.tracer
-            if tracer is None:
-                self.function(self.data)
-                return
-            start_ns = kernel.clock.now_ns
+        tracer = kernel.tracer
+        if tracer is None:
             self.function(self.data)
-            tracer.span("work.item", start_ns, {"work": self.name},
-                        cat="work")
-        finally:
-            if prof is not None:
-                prof.pop()
+            return
+        start_ns = kernel.clock.now_ns
+        self.function(self.data)
+        tracer.span("work.item", start_ns, {"work": self.name},
+                    cat="work")
 
 
 class Workqueue:

@@ -66,11 +66,6 @@ class CpuAccounting:
         self._by_category = defaultdict(int)
         self._window_start_ns = 0
         self._window_busy_start_ns = 0
-        # Most recent category charged; the sampling profiler uses it
-        # to label samples taken outside any instrumented frame.  (The
-        # inlined charge in irq dispatch skips this -- the profiler's
-        # frame stack covers that path.)
-        self.last_category = None
 
     @property
     def busy_ns(self):
@@ -82,7 +77,6 @@ class CpuAccounting:
             raise SimulationError("negative CPU charge: %d" % ns)
         self._busy_ns += ns
         self._by_category[category] += ns
-        self.last_category = category
 
     def category_ns(self, category):
         return self._by_category.get(category, 0)

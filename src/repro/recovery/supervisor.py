@@ -6,7 +6,8 @@ contained fault to :meth:`note_fault`.  Recovery runs either
 
 * **synchronously**, when ``DecafPlumbing.upcall`` catches a
   DriverFailedError and asks the supervisor to recover before retrying
-  the call once (the caller never sees the fault), or
+  the call once on the rebuilt user half (the caller never sees the
+  fault), or
 * **asynchronously**, via a work item scheduled from ``note_fault`` --
   the path taken when the fault surfaces in a deferred-notification
   flush, which has no caller to retry for.
@@ -141,6 +142,14 @@ class DriverSupervisor:
         if not self._work_pending and not self.in_progress:
             self._work_pending = True
             kernel.workqueue.schedule_work(self._work)
+
+    def owns(self, obj):
+        """True when ``obj`` -- a netdev or an XPC channel -- is this
+        driver's: its channel, or its device's ``driver_data``."""
+        if obj is self.channel:
+            return True
+        pdev = getattr(self.nucleus, "pdev", None)
+        return pdev is not None and pdev.driver_data is obj
 
     def note_wedge(self, reason):
         """Watchdog report: the driver is silently stalled, not faulted.

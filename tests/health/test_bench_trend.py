@@ -29,11 +29,9 @@ def _write_benches(root, datapath_speedup=2.3, health_always_on=0.002):
     (root / "BENCH_health.json").write_text(json.dumps({
         "netperf_recv_e1000": {
             "always_on_overhead_fraction": health_always_on,
-            "sampler_overhead_fraction": 0.01,
         },
         "netperf_recv_rtl8139": {
             "always_on_overhead_fraction": health_always_on,
-            "sampler_overhead_fraction": 0.02,
         },
     }))
 

@@ -1,4 +1,4 @@
-"""Health plane units: kstat registry, flight ring, profiler, watchdogs,
+"""Health plane units: kstat registry, flight ring, watchdogs,
 crash dumps, and the top/postmortem CLIs."""
 
 import io
@@ -123,41 +123,6 @@ class TestFlightRecorder:
             tracer.uninstall()
         assert not [e for e in tracer.events if e["name"] == "printk"]
         assert [r for r in health.flight.ring if r[2] == "printk"]
-
-
-# ---------------------------------------------------------------------------
-# sampling profiler
-# ---------------------------------------------------------------------------
-
-class TestProfiler:
-    def test_attributes_irq_frames(self, kernel, health):
-        kernel.irq.request_irq(
-            4, lambda i, d: kernel.consume(50_000, category="irq")
-            or IRQ_HANDLED, "hog")
-        prof = health.start_profiler(period_ns=1_000_000)
-        for _ in range(40):
-            kernel.run_for_ns(1_000_000)
-            kernel.irq.raise_irq(4)
-        assert prof.samples >= 39
-        flame = prof.flame()
-        assert any("irq" in key for key in flame)
-        cats = prof.by_category()
-        assert cats.get("cpu0.irq", 0) > 0
-
-    def test_idle_kernel_samples_idle(self, kernel, health):
-        prof = health.start_profiler(period_ns=1_000_000)
-        kernel.run_for_ns(10_000_000)
-        assert prof.idle_samples >= 9
-        assert "cpu0;idle" in prof.stacks
-
-    def test_uninstall_stops_ticking(self, kernel, health):
-        prof = health.start_profiler(period_ns=1_000_000)
-        kernel.run_for_ns(5_000_000)
-        taken = prof.samples
-        health.stop_profiler()
-        kernel.run_for_ns(10_000_000)
-        assert prof.samples == taken
-        assert kernel.profiler is None
 
 
 # ---------------------------------------------------------------------------

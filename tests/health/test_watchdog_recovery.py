@@ -15,7 +15,9 @@ import os
 import pytest
 
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
-from repro.health import postmortem
+from repro.fleet.slots import DeviceSlot
+from repro.health import HealthPlane, postmortem
+from repro.kernel import make_kernel
 from repro.workloads import make_e1000_rig, netperf_send
 
 # e1000 BAR0 at 0xF0000000; TDT (TX descriptor tail doorbell) at 0x3818.
@@ -111,3 +113,22 @@ def test_seeds_wedge_at_different_times(tmp_path):
         result, _rig = _run_wedged(seed, tmp_path / str(seed))
         packets.add(result.packets)
     assert len(packets) == 3
+
+
+def test_wedge_restarts_only_the_owning_driver():
+    """Two supervised NICs on one kernel: a stalled e1000 TX queue
+    restarts the e1000 driver and leaves the 8139too alone."""
+    kernel = make_kernel(nr_irqs=16)
+    HealthPlane(kernel, **HEALTH).install()
+    slots = [DeviceSlot(index, True, family).attach(kernel)
+             for index, family in enumerate(("e1000", "8139too"))]
+    for slot in slots:
+        slot.probe()
+    kernel.run_for_ms(60)
+    e1000, rtl8139 = slots
+    e1000.endpoint.netif_stop_queue()
+    kernel.run_for_ms(300)
+    assert (e1000.supervisor.wedges, e1000.supervisor.recoveries) == (1, 1)
+    assert (rtl8139.supervisor.wedges,
+            rtl8139.supervisor.recoveries) == (0, 0)
+    assert kernel.health.watchdog.fires["hung_task"] == 1

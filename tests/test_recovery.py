@@ -123,6 +123,54 @@ class TestRecoveryBudget:
                    for _ns, message in rig.kernel.log_lines)
 
 
+class TestSyncRecoveryRetry:
+    def test_retried_upcall_runs_on_the_live_user_half(self):
+        # The fault fires at the open upcall's entry; recovery rebuilds
+        # the user half and the retried open must configure *that*
+        # instance, or its link-watch thread never runs again.
+        rig = _supervised(make_8139too_rig, "Rtl8139DecafDriver.open")
+        assert rig.kernel.net.dev_open(rig.netdev()) == 0
+        assert rig.supervisor.recoveries == 1
+        assert rig.nucleus.decaf.have_thread
+        downcalls = rig.xpc.downcalls
+        rig.kernel.run_for_ns(5_000_000_000)
+        assert rig.xpc.downcalls > downcalls
+
+
+class TestMtuReplay:
+    @pytest.mark.parametrize("order", [
+        ("mtu", "open"),
+        ("open", "mtu", "close", "open"),
+        ("open", "mtu"),
+    ])
+    def test_e1000_recovers_with_the_new_mtu(self, order):
+        # The first two orders log change_mtu *before* open; its replay
+        # then runs on an adapter that is not up yet.
+        rig = make_e1000_rig(decaf=True)
+        rig.insmod()
+        rig.supervise()
+        dev = rig.netdev()
+        net = rig.kernel.net
+        for op in order:
+            if op == "open":
+                assert net.dev_open(dev) == 0
+            elif op == "close":
+                net.dev_close(dev)
+            else:
+                assert dev.change_mtu(dev, 9000) == 0
+        rig.inject_faults(FaultPlan([
+            FaultSpec("xpc_raise", callsite="watchdog", at=1),
+        ]))
+        rig.kernel.run_for_ns(5_000_000_000)
+        assert rig.kernel.kstat.snapshot()["faults.fired"] == 1
+        assert rig.supervisor.recoveries == 1
+        assert not rig.supervisor.gave_up
+        assert not rig.channel.failed
+        assert dev.netif_running()
+        assert dev.mtu == 9000
+        assert rig.nucleus.adapter.hw.max_frame_size == 9018
+
+
 class TestUnsupervisedContainment:
     def test_fault_is_contained_even_without_supervisor(self):
         # No supervisor attached: the boundary still contains the

@@ -35,10 +35,6 @@ FLOORS = [
      "netperf_recv_e1000.always_on_overhead_fraction", 0.01, "ceiling"),
     ("BENCH_health.json",
      "netperf_recv_rtl8139.always_on_overhead_fraction", 0.01, "ceiling"),
-    ("BENCH_health.json",
-     "netperf_recv_e1000.sampler_overhead_fraction", 0.05, "ceiling"),
-    ("BENCH_health.json",
-     "netperf_recv_rtl8139.sampler_overhead_fraction", 0.05, "ceiling"),
     ("BENCH_fleet.json", "events_per_sec", 4000.0, "floor"),
     ("BENCH_fleet.json", "wall_s_per_virtual_ms", 0.04, "ceiling"),
     ("BENCH_fleet.json", "recovery_rate", 0.99, "floor"),
