@@ -303,14 +303,8 @@ class XpcChannel:
         self._reap_handle = _handle_reaper(weakref.ref(self))
         self._canonical_map = {}
         self._deferred = []
-        # Virtual timestamp of the oldest queued notification; None
-        # when the queue is empty.  The xpc-pending watchdog reads it.
-        self._deferred_since_ns = None
         self._flushing = False
         self.closed = False
-        health = xpc.kernel.health
-        if health is not None:
-            health.watch_channel(self)
         # Failure boundary (opt-in): DecafPlumbing installs a
         # FailurePolicy; a bare channel propagates everything.
         self.failure_policy = None
@@ -371,13 +365,9 @@ class XpcChannel:
         if self.closed:
             return
         self.closed = True
-        health = self.xpc.kernel.health
-        if health is not None:
-            health.unwatch_channel(self)
         if self._deferred:
             self.xpc.deferred_dropped += len(self._deferred)
             self._deferred.clear()
-        self._deferred_since_ns = None
         self.release_handles()
         self._canonical_map.clear()
         # Associations made by this driver instance must not survive it:
@@ -398,7 +388,6 @@ class XpcChannel:
         if self._deferred:
             self.xpc.deferred_dropped += len(self._deferred)
             self._deferred.clear()
-        self._deferred_since_ns = None
         self.release_handles()
         self._canonical_map.clear()
         self.user_tracker.clear()
@@ -608,8 +597,6 @@ class XpcChannel:
                 self._deferred[i] = (func, list(args), extra)
                 self.xpc.deferred_coalesced += 1
                 return
-        if not self._deferred:
-            self._deferred_since_ns = self.xpc.kernel.clock.now_ns
         self._deferred.append((func, list(args), extra))
 
     def pending_deferred(self):
@@ -631,7 +618,6 @@ class XpcChannel:
             # The user-level half is dead; its notifications go nowhere.
             self.xpc.deferred_dropped += len(self._deferred)
             self._deferred.clear()
-            self._deferred_since_ns = None
             return 0
         kernel = self.xpc.kernel
         kernel.context.might_sleep("XPC deferred-notification flush")
@@ -645,7 +631,6 @@ class XpcChannel:
         try:
             batch = self._deferred
             self._deferred = []
-            self._deferred_since_ns = None
             self.xpc.deferred_flushes += 1
             self.xpc.kernel_user_crossings += 1
             self._charge_batch_crossing(len(batch))

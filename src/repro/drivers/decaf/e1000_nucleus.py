@@ -336,10 +336,11 @@ class E1000Nucleus:
     def fault_quiesce(self):
         """Silence the device after a user-half failure; kernel side only.
 
-        Mirrors ``k_down`` plus resource teardown, but never crosses to
-        user level (the half that would answer is dead).  The netdev
-        stays registered -- its identity is preserved across recovery.
-        Returns the number of in-flight TX packets discarded.
+        Runs the kernel-side teardown entry points (``k_down`` and the
+        frees) directly, never crossing to user level (the half that
+        would answer is dead).  The netdev stays registered -- its
+        identity is preserved across recovery.  Returns the number of
+        in-flight TX packets discarded.
         """
         self.k_stop_watchdog()
         adapter = self.adapter
@@ -347,19 +348,12 @@ class E1000Nucleus:
             return 0
         lost = 0
         if self.irq_requested:
-            hw = adapter.hw
             tx = adapter.tx_ring
             lost = (tx.next_to_use - tx.next_to_clean) % tx.count
-            self.kernel.io.writel(0xFFFFFFFF, hw.hw_addr + hw_defs.IMC)
-            legacy.e1000_irq_disable_extra(adapter)
-            legacy.e1000_napi_down(self.state)
-            self.linux.netif_stop_queue(self.netdev)
-            self.linux.netif_carrier_off(self.netdev)
-            legacy.e1000_clean_all_tx_rings(adapter)
-            legacy.e1000_clean_all_rx_rings(adapter)
+            self.k_down(adapter)
             self.k_free_irq()
-            legacy.e1000_free_all_tx_resources(adapter)
-            legacy.e1000_free_all_rx_resources(adapter)
+            self.k_free_tx_resources(adapter)
+            self.k_free_rx_resources(adapter)
         self.k_pci_teardown()
         return lost
 

@@ -3,17 +3,19 @@
 A bounded ring of compact ``(ts_ns, cpu, name, args)`` records that is
 *always* collecting while the health plane is installed -- independent
 of whether a ktrace :class:`~repro.trace.Tracer` is attached, and
-independent of any tracer's enable-filter.  It is fed from three
-directions:
+independent of any tracer's enable-filter.  Each record has exactly one
+writer:
 
-1. ``Kernel.printk`` mirrors every log line here (printk is cold).
-2. Cold control-plane sites call :meth:`note` directly: watchdog fires,
-   fault injection, XPC boundary containment, recovery steps, lockdep
-   reports.
-3. When a ktrace tracer *is* installed, it mirrors every emitted
-   tracepoint into this ring before applying its enable-filter
-   (``Tracer.instant`` / ``Tracer.span``), so a traced run's ring holds
-   the full recent event stream.
+1. With no tracer installed, ``Kernel.printk`` notes every log line
+   here (printk is cold), and the health plane's cold sites call
+   :meth:`note` directly: watchdog fires, XPC boundary containment,
+   lockdep reports.  Fault injection and recovery steps never note;
+   they reach the ring through their printk lines.
+2. With a ktrace tracer installed, none of those sites note: the
+   tracer mirrors every emitted tracepoint (printk, ``xpc.fault``,
+   ``health.watchdog``, ``recovery.*`` ...) into this ring before
+   applying its enable-filter (``Tracer.instant`` / ``Tracer.span``),
+   so a traced run's ring holds the full recent event stream.
 
 On a crash-grade condition (boundary fault, watchdog fire, lockdep
 report) :meth:`HealthPlane.dump` freezes the ring into a JSON crash
@@ -49,12 +51,6 @@ class FlightRecorder:
         """Tracer-side mirroring entry point (pre-built fields)."""
         self.recorded += 1
         self.ring.append((ts_ns, cpu, name, args))
-
-    def tail(self, n=None):
-        """Newest-last list of records (the whole ring by default)."""
-        if n is None or n >= len(self.ring):
-            return list(self.ring)
-        return list(self.ring)[-n:]
 
     def snapshot(self):
         return {

@@ -7,9 +7,11 @@ One object wires the always-on pieces together::
     health.summary()           # kstat snapshot + watchdog/flight state
 
 Installed, it costs almost nothing: the kstat registry is pull-only,
-the flight recorder is fed from cold paths (printk, faults, watchdog
-fires) or mirrored from an already-installed tracer, and the watchdog
-is one environmental event per ``period_ns`` of virtual time.
+the flight recorder is fed from cold paths (printk, boundary faults,
+lockdep reports, watchdog fires) or mirrored from an installed tracer,
+and the watchdog is one environmental event per ``period_ns`` of
+virtual time.  It observes: on a healthy run it changes no counter, no
+clock and no crossing (``tests/health/test_health_invariance.py``).
 ``benchmarks/test_health_overhead.py`` pins the contract: always-on
 overhead < 1% of the hottest workload's wall time.
 
@@ -41,7 +43,6 @@ class HealthPlane:
         self.dumps = []          # dicts, in fire order (bounded below)
         self.max_dumps = 32
         self.dump_paths = []
-        self.channels = []       # XPC channels under hung-upcall watch
         self.supervisors = []    # DriverSupervisors fed by wedge fires
         self.on_watchdog = []    # callbacks: hook(WatchdogEvent)
         self.installed = False
@@ -80,24 +81,14 @@ class HealthPlane:
         out = {
             "flight.recorded": self.flight.recorded,
             "flight.buffered": len(self.flight.ring),
-            "dumps": len(self.dumps),
         }
-        # Watchdog fires are kstat.inc'd as health.watchdog_fires.<kind>.
+        # Watchdog fires and dumps are kstat.inc'd, as
+        # health.watchdog_fires.<kind> and health.dumps_written.
         if self.watchdog is not None:
             out["watchdog.checks"] = self.watchdog.checks
         return out
 
     # -- registrations ------------------------------------------------------
-
-    def watch_channel(self, channel):
-        """Put an XPC channel under the hung-upcall watchdog."""
-        if channel not in self.channels:
-            self.channels.append(channel)
-
-    def unwatch_channel(self, channel):
-        """Drop a closed channel from the watch list (hotplug churn)."""
-        if channel in self.channels:
-            self.channels.remove(channel)
 
     def register_supervisor(self, supervisor):
         if supervisor not in self.supervisors:
@@ -108,20 +99,24 @@ class HealthPlane:
             self.supervisors.remove(supervisor)
 
     # -- crash-grade hooks --------------------------------------------------
+    # Traced, the caller's xpc.fault / lockdep.report instant is already
+    # mirrored into the ring: note only untraced (one writer a record).
 
     def on_boundary_fault(self, driver, callsite, exc):
         """XPC containment marked a driver FAILED: record + dump."""
-        self.flight.note("xpc.fault", {
-            "driver": driver, "callsite": callsite,
-            "exc": type(exc).__name__, "msg": str(exc),
-        })
+        if self._kernel.tracer is None:
+            self.flight.note("xpc.fault", {
+                "driver": driver, "callsite": callsite,
+                "exc": type(exc).__name__, "msg": str(exc),
+            })
         self.dump("boundary-fault", {
             "driver": driver, "callsite": callsite,
             "exc": type(exc).__name__,
         })
 
     def on_lockdep_report(self, kind, message):
-        self.flight.note("lockdep.report", {"kind": kind, "msg": message})
+        if self._kernel.tracer is None:
+            self.flight.note("lockdep.report", {"kind": kind, "msg": message})
         self.dump("lockdep:%s" % kind, {"msg": message})
 
     # -- crash dumps ---------------------------------------------------------

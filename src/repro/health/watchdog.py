@@ -17,17 +17,21 @@ Detectors (thresholds are virtual time; see DESIGN.md "Health plane"):
   CPU -- the analog of 20 s in kernel mode with the softirq watchdog
   kthread starved.
 
-* **hung task / wedged queue** -- a netdev whose TX queue has been
-  stopped for more than ``hung_task_ns`` (the driver lost its TX
-  completions: classic wedged-device signature), or an XPC channel
-  whose deferred-upcall queue has been pending longer than
-  ``xpc_pending_ns`` without a flush.
+* **hung task** -- a running netdev whose TX queue has been stopped
+  for more than ``hung_task_ns`` (the driver lost its TX completions:
+  classic wedged-device signature).  A netdev whose owning supervisor
+  has a recovery pending is skipped: its queue is parked by the
+  restart itself, not by a wedge.
+
+There is no detector on XPC deferred-notification queues: a queued
+one-way notification waits for the next crossing by design, so a long
+wait is healthy, never a hung handler (DESIGN.md "Health plane").
 
 A fire emits a ``health.watchdog`` tracepoint (if traced), a printk
-warning, a flight-recorder note + crash dump, and -- for wedged-queue
+warning, a flight-recorder note + crash dump, and -- for hung-task
 fires -- feeds the registered :class:`~repro.recovery.DriverSupervisor`
-that owns the stalled netdev or channel via ``note_wedge``, so a stalled
-decaf driver is restarted instead of staying silently dead.  Each
+that owns the stalled netdev via ``note_wedge``, so a stalled decaf
+driver is restarted instead of staying silently dead.  Each
 (kind, target) stall fires once per episode; the latch clears when the
 condition resolves.
 """
@@ -40,7 +44,6 @@ NSEC_PER_MSEC = 1_000_000
 DEFAULT_PERIOD_NS = 10 * NSEC_PER_MSEC
 DEFAULT_SOFT_LOCKUP_NS = 100 * NSEC_PER_MSEC
 DEFAULT_HUNG_TASK_NS = 100 * NSEC_PER_MSEC
-DEFAULT_XPC_PENDING_NS = 100 * NSEC_PER_MSEC
 
 
 class WatchdogEvent:
@@ -63,16 +66,14 @@ class Watchdogs:
     def __init__(self, kernel, health,
                  period_ns=DEFAULT_PERIOD_NS,
                  soft_lockup_ns=DEFAULT_SOFT_LOCKUP_NS,
-                 hung_task_ns=DEFAULT_HUNG_TASK_NS,
-                 xpc_pending_ns=DEFAULT_XPC_PENDING_NS):
+                 hung_task_ns=DEFAULT_HUNG_TASK_NS):
         self._kernel = kernel
         self._health = health
         self.period_ns = period_ns
         self.soft_lockup_ns = soft_lockup_ns
         self.hung_task_ns = hung_task_ns
-        self.xpc_pending_ns = xpc_pending_ns
         self.checks = 0
-        self.fires = {"soft_lockup": 0, "hung_task": 0, "xpc_pending": 0}
+        self.fires = {"soft_lockup": 0, "hung_task": 0}
         self.events = []
         self.armed = False
         self._event = None
@@ -136,13 +137,15 @@ class Watchdogs:
         # Hung TX queues: stopped-since timestamps are written by
         # netif_stop_queue on the running->stopped transition only.  A
         # device that is administratively down (ifdown clears IFF_UP
-        # before the driver's stop op parks the queue) is not hung.
+        # before the driver's stop op parks the queue) is not hung, and
+        # neither is one whose driver is being restarted.
         net = kernel.net
         if net is not None:
             for dev in net._devices:
                 since = dev._stopped_since_ns
                 if (since is not None and dev._queue_stopped
-                        and dev.netif_running()):
+                        and dev.netif_running()
+                        and not self._recovering(dev)):
                     stalled_ns = now - since
                     if stalled_ns >= self.hung_task_ns:
                         self._fire("hung_task", dev.name, {
@@ -153,21 +156,12 @@ class Watchdogs:
                         continue
                 self._latched.discard(("hung_task", dev.name))
 
-        # XPC deferred-upcall queues pending too long without a flush.
-        for channel in self._health.channels:
-            since = channel._deferred_since_ns
-            if since is not None and channel._deferred:
-                pending_ns = now - since
-                if pending_ns >= self.xpc_pending_ns:
-                    self._fire("xpc_pending", channel.name, {
-                        "pending": len(channel._deferred),
-                        "pending_ns": pending_ns,
-                    }, stalled=channel)
-                    continue
-            self._latched.discard(("xpc_pending", channel.name))
-
         if self.armed:
             self._schedule()
+
+    def _recovering(self, netdev):
+        return any(supervisor.owns(netdev) and supervisor.recovery_pending()
+                   for supervisor in self._health.supervisors)
 
     # -- firing -------------------------------------------------------------
 

@@ -39,9 +39,9 @@ class RecoveryError(Exception):
 class WedgedDriverError(Exception):
     """Pseudo-fault recorded when a watchdog reports a wedged driver.
 
-    The driver never raised -- it went silent (lost TX completions, a
-    deferred queue that never drains) -- so the watchdog manufactures
-    the fault that puts the channel through the normal restart path.
+    The driver never raised -- it went silent (lost TX completions) --
+    so the watchdog manufactures the fault that puts the channel
+    through the normal restart path.
     """
 
 
@@ -143,13 +143,10 @@ class DriverSupervisor:
             self._work_pending = True
             kernel.workqueue.schedule_work(self._work)
 
-    def owns(self, obj):
-        """True when ``obj`` -- a netdev or an XPC channel -- is this
-        driver's: its channel, or its device's ``driver_data``."""
-        if obj is self.channel:
-            return True
+    def owns(self, netdev):
+        """True when ``netdev`` is this driver's device's ``driver_data``."""
         pdev = getattr(self.nucleus, "pdev", None)
-        return pdev is not None and pdev.driver_data is obj
+        return pdev is not None and pdev.driver_data is netdev
 
     def note_wedge(self, reason):
         """Watchdog report: the driver is silently stalled, not faulted.

@@ -145,7 +145,7 @@ class WorkloadResult:
         }
         if any(key.startswith("health.") for key in k):
             row["watchdog_fires"] = k.get("health.watchdog_fires", 0)
-            row["health_dumps"] = k.get("health.dumps", 0)
+            row["health_dumps"] = k.get("health.dumps_written", 0)
         # Scalar extras ride along (non-scalars, e.g. a whole Rig kept
         # for inspection, stay out of the printable row).
         for key, value in self.extra.items():

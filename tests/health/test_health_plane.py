@@ -124,6 +124,28 @@ class TestFlightRecorder:
         assert not [e for e in tracer.events if e["name"] == "printk"]
         assert [r for r in health.flight.ring if r[2] == "printk"]
 
+    def test_traced_boundary_fault_has_one_writer(self):
+        """The tracer mirrors the xpc.fault instant into the ring; the
+        plane's boundary-fault hook must not note it a second time."""
+        from repro.faults import FaultPlan, FaultSpec
+        from repro.trace import Tracer
+        from repro.workloads import make_8139too_rig, netperf_send
+
+        rig = make_8139too_rig(decaf=True, health=True)
+        tracer = Tracer(rig.kernel).install()
+        try:
+            rig.insmod()
+            rig.supervise()
+            rig.inject_faults(
+                FaultPlan([FaultSpec("xpc_raise", callsite="thread")]))
+            netperf_send(rig, duration_s=2.0, trace=tracer)
+        finally:
+            tracer.uninstall()
+        (report,) = [dump for dump in rig.kernel.health.dumps
+                     if dump["reason"] == "boundary-fault"]
+        names = [entry["name"] for entry in report["ring"]]
+        assert names.count("xpc.fault") == 1
+
 
 # ---------------------------------------------------------------------------
 # watchdogs
