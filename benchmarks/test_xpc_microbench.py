@@ -5,10 +5,9 @@ Unlike the Table 3 benches (virtual time, deterministic), these measure
 
 * encode/decode throughput of the compiled codec (cached field lists,
   precompiled ``struct.Struct`` runs and typed ops for every other field
-  kind) against the uncached per-field baseline
-  (``MarshalCodec(compiled=False)``, the seed implementation, kept
-  callable exactly for this ablation), on a scalar-heavy payload and on
-  one holding every field kind;
+  kind) against the uncached per-field baseline (the tests' per-field
+  oracle, ``tests/core/marshal_oracle.py``), on a scalar-heavy payload
+  and on one holding every field kind;
 * kernel/user crossing throughput through a full ``XpcChannel.upcall``
   round trip, scalar-only downcalls (which skip the codec) against the
   same downcalls forced through it by a pass-through ``corrupt_hook``,
@@ -51,6 +50,7 @@ from repro.core import (
 )
 from repro.core.marshal import TO_USER
 from repro.kernel import make_kernel
+from tests.core.marshal_oracle import PerFieldCodec
 
 RESULT_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
                            "BENCH_xpc.json")
@@ -187,7 +187,7 @@ def test_codec_wallclock_speedup(table_printer, section):
     obj = make()
     registry = TypeRegistry()
     fast = MarshalCodec(type_ids=registry)
-    slow = MarshalCodec(type_ids=registry, compiled=False)
+    slow = PerFieldCodec(type_ids=registry)
 
     # Byte-identity first: the speedup must not come from doing less.
     assert fast.encode(obj, cls, TO_USER) == slow.encode(obj, cls, TO_USER)

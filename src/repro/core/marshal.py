@@ -20,15 +20,15 @@ scheme (sections 2.3, 3.2.2-3.2.3):
 Data genuinely flows through a byte buffer (4-byte-aligned XDR wire
 format), so the byte counts the XPC layer charges are real.
 
-Two fast-path mechanisms sit on top of the scheme (both produce
-byte-identical wire data to the baseline):
+Two fast-path mechanisms sit on top of the scheme:
 
 * **Compiled codecs**: the per-(struct, direction) field list is cached
   on the plan and compiled into a program of typed ops: maximal runs of
   scalar fields become one precompiled :class:`struct.Struct`
-  pack/unpack, every other field one op per kind (``OP_*``).
-  ``MarshalCodec(compiled=False)`` keeps the uncached per-field
-  baseline callable for the ablation benchmarks.
+  pack/unpack, every other field one op per kind (``OP_*``).  This is
+  the only codec; the tests keep a per-field implementation of the same
+  wire format (``tests/core/marshal_oracle.py``) as its round-trip
+  oracle and the microbenchmark's uncached baseline.
 * **Delta marshaling**: :class:`~repro.core.cstruct.CStruct` instances
   track attribute writes; a *return* trip encoded with ``delta=True``
   carries only fields actually mutated since the forward transfer
@@ -40,7 +40,7 @@ byte-identical wire data to the baseline):
 import functools
 import struct as _struct
 
-from .cstruct import Array, CONSTANTS, Exp, Null, Opaque, Ptr, Str, Struct
+from .cstruct import Array, Exp, Null, Opaque, Ptr, Str, Struct
 
 TAG_NULL = 0
 TAG_OBJ = 1
@@ -53,8 +53,6 @@ TO_KERNEL = "to_kernel"
 
 _U32 = _struct.Struct("<I")
 _U64 = _struct.Struct("<Q")
-_I32 = _struct.Struct("<i")
-_I64 = _struct.Struct("<q")
 
 
 class MarshalError(Exception):
@@ -163,7 +161,7 @@ def _pack_op(names, ctypes):
     packer = _struct_for("<" + "".join(enc for enc, _dec in formats))
     unpacker = _struct_for("<" + "".join(dec for _enc, dec in formats))
     # Signed sub-word fields must be clamped even when pack() would
-    # accept the raw value -- keeps wire bytes identical to baseline.
+    # accept the raw value: the wire carries the clamped value.
     encode_subclamps = tuple(
         (i, ct) for i, ct in enumerate(ctypes) if _needs_clamp(ct)
     )
@@ -202,8 +200,7 @@ def compile_field_ops(fields):
 
     Maximal runs of plain scalar fields collapse into one precompiled
     ``struct.Struct``; every other field becomes one typed op (see the
-    ``OP_*`` kinds).  The wire bytes are identical to the per-field
-    baseline.
+    ``OP_*`` kinds).
     """
     ops = []
     run = []
@@ -329,27 +326,20 @@ class MarshalPlan:
     def access_for(self, struct_cls):
         return self._accesses.get(struct_cls.__name__)
 
-    def uncached_fields_for(self, struct_cls, direction):
-        """Re-derive the field list on every call (the seed baseline the
-        compiled-codec ablation measures against)."""
-        access = self.access_for(struct_cls)
-        if access is None:
-            fields = list(struct_cls.fields())
-        else:
-            wanted = access.all if direction == TO_USER else access.writes
-            fields = [f for f in struct_cls.fields() if f.name in wanted]
-        if direction == TO_KERNEL:
-            pinned = self.pinned_for(struct_cls)
-            if pinned:
-                fields = [f for f in fields if f.name not in pinned]
-        return fields
-
     def fields_for(self, struct_cls, direction):
+        """The fields of ``struct_cls`` crossing in ``direction``."""
         key = (struct_cls, direction)
         cached = self._field_cache.get(key)
         if cached is None:
-            cached = tuple(self.uncached_fields_for(struct_cls, direction))
-            self._field_cache[key] = cached
+            access = self.access_for(struct_cls)
+            fields = struct_cls.fields()
+            if access is not None:
+                wanted = access.all if direction == TO_USER else access.writes
+                fields = [f for f in fields if f.name in wanted]
+            if direction == TO_KERNEL:
+                pinned = self.pinned_for(struct_cls)
+                fields = [f for f in fields if f.name not in pinned]
+            cached = self._field_cache[key] = tuple(fields)
         return cached
 
     def compiled_ops_for(self, struct_cls, direction):
@@ -369,9 +359,6 @@ class MarshalPlan:
                 self.compiled_ops_for(struct_cls, direction))
             self._delta_cache[key] = program
         return program
-
-    def struct_names(self):
-        return sorted(self._accesses)
 
     @classmethod
     def from_table(cls, table):
@@ -448,17 +435,6 @@ class XdrBuffer:
     def put_u32(self, v):
         self.data += _U32.pack(v & 0xFFFFFFFF)
 
-    def put_u64(self, v):
-        self.data += _U64.pack(v & 0xFFFFFFFFFFFFFFFF)
-
-    def put_scalar(self, ctype, value):
-        # XDR promotes everything below 4 bytes to 4 ("hyper" is 8).
-        value = ctype.clamp(int(value))
-        if ctype.size == 8:
-            self.data += (_I64 if ctype.signed else _U64).pack(value)
-        else:
-            self.data += (_I32 if ctype.signed else _U32).pack(value)
-
     def put_bytes(self, raw):
         self.put_u32(len(raw))
         self.data += raw
@@ -478,19 +454,6 @@ class XdrBuffer:
         v = _U64.unpack_from(self.data, self.pos)[0]
         self.pos += 8
         return v
-
-    def get_scalar(self, ctype):
-        if ctype.size == 8:
-            self.need(8)
-            v = (_I64 if ctype.signed else _U64).unpack_from(
-                self.data, self.pos)[0]
-            self.pos += 8
-        else:
-            self.need(4)
-            v = (_I32 if ctype.signed else _U32).unpack_from(
-                self.data, self.pos)[0]
-            self.pos += 4
-        return ctype.clamp(v)
 
     def get_bytes(self):
         n = self.get_u32()
@@ -601,19 +564,16 @@ def _graph_has_dirty(obj):
 class MarshalCodec:
     """Encode/decode struct graphs per a :class:`MarshalPlan`.
 
-    ``compiled=True`` (the default) uses the plan's cached field lists
-    and precompiled scalar packers; ``compiled=False`` keeps the seed's
-    uncached per-field path callable for the ablation benchmarks.  Both
-    paths produce identical wire bytes.  ``type_ids`` is the wire
+    Each payload runs the plan's compiled op program for its struct and
+    direction (a delta program on return trips).  ``type_ids`` is the wire
     type-id :class:`TypeRegistry`: a decoder must share its encoder's,
     as the two ends of a channel do, and a codec given none has its
     own.
     """
 
-    def __init__(self, plan=None, type_ids=None, compiled=True):
+    def __init__(self, plan=None, type_ids=None):
         self.plan = plan or MarshalPlan()
         self.type_ids = type_ids if type_ids is not None else TypeRegistry()
-        self.compiled = compiled
         self.objects_marshaled = 0
         self.fields_marshaled = 0
         self.backrefs = 0
@@ -679,16 +639,10 @@ class MarshalCodec:
         if delta:
             self._encode_payload_delta(buf, obj, struct_cls, identity,
                                        direction, ctx, seen)
-        elif self.compiled:
+        else:
             self._encode_ops(buf, obj,
                              self.plan.compiled_ops_for(struct_cls, direction),
                              identity, direction, ctx, seen, False)
-        else:
-            for field in self.plan.uncached_fields_for(struct_cls, direction):
-                self.fields_marshaled += 1
-                self._call_fields += 1
-                self._encode_field(buf, field, getattr(obj, field.name),
-                                   identity, direction, ctx, seen, delta)
 
     def _encode_ops(self, buf, obj, ops, identity, direction, ctx, seen,
                     delta):
@@ -709,7 +663,7 @@ class MarshalCodec:
                     data += packer.pack(*vals)
                 except (TypeError, _struct.error):
                     # None or out-of-range somewhere in the run:
-                    # redo it clamped, matching the baseline bytes.
+                    # redo it with every value clamped.
                     data += packer.pack(
                         *[ct.clamp(int(od[name] or 0))
                           for name, ct in zip(names, ctypes)]
@@ -793,46 +747,6 @@ class MarshalCodec:
             self._encode_ops(buf, obj, (op,), identity, direction, ctx, seen,
                              True)
 
-    def _encode_field(self, buf, field, value, parent_identity, direction, ctx,
-                      seen, delta):
-        """Per-field baseline encoder (``compiled=False``)."""
-        ctype = field.ctype
-        if isinstance(ctype, Ptr):
-            if field.annotation(Null) is not None:
-                buf.put_u32(TAG_NULL)
-            elif field.annotation(Opaque) is not None:
-                buf.put_u32(TAG_OPAQUE)
-                buf.put_u64(ctx.handle_of(value))
-            elif field.annotation(Exp) is not None:
-                self._encode_exp_array(buf, value)
-            else:
-                target = ctype.resolve()
-                if value is not None and not isinstance(value, target):
-                    raise MarshalError(
-                        "field %s: expected %s, got %r"
-                        % (field.name, target.__name__, type(value).__name__)
-                    )
-                self._encode_ref(buf, value, target, direction, ctx, seen,
-                                 delta)
-        elif isinstance(ctype, Struct):
-            # Embedded: part of the parent record, encoded inline; its
-            # wire identity is parent + offset (its C address).
-            child_identity = parent_identity + field.offset
-            self._encode_payload(
-                buf, value, ctype.struct_cls, child_identity, direction, ctx,
-                seen, delta
-            )
-            seen.setdefault(child_identity, len(seen))
-        elif isinstance(ctype, Str):
-            raw = str(value or "").encode("utf-8")[: ctype.length]
-            buf.put_bytes(raw)
-        elif isinstance(ctype, Array):
-            for i in range(ctype.length):
-                elem = value[i] if value is not None and i < len(value) else 0
-                buf.put_scalar(ctype.elem, elem)
-        else:
-            buf.put_scalar(ctype, value or 0)
-
     def _encode_exp_array(self, buf, value):
         if value is None:
             buf.put_u32(TAG_NULL)
@@ -908,14 +822,10 @@ class MarshalCodec:
         if delta:
             self._decode_payload_delta(buf, obj, struct_cls, identity,
                                        direction, ctx, seen)
-        elif self.compiled:
+        else:
             self._decode_ops(buf, obj,
                              self.plan.compiled_ops_for(struct_cls, direction),
                              identity, direction, ctx, seen, False)
-        else:
-            for field in self.plan.uncached_fields_for(struct_cls, direction):
-                self._decode_field(buf, obj, field, identity, direction, ctx,
-                                   seen, delta)
 
     def _decode_ops(self, buf, obj, ops, identity, direction, ctx, seen,
                     delta):
@@ -1010,52 +920,6 @@ class MarshalCodec:
             self._decode_ops(buf, obj, (op,), identity, direction, ctx, seen,
                              True)
 
-    def _decode_field(self, buf, obj, field, parent_identity, direction, ctx,
-                      seen, delta):
-        """Per-field baseline decoder (``compiled=False``)."""
-        ctype = field.ctype
-        if isinstance(ctype, Ptr):
-            if field.annotation(Null) is not None:
-                tag = buf.get_u32()
-                if tag != TAG_NULL:
-                    raise MarshalError("null-annotated field carried data")
-                setattr(obj, field.name, None)
-            elif field.annotation(Opaque) is not None:
-                tag = buf.get_u32()
-                if tag != TAG_OPAQUE:
-                    raise MarshalError("expected opaque handle")
-                handle = buf.get_u64()
-                setattr(obj, field.name, ctx.object_of(handle))
-            elif field.annotation(Exp) is not None:
-                setattr(obj, field.name, self._decode_exp_array(buf))
-            else:
-                target = ctype.resolve()
-                value = self._decode_ref(buf, target, direction, ctx, seen,
-                                         delta)
-                setattr(obj, field.name, value)
-        elif isinstance(ctype, Struct):
-            child = getattr(obj, field.name)
-            child_identity = parent_identity + field.offset
-            ctx.register(
-                child_identity, ctype.struct_cls,
-                self.type_ids.id_of(ctype.struct_cls), child,
-            )
-            self._decode_payload(
-                buf, child, ctype.struct_cls, child_identity, direction, ctx,
-                seen, delta
-            )
-            seen.add(child_identity, child)
-        elif isinstance(ctype, Str):
-            setattr(obj, field.name, _decode_str(buf, field.name))
-        elif isinstance(ctype, Array):
-            setattr(
-                obj,
-                field.name,
-                [buf.get_scalar(ctype.elem) for _ in range(ctype.length)],
-            )
-        else:
-            setattr(obj, field.name, buf.get_scalar(ctype))
-
     def _decode_exp_array(self, buf):
         tag = buf.get_u32()
         if tag == TAG_NULL:
@@ -1081,17 +945,3 @@ def _decode_str(buf, name):
             "field %s: string payload is not valid utf-8" % name
         ) from None
 
-
-def exp_length(field, obj):
-    """Resolve an Exp annotation to a concrete length."""
-    ann = field.annotation(Exp)
-    if ann is None:
-        return None
-    if ann.expr in CONSTANTS:
-        return CONSTANTS[ann.expr]
-    sibling = getattr(obj, ann.expr, None)
-    if sibling is None:
-        raise MarshalError(
-            "cannot resolve exp(%s) on %s" % (ann.expr, type(obj).__name__)
-        )
-    return int(sibling)

@@ -24,10 +24,6 @@ sketch.
 import weakref
 
 
-class TrackerError(Exception):
-    pass
-
-
 class KernelObjectTracker:
     """Kernel-side: C address -> kernel object."""
 

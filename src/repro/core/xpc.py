@@ -10,8 +10,13 @@ call discipline -- across the two boundaries of the Decaf architecture:
   context or under a spinlock raises, which is precisely the rule that
   decides the partition.
 * **C <-> Java** (driver library <-> decaf driver): a language crossing
-  (Jeannie/JNI in the paper).  Cheap, no scheduling, but still pays
-  marshaling when arguments are complex.
+  (Jeannie/JNI in the paper).  Cheap, no scheduling.  Every language
+  crossing in the tree goes through :meth:`XpcChannel.direct_call`,
+  which charges the transition and marshals nothing: the runtimes' port
+  and MMIO accessors, the E1000 decaf driver's library calls and the
+  migration :class:`~repro.drivers.decaf.transition.TransitionTable`.
+  :meth:`XpcChannel.lang_call`, which also marshals struct arguments,
+  has no caller in a driver.
 
 Every crossing updates counters (Table 3's "User/Kernel Crossings"
 column is :attr:`Xpc.kernel_user_crossings`, kstat ``xpc.crossings``)
@@ -244,23 +249,6 @@ class Xpc:
             out["%s.deferred_errors.%s" % (self.name, exc_name)] = count
         return out
 
-    def reset_counters(self):
-        """Zero every numeric counter this object carries.
-
-        Introspective on purpose: a counter added to ``__init__`` can
-        never be forgotten here (``tests/core/test_xpc_reset.py`` pins
-        the contract down).  Dict-valued counters are cleared.
-        """
-        for attr, value in vars(self).items():
-            if attr.startswith("_") or attr == "kernel":
-                continue
-            if isinstance(value, dict):
-                value.clear()
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            setattr(self, attr, 0)
-
 
 class XpcChannel:
     """An XPC endpoint pair with its codec, trackers and handle table.
@@ -301,7 +289,6 @@ class XpcChannel:
         self._handle_ids = {}    # id(obj) -> handle, live objects only
         self._handle_seq = itertools.count(_HANDLE_BASE)
         self._reap_handle = _handle_reaper(weakref.ref(self))
-        self._canonical_map = {}
         self._deferred = []
         self._flushing = False
         self.closed = False
@@ -361,7 +348,7 @@ class XpcChannel:
 
     def close(self):
         """Tear the channel down: drop pending notifications, release
-        opaque handles and canonical aliases.  Idempotent."""
+        opaque handles and the user tracker's associations.  Idempotent."""
         if self.closed:
             return
         self.closed = True
@@ -369,7 +356,6 @@ class XpcChannel:
             self.xpc.deferred_dropped += len(self._deferred)
             self._deferred.clear()
         self.release_handles()
-        self._canonical_map.clear()
         # Associations made by this driver instance must not survive it:
         # a reloaded driver's objects can land at the same simulated
         # addresses and alias stale entries.
@@ -379,17 +365,16 @@ class XpcChannel:
         """Reset the user end of a FAILED channel for a driver restart.
 
         Everything the dead user-level half owned is dropped: pending
-        notifications (counted as dropped), opaque handles, canonical
-        aliases, and the user object tracker (epoch-bumped, so GC of
-        the dead instance's objects cannot release the new instance's
-        twins).  Kernel-side state (the kernel tracker, counters) stays:
-        kernel objects survive the restart.
+        notifications (counted as dropped), opaque handles, and the
+        user object tracker (epoch-bumped, so GC of the dead instance's
+        objects cannot release the new instance's twins).  Kernel-side
+        state (the kernel tracker, counters) stays: kernel objects
+        survive the restart.
         """
         if self._deferred:
             self.xpc.deferred_dropped += len(self._deferred)
             self._deferred.clear()
         self.release_handles()
-        self._canonical_map.clear()
         self.user_tracker.clear()
         self.failed = False
         self.failure = None
@@ -472,7 +457,6 @@ class XpcChannel:
         if java_obj is not None:
             tracker.disassociate(java_obj)
             tracker.associate(kernel_obj.c_addr, type_id, java_obj)
-        self._canonical_map[user_identity] = kernel_obj.c_addr
 
     # -- cost charging ------------------------------------------------------------
 

@@ -93,22 +93,21 @@ class TransitionTable:
         """Invoke the currently-bound implementation (at user level).
 
         Library calls run in the DRIVER_LIB domain; decaf calls cross
-        the language boundary into DECAF (Jeannie/JNI in the paper).
+        the language boundary into DECAF (Jeannie/JNI in the paper),
+        charged by the channel's :meth:`direct_call` before they enter.
         """
         entry = self._require(name)
-        side = self._binding[name]
-        domains = self.plumbing.domains
-        if side == DECAF_SIDE:
+        if self._binding[name] == DECAF_SIDE:
             self.decaf_calls += 1
-            self.plumbing.xpc.lang_crossings += 1
-            self.plumbing.kernel.consume(
-                self.plumbing.kernel.costs.xpc_lang_ns,
-                busy=True, category="xpc")
-            with domains.entered(DECAF):
-                return entry[DECAF_SIDE](*args)
+            return self.plumbing.channel.direct_call(
+                self._enter_decaf, entry[DECAF_SIDE], *args)
         self.library_calls += 1
-        with domains.entered(DRIVER_LIB):
+        with self.plumbing.domains.entered(DRIVER_LIB):
             return entry[LIBRARY](*args)
+
+    def _enter_decaf(self, impl, *args):
+        with self.plumbing.domains.entered(DECAF):
+            return impl(*args)
 
     # -- the development methodology -------------------------------------------------
 

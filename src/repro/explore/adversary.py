@@ -131,48 +131,54 @@ class _watchdog:
         return False
 
 
-class _CaptureProbe(RunProbe):
-    """Record every marshaled payload crossing the channel."""
+class _Tap:
+    """The ``corrupt_hook`` of both phases.
 
-    def __init__(self):
-        self.records = []
+    Without a ``crossing`` it records every payload as
+    ``(direction, bytes)``; with one it mutates the ``crossing``-th
+    payload (0-based) and counts the hits, passing every other payload
+    through.
+    """
 
-    def begin_run(self, rig, scenario, decaf):
-        if not decaf or rig.channel is None:
-            return
-        records = self.records
-
-        def tap(data, direction):
-            records.append((direction, bytes(data)))
-            return data
-
-        rig.channel.corrupt_hook = tap
-
-
-class _AttackProbe(RunProbe):
-    """Supervise the rig and mutate exactly one crossing in flight."""
-
-    def __init__(self, crossing, mutate, max_recoveries):
+    def __init__(self, crossing=None, mutate=None):
         self.crossing = crossing
         self.mutate = mutate
-        self.max_recoveries = max_recoveries
+        self.records = []
+        self.seen = 0
         self.hits = 0
+
+    def __call__(self, data, direction):
+        index = self.seen
+        self.seen += 1
+        if self.crossing is None:
+            self.records.append((direction, bytes(data)))
+        elif index == self.crossing:
+            self.hits += 1
+            return self.mutate(data)
+        return data
+
+
+class _ScenarioProbe(RunProbe):
+    """Install a tap on the decaf rig's channel once setup is done; an
+    attack also supervises the rig, so a contained fault can recover."""
+
+    def __init__(self, tap, max_recoveries):
+        self.tap = tap
+        self.max_recoveries = max_recoveries
 
     def begin_run(self, rig, scenario, decaf):
         if not decaf or rig.channel is None:
             return
-        rig.supervise(max_recoveries=self.max_recoveries)
-        state = {"n": 0}
-        probe = self
+        if self.tap.crossing is not None:
+            rig.supervise(max_recoveries=self.max_recoveries)
+        rig.channel.corrupt_hook = self.tap
 
-        def tap(data, direction):
-            state["n"] += 1
-            if state["n"] - 1 == probe.crossing:
-                probe.hits += 1
-                return probe.mutate(data)
-            return data
 
-        rig.channel.corrupt_hook = tap
+def _run_scenario(scenario, tap, max_recoveries):
+    """Replay ``scenario`` on a decaf rig with ``tap`` installed."""
+    runner = DifferentialRunner(max_recoveries=max_recoveries,
+                                probe=_ScenarioProbe(tap, max_recoveries))
+    return runner.run_one(scenario, decaf=True)
 
 
 class AdversaryReport:
@@ -251,30 +257,18 @@ class _probe_hook:
 
 def _capture_probe_phase(driver):
     """Insmod/rmmod once, recording every probe-time payload."""
-    records = []
-
-    def tap(data, direction):
-        records.append((direction, bytes(data)))
-        return data
-
+    tap = _Tap()
     rig = FAMILIES[driver].rig(decaf=True)
     with _probe_hook(tap):
         rig.insmod()
     rig.rmmod()
-    return records
+    return tap.records
 
 
 def _run_probe_attack(driver, crossing, mutate, timeout_s):
-    """Mutate one probe-time crossing; classify the insmod outcome."""
-    state = {"n": 0, "hits": 0}
-
-    def tap(data, direction):
-        state["n"] += 1
-        if state["n"] - 1 == crossing:
-            state["hits"] += 1
-            return mutate(data)
-        return data
-
+    """Mutate one probe-time crossing of a bare insmod; classify the
+    outcome."""
+    tap = _Tap(crossing, mutate)
     rig = FAMILIES[driver].rig(decaf=True)
     up = False
     try:
@@ -287,7 +281,7 @@ def _run_probe_attack(driver, crossing, mutate, timeout_s):
         # Contained: the boundary turned the corruption into a driver
         # failure and insmod reported a clean errno (rig.insmod wraps
         # the negative return in RuntimeError).
-        if not state["hits"]:
+        if not tap.hits:
             return {"kind": "absorbed", "detail": "mutation did not fire"}
         return {"kind": "errno", "detail": type(exc).__name__}
     except Exception as exc:  # noqa: BLE001 -- the verdict *is* the catch
@@ -306,7 +300,7 @@ def _run_probe_attack(driver, crossing, mutate, timeout_s):
                     "detail": "rmmod after absorbed mutation raised %s: %s"
                               % (type(exc).__name__, exc),
                 }
-    if not state["hits"]:
+    if not tap.hits:
         return {"kind": "absorbed", "detail": "mutation did not fire"}
     if rig.kernel.lockdep is not None and rig.kernel.lockdep.reports:
         return {
@@ -326,6 +320,43 @@ def _attack_points(n_records, max_points):
     return sorted({int(i * step) for i in range(max_points)})
 
 
+#: Verdict kind -> the report tally it counts towards; any other kind
+#: is a violation.
+_CONTAINED = {
+    "recovered": "contained_recovered",
+    "absorbed": "contained_absorbed",
+    "errno": "contained_errno",
+}
+
+
+def _sweep(report, phase, records, points, attack, say):
+    """Every corpus mutation at every attack point: skip a mutation that
+    leaves the payload unchanged, else run ``attack(point, mutate)`` and
+    tally its verdict or record a violation."""
+    for point in points:
+        direction, original = records[point]
+        for name, mutate in MUTATIONS:
+            if mutate(original) == original:
+                report.skipped += 1
+                continue
+            report.attacks += 1
+            verdict = attack(point, mutate)
+            tally = _CONTAINED.get(verdict["kind"])
+            if tally is not None:
+                setattr(report, tally, getattr(report, tally) + 1)
+                continue
+            report.violations.append({
+                "phase": phase,
+                "crossing": point,
+                "direction": direction,
+                "mutation": name,
+                "detail": verdict["detail"],
+            })
+            say("  VIOLATION %s%s @%d: %s"
+                % ("probe " if phase == "probe" else "", name, point,
+                   verdict["detail"]))
+
+
 def run_adversary(driver, depth=4, seed=0, max_points=24, max_recoveries=8,
                   timeout_s=60, log=None, probe_phase=True):
     """The full corpus against every (sampled) crossing of one driver.
@@ -338,18 +369,12 @@ def run_adversary(driver, depth=4, seed=0, max_points=24, max_recoveries=8,
     acceptance gate.
     """
     say = log or (lambda msg: None)
-    runner = DifferentialRunner(max_recoveries=max_recoveries)
     scenario = Scenario(driver, seed, "strict",
                         base_events(driver, depth, seed))
     report = AdversaryReport(driver, depth)
 
-    capture = _CaptureProbe()
-    saved = runner.probe
-    runner.probe = capture
-    try:
-        runner.run_one(scenario, decaf=True)
-    finally:
-        runner.probe = saved
+    capture = _Tap()
+    _run_scenario(scenario, capture, max_recoveries)
     records = capture.records
     report.crossings_captured = len(records)
     points = _attack_points(len(records), max_points)
@@ -357,30 +382,10 @@ def run_adversary(driver, depth=4, seed=0, max_points=24, max_recoveries=8,
     say("%s: captured %d crossings, attacking %d of them with %d "
         "mutations each"
         % (driver, len(records), len(points), len(MUTATIONS)))
-
-    for point in points:
-        _direction, original = records[point]
-        for name, mutate in MUTATIONS:
-            if mutate(original) == original:
-                report.skipped += 1
-                continue
-            report.attacks += 1
-            verdict = _run_attack(runner, scenario, point, mutate,
-                                  max_recoveries, timeout_s)
-            if verdict["kind"] == "recovered":
-                report.contained_recovered += 1
-            elif verdict["kind"] == "absorbed":
-                report.contained_absorbed += 1
-            else:
-                report.violations.append({
-                    "phase": "run",
-                    "crossing": point,
-                    "direction": _direction,
-                    "mutation": name,
-                    "detail": verdict["detail"],
-                })
-                say("  VIOLATION %s @%d: %s"
-                    % (name, point, verdict["detail"]))
+    _sweep(report, "run", records, points,
+           lambda point, mutate: _run_attack(
+               scenario, point, mutate, max_recoveries, timeout_s),
+           say)
 
     if probe_phase:
         probe_records = _capture_probe_phase(driver)
@@ -389,30 +394,10 @@ def run_adversary(driver, depth=4, seed=0, max_points=24, max_recoveries=8,
         report.probe_crossings_attacked = len(probe_points)
         say("%s: captured %d probe-time crossings, attacking %d"
             % (driver, len(probe_records), len(probe_points)))
-        for point in probe_points:
-            _direction, original = probe_records[point]
-            for name, mutate in MUTATIONS:
-                if mutate(original) == original:
-                    report.skipped += 1
-                    continue
-                report.attacks += 1
-                verdict = _run_probe_attack(driver, point, mutate, timeout_s)
-                if verdict["kind"] == "errno":
-                    report.contained_errno += 1
-                elif verdict["kind"] == "absorbed":
-                    report.contained_absorbed += 1
-                elif verdict["kind"] == "recovered":
-                    report.contained_recovered += 1
-                else:
-                    report.violations.append({
-                        "phase": "probe",
-                        "crossing": point,
-                        "direction": _direction,
-                        "mutation": name,
-                        "detail": verdict["detail"],
-                    })
-                    say("  VIOLATION probe %s @%d: %s"
-                        % (name, point, verdict["detail"]))
+        _sweep(report, "probe", probe_records, probe_points,
+               lambda point, mutate: _run_probe_attack(
+                   driver, point, mutate, timeout_s),
+               say)
 
     say("%s: %d attacks, %d recovered, %d errno, %d absorbed, "
         "%d skipped, %d violations"
@@ -422,15 +407,13 @@ def run_adversary(driver, depth=4, seed=0, max_points=24, max_recoveries=8,
     return report
 
 
-def _run_attack(runner, scenario, crossing, mutate, max_recoveries,
-                timeout_s):
-    """One mutation at one crossing; classify the outcome."""
-    probe = _AttackProbe(crossing, mutate, max_recoveries)
-    saved = runner.probe
-    runner.probe = probe
+def _run_attack(scenario, crossing, mutate, max_recoveries, timeout_s):
+    """One mutation at one scenario-phase crossing, under a supervised
+    replay; classify the outcome."""
+    tap = _Tap(crossing, mutate)
     try:
         with _watchdog(timeout_s):
-            obs = runner.run_one(scenario, decaf=True)
+            obs = _run_scenario(scenario, tap, max_recoveries)
     except _Hang as exc:
         return {"kind": "hang", "detail": str(exc)}
     except Exception as exc:  # noqa: BLE001 -- the verdict *is* the catch
@@ -439,9 +422,7 @@ def _run_attack(runner, scenario, crossing, mutate, max_recoveries,
             "detail": "kernel-side unchecked %s: %s"
                       % (type(exc).__name__, exc),
         }
-    finally:
-        runner.probe = saved
-    if not probe.hits:
+    if not tap.hits:
         # The attacked crossing never re-occurred (schedule noise from
         # supervision); nothing was actually tested.
         return {"kind": "absorbed", "detail": "mutation did not fire"}

@@ -67,8 +67,10 @@ def _resources(slot, mac_code=None, mmio=False):
 def _install_health(kernel, health):
     """``health``: False, True, or HealthPlane keyword arguments.
 
-    Installed before the module is built so XPC channels self-register
-    with the watchdog.
+    The plane goes onto the bare kernel, before the device exists.  Its
+    hooks (boundary faults, lockdep reports, supervisor registration)
+    read ``kernel.health`` when they fire, so nothing built afterwards
+    registers with it.
     """
     if health:
         from .health import HealthPlane

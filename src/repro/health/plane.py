@@ -4,7 +4,7 @@ One object wires the always-on pieces together::
 
     health = HealthPlane(kernel, dump_dir="health-dumps").install()
     ... run workloads ...
-    health.summary()           # kstat snapshot + watchdog/flight state
+    health.summary()           # kstat snapshot + flight-recorder state
 
 Installed, it costs almost nothing: the kstat registry is pull-only,
 the flight recorder is fed from cold paths (printk, boundary faults,
@@ -150,7 +150,7 @@ class HealthPlane:
             ],
             "watchdog": (self.watchdog.snapshot()
                          if self.watchdog is not None else None),
-            "prior_dumps": len(self.dumps),
+            "prior_dumps": kernel.kstat.counter("health.dumps_written"),
         }
         if len(self.dumps) < self.max_dumps:
             self.dumps.append(report)
@@ -181,12 +181,10 @@ class HealthPlane:
     # -- summaries ----------------------------------------------------------
 
     def summary(self):
-        """kstat snapshot plus flight-recorder and watchdog state, in
-        one JSON-ready dict."""
+        """kstat snapshot plus flight-recorder state, in one JSON-ready
+        dict.  Dump and watchdog-fire counts are kstat's
+        (``health.dumps_written``, ``health.watchdog_fires.<kind>``)."""
         return {
             "kstat": self._kernel.kstat.snapshot(),
             "flight": self.flight.snapshot(),
-            "dumps": len(self.dumps),
-            "watchdog_fires": (dict(self.watchdog.fires)
-                               if self.watchdog is not None else {}),
         }

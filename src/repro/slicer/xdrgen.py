@@ -38,7 +38,7 @@ def _xdr_scalar_name(ctype):
     return name
 
 
-def _exp_length(field):
+def _resolve_exp(field):
     ann = field.annotation(Exp)
     expr = ann.expr
     if expr in CONSTANTS:
@@ -67,7 +67,7 @@ def generate_xdr_spec(struct_classes):
                     body.append("   hyper %s;   /* always NULL across XPC */"
                                 % field.name)
                 elif field.annotation(Exp) is not None:
-                    length, expr = _exp_length(field)
+                    length, expr = _resolve_exp(field)
                     if length is None:
                         body.append(
                             "   opaque %s<>;   /* length: exp(%s) */"

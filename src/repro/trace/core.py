@@ -8,9 +8,7 @@ Design goals, in order:
    else.  No tracer object, no argument packing, no string formatting
    happens on the disabled path; ``benchmarks/test_trace_overhead.py``
    asserts the aggregate guard cost stays under 3% of the hottest
-   workload.  :data:`active_tracers` is the module-level fast-path
-   flag: code that wants a single global check (e.g. assertions in
-   tests) can read it instead of walking kernels.
+   workload.
 
 2. **Virtual-time, structured, replayable.**  Every event carries the
    deterministic virtual-ns timestamp, the execution context the CPU
@@ -32,10 +30,6 @@ CLI (``python -m repro.trace.report``).
 """
 
 from .metrics import Histogram
-
-#: Module-level fast-path flag: number of installed tracers across all
-#: kernels in this process.  Zero means no kernel is being traced.
-active_tracers = 0
 
 #: The tracepoint catalog: every name the instrumented layers may emit,
 #: with phase ("X" = span, "i" = instant) and a one-line description.
@@ -146,7 +140,6 @@ class Tracer:
 
     def install(self):
         """Attach to the kernel; tracepoints start flowing."""
-        global active_tracers
         if self.kernel.tracer is not None:
             raise TraceError("kernel already has a tracer installed")
         self.kernel.tracer = self
@@ -155,18 +148,15 @@ class Tracer:
         if health is not None:
             self.flight = health.flight
         self.installed = True
-        active_tracers += 1
         return self
 
     def uninstall(self):
         """Detach; the kernel returns to the zero-cost disabled path."""
-        global active_tracers
         if not self.installed:
             return
         self.kernel.tracer = None
         self.flight = None
         self.installed = False
-        active_tracers -= 1
 
     # -- raw emission -------------------------------------------------------
 

@@ -18,9 +18,9 @@ drivers register:
 A second family of properties runs over hypothesis-generated layouts
 holding every field kind the compiled codec has a typed op for (scalar
 runs with sub-word clamps, null, opaque, exp, ref, embedded, string and
-inline array): the compiled op programs and the ``compiled=False``
-per-field baseline must agree byte for byte on full and delta wires and
-decode to identical graphs.
+inline array): the compiled op programs and the per-field oracle
+(:mod:`tests.core.marshal_oracle`) must agree byte for byte on full and
+delta wires and decode to identical graphs.
 
 Randomness is seed-driven (hypothesis supplies the seed) so failures
 shrink to a small integer and replay deterministically.
@@ -67,6 +67,7 @@ from repro.core.marshal import (
     TransferContext,
     TypeRegistry,
 )
+from tests.core.marshal_oracle import PerFieldCodec
 
 STRUCTS = [cls for _, cls in sorted(StructRegistry.all_structs().items())]
 STRUCT_IDS = [cls.__name__ for cls in STRUCTS]
@@ -236,17 +237,18 @@ def assert_graphs_equal(a, b, seen=None):
                 type(a).__name__, field.name, va, vb)
 
 
-@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "interp"])
+@pytest.mark.parametrize("codec_cls", [MarshalCodec, PerFieldCodec],
+                         ids=["compiled", "interp"])
 @pytest.mark.parametrize("struct_cls", STRUCTS, ids=STRUCT_IDS)
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_encode_decode_encode_byte_identical(struct_cls, compiled, seed):
+def test_encode_decode_encode_byte_identical(struct_cls, codec_cls, seed):
     rng = random.Random(seed)
     obj = struct_cls()
     fill_random(obj, rng)
     # An empty plan marshals every field in both directions, so the
     # property covers the full codec for each struct.
-    codec = MarshalCodec(MarshalPlan(), compiled=compiled)
+    codec = codec_cls(MarshalPlan())
     ctx = EchoCtx()
     wire1 = codec.encode(obj, struct_cls, TO_USER, ctx=ctx)
     twin = codec.decode(wire1, struct_cls, TO_USER, ctx=ctx)
@@ -299,7 +301,7 @@ def test_registry_covers_all_five_drivers():
     assert len(names) >= 12
 
 
-# -- every field kind, compiled vs per-field baseline ------------------------
+# -- every field kind, compiled vs the per-field oracle ----------------------
 
 SCALARS = (U8, U16, U32, U64, I8, I16, I32, I64)
 KINDS = ("scalar", "null", "opaque", "exp", "ref", "embed", "str", "array")
@@ -368,7 +370,7 @@ def _unregister(*classes):
 def _scalar_value(ct, rng, wild):
     if wild and rng.random() < 0.2:
         # Out of range or missing: the encoder must clamp exactly as
-        # the per-field path does.
+        # the per-field oracle does.
         return rng.choice([None, -1, 1 << 70, rng.getrandbits(40)])
     return ct.clamp(rng.getrandbits(64))
 
@@ -425,8 +427,8 @@ def _random_plan(outer, rng):
 
 def _codecs(plan):
     type_ids = TypeRegistry()
-    return [MarshalCodec(plan, type_ids=type_ids, compiled=compiled)
-            for compiled in (True, False)]
+    return [MarshalCodec(plan, type_ids=type_ids),
+            PerFieldCodec(plan, type_ids=type_ids)]
 
 
 @settings(max_examples=60, deadline=None)

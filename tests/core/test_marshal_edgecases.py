@@ -3,7 +3,7 @@
 Exercises the corners of the fast path: circular and diamond-shaped
 graphs (TAG_BACKREF), shared-seen deduplication across the parameters
 of one call, type-registry scoping, plan caching, and byte-identity of
-the compiled codec against the uncached per-field baseline.
+the compiled codec against the per-field oracle.
 """
 
 from repro.core import (
@@ -36,6 +36,7 @@ from repro.core.marshal import (
     compile_field_ops,
     pack_format_for,
 )
+from tests.core.marshal_oracle import PerFieldCodec, uncached_fields
 
 
 class me_node(CStruct):
@@ -66,8 +67,8 @@ class me_rich(CStruct):
     ]
 
 
-def _registry_codec(plan=None, compiled=True):
-    return MarshalCodec(plan, type_ids=TypeRegistry(), compiled=compiled)
+def _registry_codec(plan=None):
+    return MarshalCodec(plan, type_ids=TypeRegistry())
 
 
 class TestBackrefs:
@@ -152,7 +153,7 @@ class TestPlanCache:
                                                writes={"b"}))
         for direction in (TO_USER, TO_KERNEL):
             cached = plan.fields_for(me_rich, direction)
-            uncached = plan.uncached_fields_for(me_rich, direction)
+            uncached = uncached_fields(plan, me_rich, direction)
             assert [f.name for f in cached] == [f.name for f in uncached]
 
     def test_fields_for_is_cached(self):
@@ -204,7 +205,7 @@ class TestCompiledOps:
                 plan.set_access("me_rich", accesses)
             registry = TypeRegistry()
             fast = MarshalCodec(plan, type_ids=registry)
-            slow = MarshalCodec(plan, type_ids=registry, compiled=False)
+            slow = PerFieldCodec(plan, type_ids=registry)
             for direction in (TO_USER, TO_KERNEL):
                 assert fast.encode(obj, me_rich, direction) == \
                     slow.encode(obj, me_rich, direction), direction
@@ -213,7 +214,7 @@ class TestCompiledOps:
         obj = me_rich(a=9, b=-9, wide=77, label="x")
         registry = TypeRegistry()
         fast = MarshalCodec(type_ids=registry)
-        slow = MarshalCodec(type_ids=registry, compiled=False)
+        slow = PerFieldCodec(type_ids=registry)
         out = slow.decode(fast.encode(obj, me_rich, TO_USER),
                           me_rich, TO_USER)
         assert (out.a, out.b, out.wide, out.label) == (9, -9, 77, "x")

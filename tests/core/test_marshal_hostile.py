@@ -43,6 +43,7 @@ from repro.core.marshal import (
     TO_USER,
     XdrBuffer,
 )
+from tests.core.marshal_oracle import PerFieldCodec, put_u64
 
 # Wire layout of a top-level object record (see marshal.py):
 #   u32 tag, u64 identity, u32 type_id, payload...
@@ -84,11 +85,10 @@ def _encode(obj, cls, delta=False):
     return codec, wire
 
 
-def _decoder(encoder, compiled):
+def _decoder(encoder, codec_cls):
     """A second codec sharing ``encoder``'s type ids, as the two ends of
     a channel do."""
-    return MarshalCodec(MarshalPlan(), type_ids=encoder.type_ids,
-                        compiled=compiled)
+    return codec_cls(MarshalPlan(), type_ids=encoder.type_ids)
 
 
 def _patch(wire, offset, word):
@@ -173,7 +173,7 @@ class TestForgedStructure:
         codec = MarshalCodec(MarshalPlan())
         buf = XdrBuffer()
         buf.put_u32(TAG_OBJ)
-        buf.put_u64(0x4000_0000)
+        put_u64(buf, 0x4000_0000)
         buf.put_u32(999_999)
         with pytest.raises(MarshalError, match="type id"):
             codec.decode(bytes(buf.data), h_scalars, TO_USER)
@@ -186,25 +186,25 @@ class TestForgedStructure:
             codec.decode_args(bytes(wire), [h_scalars, h_scalars], TO_USER)
 
 
-@pytest.mark.parametrize("compiled", [True, False],
+@pytest.mark.parametrize("codec_cls", [MarshalCodec, PerFieldCodec],
                          ids=["compiled", "interp"])
 class TestTypedDecodeOps:
     """The compiled codec decodes an opaque record as one 12-byte
     unpack and an array as one unpack; both still validate first."""
 
-    def test_truncated_opaque_record(self, compiled):
+    def test_truncated_opaque_record(self, codec_cls):
         encoder, wire = _encode(h_opq(opq=0x1234), h_opq)
         assert len(wire) == _HDR + 12  # tag word + u64 handle
-        codec = _decoder(encoder, compiled)
+        codec = _decoder(encoder, codec_cls)
         for cut in range(_HDR, _HDR + 12):
             with pytest.raises(MarshalError):
                 codec.decode(wire[:cut], h_opq, TO_USER)
 
     @pytest.mark.parametrize("tag", [TAG_NULL, TAG_OBJ, TAG_ARRAY, 0xFFFF])
-    def test_wrong_opaque_tag(self, compiled, tag):
+    def test_wrong_opaque_tag(self, codec_cls, tag):
         encoder, wire = _encode(h_opq(opq=0x1234), h_opq)
         wire = _patch(wire, _HDR, tag)
-        codec = _decoder(encoder, compiled)
+        codec = _decoder(encoder, codec_cls)
         with pytest.raises(MarshalError, match="opaque"):
             codec.decode(wire, h_opq, TO_USER)
         # A short record with a wrong tag names the tag, like the
@@ -213,24 +213,24 @@ class TestTypedDecodeOps:
             codec.decode(wire[:_HDR + 8], h_opq, TO_USER)
 
     @pytest.mark.parametrize("length", [3, 4, 0x4000_0000, 0xFFFFFFFF])
-    def test_forged_exp_length(self, compiled, length):
+    def test_forged_exp_length(self, codec_cls, length):
         # Payload: count u32 @_HDR, then TAG_ARRAY @+4, length @+8.
         encoder, wire = _encode(h_exp(count=2, vals=[1, 2]), h_exp)
         forged = _patch(wire, _HDR + 8, length)
-        codec = _decoder(encoder, compiled)
+        codec = _decoder(encoder, codec_cls)
         with pytest.raises(MarshalError, match="underrun"):
             codec.decode(forged, h_exp, TO_USER)
 
-    def test_wrong_exp_tag(self, compiled):
+    def test_wrong_exp_tag(self, codec_cls):
         encoder, wire = _encode(h_exp(count=2, vals=[1, 2]), h_exp)
         wire = _patch(wire, _HDR + 4, TAG_OPAQUE)
-        codec = _decoder(encoder, compiled)
+        codec = _decoder(encoder, codec_cls)
         with pytest.raises(MarshalError, match="array tag"):
             codec.decode(wire, h_exp, TO_USER)
 
-    def test_truncated_inline_array(self, compiled):
+    def test_truncated_inline_array(self, codec_cls):
         encoder, wire = _encode(h_arr(arr=[1, 2, 3]), h_arr)
-        codec = _decoder(encoder, compiled)
+        codec = _decoder(encoder, codec_cls)
         assert codec.decode(wire, h_arr, TO_USER).arr == [1, 2, 3]
         for cut in range(_HDR, len(wire)):
             with pytest.raises(MarshalError):

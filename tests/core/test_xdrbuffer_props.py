@@ -1,9 +1,14 @@
-"""Property-based tests for the XDR wire buffer and codec internals."""
+"""Property-based tests for the XDR wire buffer and codec internals.
+
+The scalar word helpers are the per-field oracle's
+(:mod:`tests.core.marshal_oracle`).
+"""
 
 from hypothesis import given, settings, strategies as st
 
 from repro.core import I16, I32, I64, U8, U16, U32, U64
 from repro.core.marshal import XdrBuffer
+from tests.core.marshal_oracle import get_scalar, put_scalar
 
 SCALARS = {
     "u8": (U8, st.integers(0, 2**8 - 1)),
@@ -26,10 +31,10 @@ class TestXdrBufferProperties:
     def test_scalar_sequences_roundtrip(self, items):
         buf = XdrBuffer()
         for key, value in items:
-            buf.put_scalar(SCALARS[key][0], value)
+            put_scalar(buf, SCALARS[key][0], value)
         out = XdrBuffer(bytes(buf.data))
         for key, value in items:
-            assert out.get_scalar(SCALARS[key][0]) == value
+            assert get_scalar(out, SCALARS[key][0]) == value
 
     @given(blobs=st.lists(st.binary(max_size=40), max_size=10))
     @settings(max_examples=40, deadline=None)
@@ -73,8 +78,8 @@ class TestXdrBufferProperties:
     @settings(max_examples=30, deadline=None)
     def test_u64_wider_than_u32(self, value):
         buf = XdrBuffer()
-        buf.put_scalar(U64, value)
+        put_scalar(buf, U64, value)
         assert len(buf.data) == 8
         buf2 = XdrBuffer()
-        buf2.put_scalar(U32, value)
+        put_scalar(buf2, U32, value)
         assert len(buf2.data) == 4

@@ -62,13 +62,32 @@ class TestTransitionTable:
         assert table.call("f") == "good"
 
     def test_decaf_calls_cross_the_language_boundary(self, table):
-        table.register("f", lambda: 0, lambda: 0)
-        before = table.plumbing.xpc.lang_crossings
+        plumbing = table.plumbing
+        kernel = plumbing.kernel
+        seen = []
+
+        def impl():
+            # The crossing is charged before the call enters DECAF.
+            seen.append((plumbing.domains.current,
+                         kernel.cpu.category_ns("xpc")))
+            return 0
+
+        table.register("f", impl, impl)
+
+        def state():
+            return (plumbing.xpc.lang_crossings,
+                    kernel.cpu.category_ns("xpc"), kernel.cpu.busy_ns)
+
+        crossings, xpc_ns, busy_ns = state()
         table.call("f")             # library: no language crossing
-        assert table.plumbing.xpc.lang_crossings == before
+        assert state() == (crossings, xpc_ns, busy_ns)
+        assert seen == [("driver-lib", xpc_ns)]
         table.convert("f")
         table.call("f")             # decaf: one crossing
-        assert table.plumbing.xpc.lang_crossings == before + 1
+        lang_ns = kernel.costs.xpc_lang_ns
+        assert state() == (crossings + 1, xpc_ns + lang_ns,
+                           busy_ns + lang_ns)
+        assert seen[1] == ("decaf", xpc_ns + lang_ns)
 
     def test_unknown_function_rejected(self, table):
         with pytest.raises(TransitionError):

@@ -224,10 +224,12 @@ class TestDumps:
 
     def test_dump_count_bounded(self, kernel, health):
         for i in range(health.max_dumps + 5):
-            health.dump("flood-%d" % i)
+            report = health.dump("flood-%d" % i)
         assert len(health.dumps) == health.max_dumps
         assert kernel.kstat.counter("health.dumps_written") == \
             health.max_dumps + 5
+        # The retained list is capped; the dump count is not.
+        assert report["prior_dumps"] == health.max_dumps + 4
 
     def test_postmortem_cli_parses_dump(self, kernel, health, capfd):
         kernel.printk("health: something broke", level="warn")
@@ -238,9 +240,18 @@ class TestDumps:
         assert "target = eth0" in out
 
     def test_summary_shape(self, kernel, health):
+        kernel.printk("health: noted", level="warn")
+        health.dump("one")
         summary = health.summary()
-        assert "kstat" in summary and "flight" in summary
-        assert "watchdog_fires" in summary
+        assert set(summary) == {"kstat", "flight"}
+        # Every count the summary carries outside kstat is a kstat
+        # counter's twin: there is no second, diverging tally.
+        kstat = summary["kstat"]
+        assert kstat["health.dumps_written"] == 1
+        assert summary["flight"]["recorded"] == \
+            kstat["health.flight.recorded"]
+        assert summary["flight"]["buffered"] == \
+            kstat["health.flight.buffered"]
 
 
 class TestTopCli:

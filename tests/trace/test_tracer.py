@@ -4,19 +4,15 @@ import pytest
 
 from repro import trace as trace_mod
 from repro.trace import TRACEPOINTS, TraceError, Tracer, per_driver
-from repro.trace import core as trace_core
 
 
 class TestLifecycle:
     def test_install_sets_kernel_hooks_and_flag(self, kernel):
         assert kernel.tracer is None
-        base = trace_core.active_tracers
         tracer = Tracer(kernel).install()
         assert kernel.tracer is tracer
-        assert trace_core.active_tracers == base + 1
         tracer.uninstall()
         assert kernel.tracer is None
-        assert trace_core.active_tracers == base
 
     def test_double_install_raises(self, kernel):
         tracer = Tracer(kernel).install()
@@ -30,7 +26,7 @@ class TestLifecycle:
         tracer = Tracer(kernel).install()
         tracer.uninstall()
         tracer.uninstall()
-        assert trace_core.active_tracers >= 0
+        assert kernel.tracer is None
 
 
 class TestEmission:

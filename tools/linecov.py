@@ -8,7 +8,11 @@ coverage package is needed, so the number means the same thing in CI
 and in a bare container.
 
 Usage:
-    PYTHONPATH=src python tools/linecov.py --fail-under 80 [pytest args]
+    PYTHONPATH=src python tools/linecov.py --fail-under 80 \
+        [--report COVERAGE.json] [pytest args]
+
+The JSON report lists, per file, the covered and executable line counts
+and the executable lines that never ran (``missing``).
 
 Exit status: pytest's own status if the suite fails, 2 if the suite
 passes but total coverage is below the floor, else 0.
@@ -89,17 +93,18 @@ def report(src_root, covered, fail_under, report_path, echo=print):
             lines = executable_lines(path)
             if not lines:
                 continue
-            hit = len(lines & covered_abs.get(path, set()))
+            missing = sorted(lines - covered_abs.get(path, set()))
+            hit = len(lines) - len(missing)
             total_executable += len(lines)
             total_covered += hit
             rows.append((os.path.relpath(path, src_root),
-                         hit, len(lines)))
+                         hit, len(lines), missing))
 
     percent = 100.0 * total_covered / total_executable \
         if total_executable else 0.0
     rows.sort(key=lambda row: row[1] / row[2])
     echo("%-42s %9s %7s" % ("least-covered files", "lines", "cover"))
-    for rel, hit, executable in rows[:10]:
+    for rel, hit, executable, _missing in rows[:10]:
         echo("%-42s %4d/%-4d %6.1f%%"
              % (rel, hit, executable, 100.0 * hit / executable))
     echo("TOTAL %d/%d executable lines covered: %.1f%% (floor %.1f%%)"
@@ -113,8 +118,9 @@ def report(src_root, covered, fail_under, report_path, echo=print):
                 "executable": total_executable,
                 "fail_under": fail_under,
                 "files": [
-                    {"file": rel, "covered": hit, "executable": executable}
-                    for rel, hit, executable in sorted(rows)
+                    {"file": rel, "covered": hit, "executable": executable,
+                     "missing": missing}
+                    for rel, hit, executable, missing in sorted(rows)
                 ],
             }, handle, indent=1)
     return percent
@@ -131,11 +137,9 @@ def main(argv=None):
                              "this script)")
     parser.add_argument("--report", default=None,
                         help="write a JSON report here")
-    parser.add_argument("pytest_args", nargs="*",
-                        help="arguments forwarded to pytest "
-                             "(default: -q)")
-    args, extra = parser.parse_known_args(argv)
-    args.pytest_args += extra  # pytest flags like -q land here
+    # Everything else goes to pytest, in its original order (a flag
+    # with a value, such as ``-p no:cacheprovider``, must stay a pair).
+    args, pytest_args = parser.parse_known_args(argv)
 
     src_root = args.src or os.path.join(
         os.path.dirname(os.path.abspath(__file__)), "..", "src", "repro")
@@ -144,7 +148,7 @@ def main(argv=None):
     covered = install_tracer(src_root)
     try:
         import pytest
-        status = pytest.main(args.pytest_args or ["-q"])
+        status = pytest.main(pytest_args or ["-q"])
     finally:
         sys.settrace(None)
         threading.settrace(None)
