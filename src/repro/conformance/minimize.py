@@ -71,7 +71,7 @@ REPRO_TEMPLATE = '''\
 #!/usr/bin/env python
 """Auto-generated conformance divergence repro.
 
-Scenario: {describe}
+Scenario: {describe}{defer_note}
 Original divergences:
 {divergence_lines}
 
@@ -83,7 +83,7 @@ Run with the repository's src/ on PYTHONPATH:
 import json
 import sys
 
-from repro.conformance import DifferentialRunner, Scenario{nobble_import}
+{imports}
 
 SCENARIO = json.loads(r"""
 {scenario_json}
@@ -92,7 +92,7 @@ SCENARIO = json.loads(r"""
 
 def main():
     scenario = Scenario.from_json(SCENARIO)
-    result = DifferentialRunner({runner_args}).run_pair(scenario)
+    result = {run_pair}
     if result.ok:
         print("no divergence (fixed?): %s" % scenario.describe())
         return 0
@@ -107,23 +107,41 @@ if __name__ == "__main__":
 '''
 
 
-def write_repro_script(scenario, divergences, path, nobble_name=None):
+def write_repro_script(scenario, divergences, path, nobble_name=None,
+                       defer_event=None):
     """Emit a standalone repro script for a (minimized) scenario.
 
     ``nobble_name``, if given, names a nobble callable exported by
     ``repro.conformance`` (e.g. the canary's ``nobble_drop_tx``); the
     emitted script re-installs it so the divergence it provoked still
-    reproduces standalone.
+    reproduces standalone.  ``defer_event``, if given, runs the pair
+    with that event's interrupts deferred to the next event boundary
+    (``repro.explore.run_defer_pair``), the exploration's irq-deferral
+    axis.
     """
     lines = "\n".join("  [%s] %s" % (d.channel, d.detail)
                       for d in divergences) or "  (none recorded)"
+    imports = "from repro.conformance import DifferentialRunner, Scenario"
+    runner = "DifferentialRunner()"
+    if nobble_name:
+        imports += ", " + nobble_name
+        runner = "DifferentialRunner(nobble=%s)" % nobble_name
+    if defer_event is None:
+        defer_note = ""
+        run_pair = runner + ".run_pair(scenario)"
+    else:
+        defer_note = ("\nDeferred event: %d (its irq asserts deliver at the "
+                      "next\nevent boundary in both variants)." % defer_event)
+        imports += "\nfrom repro.explore import run_defer_pair"
+        run_pair = "run_defer_pair(%s, scenario, %d)" % (runner, defer_event)
     text = REPRO_TEMPLATE.format(
         describe=scenario.describe(),
+        defer_note=defer_note,
         divergence_lines=lines,
         filename=getattr(path, "name", str(path)),
+        imports=imports,
         scenario_json=canonical_json(scenario.to_json()),
-        nobble_import=(", %s" % nobble_name) if nobble_name else "",
-        runner_args=("nobble=%s" % nobble_name) if nobble_name else "",
+        run_pair=run_pair,
     )
     with open(path, "w") as fh:
         fh.write(text)

@@ -236,9 +236,6 @@ class Field:
                 return ann
         return None
 
-    def is_pointer(self):
-        return isinstance(self.ctype, Ptr)
-
     def __repr__(self):
         return "<Field %s: %r>" % (self.name, self.ctype)
 

@@ -64,7 +64,6 @@ class UserObjectTracker:
         self._epoch = 0            # bumped by clear(); disarms finalizers
         self.lookups = 0
         self.hits = 0
-        self.auto_released = 0
         self.release_hook = None   # called with (c_addr, type_id) on GC
 
     def associate(self, c_addr, type_id, obj, weak=False):
@@ -90,7 +89,6 @@ class UserObjectTracker:
                 return
             self._j_by_key.pop(key, None)
             self._c_by_objid.pop(objid, None)
-            self.auto_released += 1
             if self.release_hook is not None:
                 self.release_hook(key[0], key[1])
         return finalize

@@ -142,7 +142,6 @@ class DecafRuntime:
         self.domains = domains
         self.channel = channel
         self._started = False
-        self.shared_objects_created = 0
         channel.user_tracker.release_hook = self._release_kernel_twin
         self._kernel_twins = {}
 
@@ -213,7 +212,6 @@ class DecafRuntime:
             struct_cls.sizeof() or 8, owner="decaf-shared"
         )
         self._kernel_twins[(kernel_obj.c_addr, type_id)] = (kernel_obj, alloc)
-        self.shared_objects_created += 1
         return java_obj
 
     def free_shared(self, java_obj):

@@ -284,7 +284,3 @@ class Ens1371Device:
             pos &= 3
         self.audio_checksum = total & 0xFFFFFFFF
         self.dac2_pos_bytes = (self.dac2_pos_bytes + nbytes) % size_bytes
-
-    def ack_interrupt(self):
-        """Driver acknowledges by toggling P2_INTR_EN; model helper."""
-        self.status &= ~(STAT_INTR | STAT_DAC2)

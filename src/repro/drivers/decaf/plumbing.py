@@ -154,7 +154,6 @@ class DecafPlumbing:
         )
         self.replay_log = ReplayLog()
         self.supervisor = None  # attached by repro.recovery.DriverSupervisor
-        self.restarts = 0
         if nucleus is not None:
             self.down = nucleus.Down(self, nucleus)
             self.up = nucleus.Up(self, nucleus)
@@ -217,7 +216,6 @@ class DecafPlumbing:
         self.channel.reset_user_side()
         self.decaf_rt = DecafRuntime(self.kernel, self.domains, self.channel)
         self.decaf_rt.start()
-        self.restarts += 1
 
     def notify(self, func, args=(), extra=None):
         """Queue a fire-and-forget kernel -> decaf notification.

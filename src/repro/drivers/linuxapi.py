@@ -18,16 +18,15 @@ from ..kernel.errors import (
     ETIMEDOUT,
 )
 from ..kernel.irq import IRQ_HANDLED, IRQ_NONE
-from ..kernel.locks import Mutex, SpinLock
+from ..kernel.locks import SpinLock
 from ..kernel.memory import GFP_ATOMIC, GFP_KERNEL
 from ..kernel.netdev import NETDEV_TX_BUSY, NETDEV_TX_OK, NetDevice, SkBuff
 from ..kernel.sound import (
     SNDRV_PCM_TRIGGER_START,
     SNDRV_PCM_TRIGGER_STOP,
-    Ac97Codec,
     SndCard,
 )
-from ..kernel.timers import KernelTimer, WorkItem
+from ..kernel.timers import KernelTimer
 
 
 class LinuxApi:
@@ -116,26 +115,14 @@ class LinuxApi:
     def spin_lock_init(self, name="lock"):
         return SpinLock(self.kernel, name)
 
-    def spin_lock(self, lock):
-        lock.lock()
-
-    def spin_unlock(self, lock):
-        lock.unlock()
-
     def spin_lock_irqsave(self, lock):
         lock.lock_irqsave()
 
     def spin_unlock_irqrestore(self, lock):
         lock.unlock_irqrestore()
 
-    def mutex_init(self, name="mutex"):
-        return Mutex(self.kernel, name)
-
     def mutex_lock(self, mutex):
         mutex.lock()
-
-    def mutex_unlock(self, mutex):
-        mutex.unlock()
 
     # -- timers and work ----------------------------------------------------------------
 
@@ -148,17 +135,8 @@ class LinuxApi:
     def del_timer_sync(self, timer):
         return timer.del_timer()
 
-    def init_work(self, function, data=None, name="work"):
-        return WorkItem(self.kernel, function, data, name)
-
     def schedule_work(self, work):
         return self.kernel.workqueue.schedule_work(work)
-
-    def cancel_work_sync(self, work):
-        return self.kernel.workqueue.cancel_work(work)
-
-    def flush_scheduled_work(self):
-        self.kernel.workqueue.flush()
 
     # -- port and memory-mapped I/O --------------------------------------------------------
 
@@ -217,15 +195,6 @@ class LinuxApi:
 
     def pci_resource_start(self, pdev, bar):
         return pdev.resource_start(bar)
-
-    def pci_resource_len(self, pdev, bar):
-        return pdev.resource_len(bar)
-
-    def pci_read_config_word(self, pdev, offset):
-        return self.kernel.pci.read_config_word(pdev, offset)
-
-    def pci_write_config_word(self, pdev, offset, value):
-        self.kernel.pci.write_config_word(pdev, offset, value)
 
     def pci_read_config_dword(self, pdev, offset):
         return self.kernel.pci.read_config_dword(pdev, offset)
@@ -330,9 +299,6 @@ class LinuxApi:
 
     def snd_ctl_add(self, card, name):
         return self.kernel.sound.snd_ctl_add(card, name)
-
-    def snd_ac97_codec_new(self, read_reg, write_reg):
-        return Ac97Codec(read_reg, write_reg)
 
     # -- USB ----------------------------------------------------------------------------------------
 

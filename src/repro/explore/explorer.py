@@ -27,7 +27,6 @@ import os
 import random
 
 from ..conformance.minimize import minimize_scenario, write_repro_script
-from ..conformance.observe import canonical_json
 from ..conformance.runner import DifferentialRunner, RunProbe
 from ..conformance.scenario import Scenario
 from ..family import FAMILIES
@@ -99,51 +98,6 @@ def run_defer_pair(runner, scenario, defer_event):
         return runner.run_pair(scenario)
     finally:
         runner.probe = saved
-
-
-DEFER_REPRO_TEMPLATE = '''\
-#!/usr/bin/env python
-"""Auto-generated exploration divergence repro (irq-deferral axis).
-
-Scenario: {describe}
-Deferred event: {defer_event} (its irq asserts deliver at the next
-event boundary in both variants).
-Original divergences:
-{divergence_lines}
-
-Run with the repository's src/ on PYTHONPATH:
-
-    PYTHONPATH=src python {filename}
-"""
-
-import json
-import sys
-
-from repro.conformance import DifferentialRunner, Scenario
-from repro.explore import run_defer_pair
-
-SCENARIO = json.loads(r"""
-{scenario_json}
-""")
-
-DEFER_EVENT = {defer_event}
-
-
-def main():
-    scenario = Scenario.from_json(SCENARIO)
-    result = run_defer_pair(DifferentialRunner(), scenario, DEFER_EVENT)
-    if result.ok:
-        print("no divergence (fixed?): %s" % scenario.describe())
-        return 0
-    print("divergence reproduced: %s" % scenario.describe())
-    for divergence in result.divergences:
-        print("  [%s] %s" % (divergence.channel, divergence.detail))
-    return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())
-'''
 
 
 class ExploreReport:
@@ -346,30 +300,16 @@ class Explorer:
         path = os.path.join(
             self.out_dir,
             "repro_%s_%s_%02d.py" % (self.driver, kind, index))
-        if kind == "defer":
-            self._write_defer_repro(scenario, result.divergences,
-                                    defer_event, path)
-        else:
-            emit = scenario
-            if self.minimize and index < self.max_minimize:
-                emit, _runs = minimize_scenario(self.runner, scenario,
-                                                max_runs=48)
-                finding["minimized_events"] = len(emit.events)
-            write_repro_script(emit, result.divergences, path)
+        emit = scenario
+        # A defer finding names an event by index, which ddmin would
+        # shift, so it is emitted unminimized.
+        if kind != "defer" and self.minimize and index < self.max_minimize:
+            emit, _runs = minimize_scenario(self.runner, scenario,
+                                            max_runs=48)
+            finding["minimized_events"] = len(emit.events)
+        write_repro_script(emit, result.divergences, path,
+                           defer_event=defer_event)
         finding["repro"] = path
-
-    def _write_defer_repro(self, scenario, divergences, defer_event, path):
-        lines = "\n".join("  [%s] %s" % (d.channel, d.detail)
-                          for d in divergences) or "  (none recorded)"
-        text = DEFER_REPRO_TEMPLATE.format(
-            describe=scenario.describe(),
-            defer_event=defer_event,
-            divergence_lines=lines,
-            filename=os.path.basename(path),
-            scenario_json=canonical_json(scenario.to_json()),
-        )
-        with open(path, "w") as fh:
-            fh.write(text)
 
 
 def explore(driver, depth=6, **kwargs):

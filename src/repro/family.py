@@ -100,7 +100,6 @@ class DeviceInstance:
         self.init_latency_ns = None
         self.bound = False
         self.probes = 0
-        self.recoveries = 0       # harvested from detached supervisors
         self.outage_samples = []  # harvested from detached supervisors
 
     def attach(self, kernel, slot=None, **options):
@@ -156,7 +155,6 @@ class DeviceInstance:
         self.release()
         if sup is not None:
             self.outage_samples.extend(sup.outage_samples)
-            self.recoveries += sup.recoveries
             sup.detach()
             self.supervisor = None
 
@@ -228,10 +226,6 @@ class DeviceInstance:
         sup = self.supervisor
         return bool(sup is not None and sup.recovery_pending())
 
-    def recoveries_total(self):
-        return self.recoveries + (self.supervisor.recoveries
-                                  if self.supervisor else 0)
-
     def harvest_outages(self):
         samples = list(self.outage_samples)
         if self.supervisor is not None:
@@ -239,10 +233,14 @@ class DeviceInstance:
         return samples
 
     def fault_stats(self):
-        """(faults fired, recoveries completed, kernel-side work lost)."""
+        """(faults fired, recoveries completed, kernel-side work lost).
+
+        The last two are the rig kernel's kstat, which keeps what a
+        detached supervisor counted."""
         fired = self.injector.plan.fired if self.injector else 0
-        sup = self.supervisor
-        return fired, self.recoveries_total(), sup.work_lost if sup else 0
+        counts = self.kernel.kstat.snapshot()
+        return (fired, counts.get("recovery.recoveries", 0),
+                counts.get("recovery.work_lost", 0))
 
 
 class DeviceFamily:

@@ -84,7 +84,6 @@ class FleetHarness:
         self.rng = random.Random(spec.seed)
         self.slots = []
         self._parked = []        # removed slots awaiting re-probe
-        self._plans = []         # every fault plan ever armed
         self.churn_cycles = 0    # completed remove -> re-probe cycles
         self.removes = 0
         self.mem_bytes_per_device = 0.0
@@ -216,7 +215,6 @@ class FleetHarness:
         plan = FaultPlan([FaultSpec("xpc_raise")],
                          name="fleet-%s" % slot.name)
         slot.inject_faults(plan)
-        self._plans.append(plan)
         # The decaf datapaths are engineered to cross rarely; poke a
         # control-plane op so the armed fault meets a crossing now.
         slot.poke()
@@ -252,10 +250,15 @@ class FleetHarness:
         return self
 
     def faults_fired(self):
-        return sum(plan.fired for plan in self._plans)
+        return self._count("faults.fired")
 
     def recoveries(self):
-        return sum(slot.recoveries_total() for slot in self.slots)
+        return self._count("recovery.recoveries")
+
+    def _count(self, name):
+        # The kernel is the harness's own, so its kstat counts only
+        # this fleet, removed slots' drivers included.
+        return self.kernel.kstat.snapshot().get(name, 0)
 
     def outage_samples_ns(self):
         out = []
@@ -266,27 +269,29 @@ class FleetHarness:
     def result(self, name="fleet"):
         samples = sorted(self.outage_samples_ns())
         fired = self.faults_fired()
-        return self.window.close(
+        result = self.window.close(
             name,
             packets=sum(s.traffic_units for s in self.slots),
-            packets_lost=sum(s.traffic_lost for s in self.slots),
-            extra={
-                "crossings": sum(s.crossings() for s in self.slots),
-                "fleet_devices": self.spec.n_devices,
-                "churn_cycles": self.churn_cycles,
-                "events_per_sec": self.events_per_sec,
-                "wall_s_per_virtual_ms": self.wall_s_per_virtual_ms,
-                "mem_bytes_per_device": self.mem_bytes_per_device,
-                "recovery_rate": (self.recoveries() / fired) if fired else 1.0,
-                "recovery_p50_ms": _percentile(samples, 0.50) / 1e6,
-                "recovery_p99_ms": _percentile(samples, 0.99) / 1e6,
-                "decaf_slots": sum(1 for s in self.slots if s.decaf),
-                "legacy_slots": sum(1 for s in self.slots if not s.decaf),
-                "probes": sum(s.probes for s in self.slots),
-                "removes": self.removes,
-                "wall_elapsed_s": round(self.wall_elapsed_s, 3),
-            },
-        )
+            packets_lost=sum(s.traffic_lost for s in self.slots))
+        # The window opened before the first probe: its delta is every
+        # crossing of the fleet's life, churned-out channels' included.
+        result.extra = {
+            "crossings": result.kstat.get("xpc.crossings", 0),
+            "fleet_devices": self.spec.n_devices,
+            "churn_cycles": self.churn_cycles,
+            "events_per_sec": self.events_per_sec,
+            "wall_s_per_virtual_ms": self.wall_s_per_virtual_ms,
+            "mem_bytes_per_device": self.mem_bytes_per_device,
+            "recovery_rate": (self.recoveries() / fired) if fired else 1.0,
+            "recovery_p50_ms": _percentile(samples, 0.50) / 1e6,
+            "recovery_p99_ms": _percentile(samples, 0.99) / 1e6,
+            "decaf_slots": sum(1 for s in self.slots if s.decaf),
+            "legacy_slots": sum(1 for s in self.slots if not s.decaf),
+            "probes": sum(s.probes for s in self.slots),
+            "removes": self.removes,
+            "wall_elapsed_s": round(self.wall_elapsed_s, 3),
+        }
+        return result
 
 
 def _percentile(sorted_samples, q):

@@ -53,9 +53,10 @@ class FlightRecorder:
         self.ring.append((ts_ns, cpu, name, args))
 
     def snapshot(self):
+        """Ring occupancy; the record count is kstat's
+        (``health.flight.recorded``)."""
         return {
             "capacity": self.capacity,
-            "recorded": self.recorded,
             "buffered": len(self.ring),
         }
 

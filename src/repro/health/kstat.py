@@ -10,8 +10,20 @@ dict -- and the registry pulls from it only when someone snapshots.  The
 always-on cost of a kstat is therefore zero: the counters already exist
 (IRQ delivery counts, NAPI poll totals, XPC crossings, ...); the
 registry is just a uniform, dotted-name window onto them.  Cold events
-with no owning counter (fault firings, recoveries, lockdep reports,
-watchdog fires) go through :meth:`KstatRegistry.inc` instead.
+with no owning counter (fault firings, lockdep reports, watchdog fires)
+go through :meth:`KstatRegistry.inc` instead.
+
+A count outlives its owner.  Unregistering a provider (a driver's
+``Xpc``, a ``DriverSupervisor``, the health plane) reads it one last
+time and folds its numeric values into the cold counters under the
+same names, and ``NetworkCore.unregister_netdev`` retires a removed
+device's packet counts the same way.  So a window that spans a remove
+reads what was counted in it, and nothing keeps a second tally to
+bridge teardown.  The rule that follows: a provider that can
+unregister reports only counts.  Occupancy gauges (``mm.*``,
+``net.<dev>.queue_stopped``, ``*.hit_rate``) come only from providers
+that live as long as the kernel; ``recovery.gave_up`` only ever goes
+0 -> 1, so once folded it counts the supervisors that gave up.
 
 Naming scheme (see DESIGN.md "Health plane")::
 
@@ -44,8 +56,8 @@ class KstatRegistry:
         # [(prefix, provider)] in registration order.
         self._providers = []
         # Explicit counters for cold events with no natural home
-        # (watchdog fires, flight dumps).  Updated via inc(), never on
-        # a hot path.
+        # (watchdog fires, flight dumps) and the retired counts of
+        # unregistered owners.  Updated via inc(), never on a hot path.
         self._counters = {}
 
     # -- registration -------------------------------------------------------
@@ -58,7 +70,8 @@ class KstatRegistry:
         return provider
 
     def unregister(self, prefix, provider=None):
-        """Drop providers under ``prefix`` (or one specific provider).
+        """Drop providers under ``prefix`` (or one specific provider),
+        retiring each one's last reading into the cold counters.
 
         Matches by equality, not identity: providers are usually bound
         methods, and ``obj.method`` builds a fresh method object on
@@ -66,10 +79,23 @@ class KstatRegistry:
         ``register`` stored and the provider would leak on every
         driver remove.
         """
-        self._providers = [
-            (p, fn) for p, fn in self._providers
-            if not (p == prefix and (provider is None or fn == provider))
-        ]
+        kept = []
+        for p, fn in self._providers:
+            if p == prefix and (provider is None or fn == provider):
+                self.retire(p, fn())
+            else:
+                kept.append((p, fn))
+        self._providers = kept
+
+    def retire(self, prefix, counts):
+        """Fold an owner's final ``{relative_name: count}`` into the
+        cold counters, so its counts outlive it under the same names."""
+        counters = self._counters
+        dot = prefix + "." if prefix else ""
+        for name, value in counts.items():
+            if value and isinstance(value, (int, float)):
+                key = dot + str(name)
+                counters[key] = counters.get(key, 0) + value
 
     # -- explicit cold counters --------------------------------------------
 
@@ -115,9 +141,12 @@ class KstatRegistry:
         """Per-key numeric difference of two snapshots.
 
         Keys present on only one side are reported as-is (a counter
-        that appeared mid-window delta'd from zero; one that vanished
-        shows its negated old value) -- deltas never divide.  Keys come
-        out sorted, so a dumped delta is byte-identical run to run.
+        that appeared mid-window delta'd from zero; a key that vanished
+        shows its negated old value) -- deltas never divide.  Counts do
+        not vanish, since a removed owner's are retired into the cold
+        counters; only a removed owner's gauge (``net.<dev>.
+        queue_stopped``) can.  Keys come out sorted, so a dumped delta
+        is byte-identical run to run.
         """
         out = {}
         for key in sorted(set(before) | set(after)):

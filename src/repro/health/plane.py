@@ -78,12 +78,10 @@ class HealthPlane:
         self.installed = False
 
     def _kstat_provider(self):
-        out = {
-            "flight.recorded": self.flight.recorded,
-            "flight.buffered": len(self.flight.ring),
-        }
-        # Watchdog fires and dumps are kstat.inc'd, as
-        # health.watchdog_fires.<kind> and health.dumps_written.
+        # Counts only (the plane can uninstall); ring occupancy is in
+        # flight.snapshot().  Watchdog fires and dumps are kstat.inc'd,
+        # as health.watchdog_fires.<kind> and health.dumps_written.
+        out = {"flight.recorded": self.flight.recorded}
         if self.watchdog is not None:
             out["watchdog.checks"] = self.watchdog.checks
         return out

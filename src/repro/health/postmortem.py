@@ -28,13 +28,10 @@ def summarize(report, ring_tail=20, dmesg_tail=10, out=None):
     for key in sorted(detail):
         print("  %s = %s" % (key, detail[key]), file=out)
 
-    watchdog = report.get("watchdog") or {}
-    fires = watchdog.get("fires") or {}
-    if any(fires.values()):
+    events = (report.get("watchdog") or {}).get("events") or []
+    if events:
         print("-- watchdog --", file=out)
-        print("  checks=%s fires=%s" % (watchdog.get("checks", 0),
-                                        dict(fires)), file=out)
-        for event in watchdog.get("events", []):
+        for event in events:
             print("  [%s] %s on %s: %s" % (
                 _ms(event.get("ts_ns", 0)), event.get("kind"),
                 event.get("target"), event.get("detail")), file=out)

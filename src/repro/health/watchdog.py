@@ -73,7 +73,6 @@ class Watchdogs:
         self.soft_lockup_ns = soft_lockup_ns
         self.hung_task_ns = hung_task_ns
         self.checks = 0
-        self.fires = {"soft_lockup": 0, "hung_task": 0}
         self.events = []
         self.armed = False
         self._event = None
@@ -170,7 +169,6 @@ class Watchdogs:
         if key in self._latched:
             return
         self._latched.add(key)
-        self.fires[kind] += 1
         kernel = self._kernel
         event = WatchdogEvent(kind, target, kernel.clock.now_ns, detail)
         self.events.append(event)
@@ -203,10 +201,10 @@ class Watchdogs:
                     supervisor.note_wedge(reason)
 
     def snapshot(self):
+        """State for a crash dump; checks and fires are kstat's
+        (``health.watchdog.checks``, ``health.watchdog_fires.<kind>``)."""
         return {
             "armed": self.armed,
-            "checks": self.checks,
-            "fires": dict(self.fires),
             "period_ns": self.period_ns,
             "events": [ev.as_dict() for ev in self.events],
         }

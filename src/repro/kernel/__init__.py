@@ -39,7 +39,6 @@ from .netdev import (
 )
 from .pci import PciBar, PciBus, PciDriver, PciFunction
 from .sound import (
-    Ac97Codec,
     SNDRV_PCM_TRIGGER_START,
     SNDRV_PCM_TRIGGER_STOP,
     SndCard,
@@ -108,7 +107,6 @@ __all__ = [
     "PciFunction",
     "SndCard",
     "SoundCore",
-    "Ac97Codec",
     "UsbCore",
     "UsbDevice",
     "UsbDeviceDescriptor",

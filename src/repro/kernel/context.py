@@ -33,10 +33,6 @@ class ExecContext:
 
     # -- context queries ---------------------------------------------------
 
-    @property
-    def irq_depth(self):
-        return self._irq_depth
-
     def in_irq(self):
         """True in hardirq context (interrupt handler)."""
         return self._irq_depth > 0

@@ -420,13 +420,6 @@ class Kernel:
         self.context.might_sleep("msleep")
         self.consume(int(msecs * NSEC_PER_MSEC), busy=False, category="sleep")
 
-    def msleep_interruptible(self, msecs):
-        self.msleep(msecs)
-        return 0
-
-    def schedule_timeout(self, msecs):
-        self.msleep(msecs)
-
     # -- Linux accessor shims used pervasively by drivers -----------------------
 
     def request_irq(self, irq, handler, name, dev_id=None):

@@ -31,28 +31,6 @@ EPIPE = 32
 ETIMEDOUT = 110
 EINPROGRESS = 115
 
-ERRNO_NAMES = {
-    EPERM: "EPERM",
-    ENOENT: "ENOENT",
-    EIO: "EIO",
-    ENXIO: "ENXIO",
-    EAGAIN: "EAGAIN",
-    ENOMEM: "ENOMEM",
-    EFAULT: "EFAULT",
-    EBUSY: "EBUSY",
-    ENODEV: "ENODEV",
-    EINVAL: "EINVAL",
-    ENOSPC: "ENOSPC",
-    EPIPE: "EPIPE",
-    ETIMEDOUT: "ETIMEDOUT",
-    EINPROGRESS: "EINPROGRESS",
-}
-
-
-def errno_name(code):
-    """Return a symbolic name for a (possibly negated) errno value."""
-    return ERRNO_NAMES.get(abs(code), str(code))
-
 
 class KernelError(Exception):
     """Base class for all simulated-kernel faults."""

@@ -217,11 +217,17 @@ class NetDevice:
         return bool(self.flags & IFF_UP)
 
 
+def _dev_counts(dev):
+    """A device's kstat counts, kept past its unregister."""
+    return {"tx_packets": dev.stats.tx_packets,
+            "rx_packets": dev.stats.rx_packets,
+            "tx_queue_wakeups": dev.tx_queue_wakeups}
+
+
 class NetworkCore:
     def __init__(self, kernel):
         self._kernel = kernel
         self._devices = []
-        self._ifindex = 0
         self.rx_sink = None  # callable(dev, skb) installed by workloads
         self.stack_rx_packets = 0
         self.stack_rx_bytes = 0
@@ -240,12 +246,9 @@ class NetworkCore:
         out = {"stack_rx_packets": self.stack_rx_packets,
                "stack_rx_bytes": self.stack_rx_bytes}
         for dev in self._devices:
-            stats = dev.stats
-            prefix = dev.name
-            out["%s.tx_packets" % prefix] = stats.tx_packets
-            out["%s.rx_packets" % prefix] = stats.rx_packets
-            out["%s.tx_queue_wakeups" % prefix] = dev.tx_queue_wakeups
-            out["%s.queue_stopped" % prefix] = dev._queue_stopped
+            for name, count in _dev_counts(dev).items():
+                out["%s.%s" % (dev.name, name)] = count
+            out["%s.queue_stopped" % dev.name] = dev._queue_stopped
         for label, counters in self.skb_pool_stats().items():
             total = counters["hits"] + counters["misses"]
             out["skb_pool.%s.hits" % label] = counters["hits"]
@@ -313,8 +316,14 @@ class NetworkCore:
         if dev.registered:
             return -EBUSY
         if "%d" in dev.name:
-            dev.name = dev.name % self._ifindex
-        self._ifindex += 1
+            # The lowest free index, as Linux's dev_alloc_name picks:
+            # a reloaded NIC is eth0 again, so the names (and the kstat
+            # keys that retire its counts) stay bounded under churn.
+            taken = {d.name for d in self._devices}
+            index = 0
+            while dev.name % index in taken:
+                index += 1
+            dev.name = dev.name % index
         dev.registered = True
         self._devices.append(dev)
         return 0
@@ -322,6 +331,7 @@ class NetworkCore:
     def unregister_netdev(self, dev):
         dev.registered = False
         self._devices.remove(dev)
+        self._kernel.kstat.retire("net." + dev.name, _dev_counts(dev))
 
     def find(self, name):
         for dev in self._devices:

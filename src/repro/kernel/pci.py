@@ -72,9 +72,6 @@ class PciFunction:
     def resource_start(self, bar):
         return self.bars[bar].base
 
-    def resource_len(self, bar):
-        return self.bars[bar].size
-
 
 class PciDriver:
     """Driver registration record: subclass or fill in callables.
@@ -222,10 +219,6 @@ class PciBus(BusType):
         self._kernel.consume(self._kernel.costs.port_io_ns, category="io")
         return struct.unpack_from("<H", func.config, offset)[0]
 
-    def write_config_word(self, func, offset, value):
-        self._kernel.consume(self._kernel.costs.port_io_ns, category="io")
-        struct.pack_into("<H", func.config, offset, value & 0xFFFF)
-
     def read_config_dword(self, func, offset):
         self._kernel.consume(self._kernel.costs.port_io_ns, category="io")
         return struct.unpack_from("<I", func.config, offset)[0]
@@ -233,9 +226,3 @@ class PciBus(BusType):
     def write_config_dword(self, func, offset, value):
         self._kernel.consume(self._kernel.costs.port_io_ns, category="io")
         struct.pack_into("<I", func.config, offset, value & 0xFFFFFFFF)
-
-    def find_function(self, vendor_id, device_id):
-        for func in self._devices:
-            if func.vendor_id == vendor_id and func.device_id == device_id:
-                return func
-        return None

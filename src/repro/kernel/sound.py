@@ -1,9 +1,9 @@
 """Sound core: an ALSA-like card/PCM layer.
 
 The structure mirrors ALSA closely enough that the ens1371 driver's shape
-is preserved: a card object, a PCM with a playback substream, driver ops
-(open / hw_params / prepare / trigger / pointer), and an AC97 codec
-accessed through driver-provided register read/write callbacks.
+is preserved: a card object, a PCM with a playback substream and driver
+ops (open / hw_params / prepare / trigger / pointer).  The driver reaches
+its AC97 codec through its own register accessors.
 
 One detail is load-bearing for the paper (section 3.1.3): the original
 kernel sound library acquired a **spinlock** before calling into the
@@ -80,32 +80,11 @@ class SndCard:
         self.pcms = []
         self.controls = []
         self.private_data = None
-        self.ac97 = None
 
     def new_pcm(self, name):
         pcm = SndPcm(self, name)
         self.pcms.append(pcm)
         return pcm
-
-
-class Ac97Codec:
-    """AC'97 codec attached through driver read/write register callbacks."""
-
-    def __init__(self, read_reg, write_reg):
-        self._read = read_reg
-        self._write = write_reg
-
-    def read(self, reg):
-        return self._read(reg)
-
-    def write(self, reg, value):
-        self._write(reg, value)
-
-    def reset_and_probe(self):
-        """Standard AC97 bringup: reset, read vendor ID registers."""
-        self._write(0x00, 0)  # AC97_RESET
-        vendor = (self._read(0x7C) << 16) | self._read(0x7E)
-        return vendor
 
 
 class SoundCore:

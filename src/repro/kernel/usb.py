@@ -33,9 +33,6 @@ def usb_rcvbulkpipe(device, endpoint):
     return (PIPE_BULK << 8) | (endpoint & 0x7F) | USB_DIR_IN
 
 
-def pipe_type(pipe):
-    return (pipe >> 8) & 0x3
-
 def pipe_endpoint(pipe):
     return pipe & 0x7F
 

@@ -83,7 +83,8 @@ class DriverSupervisor:
         Hotplug churn builds and discards supervisors with their driver
         instances; without detach each one leaks a kstat provider and a
         health-plane entry, and its pending recovery work item keeps the
-        dead instance alive.
+        dead instance alive.  Its counts stay in kstat: unregistering
+        the provider retires them.
         """
         self.kernel.workqueue.cancel_work(self._work)
         self._work_pending = False
@@ -95,9 +96,12 @@ class DriverSupervisor:
             self.plumbing.supervisor = None
 
     def _kstat(self):
-        # Faults seen and recoveries are cold events counted with
-        # kstat.inc: they must outlive this supervisor's detach.
+        name = self.plumbing.driver_name
         return {
+            "faults_seen": self.faults_seen,
+            "%s.faults_seen" % name: self.faults_seen,
+            "recoveries": self.recoveries,
+            "%s.recoveries" % name: self.recoveries,
             "wedges": self.wedges,
             "failed_recoveries": self.failed_recoveries,
             "work_lost": self.work_lost,
@@ -123,8 +127,6 @@ class DriverSupervisor:
         self.faults_seen += 1
         kernel = self.kernel
         name = self.plumbing.driver_name
-        kernel.kstat.inc("recovery.faults_seen")
-        kernel.kstat.inc("recovery.%s.faults_seen" % name)
         kernel.printk(
             "recovery %s: driver fault in %s (%s: %s); restart scheduled"
             % (name, callsite, type(exc).__name__, exc),
@@ -214,8 +216,6 @@ class DriverSupervisor:
         finally:
             self.in_progress = False
         self.recoveries += 1
-        kernel.kstat.inc("recovery.recoveries")
-        kernel.kstat.inc("recovery.%s.recoveries" % name)
         self.last_outage_ns = kernel.clock.now_ns - fault_ns
         self.outage_ns += self.last_outage_ns
         self.outage_samples.append(self.last_outage_ns)

@@ -160,9 +160,6 @@ class Tracer:
 
     # -- raw emission -------------------------------------------------------
 
-    def wants(self, name):
-        return self._enabled is None or name in self._enabled
-
     def now(self):
         """Virtual-ns timestamp for starting a span at a call site."""
         return self.kernel.clock.now_ns

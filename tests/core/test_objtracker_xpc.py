@@ -92,7 +92,6 @@ class TestUserTracker:
         del j
         gc.collect()
         assert released == [(0x2000, 9)]
-        assert tracker.auto_released == 1
         assert tracker.xlate_c_to_j(0x2000, 9) is None
 
     def test_strong_entries_survive_gc(self):

@@ -3,9 +3,9 @@
 Every driver family (legacy and decaf) rides through 50 remove ->
 re-probe cycles on one kernel.  After a warmup the kernel-global
 gauges -- device registries, live DMA allocations, pending events and
-work items, kstat providers -- and traced Python memory must be flat:
-a monotonic drift in any of them is a leak that a long-lived fleet
-would hit at scale.
+work items, kstat providers and keys -- and traced Python memory must
+be flat: a monotonic drift in any of them is a leak that a long-lived
+fleet would hit at scale.
 """
 
 import gc
@@ -35,6 +35,9 @@ def _gauges(kernel):
         "pending_events": len(kernel.events),
         "pending_work": len(kernel.workqueue._pending),
         "kstat_providers": len(kernel.kstat._providers),
+        # Removed drivers' counts are retired under fixed names, so
+        # the key set stays bounded too.
+        "kstat_keys": len(kernel.kstat.snapshot()),
         "modules": len(kernel.modules.loaded),
     }
 

@@ -63,11 +63,21 @@ class TestKstat:
         assert reg.snapshot()["health.dumps_written"] == 3
 
     def test_unregister(self):
+        """An unregistered provider is never called again, but its last
+        counts stay under the same names."""
         reg = KstatRegistry()
-        provider = lambda: {"x": 1}  # noqa: E731
+        calls = []
+
+        def provider():
+            calls.append(1)
+            return {"x": len(calls), "idle": 0}
+
         reg.register("a", provider)
+        assert reg.snapshot() == {"a.x": 1, "a.idle": 0}
         reg.unregister("a", provider)
-        assert reg.snapshot() == {}
+        assert len(calls) == 2          # one last reading, at unregister
+        assert reg.snapshot() == {"a.x": 2}
+        assert len(calls) == 2
 
     def test_delta_never_divides(self):
         before = {"a": 10, "b": 5, "gone": 3, "s": "text"}
@@ -163,7 +173,7 @@ class TestSoftLockup:
         kernel.events.schedule_after(1_000_000,
                                      lambda: kernel.irq.raise_irq(4))
         kernel.run_for_ns(400_000_000)
-        assert health.watchdog.fires["soft_lockup"] == 1
+        assert kernel.kstat.counter("health.watchdog_fires.soft_lockup") == 1
         (event,) = health.watchdog.events
         assert event.kind == "soft_lockup"
         assert event.target == "cpu0"
@@ -181,12 +191,12 @@ class TestSoftLockup:
         kernel.events.schedule_after(1_000_000,
                                      lambda: kernel.irq.raise_irq(4))
         kernel.run_for_ns(600_000_000)
-        assert health.watchdog.fires["soft_lockup"] == 1
+        assert kernel.kstat.counter("health.watchdog_fires.soft_lockup") == 1
         kernel.run_for_ns(50_000_000)   # healthy gap clears the latch
         kernel.events.schedule_after(1_000_000,
                                      lambda: kernel.irq.raise_irq(4))
         kernel.run_for_ns(600_000_000)
-        assert health.watchdog.fires["soft_lockup"] == 2
+        assert kernel.kstat.counter("health.watchdog_fires.soft_lockup") == 2
 
     def test_process_context_hog_is_not_a_lockup(self, kernel, health):
         """Preemptible process context may run long (a driver restart
@@ -194,7 +204,7 @@ class TestSoftLockup:
         kernel.events.schedule_after(
             1_000_000, lambda: kernel.consume(400_000_000))
         kernel.run_for_ns(500_000_000)
-        assert health.watchdog.fires["soft_lockup"] == 0
+        assert kernel.kstat.counter("health.watchdog_fires.soft_lockup") == 0
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +254,14 @@ class TestDumps:
         health.dump("one")
         summary = health.summary()
         assert set(summary) == {"kstat", "flight"}
-        # Every count the summary carries outside kstat is a kstat
-        # counter's twin: there is no second, diverging tally.
+        # Counts are kstat's alone; the flight part is the ring's
+        # occupancy, which kstat does not carry.
         kstat = summary["kstat"]
         assert kstat["health.dumps_written"] == 1
-        assert summary["flight"]["recorded"] == \
-            kstat["health.flight.recorded"]
-        assert summary["flight"]["buffered"] == \
-            kstat["health.flight.buffered"]
+        assert kstat["health.flight.recorded"] == health.flight.recorded
+        assert "health.flight.buffered" not in kstat
+        assert summary["flight"] == {"capacity": health.flight.capacity,
+                                     "buffered": len(health.flight.ring)}
 
 
 class TestTopCli:

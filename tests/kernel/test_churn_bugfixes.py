@@ -131,8 +131,11 @@ class TestKstatUnregisterBoundMethod:
         kernel.kstat.register("drv", a._kstat)
         kernel.kstat.register("drv", b._kstat)
         kernel.kstat.unregister("drv", a._kstat)
-        snap = kernel.kstat.snapshot()
-        assert snap.get("drv.tag") == 2
+        # b stays live and a's last count stays retired: the sum moves
+        # only with b.
+        assert kernel.kstat.snapshot().get("drv.tag") == 1 + 2
+        a.tag, b.tag = 10, 20
+        assert kernel.kstat.snapshot().get("drv.tag") == 1 + 20
 
 
 class TestSkbRecycleDropsDeviceRef:

@@ -1,10 +1,10 @@
 """``DeviceInstance.netdev()`` is the instance's own network device.
 
-Network devices are named from a per-kernel counter, so a NIC that
-re-registers after a reload is ``eth1``, and the second NIC on a fleet
-kernel is another slot's ``eth1``: a lookup by the name ``eth0`` finds
-nothing, or a peer's device.  The lookup goes through the PCI function
-the way the driver does, and also works after a bare
+Network devices take the lowest free ``eth%d`` index, as in Linux, so
+the second NIC on a fleet kernel is ``eth1`` and a lookup by the name
+``eth0`` finds a peer's device, and a NIC that re-registers after a
+reload is a new device object.  The lookup goes through the PCI
+function the way the driver does, and also works after a bare
 ``kernel.modules.insmod`` (which does not set ``rig.endpoint``).
 """
 
@@ -31,7 +31,8 @@ def test_netdev_after_rmmod_insmod(family, decaf):
     rig.insmod()
     dev = rig.netdev()
     assert dev is not None and dev is rig.endpoint
-    assert dev.name != first.name  # re-registered under a new name
+    assert dev is not first
+    assert dev.name == first.name  # the freed name is reused
     assert rig.kernel.net.dev_open(dev) == 0
     assert rig.kernel.net.dev_close(dev) == 0
 
