@@ -81,7 +81,7 @@ def run_canary(out_dir, echo=print):
         path = os.path.join(out_dir, "repro_canary_e1000.py")
         write_repro_script(minimized,
                            final.divergences or result.divergences, path,
-                           nobble_name="nobble_drop_tx")
+                           nobble=nobble_drop_tx)
         echo("    minimized to %d/%d events in %d runs -> %s"
              % (len(minimized.events), len(scenario.events), runs, path))
     return 0

@@ -9,6 +9,8 @@ disappear -- which, serialized by :func:`write_repro_script`, becomes a
 standalone reproduction a human can run and read.
 """
 
+import importlib
+
 from .observe import canonical_json
 
 
@@ -107,25 +109,51 @@ if __name__ == "__main__":
 '''
 
 
-def write_repro_script(scenario, divergences, path, nobble_name=None,
+def nobble_import(nobble):
+    """``(import line, expression)`` naming ``nobble`` in a script.
+
+    A repro script re-installs its nobble by ``__module__`` and
+    ``__qualname__``.  A callable they do not lead back to (a lambda, a
+    function under ``<locals>``, a bound method, anything defined in
+    ``__main__``) raises ValueError.
+    """
+    module = getattr(nobble, "__module__", None)
+    qualname = getattr(nobble, "__qualname__", None)
+    found = None
+    if module and module != "__main__" and qualname and "<" not in qualname:
+        try:
+            found = importlib.import_module(module)
+        except ImportError:
+            pass
+        for part in qualname.split("."):
+            found = getattr(found, part, None)
+    if found is None or found is not nobble:
+        raise ValueError("nobble %r cannot be imported by name" % (nobble,))
+    return ("from %s import %s" % (module, qualname.split(".")[0]),
+            qualname)
+
+
+def write_repro_script(scenario, divergences, path, nobble=None,
                        defer_event=None):
     """Emit a standalone repro script for a (minimized) scenario.
 
-    ``nobble_name``, if given, names a nobble callable exported by
-    ``repro.conformance`` (e.g. the canary's ``nobble_drop_tx``); the
-    emitted script re-installs it so the divergence it provoked still
-    reproduces standalone.  ``defer_event``, if given, runs the pair
-    with that event's interrupts deferred to the next event boundary
-    (``repro.explore.run_defer_pair``), the exploration's irq-deferral
-    axis.
+    ``nobble``, if given, is the callable the runner installed on the
+    decaf rig (e.g. the canary's ``nobble_drop_tx``); the emitted script
+    imports it by name (:func:`nobble_import`, which raises ValueError
+    for a nobble it cannot name) and re-installs it, so the divergence
+    it provoked still reproduces standalone.  ``defer_event``, if
+    given, runs the pair with that event's interrupts deferred to the
+    next event boundary (``repro.explore.run_defer_pair``), the
+    exploration's irq-deferral axis.
     """
     lines = "\n".join("  [%s] %s" % (d.channel, d.detail)
                       for d in divergences) or "  (none recorded)"
     imports = "from repro.conformance import DifferentialRunner, Scenario"
     runner = "DifferentialRunner()"
-    if nobble_name:
-        imports += ", " + nobble_name
-        runner = "DifferentialRunner(nobble=%s)" % nobble_name
+    if nobble is not None:
+        line, name = nobble_import(nobble)
+        imports += "\n" + line
+        runner = "DifferentialRunner(nobble=%s)" % name
     if defer_event is None:
         defer_note = ""
         run_pair = runner + ".run_pair(scenario)"

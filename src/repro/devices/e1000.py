@@ -232,9 +232,15 @@ class E1000Device:
         # independently, like per-vector EITR on msi-x parts.
         self.itr_window_ns = (
             self.ITR_WINDOW_NS if itr_window_ns is None else itr_window_ns)
-        # Completion-pump callbacks, bound once per queue.
-        self._tx_pump_cb = [
-            (lambda q=q: self._tx_pump(q)) for q in qr]
+        # Per queue, one re-armed event each for the throttle window's
+        # expiry and the TX completion pump.
+        events = kernel.events
+        self._itr_event = [
+            events.recurring(lambda q=q: self._itr_expire(q),
+                             name="e1000-itr") for q in qr]
+        self._tx_pump_event = [
+            events.recurring(lambda q=q: self._tx_pump(q),
+                             name="e1000-txdone") for q in qr]
 
         self.regs = {}
         self.eeprom = self._build_eeprom()
@@ -255,7 +261,10 @@ class E1000Device:
         self.resets = 0
         self.frames_transmitted = 0
         self.frames_received = 0
+        # Ring-full refusals, retries of a backlogged frame included.
         self.rx_no_buffer = 0
+        # Frames lost off a full backlog (the Missed Packets Count).
+        self.rx_missed = 0
         self.rx_queue_frames = [0] * num_queues
         self.tx_queue_frames = [0] * num_queues
         self._pending_rx = [[] for _ in qr]
@@ -316,17 +325,11 @@ class E1000Device:
             regs[REG_RDH + s] = 0
             regs[REG_RDT + s] = 0
         self._link_up = False
-        # Cancel any armed throttle events: a stale expiry would clear
-        # the throttle state and defeat interrupt moderation.
-        for ev in getattr(self, "_itr_event", None) or ():
-            if ev is not None:
-                ev.cancel()
-        self._itr_event = [None] * nq
-        # Drop any in-flight TX completions and their pump events.
-        for ev in getattr(self, "_tx_pump_event", None) or ():
-            if ev is not None:
-                ev.cancel()
-        self._tx_pump_event = [None] * nq
+        # Cancel any armed throttle window (a stale expiry would clear
+        # the throttle state and defeat interrupt moderation), and drop
+        # in-flight TX completions with their pump events.
+        for ev in self._itr_event + self._tx_pump_event:
+            ev.cancel()
         self._tx_done = [deque() for _ in range(nq)]
         # Per-queue (region, count) memo for the RX ring; invalidated
         # when the driver reprograms that queue's RDBAL/RDBAH/RDLEN.
@@ -499,8 +502,7 @@ class E1000Device:
         # latches; with the ITR throttle window open it accumulates.
         if not icr & regs.get(self._off_ims[q], 0):
             return
-        ev = self._itr_event[q]
-        if ev is not None and not ev.cancelled:
+        if self._itr_event[q].pending:
             return
         self._maybe_fire(q)
 
@@ -513,19 +515,16 @@ class E1000Device:
             # Throttling disabled: every unmasked cause fires at once.
             self._kernel.irq.raise_irq(self.irq + q)
             return
-        ev = self._itr_event[q]
-        if ev is not None and not ev.cancelled:
+        expiry = self._itr_event[q]
+        if expiry.pending:
             return  # throttled: causes accumulate until the window ends
         # Arm the throttle window BEFORE delivering: the handler's own
         # work can assert new causes synchronously, and those must see
         # the window open or they each arm an orphan window.
-        self._itr_event[q] = self._kernel.events.schedule_after(
-            window, lambda q=q: self._itr_expire(q), name="e1000-itr"
-        )
+        expiry.arm_after(window)
         self._kernel.irq.raise_irq(self.irq + q)
 
     def _itr_expire(self, q=0):
-        self._itr_event[q] = None
         regs = self.regs
         if regs.get(self._off_icr[q], 0) & regs.get(self._off_ims[q], 0):
             self._maybe_fire(q)
@@ -606,24 +605,22 @@ class E1000Device:
         descriptor whose wire time has passed, instead of one event per
         descriptor.  Per-descriptor timing is unchanged -- the pump fires
         exactly at the head's done time and re-arms for the next.  The
-        pump rides the one-shot heap: its due time is the head of a FIFO,
+        pump is one re-armed event: its due time is the head of a FIFO,
         so it fires and is almost never cancelled.
         """
         tx_done = self._tx_done[q]
         if not tx_done:
             return
         due_ns = tx_done[0][0]
-        ev = self._tx_pump_event[q]
-        if ev is not None and not ev.cancelled:
-            if ev.time_ns <= due_ns:
+        pump = self._tx_pump_event[q]
+        armed_ns = pump.due_ns
+        if armed_ns is not None:
+            if armed_ns <= due_ns:
                 return
-            ev.cancel()
-        self._tx_pump_event[q] = self._kernel.events.schedule_at(
-            due_ns, self._tx_pump_cb[q], name="e1000-txdone"
-        )
+            pump.cancel()
+        pump.arm_at(due_ns)
 
     def _tx_pump(self, q=0):
-        self._tx_pump_event[q] = None
         now_ns = self._kernel.clock.now_ns
         want_irq = False
         tx_done = self._tx_done[q]
@@ -664,6 +661,7 @@ class E1000Device:
             if len(pending) > self.rx_pending_cap:
                 pending.pop(0)
                 self.rx_no_buffer += 1
+                self.rx_missed += 1
 
     def _drain_pending_rx(self, q=0):
         pending = self._pending_rx[q]
@@ -727,8 +725,6 @@ class E1000Device:
         if icr & regs[off_ims]:
             if self._itr_window_ns[q] <= 0:
                 self._kernel.irq.raise_irq(self.irq + q)
-            else:
-                ev = self._itr_event[q]
-                if ev is None or ev.cancelled:
-                    self._maybe_fire(q)
+            elif not self._itr_event[q].pending:
+                self._maybe_fire(q)
         return True

@@ -102,6 +102,8 @@ class Ens1371Device:
         self.period_interrupts = 0
         self.samples_consumed = 0
         self.audio_checksum = 0
+        self._period_event = kernel.events.recurring(
+            self._period_elapsed, name="ens1371-period")
         self._reset_state()
 
     def _build_codec(self):
@@ -127,7 +129,6 @@ class Ens1371Device:
         self.dac2_scount_cur = 0
         self.dac2_pos_bytes = 0
         self._playing = False
-        self._period_event = None
 
     # -- I/O handler interface -------------------------------------------------
 
@@ -235,19 +236,14 @@ class Ens1371Device:
 
     def _stop_playback(self):
         self._playing = False
-        if self._period_event is not None:
-            self._period_event.cancel()
-            self._period_event = None
+        self._period_event.cancel()
 
     def _schedule_period(self):
         if not self._playing:
             return
-        self._period_event = self._kernel.events.schedule_after(
-            self._period_ns(), self._period_elapsed, name="ens1371-period"
-        )
+        self._period_event.arm_after(self._period_ns())
 
     def _period_elapsed(self):
-        self._period_event = None
         if not self._playing:
             return
         samples = self.dac2_scount_reload + 1

@@ -78,6 +78,7 @@ class TrafficGenerator:
         self._payload = b""
         self._interval_ns = 0
         self._stop_at_ns = None
+        self._ticker = kernel.events.recurring(self._tick, name="trafficgen")
 
     def interframe_ns(self):
         return int(self._link.frame_time_ns(self.frame_bytes) / self.utilization)
@@ -103,9 +104,9 @@ class TrafficGenerator:
     def _schedule_next(self):
         if not self._running:
             return
-        self._kernel.events.schedule_after(
-            self._interval_ns, self._tick, context="process", name="trafficgen"
-        )
+        # A restart drops the tick still queued from the previous run.
+        self._ticker.cancel()
+        self._ticker.arm_after(self._interval_ns)
 
     def _tick(self):
         if not self._running:
@@ -116,9 +117,7 @@ class TrafficGenerator:
             return
         # Schedule the next frame BEFORE processing this one, so the
         # injection rate is independent of receive-side processing time.
-        self._kernel.events.schedule_after(
-            self._interval_ns, self._tick, context="process", name="trafficgen"
-        )
+        self._ticker.arm_after(self._interval_ns)
         inject = self._link.inject
         payload = self._payload
         for _ in range(self.burst):

@@ -82,6 +82,10 @@ class Rtl8139Device:
         # 0 (the default, and the classic 8139's behavior) delivers
         # every unmasked cause immediately.
         self.rx_coalesce_ns = rx_coalesce_ns
+        self._coalesce_event = kernel.events.recurring(
+            self._coalesce_expire, name="rtl8139-coalesce")
+        self._tx_pump_event = kernel.events.recurring(
+            self._tx_pump, name="rtl8139-txdone")
 
         self.pci = PciFunction(
             vendor_id=REALTEK_VENDOR_ID,
@@ -113,17 +117,11 @@ class Rtl8139Device:
         self._rbstart = 0
         self._rx_dma = None
         # Drop any in-flight TX completions and their pump event.
-        stale = getattr(self, "_tx_pump_event", None)
-        if stale is not None:
-            stale.cancel()
-        self._tx_pump_event = None
+        self._tx_pump_event.cancel()
         self._tx_done = deque()
         # Cancel a pending coalesce-window expiry; a stale one would
         # re-deliver against the post-reset ISR.
-        stale = getattr(self, "_coalesce_event", None)
-        if stale is not None:
-            stale.cancel()
-        self._coalesce_event = None
+        self._coalesce_event.cancel()
 
     # -- helpers --------------------------------------------------------------
 
@@ -154,18 +152,15 @@ class Rtl8139Device:
         if window <= 0:
             self._kernel.irq.raise_irq(self.irq)
             return
-        ev = self._coalesce_event
-        if ev is not None and not ev.cancelled:
+        coalesce = self._coalesce_event
+        if coalesce.pending:
             return  # window open: causes accumulate in ISR
         # Arm the window BEFORE delivering so causes asserted from the
         # handler's own work coalesce instead of re-arming windows.
-        self._coalesce_event = self._kernel.events.schedule_after(
-            window, self._coalesce_expire, name="rtl8139-coalesce"
-        )
+        coalesce.arm_after(window)
         self._kernel.irq.raise_irq(self.irq)
 
     def _coalesce_expire(self):
-        self._coalesce_event = None
         if self._reg16(ISR) & self._reg16(IMR):
             self._assert_irq(0)
 
@@ -268,17 +263,15 @@ class Rtl8139Device:
         if not self._tx_done:
             return
         due_ns = self._tx_done[0][0]
-        ev = self._tx_pump_event
-        if ev is not None and not ev.cancelled:
-            if ev.time_ns <= due_ns:
+        pump = self._tx_pump_event
+        armed_ns = pump.due_ns
+        if armed_ns is not None:
+            if armed_ns <= due_ns:
                 return
-            ev.cancel()
-        self._tx_pump_event = self._kernel.events.schedule_at(
-            due_ns, self._tx_pump, name="rtl8139-txdone"
-        )
+            pump.cancel()
+        pump.arm_at(due_ns)
 
     def _tx_pump(self):
-        self._tx_pump_event = None
         now_ns = self._kernel.clock.now_ns
         completed = False
         while self._tx_done and self._tx_done[0][0] <= now_ns:

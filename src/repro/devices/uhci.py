@@ -91,6 +91,8 @@ class UhciDevice:
         self.resets = 0
         self.frames_processed = 0
         self.tds_completed = 0
+        self._frame_event = kernel.events.recurring(
+            self._process_frame, name="uhci-frame")
         self._reset_state()
 
     def _reset_state(self):
@@ -104,7 +106,6 @@ class UhciDevice:
             if dev is not None:
                 self.portsc[i] = PORT_CCS | PORT_CSC
         self._td_index = 0
-        self._frame_event = None
         self._running = False
         self._idle_frames = 0
         self._coast_since_ns = None
@@ -198,11 +199,10 @@ class UhciDevice:
     # -- frame processing -----------------------------------------------------------
 
     def _schedule_frame(self):
-        if not self._running:
-            return
-        self._frame_event = self._kernel.events.schedule_after(
-            FRAME_NS, self._process_frame, name="uhci-frame"
-        )
+        # A frame still queued from before a halt (or reset) and restart
+        # carries the clock on: there is one frame clock.
+        if self._running and not self._frame_event.pending:
+            self._frame_event.arm_after(FRAME_NS)
 
     def _kick(self):
         """Resume framing after an idle coast (any register access).
@@ -220,11 +220,9 @@ class UhciDevice:
         self.frames_processed += skipped
         self._coast_since_ns = None
         self._idle_frames = 0
-        if self._frame_event is None:
-            self._schedule_frame()
+        self._schedule_frame()
 
     def _process_frame(self):
-        self._frame_event = None
         if not self._running:
             return
         self.frnum = (self.frnum + 1) & 0x7FF

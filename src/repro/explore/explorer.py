@@ -26,7 +26,8 @@ import json
 import os
 import random
 
-from ..conformance.minimize import minimize_scenario, write_repro_script
+from ..conformance.minimize import (minimize_scenario, nobble_import,
+                                    write_repro_script)
 from ..conformance.runner import DifferentialRunner, RunProbe
 from ..conformance.scenario import Scenario
 from ..family import FAMILIES
@@ -296,6 +297,13 @@ class Explorer:
         report.findings.append(finding)
         if self.out_dir is None:
             return
+        nobble = self.runner.nobble
+        if nobble is not None:
+            try:
+                nobble_import(nobble)
+            except ValueError as exc:
+                finding["repro"] = "not written: %s" % exc
+                return
         os.makedirs(self.out_dir, exist_ok=True)
         path = os.path.join(
             self.out_dir,
@@ -307,7 +315,7 @@ class Explorer:
             emit, _runs = minimize_scenario(self.runner, scenario,
                                             max_runs=48)
             finding["minimized_events"] = len(emit.events)
-        write_repro_script(emit, result.divergences, path,
+        write_repro_script(emit, result.divergences, path, nobble=nobble,
                            defer_event=defer_event)
         finding["repro"] = path
 

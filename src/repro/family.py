@@ -338,6 +338,21 @@ class _NicFamily(DeviceFamily):
     tick_units = 2
     link_bps = None
     PAYLOAD = bytes(256)
+    missed_attr = None  # the device model's count of frames it lost
+
+    def plug(self, inst):
+        """Plug in; kstat ``nic.<instance>.rx_missed`` counts the frames
+        the NIC loses from now until it is unplugged."""
+        nic, attr = inst.device, self.missed_attr
+        base = getattr(nic, attr)
+        inst.kernel.kstat.register(
+            "nic." + inst.name,
+            lambda: {"rx_missed": getattr(nic, attr) - base})
+        super().plug(inst)
+
+    def unplug(self, inst):
+        super().unplug(inst)
+        inst.kernel.kstat.unregister("nic." + inst.name)
 
     def _attach_nic(self, inst, make, **kwargs):
         inst.link = EthernetLink(inst.kernel, bits_per_second=self.link_bps,
@@ -559,6 +574,7 @@ class E1000Family(_NicFamily):
     legacy = "repro.drivers.legacy.e1000_main"
     nucleus = "repro.drivers.decaf.e1000_nucleus"
     link_bps = 1_000_000_000
+    missed_attr = "rx_missed"
     xpc_at = (2, 8)  # minimum post-arming budget 7
     # ICR/IMS/IMC write counts track NAPI poll and interrupt boundaries,
     # which shift legitimately with the virtual-time cost of XPC
@@ -603,6 +619,7 @@ class Rtl8139Family(_NicFamily):
     legacy = "repro.drivers.legacy.rtl8139"
     nucleus = "repro.drivers.decaf.rtl8139_nucleus"
     link_bps = 100_000_000
+    missed_attr = "rx_overflows"
     # Only config ops cross: the link-watch period exceeds a scenario.
     xpc_at = (2, 5)  # minimum post-arming budget 4
     # IMR write counts track interrupt boundaries, which shift with

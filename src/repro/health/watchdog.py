@@ -75,7 +75,8 @@ class Watchdogs:
         self.checks = 0
         self.events = []
         self.armed = False
-        self._event = None
+        self._event = kernel.events.recurring(self._check,
+                                              name="health-watchdog")
         # (kind, target) pairs currently in a fired episode.
         self._latched = set()
 
@@ -85,23 +86,16 @@ class Watchdogs:
         if self.armed:
             return self
         self.armed = True
-        self._schedule()
+        self._event.arm_after(self.period_ns)
         return self
 
     def disarm(self):
         self.armed = False
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
-
-    def _schedule(self):
-        self._event = self._kernel.events.schedule_after(
-            self.period_ns, self._check, name="health-watchdog")
+        self._event.cancel()
 
     # -- the periodic check -------------------------------------------------
 
     def _check(self):
-        self._event = None
         if not self.armed:
             return
         self.checks += 1
@@ -156,7 +150,7 @@ class Watchdogs:
                 self._latched.discard(("hung_task", dev.name))
 
         if self.armed:
-            self._schedule()
+            self._event.arm_after(self.period_ns)
 
     def _recovering(self, netdev):
         return any(supervisor.owns(netdev) and supervisor.recovery_pending()

@@ -291,6 +291,8 @@ class Kernel:
             self._dispatch_entry_busy_ns = self.cpu._busy_ns
         self._dispatch_depth = depth + 1
         self.events_dispatched += 1
+        # Off the heap: from here its RecurringEvent may arm it again.
+        ev.queued = False
         try:
             if ev.context == HARDIRQ:
                 context.enter_irq()
@@ -311,6 +313,8 @@ class Kernel:
                     # the CPU is in interrupt context or holds a spinlock.
                     # Running it here would let sleeping work execute
                     # atomically; park it until the CPU is schedulable.
+                    # Parked work is still pending.
+                    ev.queued = True
                     self._parked_process_events.append(ev)
                     return
                 ev.callback()

@@ -21,10 +21,10 @@ FAR_NS = 1 << 62
 
 
 class Event:
-    """A scheduled callback; cancellable, single-shot."""
+    """A scheduled callback; cancellable; a RecurringEvent re-arms one."""
 
     __slots__ = ("time_ns", "seq", "callback", "context", "name", "cancelled",
-                 "needs_sched", "cpu")
+                 "needs_sched", "cpu", "queued")
 
     def __init__(self, time_ns, seq, callback, context, name,
                  needs_sched=False, cpu=None):
@@ -44,6 +44,9 @@ class Event:
         # (classic single-CPU semantics).  A targeted event waits for
         # its CPU's busy window to close before dispatch.
         self.cpu = cpu
+        # On the heap or parked; the dispatcher clears it when the
+        # callback runs.
+        self.queued = True
 
     def cancel(self):
         # The entry stays on the heap until it reaches the head; drop
@@ -58,6 +61,69 @@ class Event:
             self.context,
             " cancelled" if self.cancelled else "",
         )
+
+
+class RecurringEvent:
+    """An event source with at most one firing queued.
+
+    Arming pushes the source's one :class:`Event` again once it has
+    fired, re-timed and with a seq drawn at arm time, as a fresh
+    ``schedule_*`` call would: dispatch order and event counts do not
+    depend on which of the two a source uses.  ``cancel`` leaves a
+    tombstone like :meth:`Event.cancel`; the next arm makes a new event.
+    Arming while the firing is queued (or parked) raises.
+    """
+
+    __slots__ = ("_queue", "_clock", "_spec", "event")
+
+    def __init__(self, queue, *spec):
+        self._queue = queue
+        self._clock = queue._clock
+        self._spec = spec  # Event's callback, context, name, needs_sched, cpu
+        self.event = None  # before the first arm and after cancel
+
+    @property
+    def pending(self):
+        ev = self.event
+        return ev is not None and ev.queued
+
+    @property
+    def due_ns(self):
+        """Virtual time of the queued firing, or None."""
+        return self.event.time_ns if self.pending else None
+
+    def arm_at(self, time_ns):
+        now = self._clock._now_ns
+        return self._arm(time_ns if time_ns > now else now)
+
+    def arm_after(self, delay_ns):
+        now = self._clock._now_ns
+        return self._arm(now + delay_ns if delay_ns > 0 else now)
+
+    def _arm(self, time_ns):
+        queue = self._queue
+        ev = self.event
+        if ev is None:
+            self.event = queue._insert(time_ns, *self._spec)
+            return time_ns
+        if ev.queued:
+            raise SimulationError("%s armed while its firing is queued"
+                                  % ev.name)
+        ev.time_ns = time_ns
+        ev.seq = seq = next(queue._seq)
+        ev.queued = True
+        heapq.heappush(queue._heap, (time_ns, seq, ev))
+        if time_ns < queue.next_due_ns:
+            queue.next_due_ns = time_ns
+        return time_ns
+
+    def cancel(self):
+        """Drop the queued firing; returns True if one was queued."""
+        if not self.pending:
+            return False
+        self.event.cancel()
+        self.event = None
+        return True
 
 
 class EventQueue:
@@ -87,29 +153,28 @@ class EventQueue:
 
     def schedule_at(self, time_ns, callback, context=PROCESS, name="event",
                     cpu=None):
-        if context not in _VALID_CONTEXTS:
-            raise SimulationError("unknown event context %r" % (context,))
-        if time_ns < self._clock.now_ns:
-            # Late events run "now"; the queue never travels backwards.
-            time_ns = self._clock.now_ns
-        seq = next(self._seq)
-        ev = Event(time_ns, seq, callback, context, name, cpu=cpu)
-        heapq.heappush(self._heap, (time_ns, seq, ev))
-        if time_ns < self.next_due_ns:
-            self.next_due_ns = time_ns
-        return ev
+        # Late events run "now"; the queue never travels backwards.
+        now = self._clock._now_ns
+        return self._insert(time_ns if time_ns > now else now, callback,
+                            context, name, False, cpu)
 
     def schedule_after(self, delay_ns, callback, context=PROCESS, name="event",
                        needs_sched=False, cpu=None):
-        # Not routed through schedule_at: this is the per-packet
-        # scheduling path.
+        now = self._clock._now_ns
+        return self._insert(now + delay_ns if delay_ns > 0 else now, callback,
+                            context, name, needs_sched, cpu)
+
+    def recurring(self, callback, context=PROCESS, name="event", cpu=None,
+                  needs_sched=False):
+        """A :class:`RecurringEvent`: one event, re-armed after each
+        firing, for a source with at most one firing queued."""
+        return RecurringEvent(self, callback, context, name, needs_sched, cpu)
+
+    def _insert(self, time_ns, callback, context, name, needs_sched, cpu):
         if context not in _VALID_CONTEXTS:
             raise SimulationError("unknown event context %r" % (context,))
-        now = self._clock.now_ns
-        time_ns = now + delay_ns if delay_ns > 0 else now
         seq = next(self._seq)
-        ev = Event(time_ns, seq, callback, context, name,
-                   needs_sched=needs_sched, cpu=cpu)
+        ev = Event(time_ns, seq, callback, context, name, needs_sched, cpu)
         heapq.heappush(self._heap, (time_ns, seq, ev))
         if time_ns < self.next_due_ns:
             self.next_due_ns = time_ns

@@ -74,7 +74,8 @@ class NapiCore:
         # Poll lists keyed by CPU index; None is the classic shared
         # list (single-CPU kernels and non-affine contexts).
         self._lists = {None: deque()}
-        self._softirq_pending = set()
+        # One net-rx softirq event per poll list, pending while raised.
+        self._softirq = {}
         self._running = set()
         # Counters (global, across all contexts).
         self.polls = 0
@@ -181,17 +182,17 @@ class NapiCore:
         None for the classic shared list.  One softirq per CPU can be
         pending/running at a time -- per-CPU softirq state, like Linux.
         """
-        if key in self._softirq_pending or key in self._running:
+        softirq = self._softirq.get(key)
+        if softirq is None:
+            softirq = self._softirq[key] = self._kernel.events.recurring(
+                lambda: self._net_rx_action(key),
+                context=SOFTIRQ, name="net-rx-softirq", cpu=key)
+        if softirq.pending or key in self._running:
             return
-        self._softirq_pending.add(key)
-        self._kernel.events.schedule_after(
-            0, lambda key=key: self._net_rx_action(key),
-            context=SOFTIRQ, name="net-rx-softirq", cpu=key
-        )
+        softirq.arm_after(0)
 
     def _net_rx_action(self, key=None):
         """The budget loop (``net_rx_action`` in Linux)."""
-        self._softirq_pending.discard(key)
         kernel = self._kernel
         if not kernel.context.in_softirq():
             raise SimulationError("net_rx_action outside softirq context")

@@ -21,7 +21,8 @@ class KernelTimer:
         self.function = function
         self.data = data
         self.name = name
-        self._event = None
+        self._event = kernel.events.recurring(
+            self._fire, context=SOFTIRQ, name="timer:%s" % name)
         self.fired = 0
 
     def mod_timer(self, expires_ns):
@@ -32,36 +33,28 @@ class KernelTimer:
         dispatch, never earlier than now.
         """
         self.del_timer()
-        kernel = self._kernel
-        ev = self._event = kernel.events.schedule_at(
-            expires_ns, self._fire, context=SOFTIRQ, name="timer:%s" % self.name
-        )
-        tracer = kernel.tracer
+        at_ns = self._event.arm_at(expires_ns)
+        tracer = self._kernel.tracer
         if tracer is not None:
-            tracer.instant("timer.arm", {"timer": self.name,
-                                         "at_ns": ev.time_ns})
+            tracer.instant("timer.arm", {"timer": self.name, "at_ns": at_ns})
 
     def mod_timer_after(self, delay_ns):
         self.mod_timer(self._kernel.clock.now_ns + max(0, delay_ns))
 
     def del_timer(self):
         """Cancel if pending; returns True if a pending timer was cancelled."""
-        if self._event is not None and not self._event.cancelled:
-            self._event.cancel()
-            self._event = None
-            tracer = self._kernel.tracer
-            if tracer is not None:
-                tracer.instant("timer.cancel", {"timer": self.name})
-            return True
-        self._event = None
-        return False
+        if not self._event.cancel():
+            return False
+        tracer = self._kernel.tracer
+        if tracer is not None:
+            tracer.instant("timer.cancel", {"timer": self.name})
+        return True
 
     @property
     def pending(self):
-        return self._event is not None and not self._event.cancelled
+        return self._event.pending
 
     def _fire(self):
-        self._event = None
         self.fired += 1
         kernel = self._kernel
         tracer = kernel.tracer
@@ -82,16 +75,17 @@ class WorkItem:
         self.function = function
         self.data = data
         self.name = name
-        self._event = None
+        self._event = kernel.events.recurring(
+            self._run, context=PROCESS, name="work:%s" % name,
+            needs_sched=True)
         self._queue = None
         self.executed = 0
 
     @property
     def pending(self):
-        return self._event is not None and not self._event.cancelled
+        return self._event.pending
 
     def _run(self):
-        self._event = None
         if self._queue is not None:
             self._queue._pending.discard(self)
             self._queue = None
@@ -114,30 +108,23 @@ class Workqueue:
     def __init__(self, kernel, name="events"):
         self._kernel = kernel
         self.name = name
-        self.scheduled = 0
         self._pending = set()
 
     def schedule_work(self, item, delay_ns=0):
         """Queue ``item`` unless already pending; returns True if queued."""
         if item.pending:
             return False
-        item._event = self._kernel.events.schedule_after(
-            delay_ns, item._run, context=PROCESS, name="work:%s" % item.name,
-            needs_sched=True,
-        )
+        item._event.arm_after(delay_ns)
         item._queue = self
         self._pending.add(item)
-        self.scheduled += 1
         return True
 
     def cancel_work(self, item):
-        if item._event is not None:
-            item._event.cancel()
-            item._event = None
-            self._pending.discard(item)
+        queue = item._queue
+        if queue is not None:
+            queue._pending.discard(item)
             item._queue = None
-            return True
-        return False
+        return item._event.cancel()
 
     def flush(self):
         """Advance virtual time until all currently-queued items have run.
@@ -155,9 +142,8 @@ class Workqueue:
             if not batch:
                 break
             waited.update(batch)
-            deadlines = [item._event.time_ns for item in batch
-                         if item._event is not None
-                         and not item._event.cancelled]
+            deadlines = [item._event.due_ns for item in batch
+                         if item.pending]
             if not deadlines:
                 # Every unwaited item lost its event (cancelled under
                 # us); nothing left to advance the clock for.

@@ -56,7 +56,7 @@ class TestCanaryDetection:
         # the subprocess, and that name would shadow the repro package.
         path = tmp_path / "repro_canary.py"
         write_repro_script(minimized, final.divergences, str(path),
-                           nobble_name="nobble_drop_tx")
+                           nobble=nobble_drop_tx)
         text = path.read_text()
         assert "nobble_drop_tx" in text
         assert '"driver":"e1000"' in text.replace(" ", "")

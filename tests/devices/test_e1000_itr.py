@@ -106,7 +106,7 @@ class TestZeroWindow:
         kernel.io.writel(e1000_mod.ICR_TXDW, base + e1000_mod.REG_ICS)
         assert seen == [e1000_mod.ICR_RXT0] * 3 + [e1000_mod.ICR_TXDW]
         # No throttle event was ever armed (on any queue).
-        assert all(ev is None for ev in nic._itr_event)
+        assert all(ev.event is None for ev in nic._itr_event)
 
     def test_default_window_from_class_attribute(self):
         kernel = make_kernel()

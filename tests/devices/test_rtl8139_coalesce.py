@@ -80,7 +80,7 @@ def test_reset_cancels_open_window():
     kernel.run_for_ns(200_000)
     # The stale expiry must not re-deliver against the post-reset ISR.
     assert seen == [rtl_mod.ISR_ROK]
-    assert nic._coalesce_event is None
+    assert not nic._coalesce_event.pending
 
 
 def test_traffic_generator_burst_preserves_average_rate():

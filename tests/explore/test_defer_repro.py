@@ -3,7 +3,9 @@
 ``write_repro_script(..., defer_event=k)`` emits the one repro template
 with the pair run through ``run_defer_pair``.  With the canary nobble
 the emitted script must report the divergence and exit 1; the same
-scenario without the nobble must run clean and exit 0.
+scenario without the nobble must run clean and exit 0.  An explorer
+run with a nobble writes scripts that import it by name; a nobble that
+cannot be imported that way gets no script.
 """
 
 import os
@@ -15,7 +17,7 @@ import pytest
 from repro.conformance import (DifferentialRunner, Scenario, nobble_drop_tx,
                                write_repro_script)
 from repro.explore import run_defer_pair
-from repro.explore.explorer import base_events
+from repro.explore.explorer import Explorer, base_events
 
 DEFER_EVENT = 0  # the first tx burst's interrupts land one event late
 
@@ -38,7 +40,7 @@ def test_nobbled_defer_repro_reproduces(scenario, tmp_path):
     assert not result.ok
     path = tmp_path / "repro_defer_nobbled.py"
     write_repro_script(scenario, result.divergences, path,
-                       nobble_name="nobble_drop_tx", defer_event=DEFER_EVENT)
+                       nobble=nobble_drop_tx, defer_event=DEFER_EVENT)
     text = path.read_text()
     assert "Deferred event: %d" % DEFER_EVENT in text
     assert "run_defer_pair(DifferentialRunner(nobble=nobble_drop_tx)" in text
@@ -53,3 +55,33 @@ def test_clean_defer_repro_exits_zero(scenario, tmp_path):
     proc = _run_script(path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "no divergence" in proc.stdout
+
+
+def test_explorer_defer_repro_reinstalls_its_nobble(scenario, tmp_path):
+    """A nobbled exploration's scripts import the nobble by name."""
+    report = Explorer("8139too", depth=4, nobble=nobble_drop_tx,
+                      out_dir=str(tmp_path)).run()
+    finding = next(f for f in report.findings if f["kind"] == "defer")
+    text = open(finding["repro"]).read()
+    assert "from repro.conformance.runner import nobble_drop_tx" in text
+    proc = _run_script(finding["repro"])
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "divergence reproduced" in proc.stdout
+    # The same pair without the nobble runs clean.
+    found = Scenario.from_json(finding["scenario"])
+    assert run_defer_pair(DifferentialRunner(), found,
+                          finding["defer_event"]).ok
+
+
+def test_unimportable_nobble_gets_no_script(tmp_path):
+    report = Explorer("8139too", depth=4,
+                      nobble=lambda rig: nobble_drop_tx(rig),
+                      out_dir=str(tmp_path)).run()
+    assert report.findings
+    for finding in report.findings:
+        assert finding["repro"].startswith("not written: nobble")
+    assert not list(tmp_path.iterdir())
+    with pytest.raises(ValueError):
+        write_repro_script(Scenario.from_json(report.findings[0]["scenario"]),
+                           [], tmp_path / "repro_x.py",
+                           nobble=lambda rig: None)

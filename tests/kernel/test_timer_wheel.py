@@ -95,7 +95,7 @@ class TestWheelCancel:
         assert timer.pending
         held = [entry[2] for entry in kernel.events._heap
                 if entry[2].callback is not None]
-        assert held == [timer._event]
+        assert held == [timer._event.event]
 
     def test_rearm_fires_once_at_latest_deadline(self, kernel):
         fired = []
