@@ -14,8 +14,8 @@ Run:  python examples/sound_playback.py
 """
 
 from repro.devices import Ens1371Device
+from repro.family import FAMILIES
 from repro.kernel import make_kernel
-from repro.drivers.decaf import ens1371_nucleus
 from repro.workloads import make_ens1371_rig, mpg123_play
 
 
@@ -24,7 +24,7 @@ def main():
     kernel = make_kernel(sound_use_mutex=False)
     card = Ens1371Device(kernel)
     kernel.pci.add_function(card.pci)
-    ret = kernel.modules.insmod(ens1371_nucleus.make_module())
+    ret = kernel.modules.insmod(FAMILIES["ens1371"].module(decaf=True))
     print("   insmod -> %d (refused; upcalls under a spinlock would "
           "sleep in atomic context)" % ret)
     for _t, message in kernel.log_lines:

@@ -310,9 +310,8 @@ class CStruct(metaclass=CStructMeta):
     """Base class for C-layout structures.
 
     Instances behave like plain attribute bags with typed defaults; the
-    metadata lives on the class.  An instance belongs to the domain whose
-    heap allocated it (set by the domain manager); its identity in C
-    domains is a synthetic address.
+    metadata lives on the class.  An instance's identity in C domains is
+    a synthetic address.
     """
 
     FIELDS = None
@@ -328,7 +327,6 @@ class CStruct(metaclass=CStructMeta):
         # must cross in full.
         d["_dirty_fields"] = set(self._fields_by_name)
         d["_c_addr"] = CStruct._next_addr
-        d["_domain"] = None
         d.update(self._simple_defaults)
         for field in self._per_instance_fields:
             value = field.ctype.default()

@@ -23,7 +23,6 @@ the paper found for E1000.
 """
 
 from ..kernel.timers import KernelTimer, WorkItem
-from .domains import DECAF, KERNEL
 
 
 class NuclearRuntime:
@@ -57,15 +56,6 @@ class NuclearRuntime:
                 self.kernel.irq.enable_irq(irq)
 
     # -- deferred one-way notifications ----------------------------------------
-
-    def notify(self, func, args=(), extra=None):
-        """Queue a fire-and-forget upcall (no return value, no sleep).
-
-        Legal from any context -- interrupt handlers, timer callbacks,
-        under spinlocks -- because nothing crosses until the channel's
-        next sync point.  Repeats for the same target coalesce.
-        """
-        self.channel.defer(func, args, extra)
 
     def flush_notifications(self):
         """Drain queued notifications in one batched crossing.

@@ -11,53 +11,47 @@ The four ethtool diagnostic functions with the interrupt data race
 remain here, served directly from the kernel (section 5).
 """
 
+from ...core.combolock import ComboLock
 from ..legacy import e1000_ethtool as legacy_ethtool
 from ..legacy import e1000_hw as hw_defs
 from ..legacy import e1000_main as legacy
-from ..legacy.e1000_main import e1000_adapter
-from ..modulebase import DecafDriverModule
+from ..legacy.e1000_main import DRV_NAME, e1000_adapter
 from .e1000_decaf import E1000DecafDriver
 from .e1000_lib import E1000DriverLibrary
-from .plumbing import RECORD, DecafPlumbing, unrecord, xpc_stubs
-
-DRV_NAME = "e1000"
+from .plumbing import RECORD, Nucleus, unrecord, xpc_stubs
 
 
 @xpc_stubs
-class E1000Nucleus:
-    def __init__(self, kernel, module_options=None):
-        self.kernel = kernel
-        self.linux = legacy.linux
-        self.state = legacy.e1000_state()
-        self.plumbing = None
-        self.decaf = None
+class E1000Nucleus(Nucleus):
+    LEGACY = legacy
+    STATE = legacy.e1000_state
+    POLL = (2_000_000_000, "e1000-watchdog")
+
+    def __init__(self, kernel, options=None):
+        super().__init__(kernel, options)
         self.library = None
-        self.pdev = None
         self.adapter = None
         self.netdev = None
-        self.watchdog = None
+        self.adapter_lock = None
+        self.watchdog_skips = 0
         self.irq_requested = False
-        self.module_options = module_options
 
     # -- probe ----------------------------------------------------------------------
 
-    def probe(self, pdev):
-        self.pdev = pdev
-        self.plumbing = DecafPlumbing(self.kernel, "e1000",
-                                      irq_line=pdev.irq, nucleus=self)
-        self.watchdog = self.plumbing.nuclear.defer_timer(
-            self._watchdog, 2_000_000_000, "e1000-watchdog")
-        # Cross-domain synchronization for adapter state (section
-        # 3.1.3): a combolock -- spinlock when only kernel code holds
-        # it, semaphore when the decaf driver does.
-        from ...core.combolock import ComboLock
+    def new_user_half(self):
+        if self.adapter_lock is None:
+            # Cross-domain synchronization for adapter state (section
+            # 3.1.3), kept across user-half restarts: a combolock --
+            # spinlock when only kernel code holds it, semaphore when
+            # the decaf driver does.
+            self.adapter_lock = ComboLock(self.kernel, self.plumbing.domains,
+                                          "e1000-adapter")
+        self.library = E1000DriverLibrary(self.kernel, self.plumbing.channel,
+                                          napi=legacy.napi_mode)
+        return E1000DecafDriver(self.plumbing.decaf_rt, self.plumbing.down,
+                                self.adapter_lock, self.library)
 
-        self.adapter_lock = ComboLock(self.kernel, self.plumbing.domains,
-                                      "e1000-adapter")
-        self.watchdog_skips = 0
-        self.rebuild_user_half()
-        self.plumbing.decaf_rt.start()
-
+    def setup(self, pdev):
         adapter = e1000_adapter()
         adapter._kstate = self.state
         self.adapter = adapter
@@ -65,17 +59,13 @@ class E1000Nucleus:
         self.state.tx_lock = self.linux.spin_lock_init("e1000-tx")
         self.plumbing.channel.kernel_tracker.register(adapter)
 
-        ret = self.plumbing.up.init_one(adapter, self.module_options)
+        ret = self.plumbing.up.init_one(adapter, self.options)
         if ret:
             self.adapter = None
         return ret
 
-    def remove(self, pdev):
-        if self.decaf is None or self.adapter is None:
-            return
+    def teardown(self, pdev):
         self.plumbing.up.remove_one(self.adapter)
-        self.adapter = None
-        self.decaf = None
 
     # -- netdev ops (kernel -> decaf) ------------------------------------------------
 
@@ -125,7 +115,7 @@ class E1000Nucleus:
 
     # -- watchdog body: the nuclear runtime defers its timer to a work item ----
 
-    def _watchdog(self):
+    def poll_body(self):
         if self.decaf is None or self.adapter is None:
             return False
         # If the decaf driver holds the adapter combolock (a reinit in
@@ -146,7 +136,7 @@ class E1000Nucleus:
         return True
 
     def k_stop_watchdog(self):
-        self.watchdog.stop()
+        self.poll.stop()
         return 0
 
     # -- kernel entry points (decaf -> kernel) ----------------------------------------------
@@ -289,7 +279,7 @@ class E1000Nucleus:
         self.kernel.io.writel(hw_defs.E1000_IMS_ENABLE_MASK,
                               hw.hw_addr + hw_defs.IMS)
         legacy.e1000_irq_enable_extra(adapter)
-        self.watchdog.start()
+        self.poll.start()
         self.linux.netif_start_queue(self.netdev)
         return 0
 
@@ -357,28 +347,12 @@ class E1000Nucleus:
         self.k_pci_teardown()
         return lost
 
-    def rebuild_user_half(self):
-        """Fresh user-level instances bound to the plumbing's runtime
-        (at probe, and after each restart)."""
-        self.library = E1000DriverLibrary(self.kernel, self.plumbing.channel,
-                                          napi=legacy.napi_mode)
-        self.decaf = E1000DecafDriver(self.plumbing.decaf_rt,
-                                      self.plumbing.down, self.adapter_lock,
-                                      self.library)
+    def reclaim(self):
+        """After :meth:`fault_quiesce`, for a dead user half: the netdev."""
+        self.k_unregister_netdev()
 
     # -- diagnostics that stay in the kernel (section 5's data race) ------------------------
 
     def diag_test(self):
         return legacy_ethtool.e1000_diag_test(self.netdev)
 
-
-def make_module(options=None, napi=True, num_queues=1):
-    def init_fn():
-        legacy.set_napi_mode(napi)
-        legacy.set_num_queues(num_queues)
-        return 0
-
-    return DecafDriverModule(
-        DRV_NAME, legacy, legacy.E1000PciGlue(),
-        lambda kernel: E1000Nucleus(kernel, options),
-        init_fn=init_fn, extra_modules=(hw_defs, legacy_ethtool))

@@ -21,32 +21,35 @@ from ..legacy.ens1371 import (
     ES_REG_SERIAL,
     ensoniq,
 )
-from ..modulebase import DecafDriverModule
 from .ens1371_decaf import Ens1371DecafDriver
-from .plumbing import RECORD, DecafPlumbing, unrecord, xpc_stubs
+from .plumbing import RECORD, Nucleus, unrecord, xpc_stubs
 
 
 @xpc_stubs
-class Ens1371Nucleus:
-    def __init__(self, kernel):
-        self.kernel = kernel
-        self.linux = legacy.linux
-        self.state = legacy.ens_state()
-        self.plumbing = None
-        self.decaf = None
-        self.pdev = None
+class Ens1371Nucleus(Nucleus):
+    LEGACY = legacy
+    STATE = legacy.ens_state
+    DECAF = Ens1371DecafDriver
+
+    def __init__(self, kernel, options=None):
+        super().__init__(kernel, options)
         self.card = None
         self.irq_requested = False
 
+    @staticmethod
+    def module_init():
+        linux = legacy.linux
+        if not linux.kernel.sound.use_mutex:
+            # Stock sound library holds a spinlock around driver ops; a
+            # decaf sound driver cannot run on it (section 3.1.3).
+            linux.printk("ens1371-decaf: sound library uses spinlocks; "
+                         "decaf driver requires the mutex-based library")
+            return -linux.EINVAL
+        return 0
+
     # -- probe -----------------------------------------------------------------
 
-    def probe(self, pdev):
-        self.pdev = pdev
-        self.plumbing = DecafPlumbing(self.kernel, "ens1371",
-                                      irq_line=pdev.irq, nucleus=self)
-        self.rebuild_user_half()
-        self.plumbing.decaf_rt.start()
-
+    def setup(self, pdev):
         chip = ensoniq()
         chip.card_name = "Ensoniq AudioPCI ES1371 (decaf)"
         chip._kstate = self.state
@@ -59,11 +62,8 @@ class Ens1371Nucleus:
             self.state.ensoniq = None
         return ret
 
-    def remove(self, pdev):
-        if self.decaf is None:
-            return
+    def teardown(self, pdev):
         self.plumbing.up.remove(self.state.ensoniq)
-        self.decaf = None
 
     # -- PCM ops (kernel -> decaf; legal under the mutex library) -------------
     #
@@ -88,6 +88,10 @@ class Ens1371Nucleus:
 
     def close(self, substream):
         ret = self.plumbing.up.playback_close(self.state.ensoniq)
+        if self.user_half_dead():
+            # Nothing at user level will stop DAC2 now: silence it from
+            # the kernel side before its interrupt loses the chip.
+            self.fault_quiesce()
         substream.private_data = None
         return ret
 
@@ -240,22 +244,8 @@ class Ens1371Nucleus:
         self.k_pci_teardown()
         return 0
 
-    def rebuild_user_half(self):
-        self.decaf = Ens1371DecafDriver(self.plumbing.decaf_rt,
-                                        self.plumbing.down)
-
-
-def _require_mutex_library():
-    linux = legacy.linux
-    if not linux.kernel.sound.use_mutex:
-        # Stock sound library holds a spinlock around driver ops; a
-        # decaf sound driver cannot run on it (section 3.1.3).
-        linux.printk("ens1371-decaf: sound library uses spinlocks; "
-                     "decaf driver requires the mutex-based library")
-        return -linux.EINVAL
-    return 0
-
-
-def make_module():
-    return DecafDriverModule(DRV_NAME, legacy, legacy.Ens1371PciGlue(),
-                             Ens1371Nucleus, init_fn=_require_mutex_library)
+    def reclaim(self):
+        """After :meth:`fault_quiesce`, for a dead user half: the card
+        and the DAC2 buffer."""
+        self.k_free_card()
+        self.k_free_dac2_buffer()

@@ -19,6 +19,10 @@ nucleus class by :func:`xpc_stubs` (section 2.3, Figure 2).
 stub per ``k_*`` entry point of its nucleus.  ``plumbing.up`` is the
 nucleus's way up: one stub per method in the nucleus's ``UPCALLS``
 table, which also declares how each call is replayed after a restart.
+
+:class:`Nucleus` is the per-device lifecycle every nucleus shares:
+probe, starting (and, after a fault, restarting) the user half, remove
+and the dead-half path.
 """
 
 from ...core.cstruct import CStruct
@@ -129,8 +133,8 @@ def xpc_stubs(cls):
 
 
 class DecafPlumbing:
-    def __init__(self, kernel, driver_name, irq_line=None,
-                 weak_shared_objects=True, plan=None, nucleus=None):
+    def __init__(self, kernel, driver_name, irq_line=None, plan=None,
+                 nucleus=None):
         self.kernel = kernel
         self.driver_name = driver_name
         self.domains = DomainManager()
@@ -141,7 +145,9 @@ class DecafPlumbing:
             self.domains,
             plan if plan is not None else slice_plan(driver_name),
             name=driver_name,
-            weak_shared_objects=weak_shared_objects,
+            # A decaf shared object's kernel twin is released when the
+            # object is collected (section 5.1's finalizer extension).
+            weak_shared_objects=True,
         )
         self.nuclear = NuclearRuntime(kernel, self.domains, self.channel,
                                       irq_line=irq_line)
@@ -205,26 +211,15 @@ class DecafPlumbing:
     def unrecord(self, name):
         self.replay_log.remove(name)
 
-    def restart_user_half(self):
-        """Replace the dead user-level half with a fresh one.
-
-        The channel keeps its kernel side (trackers, counters, codec);
-        the user side is reset and a new DecafRuntime started -- paying
-        the JVM startup cost again, which is the dominant term of the
-        paper's recovery latency.
-        """
-        self.channel.reset_user_side()
-        self.decaf_rt = DecafRuntime(self.kernel, self.domains, self.channel)
-        self.decaf_rt.start()
-
     def notify(self, func, args=(), extra=None):
         """Queue a fire-and-forget kernel -> decaf notification.
 
-        Legal from any context; crosses (batched, coalesced) at the
-        channel's next sync point or an explicit
-        :meth:`flush_notifications`.
+        Legal from any context -- interrupt handlers, timer callbacks,
+        under spinlocks -- because nothing crosses until the channel's
+        next sync point or an explicit :meth:`flush_notifications`;
+        repeats for the same target coalesce into one batched crossing.
         """
-        self.nuclear.notify(func, args, extra)
+        self.channel.defer(func, args, extra)
 
     def flush_notifications(self):
         """Drain queued notifications in one batched crossing."""
@@ -233,8 +228,103 @@ class DecafPlumbing:
     def close(self):
         """Release channel resources (handles, pending notifications).
 
-        Wired into :class:`DecafDriverModule` teardown so long-running
+        Run by :meth:`Nucleus.remove` and a failed probe, so long-running
         rigs do not accumulate opaque-handle entries across loads.
         """
         self.channel.close()
         self.xpc.close()
+
+
+class Nucleus:
+    """The kernel half of one device's decaf driver: the glue DriverSlicer
+    generates around the unchanged legacy code (sections 2.2, 3.2),
+    which is the same for every driver, written once.
+
+    A nucleus class (decorated with :func:`xpc_stubs`) names its legacy
+    module ``LEGACY`` (``linux``, ``DRV_NAME``), that module's
+    per-device ``STATE`` class, its ``DECAF`` driver class, its one
+    ``POLL`` (period in ns and name, or None) and ``UPCALLS``, and
+    supplies :meth:`setup` (the root struct and the probe upcall),
+    :meth:`teardown` (the remove upcall), the ``k_*`` entry points,
+    :meth:`poll_body`, :meth:`fault_quiesce` and :meth:`reclaim`.
+    Recovery is quiesce, :meth:`start_user_half` (as at probe), replay.
+    A dead user half cannot remove its device, so :meth:`remove` then
+    silences it and reclaims what probe registered from the kernel
+    side, crossing nothing.
+    """
+
+    LEGACY = None
+    STATE = None
+    DECAF = None
+    POLL = None
+    UPCALLS = {}
+
+    def __init__(self, kernel, options=None):
+        self.kernel = kernel
+        self.options = options  # insmod-time module options
+        self.linux = self.LEGACY.linux
+        self.state = self.STATE()
+        self.pdev = None  # the bus device: a PCI function or serio port
+        self.plumbing = self.decaf = self.poll = None
+
+    @staticmethod
+    def module_init():
+        """The decaf module's own init step, after the legacy driver's;
+        returns 0 or a negative errno."""
+        return 0
+
+    def probe(self, pdev):
+        self.pdev = pdev
+        self.plumbing = DecafPlumbing(self.kernel, self.LEGACY.DRV_NAME,
+                                      irq_line=getattr(pdev, "irq", None),
+                                      nucleus=self)
+        if self.POLL is not None:
+            period_ns, name = self.POLL
+            self.poll = self.plumbing.nuclear.defer_timer(
+                self.poll_body, period_ns, name)
+        self.start_user_half()
+        ret = self.setup(pdev)
+        if ret:
+            self.plumbing.close()
+        return ret
+
+    def start_user_half(self):
+        """Start a user half: the decaf runtime, paying JVM startup (the
+        dominant term of the paper's recovery latency), and fresh decaf
+        instances bound to it.  Probe starts the first; recovery starts
+        one after each fault, once the failed channel's user side is
+        reset (the channel keeps its kernel side: trackers, counters,
+        codec).
+        """
+        plumbing = self.plumbing
+        channel = plumbing.channel
+        if channel.failed:
+            channel.reset_user_side()
+            plumbing.decaf_rt = DecafRuntime(self.kernel, plumbing.domains,
+                                             channel)
+        plumbing.decaf_rt.start()
+        self.decaf = self.new_user_half()
+
+    def new_user_half(self):
+        return self.DECAF(self.plumbing.decaf_rt, self.plumbing.down)
+
+    def supervision_started(self):
+        """A supervisor attached: nuclei that poll their user half only
+        under supervision start the poll here."""
+
+    def user_half_dead(self):
+        """True when the user half FAILED and nothing will restart it:
+        no supervisor, or one that gave up."""
+        plumbing = self.plumbing
+        supervisor = plumbing.supervisor
+        return plumbing.channel.failed and (supervisor is None
+                                            or supervisor.gave_up)
+
+    def remove(self, pdev):
+        if self.user_half_dead():
+            self.fault_quiesce()
+            self.reclaim()
+        else:
+            self.teardown(pdev)
+        self.decaf = None
+        self.plumbing.close()

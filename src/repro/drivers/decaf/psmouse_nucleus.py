@@ -8,21 +8,17 @@ code -- run in the decaf driver, issuing commands through the
 """
 
 from ..legacy import psmouse as legacy
-from ..legacy.psmouse import DRV_NAME, psmouse_struct
-from ..modulebase import DecafDriverModule
-from .plumbing import DecafPlumbing, xpc_stubs
+from ..legacy.psmouse import psmouse_struct
+from .plumbing import Nucleus, xpc_stubs
 from .psmouse_decaf import PsmouseDecafDriver
 
 
 @xpc_stubs
-class PsmouseNucleus:
-    def __init__(self, kernel):
-        self.kernel = kernel
-        self.linux = legacy.linux
-        self.state = legacy.psmouse_state()
-        self.plumbing = None
-        self.decaf = None
-        self.resync = None
+class PsmouseNucleus(Nucleus):
+    LEGACY = legacy
+    STATE = legacy.psmouse_state
+    DECAF = PsmouseDecafDriver
+    POLL = (1_000_000_000, "psmouse-resync")
 
     # -- connect / disconnect (serio driver probe / remove) ----------------------
 
@@ -32,13 +28,7 @@ class PsmouseNucleus:
         "resync_check": None,
     }
 
-    def probe(self, serio):
-        self.plumbing = DecafPlumbing(self.kernel, "psmouse", nucleus=self)
-        self.resync = self.plumbing.nuclear.defer_timer(
-            self._resync_check, 1_000_000_000, "psmouse-resync")
-        self.rebuild_user_half()
-        self.plumbing.decaf_rt.start()
-
+    def setup(self, serio):
         psmouse = psmouse_struct()
         psmouse.state = legacy.PSMOUSE_STATE_INITIALIZING
         psmouse._kstate = self.state
@@ -67,13 +57,16 @@ class PsmouseNucleus:
         supervised mouse (so, in replay) restarts its resync poll."""
         ret = self.plumbing.up.connect(self.state.psmouse)
         if ret == 0 and self.plumbing.supervisor is not None:
-            self.resync.start()
+            self.poll.start()
         return ret
 
-    def remove(self, serio):
-        self.resync.stop()
-        if self.decaf is not None and self.state.psmouse is not None:
+    def teardown(self, serio):
+        self.poll.stop()
+        if self.state.psmouse is not None:
             self.plumbing.up.disconnect(self.state.psmouse)
+        self._release_port(serio)
+
+    def _release_port(self, serio):
         serio.close()
         serio.drvdata = None
         self.state.psmouse = None
@@ -86,10 +79,10 @@ class PsmouseNucleus:
     # the periodic health poll would break that contract.
 
     def supervision_started(self):
-        if self.state.psmouse is not None and not self.resync.running:
-            self.resync.start()
+        if self.state.psmouse is not None and not self.poll.running:
+            self.poll.start()
 
-    def _resync_check(self):
+    def poll_body(self):
         if self.decaf is None or self.state.psmouse is None:
             return False
         self.plumbing.up.resync_check(self.state.psmouse)
@@ -147,7 +140,7 @@ class PsmouseNucleus:
         replayed connect re-activates it.  The serio port and input
         device survive the user-half restart.
         """
-        self.resync.stop()
+        self.poll.stop()
         psmouse = self.state.psmouse
         if psmouse is None:
             return 0
@@ -155,11 +148,8 @@ class PsmouseNucleus:
         self.state.packet = []
         return 0
 
-    def rebuild_user_half(self):
-        self.decaf = PsmouseDecafDriver(self.plumbing.decaf_rt,
-                                        self.plumbing.down)
-
-
-def make_module():
-    return DecafDriverModule(DRV_NAME, legacy, legacy.PsmouseSerioGlue(),
-                             PsmouseNucleus, bus="input")
+    def reclaim(self):
+        """After :meth:`fault_quiesce`, for a dead user half: the input
+        device and the serio port."""
+        self.k_unregister_input_device()
+        self._release_port(self.state.serio)

@@ -16,34 +16,24 @@ in place); this module adds what the slicer generates around them:
 
 from ..legacy import rtl8139 as legacy
 from ..legacy.rtl8139 import DRV_NAME, rtl8139_private, rtl8139_stats
-from ..modulebase import DecafDriverModule
-from .plumbing import RECORD, DecafPlumbing, unrecord, xpc_stubs
+from .plumbing import RECORD, Nucleus, unrecord, xpc_stubs
 from .rtl8139_decaf import Rtl8139DecafDriver
 
 
 @xpc_stubs
-class Rtl8139Nucleus:
-    def __init__(self, kernel):
-        self.kernel = kernel
-        self.linux = legacy.linux
-        self.state = legacy.rtl8139_driver_state()
-        self.plumbing = None  # created on probe (needs the irq line)
-        self.decaf = None
-        self.pdev = None
-        self.link_watch = None
+class Rtl8139Nucleus(Nucleus):
+    LEGACY = legacy
+    STATE = legacy.rtl8139_driver_state
+    DECAF = Rtl8139DecafDriver
+    POLL = (2_000_000_000, "8139too-thread")
+
+    def __init__(self, kernel, options=None):
+        super().__init__(kernel, options)
         self.irq_requested = False
 
     # -- probe path: kernel stub -> decaf driver ---------------------------------
 
-    def probe(self, pdev):
-        self.pdev = pdev
-        self.plumbing = DecafPlumbing(self.kernel, "8139too",
-                                      irq_line=pdev.irq, nucleus=self)
-        self.link_watch = self.plumbing.nuclear.defer_timer(
-            self._link_watch, 2_000_000_000, "8139too-thread")
-        self.rebuild_user_half()
-        self.plumbing.decaf_rt.start()
-
+    def setup(self, pdev):
         tp = rtl8139_private()
         tp.msg_enable = 7
         tp.stats = rtl8139_stats()
@@ -57,11 +47,8 @@ class Rtl8139Nucleus:
             self.state.tp = None
         return ret
 
-    def remove(self, pdev):
-        if self.decaf is None:
-            return
+    def teardown(self, pdev):
         self.plumbing.up.remove_one()
-        self.decaf = None
 
     # -- netdev ops -------------------------------------------------------------------
 
@@ -109,7 +96,7 @@ class Rtl8139Nucleus:
     # Armed by k_hw_start and cancelled by k_free_irq, in the order
     # rtl8139_open/rtl8139_close start and stop the legacy thread.
 
-    def _link_watch(self):
+    def poll_body(self):
         if self.decaf is None or self.state.tp is None:
             return False
         self.plumbing.up.thread(self.state.tp)
@@ -169,7 +156,7 @@ class Rtl8139Nucleus:
         return ret
 
     def k_free_irq(self, tp):
-        self.link_watch.stop()
+        self.poll.stop()
         # NAPI must be gone (line unmasked) before free_irq: free_irq
         # does not reset the line's disable depth.
         legacy.rtl8139_napi_del(self.state)
@@ -196,7 +183,7 @@ class Rtl8139Nucleus:
 
     def k_hw_start(self, tp):
         ret = legacy.rtl8139_hw_start(self.state.netdev)
-        self.link_watch.start()
+        self.poll.start()
         return ret
 
     def k_netif_stop(self):
@@ -216,7 +203,7 @@ class Rtl8139Nucleus:
         netdev registered for the replayed probe to reuse.  Returns the
         number of in-flight TX packets discarded.
         """
-        self.link_watch.stop()
+        self.poll.stop()
         tp = self.state.tp
         if tp is None:
             return 0
@@ -233,15 +220,6 @@ class Rtl8139Nucleus:
         self.linux.pci_disable_device(self.pdev)
         return lost
 
-    def rebuild_user_half(self):
-        self.decaf = Rtl8139DecafDriver(self.plumbing.decaf_rt,
-                                        self.plumbing.down)
-
-
-def make_module(napi=True):
-    def init_fn():
-        legacy.set_napi_mode(napi)
-        return 0
-
-    return DecafDriverModule(DRV_NAME, legacy, legacy.Rtl8139PciGlue(),
-                             Rtl8139Nucleus, init_fn=init_fn)
+    def reclaim(self):
+        """After :meth:`fault_quiesce`, for a dead user half: the netdev."""
+        self.k_unregister_netdev()

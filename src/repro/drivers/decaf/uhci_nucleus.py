@@ -12,21 +12,16 @@ What *does* move is the probe/suspend orchestration, implemented in
 
 from ..legacy import uhci_hcd as legacy
 from ..legacy.uhci_hcd import DRV_NAME, UhciHcdOps, uhci_hcd_state
-from ..modulebase import DecafDriverModule
-from .plumbing import DecafPlumbing, xpc_stubs
+from .plumbing import Nucleus, xpc_stubs
 from .uhci_decaf import UhciDecafDriver
 
 
 @xpc_stubs
-class UhciNucleus:
-    def __init__(self, kernel):
-        self.kernel = kernel
-        self.linux = legacy.linux
-        self.state = legacy.uhci_state()
-        self.plumbing = None
-        self.decaf = None
-        self.pdev = None
-        self.rh_poll = None
+class UhciNucleus(Nucleus):
+    LEGACY = legacy
+    STATE = legacy.uhci_state
+    DECAF = UhciDecafDriver
+    POLL = (256_000_000, "uhci-rh-poll")
 
     UPCALLS = {
         "probe": None,  # replayed as _reattach
@@ -37,16 +32,8 @@ class UhciNucleus:
         "resume": None,
     }
 
-    def probe(self, pdev):
-        self.pdev = pdev
+    def setup(self, pdev):
         self.state.pdev = pdev
-        self.plumbing = DecafPlumbing(self.kernel, "uhci_hcd",
-                                      irq_line=pdev.irq, nucleus=self)
-        self.rh_poll = self.plumbing.nuclear.defer_timer(
-            self._rh_status_check, 256_000_000, "uhci-rh-poll")
-        self.rebuild_user_half()
-        self.plumbing.decaf_rt.start()
-
         uhci = uhci_hcd_state()
         uhci.rh_numports = legacy.UHCI_NUM_PORTS
         uhci._kstate = self.state
@@ -67,15 +54,12 @@ class UhciNucleus:
         bring-up against live hardware, and the poll restarts."""
         ret = self.plumbing.up.reattach(self.state.uhci)
         if ret == 0:
-            self.rh_poll.start()
+            self.poll.start()
         return ret
 
-    def remove(self, pdev):
-        if self.decaf is None:
-            return
-        self.rh_poll.stop()
+    def teardown(self, pdev):
+        self.poll.stop()
         self.plumbing.up.remove(self.state.uhci)
-        self.decaf = None
 
     # -- root-hub status poll: the nuclear runtime defers its timer ----
     #
@@ -83,10 +67,10 @@ class UhciNucleus:
     # crossing counts (the uhci data path never invokes the decaf half).
 
     def supervision_started(self):
-        if self.state.uhci is not None and not self.rh_poll.running:
-            self.rh_poll.start()
+        if self.state.uhci is not None and not self.poll.running:
+            self.poll.start()
 
-    def _rh_status_check(self):
+    def poll_body(self):
         if self.decaf is None or self.state.uhci is None:
             return False
         self.plumbing.up.rh_status_check(self.state.uhci)
@@ -135,7 +119,7 @@ class UhciNucleus:
         return 0
 
     def k_stop(self, uhci):
-        self.rh_poll.stop()
+        self.poll.stop()
         for device in list(self.state.port_devices):
             self.linux.usb_disconnect_device(device)
         self.state.port_devices = []
@@ -168,14 +152,13 @@ class UhciNucleus:
         flash disk mid-transfer (that asymmetry is the point of the
         4%-converted split).
         """
-        self.rh_poll.stop()
+        self.poll.stop()
         return 0
 
-    def rebuild_user_half(self):
-        self.decaf = UhciDecafDriver(self.plumbing.decaf_rt,
-                                     self.plumbing.down)
-
-
-def make_module():
-    return DecafDriverModule(DRV_NAME, legacy, legacy.UhciPciGlue(),
-                             UhciNucleus)
+    def reclaim(self):
+        """After :meth:`fault_quiesce`, for a dead user half: the
+        schedule, the HCD and its devices, the irq and the PCI claim."""
+        uhci = self.state.uhci
+        self.k_stop(uhci)
+        self.k_free_irq(uhci)
+        self.k_pci_teardown()

@@ -7,9 +7,12 @@ registers one bus driver (a ``pci_driver``, or a serio driver for
 psmouse).  The bus probes that driver against every device present and
 every device plugged in later, and unplugging a device removes only
 that device.  :class:`LegacyDriverModule` registers the legacy
-driver's own glue.  :class:`DecafDriverModule` registers a driver with
-the same name and ID table whose probe builds one nucleus -- with its
-own XPC plumbing and decaf runtime -- per device.
+driver's own glue.  :class:`DecafDriverModule` is derived from the
+legacy driver's own module object (its ``make_module(...)``): the same
+name, source modules, parameters, init and cleanup functions and bus,
+registering a driver with the same name and ID table whose probe
+builds one nucleus (:class:`repro.drivers.decaf.plumbing.Nucleus`) --
+with its own XPC plumbing and decaf runtime -- per device.
 
 Per-device state lives on the device: each legacy driver's ``*_state``
 object holds the members of the C private struct that never cross the
@@ -25,6 +28,8 @@ module globals.  ``linux`` is a module's only global tied to a kernel;
 the last module on that kernel to unload clears it
 (:func:`unbind_linux`).
 """
+
+import copy
 
 from ..kernel.errors import ENODEV
 from ..kernel.module import KernelModule
@@ -63,7 +68,7 @@ class LegacyDriverModule(KernelModule):
         linux = LinuxApi(kernel)
         for module in self.bound_modules:
             module.linux = linux
-        ret = self.init_fn() if self.init_fn is not None else 0
+        ret = self._init()
         if ret:
             return ret
         bus = getattr(kernel, self.bus)
@@ -73,6 +78,9 @@ class LegacyDriverModule(KernelModule):
             return -ENODEV
         return 0
 
+    def _init(self):
+        return self.init_fn() if self.init_fn is not None else 0
+
     def cleanup_module(self, kernel):
         getattr(kernel, self.bus).unregister_driver(self.driver)
         if self.cleanup_fn is not None:
@@ -81,47 +89,36 @@ class LegacyDriverModule(KernelModule):
 
 
 class DecafDriverModule(LegacyDriverModule):
-    """A decaf driver: per device, a nucleus (kernel) and a decaf
-    driver (user, managed).
+    """A decaf driver, derived from its legacy driver's module: per
+    device, a nucleus (kernel) and a decaf driver (user, managed).
 
-    The registered driver keeps the legacy ``glue``'s name and ID
-    table.  Its probe builds a fresh nucleus with
-    ``make_nucleus(kernel)`` and keys it by the bus device in
-    :attr:`nuclei`; its remove tears down that one nucleus and closes
-    its XPC plumbing.
+    It keeps everything of the ``legacy`` module -- name, bound source
+    modules, the init function that sets its parameters, the cleanup
+    function, the bus -- but the bus driver it registers: a copy of the
+    legacy glue (same name and ID table) whose probe builds a fresh
+    ``nucleus_cls(kernel, options)`` per device, keyed by the bus device
+    in :attr:`nuclei`, and whose remove removes that one nucleus.  The
+    nucleus class's ``module_init`` runs after the legacy init.
     """
 
-    def __init__(self, name, driver_module, glue, make_nucleus, **kwargs):
-        super().__init__(name, driver_module, _NucleusDriver(self, glue),
-                         **kwargs)
-        self.make_nucleus = make_nucleus
+    def __init__(self, legacy, nucleus_cls, options=None):
+        vars(self).update(vars(legacy))
+        self.driver = copy.copy(legacy.driver)
+        self.driver.probe = self.probe
+        self.driver.remove = self.remove
+        self.nucleus_cls = nucleus_cls
+        self.options = options
         self.nuclei = {}
 
+    def _init(self):
+        return super()._init() or self.nucleus_cls.module_init()
+
     def probe(self, kernel, dev):
-        nucleus = self.make_nucleus(kernel)
+        nucleus = self.nucleus_cls(kernel, self.options)
         ret = nucleus.probe(dev)
-        if ret:
-            _close(nucleus)
-        else:
+        if ret == 0:
             self.nuclei[dev] = nucleus
         return ret
 
     def remove(self, kernel, dev):
-        nucleus = self.nuclei.pop(dev)
-        nucleus.remove(dev)
-        _close(nucleus)
-
-
-class _NucleusDriver:
-    """The bus driver a decaf module registers."""
-
-    def __init__(self, module, glue):
-        self.name = glue.name
-        self.matches = glue.matches
-        self.probe = module.probe
-        self.remove = module.remove
-
-
-def _close(nucleus):
-    if nucleus.plumbing is not None:
-        nucleus.plumbing.close()
+        self.nuclei.pop(dev).remove(dev)

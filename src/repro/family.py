@@ -3,11 +3,11 @@
 A :class:`DeviceFamily` is the only place that knows one driver's
 device model and resources (defaults on a rig, slot-carved IRQ, ports,
 MMIO and MAC in a fleet), how to plug the device into its bus, its
-legacy and nucleus source modules and the map from rig options to
-their ``make_module`` parameters, how to find and release the endpoint
-probe registers, the fleet's ``tick``/``poke``, and the conformance
-event vocabulary.  :data:`FAMILIES` maps the driver names Tables 2/3,
-conformance and the slicer use to their family.
+legacy source module and nucleus class and the map from rig options to
+the legacy ``make_module`` parameters, how to find and release the
+endpoint probe registers, the fleet's ``tick``/``poke``, and the
+conformance event vocabulary.  :data:`FAMILIES` maps the driver names
+Tables 2/3, conformance and the slicer use to their family.
 
 A :class:`DeviceInstance` is one device and its driver on one kernel:
 probe, supervision, fault injection and remove.  A rig
@@ -39,6 +39,7 @@ from .devices.e1000 import (
 )
 from .devices.ens1371 import REG_MEMPAGE, REG_SCTRL
 from .devices.rtl8139 import IMR, ISR
+from .drivers.modulebase import DecafDriverModule
 from .kernel import NETDEV_TX_OK, SerioPort, SkBuff, make_kernel
 from .kernel.sound import SNDRV_PCM_TRIGGER_START, SNDRV_PCM_TRIGGER_STOP
 from .kernel.usb import usb_sndbulkpipe
@@ -248,7 +249,7 @@ class DeviceFamily:
 
     key = None          # driver name: Tables 2/3, conformance, slicer
     legacy = None       # dotted name of the legacy driver module
-    nucleus = None      # dotted name of the decaf nucleus module
+    nucleus = None      # dotted name of the decaf nucleus class
     tick_units = 1      # fleet traffic units per tick
     # Conformance: strict-mode register trace comparison ("full" or
     # per-register write "footprint"), and the range of N for "fire
@@ -287,14 +288,21 @@ class DeviceFamily:
         """Hot-unplug the device; its driver's remove runs first."""
         inst.kernel.pci.remove_function(inst.bus_device)
 
-    def module(self, decaf, **options):
-        """A loadable module of the variant: its own ``make_module``."""
-        source = importlib.import_module(self.nucleus if decaf
-                                         else self.legacy)
-        return source.make_module(**self.module_params(decaf, **options))
+    def module(self, decaf, options=None, **rig_options):
+        """A loadable module of the variant: the legacy driver's own
+        ``make_module``, or the decaf module derived from it, whose
+        nuclei get the insmod-time module ``options`` (the legacy
+        driver probes with its defaults)."""
+        module = importlib.import_module(self.legacy).make_module(
+            **self.module_params(**rig_options))
+        if decaf:
+            path, _, name = self.nucleus.rpartition(".")
+            module = DecafDriverModule(
+                module, getattr(importlib.import_module(path), name), options)
+        return module
 
-    def module_params(self, decaf, **options):
-        """Rig options -> ``make_module`` parameters."""
+    def module_params(self, **options):
+        """Rig options -> the legacy ``make_module`` parameters."""
         return {}
 
     # -- endpoint -------------------------------------------------------------
@@ -572,7 +580,7 @@ class _NicFamily(DeviceFamily):
 class E1000Family(_NicFamily):
     key = "e1000"
     legacy = "repro.drivers.legacy.e1000_main"
-    nucleus = "repro.drivers.decaf.e1000_nucleus"
+    nucleus = "repro.drivers.decaf.e1000_nucleus.E1000Nucleus"
     link_bps = 1_000_000_000
     missed_attr = "rx_missed"
     xpc_at = (2, 8)  # minimum post-arming budget 7
@@ -600,14 +608,8 @@ class E1000Family(_NicFamily):
     def smp_options(self, smp):
         return {"num_queues": min(smp, 4)}
 
-    def module_params(self, decaf, irq_mode="napi", num_queues=1,
-                      options=None, **_):
-        params = {"napi": irq_mode == "napi", "num_queues": num_queues}
-        if decaf:
-            # insmod-time e1000_param options; the legacy driver probes
-            # with its defaults.
-            params["options"] = options
-        return params
+    def module_params(self, irq_mode="napi", num_queues=1, **_):
+        return {"napi": irq_mode == "napi", "num_queues": num_queues}
 
     def poke(self, inst):
         if inst.decaf and inst.bound and inst.endpoint is not None:
@@ -617,7 +619,7 @@ class E1000Family(_NicFamily):
 class Rtl8139Family(_NicFamily):
     key = "8139too"
     legacy = "repro.drivers.legacy.rtl8139"
-    nucleus = "repro.drivers.decaf.rtl8139_nucleus"
+    nucleus = "repro.drivers.decaf.rtl8139_nucleus.Rtl8139Nucleus"
     link_bps = 100_000_000
     missed_attr = "rx_overflows"
     # Only config ops cross: the link-watch period exceeds a scenario.
@@ -637,7 +639,7 @@ class Rtl8139Family(_NicFamily):
         self._attach_nic(inst, Rtl8139Device, rx_coalesce_ns=rx_coalesce_ns,
                          **_resources(slot, 0x81))
 
-    def module_params(self, decaf, irq_mode="napi", **_):
+    def module_params(self, irq_mode="napi", **_):
         return {"napi": irq_mode == "napi"}
 
     def poke(self, inst):
@@ -654,7 +656,7 @@ class Rtl8139Family(_NicFamily):
 class Ens1371Family(DeviceFamily):
     key = "ens1371"
     legacy = "repro.drivers.legacy.ens1371"
-    nucleus = "repro.drivers.decaf.ens1371_nucleus"
+    nucleus = "repro.drivers.decaf.ens1371_nucleus.Ens1371Nucleus"
     xpc_at = (3, 15)  # minimum post-arming budget 14
     # MEM_PAGE is rewritten once per period-interrupt service and
     # SERIAL's P2_INTR_EN bit is toggled to ack each one, so their write
@@ -841,7 +843,7 @@ class Ens1371Family(DeviceFamily):
 class UhciFamily(DeviceFamily):
     key = "uhci_hcd"
     legacy = "repro.drivers.legacy.uhci_hcd"
-    nucleus = "repro.drivers.decaf.uhci_nucleus"
+    nucleus = "repro.drivers.decaf.uhci_nucleus.UhciNucleus"
     reg_trace = "full"
     xpc_at = (1, 3)
     BLOCKS_PER_TICK = 2
@@ -859,7 +861,7 @@ class UhciFamily(DeviceFamily):
     def poke(self, inst):
         if inst.decaf and inst.bound:
             # One root-hub status poll (normally timer-driven).
-            inst.nucleus.rh_poll.run()
+            inst.nucleus.poll.run()
 
     def write_blocks(self, inst, lba, blocks, data, timeout_ms=5000):
         """One bulk-only WRITE to the disk; (status, bytes moved)."""
@@ -944,7 +946,7 @@ class UhciFamily(DeviceFamily):
 class PsmouseFamily(DeviceFamily):
     key = "psmouse"
     legacy = "repro.drivers.legacy.psmouse"
-    nucleus = "repro.drivers.decaf.psmouse_nucleus"
+    nucleus = "repro.drivers.decaf.psmouse_nucleus.PsmouseNucleus"
     reg_trace = "full"
     # The decaf mouse crosses only on its 1 Hz resync poll, so faulty
     # scenarios and the explorer's fault placements space events by
@@ -983,7 +985,7 @@ class PsmouseFamily(DeviceFamily):
     def poke(self, inst):
         if inst.decaf and inst.bound:
             # One resync check (normally a 1 Hz supervised-only timer).
-            inst.nucleus.resync.run()
+            inst.nucleus.poll.run()
 
     def tick(self, inst, units):
         if not inst.bound:

@@ -85,11 +85,6 @@ class NapiCore:
         self.schedules = 0
         self.packets_per_poll = {}  # work_done -> count
 
-    @property
-    def _list(self):
-        """The classic shared poll list (single-CPU compatibility)."""
-        return self._lists[None]
-
     def _key_for(self, napi):
         """Which poll list a context belongs to right now."""
         if napi.cpu is not None and self._kernel.nr_cpus > 1:

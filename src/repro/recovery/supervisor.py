@@ -17,16 +17,18 @@ The recovery sequence mirrors the shadow-driver model:
 1. ``nucleus.fault_quiesce()`` -- silence the device from the kernel
    side only (no upcalls: the user half is dead), returning an estimate
    of in-flight work discarded (e.g. TX packets in the rings).
-2. ``plumbing.restart_user_half()`` -- reset the channel's user side
-   and start a fresh runtime (paying JVM startup again).
-3. ``nucleus.rebuild_user_half()`` -- fresh library/decaf instances.
-4. Replay the recorded configuration log -- probe, open, and the
+2. ``nucleus.start_user_half()`` -- reset the channel's user side and
+   start a fresh runtime (paying JVM startup again) with fresh decaf
+   instances, exactly as probe started the first.
+3. Replay the recorded configuration log -- probe, open, and the
    latest settings -- by calling each recorded nucleus entry point
    again with its recorded arguments.
 
 A bounded number of recoveries guards against a deterministic fault
 looping forever; past the budget the supervisor gives up and the
-driver stays FAILED (downcalls keep failing fast).
+driver stays FAILED (downcalls keep failing fast).  Removing a device
+whose supervisor gave up runs the nucleus's dead-half path: quiesce,
+then reclaim what probe registered, kernel side only.
 """
 
 from ..kernel.timers import WorkItem
@@ -69,9 +71,7 @@ class DriverSupervisor:
         # Some nuclei only run their periodic health poll (the decaf
         # half's mid-workload injection point) once supervised, so that
         # unsupervised rigs keep the seed crossing counts.
-        started = getattr(nucleus, "supervision_started", None)
-        if started is not None:
-            started()
+        nucleus.supervision_started()
         kernel.kstat.register("recovery", self._kstat)
         health = kernel.health
         if health is not None:
@@ -147,8 +147,7 @@ class DriverSupervisor:
 
     def owns(self, netdev):
         """True when ``netdev`` is this driver's device's ``driver_data``."""
-        pdev = getattr(self.nucleus, "pdev", None)
-        return pdev is not None and pdev.driver_data is netdev
+        return getattr(self.nucleus.pdev, "driver_data", None) is netdev
 
     def note_wedge(self, reason):
         """Watchdog report: the driver is silently stalled, not faulted.
@@ -198,8 +197,7 @@ class DriverSupervisor:
             )
             lost = self.nucleus.fault_quiesce()
             self.work_lost += int(lost or 0)
-            self.plumbing.restart_user_half()
-            self.nucleus.rebuild_user_half()
+            self.nucleus.start_user_half()
             self._replay()
         except Exception as exc:
             self.failed_recoveries += 1

@@ -24,13 +24,10 @@ This module implements both future-work items:
 
 import ast
 import inspect
+import textwrap
 
 from ..core.marshal import FieldAccess
 from .accessanalysis import _AccessVisitor
-
-
-class _MethodVisitor(_AccessVisitor):
-    """Extends the legacy visitor with `self.<attr>` hint seeding."""
 
 
 def analyze_decaf_accesses(classes, type_hints):
@@ -51,22 +48,16 @@ def analyze_decaf_accesses(classes, type_hints):
             # the plan without a word.
             raise ValueError("cannot read the source of decaf class %s.%s"
                              % (cls.__module__, cls.__qualname__)) from exc
-        tree = ast.parse(_dedent(source))
+        tree = ast.parse(textwrap.dedent(source))
         class_node = tree.body[0]
         if not isinstance(class_node, ast.ClassDef):
             continue
         for node in class_node.body:
             if not isinstance(node, ast.FunctionDef):
                 continue
-            visitor = _MethodVisitor(type_hints, accesses)
+            visitor = _AccessVisitor(type_hints, accesses)
             visitor.visit(node)
     return accesses
-
-
-def _dedent(source):
-    import textwrap
-
-    return textwrap.dedent(source)
 
 
 def merge_accesses(*access_dicts):

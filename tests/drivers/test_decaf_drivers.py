@@ -56,7 +56,7 @@ class TestDecafRtl8139:
         rig = make_8139too_rig(decaf=True)
         rig.insmod()
         nucleus = rig.nucleus
-        poll = nucleus.link_watch
+        poll = nucleus.poll
         domains = nucleus.plumbing.domains
         seen = []
         start, stop = poll.start, poll.stop
@@ -169,12 +169,13 @@ class TestDecafEns1371:
     def test_requires_mutex_sound_library(self):
         from repro.kernel import make_kernel
         from repro.devices import Ens1371Device
-        from repro.drivers.decaf import ens1371_nucleus
+        from repro.family import FAMILIES
 
         kernel = make_kernel(sound_use_mutex=False)
         card = Ens1371Device(kernel)
         kernel.pci.add_function(card.pci)
-        assert kernel.modules.insmod(ens1371_nucleus.make_module()) != 0
+        module = FAMILIES["ens1371"].module(decaf=True)
+        assert kernel.modules.insmod(module) != 0
 
     def test_playback_through_decaf_ops(self):
         rig = make_ens1371_rig(decaf=True)
@@ -282,12 +283,12 @@ class TestDecafPsmouse:
                 pass  # never answers
 
         from repro.kernel import make_kernel
-        from repro.drivers.decaf import psmouse_nucleus
+        from repro.family import FAMILIES
 
         kernel = make_kernel()
         port = kernel.input.new_serio_port()
         port.attach_device(DeadMouse())
-        ret = kernel.modules.insmod(psmouse_nucleus.make_module())
+        ret = kernel.modules.insmod(FAMILIES["psmouse"].module(decaf=True))
         assert ret < 0
         assert kernel.input.devices == []  # nothing half-registered
 

@@ -120,6 +120,30 @@ def test_mixed_fleet_concurrent_smoke():
     assert len(kernel.modules.loaded) == 0
 
 
+@pytest.mark.parametrize("max_recoveries", [1, 3])
+def test_slots_whose_supervisor_gave_up_reprobe_and_tear_down_clean(
+        max_recoveries):
+    """A churned slot whose user half died is removed kernel side: its
+    PCI claim is free again when it is re-probed (a claim left behind
+    fails that probe with -EBUSY), and teardown releases everything."""
+    spec = FleetSpec(n_devices=32, decaf_fraction=0.5, nr_cpus=2,
+                     duration_ms=200, fault_period_ms=5,
+                     max_recoveries=max_recoveries, seed=7)
+    harness = FleetHarness(spec)
+    harness.build()
+    harness.run()
+    assert harness.result().kstat["recovery.gave_up"] >= 1
+    harness.teardown()
+    kernel = harness.kernel
+    assert len(kernel.net.devices) == 0
+    assert len(kernel.usb.devices) == 0
+    assert len(kernel.sound.cards) == 0
+    assert len(kernel.input.devices) == 0
+    assert len(kernel.modules.loaded) == 0
+    assert [r for r in kernel.memory.live_allocations()
+            if not r.owner.startswith("skb-pool")] == []
+
+
 def test_churned_slot_keeps_working_after_reprobe():
     """Traffic works identically on the re-probed instance."""
     kernel = make_kernel(nr_cpus=2, nr_irqs=16)

@@ -247,7 +247,7 @@ def test_watchdog_poll_fires_on_one_event():
     rig.insmod()
     kernel = rig.kernel
     kernel.net.dev_open(rig.netdev())
-    poll = rig.nucleus.watchdog
+    poll = rig.nucleus.poll
     assert poll.timer.pending
     timer_ev = poll.timer._event.event
     period_ns = poll.period_ns * rig.nucleus.plumbing.nuclear.poll_stretch
