@@ -14,27 +14,7 @@ decoded to 44.1 kHz stereo produces the same interrupt cadence the real
 workload sees (one per period).
 """
 
-import sys
-from array import array
-
 from ..kernel.pci import PciBar, PciFunction
-
-_BIG_ENDIAN_HOST = sys.byteorder == "big"
-
-
-def _sum_le_words(data, start, count):
-    """Sum of ``count`` little-endian u32 words at ``data[start:]``.
-
-    Words that would run past the end of ``data`` count as 0.
-    """
-    count = min(count, (len(data) - start) // 4)
-    if count <= 0:
-        return 0
-    words = array("I", data[start:start + 4 * count])
-    if _BIG_ENDIAN_HOST:
-        words.byteswap()
-    return sum(words)
-
 
 ENSONIQ_VENDOR_ID = 0x1274
 ES1371_DEVICE_ID = 0x1371
@@ -101,7 +81,8 @@ class Ens1371Device:
         self.resets = 0
         self.period_interrupts = 0
         self.samples_consumed = 0
-        self.audio_checksum = 0
+        # callable(bytes): the listener, fed the words the DAC plays.
+        self.dac_sink = None
         self._period_event = kernel.events.recurring(
             self._period_elapsed, name="ens1371-period")
         self._reset_state()
@@ -257,26 +238,32 @@ class Ens1371Device:
         self._schedule_period()
 
     def _consume_audio(self, nbytes):
-        """Fold one period of the DMA ring into ``audio_checksum``.
+        """Play one period of the DMA ring: advance the DAC position.
 
-        The checksum is the mod-2**32 sum of the little-endian 32-bit
-        words at ring positions ``pos, pos+4, ...`` (``ceil(nbytes/4)``
-        words, wrapping at the ring size); a word that runs past the
-        end of the DMA region reads as 0.  The ring size is a multiple
-        of 4, so a wrap lands on ``pos % 4`` and each pass over the ring
-        is one contiguous run, summed in C.
+        An attached ``dac_sink`` receives the little-endian 32-bit words
+        fetched at ring positions ``pos, pos+4, ...`` (``ceil(nbytes/4)``
+        words, wrapping at the ring size) as one ``bytes`` per
+        contiguous pass over the ring, cut where a word would run past
+        the end of the DMA region (a pass wholly past it hands over
+        nothing).  The ring size is a multiple of 4,
+        so a wrap lands on ``pos % 4``.
         """
         region, off = self._kernel.memory.dma_find(self.dac2_frame_addr)
         if region is None:
             return
         size_bytes = (self.dac2_frame_size + 1) * 4
-        words = max(0, (nbytes + 3) // 4)
-        pos = self.dac2_pos_bytes % size_bytes
-        total = self.audio_checksum
-        while words:
-            run = min(words, (size_bytes - pos + 3) // 4)
-            total += _sum_le_words(region.data, off + pos, run)
-            words -= run
-            pos &= 3
-        self.audio_checksum = total & 0xFFFFFFFF
+        sink = self.dac_sink
+        if sink is not None:
+            data = region.data
+            limit = len(data)
+            words = max(0, (nbytes + 3) // 4)
+            pos = self.dac2_pos_bytes % size_bytes
+            while words:
+                run = min(words, (size_bytes - pos + 3) // 4)
+                start = off + pos
+                fit = min(run, (limit - start) // 4)
+                if fit > 0:
+                    sink(data[start:start + 4 * fit])
+                words -= run
+                pos &= 3
         self.dac2_pos_bytes = (self.dac2_pos_bytes + nbytes) % size_bytes

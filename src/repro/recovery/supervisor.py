@@ -116,11 +116,12 @@ class DriverSupervisor:
         """True while a contained fault awaits (or is under) recovery.
 
         Workloads consult this to tell a restart outage apart from a
-        genuinely wedged device.
+        genuinely wedged device.  A supervisor that gave up has nothing
+        pending, even while its queued work item has yet to run.
         """
-        if self.in_progress or self._work_pending:
-            return True
-        return self.channel.failed and not self.gave_up
+        if self.gave_up:
+            return False
+        return self.in_progress or self._work_pending or self.channel.failed
 
     def note_fault(self, exc, callsite):
         """Fault report from the channel's failure policy."""

@@ -14,6 +14,7 @@ from repro.devices import ens1371 as ens_mod
 from repro.devices import uhci as uhci_mod
 from repro.devices import ps2mouse as ps2_mod
 from repro.kernel import make_kernel
+from tests.devices.audio_sink import SummingSink
 
 
 @pytest.fixture
@@ -87,13 +88,14 @@ class TestEns1371Playback:
 
     def test_audio_actually_consumed(self, ens_rig):
         kernel, snd, base = ens_rig
+        snd.dac_sink = sink = SummingSink()
         buf = self._start(kernel, snd, base)
         buf.data[0:4] = struct.pack("<I", 0x11223344)
         kernel.run_for_ms(100)
         # Four 1024-frame periods in 100 ms, one full pass of the ring:
         # the checksum is the sum of its words, i.e. the one written.
         assert snd.samples_consumed == 4096
-        assert snd.audio_checksum == 0x11223344
+        assert sink.checksum == 0x11223344
 
 
 class TestUhci:

@@ -104,6 +104,29 @@ def test_closing_a_dead_ens1371_silences_dac2(supervised):
     _assert_released(rig)
 
 
+def test_a_supervisor_that_gave_up_has_no_recovery_pending():
+    rig = make_ens1371_rig(decaf=True)
+    rig.insmod()
+    supervisor = rig.supervise(max_recoveries=0)
+    sound, substream = rig.kernel.sound, rig.endpoint
+    assert sound.pcm_open(substream) == 0
+    assert sound.pcm_hw_params(substream, 44100, 2, 2, 4096, 4) == 0
+    assert sound.pcm_prepare(substream) == 0
+    assert sound.pcm_trigger(substream, SNDRV_PCM_TRIGGER_START) == 0
+    rig.inject_faults(FaultPlan([
+        FaultSpec("xpc_raise", callsite="trigger")]))
+    assert sound.pcm_trigger(substream, SNDRV_PCM_TRIGGER_STOP) == -5
+    # The fault queued the recovery work item; the sync caller's own
+    # recover() already gave up, so nothing is pending from here on.
+    assert supervisor.gave_up
+    assert not supervisor.recovery_pending()
+    rig.kernel.run_for_ms(1)
+    assert not supervisor.recovery_pending()
+    sound.pcm_close(substream)
+    rig.rmmod(check_leaks=True)
+    _assert_released(rig)
+
+
 @pytest.mark.parametrize("name,make_rig", ALL_RIGS, ids=IDS)
 def test_recovery_starts_the_user_half_the_way_probe_does(name, make_rig):
     rig = make_rig(decaf=True)
