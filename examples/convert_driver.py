@@ -74,17 +74,17 @@ def main():
     nucleus = rig.nucleus
     print("upcall stubs: %s" % ", ".join(sorted(nucleus.UPCALLS)))
     print("downcall stubs (the user half's whole kernel interface): %d"
-          % len([n for n in vars(type(nucleus.plumbing.down))
+          % len([n for n in vars(type(nucleus.down))
                  if n.startswith("k_")]))
-    xpc = nucleus.plumbing.xpc
+    xpc = nucleus.xpc
     before = (xpc.upcalls, xpc.downcalls)
-    ret = nucleus.plumbing.up.open(nucleus.state.tp)
+    ret = nucleus.up.open(nucleus.state.tp)
     print("   up.open returned %d after %d upcall(s) and %d downcall(s)"
           % (ret, xpc.upcalls - before[0], xpc.downcalls - before[1]))
-    log = nucleus.plumbing.replay_log
+    log = nucleus.replay_log
     print("   replay log: %s" % ", ".join(fn.__name__
                                         for fn, _args in log.entries()))
-    ret = nucleus.plumbing.up.close(nucleus.state.tp)
+    ret = nucleus.up.close(nucleus.state.tp)
     print("   up.close returned %d; replay log: %s" % (
         ret, ", ".join(fn.__name__ for fn, _args in log.entries())))
     rig.rmmod()

@@ -12,7 +12,7 @@ Run:  python examples/incremental_migration.py
 
 from repro.core.marshal import MarshalPlan
 from repro.devices import EthernetLink, Rtl8139Device
-from repro.drivers.decaf.plumbing import DecafPlumbing
+from repro.drivers.decaf.rtl8139_nucleus import Rtl8139Nucleus
 from repro.drivers.decaf.transition import TransitionError, TransitionTable
 from repro.drivers.legacy import rtl8139 as legacy
 from repro.drivers.linuxapi import LinuxApi
@@ -30,9 +30,12 @@ def main():
     tp = legacy.rtl8139_private()
     tp.ioaddr = nic.pci.resource_start(0)
 
-    plumbing = DecafPlumbing(kernel, "8139too", plan=MarshalPlan())
-    table = TransitionTable(plumbing)
-    rt = plumbing.decaf_rt
+    # The decaf 8139too nucleus's XPC boundary, built as probe builds
+    # it, on an empty marshal plan: these functions pass no structs.
+    nucleus = Rtl8139Nucleus(kernel)
+    nucleus.connect(legacy.DRV_NAME, plan=MarshalPlan())
+    table = TransitionTable(nucleus.channel)
+    rt = nucleus.decaf_rt
 
     # Step 0: the freshly split driver -- all user functions in C.
     table.register("read_mac",

@@ -20,7 +20,7 @@ Run:  python examples/new_decaf_driver.py
 from repro.core.cstruct import CStruct, U32
 from repro.core.marshal import MarshalPlan, FieldAccess
 from repro.drivers.decaf.exceptions import ConfigException, HardwareException
-from repro.drivers.decaf.plumbing import DecafPlumbing, xpc_stubs
+from repro.drivers.decaf.plumbing import Nucleus, xpc_stubs
 from repro.kernel import IRQ_HANDLED, make_kernel
 from repro.kernel.pci import PciBar, PciFunction
 
@@ -75,7 +75,7 @@ class sensor_state(CStruct):
 # -- the driver nucleus: interrupt handler + kernel entry points -------------
 
 @xpc_stubs
-class SensorNucleus:
+class SensorNucleus(Nucleus):
     # The decaf methods the nucleus calls up to; neither is replayed.
     UPCALLS = {"probe": None, "alarm": None}
 
@@ -86,20 +86,19 @@ class SensorNucleus:
         plan.set_access("sensor_state", FieldAccess(
             reads={"io_base", "threshold"},
             writes={"io_base", "threshold", "alarms"}))
-        self.plumbing = DecafPlumbing(kernel, "sensor", irq_line=device.irq,
-                                      plan=plan, nucleus=self)
+        # No legacy driver: the XPC boundary is built directly.
+        self.connect("sensor", irq_line=device.irq, plan=plan)
         self.state = sensor_state()
-        self.plumbing.channel.kernel_tracker.register(self.state)
-        self.decaf = SensorDecafDriver(self.plumbing.decaf_rt,
-                                       self.plumbing.down)
+        self.channel.kernel_tracker.register(self.state)
+        self.decaf = SensorDecafDriver(self.decaf_rt, self.down)
         self.alarm_work = None
 
     def load(self):
         self.kernel.pci.enable_device(self.device.pci)
         self.kernel.pci.request_regions(self.device.pci, "sensor")
         self.kernel.request_irq(self.device.irq, self.irq_handler, "sensor")
-        self.plumbing.decaf_rt.start()
-        return self.plumbing.up.probe(self.state)
+        self.decaf_rt.start()
+        return self.up.probe(self.state)
 
     def irq_handler(self, irq, dev_id):
         # High priority: ack and defer the policy to user level.
@@ -111,7 +110,7 @@ class SensorNucleus:
         return IRQ_HANDLED
 
     def _alarm_work(self, _data):
-        self.plumbing.up.alarm(self.state)
+        self.up.alarm(self.state)
 
     # kernel entry point used by the decaf driver
     def k_resource_start(self):
@@ -157,7 +156,7 @@ def main():
     print("sensor decaf driver loaded; threshold %.1f degC, "
           "crossings so far: %d"
           % (device.threshold / 10,
-             nucleus.plumbing.xpc.kernel_user_crossings))
+             nucleus.xpc.kernel_user_crossings))
 
     print("heating the sensor...")
     for _ in range(12):

@@ -28,9 +28,8 @@ from ..kernel.timers import KernelTimer, WorkItem
 class NuclearRuntime:
     """Kernel-side runtime linked to a driver nucleus."""
 
-    def __init__(self, kernel, domains, channel, irq_line=None):
+    def __init__(self, kernel, channel, irq_line=None):
         self.kernel = kernel
-        self.domains = domains
         self.channel = channel
         self.irq_line = irq_line
         self.poll_stretch = 1  # multiplies every poll period (fleet slots)
@@ -127,9 +126,8 @@ class DeferredPoll:
 class DecafRuntime:
     """User-level helpers shared by all decaf drivers."""
 
-    def __init__(self, kernel, domains, channel):
+    def __init__(self, kernel, channel):
         self.kernel = kernel
-        self.domains = domains
         self.channel = channel
         self._started = False
         channel.user_tracker.release_hook = self._release_kernel_twin

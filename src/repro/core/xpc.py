@@ -180,8 +180,8 @@ class Xpc:
 
     kstat reports every counter both summed across drivers
     (``xpc.crossings``) and per driver under :attr:`name`
-    (``xpc.<name>.crossings``); the decaf plumbing sets it to the
-    driver's name.
+    (``xpc.<name>.crossings``); the driver nucleus that owns it sets it
+    to the driver's name.
     """
 
     def __init__(self, kernel):
@@ -292,7 +292,7 @@ class XpcChannel:
         self._deferred = []
         self._flushing = False
         self.closed = False
-        # Failure boundary (opt-in): DecafPlumbing installs a
+        # Failure boundary (opt-in): a driver nucleus installs a
         # FailurePolicy; a bare channel propagates everything.
         self.failure_policy = None
         self.failed = False

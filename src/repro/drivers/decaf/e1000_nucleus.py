@@ -44,11 +44,11 @@ class E1000Nucleus(Nucleus):
             # 3.1.3), kept across user-half restarts: a combolock --
             # spinlock when only kernel code holds it, semaphore when
             # the decaf driver does.
-            self.adapter_lock = ComboLock(self.kernel, self.plumbing.domains,
+            self.adapter_lock = ComboLock(self.kernel, self.domains,
                                           "e1000-adapter")
-        self.library = E1000DriverLibrary(self.kernel, self.plumbing.channel,
+        self.library = E1000DriverLibrary(self.kernel, self.channel,
                                           napi=legacy.napi_mode)
-        return E1000DecafDriver(self.plumbing.decaf_rt, self.plumbing.down,
+        return E1000DecafDriver(self.decaf_rt, self.down,
                                 self.adapter_lock, self.library)
 
     def setup(self, pdev):
@@ -57,15 +57,15 @@ class E1000Nucleus(Nucleus):
         self.adapter = adapter
         self.state.pdev = pdev
         self.state.tx_lock = self.linux.spin_lock_init("e1000-tx")
-        self.plumbing.channel.kernel_tracker.register(adapter)
+        self.channel.kernel_tracker.register(adapter)
 
-        ret = self.plumbing.up.init_one(adapter, self.options)
+        ret = self.up.init_one(adapter, self.options)
         if ret:
             self.adapter = None
         return ret
 
     def teardown(self, pdev):
-        self.plumbing.up.remove_one(self.adapter)
+        self.up.remove_one(self.adapter)
 
     # -- netdev ops (kernel -> decaf) ------------------------------------------------
 
@@ -83,16 +83,16 @@ class E1000Nucleus(Nucleus):
     }
 
     def open(self, dev):
-        return self.plumbing.up.open(self.adapter)
+        return self.up.open(self.adapter)
 
     def stop(self, dev):
-        return self.plumbing.up.close(self.adapter)
+        return self.up.close(self.adapter)
 
     def set_multi(self, dev):
-        return self.plumbing.up.set_multi(self.adapter)
+        return self.up.set_multi(self.adapter)
 
     def set_mac(self, dev, addr):
-        return self.plumbing.up.set_mac(self.adapter, list(addr))
+        return self.up.set_mac(self.adapter, list(addr))
 
     def change_mtu(self, dev, new_mtu):
         # Whether the adapter is up is kernel state the user half cannot
@@ -101,14 +101,14 @@ class E1000Nucleus(Nucleus):
         # does on netif_running).  It is read from the open's irq, not
         # the netdev: replay runs this op with the netdev still up but
         # before (or without) the replayed open, where a reinit fails.
-        ret = self.plumbing.up.change_mtu(
+        ret = self.up.change_mtu(
             self.adapter, new_mtu, 1 if self.irq_requested else 0)
         if ret == 0:
-            self.plumbing.record(self.change_mtu, dev, new_mtu)
+            self.replay_log.record(self.change_mtu, dev, new_mtu)
         return ret
 
     def tx_timeout(self, dev):
-        return self.plumbing.up.tx_timeout(self.adapter)
+        return self.up.tx_timeout(self.adapter)
 
     def get_stats(self, dev):
         return dev.stats
@@ -128,11 +128,9 @@ class E1000Nucleus(Nucleus):
             # The watchdog kick is a one-way notification: queue it
             # (coalescing with any still-pending kick) and flush the
             # batch here, in process context, as one crossing.
-            self.plumbing.notify(
-                self.decaf.watchdog,
-                args=[(self.adapter, e1000_adapter)],
-            )
-            self.plumbing.flush_notifications()
+            self.channel.defer(self.decaf.watchdog,
+                               args=[(self.adapter, e1000_adapter)])
+            self.nuclear.flush_notifications()
         return True
 
     def k_stop_watchdog(self):

@@ -55,15 +55,15 @@ class Ens1371Nucleus(Nucleus):
         chip._kstate = self.state
         self.state.ensoniq = chip
         self.state.lock = self.linux.spin_lock_init("ens1371")
-        self.plumbing.channel.kernel_tracker.register(chip)
+        self.channel.kernel_tracker.register(chip)
 
-        ret = self.plumbing.up.probe(chip)
+        ret = self.up.probe(chip)
         if ret:
             self.state.ensoniq = None
         return ret
 
     def teardown(self, pdev):
-        self.plumbing.up.remove(self.state.ensoniq)
+        self.up.remove(self.state.ensoniq)
 
     # -- PCM ops (kernel -> decaf; legal under the mutex library) -------------
     #
@@ -84,10 +84,10 @@ class Ens1371Nucleus(Nucleus):
 
     def open(self, substream):
         substream.private_data = self.state.ensoniq
-        return self.plumbing.up.playback_open(self.state.ensoniq)
+        return self.up.playback_open(self.state.ensoniq)
 
     def close(self, substream):
-        ret = self.plumbing.up.playback_close(self.state.ensoniq)
+        ret = self.up.playback_close(self.state.ensoniq)
         if self.user_half_dead():
             # Nothing at user level will stop DAC2 now: silence it from
             # the kernel side before its interrupt loses the chip.
@@ -97,30 +97,30 @@ class Ens1371Nucleus(Nucleus):
 
     def hw_params(self, substream):
         rt = substream.runtime
-        ret = self.plumbing.up.playback_hw_params(
+        ret = self.up.playback_hw_params(
             self.state.ensoniq, rt.buffer_bytes, rt.period_bytes,
             rt.frame_bytes(), rt.rate)
         if ret == 0:
             rt.dma_region = self.state.dac2_dma
-            self.plumbing.record(self.hw_params, substream)
+            self.replay_log.record(self.hw_params, substream)
         return ret
 
     def prepare(self, substream):
         rt = substream.runtime
-        ret = self.plumbing.up.playback_prepare(
+        ret = self.up.playback_prepare(
             self.state.ensoniq, rt.sample_bytes, rt.channels,
             rt.period_bytes, rt.frame_bytes())
         if ret == 0:
-            self.plumbing.record(self.prepare, substream)
+            self.replay_log.record(self.prepare, substream)
         return ret
 
     def trigger(self, substream, cmd):
-        ret = self.plumbing.up.playback_trigger(self.state.ensoniq, cmd)
+        ret = self.up.playback_trigger(self.state.ensoniq, cmd)
         if ret == 0:
             if cmd:
-                self.plumbing.record(self.trigger, substream, cmd)
+                self.replay_log.record(self.trigger, substream, cmd)
             else:
-                self.plumbing.unrecord("trigger")
+                self.replay_log.remove("trigger")
         return ret
 
     # pointer stays in the kernel: irq context (see legacy driver).
@@ -155,8 +155,8 @@ class Ens1371Nucleus(Nucleus):
             # crosses here).  Repeats coalesce, and the batch rides the
             # next sync-point crossing -- the data path itself stays
             # entirely in the kernel.
-            self.plumbing.notify(self.decaf.period_elapsed,
-                                 args=[(self.state.ensoniq, ensoniq)])
+            self.channel.defer(self.decaf.period_elapsed,
+                               args=[(self.state.ensoniq, ensoniq)])
         return ret
 
     def k_request_irq(self, chip):

@@ -1,9 +1,12 @@
-"""XPC plumbing shared by all decaf drivers.
+"""The kernel half every decaf driver shares: :class:`Nucleus`.
 
-One :class:`DecafPlumbing` per driver wires together the pieces of the
-Decaf architecture: the domain manager, the XPC channel (with the
-marshaling plan DriverSlicer produced for this driver), the nuclear
-runtime (kernel side), and the decaf runtime (user side).
+One :class:`Nucleus` per device is the driver nucleus of section 2.2:
+it owns that device's side of the Decaf architecture -- the domain
+manager, the XPC channel (with the marshaling plan DriverSlicer
+produced for this driver), the nuclear runtime linked into it (kernel
+side) and the decaf runtime (user side) -- and the per-device
+lifecycle: probe, starting (and, after a fault, restarting) the user
+half, remove and the dead-half path.
 
 ``slice_plan`` gives each driver the marshaling plan DriverSlicer
 generated for it: the decaf drivers run on generated metadata, not
@@ -15,14 +18,10 @@ slicer's source analysis.
 
 The XPC stubs are one generic stub per direction, made once per
 nucleus class by :func:`xpc_stubs` (section 2.3, Figure 2).
-``plumbing.down`` is the decaf driver's only way into the kernel: one
-stub per ``k_*`` entry point of its nucleus.  ``plumbing.up`` is the
+``nucleus.down`` is the decaf driver's only way into the kernel: one
+stub per ``k_*`` entry point of its nucleus.  ``nucleus.up`` is the
 nucleus's way up: one stub per method in the nucleus's ``UPCALLS``
 table, which also declares how each call is replayed after a restart.
-
-:class:`Nucleus` is the per-device lifecycle every nucleus shares:
-probe, starting (and, after a fault, restarting) the user half, remove
-and the dead-half path.
 """
 
 from ...core.cstruct import CStruct
@@ -73,10 +72,9 @@ def _split(args):
 
 
 class _Stubs:
-    __slots__ = ("_plumbing", "_nucleus")
+    __slots__ = ("_nucleus",)
 
-    def __init__(self, plumbing, nucleus):
-        self._plumbing = plumbing
+    def __init__(self, nucleus):
         self._nucleus = nucleus
 
 
@@ -84,8 +82,9 @@ def _down_stub(name):
     def stub(self, *args, exc=DriverException):
         # The nucleus's current bound method: an entry point replaced
         # on the instance is the one that crosses.
-        func = getattr(self._nucleus, name)
-        ret = self._plumbing.channel.downcall(func, *_split(args))
+        nucleus = self._nucleus
+        func = getattr(nucleus, name)
+        ret = nucleus.channel.downcall(func, *_split(args))
         if isinstance(ret, int) and ret < 0:
             raise exc("%s failed with errno %d"
                       % (getattr(func, "__name__", func), ret), errno=ret)
@@ -96,15 +95,14 @@ def _down_stub(name):
 
 def _up_stub(name, replay):
     def stub(self, *args):
-        plumbing = self._plumbing
-        ret = plumbing.upcall(getattr(self._nucleus.decaf, name),
-                              *_split(args))
+        nucleus = self._nucleus
+        ret = nucleus.upcall(getattr(nucleus.decaf, name), *_split(args))
         if ret == 0 and replay is not None:
             if replay == RECORD:
-                plumbing.record(getattr(self, name), *args)
+                nucleus.replay_log.record(getattr(self, name), *args)
             else:
                 for entry in replay:
-                    plumbing.unrecord(entry)
+                    nucleus.replay_log.remove(entry)
         return ret
     stub.__name__ = stub.__qualname__ = name
     return stub
@@ -119,7 +117,7 @@ def xpc_stubs(cls):
     ``E`` on a negative errno.  ``cls.Up`` has one upcall stub per
     entry of ``cls.UPCALLS``, a ``{decaf method: replay class}`` table:
     ``up.m(struct, ..., scalar, ...)`` bridges exceptions to errnos
-    (see :meth:`DecafPlumbing.upcall`) and applies the replay class.
+    (see :meth:`Nucleus.upcall`) and applies the replay class.
     """
     cls.Down = type(cls.__name__ + "Down", (_Stubs,), {
         "__slots__": (),
@@ -130,109 +128,6 @@ def xpc_stubs(cls):
         **{name: _up_stub(name, replay)
            for name, replay in cls.UPCALLS.items()}})
     return cls
-
-
-class DecafPlumbing:
-    def __init__(self, kernel, driver_name, irq_line=None, plan=None,
-                 nucleus=None):
-        self.kernel = kernel
-        self.driver_name = driver_name
-        self.domains = DomainManager()
-        self.xpc = Xpc(kernel)
-        self.xpc.name = driver_name
-        self.channel = XpcChannel(
-            self.xpc,
-            self.domains,
-            plan if plan is not None else slice_plan(driver_name),
-            name=driver_name,
-            # A decaf shared object's kernel twin is released when the
-            # object is collected (section 5.1's finalizer extension).
-            weak_shared_objects=True,
-        )
-        self.nuclear = NuclearRuntime(kernel, self.domains, self.channel,
-                                      irq_line=irq_line)
-        self.decaf_rt = DecafRuntime(kernel, self.domains, self.channel)
-        # Failure boundary: DriverException is the checked error
-        # protocol; anything else escaping the user level marks the
-        # driver FAILED and notifies the supervisor, if one is attached.
-        self.channel.failure_policy = FailurePolicy(
-            checked=(DriverException,), on_fault=self._on_fault
-        )
-        self.replay_log = ReplayLog()
-        self.supervisor = None  # attached by repro.recovery.DriverSupervisor
-        if nucleus is not None:
-            self.down = nucleus.Down(self, nucleus)
-            self.up = nucleus.Up(self, nucleus)
-
-    def _on_fault(self, exc, callsite):
-        if self.supervisor is not None:
-            self.supervisor.note_fault(exc, callsite)
-
-    def upcall(self, func, args=(), extra=None):
-        """Kernel -> decaf call with exception-to-errno bridging.
-
-        RPC semantics only pass scalars back; a DriverException raised
-        by the decaf driver crosses the boundary as its negative errno,
-        exactly how the paper's generated stubs report failures to the
-        kernel.  An *unchecked* exception is a driver failure: the
-        channel contains it (never letting it reach the kernel caller);
-        with a supervisor attached the driver is restarted in place and
-        the call retried once, otherwise the caller sees the fault's
-        errno.
-        """
-        try:
-            ret = self.nuclear.upcall(func, args, extra)
-        except DriverException as exc:
-            return errno_of(exc)
-        except DriverFailedError as exc:
-            if self.supervisor is not None and self.supervisor.recover():
-                # The restart rebuilt the user half: a method of the
-                # dead instance is retried on the live one, by name.
-                live = self.supervisor.nucleus.decaf
-                if type(getattr(func, "__self__", None)) is type(live):
-                    func = getattr(live, func.__name__)
-                try:
-                    ret = self.nuclear.upcall(func, args, extra)
-                except DriverException as exc2:
-                    return errno_of(exc2)
-                except DriverFailedError as exc2:
-                    return errno_of(exc2.cause)
-                return 0 if ret is None else ret
-            return errno_of(exc.cause)
-        return 0 if ret is None else ret
-
-    # -- recovery support -------------------------------------------------------
-
-    def record(self, fn, *args):
-        """Record the entry point ``fn(*args)`` for shadow-driver
-        replay, under ``fn``'s name."""
-        self.replay_log.record(fn, *args)
-
-    def unrecord(self, name):
-        self.replay_log.remove(name)
-
-    def notify(self, func, args=(), extra=None):
-        """Queue a fire-and-forget kernel -> decaf notification.
-
-        Legal from any context -- interrupt handlers, timer callbacks,
-        under spinlocks -- because nothing crosses until the channel's
-        next sync point or an explicit :meth:`flush_notifications`;
-        repeats for the same target coalesce into one batched crossing.
-        """
-        self.channel.defer(func, args, extra)
-
-    def flush_notifications(self):
-        """Drain queued notifications in one batched crossing."""
-        return self.nuclear.flush_notifications()
-
-    def close(self):
-        """Release channel resources (handles, pending notifications).
-
-        Run by :meth:`Nucleus.remove` and a failed probe, so long-running
-        rigs do not accumulate opaque-handle entries across loads.
-        """
-        self.channel.close()
-        self.xpc.close()
 
 
 class Nucleus:
@@ -250,7 +145,8 @@ class Nucleus:
     Recovery is quiesce, :meth:`start_user_half` (as at probe), replay.
     A dead user half cannot remove its device, so :meth:`remove` then
     silences it and reclaims what probe registered from the kernel
-    side, crossing nothing.
+    side, crossing nothing.  The nucleus owns its device's side of the
+    XPC boundary, which :meth:`connect` builds.
     """
 
     LEGACY = None
@@ -265,7 +161,7 @@ class Nucleus:
         self.linux = self.LEGACY.linux
         self.state = self.STATE()
         self.pdev = None  # the bus device: a PCI function or serio port
-        self.plumbing = self.decaf = self.poll = None
+        self.decaf = self.poll = None
 
     @staticmethod
     def module_init():
@@ -273,19 +169,91 @@ class Nucleus:
         returns 0 or a negative errno."""
         return 0
 
+    def connect(self, driver_name, irq_line=None, plan=None):
+        """Build this device's XPC boundary, the first step of probe:
+        domains, the channel (on ``plan``, by default the driver's
+        sliced one) with its failure policy, the nuclear runtime
+        (masking ``irq_line`` during upcalls), the decaf runtime, the
+        replay log, the supervisor link and the ``down``/``up`` stubs.
+        """
+        kernel = self.kernel
+        self.driver_name = driver_name
+        self.domains = DomainManager()
+        self.xpc = Xpc(kernel)
+        self.xpc.name = driver_name
+        self.channel = XpcChannel(
+            self.xpc,
+            self.domains,
+            plan if plan is not None else slice_plan(driver_name),
+            name=driver_name,
+            # A decaf shared object's kernel twin is released when the
+            # object is collected (section 5.1's finalizer extension).
+            weak_shared_objects=True,
+        )
+        self.nuclear = NuclearRuntime(kernel, self.channel, irq_line)
+        self.decaf_rt = DecafRuntime(kernel, self.channel)
+        # Failure boundary: DriverException is the checked error
+        # protocol; anything else escaping the user level marks the
+        # driver FAILED and notifies the supervisor, if one is attached.
+        self.channel.failure_policy = FailurePolicy(
+            checked=(DriverException,), on_fault=self._on_fault)
+        self.replay_log = ReplayLog()
+        self.supervisor = None  # attached by repro.recovery.DriverSupervisor
+        self.down = self.Down(self)
+        self.up = self.Up(self)
+
+    def _on_fault(self, exc, callsite):
+        if self.supervisor is not None:
+            self.supervisor.note_fault(exc, callsite)
+
+    def upcall(self, func, args=(), extra=None):
+        """Kernel -> decaf call with exception-to-errno bridging.
+
+        RPC semantics only pass scalars back; a DriverException raised
+        by the decaf driver crosses the boundary as its negative errno,
+        exactly how the paper's generated stubs report failures to the
+        kernel.  An *unchecked* exception is a driver failure: the
+        channel contains it (never letting it reach the kernel caller);
+        with a supervisor attached the driver is restarted in place and
+        the call retried once, otherwise the caller sees the fault's
+        errno.
+        """
+        for retry in (True, False):
+            try:
+                ret = self.nuclear.upcall(func, args, extra)
+            except DriverException as exc:
+                return errno_of(exc)
+            except DriverFailedError as exc:
+                supervisor = self.supervisor
+                if not (retry and supervisor is not None
+                        and supervisor.recover()):
+                    return errno_of(exc.cause)
+                # The restart rebuilt the user half: a method of the
+                # dead instance is retried on the live one, by name.
+                live = self.decaf
+                if type(getattr(func, "__self__", None)) is type(live):
+                    func = getattr(live, func.__name__)
+            else:
+                return 0 if ret is None else ret
+
+    def disconnect(self):
+        """Release the channel's resources (handles, pending
+        notifications), so long-running rigs do not accumulate
+        opaque-handle entries across loads."""
+        self.channel.close()
+        self.xpc.close()
+
     def probe(self, pdev):
         self.pdev = pdev
-        self.plumbing = DecafPlumbing(self.kernel, self.LEGACY.DRV_NAME,
-                                      irq_line=getattr(pdev, "irq", None),
-                                      nucleus=self)
+        self.connect(self.LEGACY.DRV_NAME, getattr(pdev, "irq", None))
         if self.POLL is not None:
             period_ns, name = self.POLL
-            self.poll = self.plumbing.nuclear.defer_timer(
+            self.poll = self.nuclear.defer_timer(
                 self.poll_body, period_ns, name)
         self.start_user_half()
         ret = self.setup(pdev)
         if ret:
-            self.plumbing.close()
+            self.disconnect()
         return ret
 
     def start_user_half(self):
@@ -296,17 +264,15 @@ class Nucleus:
         reset (the channel keeps its kernel side: trackers, counters,
         codec).
         """
-        plumbing = self.plumbing
-        channel = plumbing.channel
+        channel = self.channel
         if channel.failed:
             channel.reset_user_side()
-            plumbing.decaf_rt = DecafRuntime(self.kernel, plumbing.domains,
-                                             channel)
-        plumbing.decaf_rt.start()
+            self.decaf_rt = DecafRuntime(self.kernel, channel)
+        self.decaf_rt.start()
         self.decaf = self.new_user_half()
 
     def new_user_half(self):
-        return self.DECAF(self.plumbing.decaf_rt, self.plumbing.down)
+        return self.DECAF(self.decaf_rt, self.down)
 
     def supervision_started(self):
         """A supervisor attached: nuclei that poll their user half only
@@ -315,10 +281,9 @@ class Nucleus:
     def user_half_dead(self):
         """True when the user half FAILED and nothing will restart it:
         no supervisor, or one that gave up."""
-        plumbing = self.plumbing
-        supervisor = plumbing.supervisor
-        return plumbing.channel.failed and (supervisor is None
-                                            or supervisor.gave_up)
+        supervisor = self.supervisor
+        return self.channel.failed and (supervisor is None
+                                        or supervisor.gave_up)
 
     def remove(self, pdev):
         if self.user_half_dead():
@@ -327,4 +292,4 @@ class Nucleus:
         else:
             self.teardown(pdev)
         self.decaf = None
-        self.plumbing.close()
+        self.disconnect()

@@ -35,7 +35,7 @@ class PsmouseNucleus(Nucleus):
         self.state.psmouse = psmouse
         self.state.serio = serio
         serio.drvdata = psmouse
-        self.plumbing.channel.kernel_tracker.register(psmouse)
+        self.channel.kernel_tracker.register(psmouse)
 
         err = serio.open(legacy.psmouse_interrupt)
         if err:
@@ -49,21 +49,21 @@ class PsmouseNucleus(Nucleus):
             serio.drvdata = None
             self.state.psmouse = None
         else:
-            self.plumbing.record(self._connect)
+            self.replay_log.record(self._connect)
         return ret
 
     def _connect(self):
         """The decaf connect, at probe and again in recovery replay; a
         supervised mouse (so, in replay) restarts its resync poll."""
-        ret = self.plumbing.up.connect(self.state.psmouse)
-        if ret == 0 and self.plumbing.supervisor is not None:
+        ret = self.up.connect(self.state.psmouse)
+        if ret == 0 and self.supervisor is not None:
             self.poll.start()
         return ret
 
     def teardown(self, serio):
         self.poll.stop()
         if self.state.psmouse is not None:
-            self.plumbing.up.disconnect(self.state.psmouse)
+            self.up.disconnect(self.state.psmouse)
         self._release_port(serio)
 
     def _release_port(self, serio):
@@ -85,7 +85,7 @@ class PsmouseNucleus(Nucleus):
     def poll_body(self):
         if self.decaf is None or self.state.psmouse is None:
             return False
-        self.plumbing.up.resync_check(self.state.psmouse)
+        self.up.resync_check(self.state.psmouse)
         return True
 
     # -- kernel entry points ------------------------------------------------------

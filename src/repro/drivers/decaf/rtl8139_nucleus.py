@@ -39,16 +39,16 @@ class Rtl8139Nucleus(Nucleus):
         tp.stats = rtl8139_stats()
         tp._kstate = self.state
         self.state.tp = tp
-        self.plumbing.channel.kernel_tracker.register(tp)
-        self.plumbing.channel.kernel_tracker.register(tp.stats)
+        self.channel.kernel_tracker.register(tp)
+        self.channel.kernel_tracker.register(tp.stats)
 
-        ret = self.plumbing.up.init_one(tp)
+        ret = self.up.init_one(tp)
         if ret:
             self.state.tp = None
         return ret
 
     def teardown(self, pdev):
-        self.plumbing.up.remove_one()
+        self.up.remove_one()
 
     # -- netdev ops -------------------------------------------------------------------
 
@@ -62,10 +62,10 @@ class Rtl8139Nucleus(Nucleus):
     }
 
     def open(self, dev):
-        return self.plumbing.up.open(self.state.tp)
+        return self.up.open(self.state.tp)
 
     def stop(self, dev):
-        return self.plumbing.up.close(self.state.tp)
+        return self.up.close(self.state.tp)
 
     def get_stats(self, dev):
         # Cheap accessor: served from the kernel copy, as the real
@@ -78,13 +78,13 @@ class Rtl8139Nucleus(Nucleus):
         return legacy.rtl8139_set_rx_mode(dev)
 
     def set_mac_address(self, dev, addr):
-        ret = self.plumbing.up.set_mac_address(self.state.tp, list(addr))
+        ret = self.up.set_mac_address(self.state.tp, list(addr))
         if ret == 0:
             # The netdev is kernel state; mirror what the legacy driver
             # does after programming IDR (the user half only sees tp).
             # Replay mirrors it again, so this op is the replay entry.
             dev.dev_addr = bytes(addr)
-            self.plumbing.record(self.set_mac_address, dev, list(addr))
+            self.replay_log.record(self.set_mac_address, dev, list(addr))
         return ret
 
     def tx_timeout(self, dev):
@@ -99,7 +99,7 @@ class Rtl8139Nucleus(Nucleus):
     def poll_body(self):
         if self.decaf is None or self.state.tp is None:
             return False
-        self.plumbing.up.thread(self.state.tp)
+        self.up.thread(self.state.tp)
         return True
 
     # -- kernel entry points (downcalls from the decaf driver) -----------------------

@@ -29,8 +29,8 @@ class TransitionError(Exception):
 class TransitionTable:
     """Per-driver registry of user-level functions during migration."""
 
-    def __init__(self, plumbing):
-        self.plumbing = plumbing
+    def __init__(self, channel):
+        self.channel = channel
         self._functions = {}   # name -> {"library": fn, "decaf": fn|None}
         self._binding = {}     # name -> LIBRARY | DECAF_SIDE
         self.library_calls = 0
@@ -99,14 +99,14 @@ class TransitionTable:
         entry = self._require(name)
         if self._binding[name] == DECAF_SIDE:
             self.decaf_calls += 1
-            return self.plumbing.channel.direct_call(
+            return self.channel.direct_call(
                 self._enter_decaf, entry[DECAF_SIDE], *args)
         self.library_calls += 1
-        with self.plumbing.domains.entered(DRIVER_LIB):
+        with self.channel.domains.entered(DRIVER_LIB):
             return entry[LIBRARY](*args)
 
     def _enter_decaf(self, impl, *args):
-        with self.plumbing.domains.entered(DECAF):
+        with self.channel.domains.entered(DECAF):
             return impl(*args)
 
     # -- the development methodology -------------------------------------------------
@@ -123,7 +123,7 @@ class TransitionTable:
         if entry[DECAF_SIDE] is None:
             raise TransitionError(
                 "%s has no decaf implementation to compare" % name)
-        domains = self.plumbing.domains
+        domains = self.channel.domains
         with domains.entered(DRIVER_LIB):
             c_result = entry[LIBRARY](*args)
         with domains.entered(DECAF):

@@ -39,27 +39,27 @@ class UhciNucleus(Nucleus):
         uhci._kstate = self.state
         self.state.uhci = uhci
         self.state.lock = self.linux.spin_lock_init("uhci")
-        self.plumbing.channel.kernel_tracker.register(uhci)
+        self.channel.kernel_tracker.register(uhci)
 
-        ret = self.plumbing.up.probe(uhci)
+        ret = self.up.probe(uhci)
         if ret:
             self.state.uhci = None
         else:
-            self.plumbing.record(self._reattach)
+            self.replay_log.record(self._reattach)
         return ret
 
     def _reattach(self):
         """Probe, as recovery replays it: the controller is still
         running, so a light reattach verifies it instead of re-running
         bring-up against live hardware, and the poll restarts."""
-        ret = self.plumbing.up.reattach(self.state.uhci)
+        ret = self.up.reattach(self.state.uhci)
         if ret == 0:
             self.poll.start()
         return ret
 
     def teardown(self, pdev):
         self.poll.stop()
-        self.plumbing.up.remove(self.state.uhci)
+        self.up.remove(self.state.uhci)
 
     # -- root-hub status poll: the nuclear runtime defers its timer ----
     #
@@ -73,7 +73,7 @@ class UhciNucleus(Nucleus):
     def poll_body(self):
         if self.decaf is None or self.state.uhci is None:
             return False
-        self.plumbing.up.rh_status_check(self.state.uhci)
+        self.up.rh_status_check(self.state.uhci)
         return True
 
     # -- kernel entry points ------------------------------------------------------

@@ -12,7 +12,7 @@ legacy driver's own module object (its ``make_module(...)``): the same
 name, source modules, parameters, init and cleanup functions and bus,
 registering a driver with the same name and ID table whose probe
 builds one nucleus (:class:`repro.drivers.decaf.plumbing.Nucleus`) --
-with its own XPC plumbing and decaf runtime -- per device.
+with its own XPC channel and decaf runtime -- per device.
 
 Per-device state lives on the device: each legacy driver's ``*_state``
 object holds the members of the C private struct that never cross the

@@ -180,7 +180,7 @@ class DeviceInstance:
     @property
     def channel(self):
         nucleus = self.nucleus
-        return None if nucleus is None else nucleus.plumbing.channel
+        return None if nucleus is None else nucleus.channel
 
     @property
     def xpc(self):
@@ -652,6 +652,17 @@ class Rtl8139Family(_NicFamily):
 
 # -- sound: ens1371 -----------------------------------------------------------
 
+# The audio every ens1371 writer plays (mpg123, the fleet tick, the
+# conformance cycle): one fixed non-zero byte pattern, repeated from its
+# start for each write.  Its length, 251, is prime, so a DAC that plays
+# from another ring offset than the one written reads other bytes.
+PCM_PATTERN = bytes(range(1, 252))
+
+
+def pcm_data(nbytes):
+    """``nbytes`` bytes of :data:`PCM_PATTERN`, repeated."""
+    return (PCM_PATTERN * (nbytes // len(PCM_PATTERN) + 1))[:nbytes]
+
 
 class Ens1371Family(DeviceFamily):
     key = "ens1371"
@@ -747,7 +758,7 @@ class Ens1371Family(DeviceFamily):
             # block this slot at the card's real-time drain pace.
             if substream.runtime.bytes_free() < self.PERIOD_BYTES:
                 break
-            if sound.pcm_write(substream, self.PERIOD_BYTES) <= 0:
+            if sound.pcm_write(substream, pcm_data(self.PERIOD_BYTES)) <= 0:
                 inst.traffic_lost += 1
                 break
             moved += 1
@@ -812,7 +823,7 @@ class Ens1371Family(DeviceFamily):
             ops.append([index, step, ret])
         ops.append([index, "trigger_start",
                     sound.pcm_trigger(ss, SNDRV_PCM_TRIGGER_START)])
-        written = sound.pcm_write(ss, event["write_frames"])
+        written = sound.pcm_write(ss, pcm_data(event["write_frames"]))
         ops.append([index, "write", written])
         # periods_elapsed at write-return is phase-coupled: pcm_write
         # waits in period-sized quanta while the DAC's period clock

@@ -45,19 +45,23 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    spec = FleetSpec(
-        n_devices=args.devices,
-        mix=tuple(f.strip() for f in args.mix.split(",") if f.strip()),
-        decaf_fraction=args.decaf_fraction,
-        nr_cpus=args.cpus,
-        duration_ms=args.duration_ms,
-        churn_period_ms=(args.duration_ms * 10 if args.no_churn
-                         else args.churn_period_ms),
-        fault_period_ms=0 if args.no_faults else args.fault_period_ms,
-        seed=args.seed,
-    )
-    result = fleet_workload(spec=spec)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        spec = FleetSpec(
+            n_devices=args.devices,
+            mix=tuple(f.strip() for f in args.mix.split(",") if f.strip()),
+            decaf_fraction=args.decaf_fraction,
+            nr_cpus=args.cpus,
+            duration_ms=args.duration_ms,
+            churn_period_ms=(args.duration_ms * 10 if args.no_churn
+                             else args.churn_period_ms),
+            fault_period_ms=0 if args.no_faults else args.fault_period_ms,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
+    result = fleet_workload(spec)
     row = result.row()
     width = max(len(key) for key in row)
     for key, value in row.items():

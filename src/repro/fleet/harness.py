@@ -302,14 +302,9 @@ def _percentile(sorted_samples, q):
     return sorted_samples[index]
 
 
-def fleet_workload(n_devices=128, decaf_fraction=0.5, nr_cpus=4,
-                   duration_ms=200, fault_period_ms=10, seed=1234,
-                   spec=None):
-    """Build, run, tear down one fleet; returns the WorkloadResult."""
-    if spec is None:
-        spec = FleetSpec(n_devices=n_devices, decaf_fraction=decaf_fraction,
-                         nr_cpus=nr_cpus, duration_ms=duration_ms,
-                         fault_period_ms=fault_period_ms, seed=seed)
+def fleet_workload(spec):
+    """Build, run, tear down the fleet ``spec`` describes; returns the
+    WorkloadResult."""
     harness = FleetHarness(spec)
     harness.measure_build()
     harness.run()

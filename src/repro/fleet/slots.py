@@ -66,7 +66,7 @@ class DeviceSlot(DeviceInstance):
         if self.endpoint is None:
             raise RuntimeError("%s: probe registered no endpoint" % self.name)
         if self.decaf:
-            self.nucleus.plumbing.nuclear.poll_stretch = self.POLL_STRETCH
+            self.nucleus.nuclear.poll_stretch = self.POLL_STRETCH
             self.supervise(max_recoveries)
         self.family.open(self)
         return 0

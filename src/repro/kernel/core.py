@@ -125,6 +125,9 @@ class Kernel:
         # current handler has hogged the CPU (soft-lockup detection).
         self._dispatch_depth = 0
         self._dispatch_entry_busy_ns = 0
+        # Deepest nesting of event dispatches seen (kstat gauge): each
+        # level is a handler whose clock advance ran a due event.
+        self.dispatch_depth_max = 0
         # Unconditional counter of softirq-context dispatches (kstat).
         self.softirq_dispatches = 0
         # Total events dispatched (all contexts): the fleet harness
@@ -172,6 +175,7 @@ class Kernel:
             "log_dropped": self.log_dropped,
             "softirq_dispatches": self.softirq_dispatches,
             "events_dispatched": self.events_dispatched,
+            "dispatch_depth_max": self.dispatch_depth_max,
         }
         for vcpu in self.cpus:
             prefix = "cpu%d" % vcpu.index
@@ -289,6 +293,8 @@ class Kernel:
         depth = self._dispatch_depth
         if depth == 0:
             self._dispatch_entry_busy_ns = self.cpu._busy_ns
+        elif depth >= self.dispatch_depth_max:
+            self.dispatch_depth_max = depth + 1
         self._dispatch_depth = depth + 1
         self.events_dispatched += 1
         # Off the heap: from here its RecurringEvent may arm it again.

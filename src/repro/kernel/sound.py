@@ -188,14 +188,18 @@ class SoundCore:
         substream.state = SNDRV_PCM_STATE_CLOSED
         return ret
 
-    def pcm_write(self, substream, nbytes):
-        """Application writes ``nbytes`` of audio into the ring.
+    def pcm_write(self, substream, data):
+        """Application writes the audio bytes ``data`` into the ring.
 
-        Blocks (advances virtual time) until space is available.  Returns
+        Each accepted chunk is copied into the DMA ring at the
+        application pointer, wrapping at the ring's end.  Blocks
+        (advances virtual time) until space is available.  Returns
         bytes accepted.
         """
         rt = substream.runtime
         kernel = self._kernel
+        data = memoryview(data)
+        nbytes = len(data)
         written = 0
         quiet_waits = 0
         while written < nbytes:
@@ -219,6 +223,11 @@ class SoundCore:
             kernel.consume(
                 int(chunk * kernel.costs.byte_copy_ns), busy=True, category="snd"
             )
+            ring = rt.dma_region.data
+            pos = rt.appl_ptr % rt.buffer_bytes
+            head = min(chunk, rt.buffer_bytes - pos)
+            ring[pos:pos + head] = data[written:written + head]
+            ring[:chunk - head] = data[written + head:written + chunk]
             rt.appl_ptr += chunk
             written += chunk
         return written

@@ -1,10 +1,10 @@
 """The driver supervisor: restart a FAILED user-level driver half.
 
 Wiring: ``DriverSupervisor(kernel, nucleus)`` attaches itself to the
-nucleus's plumbing; the channel's failure policy then reports every
-contained fault to :meth:`note_fault`.  Recovery runs either
+nucleus, whose channel's failure policy then reports every contained
+fault to :meth:`note_fault`.  Recovery runs either
 
-* **synchronously**, when ``DecafPlumbing.upcall`` catches a
+* **synchronously**, when ``Nucleus.upcall`` catches a
   DriverFailedError and asks the supervisor to recover before retrying
   the call once on the rebuilt user half (the caller never sees the
   fault), or
@@ -51,7 +51,6 @@ class DriverSupervisor:
     def __init__(self, kernel, nucleus, max_recoveries=3):
         self.kernel = kernel
         self.nucleus = nucleus
-        self.plumbing = nucleus.plumbing
         self.max_recoveries = max_recoveries
         self.faults_seen = 0
         self.wedges = 0           # watchdog-reported stalls
@@ -65,9 +64,9 @@ class DriverSupervisor:
         self.in_progress = False
         self.gave_up = False
         self._work = WorkItem(kernel, self._recovery_work, None,
-                              name="%s-recovery" % self.plumbing.driver_name)
+                              name="%s-recovery" % nucleus.driver_name)
         self._work_pending = False
-        self.plumbing.supervisor = self
+        nucleus.supervisor = self
         # Some nuclei only run their periodic health poll (the decaf
         # half's mid-workload injection point) once supervised, so that
         # unsupervised rigs keep the seed crossing counts.
@@ -92,11 +91,11 @@ class DriverSupervisor:
         health = self.kernel.health
         if health is not None:
             health.unregister_supervisor(self)
-        if self.plumbing.supervisor is self:
-            self.plumbing.supervisor = None
+        if self.nucleus.supervisor is self:
+            self.nucleus.supervisor = None
 
     def _kstat(self):
-        name = self.plumbing.driver_name
+        name = self.nucleus.driver_name
         return {
             "faults_seen": self.faults_seen,
             "%s.faults_seen" % name: self.faults_seen,
@@ -110,7 +109,7 @@ class DriverSupervisor:
 
     @property
     def channel(self):
-        return self.plumbing.channel
+        return self.nucleus.channel
 
     def recovery_pending(self):
         """True while a contained fault awaits (or is under) recovery.
@@ -127,7 +126,7 @@ class DriverSupervisor:
         """Fault report from the channel's failure policy."""
         self.faults_seen += 1
         kernel = self.kernel
-        name = self.plumbing.driver_name
+        name = self.nucleus.driver_name
         kernel.printk(
             "recovery %s: driver fault in %s (%s: %s); restart scheduled"
             % (name, callsite, type(exc).__name__, exc),
@@ -186,7 +185,7 @@ class DriverSupervisor:
                           % self.max_recoveries)
             return False
         kernel = self.kernel
-        name = self.plumbing.driver_name
+        name = self.nucleus.driver_name
         start_ns = kernel.clock.now_ns
         failure = self.channel.failure
         fault_ns = failure[2] if failure is not None else start_ns
@@ -221,7 +220,7 @@ class DriverSupervisor:
         tracer = kernel.tracer
         if tracer is not None:
             tracer.span("recovery.restart", start_ns, {
-                "driver": name, "replayed": len(self.plumbing.replay_log),
+                "driver": name, "replayed": len(self.nucleus.replay_log),
             })
             tracer.instant("recovery.complete", {
                 "driver": name,
@@ -231,7 +230,7 @@ class DriverSupervisor:
         kernel.printk(
             "recovery %s: driver restarted (%d ops replayed, "
             "outage %.3f ms)"
-            % (name, len(self.plumbing.replay_log),
+            % (name, len(self.nucleus.replay_log),
                self.last_outage_ns / 1e6),
             level="warn",
         )
@@ -239,9 +238,9 @@ class DriverSupervisor:
 
     def _replay(self):
         kernel = self.kernel
-        name = self.plumbing.driver_name
+        name = self.nucleus.driver_name
         tracer = kernel.tracer
-        for fn, args in self.plumbing.replay_log.entries():
+        for fn, args in self.nucleus.replay_log.entries():
             ret = fn(*args)
             self.replayed_ops += 1
             if tracer is not None:
@@ -257,7 +256,7 @@ class DriverSupervisor:
         if self.gave_up:
             return
         self.gave_up = True
-        name = self.plumbing.driver_name
+        name = self.nucleus.driver_name
         self.kernel.printk(
             "recovery %s: giving up (%s); driver stays FAILED"
             % (name, reason),

@@ -23,7 +23,7 @@ the legacy driver modules -- the analyses are language-independent:
 
 The XPC stubs themselves are not generated source: one generic stub
 per direction, made per nucleus class from its ``k_*`` entry points and
-``UPCALLS`` table (:func:`repro.drivers.decaf.plumbing.xpc_stubs`).
+``UPCALLS`` table (``xpc_stubs`` in :mod:`repro.drivers.decaf.plumbing`).
 """
 
 from .callgraph import CallGraph, build_call_graph

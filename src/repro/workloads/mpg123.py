@@ -6,6 +6,7 @@ write path then blocks on the ring buffer at the hardware's pace, so
 the workload is real-time-bound, exactly like the paper's.
 """
 
+from ..family import pcm_data
 from ..trace import begin_trace, finish_trace
 from .result import RunWindow, rig_result
 
@@ -45,7 +46,7 @@ def mpg123_play(rig, duration_s=10.0, trace=None):
             int(DECODE_NS_PER_AUDIO_SECOND * n / bytes_per_second),
             busy=True, category="mpg123",
         )
-        accepted = sound.pcm_write(substream, n)
+        accepted = sound.pcm_write(substream, pcm_data(n))
         if accepted <= 0:
             if rig.recovery_pending():
                 # Supervised restart in progress: the chunk is dropped

@@ -111,7 +111,7 @@ def test_freed_region_handle_does_not_resolve_to_a_new_region():
     rig.insmod()
     net, dev = rig.kernel.net, rig.netdev()
     nucleus = rig.nucleus
-    channel = nucleus.plumbing.channel
+    channel = nucleus.channel
     assert net.dev_open(dev) == 0
     old = nucleus.adapter.rx_ring.buffer_region
     stale = channel.handle_of(old)

@@ -262,7 +262,7 @@ class TestRuntimes:
         dm = DomainManager()
         xpc = Xpc(kernel)
         channel = XpcChannel(xpc, dm)
-        nuclear = NuclearRuntime(kernel, dm, channel, irq_line=6)
+        nuclear = NuclearRuntime(kernel, channel, irq_line=6)
         fired = []
         kernel.irq.request_irq(6, lambda i, d: fired.append(1) or 1, "t")
 
@@ -280,7 +280,7 @@ class TestRuntimes:
         dm = DomainManager()
         xpc = Xpc(kernel)
         channel = XpcChannel(xpc, dm)
-        rt = DecafRuntime(kernel, dm, channel)
+        rt = DecafRuntime(kernel, channel)
         used0 = kernel.memory.used_bytes
         obj = rt.new_shared(t_outer, weak=True)
         assert kernel.memory.used_bytes > used0
@@ -293,7 +293,7 @@ class TestRuntimes:
 
         dm = DomainManager()
         channel = XpcChannel(Xpc(kernel), dm)
-        rt = DecafRuntime(kernel, dm, channel)
+        rt = DecafRuntime(kernel, channel)
         used0 = kernel.memory.used_bytes
         obj = rt.new_shared(t_outer, weak=False)
         rt.free_shared(obj)
@@ -304,7 +304,7 @@ class TestRuntimes:
 
         dm = DomainManager()
         channel = XpcChannel(Xpc(kernel), dm)
-        rt = DecafRuntime(kernel, dm, channel)
+        rt = DecafRuntime(kernel, channel)
         t0 = kernel.now_ns()
         rt.start()
         startup = kernel.now_ns() - t0

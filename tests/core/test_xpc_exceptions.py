@@ -11,7 +11,7 @@ from repro.drivers.decaf.exceptions import (
 )
 from repro.drivers.decaf.plumbing import (
     RECORD,
-    DecafPlumbing,
+    Nucleus,
     unrecord,
     xpc_stubs,
 )
@@ -48,7 +48,9 @@ class _StubDecaf:
 
 
 @xpc_stubs
-class _StubNucleus:
+class _StubNucleus(Nucleus):
+    """A nucleus with no legacy driver: only its XPC boundary."""
+
     UPCALLS = {
         "open": RECORD,
         "close": unrecord("open"),
@@ -57,12 +59,12 @@ class _StubNucleus:
     }
 
     def __init__(self, kernel):
+        self.kernel = kernel
         self.calls = []
-        self.plumbing = DecafPlumbing(kernel, "stubtest", plan=MarshalPlan(),
-                                      nucleus=self)
-        self.decaf = _StubDecaf(self.plumbing.down)
+        self.connect("stubtest", plan=MarshalPlan())
+        self.decaf = _StubDecaf(self.down)
         self.dev = xs_stub_dev(v=1)
-        self.plumbing.channel.kernel_tracker.register(self.dev)
+        self.channel.kernel_tracker.register(self.dev)
 
     def k_bump(self, dev, step=1, tag=None):
         self.calls.append((dev, step, tag))
@@ -84,7 +86,7 @@ class _StubNucleus:
 
 
 class TestGenericStubs:
-    """``plumbing.down``/``plumbing.up``: one generic stub per direction."""
+    """``nucleus.down``/``nucleus.up``: one generic stub per direction."""
 
     def test_down_exposes_exactly_the_kernel_entry_points(self):
         names = {n for n in vars(_StubNucleus.Down) if not n.startswith("_")}
@@ -93,13 +95,13 @@ class TestGenericStubs:
 
     def test_struct_argument_marshals_and_crosses_once(self, kernel):
         nucleus = _StubNucleus(kernel)
-        channel = nucleus.plumbing.channel
+        channel = nucleus.channel
         user_twin = channel.upcall(lambda twin: twin,
                                    args=[(nucleus.dev, xs_stub_dev)])
         crossings = channel.xpc.kernel_user_crossings
         downcalls = channel.xpc.downcalls
         user_twin.v = 5
-        assert nucleus.plumbing.down.k_bump(user_twin) == 0
+        assert nucleus.down.k_bump(user_twin) == 0
         assert channel.xpc.downcalls == downcalls + 1
         assert channel.xpc.kernel_user_crossings == crossings + 1
         # The kernel side got its own object, with the user's write.
@@ -111,15 +113,15 @@ class TestGenericStubs:
 
     def test_scalars_pass_as_extra(self, kernel):
         nucleus = _StubNucleus(kernel)
-        down = nucleus.plumbing.down
-        user_twin = nucleus.plumbing.channel.upcall(
+        down = nucleus.down
+        user_twin = nucleus.channel.upcall(
             lambda twin: twin, args=[(nucleus.dev, xs_stub_dev)])
         assert down.k_bump(user_twin, 3, "x") == 0
         assert down.k_scalars(2, 5) == 7
         assert nucleus.calls == [(nucleus.dev, 3, "x"), (2, 5)]
 
     def test_negative_errno_raises_the_callers_class(self, kernel):
-        down = _StubNucleus(kernel).plumbing.down
+        down = _StubNucleus(kernel).down
         with pytest.raises(HardwareException) as excinfo:
             down.k_fail(exc=HardwareException)
         assert excinfo.value.errno == 12
@@ -131,11 +133,11 @@ class TestGenericStubs:
     def test_down_calls_the_current_entry_point(self, kernel):
         nucleus = _StubNucleus(kernel)
         nucleus.k_scalars = lambda a, b: a * b
-        assert nucleus.plumbing.down.k_scalars(2, 5) == 10
+        assert nucleus.down.k_scalars(2, 5) == 10
 
     def test_up_record_is_latest_wins_and_unrecord_drops(self, kernel):
         nucleus = _StubNucleus(kernel)
-        up, log = nucleus.plumbing.up, nucleus.plumbing.replay_log
+        up, log = nucleus.up, nucleus.replay_log
         dev = nucleus.dev
         assert up.open(dev) == 0
         assert dev.v == 2  # the decaf half's write came back
@@ -153,8 +155,8 @@ class TestGenericStubs:
 
     def test_up_failure_is_an_errno_and_not_recorded(self, kernel):
         nucleus = _StubNucleus(kernel)
-        assert nucleus.plumbing.up.poke(nucleus.dev) == -19
-        assert len(nucleus.plumbing.replay_log) == 0
+        assert nucleus.up.poke(nucleus.dev) == -19
+        assert len(nucleus.replay_log) == 0
 
 
 @pytest.fixture
@@ -206,27 +208,27 @@ class TestXpcExceptionSafety:
         assert ret == 1
 
     def test_plumbing_translates_driver_exceptions(self, kernel):
-        plumbing = DecafPlumbing(kernel, "8139too", plan=MarshalPlan())
+        nucleus = _StubNucleus(kernel)
 
         def boom():
             raise HardwareException("dead device", errno=19)
 
-        ret = plumbing.upcall(boom)
+        ret = nucleus.upcall(boom)
         assert ret == -19
 
     def test_plumbing_contains_foreign_exceptions(self, kernel):
         # A non-DriverException escaping the decaf half is a driver
         # *bug*; the failure boundary converts it to an errno and marks
         # the driver failed instead of letting it unwind kernel code.
-        plumbing = DecafPlumbing(kernel, "8139too", plan=MarshalPlan())
+        nucleus = _StubNucleus(kernel)
 
         def boom():
             raise ValueError("a genuine bug, not a driver error")
 
-        ret = plumbing.upcall(boom)
+        ret = nucleus.upcall(boom)
         assert ret == errno_of(ValueError())
-        assert plumbing.channel.failed
-        assert plumbing.xpc.boundary_faults == 1
+        assert nucleus.channel.failed
+        assert nucleus.xpc.boundary_faults == 1
 
     def test_errno_mapping(self):
         assert errno_of(HardwareException("x", errno=5)) == -5

@@ -4,6 +4,7 @@ import struct
 
 import pytest
 
+from repro.family import pcm_data
 from repro.kernel import SkBuff
 from tests.conftest import xmit_all
 from repro.kernel.sound import SNDRV_PCM_TRIGGER_START, SNDRV_PCM_TRIGGER_STOP
@@ -57,7 +58,7 @@ class TestDecafRtl8139:
         rig.insmod()
         nucleus = rig.nucleus
         poll = nucleus.poll
-        domains = nucleus.plumbing.domains
+        domains = nucleus.domains
         seen = []
         start, stop = poll.start, poll.stop
         poll.start = lambda: (seen.append(("start", domains.current)),
@@ -187,7 +188,7 @@ class TestDecafEns1371:
         assert sound.pcm_hw_params(ss, 44100, 2, 2, 4096, 4) == 0
         assert sound.pcm_prepare(ss) == 0
         assert sound.pcm_trigger(ss, SNDRV_PCM_TRIGGER_START) == 0
-        written = sound.pcm_write(ss, 44100 * 4)
+        written = sound.pcm_write(ss, pcm_data(44100 * 4))
         assert written == 44100 * 4
         assert sound.pcm_trigger(ss, SNDRV_PCM_TRIGGER_STOP) == 0
         assert sound.pcm_close(ss) == 0
@@ -248,9 +249,9 @@ class TestDecafUhci:
         rig.insmod()
         nucleus = rig.nucleus
         uhci = nucleus.state.uhci
-        assert nucleus.plumbing.up.suspend(uhci) == 0
+        assert nucleus.up.suspend(uhci) == 0
         assert rig.device.sts & 0x20  # halted
-        assert nucleus.plumbing.up.resume(uhci) == 0
+        assert nucleus.up.resume(uhci) == 0
         rig.kernel.run_for_ms(5)
         assert not rig.device.sts & 0x20
 

@@ -10,6 +10,7 @@ import struct
 
 import pytest
 
+from repro.family import pcm_data
 from repro.kernel import SkBuff
 from repro.kernel.sound import SNDRV_PCM_TRIGGER_START, SNDRV_PCM_TRIGGER_STOP
 from repro.kernel.usb import usb_sndbulkpipe
@@ -61,7 +62,7 @@ def _sound_scenario(rig):
     assert sound.pcm_hw_params(ss, 44100, 2, 2, 4096, 4) == 0
     assert sound.pcm_prepare(ss) == 0
     assert sound.pcm_trigger(ss, SNDRV_PCM_TRIGGER_START) == 0
-    written = sound.pcm_write(ss, 44100 * 4)
+    written = sound.pcm_write(ss, pcm_data(44100 * 4))
     sound.pcm_trigger(ss, SNDRV_PCM_TRIGGER_STOP)
     sound.pcm_close(ss)
     return {

@@ -4,6 +4,7 @@ import struct
 
 import pytest
 
+from repro.family import pcm_data
 from repro.kernel import SkBuff
 from tests.conftest import xmit_all
 from repro.kernel.sound import SNDRV_PCM_TRIGGER_START, SNDRV_PCM_TRIGGER_STOP
@@ -183,7 +184,7 @@ class TestEns1371Legacy:
         assert sound.pcm_hw_params(ss, 44100, 2, 2, 4096, 4) == 0
         assert sound.pcm_prepare(ss) == 0
         assert sound.pcm_trigger(ss, SNDRV_PCM_TRIGGER_START) == 0
-        written = sound.pcm_write(ss, 44100 * 4)  # 1 second
+        written = sound.pcm_write(ss, pcm_data(44100 * 4))  # 1 second
         assert written == 44100 * 4
         assert ss.runtime.periods_elapsed > 30
         assert rig.device.period_interrupts == ss.runtime.periods_elapsed

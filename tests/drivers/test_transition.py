@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.drivers.decaf.plumbing import DecafPlumbing
+from repro.drivers.decaf.rtl8139_nucleus import Rtl8139Nucleus
 from repro.drivers.decaf.transition import (
     TransitionError,
     TransitionTable,
@@ -14,8 +14,9 @@ from repro.kernel import make_kernel
 def table(kernel):
     from repro.core.marshal import MarshalPlan
 
-    plumbing = DecafPlumbing(kernel, "8139too", plan=MarshalPlan())
-    return TransitionTable(plumbing)
+    nucleus = Rtl8139Nucleus(kernel)
+    nucleus.connect("8139too", plan=MarshalPlan())
+    return TransitionTable(nucleus.channel)
 
 
 class TestTransitionTable:
@@ -45,7 +46,7 @@ class TestTransitionTable:
         assert table.decaf_calls == 1
 
     def test_domains_tracked(self, table):
-        domains = table.plumbing.domains
+        domains = table.channel.domains
         seen = {}
         table.register("f", lambda: seen.setdefault("c", domains.current),
                         lambda: seen.setdefault("j", domains.current))
@@ -61,21 +62,20 @@ class TestTransitionTable:
         table.revert("f")
         assert table.call("f") == "good"
 
-    def test_decaf_calls_cross_the_language_boundary(self, table):
-        plumbing = table.plumbing
-        kernel = plumbing.kernel
+    def test_decaf_calls_cross_the_language_boundary(self, kernel, table):
+        channel = table.channel
         seen = []
 
         def impl():
             # The crossing is charged before the call enters DECAF.
-            seen.append((plumbing.domains.current,
+            seen.append((channel.domains.current,
                          kernel.cpu.category_ns("xpc")))
             return 0
 
         table.register("f", impl, impl)
 
         def state():
-            return (plumbing.xpc.lang_crossings,
+            return (channel.xpc.lang_crossings,
                     kernel.cpu.category_ns("xpc"), kernel.cpu.busy_ns)
 
         crossings, xpc_ns, busy_ns = state()
@@ -131,9 +131,10 @@ class TestIncrementalDriverMigration:
         tp = legacy.rtl8139_private()
         tp.ioaddr = nic.pci.resource_start(0)
 
-        plumbing = DecafPlumbing(kernel, "8139too", plan=MarshalPlan())
-        table = TransitionTable(plumbing)
-        rt = plumbing.decaf_rt
+        nucleus = Rtl8139Nucleus(kernel)
+        nucleus.connect(legacy.DRV_NAME, plan=MarshalPlan())
+        table = TransitionTable(nucleus.channel)
+        rt = nucleus.decaf_rt
 
         # C versions (the freshly-split driver library)...
         table.register("read_mac", lambda: legacy.read_mac_address(tp) or

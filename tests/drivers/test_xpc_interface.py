@@ -1,6 +1,6 @@
 """The XPC interface of each decaf driver is enumerable and closed.
 
-A user half reaches the kernel only through ``plumbing.down``: one
+A user half reaches the kernel only through ``nucleus.down``: one
 downcall stub per ``k_*`` entry point of its nucleus class.  A
 misspelled entry point in a rarely run unwind handler would otherwise
 fail only when that handler runs, so the check is a source scan.
@@ -99,7 +99,7 @@ def test_user_half_does_not_hold_its_nucleus(family):
     rig.insmod()
     nucleus = rig.nucleus
     decaf = nucleus.decaf
-    assert decaf.down is nucleus.plumbing.down
+    assert decaf.down is nucleus.down
     for name, value in vars(decaf).items():
         assert value is not nucleus, name
         assert not isinstance(value, type(nucleus)), name

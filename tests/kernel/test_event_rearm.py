@@ -250,7 +250,7 @@ def test_watchdog_poll_fires_on_one_event():
     poll = rig.nucleus.poll
     assert poll.timer.pending
     timer_ev = poll.timer._event.event
-    period_ns = poll.period_ns * rig.nucleus.plumbing.nuclear.poll_stretch
+    period_ns = poll.period_ns * rig.nucleus.nuclear.poll_stretch
     fired, executed = poll.timer.fired, poll.work.executed
     work_evs = set()
     # Each poll re-arms one period after its body ran, so polls drift

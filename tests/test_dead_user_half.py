@@ -139,8 +139,8 @@ def test_recovery_starts_the_user_half_the_way_probe_does(name, make_rig):
     assert supervisor.recoveries == 2
     assert (kernel.kstat.snapshot()["kernel.cpu0.jvm_ns"]
             == 3 * kernel.costs.jvm_startup_ns)
-    plumbing = rig.nucleus.plumbing
-    hook = plumbing.channel.user_tracker.release_hook
-    assert hook.__self__ is plumbing.decaf_rt
-    assert rig.nucleus.decaf.rt is plumbing.decaf_rt
+    nucleus = rig.nucleus
+    hook = nucleus.channel.user_tracker.release_hook
+    assert hook.__self__ is nucleus.decaf_rt
+    assert nucleus.decaf.rt is nucleus.decaf_rt
     rig.rmmod(check_leaks=True)

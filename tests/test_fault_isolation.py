@@ -14,7 +14,7 @@ from repro.core.marshal import MarshalPlan
 from repro.core.objtracker import UserObjectTracker
 from repro.core.xpc import DriverFailedError, FailurePolicy
 from repro.drivers.decaf.exceptions import DriverException, errno_of
-from repro.drivers.decaf.plumbing import DecafPlumbing
+from repro.drivers.decaf.rtl8139_nucleus import Rtl8139Nucleus
 
 
 class f_state(CStruct):
@@ -140,14 +140,15 @@ class TestFailureBoundary:
         assert channel.upcall(lambda: 42) == 42
 
     def test_plumbing_reports_fault_errno_without_supervisor(self, kernel):
-        plumbing = DecafPlumbing(kernel, "8139too", plan=MarshalPlan())
+        nucleus = Rtl8139Nucleus(kernel)
+        nucleus.connect("8139too", plan=MarshalPlan())
 
         def buggy():
             raise KeyError("missing")
 
-        ret = plumbing.upcall(buggy)
+        ret = nucleus.upcall(buggy)
         assert ret == errno_of(KeyError())
-        assert plumbing.channel.failed
+        assert nucleus.channel.failed
 
     def test_payload_corruption_is_contained(self, kernel):
         channel = _policy_channel(kernel)

@@ -38,8 +38,8 @@ def _fail_in_flush(rig):
 class TestSyncRecoveryPreemptsAsync:
     def test_one_fault_one_recovery_one_replay(self, rig):
         sup = rig.supervisor
-        plumbing = rig.nucleus.plumbing
-        log_len = len(plumbing.replay_log)
+        nucleus = rig.nucleus
+        log_len = len(nucleus.replay_log)
         assert log_len > 0  # probe/open were recorded
 
         _fail_in_flush(rig)
@@ -62,21 +62,21 @@ class TestSyncRecoveryPreemptsAsync:
         """Replayed config ops re-record themselves through the same
         nucleus paths; latest-wins must keep the log's length, order
         and payloads identical -- else each recovery would compound."""
-        plumbing = rig.nucleus.plumbing
-        before = plumbing.replay_log.entries()
+        nucleus = rig.nucleus
+        before = nucleus.replay_log.entries()
 
         _fail_in_flush(rig)
         assert rig.supervisor.recover() is True
         rig.kernel.run_for_ms(10)
 
-        assert plumbing.replay_log.entries() == before
+        assert nucleus.replay_log.entries() == before
 
     def test_two_faults_replay_exactly_twice(self, rig):
         """N recoveries replay the log exactly N times, no matter how
         the async work items interleave."""
         sup = rig.supervisor
-        plumbing = rig.nucleus.plumbing
-        log_len = len(plumbing.replay_log)
+        nucleus = rig.nucleus
+        log_len = len(nucleus.replay_log)
 
         for expected in (1, 2):
             _fail_in_flush(rig)
@@ -91,9 +91,9 @@ class TestDeferredBatchNotReplayed:
         """Notifications queued before the fault belong to the dead
         half: they are dropped (and counted) exactly once, never
         delivered by the restarted instance."""
-        plumbing = rig.nucleus.plumbing
-        plumbing.notify("watchdog_tick", ())
-        plumbing.notify("watchdog_tick", ())
+        nucleus = rig.nucleus
+        nucleus.channel.defer("watchdog_tick", ())
+        nucleus.channel.defer("watchdog_tick", ())
         dropped_before = rig.xpc.deferred_dropped
 
         _fail_in_flush(rig)
@@ -102,7 +102,7 @@ class TestDeferredBatchNotReplayed:
         dropped = rig.xpc.deferred_dropped - dropped_before
         assert dropped >= 1  # the batch died with its instance
         # Nothing stale left to flush into the new instance.
-        assert plumbing.flush_notifications() == 0
+        assert nucleus.nuclear.flush_notifications() == 0
         rig.kernel.run_for_ms(10)
         assert rig.xpc.deferred_dropped - dropped_before == dropped
 
