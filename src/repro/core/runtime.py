@@ -123,6 +123,38 @@ class DeferredPoll:
             self.start()
 
 
+def _user_read(accessor, size, is_mmio):
+    """A decaf runtime register read: one language crossing, counted
+    here and charged in the access's own clock step, straight into
+    ``IoSpace.read``.  With the kernel tracer on, the access crosses
+    through ``direct_call``, which records its ``xpc.direct`` span."""
+    def read(self, addr):
+        kernel = self.kernel
+        if kernel.tracer is not None:
+            return self.channel.direct_call(getattr(kernel.io, accessor),
+                                            addr)
+        self.channel.xpc.lang_crossings += 1
+        return kernel.io.read(addr, size, is_mmio, kernel.costs.xpc_lang_ns)
+    read.__name__ = accessor
+    read.__qualname__ = "DecafRuntime." + accessor
+    return read
+
+
+def _user_write(accessor, size, is_mmio):
+    """The write side of :func:`_user_read`, into ``IoSpace.write``."""
+    def write(self, value, addr):
+        kernel = self.kernel
+        if kernel.tracer is not None:
+            self.channel.direct_call(getattr(kernel.io, accessor), value,
+                                     addr)
+            return
+        self.channel.xpc.lang_crossings += 1
+        kernel.io.write(addr, value, size, is_mmio, kernel.costs.xpc_lang_ns)
+    write.__name__ = accessor
+    write.__qualname__ = "DecafRuntime." + accessor
+    return write
+
+
 class DecafRuntime:
     """User-level helpers shared by all decaf drivers."""
 
@@ -147,29 +179,14 @@ class DecafRuntime:
     def sizeof(self, struct_cls):
         return struct_cls.sizeof()
 
-    def inb(self, port):
-        return self.channel.direct_call(self.kernel.io.inb, port)
-
-    def inw(self, port):
-        return self.channel.direct_call(self.kernel.io.inw, port)
-
-    def inl(self, port):
-        return self.channel.direct_call(self.kernel.io.inl, port)
-
-    def outb(self, value, port):
-        self.channel.direct_call(self.kernel.io.outb, value, port)
-
-    def outw(self, value, port):
-        self.channel.direct_call(self.kernel.io.outw, value, port)
-
-    def outl(self, value, port):
-        self.channel.direct_call(self.kernel.io.outl, value, port)
-
-    def readl(self, addr):
-        return self.channel.direct_call(self.kernel.io.readl, addr)
-
-    def writel(self, value, addr):
-        self.channel.direct_call(self.kernel.io.writel, value, addr)
+    inb = _user_read("inb", 1, False)
+    inw = _user_read("inw", 2, False)
+    inl = _user_read("inl", 4, False)
+    outb = _user_write("outb", 1, False)
+    outw = _user_write("outw", 2, False)
+    outl = _user_write("outl", 4, False)
+    readl = _user_read("readl", 4, True)
+    writel = _user_write("writel", 4, True)
 
     def msleep(self, msecs):
         """``DriverWrappers.Java_msleep`` from Fig. 5."""
@@ -215,3 +232,4 @@ class DecafRuntime:
             self.channel.kernel_tracker.remove(kernel_obj.c_addr)
             if alloc is not None:
                 self.kernel.memory.kfree(alloc)
+

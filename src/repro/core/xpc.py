@@ -43,6 +43,10 @@ from .marshal import (
 )
 from .objtracker import KernelObjectTracker, UserObjectTracker
 
+#: ``last_transfer`` of a scalar-only transfer: its wire is the 4-byte
+#: argument count, and no field, tracker or delta work is done.
+_SCALAR_WIRE = (4, 0, 0, 0, 0)
+
 #: First opaque handle a channel hands out: above every id() and every
 #: bus or MMIO address, so no plain integer in an opaque field is
 #: mistaken for a handle.
@@ -471,30 +475,55 @@ class XpcChannel:
             category="marshal",
         )
 
-    def _charge_kernel_crossing(self):
-        # The crossing itself (syscall, copies) burns CPU; the thread
-        # dispatch is mostly *waiting* for the scheduler and the user
-        # process -- latency, not CPU -- so it is charged as idle time.
+    def _enter(self, crossing_ns, scalar=False):
+        """Charge a crossing's way in: the crossing, then the thread
+        dispatch -- and, for a scalar-only downcall, its wire.
+
+        The crossing itself (syscall, copies) burns CPU and stays one
+        real ``consume(..., category="xpc")`` call.  The thread dispatch
+        is mostly *waiting* for the scheduler and the user process --
+        latency, not CPU -- so it is charged as idle time, in one run
+        with the scalar wire.  (An upcall's wire is charged by its
+        transfer, inside the upcall's failure containment.)
+        """
+        kernel = self.xpc.kernel
+        kernel.consume(crossing_ns, True, "xpc")
+        wait = (kernel.costs.xpc_thread_dispatch_ns, False, "xpc-wait")
+        if scalar:
+            kernel.consume_run((wait, self._scalar_wire()))
+            self._scalar_transfer()
+        else:
+            kernel.consume_run((wait,))
+
+    def _leave(self, scalar=False):
+        """Charge a crossing's way back as one run: a scalar-only
+        crossing's return wire, the crossing and the thread dispatch."""
         kernel = self.xpc.kernel
         costs = kernel.costs
-        kernel.consume(costs.xpc_kernel_user_ns, busy=True, category="xpc")
-        kernel.consume(
-            costs.xpc_thread_dispatch_ns, busy=False, category="xpc-wait"
-        )
+        back = ((costs.xpc_kernel_user_ns, True, "xpc"),
+                (costs.xpc_thread_dispatch_ns, False, "xpc-wait"))
+        if scalar:
+            self._scalar_transfer()
+            back = (self._scalar_wire(),) + back
+        kernel.consume_run(back)
 
-    def _charge_batch_crossing(self, nitems):
-        # One crossing carries the whole batch: full crossing cost for
-        # the first item, a marginal per-item cost for the rest, one
-        # thread dispatch total.
-        costs = self.xpc.kernel.costs
-        self.xpc.kernel.consume(
-            costs.xpc_kernel_user_ns
-            + (nitems - 1) * costs.xpc_batch_item_ns,
-            busy=True, category="xpc",
-        )
-        self.xpc.kernel.consume(
-            costs.xpc_thread_dispatch_ns, busy=False, category="xpc-wait"
-        )
+    def _scalar_wire(self):
+        """The marshal charge of a scalar-only transfer (no struct
+        arguments): its wire is the 4-byte argument count, so the codec
+        is skipped and only that is charged.  An installed
+        ``corrupt_hook`` must see the real bytes, so it forces the full
+        codec."""
+        return (int(4 * self.xpc.kernel.costs.marshal_byte_ns), True,
+                "marshal")
+
+    def _scalar_transfer(self):
+        """Record a scalar-only transfer.  The codec path records a
+        transfer before charging it; so does the way back, but the way
+        in records after its run, so no event the thread dispatch fires
+        sees it early."""
+        self.codec.last_decoded_objects = ()
+        self.last_transfer = _SCALAR_WIRE
+        self.xpc.bytes_marshaled += 4
 
     def _charge_lang_crossing(self):
         # The decaf driver and driver library share one process, so the
@@ -513,15 +542,11 @@ class XpcChannel:
         side is marked clean afterwards, so its dirty set accumulates
         exactly the writes made *since* this transfer.
 
-        A scalar-only crossing (no struct arguments) skips the codec:
-        its wire is the 4-byte argument count and nothing else, so the
-        result is charged directly.  An installed ``corrupt_hook`` must
-        see the real bytes, so it forces the full path.
+        A scalar-only transfer skips the codec (see :meth:`_scalar_wire`).
         """
         if not args and self.corrupt_hook is None:
-            self.codec.last_decoded_objects = ()
-            self.last_transfer = (4, 0, 0, 0, 0)
-            self._charge_marshal(4, 0)
+            self._scalar_transfer()
+            self.xpc.kernel.consume(*self._scalar_wire())
             return []
         if direction == TO_USER:
             src_ctx, dst_ctx = self.kernel_ctx, self.user_ctx
@@ -617,7 +642,12 @@ class XpcChannel:
             self._deferred = []
             self.xpc.deferred_flushes += 1
             self.xpc.kernel_user_crossings += 1
-            self._charge_batch_crossing(len(batch))
+            # One crossing carries the whole batch: full crossing cost
+            # for the first item, a marginal per-item cost for the rest,
+            # one thread dispatch total.
+            costs = kernel.costs
+            self._enter(costs.xpc_kernel_user_ns
+                        + (len(batch) - 1) * costs.xpc_batch_item_ns)
             for index, (func, args, extra) in enumerate(batch):
                 try:
                     if self.inject_hook is not None:
@@ -693,11 +723,13 @@ class XpcChannel:
         self.xpc.kernel_user_crossings += 1
         tracer = kernel.tracer
         start_ns = kernel.clock.now_ns if tracer is not None else 0
-        self._charge_kernel_crossing()
+        self._enter(kernel.costs.xpc_kernel_user_ns)
         # Everything from the forward transfer through the delta return
         # trip runs on behalf of the user-level half: an unchecked
         # exception anywhere in it (including a payload that fails to
-        # decode) is a driver failure, not a kernel one.
+        # decode) is a driver failure, not a kernel one.  So are the
+        # transfers' marshal charges: they stay inside, out of the
+        # crossing's charge runs.
         try:
             twins = self._transfer_args(args, TO_USER)
             fwd = self.last_transfer
@@ -718,7 +750,7 @@ class XpcChannel:
                     cause=exc,
                 ) from exc
             raise
-        self._charge_kernel_crossing()
+        self._leave()
         if tracer is not None:
             # Before flush_deferred: the flush is its own crossing and
             # gets its own span, not a nested slice of this one.
@@ -746,16 +778,21 @@ class XpcChannel:
         self.xpc.kernel_user_crossings += 1
         tracer = kernel.tracer
         start_ns = kernel.clock.now_ns if tracer is not None else 0
-        self._charge_kernel_crossing()
-        twins = self._transfer_contained(args, TO_KERNEL, False, func)
+        scalar = not args and self.corrupt_hook is None
+        self._enter(kernel.costs.xpc_kernel_user_ns, scalar)
+        twins = () if scalar else self._transfer_contained(
+            args, TO_KERNEL, False, func)
         fwd = self.last_transfer
         self.domains.push(KERNEL)
         try:
             ret = func(*twins, *(extra or ()))
         finally:
             self.domains.pop(KERNEL)
-        self._transfer_contained(args_back(args, twins), TO_USER, True, func)
-        self._charge_kernel_crossing()
+        scalar = not args and self.corrupt_hook is None
+        if not scalar:
+            self._transfer_contained(args_back(args, twins), TO_USER, True,
+                                     func)
+        self._leave(scalar)
         if tracer is not None:
             tracer.xpc_span("xpc.downcall", start_ns, self.name,
                             _callsite(func), (fwd, self.last_transfer))

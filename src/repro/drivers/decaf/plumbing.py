@@ -62,7 +62,8 @@ def unrecord(*names):
 
 def _split(args):
     """Leading struct arguments marshal as their own class; the rest
-    pass through unmarshaled."""
+    pass through unmarshaled.  Stubs call it only when the first
+    argument is a struct: a scalar-only crossing has nothing to split."""
     n = 0
     for arg in args:
         if not isinstance(arg, CStruct):
@@ -84,7 +85,10 @@ def _down_stub(name):
         # on the instance is the one that crosses.
         nucleus = self._nucleus
         func = getattr(nucleus, name)
-        ret = nucleus.channel.downcall(func, *_split(args))
+        if args and isinstance(args[0], CStruct):
+            ret = nucleus.channel.downcall(func, *_split(args))
+        else:
+            ret = nucleus.channel.downcall(func, (), args)
         if isinstance(ret, int) and ret < 0:
             raise exc("%s failed with errno %d"
                       % (getattr(func, "__name__", func), ret), errno=ret)
@@ -96,7 +100,11 @@ def _down_stub(name):
 def _up_stub(name, replay):
     def stub(self, *args):
         nucleus = self._nucleus
-        ret = nucleus.upcall(getattr(nucleus.decaf, name), *_split(args))
+        func = getattr(nucleus.decaf, name)
+        if args and isinstance(args[0], CStruct):
+            ret = nucleus.upcall(func, *_split(args))
+        else:
+            ret = nucleus.upcall(func, (), args)
         if ret == 0 and replay is not None:
             if replay == RECORD:
                 nucleus.replay_log.record(getattr(self, name), *args)
