@@ -124,17 +124,19 @@ class DeferredPoll:
 
 
 def _user_read(accessor, size, is_mmio):
-    """A decaf runtime register read: one language crossing, counted
-    here and charged in the access's own clock step, straight into
-    ``IoSpace.read``.  With the kernel tracer on, the access crosses
-    through ``direct_call``, which records its ``xpc.direct`` span."""
+    """A decaf runtime register read: one language crossing, counted and
+    charged here, then straight into ``IoSpace.read`` (what
+    ``direct_call(io.readl, addr)`` did, two frames shorter).  With the
+    kernel tracer on, the access crosses through ``direct_call``, which
+    records its ``xpc.direct`` span."""
     def read(self, addr):
         kernel = self.kernel
         if kernel.tracer is not None:
             return self.channel.direct_call(getattr(kernel.io, accessor),
                                             addr)
         self.channel.xpc.lang_crossings += 1
-        return kernel.io.read(addr, size, is_mmio, kernel.costs.xpc_lang_ns)
+        kernel.consume(kernel.costs.xpc_lang_ns, True, "xpc")
+        return kernel.io.read(addr, size, is_mmio)
     read.__name__ = accessor
     read.__qualname__ = "DecafRuntime." + accessor
     return read
@@ -149,7 +151,8 @@ def _user_write(accessor, size, is_mmio):
                                      addr)
             return
         self.channel.xpc.lang_crossings += 1
-        kernel.io.write(addr, value, size, is_mmio, kernel.costs.xpc_lang_ns)
+        kernel.consume(kernel.costs.xpc_lang_ns, True, "xpc")
+        kernel.io.write(addr, value, size, is_mmio)
     write.__name__ = accessor
     write.__qualname__ = "DecafRuntime." + accessor
     return write
@@ -232,4 +235,3 @@ class DecafRuntime:
             self.channel.kernel_tracker.remove(kernel_obj.c_addr)
             if alloc is not None:
                 self.kernel.memory.kfree(alloc)
-

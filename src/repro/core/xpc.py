@@ -11,10 +11,11 @@ call discipline -- across the two boundaries of the Decaf architecture:
   decides the partition.
 * **C <-> Java** (driver library <-> decaf driver): a language crossing
   (Jeannie/JNI in the paper).  Cheap, no scheduling.  Every language
-  crossing in the tree goes through :meth:`XpcChannel.direct_call`,
-  which charges the transition and marshals nothing: the runtimes' port
-  and MMIO accessors, the E1000 decaf driver's library calls and the
-  migration :class:`~repro.drivers.decaf.transition.TransitionTable`.
+  crossing in the tree charges the transition and marshals nothing:
+  the E1000 decaf driver's library calls, the delays and the migration
+  :class:`~repro.drivers.decaf.transition.TransitionTable` go through
+  :meth:`XpcChannel.direct_call`, and the decaf runtime's port and MMIO
+  accessors count and charge it themselves before entering ``IoSpace``.
   :meth:`XpcChannel.lang_call`, which also marshals struct arguments,
   has no caller in a driver.
 
@@ -42,10 +43,6 @@ from .marshal import (
     MarshalCodec, TO_KERNEL, TO_USER, TransferContext, TypeRegistry,
 )
 from .objtracker import KernelObjectTracker, UserObjectTracker
-
-#: ``last_transfer`` of a scalar-only transfer: its wire is the 4-byte
-#: argument count, and no field, tracker or delta work is done.
-_SCALAR_WIRE = (4, 0, 0, 0, 0)
 
 #: First opaque handle a channel hands out: above every id() and every
 #: bus or MMIO address, so no plain integer in an opaque field is
@@ -464,66 +461,15 @@ class XpcChannel:
 
     # -- cost charging ------------------------------------------------------------
 
-    def _charge_marshal(self, nbytes, nfields):
-        xpc = self.xpc
-        kernel = xpc.kernel
-        costs = kernel.costs
-        xpc.bytes_marshaled += nbytes
-        kernel.consume(
-            int(nbytes * costs.marshal_byte_ns + nfields * costs.marshal_field_ns),
-            busy=True,
-            category="marshal",
-        )
-
-    def _enter(self, crossing_ns, scalar=False):
-        """Charge a crossing's way in: the crossing, then the thread
-        dispatch -- and, for a scalar-only downcall, its wire.
-
-        The crossing itself (syscall, copies) burns CPU and stays one
-        real ``consume(..., category="xpc")`` call.  The thread dispatch
-        is mostly *waiting* for the scheduler and the user process --
-        latency, not CPU -- so it is charged as idle time, in one run
-        with the scalar wire.  (An upcall's wire is charged by its
-        transfer, inside the upcall's failure containment.)
-        """
+    def _charge_crossing(self, crossing_ns):
+        # The crossing itself (syscall, copies) burns CPU; the thread
+        # dispatch is mostly *waiting* for the scheduler and the user
+        # process -- latency, not CPU -- so it is charged as idle time.
+        # The crossing's charge stays a real consume(..., "xpc") call:
+        # perfbench's traced run counts a crossing by it.
         kernel = self.xpc.kernel
         kernel.consume(crossing_ns, True, "xpc")
-        wait = (kernel.costs.xpc_thread_dispatch_ns, False, "xpc-wait")
-        if scalar:
-            kernel.consume_run((wait, self._scalar_wire()))
-            self._scalar_transfer()
-        else:
-            kernel.consume_run((wait,))
-
-    def _leave(self, scalar=False):
-        """Charge a crossing's way back as one run: a scalar-only
-        crossing's return wire, the crossing and the thread dispatch."""
-        kernel = self.xpc.kernel
-        costs = kernel.costs
-        back = ((costs.xpc_kernel_user_ns, True, "xpc"),
-                (costs.xpc_thread_dispatch_ns, False, "xpc-wait"))
-        if scalar:
-            self._scalar_transfer()
-            back = (self._scalar_wire(),) + back
-        kernel.consume_run(back)
-
-    def _scalar_wire(self):
-        """The marshal charge of a scalar-only transfer (no struct
-        arguments): its wire is the 4-byte argument count, so the codec
-        is skipped and only that is charged.  An installed
-        ``corrupt_hook`` must see the real bytes, so it forces the full
-        codec."""
-        return (int(4 * self.xpc.kernel.costs.marshal_byte_ns), True,
-                "marshal")
-
-    def _scalar_transfer(self):
-        """Record a scalar-only transfer.  The codec path records a
-        transfer before charging it; so does the way back, but the way
-        in records after its run, so no event the thread dispatch fires
-        sees it early."""
-        self.codec.last_decoded_objects = ()
-        self.last_transfer = _SCALAR_WIRE
-        self.xpc.bytes_marshaled += 4
+        kernel.consume(kernel.costs.xpc_thread_dispatch_ns, False, "xpc-wait")
 
     def _charge_lang_crossing(self):
         # The decaf driver and driver library share one process, so the
@@ -534,7 +480,7 @@ class XpcChannel:
 
     # -- marshaling helpers shared by stubs ------------------------------------------
 
-    def _transfer_args(self, args, direction, delta=False):
+    def _transfer_args(self, args, direction, delta=False, payload_of=None):
         """Marshal (obj, cls) pairs across; returns twin objects.
 
         ``delta=True`` (return trips) copies only fields carrying dirty
@@ -542,42 +488,76 @@ class XpcChannel:
         side is marked clean afterwards, so its dirty set accumulates
         exactly the writes made *since* this transfer.
 
-        A scalar-only transfer skips the codec (see :meth:`_scalar_wire`).
+        A scalar-only crossing (no struct arguments) skips the codec:
+        its wire is the 4-byte argument count and nothing else, so the
+        result is charged directly.  An installed ``corrupt_hook`` must
+        see the real bytes, so it forces the full path.
+
+        ``payload_of`` is the callee of a downcall, whose transfers
+        carry bytes from the user-level half: a failure anywhere in
+        them (truncated buffer, forged length, bad tag -- anything a
+        compromised user half can put on the wire -- or an exception
+        from an event their charge fires) must never surface as a raw
+        kernel-side exception.  Under a failure policy it is contained
+        exactly like an unchecked exception escaping an upcall: channel
+        FAILED, supervisor notified, DriverFailedError to the caller.
+        A policy-free channel keeps raw propagation.
         """
-        if not args and self.corrupt_hook is None:
-            self._scalar_transfer()
-            self.xpc.kernel.consume(*self._scalar_wire())
-            return []
-        if direction == TO_USER:
-            src_ctx, dst_ctx = self.kernel_ctx, self.user_ctx
-        else:
-            src_ctx, dst_ctx = self.user_ctx, self.kernel_ctx
-        kt, ut, codec = self.kernel_tracker, self.user_tracker, self.codec
-        lookups0 = kt.lookups + ut.lookups
-        hits0 = kt.hits + ut.hits
-        skipped0 = codec.delta_fields_skipped
-        data, nfields = codec.encode_args(
-            args, direction, ctx=src_ctx, delta=delta
-        )
-        if self.corrupt_hook is not None:
-            data = self.corrupt_hook(data, direction)
-        twins = codec.decode_args(
-            data, [cls for _obj, cls in args], direction, ctx=dst_ctx,
-            delta=delta,
-        )
-        self.last_transfer = (
-            len(data),
-            nfields,
-            kt.lookups + ut.lookups - lookups0,
-            kt.hits + ut.hits - hits0,
-            codec.delta_fields_skipped - skipped0,
-        )
-        self._charge_marshal(len(data), nfields)
-        # Decoded objects are CStruct twins (the trackers only ever
-        # resolve to those): clear their dirty sets directly.
-        for obj in codec.last_decoded_objects:
-            obj._dirty_fields.clear()
-        return twins
+        try:
+            codec = self.codec
+            if not args and self.corrupt_hook is None:
+                codec.last_decoded_objects = ()
+                self.last_transfer = (4, 0, 0, 0, 0)
+                twins, nbytes, nfields = [], 4, 0
+            else:
+                if direction == TO_USER:
+                    src_ctx, dst_ctx = self.kernel_ctx, self.user_ctx
+                else:
+                    src_ctx, dst_ctx = self.user_ctx, self.kernel_ctx
+                kt, ut = self.kernel_tracker, self.user_tracker
+                lookups0 = kt.lookups + ut.lookups
+                hits0 = kt.hits + ut.hits
+                skipped0 = codec.delta_fields_skipped
+                data, nfields = codec.encode_args(
+                    args, direction, ctx=src_ctx, delta=delta
+                )
+                if self.corrupt_hook is not None:
+                    data = self.corrupt_hook(data, direction)
+                twins = codec.decode_args(
+                    data, [cls for _obj, cls in args], direction, ctx=dst_ctx,
+                    delta=delta,
+                )
+                nbytes = len(data)
+                self.last_transfer = (
+                    nbytes,
+                    nfields,
+                    kt.lookups + ut.lookups - lookups0,
+                    kt.hits + ut.hits - hits0,
+                    codec.delta_fields_skipped - skipped0,
+                )
+            xpc = self.xpc
+            xpc.bytes_marshaled += nbytes
+            kernel = xpc.kernel
+            costs = kernel.costs
+            kernel.consume(
+                int(nbytes * costs.marshal_byte_ns
+                    + nfields * costs.marshal_field_ns),
+                True, "marshal",
+            )
+            # Decoded objects are CStruct twins (the trackers only ever
+            # resolve to those): clear their dirty sets directly.
+            for obj in codec.last_decoded_objects:
+                obj._dirty_fields.clear()
+            return twins
+        except Exception as exc:
+            if payload_of is not None and self._contain(
+                    exc, _callsite(payload_of)):
+                raise DriverFailedError(
+                    "xpc %s: malformed payload in downcall %s"
+                    % (self.name, _callsite(payload_of)),
+                    cause=exc,
+                ) from exc
+            raise
 
     # -- deferred one-way notifications ---------------------------------------------
 
@@ -646,8 +626,8 @@ class XpcChannel:
             # for the first item, a marginal per-item cost for the rest,
             # one thread dispatch total.
             costs = kernel.costs
-            self._enter(costs.xpc_kernel_user_ns
-                        + (len(batch) - 1) * costs.xpc_batch_item_ns)
+            self._charge_crossing(costs.xpc_kernel_user_ns
+                                  + (len(batch) - 1) * costs.xpc_batch_item_ns)
             for index, (func, args, extra) in enumerate(batch):
                 try:
                     if self.inject_hook is not None:
@@ -683,28 +663,6 @@ class XpcChannel:
         finally:
             self._flushing = False
 
-    def _transfer_contained(self, args, direction, delta, func):
-        """A downcall-path transfer: a malformed payload is a driver fault.
-
-        The marshaled bytes on this path come from the user-level half;
-        a decode failure (truncated buffer, forged length, bad tag --
-        anything a compromised user half can put on the wire) must never
-        surface as a raw kernel-side exception.  Under a failure policy
-        it is contained exactly like an unchecked exception escaping an
-        upcall: channel FAILED, supervisor notified, DriverFailedError
-        to the caller.  A policy-free channel keeps raw propagation.
-        """
-        try:
-            return self._transfer_args(args, direction, delta=delta)
-        except Exception as exc:
-            if self._contain(exc, _callsite(func)):
-                raise DriverFailedError(
-                    "xpc %s: malformed payload in downcall %s"
-                    % (self.name, _callsite(func)),
-                    cause=exc,
-                ) from exc
-            raise
-
     # -- the four call paths -------------------------------------------------------------
 
     def upcall(self, func, args=(), extra=None):
@@ -723,13 +681,11 @@ class XpcChannel:
         self.xpc.kernel_user_crossings += 1
         tracer = kernel.tracer
         start_ns = kernel.clock.now_ns if tracer is not None else 0
-        self._enter(kernel.costs.xpc_kernel_user_ns)
+        self._charge_crossing(kernel.costs.xpc_kernel_user_ns)
         # Everything from the forward transfer through the delta return
         # trip runs on behalf of the user-level half: an unchecked
         # exception anywhere in it (including a payload that fails to
-        # decode) is a driver failure, not a kernel one.  So are the
-        # transfers' marshal charges: they stay inside, out of the
-        # crossing's charge runs.
+        # decode) is a driver failure, not a kernel one.
         try:
             twins = self._transfer_args(args, TO_USER)
             fwd = self.last_transfer
@@ -750,7 +706,7 @@ class XpcChannel:
                     cause=exc,
                 ) from exc
             raise
-        self._leave()
+        self._charge_crossing(kernel.costs.xpc_kernel_user_ns)
         if tracer is not None:
             # Before flush_deferred: the flush is its own crossing and
             # gets its own span, not a nested slice of this one.
@@ -778,21 +734,17 @@ class XpcChannel:
         self.xpc.kernel_user_crossings += 1
         tracer = kernel.tracer
         start_ns = kernel.clock.now_ns if tracer is not None else 0
-        scalar = not args and self.corrupt_hook is None
-        self._enter(kernel.costs.xpc_kernel_user_ns, scalar)
-        twins = () if scalar else self._transfer_contained(
-            args, TO_KERNEL, False, func)
+        costs = kernel.costs
+        self._charge_crossing(costs.xpc_kernel_user_ns)
+        twins = self._transfer_args(args, TO_KERNEL, False, func)
         fwd = self.last_transfer
         self.domains.push(KERNEL)
         try:
             ret = func(*twins, *(extra or ()))
         finally:
             self.domains.pop(KERNEL)
-        scalar = not args and self.corrupt_hook is None
-        if not scalar:
-            self._transfer_contained(args_back(args, twins), TO_USER, True,
-                                     func)
-        self._leave(scalar)
+        self._transfer_args(args_back(args, twins), TO_USER, True, func)
+        self._charge_crossing(costs.xpc_kernel_user_ns)
         if tracer is not None:
             tracer.xpc_span("xpc.downcall", start_ns, self.name,
                             _callsite(func), (fwd, self.last_transfer))
@@ -854,6 +806,8 @@ class XpcChannel:
 
 def args_back(args, twins):
     """Pair each twin with its original struct class for the return trip."""
+    if not args:
+        return args
     return [
         (twin, cls)
         for twin, (_obj, cls) in zip(twins, args)

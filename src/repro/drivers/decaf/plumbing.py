@@ -62,8 +62,9 @@ def unrecord(*names):
 
 def _split(args):
     """Leading struct arguments marshal as their own class; the rest
-    pass through unmarshaled.  Stubs call it only when the first
-    argument is a struct: a scalar-only crossing has nothing to split."""
+    pass through unmarshaled."""
+    if not args or not isinstance(args[0], CStruct):
+        return (), args
     n = 0
     for arg in args:
         if not isinstance(arg, CStruct):
@@ -85,10 +86,7 @@ def _down_stub(name):
         # on the instance is the one that crosses.
         nucleus = self._nucleus
         func = getattr(nucleus, name)
-        if args and isinstance(args[0], CStruct):
-            ret = nucleus.channel.downcall(func, *_split(args))
-        else:
-            ret = nucleus.channel.downcall(func, (), args)
+        ret = nucleus.channel.downcall(func, *_split(args))
         if isinstance(ret, int) and ret < 0:
             raise exc("%s failed with errno %d"
                       % (getattr(func, "__name__", func), ret), errno=ret)
@@ -100,11 +98,7 @@ def _down_stub(name):
 def _up_stub(name, replay):
     def stub(self, *args):
         nucleus = self._nucleus
-        func = getattr(nucleus.decaf, name)
-        if args and isinstance(args[0], CStruct):
-            ret = nucleus.upcall(func, *_split(args))
-        else:
-            ret = nucleus.upcall(func, (), args)
+        ret = nucleus.upcall(getattr(nucleus.decaf, name), *_split(args))
         if ret == 0 and replay is not None:
             if replay == RECORD:
                 nucleus.replay_log.record(getattr(self, name), *args)

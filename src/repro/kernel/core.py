@@ -416,42 +416,6 @@ class Kernel:
                 return
         self.run_until(target)
 
-    def consume_run(self, charges):
-        """``consume(ns, busy, category)`` for each charge in order.
-
-        A run of back-to-back charges that ends below the next event
-        (``events.next_due_ns``), with nothing parked and the current CPU
-        not deferring into a busy window, updates the accounting and
-        moves the clock once: no event can come due inside it.
-        Otherwise -- or if any charge is negative -- each charge is one
-        :meth:`consume` call, so events fire between charges exactly
-        where they would have.
-        """
-        clock = self.clock
-        target = clock._now_ns
-        for ns, _busy, _category in charges:
-            if ns < 0:
-                break
-            target += ns
-        else:
-            cur = self.current_cpu
-            if (target < self.events.next_due_ns
-                    and not self._parked_process_events
-                    and not cur._defer_depth):
-                acct = cur.acct
-                agg = self.cpu
-                for ns, busy, category in charges:
-                    if busy:
-                        acct._busy_ns += ns
-                        acct._by_category[category] += ns
-                        if agg is not acct:
-                            agg._busy_ns += ns
-                            agg._by_category[category] += ns
-                clock._now_ns = target
-                return
-        for ns, busy, category in charges:
-            self.consume(ns, busy, category)
-
     # -- delays (Linux API names) ----------------------------------------------
 
     def udelay(self, usecs):

@@ -102,16 +102,12 @@ class IoSpace:
         if self._last_hit[space] is region:
             self._last_hit[space] = None
 
-    def _find(self, addr, size, space, cross_ns=0):
+    def _find(self, addr, size, space):
         """Region serving [addr, addr+size) in ``space`` (0 port, 1 MMIO).
 
         Called by read/write only when the last-hit region misses;
-        a hit here becomes the new last-hit region.  A user-level
-        access's language crossing (``cross_ns``) is charged first, on
-        its own, so the lookup sees what the events it fires did.
+        a hit here becomes the new last-hit region.
         """
-        if cross_ns:
-            self._kernel.consume(cross_ns, busy=True, category="xpc")
         index = bisect_right(self._bases[space], addr) - 1
         if index >= 0:
             region = self._sorted[space][index]
@@ -127,27 +123,19 @@ class IoSpace:
 
     # read/write test the last-hit region inline (most register accesses
     # hit the device touched just before) and bisect only on a miss.
-    # ``cross_ns`` is a user-level access's language crossing (the decaf
-    # runtime's accessors pass it): on a hit it joins the access's own
-    # charge in one Kernel.consume_run; on a miss _find charges it first.
 
-    def read(self, addr, size, is_mmio, cross_ns=0):
+    def read(self, addr, size, is_mmio):
         space = 1 if is_mmio else 0
         region = self._last_hit[space]
-        kernel = self._kernel
         if region is None or addr < region.base or addr + size > region.end:
-            region = self._find(addr, size, space, cross_ns)
-            cross_ns = 0
+            region = self._find(addr, size, space)
+        kernel = self._kernel
         if is_mmio:
             self.mmio_accesses += 1
-            ns = kernel.costs.mmio_ns
+            kernel.consume(kernel.costs.mmio_ns, busy=True, category="io")
         else:
             self.port_accesses += 1
-            ns = kernel.costs.port_io_ns
-        if cross_ns:
-            kernel.consume_run(((cross_ns, True, "xpc"), (ns, True, "io")))
-        else:
-            kernel.consume(ns, busy=True, category="io")
+            kernel.consume(kernel.costs.port_io_ns, busy=True, category="io")
         if self._wedged:
             forced = self._wedged.get(addr)
             if forced is not None:
@@ -160,23 +148,18 @@ class IoSpace:
             tap("r", region.name, addr - region.base, size, value)
         return value
 
-    def write(self, addr, value, size, is_mmio, cross_ns=0):
+    def write(self, addr, value, size, is_mmio):
         space = 1 if is_mmio else 0
         region = self._last_hit[space]
-        kernel = self._kernel
         if region is None or addr < region.base or addr + size > region.end:
-            region = self._find(addr, size, space, cross_ns)
-            cross_ns = 0
+            region = self._find(addr, size, space)
+        kernel = self._kernel
         if is_mmio:
             self.mmio_accesses += 1
-            ns = kernel.costs.mmio_ns
+            kernel.consume(kernel.costs.mmio_ns, busy=True, category="io")
         else:
             self.port_accesses += 1
-            ns = kernel.costs.port_io_ns
-        if cross_ns:
-            kernel.consume_run(((cross_ns, True, "xpc"), (ns, True, "io")))
-        else:
-            kernel.consume(ns, busy=True, category="io")
+            kernel.consume(kernel.costs.port_io_ns, busy=True, category="io")
         if self._wedged and addr in self._wedged:
             return
         mask = (1 << (8 * size)) - 1

@@ -118,17 +118,16 @@ def test_scalar_only_fast_path_matches_full_codec(family):
         assert fast[key] == full[key], key
 
 
-# -- the crossings' one-step charge runs, pinned --------------------------------
+# -- the shortened crossing paths, pinned --------------------------------------
 #
-# Upcalls, downcalls and flushes take their thread-dispatch and marshal
-# charges as runs (Kernel.consume_run), a scalar-only crossing skips the
-# transfer machinery, and a user-level register access charges its
-# language crossing in the access's own clock step.  None of that may
-# move the simulated result: each family's insmod, op and rmmod is
+# A scalar-only transfer skips the codec and the downcall's containment
+# wrapper, the stubs skip splitting scalar-only arguments, and a
+# user-level register access goes straight to IoSpace.  None of that
+# may move the simulated result: each family's insmod, op and rmmod is
 # pinned below (clock, crossing and io counts, and a digest over those
 # plus the per-category CPU accounting of every CPU, every Xpc counter,
 # and dmesg), with the traced run's xpc.* span counts.  Every mode must
-# land on the same pins: the plain run takes the joined charges, and a
+# land on the same pins: the plain run takes the short paths, and a
 # kernel tracer, a pass-through corrupt_hook or a pass-through
 # inject_hook put the crossings back on their instrumented paths.
 
@@ -259,3 +258,55 @@ def test_crossing_on_a_failed_channel_charges_nothing():
     assert channel.xpc.failed_calls == 1
     channel.failed = False
     rig.rmmod()
+
+
+def _scalar_downcall_marks(monkeypatch, rig):
+    """One scalar downcall, recorded: where its way-in dispatch wait and
+    its two 4-byte wire charges begin, relative to the call's start."""
+    kernel = rig.kernel
+    starts = {}
+    consume = type(kernel).consume
+
+    def recording(self, ns, busy=True, category="kernel"):
+        starts.setdefault(category, []).append(self.clock.now_ns)
+        return consume(self, ns, busy, category)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(type(kernel), "consume", recording)
+        start = kernel.clock.now_ns
+        assert rig.nucleus.down.k_read_config_dword(0) >= 0
+    wire_in, wire_back = starts["marshal"]
+    return starts["xpc-wait"][0] - start, wire_in - start, wire_back - start
+
+
+@pytest.mark.parametrize("leg", ["wire_in", "wire_back", "wait"])
+def test_an_event_that_raises_inside_a_scalar_downcall(leg, monkeypatch):
+    """Downcall containment covers the transfers, the scalar wire's
+    charge included: an unchecked exception from an event that charge
+    fires marks the driver FAILED and reaches the caller as
+    DriverFailedError.  The crossing's own dispatch wait is outside it:
+    an event fired there propagates raw, as any kernel-side one does."""
+    rig = make_e1000_rig(decaf=True)
+    rig.insmod()
+    kernel, channel = rig.kernel, rig.channel
+    wait, wire_in, wire_back = _scalar_downcall_marks(monkeypatch, rig)
+    offset = {"wait": wait, "wire_in": wire_in, "wire_back": wire_back}[leg]
+
+    def fault():
+        raise RuntimeError("event fault")
+
+    kernel.events.schedule_at(kernel.clock.now_ns + offset + 1, fault)
+    before = channel.xpc.bytes_marshaled
+    if leg == "wait":
+        with pytest.raises(RuntimeError, match="event fault"):
+            rig.nucleus.down.k_read_config_dword(0)
+        assert not channel.failed
+        assert channel.xpc.bytes_marshaled == before
+    else:
+        with pytest.raises(DriverFailedError, match="malformed payload"):
+            rig.nucleus.down.k_read_config_dword(0)
+        assert channel.failed
+        assert channel.xpc.boundary_faults == 1
+        # The wire is counted before its charge, as the codec path does.
+        assert channel.xpc.bytes_marshaled == before + (
+            4 if leg == "wire_in" else 8)

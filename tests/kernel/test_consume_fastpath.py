@@ -1,5 +1,4 @@
-"""Edges of the event-free fast paths in ``Kernel.consume`` and
-``Kernel.consume_run``.
+"""Edges of the event-free fast path in ``Kernel.consume``.
 
 When nothing is parked and no live event comes due inside the advance,
 ``consume`` moves the clock itself instead of entering ``run_until``.
@@ -8,20 +7,12 @@ Every scenario below runs twice on fresh kernels: once through
 ``run_until`` unconditionally -- and the clock, the dispatch count, the
 callback log, the parked queue and the per-category CPU accounting
 (aggregate and per CPU) must match exactly.
-
-``consume_run`` takes a run of back-to-back charges and moves the clock
-once when no event can come due inside it; a property test holds it to
-the same charges made as plain ``consume`` calls, with timers, parked
-work and CPU-targeted events on a 4-CPU kernel.
 """
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.kernel import make_kernel
-from repro.kernel.context import HARDIRQ, PROCESS
-from repro.kernel.errors import SimulationError
+from repro.kernel.context import HARDIRQ
 
 
 def reference_consume(kernel, ns, busy=True, category="kernel"):
@@ -160,122 +151,3 @@ def test_deferred_charge_inside_cpu_targeted_event():
     assert snap["log"] == [("cpu1", 10), ("cpu0", 20)]
     assert snap["busy_until"][1] == 310
     assert snap["now_ns"] == 550
-
-
-# -- consume_run: back-to-back charges in one clock step ---------------------
-
-CATEGORIES = ("io", "xpc", "xpc-wait", "marshal")
-charges = st.lists(
-    st.tuples(st.integers(0, 400), st.booleans(),
-              st.sampled_from(CATEGORIES)),
-    min_size=1, max_size=4)
-events = st.lists(st.fixed_dictionaries({
-    "after": st.integers(0, 3_000),
-    "kind": st.sampled_from(("timer", "irq", "work", "cpu")),
-    "cpu": st.integers(0, 3),
-    "cancel": st.booleans(),
-    # Charges the callback makes itself: on a CPU-targeted event they
-    # open that CPU's busy window.
-    "run": st.one_of(st.none(), charges),
-}), max_size=8)
-steps = st.lists(st.tuples(charges, st.booleans()), min_size=1, max_size=12)
-
-
-def _as_consume_calls(kernel, run):
-    for ns, busy, category in run:
-        kernel.consume(ns, busy, category)
-
-
-def _accounting(kernel):
-    return (kernel.cpu._busy_ns, dict(kernel.cpu._by_category),
-            [(v.acct._busy_ns, dict(v.acct._by_category))
-             for v in kernel.cpus])
-
-
-def _play(spec, steps, charge_run):
-    """Events from ``spec``, then each step's run of charges (inside an
-    irq section when flagged, so process work comes due and parks);
-    every callback logs the clock, its CPU and the accounting it sees."""
-    kernel = make_kernel(nr_cpus=4)
-    log = []
-
-    def callback(i, run):
-        def fire():
-            log.append((i, kernel.clock.now_ns, kernel.current_cpu.index,
-                        _accounting(kernel)))
-            if run:
-                charge_run(kernel, run)
-        return fire
-
-    for i, ev in enumerate(spec):
-        kind = ev["kind"]
-        event = kernel.events.schedule_after(
-            ev["after"], callback(i, ev["run"]),
-            context=HARDIRQ if kind == "irq" else PROCESS,
-            needs_sched=kind == "work",
-            cpu=ev["cpu"] if kind == "cpu" else None)
-        if ev["cancel"]:
-            event.cancel()
-    for run, atomic in steps:
-        if atomic:
-            kernel.context.enter_irq()
-        charge_run(kernel, run)
-        if atomic:
-            kernel.context.exit_irq()
-    return _snapshot(kernel, log)
-
-
-@settings(max_examples=300, deadline=None)
-@given(spec=events, steps=steps)
-def test_consume_run_matches_consume_calls(spec, steps):
-    reference = _play(spec, steps, _as_consume_calls)
-    assert _play(spec, steps, type(make_kernel()).consume_run) == reference
-
-
-def _counting_consume(monkeypatch, kernel):
-    calls = []
-    consume = kernel.consume
-
-    def counted(ns, busy=True, category="kernel"):
-        calls.append((ns, busy, category))
-        return consume(ns, busy, category)
-
-    monkeypatch.setattr(kernel, "consume", counted)
-    return calls
-
-
-def test_consume_run_moves_the_clock_once_when_nothing_is_due(monkeypatch):
-    kernel = make_kernel()
-    log = []
-    kernel.events.schedule_after(1_000, _mark(kernel, log, "later"))
-    kernel.consume(0, busy=False)   # a peek makes next_due_ns exact
-    calls = _counting_consume(monkeypatch, kernel)
-    kernel.consume_run(((100, True, "xpc"), (50, False, "xpc-wait"),
-                        (30, True, "io")))
-    assert calls == [] and log == []
-    assert kernel.clock.now_ns == 180
-    assert dict(kernel.cpu._by_category) == {"xpc": 100, "io": 30}
-    assert kernel.cpu._busy_ns == 130
-
-
-def test_consume_run_falls_back_when_an_event_comes_due(monkeypatch):
-    kernel = make_kernel()
-    log = []
-    kernel.events.schedule_after(
-        120, lambda: log.append((kernel.clock.now_ns,
-                                 dict(kernel.cpu._by_category))))
-    calls = _counting_consume(monkeypatch, kernel)
-    run = ((100, True, "xpc"), (50, True, "io"))
-    kernel.consume_run(run)
-    assert calls == list(run)
-    assert log == [(120, {"xpc": 100, "io": 50})]
-    assert kernel.clock.now_ns == 150
-
-
-def test_consume_run_negative_charge_raises_where_consume_would():
-    kernel = make_kernel()
-    with pytest.raises(SimulationError):
-        kernel.consume_run(((10, True, "io"), (-1, True, "io"),
-                            (5, True, "io")))
-    assert kernel.clock.now_ns == 10
-    assert dict(kernel.cpu._by_category) == {"io": 10}
